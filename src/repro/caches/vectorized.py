@@ -31,6 +31,10 @@ to produce them.
 
 from __future__ import annotations
 
+import os
+import threading
+import weakref
+
 import numpy as np
 
 from repro._util.bitops import ilog2
@@ -38,28 +42,43 @@ from repro._util.validate import check_power_of_two
 
 
 class LineOrderCache:
-    """Memoized per-configuration sorted views of one line array.
+    """Memoized per-configuration derived views of one line array.
 
     The direct-mapped miss computation and the compulsory-miss mask each
     need a full stable sort of the line stream, and design-space sweeps
     (Figures 1, 3, 4; the bandwidth studies) re-request them for the
     same stream over and over — the sorts dominated sweep time.  This
-    cache computes each ``(n_sets)`` grouping order and the first-touch
-    mask once per line array and hands back the memoized result.
+    cache computes the by-line order, the stack distances of each set
+    grouping and the first-touch mask once per line array and hands back
+    the memoized result.
 
     Obtain instances through :func:`line_order_cache`, which keeps a
-    small bounded registry keyed by array identity so independent sweeps
-    over the same stream share one cache.
+    registry keyed by array identity so independent sweeps over the same
+    stream share one cache.  A registered cache holds its stream only
+    weakly: the memo lives exactly as long as the stream does.
     """
 
-    def __init__(self, lines: np.ndarray):
-        self.lines = np.asarray(lines, dtype=np.uint64)
-        self._orders: dict[int, np.ndarray] = {}
-        self._compulsory: np.ndarray | None = None
+    def __init__(self, lines: np.ndarray, weak: bool = False):
+        if weak:
+            self._lines = weakref.ref(lines)
+        else:
+            strong = np.asarray(lines, dtype=np.uint64)
+            self._lines = lambda: strong
         self._memo: dict = {}
-        #: Approximate bytes held by memoized artifacts (the line array
-        #: itself is charged too — the registry keeps it alive).
-        self.memo_bytes = int(self.lines.nbytes)
+        #: Approximate bytes held by memoized artifacts.  The line array
+        #: itself is not charged: the memo never keeps it alive.
+        self.memo_bytes = 0
+        #: Drops the registry entry when the stream dies; set while the
+        #: cache is registered (see :func:`line_order_cache`).
+        self._finalizer: weakref.finalize | None = None
+
+    @property
+    def lines(self) -> np.ndarray:
+        """The memoized stream; callers must keep a registered one alive."""
+        lines = self._lines()
+        if lines is None:
+            raise ReferenceError("the memoized line stream was freed")
+        return lines
 
     def memo(self, key, compute):
         """Memoize ``compute()`` under ``key`` for this line array.
@@ -68,14 +87,21 @@ class LineOrderCache:
         miss masks, coarsened views, and the fetch-timing kernels'
         mechanism state all key their per-stream results here, so one
         stream's artifacts are computed once no matter how many sweep
-        points revisit it.
+        points revisit it.  Memoized values must not reference the
+        stream itself, or it could never be freed.
         """
         value = self._memo.get(key)
         if value is None:
             value = compute()
-            self._memo[key] = value
-            self.memo_bytes += _value_nbytes(value)
-            _enforce_order_cache_budget()
+            nbytes = _value_nbytes(value)
+            with _order_cache_lock:
+                existing = self._memo.get(key)
+                if existing is not None:  # another thread won the race
+                    return existing
+                self._memo[key] = value
+                self.memo_bytes += nbytes
+                if self._finalizer is not None:
+                    _charge_order_cache(nbytes)
         return value
 
     def coarsened(self, shift: int) -> np.ndarray:
@@ -152,40 +178,39 @@ class LineOrderCache:
         maps to exactly one set at any set count, so a grouped stream's
         by-line order is this global order re-indexed through the
         grouping permutation (two O(n) gathers) instead of a fresh
-        O(n log n) sort per set count.
+        O(n log n) sort per set count.  Stored as int32 when the stream
+        is shorter than 2**31.
         """
         def compute() -> np.ndarray:
-            order = np.argsort(self.lines, kind="stable")
+            lines = self.lines
+            order = np.argsort(lines, kind="stable").astype(
+                _index_dtype(len(lines)), copy=False
+            )
             order.setflags(write=False)  # shared between callers
             return order
 
         return self.memo(("by-line",), compute)
 
     def order(self, n_sets: int) -> np.ndarray:
-        """Stable argsort of the stream grouped by ``n_sets``-set index."""
-        order = self._orders.get(n_sets)
-        if order is None:
-            sets = self.lines & np.uint64(n_sets - 1)
-            order = np.argsort(sets, kind="stable")
-            order.setflags(write=False)  # shared between callers
-            self._orders[n_sets] = order
-            self.memo_bytes += int(order.nbytes)
-            _enforce_order_cache_budget()
-        return order
+        """Stable argsort of the stream grouped by ``n_sets``-set index.
+
+        Not memoized: the direct-mapped mask and the grouped stack
+        distances are, and nothing else reads the permutation.
+        """
+        return _set_order(self.lines, n_sets)
 
     def compulsory(self) -> np.ndarray:
         """Memoized first-touch mask of the stream."""
-        if self._compulsory is None:
-            n = len(self.lines)
-            mask = np.zeros(n, dtype=bool)
-            if n:
-                _, first_indices = np.unique(self.lines, return_index=True)
+        def compute() -> np.ndarray:
+            lines = self.lines
+            mask = np.zeros(len(lines), dtype=bool)
+            if len(lines):
+                _, first_indices = np.unique(lines, return_index=True)
                 mask[first_indices] = True
             mask.setflags(write=False)  # shared between callers
-            self._compulsory = mask
-            self.memo_bytes += int(mask.nbytes)
-            _enforce_order_cache_budget()
-        return self._compulsory
+            return mask
+
+        return self.memo(("compulsory",), compute)
 
     def stack_distances(self, n_sets: int = 1) -> np.ndarray:
         """Memoized exact LRU stack distances, grouped by ``n_sets`` sets.
@@ -193,28 +218,50 @@ class LineOrderCache:
         ``n_sets == 1`` gives whole-stream distances (fully-associative
         behaviour); larger values give each reference's distance within
         its own set's substream.  One array serves every associativity
-        (and, for ``n_sets == 1``, every capacity) of a sweep.
+        (and, for ``n_sets == 1``, every capacity) of a sweep.  Stored
+        as int32 when the stream is shorter than 2**31.
         """
         def compute() -> np.ndarray:
+            lines = self.lines
             by_line = self.by_line()
             if n_sets > 1:
-                order = self.order(n_sets)
+                order = _set_order(lines, n_sets)
                 # A line belongs to one set, so the grouped stream's
                 # stable by-line order is the global one re-indexed
                 # through the grouping permutation — no second sort.
                 inverse = np.empty(len(order), dtype=by_line.dtype)
                 inverse[order] = np.arange(len(order), dtype=by_line.dtype)
                 distances = _grouped_stack_distances(
-                    self.lines, order, inverse[by_line]
+                    lines, order, inverse[by_line]
                 )
             else:
-                distances = _grouped_stack_distances(
-                    self.lines, None, by_line
-                )
+                distances = _grouped_stack_distances(lines, None, by_line)
             distances.setflags(write=False)  # shared between callers
             return distances
 
         return self.memo(("stack-distances", n_sets), compute)
+
+
+def _index_dtype(n: int) -> type:
+    """The narrowest signed dtype holding every index (and ``n``) of a
+    length-``n`` stream."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+def _set_order(lines: np.ndarray, n_sets: int) -> np.ndarray:
+    """Stable argsort of ``lines`` by their ``n_sets``-set index.
+
+    The index is sorted at the narrowest unsigned width that holds it,
+    which puts numpy on its radix path; a stable sort by identical keys
+    is unique, so the permutation does not depend on the width.
+    """
+    key_dtype = (
+        np.uint16 if n_sets <= 1 << 16
+        else np.uint32 if n_sets <= 1 << 32
+        else np.uint64
+    )
+    sets = (lines & np.uint64(n_sets - 1)).astype(key_dtype)
+    return np.argsort(sets, kind="stable")
 
 
 def _value_nbytes(value) -> int:
@@ -228,35 +275,72 @@ def _value_nbytes(value) -> int:
     return 0
 
 
-#: Bounded registry of :class:`LineOrderCache` instances, keyed by the
-#: identity of the line array.  Holding the array alive through the
-#: cache guarantees its ``id`` cannot be reused while the entry exists;
-#: access order doubles as the eviction order (LRU), and the registry is
-#: bounded both by entry count and by the total bytes of memoized
-#: artifacts so a long-running ``repro serve`` process cannot grow it
-#: without limit.
-_ORDER_CACHE_CAPACITY = 16
+#: Registry of :class:`LineOrderCache` instances, keyed by the identity
+#: of the line array.  The registry holds each stream only weakly: a
+#: ``weakref.finalize`` on the array drops its entry when the array
+#: dies, which is also what makes the ``id`` key safe — an entry is
+#: gone before its id can be reused.  Streams the trace cache owns keep
+#: their memos as long as the trace lives; transient streams free theirs
+#: on return.  Access order doubles as the eviction order (LRU) under
+#: the one hard cap, the total bytes of memoized artifacts, so a
+#: long-running ``repro serve`` process cannot grow it without limit.
+#: Finalizers fire on whichever thread drops a stream's last reference,
+#: so every change to the registry holds the (re-entrant) lock.
 _ORDER_CACHE_MAX_BYTES = 1 << 30
 _order_caches: dict[int, LineOrderCache] = {}
-_order_cache_max_entries = _ORDER_CACHE_CAPACITY
+_order_cache_lock = threading.RLock()
+_order_cache_bytes = 0
 _order_cache_max_bytes = _ORDER_CACHE_MAX_BYTES
 _order_cache_evictions = 0
 
 
-def _enforce_order_cache_budget() -> None:
-    """Evict least-recently-used registry entries past either bound.
+def _reset_order_cache_lock() -> None:
+    # A fork child inherits the lock in whatever state another thread
+    # of the parent held it; start the child with a fresh one.
+    global _order_cache_lock
+    _order_cache_lock = threading.RLock()
 
-    At least one entry always survives: the active stream's artifacts
-    may legitimately exceed the byte budget on their own, and evicting
-    them would only force an immediate recompute.
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_order_cache_lock)
+
+
+def _charge_order_cache(nbytes: int) -> None:
+    """Add a registered cache's new artifact to the total; enforce the cap."""
+    global _order_cache_bytes
+    _order_cache_bytes += nbytes
+    _enforce_order_cache_budget()
+
+
+def _unregister(key: int) -> None:
+    """Remove one entry and its bytes; the caller holds the lock."""
+    global _order_cache_bytes
+    cache = _order_caches.pop(key)
+    cache._finalizer.detach()
+    cache._finalizer = None
+    _order_cache_bytes -= cache.memo_bytes
+
+
+def _forget(key: int, cache: LineOrderCache) -> None:
+    """Finalizer of a registered stream: drop its entry."""
+    with _order_cache_lock:
+        if _order_caches.get(key) is cache:
+            _unregister(key)
+
+
+def _enforce_order_cache_budget() -> None:
+    """Evict least-recently-used entries past the byte budget.
+
+    The caller holds the lock.  At least one entry always survives: the
+    active stream's artifacts may legitimately exceed the budget on
+    their own, and evicting them would only force an immediate
+    recompute.
     """
     global _order_cache_evictions
     while len(_order_caches) > 1 and (
-        len(_order_caches) > _order_cache_max_entries
-        or sum(c.memo_bytes for c in _order_caches.values())
-        > _order_cache_max_bytes
+        _order_cache_bytes > _order_cache_max_bytes
     ):
-        del _order_caches[next(iter(_order_caches))]
+        _unregister(next(iter(_order_caches)))
         _order_cache_evictions += 1
 
 
@@ -264,43 +348,41 @@ def line_order_cache(lines: np.ndarray) -> LineOrderCache:
     """The shared :class:`LineOrderCache` for ``lines``.
 
     Caching is by object identity: passing an equal-but-distinct array
-    creates a fresh cache entry (and eventually evicts the oldest), so
-    callers that want reuse must pass the *same* array object — which
-    the registry's trace cache and :class:`~repro.trace.trace.Trace`
-    memoization already arrange.
+    creates a fresh cache entry, so callers that want reuse must pass
+    the *same* array object — which the registry's trace cache and
+    :class:`~repro.trace.trace.Trace` memoization already arrange.
+    Only ``uint64`` arrays are registered; anything else gets a private
+    cache over its converted copy.
     """
+    if not (isinstance(lines, np.ndarray) and lines.dtype == np.uint64):
+        return LineOrderCache(lines)
     key = id(lines)
-    cache = _order_caches.get(key)
-    if cache is not None and cache.lines is lines:
-        # Move-to-end keeps dict order = LRU order.
-        del _order_caches[key]
+    with _order_cache_lock:
+        cache = _order_caches.get(key)
+        if cache is not None:
+            # Move-to-end keeps dict order = LRU order.
+            del _order_caches[key]
+            _order_caches[key] = cache
+            return cache
+        cache = LineOrderCache(lines, weak=True)
+        cache._finalizer = weakref.finalize(lines, _forget, key, cache)
+        cache._finalizer.atexit = False
         _order_caches[key] = cache
-        return cache
-    cache = LineOrderCache(lines)
-    if isinstance(lines, np.ndarray) and lines.dtype == np.uint64:
-        _order_caches[key] = cache
-        _enforce_order_cache_budget()
     return cache
 
 
-def configure_order_cache(
-    max_entries: int | None = None, max_bytes: int | None = None
-) -> None:
-    """Adjust the registry bounds (evicting down to them immediately)."""
-    global _order_cache_max_entries, _order_cache_max_bytes
-    if max_entries is not None:
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        _order_cache_max_entries = max_entries
-    if max_bytes is not None:
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
+def configure_order_cache(max_bytes: int) -> None:
+    """Set the byte budget (evicting down to it immediately)."""
+    global _order_cache_max_bytes
+    if max_bytes <= 0:
+        raise ValueError(f"max_bytes must be positive, got {max_bytes}")
+    with _order_cache_lock:
         _order_cache_max_bytes = max_bytes
-    _enforce_order_cache_budget()
+        _enforce_order_cache_budget()
 
 
 def order_cache_stats() -> dict[str, int]:
-    """Entry count, memoized bytes, evictions, and registry bounds.
+    """Entry count, memoized bytes, evictions, and the byte budget.
 
     ``evictions`` counts process-lifetime budget evictions — a rising
     rate means streams are cycling through the memo faster than sweeps
@@ -308,20 +390,22 @@ def order_cache_stats() -> dict[str, int]:
     ``repro cache info`` prints them) so operators can watch the memo
     instead of discovering it through process growth.
     """
-    return {
+    return {  # plain reads: safe without the lock (and in fork hooks)
         "entries": len(_order_caches),
-        "bytes": sum(c.memo_bytes for c in _order_caches.values()),
+        "bytes": _order_cache_bytes,
         "evictions": _order_cache_evictions,
-        "max_entries": _order_cache_max_entries,
         "max_bytes": _order_cache_max_bytes,
     }
 
 
 def clear_order_caches() -> None:
-    """Drop all memoized sort orders (tests use this for isolation)."""
+    """Drop every memo entry and reset the eviction count (tests use
+    this for isolation)."""
     global _order_cache_evictions
-    _order_caches.clear()
-    _order_cache_evictions = 0
+    with _order_cache_lock:
+        while _order_caches:  # dropping a memo can finalize other entries
+            _unregister(next(iter(_order_caches)))
+        _order_cache_evictions = 0
 
 
 def miss_mask_direct_mapped(
@@ -332,9 +416,9 @@ def miss_mask_direct_mapped(
     A direct-mapped set holds exactly one line, so a reference hits iff
     the immediately preceding reference to its set had the same tag.
     Grouping references by set with a stable sort makes that a purely
-    vectorized comparison.  The sort is memoized per line array (see
-    :class:`LineOrderCache`); pass ``order`` to supply a precomputed
-    one explicitly.
+    vectorized comparison.  The mask, not the sort, is what
+    :class:`LineOrderCache` memoizes; pass ``order`` to supply a
+    precomputed grouping explicitly.
     """
     check_power_of_two("n_sets", n_sets)
     lines = np.asarray(lines, dtype=np.uint64)
@@ -342,15 +426,12 @@ def miss_mask_direct_mapped(
     if n == 0:
         return np.zeros(0, dtype=bool)
     if order is None:
-        order = line_order_cache(lines).order(n_sets)
-    sets = lines & np.uint64(n_sets - 1)
-    sorted_sets = sets[order]
+        order = _set_order(lines, n_sets)
+    # Equal lines share a set, so within the set-grouped stream a
+    # reference hits iff its predecessor is the same line.
     sorted_lines = lines[order]
     miss_sorted = np.ones(n, dtype=bool)
-    same = (sorted_sets[1:] == sorted_sets[:-1]) & (
-        sorted_lines[1:] == sorted_lines[:-1]
-    )
-    miss_sorted[1:] = ~same
+    np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=miss_sorted[1:])
     miss = np.empty(n, dtype=bool)
     miss[order] = miss_sorted
     return miss
@@ -397,7 +478,7 @@ def miss_mask_fully_associative(
 
 
 def lru_stack_distances(lines: np.ndarray) -> np.ndarray:
-    """Exact LRU stack distance of every reference.
+    """Exact LRU stack distance of every reference, as int64.
 
     Returns ``-1`` for first touches (infinite distance).  Fully
     vectorized: the distance of a reference at position ``i`` with
@@ -407,7 +488,7 @@ def lru_stack_distances(lines: np.ndarray) -> np.ndarray:
     dominance count handled by :func:`_count_smaller_to_right`.
     """
     lines = np.asarray(lines, dtype=np.uint64)
-    return _grouped_stack_distances(lines, None)
+    return _grouped_stack_distances(lines, None).astype(np.int64, copy=False)
 
 
 def _grouped_stack_distances(
@@ -423,40 +504,43 @@ def _grouped_stack_distances(
     given, must be the stable by-line argsort of the *grouped* stream
     (:meth:`LineOrderCache.by_line` derives it once per line array).
     Returns distances in original trace order, ``-1`` for group-local
-    first touches.
+    first touches, as int32 when ``len(lines) < 2**31`` (int64 beyond).
     """
     n = len(lines)
-    distances = np.full(n, -1, dtype=np.int64)
+    index = _index_dtype(n)
     if n == 0:
-        return distances
+        return np.zeros(0, dtype=index)
     stream = lines if order is None else lines[order]
     # Previous/next same-line occurrence within the (grouped) stream,
     # via one stable argsort.  A line maps to exactly one group, so
     # same-line adjacency in the sorted view never crosses groups.
     if by_line is None:
-        by_line = np.argsort(stream, kind="stable")
+        by_line = np.argsort(stream, kind="stable").astype(index, copy=False)
     sorted_lines = stream[by_line]
     repeat = np.zeros(n, dtype=bool)
-    repeat[1:] = sorted_lines[1:] == sorted_lines[:-1]
+    np.equal(sorted_lines[1:], sorted_lines[:-1], out=repeat[1:])
     repeat_slots = np.flatnonzero(repeat)
-    prev = np.full(n, -1, dtype=np.int64)
-    prev[by_line[repeat_slots]] = by_line[repeat_slots - 1]
-    nxt = np.full(n, n, dtype=np.int64)
-    nxt[by_line[repeat_slots - 1]] = by_line[repeat_slots]
+    later = by_line[repeat_slots]
+    earlier = by_line[repeat_slots - 1]
+    prev = np.full(n, -1, dtype=index)
+    prev[later] = earlier
+    nxt = np.full(n, n, dtype=index)
+    nxt[earlier] = later
     # distance(i) = (i - p - 1) - #{gap intervals [j, next_j] strictly
     # inside (p, i)}.  Intervals sorted by left endpoint are simply the
     # positions with a finite next, so the nested-interval count is a
     # count-smaller-to-right over their next positions — and the query
     # interval (p, i) is itself the gap interval anchored at p.
     points = np.flatnonzero(nxt < n)
-    nested = np.zeros(n, dtype=np.int64)
+    nested = np.zeros(n, dtype=index)
     nested[points] = _count_smaller_to_right(nxt[points])
     where = np.flatnonzero(prev >= 0)
     p = prev[where]
-    stream_distances = np.full(n, -1, dtype=np.int64)
+    stream_distances = np.full(n, -1, dtype=index)
     stream_distances[where] = (where - p - 1) - nested[p]
     if order is None:
         return stream_distances
+    distances = np.empty(n, dtype=index)
     distances[order] = stream_distances
     return distances
 
@@ -470,21 +554,21 @@ def _count_smaller_to_right(values: np.ndarray) -> np.ndarray:
     element whose current bit is 1 gains the count of same-prefix
     elements after it whose bit is 0 (exactly the pairs this bit
     decides).  Each level is cumulative-sum and stable-partition work —
-    ``O(n)`` numpy passes per bit, ``O(n log n)`` total.
+    ``O(n)`` numpy passes per bit, ``O(n log n)`` total.  Counts (at
+    most ``n - 1``) come back as int32 when ``n < 2**31``.
     """
     values = np.asarray(values)
     n = len(values)
+    index_dtype = _index_dtype(n)
     if n == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=index_dtype)
     n_bits = max(1, int(values.max()).bit_length())
-    index_dtype = np.int32 if n < 2**31 else np.int64
     order = np.arange(n, dtype=index_dtype)
-    counts = np.zeros(n, dtype=np.int64)  # slot space, permuted with order
+    counts = np.zeros(n, dtype=index_dtype)  # slot space, permuted with order
     seg_new = np.zeros(n, dtype=bool)  # True at each segment's first slot
     seg_new[0] = True
-    vals = values.astype(np.int64, copy=False)
     for b in range(n_bits - 1, -1, -1):
-        bit = ((vals[order] >> b) & 1).astype(index_dtype)
+        bit = ((values[order] >> b) & 1).astype(index_dtype)
         zero = 1 - bit
         seg_starts = np.flatnonzero(seg_new).astype(index_dtype)
         if len(seg_starts) == n:
@@ -497,7 +581,7 @@ def _count_smaller_to_right(values: np.ndarray) -> np.ndarray:
         zseg = zeros_in_seg[seg_id]
         # Zeros strictly after each slot within its segment.
         zeros_after = (zeros_before_seg[seg_id] + zseg) - cum_zeros
-        counts += np.where(bit == 1, zeros_after.astype(np.int64), 0)
+        counts += bit * zeros_after
         # Stable partition by bit within each segment.
         cum_ones = np.cumsum(bit, dtype=index_dtype)
         base = seg_starts[seg_id]
@@ -508,14 +592,14 @@ def _count_smaller_to_right(values: np.ndarray) -> np.ndarray:
         new_pos = np.where(bit == 1, base + zseg + one_rank, base + zero_rank)
         new_order = np.empty(n, dtype=index_dtype)
         new_order[new_pos] = order
-        new_counts = np.empty(n, dtype=np.int64)
+        new_counts = np.empty(n, dtype=index_dtype)
         new_counts[new_pos] = counts
         next_seg = np.zeros(n, dtype=bool)
         next_seg[seg_starts] = True
         splits = seg_starts + zeros_in_seg
         next_seg[splits[(zeros_in_seg > 0) & (splits <= seg_ends)]] = True
         order, counts, seg_new = new_order, new_counts, next_seg
-    out = np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=index_dtype)
     out[order] = counts
     return out
 

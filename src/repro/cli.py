@@ -205,7 +205,7 @@ def _cmd_evaluate(args) -> int:
 def _print_order_cache(order: dict) -> None:
     """Text rendering of the in-process line-order memo stats."""
     print("\nline-order memo (in-process):")
-    print(f"  entries: {order['entries']} (max {order['max_entries']})")
+    print(f"  entries: {order['entries']}")
     print(f"  bytes: {order['bytes']:,} (max {order['max_bytes']:,})")
     print(f"  evictions: {order['evictions']}")
 

@@ -12,9 +12,9 @@ batches all land here:
    get_line_runs`, and mask families through one cheetah-style
    :func:`~repro.plan.inputs.prime_miss_masks` call per (trace,
    stream) covering the union of geometries every experiment in the
-   plan requested.  The line-order registry's entry bound is raised to
-   hold the whole plan's streams for the duration (the byte budget
-   stays in force as the memory cap).
+   plan requested.  The primed memos live as long as their streams,
+   which the trace cache holds (the line-order registry's byte budget
+   is the memory cap).
 3. **Dedup** cells whose function and arguments are identical across
    experiments; each unique cell runs once.
 4. **Execute** the unique cells on :func:`~repro.runner.pool.
@@ -37,7 +37,6 @@ import threading
 import time
 from collections.abc import Callable, Mapping, Sequence
 
-from repro.caches.vectorized import configure_order_cache, order_cache_stats
 from repro.obs import tracing
 from repro.plan.compile import compile_module, compile_report
 from repro.plan.inputs import prime_miss_masks
@@ -146,42 +145,27 @@ def execute_cells(
         "inputs_shared": inputs.shared,
         "inputs_primed": 0,
     }
-    # The plan's streams must all fit the line-order registry or the
-    # primed masks would evict each other before the cells run.  Each
-    # mask family can occupy two entries (encode stream + coarsened
-    # stream); the byte budget stays as the hard memory cap, under
-    # which eviction only ever costs recompute, never correctness.
-    previous_entries = order_cache_stats()["max_entries"]
-    needed = len(inputs.streams) + len(inputs.masks) + 8
-    try:
-        if needed > previous_entries:
-            configure_order_cache(max_entries=needed)
-        if inputs.total:
-            phases_before = timing.snapshot()
-            prime_start = time.perf_counter()
-            with tracing.span(
-                "plan-prime",
-                label=label,
-                traces=len(inputs.traces),
-                streams=len(inputs.streams),
-                masks=len(inputs.masks),
-            ):
-                stats["inputs_primed"] = _prime_inputs(inputs)
-            stats["prime_seconds"] = round(
-                time.perf_counter() - prime_start, 6
-            )
-            phases_after = timing.snapshot()
-            stats["prime_phases"] = {
-                name: round(seconds - phases_before.get(name, 0.0), 6)
-                for name, seconds in phases_after.items()
-                if seconds - phases_before.get(name, 0.0) > 0.0
-            }
-        results_unique, cell_timings = run_cells(
-            [cell.lowered() for cell in unique], jobs
-        )
-    finally:
-        if needed > previous_entries:
-            configure_order_cache(max_entries=previous_entries)
+    if inputs.total:
+        phases_before = timing.snapshot()
+        prime_start = time.perf_counter()
+        with tracing.span(
+            "plan-prime",
+            label=label,
+            traces=len(inputs.traces),
+            streams=len(inputs.streams),
+            masks=len(inputs.masks),
+        ):
+            stats["inputs_primed"] = _prime_inputs(inputs)
+        stats["prime_seconds"] = round(time.perf_counter() - prime_start, 6)
+        phases_after = timing.snapshot()
+        stats["prime_phases"] = {
+            name: round(seconds - phases_before.get(name, 0.0), 6)
+            for name, seconds in phases_after.items()
+            if seconds - phases_before.get(name, 0.0) > 0.0
+        }
+    results_unique, cell_timings = run_cells(
+        [cell.lowered() for cell in unique], jobs
+    )
     results = [results_unique[index] for index in index_map]
     _notify(dict(stats, label=label))
     report = TimingReport(

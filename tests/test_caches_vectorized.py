@@ -169,7 +169,7 @@ class TestRescaleLines:
 
 
 class TestLineOrderCache:
-    """Memoized argsorts shared across a sweep's repeated calls."""
+    """Memoized per-stream artifacts shared across a sweep's calls."""
 
     def test_same_array_same_cache(self):
         from repro.caches.vectorized import clear_order_caches, line_order_cache
@@ -178,14 +178,18 @@ class TestLineOrderCache:
         lines = _random_lines()
         assert line_order_cache(lines) is line_order_cache(lines)
 
-    def test_order_memoized_per_n_sets(self):
+    def test_order_correct_across_key_widths(self):
+        # Set counts up to 2**16 sort uint16 keys, larger ones uint32;
+        # either way the permutation is the unique stable one.
         from repro.caches.vectorized import clear_order_caches, line_order_cache
 
         clear_order_caches()
-        cache = line_order_cache(_random_lines())
-        first = cache.order(64)
-        assert cache.order(64) is first
-        assert cache.order(128) is not first
+        lines = _random_lines(n=5000, span=1 << 24)
+        cache = line_order_cache(lines)
+        for n_sets in (128, 1 << 16, 1 << 17, 1 << 20):
+            sets = lines & np.uint64(n_sets - 1)
+            expected = np.argsort(sets, kind="stable")
+            assert np.array_equal(cache.order(n_sets), expected), n_sets
 
     def test_order_is_correct(self):
         from repro.caches.vectorized import clear_order_caches, line_order_cache
@@ -197,7 +201,7 @@ class TestLineOrderCache:
         assert np.array_equal(order, np.argsort(sets, kind="stable"))
 
     def test_explicit_order_matches_cached(self):
-        from repro.caches.vectorized import clear_order_caches, line_order_cache
+        from repro.caches.vectorized import clear_order_caches
 
         clear_order_caches()
         lines = _random_lines()
@@ -222,27 +226,40 @@ class TestLineOrderCache:
         from repro.caches.vectorized import clear_order_caches, line_order_cache
 
         clear_order_caches()
-        cache = line_order_cache(_random_lines())
+        lines = _random_lines()  # the registry holds streams only weakly
+        cache = line_order_cache(lines)
         with pytest.raises(ValueError):
-            cache.order(64)[0] = 0
+            cache.by_line()[0] = 0
+        with pytest.raises(ValueError):
+            cache.stack_distances(1)[0] = 0
+        with pytest.raises(ValueError):
+            cache.stack_distances(64)[0] = 0
         with pytest.raises(ValueError):
             cache.compulsory()[0] = False
 
     def test_registry_bounded(self):
+        # The byte budget is the registry's one cap: live streams are
+        # evicted LRU-first once their memoized bytes exceed it.
         from repro.caches.vectorized import (
-            _ORDER_CACHE_CAPACITY,
-            _order_caches,
+            _ORDER_CACHE_MAX_BYTES,
             clear_order_caches,
+            configure_order_cache,
             line_order_cache,
+            order_cache_stats,
         )
 
         clear_order_caches()
-        arrays = [
-            _random_lines(seed=i) for i in range(_ORDER_CACHE_CAPACITY + 4)
-        ]
-        for lines in arrays:
-            line_order_cache(lines)
-        assert len(_order_caches) == _ORDER_CACHE_CAPACITY
+        arrays = [_random_lines(n=1000, seed=i) for i in range(8)]
+        configure_order_cache(max_bytes=20_000)
+        try:
+            for lines in arrays:
+                line_order_cache(lines).stack_distances(1)
+                stats = order_cache_stats()
+                assert stats["entries"] == 1 or stats["bytes"] <= 20_000
+            assert order_cache_stats()["entries"] < len(arrays)
+        finally:
+            configure_order_cache(max_bytes=_ORDER_CACHE_MAX_BYTES)
+            clear_order_caches()
 
     def test_repeated_sweep_reuses_order(self):
         from repro.caches.vectorized import clear_order_caches
@@ -254,6 +271,203 @@ class TestLineOrderCache:
         assert np.array_equal(first, second)
         seq = _sequential_mask(lines, 64, 1)
         assert np.array_equal(first, seq)
+
+
+class TestMemoLifetime:
+    """A stream's memo lives exactly as long as the stream."""
+
+    def test_entry_dropped_with_its_stream(self):
+        import gc
+
+        from repro.caches.vectorized import (
+            clear_order_caches,
+            line_order_cache,
+            order_cache_stats,
+        )
+
+        clear_order_caches()
+        gc.collect()
+        lines = _random_lines()
+        cache = line_order_cache(lines)
+        cache.stack_distances(64)
+        cache.miss_masks([(64, 2), (256, 0)])
+        assert cache.lines is lines
+        stats = order_cache_stats()
+        assert stats["entries"] == 1 and stats["bytes"] > 0
+        del lines, cache
+        gc.collect()
+        assert order_cache_stats()["entries"] == 0
+        assert order_cache_stats()["bytes"] == 0
+
+    def test_coarsened_view_lives_with_its_parent(self):
+        import gc
+
+        from repro.caches.vectorized import (
+            clear_order_caches,
+            line_order_cache,
+            order_cache_stats,
+        )
+
+        clear_order_caches()
+        gc.collect()
+        lines = _random_lines()
+        coarse = line_order_cache(lines).coarsened(1)
+        line_order_cache(coarse).stack_distances(1)
+        del coarse
+        assert order_cache_stats()["entries"] == 2
+        del lines
+        gc.collect()
+        assert order_cache_stats()["entries"] == 0
+        assert order_cache_stats()["bytes"] == 0
+
+    def test_reused_id_never_serves_a_stale_memo(self):
+        from repro.caches.vectorized import clear_order_caches, line_order_cache
+
+        clear_order_caches()
+        seen: set[int] = set()
+        for seed in range(1000):
+            lines = _random_lines(n=500, span=60, seed=seed)
+            if id(lines) in seen:
+                break
+            seen.add(id(lines))
+            line_order_cache(lines).miss_masks([(16, 1), (16, 2), (32, 0)])
+            del lines
+        else:
+            pytest.skip("the allocator never reused an array id")
+        masks = line_order_cache(lines).miss_masks([(16, 1), (16, 2), (32, 0)])
+        assert np.array_equal(masks[(16, 1)], _sequential_mask(lines, 16, 1))
+        assert np.array_equal(masks[(16, 2)], _sequential_mask(lines, 16, 2))
+        fa = SetAssociativeCache(CacheGeometry(32 * 32, 32, 0))
+        expected = np.array([not fa.access_line(int(l)) for l in lines])
+        assert np.array_equal(masks[(32, 0)], expected)
+
+    def test_transient_streams_free_their_memo(self, small_trace):
+        import gc
+
+        from repro.caches.vectorized import order_cache_stats
+        from repro.tapeworm.trapdriven import TapewormSimulator
+        from repro.tlb.tlb import simulate_tlb
+        from repro.trace.rle import to_line_runs
+
+        runs = to_line_runs(small_trace.ifetch_addresses(), 32)
+        gc.collect()
+        before = order_cache_stats()
+        simulate_tlb(small_trace.addresses, small_trace.instruction_count)
+        after = order_cache_stats()
+        assert (after["entries"], after["bytes"]) == (
+            before["entries"], before["bytes"],
+        )
+        TapewormSimulator().run_grid(
+            runs,
+            [CacheGeometry(8 * 1024, 32, 1), CacheGeometry(8 * 1024, 32, 2)],
+            n_trials=2,
+        )
+        after = order_cache_stats()
+        assert (after["entries"], after["bytes"]) == (
+            before["entries"], before["bytes"],
+        )
+
+    def test_concurrent_streams_keep_the_registry_consistent(self):
+        import gc
+        import sys
+        import threading
+
+        from repro.caches.vectorized import (
+            _ORDER_CACHE_MAX_BYTES,
+            clear_order_caches,
+            configure_order_cache,
+            line_order_cache,
+            order_cache_stats,
+        )
+
+        clear_order_caches()
+        gc.collect()
+        shared = [_random_lines(n=64, span=50, seed=i) for i in range(8)]
+        errors = []
+
+        def churn(seed):
+            # Cheap memos keep the threads in the registry: lookups of
+            # shared live streams race with eviction passes and with
+            # finalizers of each thread's transient streams.
+            rng = np.random.default_rng(seed)
+            try:
+                for i in range(10000):
+                    lines = rng.integers(0, 50, 64).astype(np.uint64)
+                    line_order_cache(lines).compulsory()
+                    line_order_cache(shared[i % 8]).coarsened(1 + i % 3)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        # More threads than cores, switching often, under a budget that
+        # makes most inserts evict; a lost update to the running byte
+        # total would leave it non-zero at the end.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        configure_order_cache(max_bytes=2_000)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(t,)) for t in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            configure_order_cache(max_bytes=_ORDER_CACHE_MAX_BYTES)
+            sys.setswitchinterval(interval)
+        del shared
+        gc.collect()
+        assert errors == []
+        assert order_cache_stats()["entries"] == 0
+        assert order_cache_stats()["bytes"] == 0
+
+
+class TestIndexWidth:
+    """int32 memo arrays agree with the int64 reference paths."""
+
+    @staticmethod
+    def _set_conflicting_lines(n_sets, n=3000, seed=0):
+        # A few dozen sets, each shared by up to eight tags, so grouped
+        # distances are non-trivial at any set count.
+        rng = np.random.default_rng(seed)
+        sets = rng.choice(rng.integers(0, n_sets, 40), n)
+        tags = rng.integers(0, 8, n)
+        return (tags * n_sets + sets).astype(np.uint64)
+
+    @pytest.mark.parametrize("n_sets", [64, 1 << 16, 1 << 17])
+    def test_distances_match_int64_path(self, n_sets):
+        from repro.caches.vectorized import clear_order_caches, line_order_cache
+
+        clear_order_caches()
+        lines = self._set_conflicting_lines(n_sets, seed=n_sets.bit_length())
+        cache = line_order_cache(lines)
+        assert cache.by_line().dtype == np.int32
+        whole = cache.stack_distances(1)
+        assert whole.dtype == np.int32
+        assert lru_stack_distances(lines).dtype == np.int64
+        assert np.array_equal(whole, lru_stack_distances(lines))
+        grouped = cache.stack_distances(n_sets)
+        assert grouped.dtype == np.int32
+        sets = lines & np.uint64(n_sets - 1)
+        for s in np.unique(sets):
+            members = np.flatnonzero(sets == s)
+            assert np.array_equal(
+                grouped[members], lru_stack_distances(lines[members])
+            )
+
+    @pytest.mark.parametrize("n_sets", [64, 1 << 17])
+    def test_masks_match_sequential(self, n_sets):
+        from repro.caches.vectorized import clear_order_caches, line_order_cache
+
+        clear_order_caches()
+        lines = self._set_conflicting_lines(n_sets, n=1500, seed=5)
+        masks = line_order_cache(lines).miss_masks(
+            [(n_sets, 1), (n_sets, 2), (n_sets, 4)]
+        )
+        for (sets, ways), mask in masks.items():
+            expected = _sequential_mask(lines, sets, ways)
+            assert np.array_equal(mask, expected), ways
 
 
 class TestMultiGeometryMasks:
@@ -300,20 +514,25 @@ class TestMultiGeometryMasks:
 
     def test_eviction_counter_exposed(self):
         from repro.caches.vectorized import (
-            _ORDER_CACHE_CAPACITY,
+            _ORDER_CACHE_MAX_BYTES,
             clear_order_caches,
+            configure_order_cache,
             line_order_cache,
             order_cache_stats,
         )
 
         clear_order_caches()
         assert order_cache_stats()["evictions"] == 0
-        for i in range(_ORDER_CACHE_CAPACITY + 3):
-            line_order_cache(_random_lines(n=64, seed=100 + i))
-        stats = order_cache_stats()
+        # Live streams, so only the byte budget can evict them.
+        arrays = [_random_lines(n=512, seed=100 + i) for i in range(6)]
+        configure_order_cache(max_bytes=8_000)
+        try:
+            for lines in arrays:
+                line_order_cache(lines).stack_distances(1)
+            stats = order_cache_stats()
+        finally:
+            configure_order_cache(max_bytes=_ORDER_CACHE_MAX_BYTES)
         assert stats["evictions"] >= 3
-        assert set(stats) == {
-            "entries", "bytes", "evictions", "max_entries", "max_bytes",
-        }
+        assert set(stats) == {"entries", "bytes", "evictions", "max_bytes"}
         clear_order_caches()
         assert order_cache_stats()["evictions"] == 0

@@ -203,20 +203,6 @@ class TestExecuteCells:
         assert stats["prime_phases"].get("synthesize", 0.0) > 0.0
         assert report.phase_totals.get("synthesize", 0.0) > 0.0
 
-    def test_order_cache_capacity_restored(self):
-        from repro.caches.vectorized import order_cache_stats
-
-        before = order_cache_stats()["max_entries"]
-        cells = [
-            PlanCell(
-                key=("s", size), fn=_double, args=(size,),
-                traces=(_key(),), streams=(size,),
-            )
-            for size in (16, 32, 64, 128)
-        ]
-        execute_cells(cells, jobs=1, label="unit")
-        assert order_cache_stats()["max_entries"] == before
-
     def test_observer_add_remove(self):
         seen = []
         add_plan_observer(seen.append)
