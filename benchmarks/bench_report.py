@@ -1,13 +1,15 @@
-"""Legacy-vs-IR timing of the grid-wide report plan.
+"""Per-experiment-vs-grid timing of the report plan.
 
 One benchmark, appending a ``report-dedup`` record to the
 ``BENCH_fetch.json`` trajectory at the repository root: a fixed set of
 experiments with heavily-overlapping inputs runs twice, each pass in a
 fresh subprocess with cold memos and no disk cache,
 
-* **legacy** — :func:`repro.runner.pool.run_report_legacy`, the
-  pre-plan path: one pool cell per experiment, every worker re-deriving
-  its experiments' traces, streams, and miss masks from scratch;
+* **baseline** — one pool cell per experiment, built here, each
+  calling ``module.run(settings)``: every experiment compiles and
+  primes its own plan inside its worker, so no trace, stream, or miss
+  mask is shared across experiments (the record keeps this pass's
+  time under ``legacy_seconds``);
 * **plan** — :func:`repro.plan.executor.run_report`, the sweep-plan
   path: one compiled plan whose shared inputs are primed once in the
   parent before the pool forks, so workers inherit every warm memo.
@@ -41,13 +43,20 @@ import time
 #: The measured experiment set: every module shares the ibs-mach3
 #: traces (figure1 and table5 add spec92), and the L1/L2 demand-mask
 #: geometries overlap heavily across figure3/figure4/figure7/table5.
-#: The default ``--jobs 8`` gives the legacy path one worker per
+#: The default ``--jobs 8`` gives the baseline one worker per
 #: experiment — its best case for wall time, and exactly the setting
 #: under which every worker re-derives the shared inputs privately.
 MODULES = (
     "figure1", "figure3", "figure4", "figure7",
     "table4", "table5", "table6", "table8",
 )
+
+
+def _render(name: str, settings) -> str:
+    """Baseline cell: one whole experiment through its own plan."""
+    from repro import experiments
+
+    return getattr(experiments, name).run(settings).render()
 
 
 def _timestamp() -> str:
@@ -92,10 +101,18 @@ def _pass_body(mode: str, n_instructions: int, seed: int, jobs: int) -> int:
     }
     settings = ExperimentSettings(n_instructions=n_instructions, seed=seed)
     start = time.perf_counter()
-    if mode == "legacy":
-        from repro.runner.pool import run_report_legacy
+    if mode == "baseline":
+        from repro.plan.ir import PlanCell
+        from repro.runner.pool import run_cells
 
-        renderings, _report = run_report_legacy(modules, settings, jobs=jobs)
+        results, _timings = run_cells(
+            [
+                PlanCell(key=(name,), fn=_render, args=(name, settings))
+                for name in modules
+            ],
+            jobs,
+        )
+        renderings = list(zip(modules, results))
         plan_stats = None
     else:
         from repro.plan.executor import run_report
@@ -118,12 +135,12 @@ def _pass_body(mode: str, n_instructions: int, seed: int, jobs: int) -> int:
 def bench_report_dedup(
     n_instructions: int, seed: int, jobs: int
 ) -> dict:
-    """One trajectory record: the legacy pool path vs the compiled plan."""
-    legacy = run_pass("legacy", n_instructions, seed, jobs)
+    """One trajectory record: per-experiment plans vs one grid plan."""
+    baseline = run_pass("baseline", n_instructions, seed, jobs)
     plan = run_pass("plan", n_instructions, seed, jobs)
-    if legacy["digest"] != plan["digest"]:
+    if baseline["digest"] != plan["digest"]:
         raise AssertionError(
-            "plan-executed report renderings diverged from the legacy path"
+            "grid-plan report renderings diverged from the baseline"
         )
     stats = plan["plan"] or {}
     if stats.get("inputs_primed") != stats.get("inputs_total"):
@@ -138,9 +155,9 @@ def bench_report_dedup(
         "n_instructions": n_instructions,
         "seed": seed,
         "jobs": jobs,
-        "legacy_seconds": legacy["seconds"],
+        "legacy_seconds": baseline["seconds"],
         "plan_seconds": plan["seconds"],
-        "speedup": round(legacy["seconds"] / plan["seconds"], 2),
+        "speedup": round(baseline["seconds"] / plan["seconds"], 2),
         "renders_identical": True,
         "cells_total": stats.get("cells_total"),
         "inputs_total": stats.get("inputs_total"),
@@ -190,7 +207,7 @@ def main() -> int:
     parser.add_argument("--out", default="BENCH_fetch.json")
     parser.add_argument(
         "--min-speedup", type=float, default=1.5,
-        help="absolute within-run floor: fail when legacy/plan < this",
+        help="absolute within-run floor: fail when baseline/plan < this",
     )
     parser.add_argument(
         "--check-against", metavar="FILE",
@@ -201,7 +218,7 @@ def main() -> int:
         help="fail when the speedup < ratio * the baseline's last record",
     )
     parser.add_argument("--pass", dest="pass_mode",
-                        choices=("legacy", "plan"), help=argparse.SUPPRESS)
+                        choices=("baseline", "plan"), help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.pass_mode:
@@ -214,8 +231,8 @@ def main() -> int:
         f"report-dedup ({len(MODULES)} experiments, {record['cells_total']} "
         f"plan cells @ {args.instructions:,} instructions, "
         f"jobs={args.jobs}):\n"
-        f"  legacy: {record['legacy_seconds']:.2f}s\n"
-        f"  plan:   {record['plan_seconds']:.2f}s "
+        f"  baseline: {record['legacy_seconds']:.2f}s\n"
+        f"  plan:     {record['plan_seconds']:.2f}s "
         f"({record['inputs_primed']} shared inputs primed once, "
         f"{record['inputs_shared']} demanded by >1 cell)\n"
         f"  speedup: {record['speedup']:.1f}x (renders identical)"

@@ -5,7 +5,8 @@ Subcommands:
 * ``list`` — workloads, suites and experiments available.
 * ``experiment NAME`` — run one paper table/figure (or extension study)
   and print its rendering.
-* ``report`` — run everything (the ``tools/make_report.py`` behaviour).
+* ``report`` — run every paper experiment (``--extensions`` adds the
+  extension studies) as one sweep plan and print the renderings.
 * ``trace NAME`` — synthesize a workload trace and archive it to disk.
 * ``evaluate NAME`` — one workload against a named configuration.
 * ``cache info|clear`` — inspect or wipe the on-disk trace cache
@@ -53,8 +54,8 @@ from repro.core.config import MemorySystemConfig
 from repro.core.study import ENGINES, MECHANISMS, evaluate
 from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
 from repro.experiments.common import ExperimentSettings
+from repro.plan.executor import run_experiment, run_report
 from repro.runner.cache import CACHE_DIR_ENV, TraceDiskCache, cache_from_environment
-from repro.runner.pool import run_experiment, run_report
 from repro.trace.io import save_trace
 from repro.workloads.registry import (
     get_workload,

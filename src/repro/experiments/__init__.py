@@ -2,7 +2,11 @@
 
 Every module exposes:
 
-* ``run(...) -> <Result dataclass>`` — computes the experiment, with
+* ``plan_cells(settings, **axes)`` (plus ``merge`` when it has more
+  than one cell) — what the experiment computes, as sweep-plan cells
+  (see :mod:`repro.plan.compile`);
+* ``run(settings, **axes) -> <Result dataclass>`` — computes the
+  experiment through its plan; ``settings`` carries the
   ``n_instructions``/``seed`` knobs so tests can run scaled-down
   versions; and
 * ``Result.render() -> str`` — a text table/series mirroring the

@@ -170,5 +170,5 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     cell-private.
     """
     return plan_inputs.run_cell(
-        "ext_area", run, settings, suites=("spec92", "ibs-mach3")
+        run, settings, suites=("spec92", "ibs-mach3")
     )

@@ -116,4 +116,4 @@ def run(
 
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: scaled traces are synthesized per stage."""
-    return plan_inputs.run_cell("ext_bloat", run, settings)
+    return plan_inputs.run_cell(run, settings)

@@ -103,4 +103,4 @@ def run(
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: the BTB walks raw addresses, so only
     the suites' traces are shared."""
-    return plan_inputs.run_cell("ext_branch", run, settings, suites=SUITES)
+    return plan_inputs.run_cell(run, settings, suites=SUITES)

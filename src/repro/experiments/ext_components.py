@@ -130,5 +130,5 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: per-component attribution reads the
     raw traces directly."""
     return plan_inputs.run_cell(
-        "ext_components", run, settings, suites=("ibs-mach3",)
+        run, settings, suites=("ibs-mach3",)
     )

@@ -122,5 +122,5 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: the remedies build their own RLE
     streams, so only the suite's traces are shared."""
     return plan_inputs.run_cell(
-        "ext_conflict", run, settings, suites=("ibs-mach3",)
+        run, settings, suites=("ibs-mach3",)
     )

@@ -95,4 +95,4 @@ def run(
 
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: the two interleaved workloads' traces."""
-    return plan_inputs.run_cell("ext_context", run, settings, workloads=PAIR)
+    return plan_inputs.run_cell(run, settings, workloads=PAIR)

@@ -119,7 +119,7 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     integrated engine replays raw streams privately."""
     base = MemorySystemConfig.economy().with_l2(L2)
     return plan_inputs.run_cell(
-        "ext_methodology", run, settings,
+        run, settings,
         suites=("ibs-mach3",),
         points=[fetch_point(("ext_methodology",), base, "demand")],
     )

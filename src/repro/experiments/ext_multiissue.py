@@ -111,7 +111,7 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
         l1_interface=MemoryTiming(latency=6, bytes_per_cycle=32),
     )
     return plan_inputs.run_cell(
-        "ext_multiissue", run, settings,
+        run, settings,
         suites=("ibs-mach3", "spec92"),
         points=[
             fetch_point(

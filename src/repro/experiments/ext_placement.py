@@ -164,4 +164,4 @@ def run(
 
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: placement re-synthesizes its traces."""
-    return plan_inputs.run_cell("ext_placement", run, settings)
+    return plan_inputs.run_cell(run, settings)

@@ -106,5 +106,5 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: history-based engines replay raw
     streams, so only the suite's traces are shared."""
     return plan_inputs.run_cell(
-        "ext_prefetch", run, settings, suites=("ibs-mach3",)
+        run, settings, suites=("ibs-mach3",)
     )

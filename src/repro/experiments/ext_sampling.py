@@ -102,5 +102,5 @@ def run(
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: sampled replicas share the traces."""
     return plan_inputs.run_cell(
-        "ext_sampling", run, settings, suites=("ibs-mach3",)
+        run, settings, suites=("ibs-mach3",)
     )

@@ -123,4 +123,4 @@ def run(
 
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: every variant trace is bespoke."""
-    return plan_inputs.run_cell("ext_sensitivity", run, settings)
+    return plan_inputs.run_cell(run, settings)

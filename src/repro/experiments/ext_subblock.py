@@ -120,5 +120,5 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: the engines replay raw streams, so
     only the suite's traces are shared."""
     return plan_inputs.run_cell(
-        "ext_subblock", run, settings, suites=("ibs-mach3",)
+        run, settings, suites=("ibs-mach3",)
     )

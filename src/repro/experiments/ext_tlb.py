@@ -105,5 +105,5 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: TLB simulation walks raw traces of
     both OS suites."""
     return plan_inputs.run_cell(
-        "ext_tlb", run, settings, suites=("ibs-mach3", "ibs-ultrix")
+        run, settings, suites=("ibs-mach3", "ibs-ultrix")
     )

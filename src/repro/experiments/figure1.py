@@ -15,6 +15,7 @@ highly-associative 32-KB I-cache."
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +25,10 @@ from repro.caches.base import CacheGeometry
 from repro.caches.classify import ThreeCsRates
 from repro.core.metrics import measure_three_cs
 from repro.plan import inputs as plan_inputs
+from repro.plan.executor import run_experiment
 from repro.plan.ir import MaskFamily, PlanCell
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     suite_runs,
 )
@@ -98,22 +99,6 @@ def _measure_point(
     )
 
 
-def _cells(
-    settings: ExperimentSettings, cache_sizes: tuple[int, ...]
-) -> list[ExperimentCell]:
-    return [
-        ExperimentCell(key=(suite, size), fn=_measure_point,
-                       args=(suite, size, settings))
-        for suite in SUITES
-        for size in cache_sizes
-    ]
-
-
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per (suite, cache size) curve point."""
-    return _cells(settings, CACHE_SIZES)
-
-
 def _mask_family(size: int) -> MaskFamily:
     """The three-Cs masks of one size: direct-mapped + the 8-way reference.
 
@@ -130,8 +115,11 @@ def _mask_family(size: int) -> MaskFamily:
     )
 
 
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation: per-point cells with mask families."""
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    cache_sizes: tuple[int, ...] = CACHE_SIZES,
+) -> list[PlanCell]:
+    """One cell per (suite, cache size) curve point, with its masks."""
     return [
         PlanCell(
             key=(suite, size),
@@ -141,18 +129,18 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
             masks=(_mask_family(size),),
         )
         for suite in SUITES
-        for size in CACHE_SIZES
+        for size in cache_sizes
     ]
 
 
 def merge(
-    settings: ExperimentSettings, results: list[ThreeCsRates]
+    settings: ExperimentSettings,
+    keyed: dict[tuple[str, int], ThreeCsRates],
 ) -> Figure1Result:
     """Reassemble the per-point rates into both suites' curves."""
     curves: dict[str, dict[int, ThreeCsRates]] = {}
-    iterator = iter(results)
-    for suite in SUITES:
-        curves[suite] = {size: next(iterator) for size in CACHE_SIZES}
+    for (suite, size), rates in keyed.items():
+        curves.setdefault(suite, {})[size] = rates
     return Figure1Result(curves=curves)
 
 
@@ -161,10 +149,6 @@ def run(
     cache_sizes: tuple[int, ...] = CACHE_SIZES,
 ) -> Figure1Result:
     """Reproduce Figure 1 for both suites across the size range."""
-    curves: dict[str, dict[int, ThreeCsRates]] = {}
-    for suite in SUITES:
-        curves[suite] = {
-            size: _measure_point(suite, size, settings)
-            for size in cache_sizes
-        }
-    return Figure1Result(curves=curves)
+    return run_experiment(
+        sys.modules[__name__], settings, cache_sizes=cache_sizes
+    )[0]

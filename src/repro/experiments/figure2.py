@@ -74,6 +74,6 @@ COMPONENT_LABELS = dict(COMPONENT_NAMES)
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: one cell sharing all three suites' traces."""
     return plan_inputs.run_cell(
-        "figure2", run, settings,
+        run, settings,
         suites=("spec92", "ibs-ultrix", "ibs-mach3"),
     )

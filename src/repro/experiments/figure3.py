@@ -12,6 +12,7 @@ baseline.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro._util.fmt import format_table
@@ -19,17 +20,18 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     fetch_point,
     suite_cpi_instr,
 )
 from repro.plan import inputs as plan_inputs
+from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
 L2_SIZES = tuple(1024 * k for k in (16, 32, 64, 128, 256))
 L2_LINE_SIZES = (16, 32, 64, 128, 256)
 CONFIG_NAMES = ("economy", "high-performance")
+SUITE = "ibs-mach3"
 
 #: Paper reference points (read off the plot): baseline CPIinstr of
 #: each configuration (dotted lines) and the fixed L1 contribution
@@ -90,100 +92,75 @@ def _base_config(config_name: str) -> MemorySystemConfig:
     return MemorySystemConfig.high_performance()
 
 
+def _point_config(
+    config_name: str, size: int, line_size: int
+) -> MemorySystemConfig:
+    """One baseline with a direct-mapped on-chip L2 of one geometry."""
+    return _base_config(config_name).with_l2(
+        CacheGeometry(size, line_size, 1)
+    )
+
+
 def _evaluate_point(
     config_name: str,
     size: int,
     line_size: int,
-    suite: str,
     settings: ExperimentSettings,
 ) -> tuple[float, float]:
     """One cell: suite-mean (L1, L2) CPIinstr at one L2 design point."""
-    config = _base_config(config_name).with_l2(
-        CacheGeometry(size, line_size, 1)
-    )
-    return suite_cpi_instr(suite, config, "demand", settings)
+    config = _point_config(config_name, size, line_size)
+    return suite_cpi_instr(SUITE, config, "demand", settings)
 
 
-def _enumerate_points(
-    l2_sizes: tuple[int, ...], l2_line_sizes: tuple[int, ...]
-) -> list[tuple[str, int, int]]:
-    return [
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    l2_sizes: tuple[int, ...] = L2_SIZES,
+    l2_line_sizes: tuple[int, ...] = L2_LINE_SIZES,
+) -> list[PlanCell]:
+    """One cell per feasible (configuration, L2 size, L2 line) point."""
+    traces = plan_inputs.suite_trace_keys(SUITE, settings)
+    points = [
         (config_name, size, line_size)
         for config_name in CONFIG_NAMES
         for size in l2_sizes
         for line_size in l2_line_sizes
         if line_size <= size
     ]
-
-
-def _cells(
-    settings: ExperimentSettings,
-    l2_sizes: tuple[int, ...],
-    l2_line_sizes: tuple[int, ...],
-    suite: str,
-) -> list[ExperimentCell]:
     return [
-        ExperimentCell(key=point, fn=_evaluate_point,
-                       args=(*point, suite, settings))
-        for point in _enumerate_points(l2_sizes, l2_line_sizes)
+        PlanCell(
+            key=point,
+            fn=_evaluate_point,
+            args=(*point, settings),
+            traces=traces,
+            masks=plan_inputs.mask_families(
+                [fetch_point(point, _point_config(*point), "demand")],
+                settings.engine,
+            ),
+        )
+        for point in points
     ]
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per feasible (configuration, L2 size, L2 line) point."""
-    return _cells(settings, L2_SIZES, L2_LINE_SIZES, "ibs-mach3")
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation: per-point cells with L1+L2 masks."""
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
-    cell_list = []
-    for point in _enumerate_points(L2_SIZES, L2_LINE_SIZES):
-        config_name, size, line_size = point
-        config = _base_config(config_name).with_l2(
-            CacheGeometry(size, line_size, 1)
-        )
-        cell_list.append(
-            PlanCell(
-                key=point,
-                fn=_evaluate_point,
-                args=(*point, "ibs-mach3", settings),
-                traces=traces,
-                masks=plan_inputs.mask_families(
-                    [fetch_point(point, config, "demand")], settings.engine
-                ),
-            )
-        )
-    return cell_list
-
-
-def _merge_points(
-    points: list[tuple[str, int, int]], results: list[tuple[float, float]]
+def merge(
+    settings: ExperimentSettings,
+    keyed: dict[tuple[str, int, int], tuple[float, float]],
 ) -> Figure3Result:
+    """Reassemble the sweep table from the per-point cells."""
     cells_out: dict[tuple[str, int, int], float] = {}
     l1_contribution = 0.0
-    for point, (l1, l2) in zip(points, results):
+    for point, (l1, l2) in keyed.items():
         cells_out[point] = l1 + l2
         l1_contribution = l1  # identical across L2 points
     return Figure3Result(cells=cells_out, l1_contribution=l1_contribution)
-
-
-def merge(
-    settings: ExperimentSettings, results: list[tuple[float, float]]
-) -> Figure3Result:
-    """Reassemble the sweep table from the per-point cells."""
-    return _merge_points(_enumerate_points(L2_SIZES, L2_LINE_SIZES), results)
 
 
 def run(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     l2_sizes: tuple[int, ...] = L2_SIZES,
     l2_line_sizes: tuple[int, ...] = L2_LINE_SIZES,
-    suite: str = "ibs-mach3",
 ) -> Figure3Result:
     """Reproduce Figure 3's design-space sweep."""
-    points = _enumerate_points(l2_sizes, l2_line_sizes)
-    results = [
-        _evaluate_point(*point, suite, settings) for point in points
-    ]
-    return _merge_points(points, results)
+    return run_experiment(
+        sys.modules[__name__], settings,
+        l2_sizes=l2_sizes, l2_line_sizes=l2_line_sizes,
+    )[0]

@@ -10,6 +10,7 @@ direct-mapped high-performance one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro._util.fmt import format_series
@@ -17,19 +18,20 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     fetch_point,
     suite_cpi_instr,
 )
 from repro.fetch.timing import L1_L2_INTERFACE, MemoryTiming
 from repro.plan import inputs as plan_inputs
+from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
 ASSOCIATIVITIES = (1, 2, 4, 8)
 L2_SIZE = 64 * 1024
 L2_LINE = 64
 CONFIG_NAMES = ("economy", "high-performance")
+SUITE = "ibs-mach3"
 
 
 @dataclass(frozen=True)
@@ -82,43 +84,34 @@ def _point_config(
 def _evaluate_point(
     config_name: str,
     ways: int,
-    suite: str,
     associative_lookup_penalty: bool,
     settings: ExperimentSettings,
 ) -> float:
     """One cell: suite-mean total CPIinstr at one associativity."""
     config = _point_config(config_name, ways, associative_lookup_penalty)
-    l1, l2 = suite_cpi_instr(suite, config, "demand", settings)
+    l1, l2 = suite_cpi_instr(SUITE, config, "demand", settings)
     return l1 + l2
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    associative_lookup_penalty: bool = False,
+) -> list[PlanCell]:
     """One cell per (configuration, associativity) curve point."""
-    return [
-        ExperimentCell(
-            key=("figure4", config_name, ways),
-            fn=_evaluate_point,
-            args=(config_name, ways, "ibs-mach3", False, settings),
-        )
-        for config_name in CONFIG_NAMES
-        for ways in ASSOCIATIVITIES
-    ]
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation: per-point cells with L1+L2 masks."""
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
+    traces = plan_inputs.suite_trace_keys(SUITE, settings)
     return [
         PlanCell(
-            key=("figure4", config_name, ways),
+            key=(config_name, ways),
             fn=_evaluate_point,
-            args=(config_name, ways, "ibs-mach3", False, settings),
+            args=(config_name, ways, associative_lookup_penalty, settings),
             traces=traces,
             masks=plan_inputs.mask_families(
                 [
                     fetch_point(
                         (config_name, ways),
-                        _point_config(config_name, ways, False),
+                        _point_config(
+                            config_name, ways, associative_lookup_penalty
+                        ),
                         "demand",
                     )
                 ],
@@ -131,20 +124,14 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
 
 
 def merge(
-    settings: ExperimentSettings, results: list[float]
+    settings: ExperimentSettings, keyed: dict[tuple[str, int], float]
 ) -> Figure4Result:
-    """Zip per-point totals back into the curve layout."""
-    keys = [
-        (config_name, ways)
-        for config_name in CONFIG_NAMES
-        for ways in ASSOCIATIVITIES
-    ]
-    return Figure4Result(cells=dict(zip(keys, results)))
+    """The per-point totals are the curve layout."""
+    return Figure4Result(cells=dict(keyed))
 
 
 def run(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
     associative_lookup_penalty: bool = False,
 ) -> Figure4Result:
     """Reproduce Figure 4's associativity sweep.
@@ -156,11 +143,7 @@ def run(
     CPIinstr from 0.34 to 0.38."  With it enabled, associative L2
     points pay a 7-cycle instead of 6-cycle interface latency.
     """
-    cells_out: dict[tuple[str, int], float] = {}
-    for config_name in CONFIG_NAMES:
-        for ways in ASSOCIATIVITIES:
-            cells_out[(config_name, ways)] = _evaluate_point(
-                config_name, ways, suite, associative_lookup_penalty,
-                settings,
-            )
-    return Figure4Result(cells=cells_out)
+    return run_experiment(
+        sys.modules[__name__], settings,
+        associative_lookup_penalty=associative_lookup_penalty,
+    )[0]

@@ -14,16 +14,17 @@ CPIinstr.  The paper's observations, which this experiment reproduces:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro._util.fmt import format_table
 from repro.caches.base import CacheGeometry
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
 )
 from repro.plan import inputs as plan_inputs
+from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 from repro.tapeworm.trapdriven import TapewormSimulator, VariabilityResult
 from repro.trace.rle import to_line_runs
@@ -113,21 +114,13 @@ def _sweep_workload(
     }
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per workload (each covering the whole geometry grid)."""
-    return [
-        ExperimentCell(
-            key=("figure5", name, os_name),
-            fn=_sweep_workload,
-            args=(name, os_name, CACHE_SIZES, ASSOCIATIVITIES, N_TRIALS,
-                  settings),
-        )
-        for name, os_name in WORKLOADS
-    ]
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation.
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    cache_sizes: tuple[int, ...] = CACHE_SIZES,
+    associativities: tuple[int, ...] = ASSOCIATIVITIES,
+    n_trials: int = N_TRIALS,
+) -> list[PlanCell]:
+    """One cell per workload, each covering the whole geometry grid.
 
     Tapeworm trials apply a fresh random page mapping per trial, so the
     translated streams (and their masks) are private to each cell; the
@@ -135,9 +128,9 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
     """
     return [
         PlanCell(
-            key=("figure5", name, os_name),
+            key=(name, os_name),
             fn=_sweep_workload,
-            args=(name, os_name, CACHE_SIZES, ASSOCIATIVITIES, N_TRIALS,
+            args=(name, os_name, cache_sizes, associativities, n_trials,
                   settings),
             traces=plan_inputs.workload_trace_keys(
                 [(name, os_name)], settings
@@ -149,11 +142,11 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
 
 def merge(
     settings: ExperimentSettings,
-    results: list[dict[tuple[str, int, int], VariabilityResult]],
+    keyed: dict[tuple[str, str], dict[tuple, VariabilityResult]],
 ) -> Figure5Result:
     """Reassemble the study from the per-workload cells."""
     merged: dict[tuple[str, int, int], VariabilityResult] = {}
-    for cell_result in results:
+    for cell_result in keyed.values():
         merged.update(cell_result)
     return Figure5Result(cells=merged)
 
@@ -162,16 +155,11 @@ def run(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     cache_sizes: tuple[int, ...] = CACHE_SIZES,
     associativities: tuple[int, ...] = ASSOCIATIVITIES,
-    workloads: tuple[tuple[str, str], ...] = WORKLOADS,
     n_trials: int = N_TRIALS,
 ) -> Figure5Result:
     """Reproduce Figure 5's trap-driven variability study."""
-    cells_out: dict[tuple[str, int, int], VariabilityResult] = {}
-    for name, os_name in workloads:
-        cells_out.update(
-            _sweep_workload(
-                name, os_name, cache_sizes, associativities, n_trials,
-                settings,
-            )
-        )
-    return Figure5Result(cells=cells_out)
+    return run_experiment(
+        sys.modules[__name__], settings,
+        cache_sizes=cache_sizes, associativities=associativities,
+        n_trials=n_trials,
+    )[0]

@@ -12,6 +12,7 @@ wait-for-full-refill execution model.  The paper's findings:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro._util.fmt import format_table
@@ -19,13 +20,13 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     fetch_point,
     sweep_fetch_cpi,
 )
 from repro.fetch.timing import MemoryTiming
 from repro.plan import inputs as plan_inputs
+from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
 BANDWIDTHS = (4, 8, 16, 32, 64)
@@ -116,41 +117,35 @@ def _sweep_line_size(
     return {key: l1 for key, (l1, _l2) in swept.items()}
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per line size (each sharing one miss mask per workload)."""
-    return [
-        ExperimentCell(
-            key=("figure6", line_size),
-            fn=_sweep_line_size,
-            args=(line_size, BANDWIDTHS, "ibs-mach3", settings),
-        )
-        for line_size in LINE_SIZES
-    ]
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation: cells annotated with shared inputs."""
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    bandwidths: tuple[int, ...] = BANDWIDTHS,
+    line_sizes: tuple[int, ...] = LINE_SIZES,
+    suite: str = "ibs-mach3",
+) -> list[PlanCell]:
+    """One cell per line size, each sharing one miss mask per workload."""
+    traces = plan_inputs.suite_trace_keys(suite, settings)
     return [
         PlanCell(
-            key=("figure6", line_size),
+            key=(line_size,),
             fn=_sweep_line_size,
-            args=(line_size, BANDWIDTHS, "ibs-mach3", settings),
+            args=(line_size, bandwidths, suite, settings),
             traces=traces,
             masks=plan_inputs.mask_families(
-                _line_size_points(line_size, BANDWIDTHS), settings.engine
+                _line_size_points(line_size, bandwidths), settings.engine
             ),
         )
-        for line_size in LINE_SIZES
+        for line_size in line_sizes
     ]
 
 
 def merge(
-    settings: ExperimentSettings, results: list[dict[tuple[int, int], float]]
+    settings: ExperimentSettings,
+    keyed: dict[tuple[int], dict[tuple[int, int], float]],
 ) -> Figure6Result:
     """Reassemble the sweep table from the per-line-size cells."""
     merged: dict[tuple[int, int], float] = {}
-    for cell_result in results:
+    for cell_result in keyed.values():
         merged.update(cell_result)
     return Figure6Result(cells=merged)
 
@@ -161,17 +156,8 @@ def run(
     line_sizes: tuple[int, ...] = LINE_SIZES,
     suite: str = "ibs-mach3",
 ) -> Figure6Result:
-    """Reproduce Figure 6's bandwidth x line-size sweep.
-
-    The whole grid goes through one planner call, so the geometry axis
-    is batched per workload (one trace walk per line size) — the
-    per-line-size :func:`cells` decomposition exists for the pool
-    runner and merges to bit-identical values.
-    """
-    points = [
-        point
-        for line_size in line_sizes
-        for point in _line_size_points(line_size, bandwidths)
-    ]
-    swept = sweep_fetch_cpi(suite, points, settings)
-    return Figure6Result(cells={key: l1 for key, (l1, _l2) in swept.items()})
+    """Reproduce Figure 6's bandwidth x line-size sweep."""
+    return run_experiment(
+        sys.modules[__name__], settings,
+        bandwidths=bandwidths, line_sizes=line_sizes, suite=suite,
+    )[0]

@@ -14,6 +14,7 @@ conclusions this experiment reproduces:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro._util.fmt import format_table
@@ -21,7 +22,6 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     FetchPoint,
     fetch_point,
@@ -29,6 +29,7 @@ from repro.experiments.common import (
 )
 from repro.fetch.timing import MemoryTiming
 from repro.plan import inputs as plan_inputs
+from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
 STEPS = (
@@ -41,6 +42,7 @@ STEPS = (
 )
 
 CONFIG_NAMES = ("economy", "high-performance")
+SUITE = "ibs-mach3"
 
 #: The optimized on-chip L2 arrived at in Figures 3-4.
 L2_GEOMETRY = CacheGeometry(64 * 1024, 64, 8)
@@ -90,9 +92,9 @@ def _base_config(config_name: str) -> MemorySystemConfig:
 def _step_points(config_name: str) -> list[FetchPoint]:
     """The six cumulative-optimization points of one configuration.
 
-    Every step drives the same 8 KB / 32 B L1 stream, so when the whole
-    ladder goes through the planner the per-workload miss masks are
-    computed once and shared across all six steps.
+    Every step drives the same 8 KB / 32 B L1 stream, so the ladder's
+    per-workload miss masks are computed once and shared across all
+    six steps.
     """
     base = _base_config(config_name)
     # Step 2: add the 8-way on-chip L2 (16 B/cyc interface).
@@ -122,32 +124,22 @@ def _step_points(config_name: str) -> list[FetchPoint]:
 
 
 def _sweep_config(
-    config_name: str, suite: str, settings: ExperimentSettings
+    config_name: str, settings: ExperimentSettings
 ) -> dict[tuple[str, str], tuple[float, float]]:
     """One cell: the full optimization ladder of one configuration."""
-    return sweep_fetch_cpi(suite, _step_points(config_name), settings)
+    return sweep_fetch_cpi(SUITE, _step_points(config_name), settings)
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+) -> list[PlanCell]:
     """One cell per baseline configuration (six steps each)."""
-    return [
-        ExperimentCell(
-            key=("figure7", config_name),
-            fn=_sweep_config,
-            args=(config_name, "ibs-mach3", settings),
-        )
-        for config_name in CONFIG_NAMES
-    ]
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation: one annotated cell per ladder."""
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
+    traces = plan_inputs.suite_trace_keys(SUITE, settings)
     return [
         PlanCell(
-            key=("figure7", config_name),
+            key=(config_name,),
             fn=_sweep_config,
-            args=(config_name, "ibs-mach3", settings),
+            args=(config_name, settings),
             traces=traces,
             streams=plan_inputs.point_streams(_step_points(config_name)),
             masks=plan_inputs.mask_families(
@@ -160,30 +152,15 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
 
 def merge(
     settings: ExperimentSettings,
-    results: list[dict[tuple[str, str], tuple[float, float]]],
+    keyed: dict[tuple[str], dict[tuple[str, str], tuple[float, float]]],
 ) -> Figure7Result:
     """Reassemble the ladder from the per-configuration cells."""
     merged: dict[tuple[str, str], tuple[float, float]] = {}
-    for cell_result in results:
+    for cell_result in keyed.values():
         merged.update(cell_result)
     return Figure7Result(cells=merged)
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
-) -> Figure7Result:
-    """Reproduce Figure 7's cumulative-optimization ladder.
-
-    Both configurations' ladders go through one planner call, so every
-    workload's L1 and L2 miss masks are primed by one batched
-    multi-geometry pass and shared across all twelve steps; the
-    per-configuration :func:`cells` decomposition exists for the pool
-    runner and merges to bit-identical values.
-    """
-    points = [
-        point
-        for config_name in CONFIG_NAMES
-        for point in _step_points(config_name)
-    ]
-    return Figure7Result(cells=sweep_fetch_cpi(suite, points, settings))
+def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Figure7Result:
+    """Reproduce Figure 7's cumulative-optimization ladder."""
+    return run_experiment(sys.modules[__name__], settings)[0]

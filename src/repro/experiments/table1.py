@@ -9,6 +9,7 @@ the SPEC workload models through the machine model in
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,11 +18,11 @@ from repro._util.fmt import format_table
 from repro.core.cpi import CpiBreakdown
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
 )
 from repro.monitor.hwcounters import DECSTATION_3100, HardwareMonitor
 from repro.plan import inputs as plan_inputs
+from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 from repro.workloads.registry import get_trace, suite_workloads
 
@@ -88,21 +89,10 @@ def _measure_workload(
     return monitor.measure(trace, settings.warmup_fraction)
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per (suite, workload) measurement."""
-    return [
-        ExperimentCell(
-            key=(suite, name, os_name),
-            fn=_measure_workload,
-            args=(name, os_name, settings),
-        )
-        for suite in PAPER
-        for name, os_name in suite_workloads(suite)
-    ]
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation.
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+) -> list[PlanCell]:
+    """One cell per (suite, workload) measurement.
 
     The hardware-monitor model walks the raw trace records itself, so
     the only shared input is each workload's synthesized trace.
@@ -122,24 +112,25 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
 
 
 def merge(
-    settings: ExperimentSettings, results: list[CpiBreakdown]
+    settings: ExperimentSettings,
+    keyed: dict[tuple[str, str, str], CpiBreakdown],
 ) -> Table1Result:
     """Suite-average the per-workload breakdowns (deterministic order)."""
-    rows: dict[str, CpiBreakdown] = {}
-    cursor = 0
-    for suite in PAPER:
-        count = len(suite_workloads(suite))
-        breakdowns = results[cursor : cursor + count]
-        cursor += count
-        rows[suite] = CpiBreakdown(
+    per_suite: dict[str, list[CpiBreakdown]] = {}
+    for (suite, _name, _os_name), breakdown in keyed.items():
+        per_suite.setdefault(suite, []).append(breakdown)
+    rows = {
+        suite: CpiBreakdown(
             instr_l1=float(np.mean([b.instr_l1 for b in breakdowns])),
             data=float(np.mean([b.data for b in breakdowns])),
             write=float(np.mean([b.write for b in breakdowns])),
             tlb=float(np.mean([b.tlb for b in breakdowns])),
         )
+        for suite, breakdowns in per_suite.items()
+    }
     return Table1Result(rows=rows)
 
 
 def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table1Result:
     """Reproduce Table 1 over all four SPEC suites."""
-    return merge(settings, [cell.fn(*cell.args) for cell in cells(settings)])
+    return run_experiment(sys.modules[__name__], settings)[0]

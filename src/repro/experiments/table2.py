@@ -70,4 +70,4 @@ def run(settings=None) -> Table2Result:
 
 def plan_cells(settings=None):
     """The sweep-plan compilation: one registry-only cell, no shared inputs."""
-    return plan_inputs.run_cell("table2", run, settings)
+    return plan_inputs.run_cell(run, settings)

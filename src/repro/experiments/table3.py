@@ -110,4 +110,4 @@ def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table3Result:
 
 def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
     """The sweep-plan compilation: one cell sharing all four suites' traces."""
-    return plan_inputs.run_cell("table3", run, settings, suites=tuple(PAPER))
+    return plan_inputs.run_cell(run, settings, suites=tuple(PAPER))

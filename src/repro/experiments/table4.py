@@ -12,6 +12,7 @@ models were tuned so these MPI values match the paper (see
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +22,10 @@ from repro.caches.base import CacheGeometry
 from repro.core.metrics import measure_mpi
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
 )
 from repro.plan import inputs as plan_inputs
+from repro.plan.executor import run_experiment
 from repro.plan.ir import MaskFamily, PlanCell
 from repro.trace.record import Component
 from repro.trace.stats import component_mix
@@ -135,22 +136,6 @@ def _measure_mpi_only(
     ).mpi_per_100
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per Mach workload row, plus the comparison-suite cells."""
-    cell_list = [
-        ExperimentCell(key=("mach3", name), fn=_measure_row,
-                       args=(name, settings))
-        for name in IBS_WORKLOADS
-    ]
-    for suite in _AVERAGE_SUITES:
-        cell_list.extend(
-            ExperimentCell(key=(suite, name), fn=_measure_mpi_only,
-                           args=(name, os_name, settings))
-            for name, os_name in suite_workloads(suite)
-        )
-    return cell_list
-
-
 def _reference_mask_family() -> MaskFamily:
     """The reference cache's mask shape (always mask-based)."""
     return MaskFamily(
@@ -160,8 +145,10 @@ def _reference_mask_family() -> MaskFamily:
     )
 
 
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation.
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+) -> list[PlanCell]:
+    """One cell per Mach workload row, plus the comparison-suite cells.
 
     :func:`~repro.core.metrics.measure_mpi` is mask-based under every
     engine, so each cell shares its workload's trace, the 32-byte line
@@ -198,23 +185,25 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
     return cell_list
 
 
-def merge(settings: ExperimentSettings, results: list) -> Table4Result:
+def merge(settings: ExperimentSettings, keyed: dict) -> Table4Result:
     """Reassemble rows and suite means from the per-workload cells."""
-    names = list(IBS_WORKLOADS)
-    workloads: dict[str, Table4Row] = dict(zip(names, results))
+    workloads: dict[str, Table4Row] = {}
+    per_suite: dict[str, list[float]] = {}
+    for (group, name), value in keyed.items():
+        if group == "mach3":
+            workloads[name] = value
+        else:
+            per_suite.setdefault(group, []).append(value)
     averages: dict[str, float] = {
         "ibs-mach3": float(
             np.mean([row.mpi_per_100 for row in workloads.values()])
         )
     }
-    cursor = len(names)
-    for suite in _AVERAGE_SUITES:
-        count = len(suite_workloads(suite))
-        averages[suite] = float(np.mean(results[cursor : cursor + count]))
-        cursor += count
+    for suite, values in per_suite.items():
+        averages[suite] = float(np.mean(values))
     return Table4Result(workloads=workloads, averages=averages)
 
 
 def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table4Result:
     """Reproduce Table 4: per-workload MPI under Mach plus suite means."""
-    return merge(settings, [cell.fn(*cell.args) for cell in cells(settings)])
+    return run_experiment(sys.modules[__name__], settings)[0]

@@ -8,18 +8,19 @@ ideal off-chip cache (12 cycles, 8 bytes/cycle).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro._util.fmt import format_table
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     fetch_point,
     suite_cpi_instr,
 )
 from repro.plan import inputs as plan_inputs
+from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
 #: Paper values: (config, suite) -> CPIinstr.
@@ -83,18 +84,10 @@ def _evaluate_cell(
     return l1 + l2
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per (configuration, suite) table entry."""
-    return [
-        ExperimentCell(key=(config_name, suite), fn=_evaluate_cell,
-                       args=(config_name, suite, settings))
-        for config_name in _CONFIG_NAMES
-        for suite in _SUITES
-    ]
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation: per-entry cells with demand masks."""
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+) -> list[PlanCell]:
+    """One cell per (configuration, suite) table entry, with its masks."""
     return [
         PlanCell(
             key=(config_name, suite),
@@ -115,16 +108,13 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
     ]
 
 
-def merge(settings: ExperimentSettings, results: list[float]) -> Table5Result:
-    """Zip cell results back into the table layout."""
-    keys = [
-        (config_name, suite)
-        for config_name in _CONFIG_NAMES
-        for suite in _SUITES
-    ]
-    return Table5Result(cells=dict(zip(keys, results)))
+def merge(
+    settings: ExperimentSettings, keyed: dict[tuple[str, str], float]
+) -> Table5Result:
+    """The cell results are the table layout."""
+    return Table5Result(cells=dict(keyed))
 
 
 def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table5Result:
     """Reproduce Table 5: both baselines, both suites."""
-    return merge(settings, [cell.fn(*cell.args) for cell in cells(settings)])
+    return run_experiment(sys.modules[__name__], settings)[0]

@@ -10,6 +10,7 @@ both return 64 bytes per miss.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro._util.fmt import format_table
@@ -17,13 +18,13 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     fetch_point,
     sweep_fetch_cpi,
 )
 from repro.fetch.timing import MemoryTiming
 from repro.plan import inputs as plan_inputs
+from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
 #: Paper values: (line size, prefetch depth) -> L1 CPIinstr ("—" cells
@@ -36,6 +37,7 @@ PAPER = {
 
 LINE_SIZES = (16, 32, 64)
 PREFETCH_DEPTHS = (0, 1, 2, 3)
+SUITE = "ibs-mach3"
 
 #: The L1-L2 interface fixed for Tables 6-8.
 INTERFACE = MemoryTiming(latency=6, bytes_per_cycle=16)
@@ -46,7 +48,7 @@ class Table6Result:
     """Reproduced Table 6."""
 
     cells: dict[tuple[int, int], float] = field(default_factory=dict)
-    suite: str = "ibs-mach3"
+    suite: str = SUITE
 
     def render(self) -> str:
         headers = ["Prefetch N", *(f"{ls} B line" for ls in LINE_SIZES)]
@@ -85,7 +87,6 @@ def _line_size_points(line_size: int, depths: tuple[int, ...]):
 def _sweep_line_size(
     line_size: int,
     depths: tuple[int, ...],
-    suite: str,
     settings: ExperimentSettings,
 ) -> dict[tuple[int, int], float]:
     """One cell: every prefetch depth at one line size.
@@ -94,36 +95,26 @@ def _sweep_line_size(
     reuses one set of memoized install-aware miss masks per workload.
     """
     swept = sweep_fetch_cpi(
-        suite, _line_size_points(line_size, depths), settings
+        SUITE, _line_size_points(line_size, depths), settings
     )
     return {key: l1 for key, (l1, _l2) in swept.items()}
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per L1 line size."""
-    return [
-        ExperimentCell(
-            key=("table6", line_size),
-            fn=_sweep_line_size,
-            args=(line_size, PREFETCH_DEPTHS, "ibs-mach3", settings),
-        )
-        for line_size in LINE_SIZES
-    ]
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation.
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+) -> list[PlanCell]:
+    """One cell per L1 line size.
 
     Prefetch kernels consult install-aware masks (not the plain demand
     mask), so no mask family is declared — the shared inputs are the
     traces and the per-line-size RLE streams the depths all drive.
     """
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
+    traces = plan_inputs.suite_trace_keys(SUITE, settings)
     return [
         PlanCell(
-            key=("table6", line_size),
+            key=(line_size,),
             fn=_sweep_line_size,
-            args=(line_size, PREFETCH_DEPTHS, "ibs-mach3", settings),
+            args=(line_size, PREFETCH_DEPTHS, settings),
             traces=traces,
             streams=plan_inputs.point_streams(
                 _line_size_points(line_size, PREFETCH_DEPTHS)
@@ -134,31 +125,16 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
 
 
 def merge(
-    settings: ExperimentSettings, results: list[dict[tuple[int, int], float]]
+    settings: ExperimentSettings,
+    keyed: dict[tuple[int], dict[tuple[int, int], float]],
 ) -> Table6Result:
     """Reassemble the table from the per-line-size cells."""
     merged: dict[tuple[int, int], float] = {}
-    for cell_result in results:
+    for cell_result in keyed.values():
         merged.update(cell_result)
-    return Table6Result(cells=merged, suite="ibs-mach3")
+    return Table6Result(cells=merged)
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
-) -> Table6Result:
-    """Reproduce Table 6 over the IBS suite.
-
-    One planner call covers the whole (line size x depth) grid; the
-    per-line-size :func:`cells` decomposition exists for the pool
-    runner and merges to bit-identical values.
-    """
-    points = [
-        point
-        for line_size in LINE_SIZES
-        for point in _line_size_points(line_size, PREFETCH_DEPTHS)
-    ]
-    swept = sweep_fetch_cpi(suite, points, settings)
-    return Table6Result(
-        cells={key: l1 for key, (l1, _l2) in swept.items()}, suite=suite
-    )
+def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table6Result:
+    """Reproduce Table 6 over the IBS suite."""
+    return run_experiment(sys.modules[__name__], settings)[0]

@@ -8,6 +8,7 @@ consistently lowers CPIinstr at every (line size, prefetch) point.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro._util.fmt import format_table
@@ -15,7 +16,6 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     suite_cpi_instr,
 )
@@ -23,10 +23,12 @@ from repro.experiments.table6 import (
     INTERFACE,
     LINE_SIZES,
     PREFETCH_DEPTHS,
+    SUITE,
     _line_size_points,
 )
 from repro.experiments.table6 import PAPER as PAPER_NO_BYPASS
 from repro.plan import inputs as plan_inputs
+from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
 #: Paper values with bypass buffers: (line, N) -> L1 CPIinstr.
@@ -75,13 +77,11 @@ class Table7Result:
 
 
 def _sweep_line_size(
-    line_size: int, suite: str, settings: ExperimentSettings
+    line_size: int, settings: ExperimentSettings
 ) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
     """One cell: both grids' column at one line size.
 
-    Preserves :func:`run`'s evaluation order within the column
-    (prefetch before prefetch+bypass at each depth), so the cell
-    decomposition merges to bit-identical values.
+    Evaluates prefetch before prefetch+bypass at each depth.
     """
     config = MemorySystemConfig(
         name=f"l1-{line_size}B",
@@ -92,41 +92,31 @@ def _sweep_line_size(
     with_bypass: dict[tuple[int, int], float] = {}
     for depth in PREFETCH_DEPTHS:
         l1, _ = suite_cpi_instr(
-            suite, config, "prefetch", settings, n_prefetch=depth
+            SUITE, config, "prefetch", settings, n_prefetch=depth
         )
         no_bypass[(line_size, depth)] = l1
         l1b, _ = suite_cpi_instr(
-            suite, config, "prefetch+bypass", settings, n_prefetch=depth
+            SUITE, config, "prefetch+bypass", settings, n_prefetch=depth
         )
         with_bypass[(line_size, depth)] = l1b
     return no_bypass, with_bypass
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per L1 line size (covering both bypass variants)."""
-    return [
-        ExperimentCell(
-            key=("table7", line_size),
-            fn=_sweep_line_size,
-            args=(line_size, "ibs-mach3", settings),
-        )
-        for line_size in LINE_SIZES
-    ]
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation.
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+) -> list[PlanCell]:
+    """One cell per L1 line size (covering both bypass variants).
 
     Both mechanisms consult install-aware masks (not the plain demand
     mask), so the shared inputs are the traces and per-line-size
     streams — the same ones Table 6's columns declare.
     """
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
+    traces = plan_inputs.suite_trace_keys(SUITE, settings)
     return [
         PlanCell(
-            key=("table7", line_size),
+            key=(line_size,),
             fn=_sweep_line_size,
-            args=(line_size, "ibs-mach3", settings),
+            args=(line_size, settings),
             traces=traces,
             streams=plan_inputs.point_streams(
                 _line_size_points(line_size, PREFETCH_DEPTHS)
@@ -138,28 +128,17 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
 
 def merge(
     settings: ExperimentSettings,
-    results: list[tuple[dict, dict]],
+    keyed: dict[tuple[int], tuple[dict, dict]],
 ) -> Table7Result:
     """Combine the per-line-size columns into both grids."""
     no_bypass: dict[tuple[int, int], float] = {}
     with_bypass: dict[tuple[int, int], float] = {}
-    for cell_no_bypass, cell_with_bypass in results:
+    for cell_no_bypass, cell_with_bypass in keyed.values():
         no_bypass.update(cell_no_bypass)
         with_bypass.update(cell_with_bypass)
     return Table7Result(no_bypass=no_bypass, with_bypass=with_bypass)
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
-) -> Table7Result:
+def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table7Result:
     """Reproduce Table 7: the Table 6 grid with and without bypass."""
-    no_bypass: dict[tuple[int, int], float] = {}
-    with_bypass: dict[tuple[int, int], float] = {}
-    for line_size in LINE_SIZES:
-        cell_no_bypass, cell_with_bypass = _sweep_line_size(
-            line_size, suite, settings
-        )
-        no_bypass.update(cell_no_bypass)
-        with_bypass.update(cell_with_bypass)
-    return Table7Result(no_bypass=no_bypass, with_bypass=with_bypass)
+    return run_experiment(sys.modules[__name__], settings)[0]

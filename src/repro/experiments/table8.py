@@ -9,6 +9,7 @@ lines, with marginal returns beyond.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro._util.fmt import format_series
@@ -16,13 +17,13 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
-    ExperimentCell,
     ExperimentSettings,
     fetch_point,
     suite_cpi_instr,
 )
 from repro.fetch.timing import MemoryTiming
 from repro.plan import inputs as plan_inputs
+from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
 #: Paper values: bandwidth (B/cyc) -> {buffer lines -> CPIinstr}.
@@ -33,6 +34,7 @@ PAPER = {
 
 BUFFER_SIZES = (0, 1, 3, 6, 12, 18)
 BANDWIDTHS = (16, 32)
+SUITE = "ibs-mach3"
 
 
 @dataclass(frozen=True)
@@ -75,43 +77,33 @@ def _bandwidth_points(bw: int):
 
 
 def _sweep_bandwidth(
-    bw: int, suite: str, settings: ExperimentSettings
+    bw: int, settings: ExperimentSettings
 ) -> dict[tuple[int, int], float]:
     """One cell: every buffer size at one interface bandwidth."""
     config = _bandwidth_config(bw)
     column: dict[tuple[int, int], float] = {}
     for n_lines in BUFFER_SIZES:
         l1, _ = suite_cpi_instr(
-            suite, config, "stream-buffer", settings, n_lines=n_lines
+            SUITE, config, "stream-buffer", settings, n_lines=n_lines
         )
         column[(bw, n_lines)] = l1
     return column
 
 
-def cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[ExperimentCell]:
-    """One cell per interface bandwidth."""
-    return [
-        ExperimentCell(
-            key=("table8", bw),
-            fn=_sweep_bandwidth,
-            args=(bw, "ibs-mach3", settings),
-        )
-        for bw in BANDWIDTHS
-    ]
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell]:
-    """The sweep-plan compilation.
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+) -> list[PlanCell]:
+    """One cell per interface bandwidth.
 
     Stream buffers consult the plain demand mask, so each bandwidth's
     L1 shape joins the batched mask pass alongside its stream.
     """
-    traces = plan_inputs.suite_trace_keys("ibs-mach3", settings)
+    traces = plan_inputs.suite_trace_keys(SUITE, settings)
     return [
         PlanCell(
-            key=("table8", bw),
+            key=(bw,),
             fn=_sweep_bandwidth,
-            args=(bw, "ibs-mach3", settings),
+            args=(bw, settings),
             traces=traces,
             streams=plan_inputs.point_streams(_bandwidth_points(bw)),
             masks=plan_inputs.mask_families(
@@ -124,21 +116,15 @@ def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS) -> list[PlanCell
 
 def merge(
     settings: ExperimentSettings,
-    results: list[dict[tuple[int, int], float]],
+    keyed: dict[tuple[int], dict[tuple[int, int], float]],
 ) -> Table8Result:
     """Combine the per-bandwidth columns."""
     merged: dict[tuple[int, int], float] = {}
-    for column in results:
+    for column in keyed.values():
         merged.update(column)
     return Table8Result(cells=merged)
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suite: str = "ibs-mach3",
-) -> Table8Result:
+def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table8Result:
     """Reproduce Table 8 for both interface bandwidths."""
-    cells_out: dict[tuple[int, int], float] = {}
-    for bw in BANDWIDTHS:
-        cells_out.update(_sweep_bandwidth(bw, suite, settings))
-    return Table8Result(cells=cells_out)
+    return run_experiment(sys.modules[__name__], settings)[0]

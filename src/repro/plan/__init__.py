@@ -12,10 +12,11 @@ once per plan — cheetah-style ``miss_masks()`` across the union of
 geometries requested by *all* experiments in the plan — then fans the
 deduplicated cells onto the existing :mod:`repro.runner.pool`.
 
-``repro report``, ``repro experiment``, ``repro warm``, and the
-service scheduler's evaluate batches all execute through this package;
-the legacy per-experiment loops (each module's ``run``) remain as the
-bit-identical reference the golden differential tests diff against.
+``repro report``, ``repro experiment``, ``repro warm``, the service
+scheduler's evaluate batches and every experiment module's ``run``
+execute through this package: ``plan_cells`` + ``merge`` is the only
+way an experiment says what it computes (see
+:mod:`repro.plan.compile`).
 """
 
 from repro.plan.ir import (
@@ -36,7 +37,7 @@ from repro.plan.inputs import (
     suite_trace_keys,
     workload_trace_keys,
 )
-from repro.plan.compile import compile_module, compile_report, has_plan
+from repro.plan.compile import compile_module, compile_report
 from repro.plan.executor import (
     add_plan_observer,
     execute_cells,
@@ -59,7 +60,6 @@ __all__ = [
     "compile_report",
     "execute_cells",
     "execute_plan",
-    "has_plan",
     "mask_families",
     "mask_shape_plan",
     "point_streams",

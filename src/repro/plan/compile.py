@@ -1,70 +1,45 @@
 """Compiling experiment modules into the sweep-plan IR.
 
-Every experiment module can be compiled; the fidelity degrades
-gracefully:
+Every experiment module says what it computes in one place:
 
-* ``plan_cells(settings)`` — the module emits annotated
-  :class:`~repro.plan.ir.PlanCell`\\ s (all in-tree experiments);
-* ``cells``/``merge`` only — the legacy pool decomposition is wrapped
-  as unannotated plan cells (schedulable, no input dedup);
-* neither — the whole ``run`` becomes one unannotated cell.
+* ``plan_cells(settings, **axes)`` emits annotated
+  :class:`~repro.plan.ir.PlanCell`\\ s, one per independent unit of
+  the sweep, with keys unique within the experiment; ``axes`` are the
+  sweep axes a caller may narrow (a sub-grid of the default sweep);
+* ``merge(settings, keyed)`` rebuilds the result object from
+  ``{key: result}`` in plan order.  Single-cell experiments have no
+  ``merge``: their one result is the experiment's result.
 
-The merge contract is unchanged from the pool runner: ``plan_cells``
-must enumerate cells in the order ``merge`` expects.
+Compilation prefixes every cell key with the experiment name, so a
+report plan's timing cells and errors stay unambiguous when two
+experiments use similar keys.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from dataclasses import replace
 
-from repro.plan.ir import CompiledExperiment, PlanCell, SweepPlan
-from repro.runner.pool import has_cells
+from repro.plan.ir import CompiledExperiment, SweepPlan
 
-__all__ = ["compile_module", "compile_report", "has_plan"]
-
-
-def has_plan(module) -> bool:
-    """Whether a module emits annotated plan cells natively."""
-    return hasattr(module, "plan_cells")
-
-
-def _module_label(module) -> str:
-    return module.__name__.rsplit(".", 1)[-1]
+__all__ = ["compile_module", "compile_report"]
 
 
 def compile_module(
-    module, settings, name: str | None = None
+    module, settings, name: str | None = None, **axes
 ) -> CompiledExperiment:
     """Lower one experiment module to a :class:`CompiledExperiment`."""
     if name is None:
-        name = _module_label(module)
-    if has_plan(module):
-        cells = tuple(module.plan_cells(settings))
-        merge = module.merge if hasattr(module, "merge") else None
-    elif has_cells(module):
-        cells = tuple(
-            PlanCell(key=cell.key, fn=cell.fn, args=cell.args)
-            for cell in module.cells(settings)
-        )
-        merge = module.merge
-    else:
-        cells = (PlanCell(key=(name,), fn=module.run, args=(settings,)),)
-        merge = None
-    # Namespace cell keys by experiment so a report plan's timing cells
-    # stay unambiguous when two experiments use similar keys.
+        name = module.__name__.rsplit(".", 1)[-1]
     cells = tuple(
-        PlanCell(
-            key=(name, *cell.key) if cell.key[:1] != (name,) else cell.key,
-            fn=cell.fn,
-            args=cell.args,
-            traces=cell.traces,
-            streams=cell.streams,
-            masks=cell.masks,
-        )
-        for cell in cells
+        replace(cell, key=(name, *cell.key))
+        for cell in module.plan_cells(settings, **axes)
     )
     return CompiledExperiment(
-        name=name, cells=cells, merge=merge, settings=settings
+        name=name,
+        cells=cells,
+        merge=getattr(module, "merge", None),
+        settings=settings,
     )
 
 

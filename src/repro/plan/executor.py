@@ -163,9 +163,7 @@ def execute_cells(
             for name, seconds in phases_after.items()
             if seconds - phases_before.get(name, 0.0) > 0.0
         }
-    results_unique, cell_timings = run_cells(
-        [cell.lowered() for cell in unique], jobs
-    )
+    results_unique, cell_timings = run_cells(unique, jobs)
     results = [results_unique[index] for index in index_map]
     _notify(dict(stats, label=label))
     report = TimingReport(
@@ -193,19 +191,19 @@ def execute_plan(
 
 
 def run_experiment(
-    module, settings, jobs: int = 1, label: str | None = None
+    module, settings, jobs: int = 1, label: str | None = None, **axes
 ):
     """Run one experiment module through its compiled plan.
 
-    Drop-in for the pool runner's entry point of the same name (which
-    now delegates here): returns ``(result, TimingReport)``, with the
-    result bit-identical to ``module.run(settings)``.
+    ``axes`` narrow the module's sweep (they are passed through to its
+    ``plan_cells``).  Returns ``(result, TimingReport)``; each
+    experiment module's ``run`` returns the result of this call.
     """
     if label is None:
         label = module.__name__.rsplit(".", 1)[-1]
     start = time.perf_counter()
     with tracing.span("experiment", label=label, jobs=resolve_jobs(jobs)):
-        compiled = compile_module(module, settings, name=label)
+        compiled = compile_module(module, settings, name=label, **axes)
         plan = SweepPlan(experiments=(compiled,))
         [result], report = execute_plan(plan, jobs, label=label)
     return result, TimingReport(

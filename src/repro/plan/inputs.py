@@ -3,9 +3,7 @@
 :func:`mask_shape_plan` and :func:`prime_miss_masks` started life as
 private helpers of the figure-6/7 sweep planner; they are the plan
 IR's substrate now — every compiled experiment derives its mask-family
-annotations through them, and the executor primes with them.  Thin
-deprecation shims with the old underscore names remain importable from
-:mod:`repro.experiments.common`.
+annotations through them, and the executor primes with them.
 
 This module deliberately avoids importing the experiments layer (which
 imports it): sweep points are duck-typed — anything with ``config``
@@ -143,7 +141,6 @@ def workload_trace_keys(
 
 
 def run_cell(
-    name: str,
     fn,
     settings,
     *,
@@ -155,9 +152,9 @@ def run_cell(
 ) -> list[PlanCell]:
     """A single-cell plan for a whole-experiment ``run`` function.
 
-    The porting helper for experiments whose internal loop is not (yet)
-    decomposed into cells: the loop still runs inside one cell, but its
-    shared inputs are declared — ``suites``/``workloads`` name the
+    For experiments computed as one unit: ``fn(settings)`` runs inside
+    one cell (keyed by the experiment name alone once compiled), and
+    its shared inputs are declared — ``suites``/``workloads`` name the
     traces, ``points`` derive mask families and stream sizes, and
     explicit ``streams``/``masks`` cover reads no point describes.
     """
@@ -171,7 +168,7 @@ def run_cell(
         stream_sizes = stream_sizes + point_streams(points)
     return [
         PlanCell(
-            key=(name,),
+            key=(),
             fn=fn,
             args=(settings,),
             traces=workload_trace_keys(pairs, settings),

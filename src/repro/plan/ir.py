@@ -1,9 +1,9 @@
 """The sweep-plan IR: cells, shared-input annotations, and plans.
 
 A plan is data, not control flow.  Each :class:`PlanCell` names a
-picklable function plus arguments (exactly like
-:class:`~repro.runner.pool.ExperimentCell`, which it lowers to) and
-*declares* the shared inputs it will consume:
+picklable function plus arguments (what
+:func:`~repro.runner.pool.run_cells` executes) and *declares* the
+shared inputs it will consume:
 
 * ``traces`` — the synthesized workload traces it reads;
 * ``streams`` — the RLE line-run encodings (per trace, per line size);
@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-
-from repro.runner.pool import ExperimentCell
 
 __all__ = [
     "CompiledExperiment",
@@ -71,10 +69,10 @@ class MaskFamily:
 class PlanCell:
     """One schedulable unit of a compiled experiment.
 
-    ``key``/``fn``/``args`` mirror
-    :class:`~repro.runner.pool.ExperimentCell`; the remaining fields
-    are the shared-input annotations described in the module
-    docstring.
+    ``key`` labels the cell (merge, timing and error reports), and
+    :func:`~repro.runner.pool.run_cells` computes it as
+    ``fn(*args)``; the remaining fields are the shared-input
+    annotations described in the module docstring.
     """
 
     key: tuple
@@ -99,10 +97,6 @@ class PlanCell:
             return None
         return candidate
 
-    def lowered(self) -> ExperimentCell:
-        """The pool-runner cell this plan cell executes as."""
-        return ExperimentCell(key=self.key, fn=self.fn, args=self.args)
-
     @property
     def stream_sizes(self) -> tuple[int, ...]:
         """Every encode line size the cell reads (explicit + mask-implied)."""
@@ -115,8 +109,10 @@ class PlanCell:
 class CompiledExperiment:
     """One experiment lowered to plan cells plus its merge.
 
-    ``merge(settings, results)`` reassembles the per-cell results into
-    the experiment's result object; ``None`` means the experiment is a
+    Each cell key is the experiment name followed by the key the
+    module's ``plan_cells`` emitted.  ``merge(settings, keyed)``
+    reassembles ``{emitted key: result}``, in plan order, into the
+    experiment's result object; ``None`` means the experiment is a
     single cell whose result passes through unchanged.
     """
 
@@ -126,9 +122,13 @@ class CompiledExperiment:
     settings: object
 
     def assemble(self, results: list):
+        """Merge per-cell results, aligned with :attr:`cells`."""
         if self.merge is None:
             return results[0]
-        return self.merge(self.settings, results)
+        keyed = {
+            cell.key[1:]: result for cell, result in zip(self.cells, results)
+        }
+        return self.merge(self.settings, keyed)
 
 
 @dataclass
@@ -209,13 +209,6 @@ class SweepPlan:
     @property
     def cells_total(self) -> int:
         return sum(len(e.cells) for e in self.experiments)
-
-    def shared_inputs(self) -> PlanInputs:
-        return collect_inputs(self.cells)
-
-    def unique_cells(self) -> tuple[list[PlanCell], list[int]]:
-        """Deduplicated cells plus the flat-index -> unique-index map."""
-        return dedup_cells(self.cells)
 
 
 def dedup_cells(

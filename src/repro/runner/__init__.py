@@ -1,14 +1,16 @@
-"""Parallel experiment execution and persistent artifact caching.
+"""Parallel cell execution and persistent artifact caching.
 
-The runner package is the library's sweep engine:
+The runner package is the layer below the sweep plan
+(:mod:`repro.plan`, which compiles and runs experiments); it imports
+nothing from it:
 
 * :mod:`repro.runner.timing` — per-phase wall-time accounting
   (synthesize / line-runs / simulate) and JSON timing reports.
 * :mod:`repro.runner.cache` — the persistent on-disk trace and
   line-run cache (``REPRO_CACHE_DIR`` / ``--cache-dir``).
 * :mod:`repro.runner.pool` — the process-pool cell runner behind the
-  CLI's ``--jobs N`` flag, with a deterministic merge so parallel runs
-  are bit-identical to serial ones.
+  CLI's ``--jobs N`` flag, returning results in cell order so parallel
+  runs are bit-identical to serial ones.
 
 Only :mod:`~repro.runner.timing` is imported eagerly: the low-level
 modules (the workload registry, the RLE encoder, the metrics layer)
@@ -25,16 +27,12 @@ __all__ = [
     "TraceDiskCache",
     "phase",
     "run_cells",
-    "run_experiment",
-    "run_report",
     "timing",
 ]
 
 _LAZY = {
     "TraceDiskCache": ("repro.runner.cache", "TraceDiskCache"),
     "run_cells": ("repro.runner.pool", "run_cells"),
-    "run_experiment": ("repro.runner.pool", "run_experiment"),
-    "run_report": ("repro.runner.pool", "run_report"),
 }
 
 

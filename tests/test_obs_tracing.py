@@ -15,8 +15,9 @@ import pytest
 
 from repro.fetch import dispatch
 from repro.obs import tracing
+from repro.plan.ir import PlanCell
 from repro.runner import timing
-from repro.runner.pool import ExperimentCell, run_cells
+from repro.runner.pool import run_cells
 
 
 @pytest.fixture(autouse=True)
@@ -210,7 +211,7 @@ def _traced_cell(tag: str) -> str:
 class TestPoolIntegration:
     def test_jobs2_reparents_worker_spans(self):
         cells = [
-            ExperimentCell(key=("cell", i), fn=_traced_cell, args=(f"r{i}",))
+            PlanCell(key=("cell", i), fn=_traced_cell, args=(f"r{i}",))
             for i in range(3)
         ]
         with tracing.run("pool-run") as recorder:
@@ -234,7 +235,7 @@ class TestPoolIntegration:
 
     def test_serial_run_traces_cells_live(self):
         cells = [
-            ExperimentCell(key=("cell", 0), fn=_traced_cell, args=("r",))
+            PlanCell(key=("cell", 0), fn=_traced_cell, args=("r",))
         ]
         with tracing.run("serial-run") as recorder:
             run_cells(cells, jobs=1)

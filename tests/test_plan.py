@@ -2,8 +2,8 @@
 
 The load-bearing invariants:
 
-* **Byte equality** — every experiment executed through its compiled
-  plan renders exactly what ``module.run(settings)`` renders.
+* **Byte equality** — an experiment executed through its compiled
+  plan renders the pinned golden bytes (``tests/test_golden.py``).
 * **Dedup soundness** — identical cells across experiments run once,
   and results fan back to every requester unchanged.
 * **Full priming** — the executor primes every declared shared input
@@ -11,14 +11,12 @@ The load-bearing invariants:
   only warm memos, never change arithmetic.
 """
 
-import types
-
 import pytest
 
 from repro.experiments import figure3, table3, table4, table5
 from repro.experiments.common import ExperimentSettings, fetch_point
 from repro.plan import inputs as plan_inputs
-from repro.plan.compile import compile_module, compile_report, has_plan
+from repro.plan.compile import compile_module, compile_report
 from repro.plan.executor import (
     add_plan_observer,
     execute_cells,
@@ -34,7 +32,11 @@ from repro.plan.ir import (
     dedup_cells,
 )
 from repro.runner.timing import TimingReport
-from repro.workloads.registry import set_trace_cache_backend
+from repro.workloads.registry import (
+    clear_trace_cache,
+    set_trace_cache_backend,
+)
+from tests.test_golden import GOLDEN, digest
 
 SETTINGS = ExperimentSettings(n_instructions=20_000, seed=3)
 
@@ -73,22 +75,19 @@ class TestCompile:
         assert any(cell.traces for cell in compiled.cells)
         assert any(cell.masks for cell in compiled.cells)
 
-    def test_fallback_module_without_cells(self):
-        module = types.ModuleType("fake_experiment")
-        module.run = _double
-        compiled = compile_module(module, SETTINGS, name="fake")
-        assert len(compiled.cells) == 1
-        cell = compiled.cells[0]
-        assert cell.key == ("fake",)
-        assert cell.fn is module.run
-        assert cell.args == (SETTINGS,)
-        assert compiled.merge is None
-
     def test_every_shipped_experiment_has_a_plan(self):
         from repro import experiments
 
-        for name, module in experiments.ALL_EXPERIMENTS.items():
-            assert has_plan(module), name
+        registry = {
+            **experiments.ALL_EXPERIMENTS,
+            **experiments.EXTENSION_EXPERIMENTS,
+        }
+        for name, module in registry.items():
+            compiled = compile_module(module, SETTINGS, name=name)
+            # Every key is the name plus the key plan_cells emitted.
+            assert [cell.key for cell in compiled.cells] == [
+                (name, *cell.key) for cell in module.plan_cells(SETTINGS)
+            ], name
 
     def test_compile_report_concatenates(self):
         plan = compile_report(
@@ -128,7 +127,7 @@ class TestDedup:
         # The same module compiled twice in one report plan: every cell
         # of the second copy is identical work.
         plan = compile_report({"a": table5, "b": table5}, SETTINGS)
-        unique, index_map = plan.unique_cells()
+        unique, index_map = dedup_cells(plan.cells)
         assert plan.cells_total == 2 * len(unique)
         half = len(unique)
         assert index_map[half:] == index_map[:half]
@@ -183,6 +182,7 @@ class TestExecuteCells:
         assert len(report.cells) == 2  # timing is per unique cell
 
     def test_primes_every_declared_input(self):
+        clear_trace_cache()  # the priming below must synthesize
         cells = [
             PlanCell(
                 key=("p", i), fn=_double, args=(i,),
@@ -223,28 +223,26 @@ class TestExecuteCells:
 
 
 class TestGoldenEquivalence:
-    """Plan-executed output must be byte-identical to the legacy path.
+    """Plan-executed output must match the pinned golden renderings.
 
-    A representative slice here (decomposed sweeps with masks, a
-    table with per-workload cells, a run_cell fallback module); the
-    full 29-module sweep holds by the same mechanism and is gated by
-    ``benchmarks/bench_report.py`` in CI.
+    ``tests/test_golden.py`` checks all experiments through one report
+    plan; these run single experiments through their own plans (sweeps
+    with masks, per-workload cells, a single-cell module).
     """
 
     @pytest.mark.parametrize("module", [table5, table4, figure3, table3])
     def test_experiment_byte_identical(self, module):
-        legacy = module.run(SETTINGS).render()
         result, report = run_experiment(module, SETTINGS, jobs=1)
-        assert result.render() == legacy
+        name = module.__name__.rsplit(".", 1)[-1]
+        assert digest(result.render()) == GOLDEN[name]
         assert report.plan["inputs_primed"] == report.plan["inputs_total"]
 
     def test_report_byte_identical(self):
-        from repro.runner.pool import run_report_legacy
-
         modules = {"table5": table5, "table4": table4}
-        legacy, _ = run_report_legacy(modules, SETTINGS, jobs=1)
         planned, report = run_report(modules, SETTINGS, jobs=1)
-        assert planned == legacy
+        assert [(name, digest(text)) for name, text in planned] == [
+            (name, GOLDEN[name]) for name in modules
+        ]
         # The report plan shares trace/stream/mask inputs across the
         # two experiments.
         assert report.plan["inputs_shared"] > 0

@@ -9,15 +9,9 @@ import pytest
 
 from repro.experiments import figure1, table1, table4, table5
 from repro.experiments.common import ExperimentSettings
-from repro.runner.pool import (
-    CellExecutionError,
-    ExperimentCell,
-    has_cells,
-    resolve_jobs,
-    run_cells,
-    run_experiment,
-    run_report,
-)
+from repro.plan.executor import run_experiment, run_report
+from repro.plan.ir import PlanCell
+from repro.runner.pool import CellExecutionError, resolve_jobs, run_cells
 from repro.workloads.registry import clear_trace_cache, set_trace_cache_backend
 
 SETTINGS = ExperimentSettings(n_instructions=20_000, seed=3)
@@ -44,7 +38,7 @@ def _boom(x):
 class TestRunCells:
     def _cells(self, n=5):
         return [
-            ExperimentCell(key=("cell", i), fn=_double, args=(i,))
+            PlanCell(key=("cell", i), fn=_double, args=(i,))
             for i in range(n)
         ]
 
@@ -75,8 +69,8 @@ class TestCellFailures:
 
     def _mixed_cells(self):
         return [
-            ExperimentCell(key=("ok", 0), fn=_double, args=(1,)),
-            ExperimentCell(key=("groff", "mach3", "8KB"), fn=_boom, args=(7,)),
+            PlanCell(key=("ok", 0), fn=_double, args=(1,)),
+            PlanCell(key=("groff", "mach3", "8KB"), fn=_boom, args=(7,)),
         ]
 
     def test_serial_failure_names_cell(self):
@@ -108,7 +102,7 @@ class TestCellFailures:
         def reraise():
             raise CellExecutionError(("inner",), "RuntimeError: x")
 
-        cell = ExperimentCell(key=("outer",), fn=reraise)
+        cell = PlanCell(key=("outer",), fn=reraise)
         with pytest.raises(CellExecutionError) as excinfo:
             run_cells([cell], jobs=1)
         assert excinfo.value.key == ("inner",)
@@ -117,16 +111,18 @@ class TestCellFailures:
 class TestCellApi:
     @pytest.mark.parametrize("module", [table1, table4, table5, figure1])
     def test_modules_expose_cells(self, module):
-        assert has_cells(module)
-        cell_list = module.cells(SETTINGS)
+        cell_list = module.plan_cells(SETTINGS)
         assert len(cell_list) >= 2
         assert len({cell.key for cell in cell_list}) == len(cell_list)
 
     def test_run_matches_cells_plus_merge(self):
         direct = table5.run(SETTINGS)
-        cell_list = table5.cells(SETTINGS)
         rebuilt = table5.merge(
-            SETTINGS, [cell.fn(*cell.args) for cell in cell_list]
+            SETTINGS,
+            {
+                cell.key: cell.fn(*cell.args)
+                for cell in table5.plan_cells(SETTINGS)
+            },
         )
         assert direct.render() == rebuilt.render()
 
@@ -141,16 +137,7 @@ class TestParallelEqualsSerial:
         result, report = run_experiment(module, SETTINGS, jobs=4)
         assert result.render() == serial.render()
         assert report.jobs >= 1
-        assert len(report.cells) == len(module.cells(SETTINGS))
-
-    def test_fallback_module_without_cells(self):
-        from repro.experiments import table2
-
-        assert not has_cells(table2)
-        serial = table2.run(SETTINGS)
-        result, report = run_experiment(table2, SETTINGS, jobs=4)
-        assert result.render() == serial.render()
-        assert len(report.cells) == 1
+        assert len(report.cells) == len(module.plan_cells(SETTINGS))
 
 
 class TestRunReport:

@@ -41,8 +41,8 @@ from repro.experiments.common import ExperimentSettings
 from repro.obs import tracing
 from repro.obs.export import to_chrome_trace
 from repro.obs.manifest import build_manifest, write_manifest
+from repro.plan.executor import run_experiment
 from repro.runner.cache import TraceDiskCache
-from repro.runner.pool import run_experiment
 from repro.workloads.registry import clear_trace_cache, set_trace_cache_backend
 
 #: Reduced Figure 6 grid for the engine comparison (9 of 35 points).
