@@ -5,23 +5,25 @@ reference engines per (mechanism, geometry, options) cell.  That silence
 is exactly how coverage regressions hide: a kernel that stops matching a
 sweep's shape quietly turns a numpy pass into a per-run Python loop and
 the only symptom is wall-clock.  This module counts every dispatch
-decision so the serving tier can export
-``repro_engine_dispatch_total{mechanism,engine}`` counters and the
-``--timing-out`` report can show per-engine counts next to the phase
-timings.
+decision so the ``--timing-out`` report can show per-engine counts next
+to the phase timings, and annotates the active span through
+:func:`repro.obs.tracing.on_dispatch`, from which the serving tier
+derives its ``repro_engine_dispatch_total{mechanism,engine}`` counters.
 
 The design mirrors :mod:`repro.runner.timing`: a thread-local
 accumulator the pool runner snapshots per experiment cell, plus
-process-wide observers for live metrics; worker-process counts are
-replayed into the parent through :func:`notify`.  Like ``timing``, this
-module imports nothing from the rest of the library so any layer can use
-it without cycles.
+process-lifetime :func:`totals`; worker-process counts are folded into
+the parent's totals through :func:`notify`.  Like ``timing``, this
+module imports only :mod:`repro.obs.tracing`, so any layer can use it
+without cycles.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
+
+from repro.obs import tracing
 
 #: Engine labels recorded at the dispatch point.
 ENGINE_VECTORIZED = "vectorized"
@@ -32,19 +34,6 @@ _lock = threading.Lock()
 
 #: Process-lifetime totals: (mechanism, engine) -> dispatch count.
 _totals: dict[tuple[str, str], int] = {}
-
-#: Process-wide observers (the serving layer's live metrics feed).
-#: Guarded by its own lock (not ``_lock``) so registration changes made
-#: while another thread is dispatching neither corrupt the list nor
-#: hold the totals lock across observer callbacks.
-_observers: list[Callable[[str, str, int], None]] = []
-_observers_lock = threading.Lock()
-
-
-def _observer_snapshot() -> tuple:
-    """A consistent copy of the observer list to notify outside the lock."""
-    with _observers_lock:
-        return tuple(_observers)
 
 
 def _counts() -> dict[tuple[str, str], int]:
@@ -58,16 +47,15 @@ def record(mechanism: str, engine: str, count: int = 1) -> None:
     """Count one dispatch of ``mechanism`` to ``engine``.
 
     Accumulates on this thread (for per-cell reports), in the process
-    totals (for tests and diagnostics), and through the observers (for
-    live service metrics).
+    totals (for tests and diagnostics), and on the active span (for
+    traced runs and service metrics).
     """
     key = (mechanism, engine)
     counts = _counts()
     counts[key] = counts.get(key, 0) + count
     with _lock:
         _totals[key] = _totals.get(key, 0) + count
-    for observer in _observer_snapshot():
-        observer(mechanism, engine, count)
+    tracing.on_dispatch(mechanism, engine, count)
 
 
 def snapshot(reset: bool = False) -> dict[tuple[str, str], int]:
@@ -95,50 +83,14 @@ def reset_totals() -> None:
         _totals.clear()
 
 
-def add_observer(observer: Callable[[str, str, int], None]) -> None:
-    """Register ``observer(mechanism, engine, count)`` on every dispatch.
-
-    Observers must be cheap and must not raise.  Thread-safe,
-    idempotent.
-    """
-    with _observers_lock:
-        if observer not in _observers:
-            _observers.append(observer)
-
-
-def remove_observer(observer: Callable[[str, str, int], None]) -> None:
-    """Unregister an observer installed by :func:`add_observer`."""
-    with _observers_lock:
-        try:
-            _observers.remove(observer)
-        except ValueError:
-            pass
-
-
 def notify(counts: Mapping[tuple[str, str], int]) -> None:
-    """Replay an already-accumulated count record into this process.
+    """Fold counts recorded in a worker process into this process's totals.
 
-    The pool runner uses this to merge dispatch decisions made inside
-    worker *processes* (whose totals and observers are their own) into
-    the parent's totals and observers, so ``/metrics`` sees one stream
-    regardless of ``--jobs``.
+    The pool runner calls this with each cell's dispatch record, so
+    :func:`totals` covers every dispatch regardless of ``--jobs``.  The
+    spans those workers ship back already carry the same counts.
     """
-    for (mechanism, engine), count in counts.items():
-        if count:
-            with _lock:
-                _totals[(mechanism, engine)] = (
-                    _totals.get((mechanism, engine), 0) + count
-                )
-            for observer in _observer_snapshot():
-                observer(mechanism, engine, count)
-
-
-def as_report(counts: Mapping[tuple[str, str], int]) -> dict[str, dict[str, int]]:
-    """Nest ``(mechanism, engine)`` counts as ``{engine: {mechanism: n}}``.
-
-    The JSON shape used by timing reports; deterministic key order.
-    """
-    nested: dict[str, dict[str, int]] = {}
-    for (mechanism, engine) in sorted(counts):
-        nested.setdefault(engine, {})[mechanism] = counts[(mechanism, engine)]
-    return nested
+    with _lock:
+        for key, count in counts.items():
+            if count:
+                _totals[key] = _totals.get(key, 0) + count

@@ -5,8 +5,10 @@ the reproduction-side analogue of the paper's logic-analyzer
 methodology:
 
 * :mod:`repro.obs.tracing` — ``span()`` timeline with a per-run trace
-  id, absorbing the phase/dispatch/trace-cache observer streams;
-  pool-worker spans ship back and re-parent under the coordinating run.
+  id; the phase, engine-dispatch and trace-cache sites annotate the
+  active span directly, and pool-worker spans ship back and re-parent
+  under the coordinating run.  Manifests and the serving tier's
+  ``/metrics`` series are derived from these spans.
 * :mod:`repro.obs.manifest` — run manifests (provenance + per-cell
   rollups + full span timeline) written next to run outputs.
 * :mod:`repro.obs.export` — Perfetto-loadable chrome-trace export,

@@ -5,7 +5,7 @@ Three consumers of the span timeline collected by
 
 * :func:`to_chrome_trace` — the Trace Event Format JSON that Perfetto
   and ``chrome://tracing`` load directly (complete events per span,
-  instant events per bridged annotation, thread/process metadata);
+  instant events per span annotation, thread/process metadata);
 * :func:`summarize` / :func:`render_summary` — per-phase, per-cell and
   per-engine rollups (``repro obs summary``);
 * :func:`diff_manifests` / :func:`render_diff` — regression triage
@@ -91,7 +91,7 @@ def to_chrome_trace(manifest: dict) -> dict:
     """A manifest as Trace Event Format JSON (Perfetto-loadable).
 
     Spans become complete (``ph: "X"``) events with their attributes
-    and aggregates in ``args``; bridged annotations become thread-scoped
+    and aggregates in ``args``; span annotations become thread-scoped
     instant events.  Worker-process spans keep their own ``pid`` so a
     ``--jobs N`` run renders as N+1 process tracks.
     """

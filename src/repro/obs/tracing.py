@@ -1,28 +1,29 @@
 """Span-based tracing: one timeline for everything a run does.
 
-The library already measures itself three ways — phase wall-times
+The library measures itself three ways — phase wall-times
 (:mod:`repro.runner.timing`), engine-dispatch counters
 (:mod:`repro.fetch.dispatch`), and trace-cache lookup events
-(:mod:`repro.workloads.registry`) — but each mechanism reports into its
-own sink and nothing correlates them.  This module provides the shared
-substrate: a :func:`span` context manager building a tree of timed
-spans under a per-run **trace id**, plus observer *bridges* that absorb
-the three existing event streams as annotations on whichever span is
-active when they fire.  The result is a single timeline answering
-"where did this run's time go, per cell, per phase, per engine" — the
-software analogue of the paper's logic analyzer on the CPU pins.
+(:mod:`repro.workloads.registry`).  Each of those sites calls one of
+:func:`on_phase`, :func:`on_dispatch` or :func:`on_trace_cache`, which
+annotate whichever span is active on the calling thread.  A
+:func:`span` context manager builds the tree of timed spans under a
+per-run **trace id**, so a single timeline answers "where did this
+run's time go, per cell, per phase, per engine" — the software analogue
+of the paper's logic analyzer on the CPU pins.  Run manifests and the
+serving tier's ``/metrics`` series are derived from the finished span
+records.
 
 Recording is opt-in and scoped: spans are collected only while a
 :class:`RunRecorder` is bound to the current thread (via :func:`run` or
-:meth:`RunRecorder.bind`); otherwise :func:`span` is inert and costs a
-thread-local read.  Pool worker processes capture their cells into
-local recorders (see :func:`cell_capture`) and ship the finished span
-records back with the cell results; the coordinating run re-parents
-them under its own trace id with :meth:`RunRecorder.adopt`.
+:meth:`RunRecorder.bind`); otherwise :func:`span` and the annotation
+functions are inert and cost a thread-local read.  Pool worker
+processes capture their cells into local recorders (see
+:func:`cell_capture`) and ship the finished span records back with the
+cell results; the coordinating run re-parents them under its own trace
+id with :meth:`RunRecorder.adopt`.
 
-Like :mod:`repro.runner.timing`, this module imports nothing from the
-rest of the library at module scope (the bridges hook the observer
-registries lazily), so every layer can use it without import cycles.
+This module imports nothing from the rest of the library, so every
+layer can call into it without import cycles.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ from typing import Iterator
 MAX_EVENTS_PER_SPAN = 512
 
 _tls = threading.local()
-
-_bridge_lock = threading.Lock()
-_bridges_installed = False
 
 #: Process-global default for :func:`cell_capture`: pool workers set
 #: this (via their initializer) so cells executed without an inherited
@@ -70,8 +68,12 @@ def _json_safe(value):
     return str(value)
 
 
-def _nest_dispatch(counts: dict) -> dict:
-    """``(mechanism, engine)`` counts as ``{engine: {mechanism: n}}``."""
+def nest_dispatch(counts: dict) -> dict:
+    """``(mechanism, engine)`` counts as ``{engine: {mechanism: n}}``.
+
+    The JSON shape of dispatch counts in span records and timing
+    reports; deterministic key order.
+    """
     nested: dict[str, dict[str, int]] = {}
     for mechanism, engine in sorted(counts):
         nested.setdefault(engine, {})[mechanism] = counts[(mechanism, engine)]
@@ -116,30 +118,10 @@ def current_span():
     return stack[-1] if stack else None
 
 
-def _suppressed() -> bool:
-    return getattr(_tls, "suppress", 0) > 0
-
-
-@contextmanager
-def suppressed() -> Iterator[None]:
-    """Silence the observer bridges on this thread.
-
-    The pool runner replays worker-side phase/dispatch records into the
-    parent's observers (for live service metrics); without suppression
-    that replay would be double-absorbed into the parent's spans on top
-    of the shipped worker spans that already carry it.
-    """
-    _tls.suppress = getattr(_tls, "suppress", 0) + 1
-    try:
-        yield
-    finally:
-        _tls.suppress -= 1
-
-
 class Span:
     """One open span: a named, attributed interval on the timeline.
 
-    Aggregates the bridged event streams while open — net seconds per
+    Aggregates the annotation streams while open — net seconds per
     phase, dispatch decisions per (mechanism, engine), trace-cache
     outcome counts — plus a bounded list of discrete events.  Closed
     spans are plain dicts (picklable across the pool boundary).
@@ -195,7 +177,7 @@ class Span:
             "attrs": self.attrs,
             "events": self.events,
             "phases": dict(self.phases),
-            "engine_dispatch": _nest_dispatch(self.dispatch),
+            "engine_dispatch": nest_dispatch(self.dispatch),
             "trace_cache": dict(self.cache),
         }
         if self.dropped_events:
@@ -262,7 +244,6 @@ class RunRecorder:
         Executor threads use this to join a run that was started
         elsewhere (thread-locals do not cross ``run_in_executor``).
         """
-        _install_bridges()
         previous = getattr(_tls, "recorder", None)
         _tls.recorder = self
         try:
@@ -359,25 +340,20 @@ def cell_capture(key: tuple, attrs: dict | None = None) -> Iterator[CellSpans]:
     holder.records = local.spans
 
 
-# -- observer bridges -------------------------------------------------
+# -- annotation feeds ------------------------------------------------
 
 
-def _bridge_span() -> Span | None:
-    if _suppressed() or _active_recorder() is None:
-        return None
-    stack = _stack()
-    return stack[-1] if stack else None
-
-
-def _on_phase(name: str, seconds: float) -> None:
-    current = _bridge_span()
+def on_phase(name: str, seconds: float) -> None:
+    """Charge ``seconds`` of phase ``name`` to the innermost open span."""
+    current = current_span()
     if current is not None:
         current.phases[name] = current.phases.get(name, 0.0) + seconds
         current.add_event("phase", phase=name, seconds=seconds)
 
 
-def _on_dispatch(mechanism: str, engine: str, count: int) -> None:
-    current = _bridge_span()
+def on_dispatch(mechanism: str, engine: str, count: int) -> None:
+    """Count a fetch-engine dispatch decision on the innermost span."""
+    current = current_span()
     if current is not None:
         key = (mechanism, engine)
         current.dispatch[key] = current.dispatch.get(key, 0) + count
@@ -386,26 +362,9 @@ def _on_dispatch(mechanism: str, engine: str, count: int) -> None:
         )
 
 
-def _on_trace_cache(event: str) -> None:
-    current = _bridge_span()
+def on_trace_cache(event: str) -> None:
+    """Count a trace-cache lookup outcome on the innermost span."""
+    current = current_span()
     if current is not None:
         current.cache[event] = current.cache.get(event, 0) + 1
         current.add_event("trace-cache", result=event)
-
-
-def _install_bridges() -> None:
-    """Hook the phase/dispatch/cache observer registries (once)."""
-    global _bridges_installed
-    if _bridges_installed:
-        return
-    with _bridge_lock:
-        if _bridges_installed:
-            return
-        from repro.fetch import dispatch as _dispatch
-        from repro.runner import timing as _timing
-        from repro.workloads import registry as _registry
-
-        _timing.add_phase_observer(_on_phase)
-        _dispatch.add_observer(_on_dispatch)
-        _registry.add_trace_cache_observer(_on_trace_cache)
-        _bridges_installed = True

@@ -169,16 +169,12 @@ def run_cells(
                 pool.submit(_execute_cell, c.key, c.fn, c.args) for c in cells
             ]
             outcomes = [future.result() for future in futures]
-        # Workers accumulate phases and dispatch counts in their own
-        # processes; replay them so parent-side observers and totals
-        # (live service metrics) see the same stream a serial run
-        # produces.  The replay is suppressed from the tracing bridges:
-        # the shipped worker spans below already carry those records,
-        # and absorbing the replay too would double-count them.
-        with tracing.suppressed():
-            for _, cell_timing, _ in outcomes:
-                timing.notify_phases(cell_timing.phases)
-                dispatch.notify(cell_timing.dispatch)
+        # Workers count dispatches in their own processes; fold them
+        # into this process's totals so those match a serial run.  The
+        # worker spans adopted below carry phases, dispatch and
+        # trace-cache events to any traced run.
+        for _, cell_timing, _ in outcomes:
+            dispatch.notify(cell_timing.dispatch)
         recorder = tracing.active_recorder()
         if recorder is not None:
             parent = tracing.current_span()

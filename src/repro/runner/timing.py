@@ -7,6 +7,9 @@ guesses.  The hot paths mark themselves with the :func:`phase` context
 manager; the pool runner snapshots the per-thread accumulator around
 every experiment cell and merges the results into a
 :class:`TimingReport` written as JSON next to the experiment output.
+Every phase exit also annotates the active span through
+:func:`repro.obs.tracing.on_phase`, which is how traced runs and the
+serving tier's ``/metrics`` see phase time.
 
 Nesting attributes time to the *innermost* phase only: a ``simulate``
 block that internally re-encodes a stream under a ``line-runs`` phase
@@ -14,9 +17,9 @@ reports the encoding time as ``line-runs``, not twice.  The overhead is
 two ``perf_counter`` calls per phase entry, far below the milliseconds
 the instrumented phases take.
 
-This module deliberately imports nothing from the rest of the library so
-the low-level modules (registry, RLE encoder, metrics) can use it
-without import cycles.
+This module imports only :mod:`repro.obs.tracing` (which imports
+nothing from the library) so the low-level modules (registry, RLE
+encoder, metrics) can use it without import cycles.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ import json
 import os
 import threading
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
+
+from repro.obs import tracing
 
 #: Phase names used by the instrumented library code.
 PHASE_SYNTHESIZE = "synthesize"
@@ -37,57 +42,6 @@ PHASE_LINE_RUNS = "line-runs"
 PHASE_SIMULATE = "simulate"
 
 _state = threading.local()
-
-#: Process-wide phase observers (the serving layer's live metrics feed).
-#: Unlike the accumulator these are deliberately *not* thread-local:
-#: the HTTP service runs jobs on worker threads and wants one stream.
-#: Registration and notification are serialized through a lock so
-#: adding/removing an observer while another thread is inside a phase
-#: exit can neither skip a registered observer nor corrupt the list.
-_observers: list[Callable[[str, float], None]] = []
-_observers_lock = threading.Lock()
-
-
-def add_phase_observer(observer: Callable[[str, float], None]) -> None:
-    """Register ``observer(name, seconds)`` to fire on every phase exit.
-
-    Observers see the *net* time of each phase (nested phases already
-    subtracted) from every thread of this process.  They must be cheap
-    and must not raise.  Thread-safe, idempotent.
-    """
-    with _observers_lock:
-        if observer not in _observers:
-            _observers.append(observer)
-
-
-def remove_phase_observer(observer: Callable[[str, float], None]) -> None:
-    """Unregister an observer installed by :func:`add_phase_observer`."""
-    with _observers_lock:
-        try:
-            _observers.remove(observer)
-        except ValueError:
-            pass
-
-
-def _observer_snapshot() -> tuple:
-    """A consistent copy of the observer list to notify outside the lock."""
-    with _observers_lock:
-        return tuple(_observers)
-
-
-def notify_phases(phases: Mapping[str, float]) -> None:
-    """Replay an already-accumulated phase record through the observers.
-
-    The pool runner uses this to surface phase timings measured inside
-    worker *processes* (where no observers are registered) to observers
-    in the parent.
-    """
-    if not _observers:
-        return
-    observers = _observer_snapshot()
-    for name, seconds in phases.items():
-        for observer in observers:
-            observer(name, seconds)
 
 
 def _frames() -> list[list]:
@@ -125,9 +79,7 @@ def phase(name: str) -> Iterator[None]:
         phases[name] = phases.get(name, 0.0) + net
         if frames:
             frames[-1][2] += elapsed
-        if _observers:
-            for observer in _observer_snapshot():
-                observer(name, net)
+        tracing.on_phase(name, net)
 
 
 def snapshot(reset: bool = False) -> dict[str, float]:
@@ -147,27 +99,12 @@ def reset() -> None:
 def _flatten_dispatch(
     nested: Mapping[str, Mapping[str, int]]
 ) -> dict[tuple[str, str], int]:
-    """Inverse of :func:`_nest_dispatch`: JSON shape back to count keys."""
+    """Inverse of :func:`~repro.obs.tracing.nest_dispatch`."""
     counts: dict[tuple[str, str], int] = {}
     for engine, mechanisms in nested.items():
         for mechanism, count in mechanisms.items():
             counts[(mechanism, engine)] = count
     return counts
-
-
-def _nest_dispatch(
-    counts: Mapping[tuple[str, str], int]
-) -> dict[str, dict[str, int]]:
-    """``(mechanism, engine)`` counts as ``{engine: {mechanism: n}}``.
-
-    The JSON shape of dispatch counts in timing reports.  Local rather
-    than shared with :mod:`repro.fetch.dispatch` because this module
-    must not import library code (see the module docstring).
-    """
-    nested: dict[str, dict[str, int]] = {}
-    for mechanism, engine in sorted(counts):
-        nested.setdefault(engine, {})[mechanism] = counts[(mechanism, engine)]
-    return nested
 
 
 @dataclass(frozen=True)
@@ -195,7 +132,7 @@ class CellTiming:
             "key": list(self.key),
             "wall_seconds": self.wall_seconds,
             "phases": dict(self.phases),
-            "engine_dispatch": _nest_dispatch(self.dispatch),
+            "engine_dispatch": tracing.nest_dispatch(self.dispatch),
         }
 
 
@@ -260,7 +197,7 @@ class TimingReport:
             "jobs": self.jobs,
             "wall_seconds": self.wall_seconds,
             "phase_totals": self.phase_totals,
-            "engine_dispatch": _nest_dispatch(self.dispatch_totals),
+            "engine_dispatch": tracing.nest_dispatch(self.dispatch_totals),
             "cells": [cell.to_dict() for cell in self.cells],
         }
         if self.plan is not None:

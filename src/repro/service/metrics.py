@@ -4,9 +4,9 @@ The serving layer wants the classic trio — request/hit/miss counters, a
 queue-depth gauge, and per-phase latency histograms — exported in the
 Prometheus text format at ``GET /metrics`` (and as JSON for tests and
 tooling).  Everything here is stdlib: a handful of dicts behind one
-lock, safe to update from the event loop, from job worker threads, and
-from the :func:`repro.runner.timing.add_phase_observer` callback that
-feeds simulation phase timings in live.
+lock, safe to update from the event loop and from job worker threads.
+The scheduler derives the span, phase, engine-dispatch and trace-cache
+series from each finished span of the jobs it runs.
 
 Metric identity is ``(name, labels)`` where labels is a small dict
 (``{"phase": "simulate"}``); the registry namespaces everything under
@@ -63,7 +63,7 @@ METRIC_HELP = {
     "result_store_misses_total": "Result-store lookups that missed.",
     "result_store_entries": "Entries resident in the result store.",
     "result_store_bytes": "Bytes resident in the result store.",
-    "phase_seconds": "Simulation phase wall time, by phase.",
+    "phase_seconds": "Simulation phase wall time per span, by phase.",
     "span_seconds": "Traced span wall time, by span name.",
     "engine_dispatch_total": (
         "Fetch-timing dispatch decisions, by mechanism and engine."

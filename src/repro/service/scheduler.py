@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 from repro.core.config import MemorySystemConfig
 from repro.core.study import evaluate_trace
-from repro.fetch import dispatch
 from repro.experiments.common import (
     ExperimentSettings,
     canonical_job_key,
@@ -48,8 +47,6 @@ from repro.obs.manifest import build_manifest, write_manifest
 from repro.plan import inputs as plan_inputs
 from repro.plan.executor import execute_cells, run_experiment
 from repro.plan.ir import PlanCell
-from repro.runner import timing
-from repro.workloads import registry
 
 #: Job lifecycle states.
 PENDING = "pending"
@@ -365,12 +362,6 @@ class JobScheduler:
         self._counters_lock = threading.Lock()
         # Decayed mean job latency, feeding the Retry-After estimate.
         self._avg_job_seconds = 0.0
-        # Every finished span of a traced job lands in a per-span-name
-        # latency histogram, so /metrics exposes the span-derived
-        # breakdown (run vs cell vs evaluate) alongside phase_seconds.
-        self._span_observer = lambda record: self.metrics.observe(
-            "span_seconds", record["wall_seconds"], {"span": record["name"]}
-        )
         self._executor = ThreadPoolExecutor(
             max_workers=max_inflight, thread_name_prefix="repro-job"
         )
@@ -378,45 +369,16 @@ class JobScheduler:
         self._jobs: dict[str, Job] = {}
         self._pending_eval: dict[tuple, list[tuple[EvaluateRequest, Job]]] = {}
         self._max_finished_jobs = max_finished_jobs
-        # Live per-phase latency feed: the runner's phase contexts (and
-        # the pool's worker-timing replay) land in the histograms as
-        # they happen, not only at job completion.
-        self._phase_observer = lambda name, seconds: self.metrics.observe(
-            "phase_seconds", seconds, {"phase": name}
-        )
-        timing.add_phase_observer(self._phase_observer)
-        # Trace-cache outcome counters: every registry lookup lands as
-        # a memory-hit / disk-hit / synthesized event, so operators can
-        # see cold-path synthesis pressure directly in /metrics.
-        self._trace_cache_observer = lambda event: self.metrics.inc(
-            "trace_cache_lookups_total", {"result": event}
-        )
-        registry.add_trace_cache_observer(self._trace_cache_observer)
-        # Engine-dispatch counters: every fetch simulation records which
-        # engine ran it (vectorized kernel vs. reference fallback), so a
-        # coverage regression shows up in /metrics as reference-engine
-        # traffic rather than as an unexplained latency increase.
-        self._dispatch_observer = lambda mechanism, engine, count: (
-            self.metrics.inc(
-                "engine_dispatch_total",
-                {"mechanism": mechanism, "engine": engine},
-                count,
-            )
-        )
-        dispatch.add_observer(self._dispatch_observer)
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Detach from the timing feed and stop the worker threads.
+        """Stop the worker threads.
 
         Idempotent; safe after :meth:`drain`.  Does not wait for
         in-flight work — the graceful path is ``await drain()`` first.
         """
         self._draining = True
-        timing.remove_phase_observer(self._phase_observer)
-        registry.remove_trace_cache_observer(self._trace_cache_observer)
-        dispatch.remove_observer(self._dispatch_observer)
         self._executor.shutdown(wait=False, cancel_futures=True)
 
     async def drain(self, timeout: float | None = None) -> dict:
@@ -615,6 +577,31 @@ class JobScheduler:
         manifest = build_manifest(recorder, extra=extra)
         return write_manifest(manifest, self.obs_dir)
 
+    def _observe_span(self, record: dict) -> None:
+        """Fold one finished span of a job this scheduler ran into ``/metrics``.
+
+        Every job runs under :func:`repro.obs.tracing.run` with this as
+        its ``on_span`` callback, and pool-worker spans arrive through
+        :meth:`~repro.obs.tracing.RunRecorder.adopt`, so the span,
+        phase, engine-dispatch and trace-cache series all count exactly
+        this scheduler's work.
+        """
+        metrics = self.metrics
+        metrics.observe(
+            "span_seconds", record["wall_seconds"], {"span": record["name"]}
+        )
+        for name, seconds in record["phases"].items():
+            metrics.observe("phase_seconds", seconds, {"phase": name})
+        for engine, mechanisms in record["engine_dispatch"].items():
+            for mechanism, count in mechanisms.items():
+                metrics.inc(
+                    "engine_dispatch_total",
+                    {"mechanism": mechanism, "engine": engine},
+                    count,
+                )
+        for event, count in record["trace_cache"].items():
+            metrics.inc("trace_cache_lookups_total", {"result": event}, count)
+
     def _record_plan_stats(self, stats: dict | None) -> None:
         """Fold one executed plan's dedup counters into ``/metrics``."""
         if not stats:
@@ -646,7 +633,7 @@ class JobScheduler:
             with tracing.run(
                 name,
                 trace_id=job.trace_id,
-                on_span=self._span_observer,
+                on_span=self._observe_span,
                 job=job.id,
                 kind="experiment",
             ) as recorder:
@@ -842,7 +829,7 @@ class JobScheduler:
             with tracing.run(
                 "evaluate-batch",
                 trace_id=trace_id,
-                on_span=self._span_observer,
+                on_span=self._observe_span,
                 batch_size=len(requests_meta),
             ) as recorder:
                 results, plan_report = execute_cells(

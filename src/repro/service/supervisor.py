@@ -54,6 +54,7 @@ import socket
 import sys
 import tempfile
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 
 __all__ = [
@@ -146,13 +147,13 @@ class WorkerRegistry:
                 json.dump(record, handle)
             os.replace(staging, path)
         except BaseException:
-            with _suppressed(OSError):
+            with suppress(OSError):
                 os.unlink(staging)
             raise
         return path
 
     def retract(self, index: int) -> None:
-        with _suppressed(OSError):
+        with suppress(OSError):
             os.unlink(self._path(index))
 
     def peers(self, exclude_index: int | None = None) -> list[dict]:
@@ -176,19 +177,6 @@ class WorkerRegistry:
                 continue
             records.append(record)
         return sorted(records, key=lambda record: record.get("index", 0))
-
-
-class _suppressed:
-    """Tiny ``contextlib.suppress`` (kept local to avoid the import)."""
-
-    def __init__(self, *exceptions):
-        self.exceptions = exceptions
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return exc_type is not None and issubclass(exc_type, self.exceptions)
 
 
 def _pid_alive(pid) -> bool:
@@ -276,7 +264,7 @@ async def scrape_json(
         raw = await asyncio.wait_for(reader.read(-1), timeout)
     finally:
         writer.close()
-        with _suppressed(ConnectionError, OSError):
+        with suppress(ConnectionError, OSError):
             await writer.wait_closed()
     head, _, body = raw.partition(b"\r\n\r\n")
     status_line = head.split(b"\r\n", 1)[0].split()
@@ -509,7 +497,7 @@ class Supervisor:
     def _shutdown(self) -> int:
         """Fan out SIGTERM, wait out the drain, SIGKILL stragglers."""
         for pid in self._live_pids():
-            with _suppressed(ProcessLookupError):
+            with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGTERM)
         deadline = time.time() + self.drain_timeout + _KILL_GRACE_SECONDS
         failures = 0
@@ -537,10 +525,10 @@ class Supervisor:
                 )
         stragglers = self._live_pids()
         for pid in stragglers:
-            with _suppressed(ProcessLookupError):
+            with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
         for pid in stragglers:
-            with _suppressed(ChildProcessError, OSError):
+            with suppress(ChildProcessError, OSError):
                 os.waitpid(pid, 0)
             failures += 1
             print(

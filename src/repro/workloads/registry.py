@@ -24,6 +24,7 @@ import os
 
 import numpy as np
 
+from repro.obs import tracing
 from repro.runner import timing
 from repro.trace.rle import LineRuns
 from repro.trace.trace import Trace
@@ -169,8 +170,10 @@ TRACE_CACHE_MEMORY_HIT = "memory-hit"
 TRACE_CACHE_DISK_HIT = "disk-hit"
 TRACE_CACHE_SYNTHESIZED = "synthesized"
 
-#: Process-wide cache-outcome observers (the serving layer's hit/miss
-#: counters).  Observers must be cheap and must not raise.
+#: Process-wide cache-outcome observers, for counting lookups across a
+#: whole process.  Every outcome also annotates the active span (see
+#: :func:`repro.obs.tracing.on_trace_cache`).  Observers must be cheap
+#: and must not raise.
 _cache_observers: list = []
 
 
@@ -193,6 +196,7 @@ def remove_trace_cache_observer(observer) -> None:
 
 
 def _notify_cache(event: str) -> None:
+    tracing.on_trace_cache(event)
     for observer in list(_cache_observers):
         observer(event)
 

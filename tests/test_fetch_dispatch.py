@@ -1,16 +1,14 @@
-"""Engine-dispatch accounting: counters, observers, and report plumbing.
+"""Engine-dispatch accounting: counters, totals, and report plumbing.
 
 ``repro.fetch.dispatch`` records which engine (vectorized kernel or
 reference fallback) ran each fetch simulation.  These tests pin the
 accounting layer end to end: the thread-local/process-total split, the
-observer fan-out the serving tier hangs metrics on, the recording site
+folding of worker-process counts into the totals, the recording site
 in :func:`repro.core.study.fetch_result`, and the ``engine_dispatch``
 sections of the runner's timing reports.
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -49,87 +47,12 @@ class TestAccumulators:
         # Process totals survive a thread-local reset.
         assert dispatch.totals()[("demand", dispatch.ENGINE_VECTORIZED)] == 1
 
-    def test_observers(self):
-        seen = []
-        observer = lambda m, e, n: seen.append((m, e, n))
-        dispatch.add_observer(observer)
-        try:
-            dispatch.record("markov", dispatch.ENGINE_VECTORIZED, count=3)
-        finally:
-            dispatch.remove_observer(observer)
-        dispatch.record("markov", dispatch.ENGINE_VECTORIZED)
-        assert seen == [("markov", dispatch.ENGINE_VECTORIZED, 3)]
-
     def test_notify_merges_worker_counts(self):
-        seen = []
-        observer = lambda m, e, n: seen.append((m, e, n))
-        dispatch.add_observer(observer)
-        try:
-            dispatch.notify({("demand", dispatch.ENGINE_REFERENCE): 5})
-        finally:
-            dispatch.remove_observer(observer)
-        assert seen == [("demand", dispatch.ENGINE_REFERENCE, 5)]
+        dispatch.notify({("demand", dispatch.ENGINE_REFERENCE): 5})
         assert dispatch.totals()[("demand", dispatch.ENGINE_REFERENCE)] == 5
-
-    def test_concurrent_observer_churn_while_recording(self):
-        # Observer registration must be safe against concurrent
-        # mutation: record() snapshots the list under a dedicated lock
-        # (separate from the totals lock, so callbacks never run with
-        # the counter lock held).
-        stop = threading.Event()
-        errors = []
-
-        def churn():
-            def observer(mechanism, engine, count):
-                pass
-            try:
-                while not stop.is_set():
-                    dispatch.add_observer(observer)
-                    dispatch.remove_observer(observer)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        seen = []
-        keeper = lambda m, e, n: seen.append(n)
-        dispatch.add_observer(keeper)
-        threads = [threading.Thread(target=churn) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        try:
-            for _ in range(300):
-                dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join()
-            dispatch.remove_observer(keeper)
-        assert not errors
-        assert len(seen) == 300
-        assert (
-            dispatch.totals()[("demand", dispatch.ENGINE_VECTORIZED)] == 300
-        )
-
-    def test_observer_may_reenter_counters(self):
-        # Regression guard for the lock split: an observer that reads
-        # the totals back must not deadlock on the counter lock.
-        readback = []
-        observer = lambda m, e, n: readback.append(dict(dispatch.totals()))
-        dispatch.add_observer(observer)
-        try:
-            dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
-        finally:
-            dispatch.remove_observer(observer)
-        assert readback[0][("demand", dispatch.ENGINE_VECTORIZED)] == 1
-
-    def test_as_report_nests_by_engine(self):
-        report = dispatch.as_report({
-            ("demand", dispatch.ENGINE_VECTORIZED): 2,
-            ("victim", dispatch.ENGINE_REFERENCE): 1,
-        })
-        assert report == {
-            dispatch.ENGINE_VECTORIZED: {"demand": 2},
-            dispatch.ENGINE_REFERENCE: {"victim": 1},
-        }
+        # Worker counts go to the process totals only, never to this
+        # thread's per-cell accumulator.
+        assert dispatch.snapshot() == {}
 
 
 class TestRecordingSite:
@@ -173,6 +96,22 @@ class TestReportPlumbing:
         }
         assert timings[1].dispatch == {
             ("victim", dispatch.ENGINE_REFERENCE): 1
+        }
+
+    def test_pool_worker_counts_reach_totals(self):
+        # Pool workers count in their own processes; run_cells folds
+        # each cell's record into the parent's totals.
+        cells = [
+            PlanCell(
+                key=(mechanism,), fn=_dispatching_cell,
+                args=(mechanism, dispatch.ENGINE_VECTORIZED),
+            )
+            for mechanism in ("demand", "victim")
+        ]
+        run_cells(cells, jobs=2)
+        assert dispatch.totals() == {
+            ("demand", dispatch.ENGINE_VECTORIZED): 1,
+            ("victim", dispatch.ENGINE_VECTORIZED): 1,
         }
 
     def test_timing_report_aggregates_and_serializes(self):

@@ -62,7 +62,7 @@ class TestTracedRun:
 
     def test_summary_matches_timing_report(self, traced_run):
         # The acceptance bar: the span timeline and the --timing-out
-        # report are two views of the same phase observer stream.
+        # report are two views of the same phase measurements.
         from repro.obs.export import summarize
 
         summary = summarize(traced_run["manifest"])
@@ -72,6 +72,68 @@ class TestTracedRun:
             assert math.isclose(
                 summary["phase_totals"][name], seconds, rel_tol=1e-9
             )
+
+
+def _key_text(key) -> str:
+    return json.dumps(list(key))
+
+
+class TestSpanTimingAgreement:
+    """The span view and the timing view of one run agree, serial or pooled.
+
+    Every phase exit, engine dispatch and trace-cache lookup annotates
+    the active span; ``--timing-out`` accumulates the same phases and
+    dispatches per cell.  Plan priming runs in the parent before the
+    cells (``prime_phases`` in the timing report, a ``plan-prime`` span
+    in the manifest), and with ``--jobs 2`` the cells run in worker
+    processes whose spans ship back to the parent.
+    """
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_summary_equals_timing_report(self, jobs, tmp_path):
+        from repro.obs.export import summarize
+
+        timing_path = tmp_path / "timing.json"
+        code = main(
+            [
+                "--instructions", "20000",
+                "--jobs", str(jobs),
+                "--obs-dir", str(tmp_path),
+                "--timing-out", str(timing_path),
+                "experiment", "figure6",
+            ]
+        )
+        assert code == 0
+        (manifest_path,) = tmp_path.glob("manifest-figure6-*.json")
+        summary = summarize(load_manifest(manifest_path))
+        report = TimingReport.read(timing_path)
+        assert len(report.cells) > 1
+
+        timing_totals = report.phase_totals
+        assert set(summary["phase_totals"]) == set(timing_totals)
+        for name, seconds in timing_totals.items():
+            assert summary["phase_totals"][name] == pytest.approx(
+                seconds, rel=1e-6, abs=1e-5
+            )
+
+        assert summary["engine_dispatch"] == \
+            report.to_dict()["engine_dispatch"]
+        assert sum(report.dispatch_totals.values()) > 0
+
+        span_cells = {
+            _key_text(cell["key"]): cell["phases"]
+            for cell in summary["cells"]
+        }
+        timing_cells = {
+            _key_text(cell.key): cell.phases for cell in report.cells
+        }
+        assert set(span_cells) == set(timing_cells)
+        for key, phases in timing_cells.items():
+            assert set(span_cells[key]) == set(phases)
+            for name, seconds in phases.items():
+                assert span_cells[key][name] == pytest.approx(
+                    seconds, rel=1e-9, abs=1e-12
+                )
 
 
 class TestObsCommands:

@@ -1,7 +1,6 @@
 """Unit tests for the runner's phase-timing accounting."""
 
 import json
-import threading
 import time
 
 import pytest
@@ -130,39 +129,3 @@ class TestReportRoundTrip:
         report = self._report()
         rebuilt = TimingReport.from_dict(report.to_dict())
         assert rebuilt.to_dict() == report.to_dict()
-
-
-class TestObserverThreadSafety:
-    def test_concurrent_add_remove_while_notifying(self):
-        # Mutating the observer list from one thread while another
-        # notifies must neither skip-fire nor raise (the list is
-        # snapshotted under a lock before fan-out).
-        stop = threading.Event()
-        errors = []
-
-        def churn():
-            def observer(name, seconds):
-                pass
-            try:
-                while not stop.is_set():
-                    timing.add_phase_observer(observer)
-                    timing.remove_phase_observer(observer)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        seen = []
-        keeper = lambda name, seconds: seen.append(name)
-        timing.add_phase_observer(keeper)
-        threads = [threading.Thread(target=churn) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        try:
-            for _ in range(300):
-                timing.notify_phases({"simulate": 0.001})
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join()
-            timing.remove_phase_observer(keeper)
-        assert not errors
-        assert len(seen) == 300

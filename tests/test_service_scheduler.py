@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import table2
 from repro.experiments.common import ExperimentSettings
+from repro.obs.manifest import load_manifest
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import EvaluateRequest, JobScheduler
 from repro.service.store import ResultStore
@@ -114,7 +115,7 @@ class TestExperimentJobs:
         histograms = scheduler.metrics.to_dict()["histograms"]
         assert "job_seconds" in histograms
         # Every evaluation runs the simulator under a timing phase, so
-        # the live timing feed must have landed in the histograms.
+        # the job's spans must have carried it into the histograms.
         assert any(
             series["labels"] == {"phase": "simulate"} and series["count"] > 0
             for series in histograms.get("phase_seconds", [])
@@ -233,3 +234,73 @@ class TestDispatchMetrics:
             "engine_dispatch_total",
             {"mechanism": "victim", "engine": "reference"},
         ) == 0
+
+
+def _counter_series(metrics, name):
+    return {
+        tuple(sorted(series["labels"].items())): series["value"]
+        for series in metrics.to_dict()["counters"].get(name, [])
+    }
+
+
+class TestSpanDerivedMetrics:
+    """``/metrics`` phase, dispatch and trace-cache series come from the
+    finished spans of the scheduler's own jobs."""
+
+    def test_idle_scheduler_counts_nothing(self, make_scheduler):
+        busy = make_scheduler()
+        idle = make_scheduler()
+
+        async def body():
+            job = await busy.submit_evaluate(_evaluate_request("nroff"))
+            await job.wait()
+            return job
+
+        assert _run(body()).status == "done"
+        assert _counter_series(busy.metrics, "engine_dispatch_total")
+        assert _counter_series(busy.metrics, "trace_cache_lookups_total")
+        # A second live scheduler in the same process ran no job, so
+        # none of the other scheduler's work may land in its series.
+        assert _counter_series(idle.metrics, "engine_dispatch_total") == {}
+        assert _counter_series(idle.metrics, "trace_cache_lookups_total") == {}
+        histograms = idle.metrics.to_dict()["histograms"]
+        assert histograms.get("phase_seconds", []) == []
+
+    def test_pool_worker_events_reach_metrics(self, make_scheduler, tmp_path):
+        scheduler = make_scheduler(jobs=2, obs_dir=str(tmp_path / "obs"))
+        requests = [
+            _evaluate_request(workload, mechanism=mechanism)
+            for workload in ("gcc", "sdet", "nroff")
+            for mechanism in ("demand", "victim")
+        ]
+
+        async def body():
+            jobs = await asyncio.gather(
+                *(scheduler.submit_evaluate(r) for r in requests)
+            )
+            await asyncio.gather(*(job.wait() for job in jobs))
+            return jobs
+
+        jobs = _run(body())
+        assert all(job.status == "done" for job in jobs)
+        lookups: dict = {}
+        dispatches: dict = {}
+        for path in {job.manifest for job in jobs}:
+            for span in load_manifest(path)["spans"]:
+                for event, count in span["trace_cache"].items():
+                    key = (("result", event),)
+                    lookups[key] = lookups.get(key, 0) + count
+                for engine, mechanisms in span["engine_dispatch"].items():
+                    for mechanism, count in mechanisms.items():
+                        key = (("engine", engine), ("mechanism", mechanism))
+                        dispatches[key] = dispatches.get(key, 0) + count
+        # Three workloads make three pool cells, so most lookups and all
+        # dispatches happen in worker processes.
+        assert sum(lookups.values()) >= 3
+        assert sum(dispatches.values()) == len(requests)
+        assert _counter_series(
+            scheduler.metrics, "trace_cache_lookups_total"
+        ) == lookups
+        assert _counter_series(
+            scheduler.metrics, "engine_dispatch_total"
+        ) == dispatches
