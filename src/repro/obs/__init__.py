@@ -6,13 +6,16 @@ methodology:
 
 * :mod:`repro.obs.tracing` — ``span()`` timeline with a per-run trace
   id; the phase, engine-dispatch and trace-cache sites annotate the
-  active span directly, and pool-worker spans ship back and re-parent
-  under the coordinating run.  Manifests and the serving tier's
-  ``/metrics`` series are derived from these spans.
+  active span directly.  ``capture()`` records every cell and priming
+  pass, traced or not; pool-worker captures ship back and re-parent
+  under the coordinating run.  Manifests, the ``--timing-out`` report
+  and the serving tier's ``/metrics`` series are derived from these
+  spans.
 * :mod:`repro.obs.manifest` — run manifests (provenance + per-cell
   rollups + full span timeline) written next to run outputs.
-* :mod:`repro.obs.export` — Perfetto-loadable chrome-trace export,
-  summaries, and run-to-run diffs (the ``repro obs`` CLI surface).
+* :mod:`repro.obs.export` — the one per-span subtree rollup
+  (``span_rollup``), Perfetto-loadable chrome-trace export, summaries,
+  and run-to-run diffs (the ``repro obs`` CLI surface).
 * :mod:`repro.obs.logs` — JSON-line structured logging keyed by trace
   id (the serving tier's request/job log).
 """
@@ -22,6 +25,7 @@ from repro.obs.export import (
     diff_manifests,
     render_diff,
     render_summary,
+    span_rollup,
     summarize,
     to_chrome_trace,
 )
@@ -34,7 +38,7 @@ from repro.obs.manifest import (
 )
 from repro.obs.tracing import (
     RunRecorder,
-    cell_capture,
+    capture,
     current_span,
     current_trace_id,
     new_trace_id,
@@ -46,7 +50,7 @@ __all__ = [
     "OBS_DIR_ENV",
     "RunRecorder",
     "build_manifest",
-    "cell_capture",
+    "capture",
     "current_span",
     "current_trace_id",
     "diff_manifests",
@@ -58,6 +62,7 @@ __all__ = [
     "render_summary",
     "run",
     "span",
+    "span_rollup",
     "summarize",
     "to_chrome_trace",
     "tracing",

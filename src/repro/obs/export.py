@@ -1,8 +1,10 @@
 """Exports and rollups over run manifests.
 
-Three consumers of the span timeline collected by
-:mod:`repro.obs.tracing`:
+Consumers of the span timeline collected by :mod:`repro.obs.tracing`:
 
+* :func:`span_rollup` — one span aggregated over its subtree: the only
+  per-cell aggregation, behind manifest cell rollups, the pool runner's
+  per-cell timings and the plan's priming timings;
 * :func:`to_chrome_trace` — the Trace Event Format JSON that Perfetto
   and ``chrome://tracing`` load directly (complete events per span,
   instant events per span annotation, thread/process metadata);
@@ -11,7 +13,7 @@ Three consumers of the span timeline collected by
 * :func:`diff_manifests` / :func:`render_diff` — regression triage
   between two runs (``repro obs diff``), including provenance drift.
 
-Everything operates on plain manifest dicts (see
+Everything operates on plain span and manifest dicts (see
 :mod:`repro.obs.manifest`) so exports work offline from a single file.
 """
 
@@ -43,43 +45,44 @@ def _subtree_ids(spans: list[dict], root_id: str) -> set[str]:
     return ids
 
 
-def cell_rollups(spans: list[dict]) -> list[dict]:
-    """Per-cell summaries: each ``cell`` span aggregated over its subtree.
+def span_rollup(spans: list[dict], root: dict) -> dict:
+    """One span aggregated over its subtree.
 
     Phases, dispatch counts and cache outcomes attach to the *innermost*
     span when they fire (a cell's ``evaluate`` children carry most of
-    them), so the per-cell view sums each cell's subtree.  Wall and CPU
-    come from the cell span itself — children run on its thread, so its
-    own deltas already include them.
+    them), so the rollup sums the subtree.  Wall and CPU come from the
+    root span itself — children run on its thread, so its own deltas
+    already include them.
     """
     by_id = {span["span_id"]: span for span in spans}
-    rollups = []
-    for span in spans:
-        if span["name"] != "cell":
+    phases: dict[str, float] = {}
+    dispatch: dict[str, dict[str, int]] = {}
+    cache: dict[str, int] = {}
+    for span_id in _subtree_ids(spans, root["span_id"]):
+        member = by_id.get(span_id)
+        if member is None:
             continue
-        phases: dict[str, float] = {}
-        dispatch: dict[str, dict[str, int]] = {}
-        cache: dict[str, int] = {}
-        for span_id in _subtree_ids(spans, span["span_id"]):
-            member = by_id.get(span_id)
-            if member is None:
-                continue
-            _merge_counts(phases, member.get("phases", {}))
-            _merge_nested(dispatch, member.get("engine_dispatch", {}))
-            _merge_counts(cache, member.get("trace_cache", {}))
-        rollups.append(
-            {
-                "key": span["attrs"].get("key"),
-                "span_id": span["span_id"],
-                "pid": span.get("pid"),
-                "attrs": dict(span["attrs"]),
-                "wall_seconds": span["wall_seconds"],
-                "cpu_seconds": span["cpu_seconds"],
-                "phases": phases,
-                "engine_dispatch": dispatch,
-                "trace_cache": cache,
-            }
-        )
+        _merge_counts(phases, member.get("phases", {}))
+        _merge_nested(dispatch, member.get("engine_dispatch", {}))
+        _merge_counts(cache, member.get("trace_cache", {}))
+    return {
+        "key": root["attrs"].get("key"),
+        "span_id": root["span_id"],
+        "pid": root.get("pid"),
+        "attrs": dict(root["attrs"]),
+        "wall_seconds": root["wall_seconds"],
+        "cpu_seconds": root["cpu_seconds"],
+        "phases": phases,
+        "engine_dispatch": dispatch,
+        "trace_cache": cache,
+    }
+
+
+def cell_rollups(spans: list[dict]) -> list[dict]:
+    """Per-cell summaries: each ``cell`` span's :func:`span_rollup`."""
+    rollups = [
+        span_rollup(spans, span) for span in spans if span["name"] == "cell"
+    ]
     rollups.sort(key=lambda cell: str(cell["key"]))
     return rollups
 

@@ -13,14 +13,16 @@ of the paper's logic analyzer on the CPU pins.  Run manifests and the
 serving tier's ``/metrics`` series are derived from the finished span
 records.
 
-Recording is opt-in and scoped: spans are collected only while a
-:class:`RunRecorder` is bound to the current thread (via :func:`run` or
-:meth:`RunRecorder.bind`); otherwise :func:`span` and the annotation
-functions are inert and cost a thread-local read.  Pool worker
-processes capture their cells into local recorders (see
-:func:`cell_capture`) and ship the finished span records back with the
-cell results; the coordinating run re-parents them under its own trace
-id with :meth:`RunRecorder.adopt`.
+A run is traced while a :class:`RunRecorder` is bound to the current
+thread (via :func:`run` or :meth:`RunRecorder.bind`); outside any
+recorder :func:`span` and the annotation functions are inert and cost a
+thread-local read.  Every experiment cell and every plan-priming pass
+is recorded regardless, by :func:`capture`: the block's span tree goes
+into a local recorder, the per-cell and priming timings are rolled up
+from those records, and a bound run adopts them under its current span.
+Pool workers ship their captured records back with the cell results;
+the coordinating run re-parents them under its own trace id with
+:meth:`RunRecorder.adopt` when it is traced.
 
 This module imports nothing from the rest of the library, so every
 layer can call into it without import cycles.
@@ -41,11 +43,6 @@ from typing import Iterator
 MAX_EVENTS_PER_SPAN = 512
 
 _tls = threading.local()
-
-#: Process-global default for :func:`cell_capture`: pool workers set
-#: this (via their initializer) so cells executed without an inherited
-#: recorder still capture spans for shipping back to the coordinator.
-_worker_capture = False
 
 
 def new_trace_id() -> str:
@@ -285,59 +282,29 @@ def run(
             yield recorder
 
 
-# -- pool-worker capture ----------------------------------------------
-
-
-def enable_worker_capture(enabled: bool = True) -> None:
-    """Default :func:`cell_capture` to a local recorder in this process.
-
-    Pool worker initializers call this when the coordinating run is
-    traced, so cells capture spans for shipping even though the parent's
-    recorder does not cross the process boundary.
-    """
-    global _worker_capture
-    _worker_capture = bool(enabled)
-
-
-class CellSpans:
-    """Holder for span records captured around one pool cell.
-
-    ``records`` is non-empty only when the cell ran under a local
-    (worker-side) recorder; cells traced live into the coordinating
-    run's recorder ship nothing.
-    """
-
-    __slots__ = ("records",)
-
-    def __init__(self):
-        self.records: list[dict] = []
+# -- capture ------------------------------------------------------------
 
 
 @contextmanager
-def cell_capture(key: tuple, attrs: dict | None = None) -> Iterator[CellSpans]:
-    """Trace one experiment cell, wherever it executes.
+def capture(name: str, **attrs) -> Iterator[list[dict]]:
+    """Record the enclosed block as a ``name`` span tree, traced or not.
 
-    In the coordinating process (a bound recorder is active) the cell
-    becomes a live ``cell`` span.  In a pool worker with capture enabled
-    the cell records into a local recorder whose spans are returned for
-    shipping; the parent re-parents them with :meth:`RunRecorder.adopt`.
-    With tracing inactive this is a no-op.
+    The block records into a local :class:`RunRecorder` (under the bound
+    run's trace id, if any).  On exit the yielded list holds the finished
+    records in finish order, so the ``name`` span itself is last; a run
+    recorder bound on this thread adopts them under its current span.
     """
-    attrs = dict(attrs or {})
-    attrs["key"] = _json_safe(list(key))
-    holder = CellSpans()
-    if _active_recorder() is not None:
-        with span("cell", **attrs):
-            yield holder
-        return
-    if not _worker_capture:
-        yield holder
-        return
-    local = RunRecorder("cell", trace_id="unadopted")
-    with local.bind():
-        with span("cell", **attrs):
-            yield holder
-    holder.records = local.spans
+    outer = _active_recorder()
+    local = RunRecorder(name, outer.trace_id if outer is not None else None)
+    records: list[dict] = []
+    try:
+        with local.bind(), span(name, **attrs):
+            yield records
+    finally:
+        records.extend(local.spans)
+        if outer is not None:
+            parent = current_span()
+            outer.adopt(records, parent.span_id if parent else None)
 
 
 # -- annotation feeds ------------------------------------------------

@@ -6,15 +6,16 @@ batches all land here:
 
 1. **Collect** the shared-input union of all cells (traces, line-run
    streams, miss-mask geometry families) with demand counts.
-2. **Prime** each input exactly once, in the parent process, under a
-   ``plan-prime`` span: traces through the registry (memory/disk
+2. **Prime** each input exactly once, in the parent process, captured
+   as a ``plan-prime`` span: traces through the registry (memory/disk
    cache), streams through :func:`~repro.workloads.registry.
    get_line_runs`, and mask families through one cheetah-style
    :func:`~repro.plan.inputs.prime_miss_masks` call per (trace,
    stream) covering the union of geometries every experiment in the
-   plan requested.  The primed memos live as long as their streams,
-   which the trace cache holds (the line-order registry's byte budget
-   is the memory cap).
+   plan requested.  The span's rollup is the plan's ``prime_seconds``
+   and ``prime_phases``.  The primed memos live as long as their
+   streams, which the trace cache holds (the line-order registry's
+   byte budget is the memory cap).
 3. **Dedup** cells whose function and arguments are identical across
    experiments; each unique cell runs once.
 4. **Execute** the unique cells on :func:`~repro.runner.pool.
@@ -27,17 +28,19 @@ batches all land here:
 Plan-level dedup counters (``cells_total``, ``inputs_shared``,
 ``inputs_primed``, ...) ride on the returned
 :class:`~repro.runner.timing.TimingReport` (the ``plan`` block of
-``--timing-out``), on the ``plan-prime`` span, and — through
-:func:`add_plan_observer` — on the service's ``/metrics``.
+``--timing-out``), on the service's ``/metrics``, and — through
+:func:`add_plan_observer` — on any process-wide observer.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.obs import tracing
+from repro.obs.export import span_rollup
 from repro.plan.compile import compile_module, compile_report
 from repro.plan.inputs import prime_miss_masks
 from repro.plan.ir import (
@@ -47,7 +50,6 @@ from repro.plan.ir import (
     collect_inputs,
     dedup_cells,
 )
-from repro.runner import timing
 from repro.runner.pool import resolve_jobs, run_cells
 from repro.runner.timing import TimingReport
 from repro.workloads.registry import get_line_runs, get_trace
@@ -61,9 +63,9 @@ __all__ = [
     "run_report",
 ]
 
-#: Process-wide plan observers (the serving layer's live metrics feed),
-#: called with each executed plan's stats dict.  Mirrors the phase and
-#: dispatch observer registries: cheap, must not raise.
+#: Process-wide plan observers, called with each executed plan's stats
+#: dict; the end-to-end benchmark counts plan dedup through this feed.
+#: Observers must be cheap and must not raise.
 _observers: list[Callable[[dict], None]] = []
 _observers_lock = threading.Lock()
 
@@ -146,22 +148,20 @@ def execute_cells(
         "inputs_primed": 0,
     }
     if inputs.total:
-        phases_before = timing.snapshot()
-        prime_start = time.perf_counter()
-        with tracing.span(
+        with tracing.capture(
             "plan-prime",
             label=label,
             traces=len(inputs.traces),
             streams=len(inputs.streams),
             masks=len(inputs.masks),
-        ):
+        ) as records:
             stats["inputs_primed"] = _prime_inputs(inputs)
-        stats["prime_seconds"] = round(time.perf_counter() - prime_start, 6)
-        phases_after = timing.snapshot()
+        prime = span_rollup(records, records[-1])
+        stats["prime_seconds"] = round(prime["wall_seconds"], 6)
         stats["prime_phases"] = {
-            name: round(seconds - phases_before.get(name, 0.0), 6)
-            for name, seconds in phases_after.items()
-            if seconds - phases_before.get(name, 0.0) > 0.0
+            name: round(seconds, 6)
+            for name, seconds in prime["phases"].items()
+            if seconds > 0.0
         }
     results_unique, cell_timings = run_cells(unique, jobs)
     results = [results_unique[index] for index in index_map]
@@ -206,12 +206,8 @@ def run_experiment(
         compiled = compile_module(module, settings, name=label, **axes)
         plan = SweepPlan(experiments=(compiled,))
         [result], report = execute_plan(plan, jobs, label=label)
-    return result, TimingReport(
-        label=label,
-        jobs=report.jobs,
-        wall_seconds=time.perf_counter() - start,
-        cells=report.cells,
-        plan=report.plan,
+    return result, dataclasses.replace(
+        report, wall_seconds=time.perf_counter() - start
     )
 
 
@@ -235,10 +231,6 @@ def run_report(
         (experiment.name, result.render())
         for experiment, result in zip(plan.experiments, results)
     ]
-    return renderings, TimingReport(
-        label="report",
-        jobs=report.jobs,
-        wall_seconds=time.perf_counter() - start,
-        cells=report.cells,
-        plan=report.plan,
+    return renderings, dataclasses.replace(
+        report, wall_seconds=time.perf_counter() - start
     )

@@ -19,7 +19,6 @@ the same trace files instead of each synthesizing private copies.
 from __future__ import annotations
 
 import os
-import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 
@@ -27,7 +26,7 @@ import multiprocessing
 
 from repro.fetch import dispatch
 from repro.obs import tracing
-from repro.runner import timing
+from repro.obs.export import span_rollup
 from repro.runner.timing import CellTiming
 
 
@@ -80,11 +79,8 @@ def _cell_attrs(args: tuple) -> dict:
 
 
 def _execute_cell(key: tuple, fn: Callable, args: tuple):
-    """Run one cell under fresh phase/dispatch accumulators (worker side)."""
-    timing.reset()
-    dispatch.reset()
-    start = time.perf_counter()
-    with tracing.cell_capture(key, _cell_attrs(args)) as captured:
+    """Run one cell under a span capture; its timing is the rollup."""
+    with tracing.capture("cell", key=key, **_cell_attrs(args)) as records:
         try:
             result = fn(*args)
         except CellExecutionError:
@@ -93,14 +89,8 @@ def _execute_cell(key: tuple, fn: Callable, args: tuple):
             raise CellExecutionError(
                 key, f"{type(exc).__name__}: {exc}"
             ) from exc
-    wall = time.perf_counter() - start
-    cell_timing = CellTiming(
-        key=key,
-        wall_seconds=wall,
-        phases=timing.snapshot(reset=True),
-        dispatch=dispatch.snapshot(reset=True),
-    )
-    return result, cell_timing, captured.records
+    rollup = span_rollup(records, records[-1])
+    return result, CellTiming.from_dict(dict(rollup, key=key)), records
 
 
 def _registry_snapshot() -> dict:
@@ -113,7 +103,6 @@ def _registry_snapshot() -> dict:
         "cache_dir": getattr(backend, "root", None),
         "max_entries": stats["max_entries"],
         "max_bytes": stats["max_bytes"],
-        "obs_capture": tracing.active_recorder() is not None,
     }
 
 
@@ -129,9 +118,6 @@ def _worker_init(config: dict) -> None:
     registry.configure_trace_cache(
         config.get("max_entries"), config.get("max_bytes")
     )
-    # When the coordinating run is traced, cells capture spans locally
-    # and ship them back for re-parenting under the run's trace id.
-    tracing.enable_worker_capture(config.get("obs_capture", False))
 
 
 def _pool_context():
@@ -156,31 +142,29 @@ def run_cells(
     """
     jobs = min(resolve_jobs(jobs), max(len(cells), 1))
     if jobs <= 1 or len(cells) <= 1:
-        outcomes = [_execute_cell(c.key, c.fn, c.args) for c in cells]
-    else:
-        config = _registry_snapshot()
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=_pool_context(),
-            initializer=_worker_init,
-            initargs=(config,),
-        ) as pool:
-            futures = [
-                pool.submit(_execute_cell, c.key, c.fn, c.args) for c in cells
-            ]
-            outcomes = [future.result() for future in futures]
-        # Workers count dispatches in their own processes; fold them
-        # into this process's totals so those match a serial run.  The
-        # worker spans adopted below carry phases, dispatch and
-        # trace-cache events to any traced run.
-        for _, cell_timing, _ in outcomes:
+        # In-process cells adopt their own spans into a traced run.
+        pairs = [_execute_cell(c.key, c.fn, c.args)[:2] for c in cells]
+        return [result for result, _ in pairs], [timing for _, timing in pairs]
+    recorder = tracing.active_recorder()
+    parent = tracing.current_span()
+    parent_id = parent.span_id if parent is not None else None
+    results, timings = [], []
+    with ProcessPoolExecutor(
+        max_workers=jobs,
+        mp_context=_pool_context(),
+        initializer=_worker_init,
+        initargs=(_registry_snapshot(),),
+    ) as pool:
+        futures = [
+            pool.submit(_execute_cell, c.key, c.fn, c.args) for c in cells
+        ]
+        for future in futures:
+            result, cell_timing, records = future.result()
+            # Workers count dispatches in their own processes; fold them
+            # into this process's totals so those match a serial run.
             dispatch.notify(cell_timing.dispatch)
-        recorder = tracing.active_recorder()
-        if recorder is not None:
-            parent = tracing.current_span()
-            parent_id = parent.span_id if parent is not None else None
-            for _, _, spans in outcomes:
-                recorder.adopt(spans, parent_id)
-    results = [result for result, _, _ in outcomes]
-    timings = [cell_timing for _, cell_timing, _ in outcomes]
+            if recorder is not None:
+                recorder.adopt(records, parent_id)
+            results.append(result)
+            timings.append(cell_timing)
     return results, timings

@@ -4,12 +4,13 @@ The sweep engine wants to know *where* an experiment's wall-clock time
 goes — synthesizing traces, run-length encoding them, or simulating
 caches — so perf work on the runner has a measured baseline instead of
 guesses.  The hot paths mark themselves with the :func:`phase` context
-manager; the pool runner snapshots the per-thread accumulator around
-every experiment cell and merges the results into a
-:class:`TimingReport` written as JSON next to the experiment output.
-Every phase exit also annotates the active span through
-:func:`repro.obs.tracing.on_phase`, which is how traced runs and the
-serving tier's ``/metrics`` see phase time.
+manager, whose exit charges the phase's net seconds to the active span
+through :func:`repro.obs.tracing.on_phase`.  Every experiment cell runs
+inside a span capture (:func:`repro.obs.tracing.capture`), so the pool
+runner reads each cell's :class:`CellTiming` off the captured records
+and merges them into a :class:`TimingReport` written as JSON next to
+the experiment output; traced runs and the serving tier's ``/metrics``
+read the same spans.
 
 Nesting attributes time to the *innermost* phase only: a ``simulate``
 block that internally re-encodes a stream under a ``line-runs`` phase
@@ -51,13 +52,6 @@ def _frames() -> list[list]:
     return frames
 
 
-def _phases() -> dict[str, float]:
-    phases = getattr(_state, "phases", None)
-    if phases is None:
-        phases = _state.phases = {}
-    return phases
-
-
 @contextmanager
 def phase(name: str) -> Iterator[None]:
     """Attribute the wall time of the enclosed block to ``name``.
@@ -75,25 +69,9 @@ def phase(name: str) -> Iterator[None]:
         elapsed = time.perf_counter() - frame[1]
         frames.pop()
         net = max(elapsed - frame[2], 0.0)
-        phases = _phases()
-        phases[name] = phases.get(name, 0.0) + net
         if frames:
             frames[-1][2] += elapsed
         tracing.on_phase(name, net)
-
-
-def snapshot(reset: bool = False) -> dict[str, float]:
-    """The accumulated seconds per phase on this thread (a copy)."""
-    phases = dict(_phases())
-    if reset:
-        _phases().clear()
-    return phases
-
-
-def reset() -> None:
-    """Zero this thread's phase accumulator."""
-    _phases().clear()
-    del _frames()[:]
 
 
 def _flatten_dispatch(
@@ -134,6 +112,20 @@ class CellTiming:
             "phases": dict(self.phases),
             "engine_dispatch": tracing.nest_dispatch(self.dispatch),
         }
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "CellTiming":
+        """Rebuild a cell from its :meth:`to_dict` shape.
+
+        A span rollup (:func:`repro.obs.export.span_rollup`) has the same
+        shape, which is how the pool runner builds every cell's timing.
+        """
+        return cls(
+            key=tuple(data["key"]),
+            wall_seconds=data["wall_seconds"],
+            phases=dict(data.get("phases", {})),
+            dispatch=_flatten_dispatch(data.get("engine_dispatch", {})),
+        )
 
 
 @dataclass(frozen=True)
@@ -219,20 +211,13 @@ class TimingReport:
         ``phase_totals``/``dispatch_totals`` of the reloaded report
         equal the original's.
         """
-        cells = tuple(
-            CellTiming(
-                key=tuple(cell["key"]),
-                wall_seconds=cell["wall_seconds"],
-                phases=dict(cell.get("phases", {})),
-                dispatch=_flatten_dispatch(cell.get("engine_dispatch", {})),
-            )
-            for cell in data.get("cells", [])
-        )
         return cls(
             label=data["label"],
             jobs=data["jobs"],
             wall_seconds=data["wall_seconds"],
-            cells=cells,
+            cells=tuple(
+                CellTiming.from_dict(cell) for cell in data.get("cells", [])
+            ),
             plan=data.get("plan"),
         )
 

@@ -2,7 +2,7 @@
 
 ``repro.fetch.dispatch`` records which engine (vectorized kernel or
 reference fallback) ran each fetch simulation.  These tests pin the
-accounting layer end to end: the thread-local/process-total split, the
+accounting layer end to end: the span/process-total split, the
 folding of worker-process counts into the totals, the recording site
 in :func:`repro.core.study.fetch_result`, and the ``engine_dispatch``
 sections of the runner's timing reports.
@@ -16,6 +16,7 @@ from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.core.study import fetch_result
 from repro.fetch import ECONOMY_MEMORY, dispatch
+from repro.obs import tracing
 from repro.plan.ir import PlanCell
 from repro.runner.pool import run_cells
 from repro.runner.timing import CellTiming, TimingReport
@@ -23,36 +24,30 @@ from repro.runner.timing import CellTiming, TimingReport
 
 @pytest.fixture(autouse=True)
 def _clean_dispatch():
-    dispatch.reset()
     dispatch.reset_totals()
     yield
-    dispatch.reset()
     dispatch.reset_totals()
 
 
 class TestAccumulators:
     def test_record_and_snapshot(self):
-        dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
-        dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
-        dispatch.record("victim", dispatch.ENGINE_REFERENCE)
-        snap = dispatch.snapshot()
-        assert snap[("demand", dispatch.ENGINE_VECTORIZED)] == 2
-        assert snap[("victim", dispatch.ENGINE_REFERENCE)] == 1
-
-    def test_snapshot_reset(self):
-        dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
-        first = dispatch.snapshot(reset=True)
-        assert first
-        assert dispatch.snapshot() == {}
-        # Process totals survive a thread-local reset.
-        assert dispatch.totals()[("demand", dispatch.ENGINE_VECTORIZED)] == 1
+        with tracing.capture("probe") as records:
+            dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
+            dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
+            dispatch.record("victim", dispatch.ENGINE_REFERENCE)
+        assert records[-1]["engine_dispatch"] == {
+            dispatch.ENGINE_VECTORIZED: {"demand": 2},
+            dispatch.ENGINE_REFERENCE: {"victim": 1},
+        }
+        assert dispatch.totals()[("demand", dispatch.ENGINE_VECTORIZED)] == 2
 
     def test_notify_merges_worker_counts(self):
-        dispatch.notify({("demand", dispatch.ENGINE_REFERENCE): 5})
+        with tracing.capture("probe") as records:
+            dispatch.notify({("demand", dispatch.ENGINE_REFERENCE): 5})
         assert dispatch.totals()[("demand", dispatch.ENGINE_REFERENCE)] == 5
-        # Worker counts go to the process totals only, never to this
-        # thread's per-cell accumulator.
-        assert dispatch.snapshot() == {}
+        # Worker counts go to the process totals only; the worker's own
+        # spans already carry them, so no span here counts them again.
+        assert records[-1]["engine_dispatch"] == {}
 
 
 class TestRecordingSite:
@@ -62,15 +57,16 @@ class TestRecordingSite:
 
     def test_fetch_result_records_engine(self, small_trace):
         runs = small_trace.ifetch_line_runs(32)
-        fetch_result(runs, self.CONFIG, "demand", engine="vectorized")
-        fetch_result(runs, self.CONFIG, "demand", engine="reference")
-        fetch_result(runs, self.CONFIG, "victim", engine="auto")
-        snap = dispatch.snapshot()
-        assert snap[("demand", dispatch.ENGINE_VECTORIZED)] == 1
-        assert snap[("demand", dispatch.ENGINE_REFERENCE)] == 1
+        with tracing.capture("probe") as records:
+            fetch_result(runs, self.CONFIG, "demand", engine="vectorized")
+            fetch_result(runs, self.CONFIG, "demand", engine="reference")
+            fetch_result(runs, self.CONFIG, "victim", engine="auto")
+        counts = records[-1]["engine_dispatch"]
+        assert counts[dispatch.ENGINE_VECTORIZED]["demand"] == 1
+        assert counts[dispatch.ENGINE_REFERENCE]["demand"] == 1
         # Full kernel coverage: auto routes victim to the kernels now.
-        assert snap[("victim", dispatch.ENGINE_VECTORIZED)] == 1
-        assert ("victim", dispatch.ENGINE_REFERENCE) not in snap
+        assert counts[dispatch.ENGINE_VECTORIZED]["victim"] == 1
+        assert "victim" not in counts[dispatch.ENGINE_REFERENCE]
 
 
 def _dispatching_cell(mechanism: str, engine: str) -> int:

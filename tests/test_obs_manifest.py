@@ -20,7 +20,7 @@ from repro.obs.manifest import (
 
 def _traced_recorder():
     with tracing.run("unit", command="test") as recorder:
-        with tracing.cell_capture(("w", 1), {"engine": "auto"}):
+        with tracing.capture("cell", key=("w", 1), engine="auto"):
             pass
     return recorder
 

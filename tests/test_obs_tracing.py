@@ -1,32 +1,21 @@
 """Unit tests for the span-tracing substrate (``repro.obs.tracing``).
 
 Covers the recorder/span lifecycle, the phase/dispatch/cache sites
-annotating the active span, worker-side cell capture, and re-parenting
-of shipped spans — including the end-to-end ``run_cells(jobs=2)`` path
-across a real process pool.
+annotating the active span, cell capture (adopted by a traced run,
+returned to the caller either way), and re-parenting of shipped spans
+— including the end-to-end ``run_cells(jobs=2)`` path across a real
+process pool.
 """
 
 from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.fetch import dispatch
 from repro.obs import tracing
 from repro.plan.ir import PlanCell
 from repro.runner import timing
 from repro.runner.pool import run_cells
-
-
-@pytest.fixture(autouse=True)
-def _clean_state():
-    timing.reset()
-    dispatch.reset()
-    yield
-    timing.reset()
-    dispatch.reset()
-    tracing.enable_worker_capture(False)
 
 
 class TestSpanLifecycle:
@@ -171,28 +160,33 @@ class TestAdoption:
 
 class TestCellCapture:
     def test_live_mode_opens_cell_span(self):
+        # A traced in-process cell is adopted under the current span.
         with tracing.run("demo") as recorder:
-            with tracing.cell_capture(("t", 1), {"engine": "auto"}) as holder:
-                pass
-            assert holder.records == []
+            parent = tracing.current_span()
+            with tracing.capture(
+                "cell", key=("t", 1), engine="auto"
+            ) as records:
+                with tracing.span("evaluate"):
+                    pass
+            assert [span["name"] for span in records] == ["evaluate", "cell"]
         cell = [s for s in recorder.spans if s["name"] == "cell"][0]
         assert cell["attrs"]["key"] == ["t", 1]
         assert cell["attrs"]["engine"] == "auto"
+        assert cell["parent_id"] == parent.span_id
+        assert cell["trace_id"] == recorder.trace_id
+        names = [span["name"] for span in recorder.spans]
+        assert names == ["evaluate", "cell", "demo"]
 
-    def test_worker_mode_ships_records(self):
-        tracing.enable_worker_capture(True)
-        with tracing.cell_capture(("t", 2)) as holder:
+    def test_untraced_capture_returns_records(self):
+        assert tracing.active_recorder() is None
+        with tracing.capture("cell", key=("t", 2)) as records:
             with tracing.span("evaluate"):
                 pass
-        assert [span["name"] for span in holder.records] == \
-            ["evaluate", "cell"]
-        roots = [s for s in holder.records if s["parent_id"] is None]
+        assert [span["name"] for span in records] == ["evaluate", "cell"]
+        roots = [s for s in records if s["parent_id"] is None]
         assert len(roots) == 1 and roots[0]["name"] == "cell"
-
-    def test_disabled_mode_is_noop(self):
-        with tracing.cell_capture(("t", 3)) as holder:
-            pass
-        assert holder.records == []
+        # Nothing stays bound once the capture closes.
+        assert tracing.active_recorder() is None
 
 
 def _traced_cell(tag: str) -> str:

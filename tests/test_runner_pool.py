@@ -9,6 +9,8 @@ import pytest
 
 from repro.experiments import figure1, table1, table4, table5
 from repro.experiments.common import ExperimentSettings
+from repro.obs import tracing
+from repro.obs.export import cell_rollups
 from repro.plan.executor import run_experiment, run_report
 from repro.plan.ir import PlanCell
 from repro.runner.pool import CellExecutionError, resolve_jobs, run_cells
@@ -164,3 +166,40 @@ class TestRunReport:
         assert totals.get("synthesize", 0.0) > 0.0
         assert totals.get("simulate", 0.0) > 0.0
         assert report.wall_seconds > 0.0
+
+
+def _nested_table5():
+    """A cell whose body runs the whole table5 plan in-process."""
+    return run_experiment(table5, SETTINGS, jobs=1)[1]
+
+
+class TestNestedCells:
+    """A cell that runs a plan in-process keeps its inner cells' work."""
+
+    def _run(self):
+        clear_trace_cache()
+        cell = PlanCell(key=("outer",), fn=_nested_table5, args=())
+        [inner], [outer] = run_cells([cell], jobs=1)
+        return inner, outer
+
+    def test_outer_cell_counts_inner_work(self):
+        inner, outer = self._run()
+        assert sum(inner.dispatch_totals.values()) > 0
+        assert outer.dispatch == inner.dispatch_totals
+        # Inner totals add the rounded priming phases to the cells'.
+        assert set(outer.phases) == set(inner.phase_totals)
+        for name, seconds in inner.phase_totals.items():
+            assert outer.phases[name] == pytest.approx(seconds, abs=1e-5)
+
+    def test_outer_cell_equals_span_rollup(self):
+        with tracing.run("nested") as recorder:
+            _, outer = self._run()
+        [rollup] = [
+            cell for cell in cell_rollups(recorder.spans)
+            if cell["key"] == ["outer"]
+        ]
+        assert outer.dispatch
+        assert tracing.nest_dispatch(outer.dispatch) == \
+            rollup["engine_dispatch"]
+        assert outer.phases == rollup["phases"]
+        assert outer.wall_seconds == rollup["wall_seconds"]

@@ -5,52 +5,45 @@ import time
 
 import pytest
 
+from repro.obs import tracing
 from repro.runner import timing
 from repro.runner.timing import CellTiming, TimingReport
 
 
-@pytest.fixture(autouse=True)
-def _fresh_accumulator():
-    timing.reset()
-    yield
-    timing.reset()
-
-
 class TestPhase:
+    """Phase exits charge the active span; read back from a capture."""
+
     def test_accumulates(self):
-        with timing.phase("simulate"):
-            time.sleep(0.01)
-        phases = timing.snapshot()
+        with tracing.capture("probe") as records:
+            with timing.phase("simulate"):
+                time.sleep(0.01)
+        phases = records[-1]["phases"]
         assert phases["simulate"] >= 0.005
 
     def test_nesting_charges_innermost(self):
-        with timing.phase("simulate"):
-            with timing.phase("line-runs"):
-                time.sleep(0.02)
-        phases = timing.snapshot()
+        with tracing.capture("probe") as records:
+            with timing.phase("simulate"):
+                with timing.phase("line-runs"):
+                    time.sleep(0.02)
+        phases = records[-1]["phases"]
         # The sleep is charged to the inner phase, not double-counted.
         assert phases["line-runs"] >= 0.01
         assert phases["simulate"] < phases["line-runs"]
 
     def test_same_phase_reentrant(self):
-        with timing.phase("simulate"):
+        with tracing.capture("probe") as records:
             with timing.phase("simulate"):
-                time.sleep(0.01)
-        phases = timing.snapshot()
+                with timing.phase("simulate"):
+                    time.sleep(0.01)
+        phases = records[-1]["phases"]
         assert 0.005 <= phases["simulate"] < 0.05
-
-    def test_snapshot_reset(self):
-        with timing.phase("synthesize"):
-            pass
-        first = timing.snapshot(reset=True)
-        assert "synthesize" in first
-        assert timing.snapshot() == {}
 
     def test_exception_still_recorded(self):
         with pytest.raises(RuntimeError):
-            with timing.phase("simulate"):
-                raise RuntimeError("boom")
-        assert "simulate" in timing.snapshot()
+            with tracing.capture("probe") as records:
+                with timing.phase("simulate"):
+                    raise RuntimeError("boom")
+        assert "simulate" in records[-1]["phases"]
 
 
 class TestReport:
