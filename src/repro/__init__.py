@@ -25,32 +25,35 @@ Quickstart::
     print(result.cpi_instr)
 """
 
-from repro.core import (
-    CpiBreakdown,
-    MemorySystemConfig,
-    MpiMeasurement,
-    StudyResult,
-    cpi_instr,
-    evaluate,
-    measure_mpi,
-    sweep,
-)
-from repro.caches import CacheGeometry, ThreeCs, classify_misses
-from repro.fetch import (
-    DemandFetchEngine,
-    MemoryTiming,
-    PrefetchBypassEngine,
-    PrefetchOnMissEngine,
-    StreamBufferEngine,
-)
-from repro.trace import Trace, load_trace, save_trace, to_line_runs
-from repro.workloads import (
-    WorkloadParams,
-    get_trace,
-    get_workload,
-    suite_workloads,
-    synthesize_trace,
-)
+from repro._util.lazy import lazy_exports
+
+_EXPORTS = {
+    "CpiBreakdown": ".core.cpi",
+    "MemorySystemConfig": ".core.config",
+    "MpiMeasurement": ".core.metrics",
+    "StudyResult": ".core.study",
+    "cpi_instr": ".core.cpi",
+    "evaluate": ".core.study",
+    "measure_mpi": ".core.metrics",
+    "sweep": ".core.sweep",
+    "CacheGeometry": ".caches.base",
+    "ThreeCs": ".caches.classify",
+    "classify_misses": ".caches.classify",
+    "DemandFetchEngine": ".fetch.engine",
+    "MemoryTiming": ".fetch.timing",
+    "PrefetchBypassEngine": ".fetch.bypass",
+    "PrefetchOnMissEngine": ".fetch.prefetch",
+    "StreamBufferEngine": ".fetch.streambuf",
+    "Trace": ".trace.trace",
+    "load_trace": ".trace.io",
+    "save_trace": ".trace.io",
+    "to_line_runs": ".trace.rle",
+    "WorkloadParams": ".workloads.params",
+    "get_trace": ".workloads.registry",
+    "get_workload": ".workloads.registry",
+    "suite_workloads": ".workloads.suites",
+    "synthesize_trace": ".workloads.generator",
+}
 
 __version__ = "1.0.0"
 
@@ -88,33 +91,15 @@ def version_info() -> dict:
     }
 
 
-__all__ = [
-    "CpiBreakdown",
-    "MemorySystemConfig",
-    "MpiMeasurement",
-    "StudyResult",
-    "cpi_instr",
-    "evaluate",
-    "measure_mpi",
-    "sweep",
-    "CacheGeometry",
-    "ThreeCs",
-    "classify_misses",
-    "DemandFetchEngine",
-    "MemoryTiming",
-    "PrefetchBypassEngine",
-    "PrefetchOnMissEngine",
-    "StreamBufferEngine",
-    "Trace",
-    "load_trace",
-    "save_trace",
-    "to_line_runs",
-    "WorkloadParams",
-    "get_trace",
-    "get_workload",
-    "suite_workloads",
-    "synthesize_trace",
-    "package_version",
-    "version_info",
-    "__version__",
-]
+#: Subpackages stay reachable as attributes (``repro.core``) after a
+#: bare ``import repro``, loading on first access like the names above.
+_SUBPACKAGES = (
+    "caches", "core", "experiments", "fetch", "layout", "loadgen",
+    "monitor", "obs", "plan", "runner", "service", "tapeworm", "tlb",
+    "trace", "vm", "workloads",
+)
+
+__all__ = [*_EXPORTS, "package_version", "version_info", "__version__"]
+__getattr__, __dir__ = lazy_exports(
+    __name__, {**_EXPORTS, **dict.fromkeys(_SUBPACKAGES)}
+)

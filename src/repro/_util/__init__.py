@@ -4,21 +4,18 @@ Nothing in this package is part of the public API; import from the
 documented subpackages instead.
 """
 
-from repro._util.bitops import is_power_of_two, ilog2, align_down, align_up
-from repro._util.validate import (
-    check_positive,
-    check_power_of_two,
-    check_in_range,
-    check_fraction,
-)
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "is_power_of_two",
-    "ilog2",
-    "align_down",
-    "align_up",
-    "check_positive",
-    "check_power_of_two",
-    "check_in_range",
-    "check_fraction",
-]
+_EXPORTS = {
+    "is_power_of_two": ".bitops",
+    "ilog2": ".bitops",
+    "align_down": ".bitops",
+    "align_up": ".bitops",
+    "check_positive": ".validate",
+    "check_power_of_two": ".validate",
+    "check_in_range": ".validate",
+    "check_fraction": ".validate",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

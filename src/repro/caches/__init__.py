@@ -16,49 +16,36 @@ Miss classification (:mod:`repro.caches.classify`) implements the
 three-Cs breakdown exactly as the paper's Figure 1 caption describes.
 """
 
-from repro.caches.base import CacheGeometry, CacheStats, ReplacementPolicy
-from repro.caches.setassoc import SetAssociativeCache
-from repro.caches.subblock import SubblockCache
-from repro.caches.hierarchy import CacheHierarchy, CacheLevelResult
-from repro.caches.physical import PhysicallyIndexedCache
-from repro.caches.vectorized import (
-    miss_mask_direct_mapped,
-    miss_mask_set_associative,
-    miss_mask_fully_associative,
-    compulsory_mask,
-    count_misses,
-)
-from repro.caches.classify import ThreeCs, classify_misses, classify_misses_exact
-from repro.caches.cml import CmlConflictAvoider, CmlResult
-from repro.caches.inclusion import InclusionReport, check_inclusion, inclusion_guaranteed
-from repro.caches.sampling import SampledEstimate, sampled_mpi
-from repro.caches.writepolicy import DataCache, DataCacheStats, WritePolicy
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "CacheGeometry",
-    "CacheStats",
-    "ReplacementPolicy",
-    "SetAssociativeCache",
-    "SubblockCache",
-    "CacheHierarchy",
-    "CacheLevelResult",
-    "PhysicallyIndexedCache",
-    "miss_mask_direct_mapped",
-    "miss_mask_set_associative",
-    "miss_mask_fully_associative",
-    "compulsory_mask",
-    "count_misses",
-    "ThreeCs",
-    "classify_misses",
-    "classify_misses_exact",
-    "CmlConflictAvoider",
-    "CmlResult",
-    "InclusionReport",
-    "check_inclusion",
-    "inclusion_guaranteed",
-    "DataCache",
-    "DataCacheStats",
-    "WritePolicy",
-    "SampledEstimate",
-    "sampled_mpi",
-]
+_EXPORTS = {
+    "CacheGeometry": ".base",
+    "CacheStats": ".base",
+    "ReplacementPolicy": ".base",
+    "SetAssociativeCache": ".setassoc",
+    "SubblockCache": ".subblock",
+    "CacheHierarchy": ".hierarchy",
+    "CacheLevelResult": ".hierarchy",
+    "PhysicallyIndexedCache": ".physical",
+    "miss_mask_direct_mapped": ".vectorized",
+    "miss_mask_set_associative": ".vectorized",
+    "miss_mask_fully_associative": ".vectorized",
+    "compulsory_mask": ".vectorized",
+    "count_misses": ".vectorized",
+    "ThreeCs": ".classify",
+    "classify_misses": ".classify",
+    "classify_misses_exact": ".classify",
+    "CmlConflictAvoider": ".cml",
+    "CmlResult": ".cml",
+    "InclusionReport": ".inclusion",
+    "check_inclusion": ".inclusion",
+    "inclusion_guaranteed": ".inclusion",
+    "DataCache": ".writepolicy",
+    "DataCacheStats": ".writepolicy",
+    "WritePolicy": ".writepolicy",
+    "SampledEstimate": ".sampling",
+    "sampled_mpi": ".sampling",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -46,28 +46,19 @@ import json
 import os
 import sys
 
+# Only numpy-free modules load here: the parser is built for every
+# command, so each simulator layer is imported by the handler that
+# uses it (the start-up test in tests/test_lazy_imports.py holds this).
 from repro import version_info
-from repro.obs import tracing
-from repro.obs.manifest import OBS_DIR_ENV, build_manifest, write_manifest
-from repro.caches.vectorized import order_cache_stats
-from repro.core.config import MemorySystemConfig
-from repro.core.study import ENGINES, MECHANISMS, evaluate
-from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
-from repro.experiments.common import ExperimentSettings
-from repro.plan.executor import run_experiment, run_report
-from repro.runner.cache import CACHE_DIR_ENV, TraceDiskCache, cache_from_environment
-from repro.trace.io import save_trace
-from repro.workloads.registry import (
-    get_workload,
-    list_workloads,
-    set_trace_cache_backend,
-    suite_names,
-    trace_cache_backend,
-)
-from repro.workloads.generator import synthesize_trace
+from repro.fetch.dispatch import ENGINES, MECHANISMS
+from repro.obs.manifest import OBS_DIR_ENV
+from repro.runner import CACHE_DIR_ENV
+from repro.workloads.suites import list_workloads, suite_names
 
 
-def _settings(args) -> ExperimentSettings:
+def _settings(args):
+    from repro.experiments.common import ExperimentSettings
+
     return ExperimentSettings(
         n_instructions=args.instructions,
         seed=args.seed,
@@ -97,6 +88,9 @@ def _run_traced(args, command: str, label: str, fn):
     obs_dir = _obs_dir(args)
     if not obs_dir:
         return fn()
+    from repro.obs import tracing
+    from repro.obs.manifest import build_manifest, write_manifest
+
     with tracing.run(label, command=command) as recorder:
         status = fn()
     manifest = build_manifest(
@@ -118,27 +112,35 @@ def _run_traced(args, command: str, label: str, fn):
 
 
 def _cmd_list(args) -> int:
+    from repro.experiments import EXTENSION_STUDIES, PAPER_EXPERIMENTS
+
     print("workloads (name, os):")
     for name, os_name in list_workloads():
         print(f"  {name:12s} {os_name}")
     print("\nsuites:", ", ".join(suite_names()))
-    print("\npaper experiments:", ", ".join(ALL_EXPERIMENTS))
-    print("extension studies:", ", ".join(EXTENSION_EXPERIMENTS))
+    print("\npaper experiments:", ", ".join(PAPER_EXPERIMENTS))
+    print("extension studies:", ", ".join(EXTENSION_STUDIES))
     print("fetch mechanisms:", ", ".join(MECHANISMS))
     print("fetch engines:", ", ".join(ENGINES))
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    registry = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
-    module = registry.get(args.name)
-    if module is None:
+    import importlib
+
+    from repro.experiments import EXTENSION_STUDIES, PAPER_EXPERIMENTS
+    from repro.plan.executor import run_experiment
+
+    names = PAPER_EXPERIMENTS + EXTENSION_STUDIES
+    if args.name not in names:
         print(
             f"unknown experiment {args.name!r}; available: "
-            f"{', '.join(registry)}",
+            f"{', '.join(names)}",
             file=sys.stderr,
         )
         return 2
+    module = importlib.import_module(f"repro.experiments.{args.name}")
+
     def body() -> int:
         result, report = run_experiment(
             module, _settings(args), jobs=args.jobs, label=args.name
@@ -151,6 +153,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
+    from repro.plan.executor import run_report
+
     settings = _settings(args)
     registry = dict(ALL_EXPERIMENTS)
     if args.extensions:
@@ -167,6 +172,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro.trace.io import save_trace
+    from repro.workloads.generator import synthesize_trace
+    from repro.workloads.registry import get_workload
+
     workload = get_workload(args.name, args.os)
     trace = synthesize_trace(workload, args.instructions, seed=args.seed)
     path = args.out or f"{args.name}-{args.os}.trace.npz"
@@ -179,6 +188,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from repro.core.config import MemorySystemConfig
+    from repro.core.study import evaluate
+
     config = (
         MemorySystemConfig.economy()
         if args.config == "economy"
@@ -215,6 +227,9 @@ def _cmd_cache(args) -> int:
     # The on-disk trace cache persists across runs; the line-order memo
     # (stack-distance/miss-mask arrays) is in-process and reported here
     # so one command answers both "what is cached" questions.
+    from repro.caches.vectorized import order_cache_stats
+    from repro.workloads.registry import trace_cache_backend
+
     order = order_cache_stats()
     backend = trace_cache_backend()
     if backend is None:
@@ -260,6 +275,7 @@ def _cmd_cache(args) -> int:
 def _result_store():
     """The content-addressed result store next to the trace cache."""
     from repro.service.store import result_store_for_cache
+    from repro.workloads.registry import trace_cache_backend
 
     backend = trace_cache_backend()
     if backend is None:
@@ -362,7 +378,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_warm(args) -> int:
-    from repro.core.study import MECHANISMS as ALL_MECHANISMS
     from repro.service.scheduler import CONFIGS as ALL_CONFIGS
     from repro.service.store import ResultStore
     from repro.service.warm import warm_plan, warm_store
@@ -379,7 +394,7 @@ def _cmd_warm(args) -> int:
     plan = warm_plan(
         suite=args.suite,
         configs=tuple(args.config or ALL_CONFIGS),
-        mechanisms=tuple(args.mechanism or ALL_MECHANISMS),
+        mechanisms=tuple(args.mechanism or MECHANISMS),
         settings=_settings(args),
     )
 
@@ -425,7 +440,7 @@ def _cmd_loadgen(args) -> int:
 
     from repro.loadgen.driver import LoadConfig, run_load
     from repro.loadgen.workload import Workload
-    from repro.workloads.registry import suite_workloads
+    from repro.workloads.suites import suite_workloads
 
     workload = Workload.grid(
         skew=args.skew,
@@ -813,6 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_cache_flags(args) -> None:
     """Resolve the disk-cache tri-state before dispatching a command."""
+    from repro.runner.cache import TraceDiskCache, cache_from_environment
+    from repro.workloads.registry import set_trace_cache_backend
+
     if args.no_disk_cache:
         set_trace_cache_backend(None)
     elif args.cache_dir:

@@ -13,38 +13,28 @@ mirrors the paper's flow: pick a workload, pick a memory-system
 configuration, read off the instruction-fetch CPI contribution.
 """
 
-from repro.core.config import MemorySystemConfig
-from repro.core.metrics import (
-    MpiMeasurement,
-    measure_mpi,
-    measure_mpi_lines,
-    measure_three_cs,
-    warmup_cut,
-    DEFAULT_WARMUP_FRACTION,
-)
-from repro.core.area import cache_area_rbe, area_per_byte, fits_budget
-from repro.core.cpi import CpiBreakdown, cpi_instr
-from repro.core.multiissue import IssueProjection, project_issue_widths
-from repro.core.study import evaluate, StudyResult
-from repro.core.sweep import sweep, SweepResult
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "MemorySystemConfig",
-    "MpiMeasurement",
-    "measure_mpi",
-    "measure_mpi_lines",
-    "measure_three_cs",
-    "warmup_cut",
-    "DEFAULT_WARMUP_FRACTION",
-    "CpiBreakdown",
-    "cpi_instr",
-    "cache_area_rbe",
-    "area_per_byte",
-    "fits_budget",
-    "evaluate",
-    "StudyResult",
-    "IssueProjection",
-    "project_issue_widths",
-    "sweep",
-    "SweepResult",
-]
+_EXPORTS = {
+    "MemorySystemConfig": ".config",
+    "MpiMeasurement": ".metrics",
+    "measure_mpi": ".metrics",
+    "measure_mpi_lines": ".metrics",
+    "measure_three_cs": ".metrics",
+    "warmup_cut": ".metrics",
+    "DEFAULT_WARMUP_FRACTION": ".metrics",
+    "CpiBreakdown": ".cpi",
+    "cpi_instr": ".cpi",
+    "cache_area_rbe": ".area",
+    "area_per_byte": ".area",
+    "fits_budget": ".area",
+    "evaluate": ".study",
+    "StudyResult": ".study",
+    "IssueProjection": ".multiissue",
+    "project_issue_widths": ".multiissue",
+    "sweep": ".sweep",
+    "SweepResult": ".sweep",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

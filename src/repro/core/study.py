@@ -21,6 +21,7 @@ from repro.core.config import MemorySystemConfig
 from repro.core.metrics import DEFAULT_WARMUP_FRACTION, measure_mpi
 from repro.fetch import dispatch, vectorized
 from repro.fetch.bypass import PrefetchBypassEngine
+from repro.fetch.dispatch import ENGINES, MECHANISMS
 from repro.fetch.engine import DemandFetchEngine, FetchEngine, FetchResult
 from repro.fetch.markov import MarkovPrefetchEngine
 from repro.fetch.prefetch import PrefetchOnMissEngine, TaggedPrefetchEngine
@@ -30,25 +31,6 @@ from repro.obs import tracing
 from repro.runner import timing
 from repro.trace.trace import Trace
 from repro.workloads.registry import DEFAULT_TRACE_INSTRUCTIONS, get_trace
-
-#: Mechanism names accepted by :func:`evaluate`.
-MECHANISMS = (
-    "demand",
-    "prefetch",
-    "tagged",
-    "prefetch+bypass",
-    "stream-buffer",
-    "victim",
-    "markov",
-)
-
-#: Fetch-timing implementations accepted by :func:`evaluate`.
-#: ``"reference"`` steps the per-run object engines, ``"vectorized"``
-#: requires the numpy kernels (raising when they don't cover the
-#: combination), and ``"auto"`` uses the kernels whenever they do — the
-#: differential tests pin the two paths bit-identical, so ``auto`` is
-#: the default everywhere.
-ENGINES = ("auto", "reference", "vectorized")
 
 
 @dataclass(frozen=True)

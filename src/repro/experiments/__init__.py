@@ -55,80 +55,32 @@ ext_bloat        the title's trend, forward-projected
 ===============  ====================================================
 """
 
-from repro.experiments import (
-    ext_area,
-    ext_bloat,
-    ext_branch,
-    ext_components,
-    ext_conflict,
-    ext_context,
-    ext_methodology,
-    ext_multiissue,
-    ext_placement,
-    ext_prefetch,
-    ext_tlb,
-    ext_sampling,
-    ext_sensitivity,
-    ext_subblock,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7,
-    table8,
-)
+from repro._util.lazy import lazy_exports
 
-ALL_EXPERIMENTS = {
-    "table1": table1,
-    "table2": table2,
-    "table3": table3,
-    "table4": table4,
-    "table5": table5,
-    "table6": table6,
-    "table7": table7,
-    "table8": table8,
-    "figure1": figure1,
-    "figure2": figure2,
-    "figure3": figure3,
-    "figure4": figure4,
-    "figure5": figure5,
-    "figure6": figure6,
-    "figure7": figure7,
-}
+#: The paper's tables and figures, in the paper's order.
+PAPER_EXPERIMENTS = (
+    "table1", "table2", "table3", "table4",
+    "table5", "table6", "table7", "table8",
+    "figure1", "figure2", "figure3", "figure4",
+    "figure5", "figure6", "figure7",
+)
 
 #: Studies beyond the paper: its stated future work (non-sequential
 #: prefetching), the software methods it cites but does not evaluate
 #: (placement, page policies), its Section 5.2 sub-block footnote, and
 #: the multi-issue projection behind its conclusion.
-EXTENSION_EXPERIMENTS = {
-    "ext_prefetch": ext_prefetch,
-    "ext_conflict": ext_conflict,
-    "ext_context": ext_context,
-    "ext_components": ext_components,
-    "ext_sensitivity": ext_sensitivity,
-    "ext_methodology": ext_methodology,
-    "ext_branch": ext_branch,
-    "ext_area": ext_area,
-    "ext_tlb": ext_tlb,
-    "ext_sampling": ext_sampling,
-    "ext_bloat": ext_bloat,
-    "ext_placement": ext_placement,
-    "ext_subblock": ext_subblock,
-    "ext_multiissue": ext_multiissue,
+EXTENSION_STUDIES = (
+    "ext_prefetch", "ext_conflict", "ext_context", "ext_components",
+    "ext_sensitivity", "ext_methodology", "ext_branch", "ext_area",
+    "ext_tlb", "ext_sampling", "ext_bloat", "ext_placement",
+    "ext_subblock", "ext_multiissue",
+)
+
+_EXPORTS = {
+    "ALL_EXPERIMENTS": ".catalog",
+    "EXTENSION_EXPERIMENTS": ".catalog",
+    **dict.fromkeys(PAPER_EXPERIMENTS + EXTENSION_STUDIES),
 }
 
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "EXTENSION_EXPERIMENTS",
-    *ALL_EXPERIMENTS,
-    *EXTENSION_EXPERIMENTS,
-]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,41 +12,30 @@ reference per-run engine and a vectorized closed-form kernel
 differential tests.
 """
 
-from repro.fetch.timing import MemoryTiming, ECONOMY_MEMORY, HIGH_PERF_MEMORY, L1_L2_INTERFACE
-from repro.fetch.engine import FetchResult, DemandFetchEngine
-from repro.fetch.prefetch import PrefetchOnMissEngine, TaggedPrefetchEngine
-from repro.fetch.bypass import PrefetchBypassEngine
-from repro.fetch.streambuf import StreamBufferEngine
-from repro.fetch.victim import VictimCacheEngine
-from repro.fetch.markov import MarkovPrefetchEngine
-from repro.fetch.twolevel import TwoLevelDemandEngine, TwoLevelResult
-from repro.fetch.branch import BranchTargetBuffer, BranchResult
-from repro.fetch.vectorized import (
-    VECTORIZED_MECHANISMS,
-    run_vectorized,
-    supports,
-    unsupported_reason,
-)
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "MemoryTiming",
-    "ECONOMY_MEMORY",
-    "HIGH_PERF_MEMORY",
-    "L1_L2_INTERFACE",
-    "FetchResult",
-    "DemandFetchEngine",
-    "PrefetchOnMissEngine",
-    "TaggedPrefetchEngine",
-    "PrefetchBypassEngine",
-    "StreamBufferEngine",
-    "VictimCacheEngine",
-    "MarkovPrefetchEngine",
-    "TwoLevelDemandEngine",
-    "TwoLevelResult",
-    "BranchTargetBuffer",
-    "BranchResult",
-    "VECTORIZED_MECHANISMS",
-    "run_vectorized",
-    "supports",
-    "unsupported_reason",
-]
+_EXPORTS = {
+    "MemoryTiming": ".timing",
+    "ECONOMY_MEMORY": ".timing",
+    "HIGH_PERF_MEMORY": ".timing",
+    "L1_L2_INTERFACE": ".timing",
+    "FetchResult": ".engine",
+    "DemandFetchEngine": ".engine",
+    "PrefetchOnMissEngine": ".prefetch",
+    "TaggedPrefetchEngine": ".prefetch",
+    "PrefetchBypassEngine": ".bypass",
+    "StreamBufferEngine": ".streambuf",
+    "VictimCacheEngine": ".victim",
+    "MarkovPrefetchEngine": ".markov",
+    "TwoLevelDemandEngine": ".twolevel",
+    "TwoLevelResult": ".twolevel",
+    "BranchTargetBuffer": ".branch",
+    "BranchResult": ".branch",
+    "VECTORIZED_MECHANISMS": ".vectorized",
+    "run_vectorized": ".vectorized",
+    "supports": ".vectorized",
+    "unsupported_reason": ".vectorized",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

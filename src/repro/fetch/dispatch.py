@@ -28,6 +28,25 @@ from repro.obs import tracing
 ENGINE_VECTORIZED = "vectorized"
 ENGINE_REFERENCE = "reference"
 
+#: Mechanism names accepted by :func:`repro.core.study.evaluate`.
+MECHANISMS = (
+    "demand",
+    "prefetch",
+    "tagged",
+    "prefetch+bypass",
+    "stream-buffer",
+    "victim",
+    "markov",
+)
+
+#: Fetch-timing implementations accepted by
+#: :func:`repro.core.study.evaluate`.  ``"reference"`` steps the per-run
+#: object engines, ``"vectorized"`` requires the numpy kernels (raising
+#: when they don't cover the combination), and ``"auto"`` uses the
+#: kernels whenever they do — the differential tests pin the two paths
+#: bit-identical, so ``auto`` is the default everywhere.
+ENGINES = ("auto", ENGINE_REFERENCE, ENGINE_VECTORIZED)
+
 _lock = threading.Lock()
 
 #: Process-lifetime totals: (mechanism, engine) -> dispatch count.

@@ -14,13 +14,15 @@ rewrites the trace's addresses accordingly, so the same execution can be
 re-simulated under the optimized layout.
 """
 
-from repro.layout.profile import ExecutionProfile, profile_trace
-from repro.layout.placement import PlacementPlan, place_by_heat, relocate_addresses
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "ExecutionProfile",
-    "profile_trace",
-    "PlacementPlan",
-    "place_by_heat",
-    "relocate_addresses",
-]
+_EXPORTS = {
+    "ExecutionProfile": ".profile",
+    "profile_trace": ".profile",
+    "PlacementPlan": ".placement",
+    "place_by_heat": ".placement",
+    "relocate_addresses": ".placement",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

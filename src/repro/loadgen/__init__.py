@@ -12,27 +12,22 @@ Exposed on the CLI as ``repro loadgen run | report`` and scripted by
 ``benchmarks/bench_serve.py``.
 """
 
-from repro.loadgen.driver import LoadConfig, LoadResult, run_load
-from repro.loadgen.stats import LatencyRecorder, Sample, percentiles, summarize
-from repro.loadgen.workload import (
-    GRID_CONFIGS,
-    Request,
-    ReqGenEngine,
-    Workload,
-    grid_population,
-)
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "GRID_CONFIGS",
-    "LatencyRecorder",
-    "LoadConfig",
-    "LoadResult",
-    "Request",
-    "ReqGenEngine",
-    "Sample",
-    "Workload",
-    "grid_population",
-    "percentiles",
-    "run_load",
-    "summarize",
-]
+_EXPORTS = {
+    "GRID_CONFIGS": ".workload",
+    "LatencyRecorder": ".stats",
+    "LoadConfig": ".driver",
+    "LoadResult": ".driver",
+    "Request": ".workload",
+    "ReqGenEngine": ".workload",
+    "Sample": ".stats",
+    "Workload": ".workload",
+    "grid_population": ".workload",
+    "percentiles": ".stats",
+    "run_load": ".driver",
+    "summarize": ".stats",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

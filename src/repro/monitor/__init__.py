@@ -9,17 +9,15 @@ breakdowns of Tables 1 and 3 and (b) quantify the trace-capture
 distortion the paper bounds at 5%.
 """
 
-from repro.monitor.hwcounters import (
-    DECSTATION_3100,
-    MachineSpec,
-    HardwareMonitor,
-)
-from repro.monitor.logic_analyzer import MonsterCapture, CaptureReport
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "DECSTATION_3100",
-    "MachineSpec",
-    "HardwareMonitor",
-    "MonsterCapture",
-    "CaptureReport",
-]
+_EXPORTS = {
+    "DECSTATION_3100": ".hwcounters",
+    "MachineSpec": ".hwcounters",
+    "HardwareMonitor": ".hwcounters",
+    "MonsterCapture": ".logic_analyzer",
+    "CaptureReport": ".logic_analyzer",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,51 +20,30 @@ methodology:
   id (the serving tier's request/job log).
 """
 
-from repro.obs import logs, tracing
-from repro.obs.export import (
-    diff_manifests,
-    render_diff,
-    render_summary,
-    span_rollup,
-    summarize,
-    to_chrome_trace,
-)
-from repro.obs.manifest import (
-    OBS_DIR_ENV,
-    build_manifest,
-    load_manifest,
-    provenance,
-    write_manifest,
-)
-from repro.obs.tracing import (
-    RunRecorder,
-    capture,
-    current_span,
-    current_trace_id,
-    new_trace_id,
-    run,
-    span,
-)
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "OBS_DIR_ENV",
-    "RunRecorder",
-    "build_manifest",
-    "capture",
-    "current_span",
-    "current_trace_id",
-    "diff_manifests",
-    "load_manifest",
-    "logs",
-    "new_trace_id",
-    "provenance",
-    "render_diff",
-    "render_summary",
-    "run",
-    "span",
-    "span_rollup",
-    "summarize",
-    "to_chrome_trace",
-    "tracing",
-    "write_manifest",
-]
+_EXPORTS = {
+    "OBS_DIR_ENV": ".manifest",
+    "RunRecorder": ".tracing",
+    "build_manifest": ".manifest",
+    "capture": ".tracing",
+    "current_span": ".tracing",
+    "current_trace_id": ".tracing",
+    "diff_manifests": ".export",
+    "load_manifest": ".manifest",
+    "logs": None,
+    "new_trace_id": ".tracing",
+    "provenance": ".manifest",
+    "render_diff": ".export",
+    "render_summary": ".export",
+    "run": ".tracing",
+    "span": ".tracing",
+    "span_rollup": ".export",
+    "summarize": ".export",
+    "to_chrome_trace": ".export",
+    "tracing": None,
+    "write_manifest": ".manifest",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

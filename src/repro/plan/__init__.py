@@ -19,55 +19,32 @@ way an experiment says what it computes (see
 :mod:`repro.plan.compile`).
 """
 
-from repro.plan.ir import (
-    CompiledExperiment,
-    MaskFamily,
-    PlanCell,
-    PlanInputs,
-    SweepPlan,
-    TraceKey,
-)
-from repro.plan.inputs import (
-    DEMAND_MASK_MECHANISMS,
-    mask_families,
-    mask_shape_plan,
-    point_streams,
-    prime_miss_masks,
-    run_cell,
-    suite_trace_keys,
-    workload_trace_keys,
-)
-from repro.plan.compile import compile_module, compile_report
-from repro.plan.executor import (
-    add_plan_observer,
-    execute_cells,
-    execute_plan,
-    remove_plan_observer,
-    run_experiment,
-    run_report,
-)
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "CompiledExperiment",
-    "DEMAND_MASK_MECHANISMS",
-    "MaskFamily",
-    "PlanCell",
-    "PlanInputs",
-    "SweepPlan",
-    "TraceKey",
-    "add_plan_observer",
-    "compile_module",
-    "compile_report",
-    "execute_cells",
-    "execute_plan",
-    "mask_families",
-    "mask_shape_plan",
-    "point_streams",
-    "prime_miss_masks",
-    "remove_plan_observer",
-    "run_cell",
-    "run_experiment",
-    "run_report",
-    "suite_trace_keys",
-    "workload_trace_keys",
-]
+_EXPORTS = {
+    "CompiledExperiment": ".ir",
+    "DEMAND_MASK_MECHANISMS": ".inputs",
+    "MaskFamily": ".ir",
+    "PlanCell": ".ir",
+    "PlanInputs": ".ir",
+    "SweepPlan": ".ir",
+    "TraceKey": ".ir",
+    "add_plan_observer": ".executor",
+    "compile_module": ".compile",
+    "compile_report": ".compile",
+    "execute_cells": ".executor",
+    "execute_plan": ".executor",
+    "mask_families": ".inputs",
+    "mask_shape_plan": ".inputs",
+    "point_streams": ".inputs",
+    "prime_miss_masks": ".inputs",
+    "remove_plan_observer": ".executor",
+    "run_cell": ".inputs",
+    "run_experiment": ".executor",
+    "run_report": ".executor",
+    "suite_trace_keys": ".inputs",
+    "workload_trace_keys": ".inputs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

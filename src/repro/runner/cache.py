@@ -37,13 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.runner import CACHE_DIR_ENV
 from repro.trace.io import load_trace_columns, save_trace_columns
 from repro.trace.rle import LineRuns
 from repro.trace.trace import Trace
 from repro.workloads.params import WorkloadParams
-
-#: Environment variable naming the cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Length of the fingerprint prefix used in entry directory names (the
 #: full digest is kept in the entry's ``entry.json`` for verification).

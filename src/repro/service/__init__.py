@@ -15,27 +15,21 @@ Layers (bottom up):
 * :mod:`repro.service.app` — routing and the ``repro serve`` loop.
 """
 
-from repro.service.app import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    ServiceApp,
-    run_service,
-    start_service,
-)
-from repro.service.metrics import ServiceMetrics
-from repro.service.scheduler import EvaluateRequest, Job, JobScheduler
-from repro.service.store import ResultStore, result_store_for_cache
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "EvaluateRequest",
-    "Job",
-    "JobScheduler",
-    "ResultStore",
-    "ServiceApp",
-    "ServiceMetrics",
-    "result_store_for_cache",
-    "run_service",
-    "start_service",
-]
+_EXPORTS = {
+    "DEFAULT_HOST": ".app",
+    "DEFAULT_PORT": ".app",
+    "EvaluateRequest": ".scheduler",
+    "Job": ".scheduler",
+    "JobScheduler": ".scheduler",
+    "ResultStore": ".store",
+    "ServiceApp": ".app",
+    "ServiceMetrics": ".metrics",
+    "result_store_for_cache": ".store",
+    "run_service": ".app",
+    "start_service": ".app",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -37,13 +37,14 @@ sample to the worker that served it.
 from __future__ import annotations
 
 import asyncio
+import importlib
 import os
 import time
 from http import HTTPStatus
 
 from repro import package_version
 from repro.core.study import ENGINES, MECHANISMS
-from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
+from repro.experiments import EXTENSION_STUDIES, PAPER_EXPERIMENTS
 from repro.experiments.common import ExperimentSettings
 from repro.obs.logs import log_event
 from repro.service.http import (
@@ -430,16 +431,17 @@ class ServiceApp:
     ) -> Response:
         payload = request.json()
         name = payload.get("experiment")
-        registry = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
-        if not name or name not in registry:
+        names = PAPER_EXPERIMENTS + EXTENSION_STUDIES
+        if not name or name not in names:
             raise HttpError(
                 HTTPStatus.BAD_REQUEST,
                 f"unknown experiment {name!r}; available: "
-                f"{', '.join(registry)}",
+                f"{', '.join(names)}",
             )
         settings = self._settings_from(payload)
+        module = importlib.import_module(f"repro.experiments.{name}")
         job = await self.scheduler.submit_experiment(
-            name, registry[name], settings, trace_id=trace_id
+            name, module, settings, trace_id=trace_id
         )
         if payload.get("wait"):
             await job.wait()

@@ -12,16 +12,14 @@ the physically-indexed cache, and the harness reports the mean and
 standard deviation of CPIinstr across trials.
 """
 
-from repro.tapeworm.trapdriven import (
-    TapewormSimulator,
-    TrialResult,
-    VariabilityResult,
-    translate_lines,
-)
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "TapewormSimulator",
-    "TrialResult",
-    "VariabilityResult",
-    "translate_lines",
-]
+_EXPORTS = {
+    "TapewormSimulator": ".trapdriven",
+    "TrialResult": ".trapdriven",
+    "VariabilityResult": ".trapdriven",
+    "translate_lines": ".trapdriven",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

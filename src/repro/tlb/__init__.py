@@ -6,23 +6,18 @@ refill (the miss penalty is the software handler's path length, not a
 hardware state machine).
 """
 
-from repro.tlb.tlb import (
-    Tlb,
-    TlbResult,
-    simulate_tlb,
-    R2000_TLB_ENTRIES,
-    R2000_PAGE_SIZE,
-    DEFAULT_REFILL_CYCLES,
-)
-from repro.tlb.mach_tlb import MachTlbResult, simulate_mach_tlb
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "Tlb",
-    "TlbResult",
-    "simulate_tlb",
-    "R2000_TLB_ENTRIES",
-    "R2000_PAGE_SIZE",
-    "DEFAULT_REFILL_CYCLES",
-    "MachTlbResult",
-    "simulate_mach_tlb",
-]
+_EXPORTS = {
+    "Tlb": ".tlb",
+    "TlbResult": ".tlb",
+    "simulate_tlb": ".tlb",
+    "R2000_TLB_ENTRIES": ".tlb",
+    "R2000_PAGE_SIZE": ".tlb",
+    "DEFAULT_REFILL_CYCLES": ".tlb",
+    "MachTlbResult": ".mach_tlb",
+    "simulate_mach_tlb": ".mach_tlb",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,44 +12,33 @@ analyzer: long, continuous streams covering *all* user and operating
 system activity.
 """
 
-from repro.trace.record import RefKind, Component, COMPONENT_NAMES
-from repro.trace.trace import Trace
-from repro.trace.io import save_trace, load_trace, save_dinero, load_dinero
-from repro.trace.rle import LineRuns, to_line_runs
-from repro.trace.filters import (
-    ifetch_only,
-    data_only,
-    by_kind,
-    by_component,
-    concat,
-    head,
-    interleave,
-)
-from repro.trace.flow import FlowStats, flow_stats, miss_sequentiality
-from repro.trace.stats import TraceStats, compute_stats, component_mix
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "RefKind",
-    "Component",
-    "COMPONENT_NAMES",
-    "Trace",
-    "save_trace",
-    "load_trace",
-    "save_dinero",
-    "load_dinero",
-    "LineRuns",
-    "to_line_runs",
-    "ifetch_only",
-    "data_only",
-    "by_kind",
-    "by_component",
-    "concat",
-    "head",
-    "interleave",
-    "FlowStats",
-    "flow_stats",
-    "miss_sequentiality",
-    "TraceStats",
-    "compute_stats",
-    "component_mix",
-]
+_EXPORTS = {
+    "RefKind": ".record",
+    "Component": ".record",
+    "COMPONENT_NAMES": ".record",
+    "Trace": ".trace",
+    "save_trace": ".io",
+    "load_trace": ".io",
+    "save_dinero": ".io",
+    "load_dinero": ".io",
+    "LineRuns": ".rle",
+    "to_line_runs": ".rle",
+    "ifetch_only": ".filters",
+    "data_only": ".filters",
+    "by_kind": ".filters",
+    "by_component": ".filters",
+    "concat": ".filters",
+    "head": ".filters",
+    "interleave": ".filters",
+    "FlowStats": ".flow",
+    "flow_stats": ".flow",
+    "miss_sequentiality": ".flow",
+    "TraceStats": ".stats",
+    "compute_stats": ".stats",
+    "component_mix": ".stats",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

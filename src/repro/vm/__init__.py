@@ -8,20 +8,16 @@ page coloring and bin hopping [Kessler92, Bershad94]; all three policies
 are implemented here.
 """
 
-from repro.vm.pagemap import (
-    PageMapper,
-    IdentityPageMapper,
-    RandomPageMapper,
-    PageColoringMapper,
-    BinHoppingMapper,
-)
-from repro.vm.addrspace import AddressSpaceLayout
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "PageMapper",
-    "IdentityPageMapper",
-    "RandomPageMapper",
-    "PageColoringMapper",
-    "BinHoppingMapper",
-    "AddressSpaceLayout",
-]
+_EXPORTS = {
+    "PageMapper": ".pagemap",
+    "IdentityPageMapper": ".pagemap",
+    "RandomPageMapper": ".pagemap",
+    "PageColoringMapper": ".pagemap",
+    "BinHoppingMapper": ".pagemap",
+    "AddressSpaceLayout": ".addrspace",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,51 +14,34 @@ matches the paper's Table 4 and the suite miss-versus-size curves match
 Figure 1 (see ``tools/calibrate.py`` and EXPERIMENTS.md).
 """
 
-from repro.workloads.builder import WorkloadBuilder
-from repro.workloads.params import ComponentParams, WorkloadParams
-from repro.workloads.codeimage import Procedure, Module, CodeImage, build_code_image
-from repro.workloads.callgraph import build_call_graph, call_graph_stats
-from repro.workloads.generator import TraceSynthesizer, synthesize_trace
-from repro.workloads.ibs import IBS_WORKLOADS, ibs_workload
-from repro.workloads.spec import (
-    SPEC92_INT_WORKLOADS,
-    SPEC92_FP_WORKLOADS,
-    SPEC89_INT_WORKLOADS,
-    SPEC89_FP_WORKLOADS,
-    spec_workload,
-)
-from repro.workloads.registry import (
-    get_workload,
-    get_trace,
-    list_workloads,
-    suite_names,
-    suite_workloads,
-    clear_trace_cache,
-)
+from repro._util.lazy import lazy_exports
 
-__all__ = [
-    "WorkloadBuilder",
-    "ComponentParams",
-    "WorkloadParams",
-    "Procedure",
-    "Module",
-    "CodeImage",
-    "build_code_image",
-    "build_call_graph",
-    "call_graph_stats",
-    "TraceSynthesizer",
-    "synthesize_trace",
-    "IBS_WORKLOADS",
-    "ibs_workload",
-    "SPEC92_INT_WORKLOADS",
-    "SPEC92_FP_WORKLOADS",
-    "SPEC89_INT_WORKLOADS",
-    "SPEC89_FP_WORKLOADS",
-    "spec_workload",
-    "get_workload",
-    "get_trace",
-    "list_workloads",
-    "suite_names",
-    "suite_workloads",
-    "clear_trace_cache",
-]
+_EXPORTS = {
+    "WorkloadBuilder": ".builder",
+    "ComponentParams": ".params",
+    "WorkloadParams": ".params",
+    "Procedure": ".codeimage",
+    "Module": ".codeimage",
+    "CodeImage": ".codeimage",
+    "build_code_image": ".codeimage",
+    "build_call_graph": ".callgraph",
+    "call_graph_stats": ".callgraph",
+    "TraceSynthesizer": ".generator",
+    "synthesize_trace": ".generator",
+    "IBS_WORKLOADS": ".ibs",
+    "ibs_workload": ".ibs",
+    "SPEC92_INT_WORKLOADS": ".spec",
+    "SPEC92_FP_WORKLOADS": ".spec",
+    "SPEC89_INT_WORKLOADS": ".spec",
+    "SPEC89_FP_WORKLOADS": ".spec",
+    "spec_workload": ".spec",
+    "get_workload": ".registry",
+    "get_trace": ".registry",
+    "list_workloads": ".suites",
+    "suite_names": ".suites",
+    "suite_workloads": ".suites",
+    "clear_trace_cache": ".registry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

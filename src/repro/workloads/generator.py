@@ -243,7 +243,7 @@ class _ComponentPlan:
         self._visited[proc] = True
         callees = [
             callee
-            for callee in self.graph.successors(proc)
+            for callee in self.graph[proc]
             if not self._visited[callee]
         ]
         if callees:

@@ -143,7 +143,7 @@ class _ComponentWalker:
         # Shuffle new unvisited callees into the frontier.
         callees = [
             callee
-            for callee in self.graph.successors(proc)
+            for callee in self.graph[proc]
             if not self._visited[callee]
         ]
         if callees:

@@ -38,6 +38,7 @@ from repro.workloads.spec import (
     SPEC92_FP_WORKLOADS,
     SPEC92_INT_WORKLOADS,
 )
+from repro.workloads.suites import list_workloads, suite_names, suite_workloads
 
 #: Default trace length (instruction fetches) for experiments.  Long
 #: enough that 8 KB-cache MPIs are stable to well under the paper's
@@ -51,17 +52,6 @@ TRACE_CACHE_BYTES_ENV = "REPRO_TRACE_CACHE_BYTES"
 
 _DEFAULT_MAX_ENTRIES = 64
 _DEFAULT_MAX_BYTES = 2 * 1024**3
-
-_SUITES: dict[str, list[tuple[str, str]]] = {
-    "ibs-mach3": [(name, MACH3) for name in IBS_WORKLOADS],
-    "ibs-ultrix": [(name, ULTRIX) for name in IBS_WORKLOADS],
-    "specint92": [(name, "spec92") for name in SPEC92_INT_WORKLOADS],
-    "specfp92": [(name, "spec92") for name in SPEC92_FP_WORKLOADS],
-    "spec92": [(name, "spec92") for name in SPEC92_INT_WORKLOADS]
-    + [(name, "spec92") for name in SPEC92_FP_WORKLOADS],
-    "specint89": [(name, "spec89") for name in SPEC89_INT_WORKLOADS],
-    "specfp89": [(name, "spec89") for name in SPEC89_FP_WORKLOADS],
-}
 
 
 def _env_int(name: str, default: int) -> int:
@@ -315,31 +305,6 @@ def get_line_runs(
     else:
         trace._cache[memo_key] = runs
     return runs
-
-
-def list_workloads(os_name: str | None = None) -> list[tuple[str, str]]:
-    """All known ``(name, os_name)`` pairs, optionally filtered by OS."""
-    pairs: list[tuple[str, str]] = []
-    for suite in ("ibs-mach3", "ibs-ultrix", "spec92", "specint89", "specfp89"):
-        pairs.extend(_SUITES[suite])
-    if os_name is not None:
-        pairs = [p for p in pairs if p[1] == os_name]
-    return pairs
-
-
-def suite_names() -> list[str]:
-    """Names of the defined workload suites."""
-    return sorted(_SUITES)
-
-
-def suite_workloads(suite: str) -> list[tuple[str, str]]:
-    """The ``(name, os_name)`` members of a suite."""
-    try:
-        return list(_SUITES[suite])
-    except KeyError:
-        raise KeyError(
-            f"unknown suite {suite!r}; available: {sorted(_SUITES)}"
-        ) from None
 
 
 def configure_trace_cache(

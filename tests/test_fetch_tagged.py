@@ -56,3 +56,25 @@ class TestTaggedPrefetch:
         engine.run(_runs([0, 0, 0]), warmup_fraction=0.0)
         issued_once = engine.prefetches_issued
         assert issued_once == 1  # line 1, exactly once
+
+
+class TestTaggedStateMemo:
+    def test_memo_charges_every_column(self, medium_trace):
+        """The memoized replay is numpy columns, so the memo's byte
+        accounting sees all of it (lists would be charged nothing)."""
+        from repro.caches.vectorized import line_order_cache
+        from repro.fetch.vectorized import run_vectorized
+
+        runs = to_line_runs(medium_trace.ifetch_addresses()[:60_000], 32)
+        geometry = CacheGeometry(8192, 32, 1)
+        cache = line_order_cache(runs.lines)
+        assert cache.memo_bytes == 0
+        vectorized = run_vectorized(runs, geometry, TIMING, "tagged")
+        columns = cache._memo[("tagged-state", geometry.n_sets, 1)]
+        assert [c.dtype for c in columns] == [
+            np.int64, np.bool_, np.int32, np.bool_,
+        ]
+        assert len({len(c) for c in columns}) == 1
+        assert cache.memo_bytes == sum(c.nbytes for c in columns)
+        reference = TaggedPrefetchEngine(geometry, TIMING).run(runs)
+        assert vectorized == reference
