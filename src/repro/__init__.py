@@ -82,7 +82,7 @@ def version_info() -> dict:
     ``python -m repro --version`` and run manifests both print from it.
     """
     from repro.obs.manifest import git_provenance
-    from repro.workloads.generator import GENERATOR_VERSION
+    from repro.workloads.params import GENERATOR_VERSION
 
     return {
         "package_version": package_version(),

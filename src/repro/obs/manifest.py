@@ -62,7 +62,7 @@ def git_provenance() -> dict:
 def provenance() -> dict:
     """The provenance block stamped into every manifest."""
     from repro import package_version
-    from repro.workloads.generator import GENERATOR_VERSION
+    from repro.workloads.params import GENERATOR_VERSION
 
     return {
         "package_version": package_version(),

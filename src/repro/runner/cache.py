@@ -33,6 +33,7 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,18 +48,41 @@ from repro.workloads.params import WorkloadParams
 #: full digest is kept in the entry's ``entry.json`` for verification).
 _FP_PREFIX = 12
 
+#: Digests already computed, by ``(id(params), generator_version)``.
+#: Each value holds its params object, so that id cannot be reused
+#: while the entry lives.  Bounded: calibration tools derive many
+#: short-lived params objects.
+_FINGERPRINTS: dict[tuple[int, int], tuple[WorkloadParams, str]] = {}
+_FINGERPRINTS_MAX = 256
+_FINGERPRINTS_LOCK = threading.Lock()
+
 
 def params_fingerprint(params: WorkloadParams, generator_version: int | None = None) -> str:
     """Hex digest of a workload's full parameterization.
 
     Covers every field of :class:`WorkloadParams` (components included)
     and the synthesizer version, so any recalibration or generator
-    change produces a different trace-cache key.
+    change produces a different trace-cache key.  Computed once per
+    params object and version: params records are never mutated (they
+    are frozen; derive a changed one with ``dataclasses.replace``), so
+    every trace-cache lookup after the first reuses the digest.
     """
     if generator_version is None:
         from repro.workloads.generator import GENERATOR_VERSION
 
         generator_version = GENERATOR_VERSION
+    key = (id(params), generator_version)
+    with _FINGERPRINTS_LOCK:
+        entry = _FINGERPRINTS.get(key)
+        if entry is None:
+            if len(_FINGERPRINTS) >= _FINGERPRINTS_MAX:
+                del _FINGERPRINTS[next(iter(_FINGERPRINTS))]
+            entry = (params, _fingerprint(params, generator_version))
+            _FINGERPRINTS[key] = entry
+    return entry[1]
+
+
+def _fingerprint(params: WorkloadParams, generator_version: int) -> str:
     record = dataclasses.asdict(params)
     # Component enum keys are not JSON keys; use their stable names.
     record["components"] = {

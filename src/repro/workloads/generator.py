@@ -26,23 +26,28 @@ a full address trace.  The model, bottom-up:
   heap model (:mod:`repro.workloads.datarefs`).
 
 Unlike the v1 synthesizer (kept frozen in
-:mod:`repro.workloads.generator_reference` for benchmarking), nothing
-here iterates per visit or per run in Python on the hot path.  The
-component schedule, visit budgets, Zipf stack distances, entry points
-and loop-iteration counts are all drawn in large blocks, and the
-run walk advances *every* visit of a component simultaneously, one
-basic block per level, over compacted numpy arrays.  Loop iterations
-are emitted as ``(start, length, count)`` run records and expanded with
-``np.repeat``.  The only remaining sequential state is footprint
-discovery (the move-to-front stack and call-graph frontier), which is
-inherently order-dependent and runs as a cheap O(visits) decode of
-pre-drawn batched choices.
+:mod:`repro.workloads.generator_reference` for benchmarking), the
+synthesizer walks visits in bulk.  The component schedule, visit
+budgets, Zipf stack distances and entry points are drawn in large
+blocks, and the run walk advances *every* visit of a component
+simultaneously, one basic block per level, over compacted numpy arrays.
+A level's cost barely depends on how many visits it carries, and a few
+long visits can stay live for thousands of levels, so the last few
+live visits finish in a Python scalar walk that draws the same
+per-level RNG blocks.  Loop iterations are emitted as
+``(start, length, count)`` run records; assembly expands them to
+per-instruction columns with ``np.repeat``.  The other sequential step
+is footprint discovery (the move-to-front stack and call-graph
+frontier), which is inherently order-dependent and runs as a cheap
+O(visits) decode of pre-drawn batched choices.
 
 Everything is seeded; the same ``(params, n_instructions, seed)`` tuple
 always produces the identical trace.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -52,20 +57,24 @@ from repro.trace.trace import Trace
 from repro.workloads.callgraph import build_call_graph
 from repro.workloads.codeimage import CodeImage, build_code_image
 from repro.workloads.datarefs import DataReferenceModel
-from repro.workloads.params import ComponentParams, WorkloadParams
-
-#: Version of the synthesis algorithm.  Bump whenever a change alters
-#: the trace produced for a given ``(params, n_instructions, seed)`` —
-#: it is part of the on-disk trace-cache key, so stale cached traces
-#: are never mistaken for current ones.  Version 2 is the batched
-#: synthesizer; its traces are statistically equivalent to v1's but not
-#: byte-identical, so every v1 cache entry is invalid under v2.
-GENERATOR_VERSION = 2
+# GENERATOR_VERSION is defined with the parameter records (so reading
+# it loads no numpy) and re-exported here, beside the code it versions.
+from repro.workloads.params import (
+    GENERATOR_VERSION,
+    ComponentParams,
+    WorkloadParams,
+)
 
 # Real branch sites are strongly biased one way (~90/10); the
 # mostly-taken share is chosen so the *average* taken rate stays at
 # branch_jump_prob (the calibrated sequentiality knob).
 _SITE_HI, _SITE_LO = 0.9, 0.1
+
+#: Live-visit count at or below which the run walk drops from numpy
+#: arrays to Python scalars.  An array level costs about the same
+#: however few visits it carries, while long visits keep a handful of
+#: them live for thousands of levels.
+_SCALAR_TAIL = 16
 
 
 class _ComponentPlan:
@@ -259,10 +268,14 @@ class _ComponentPlan:
         """The runs of every visit, walked level-by-level in parallel.
 
         All visits advance through their procedure's static CFG one
-        basic block per iteration, over arrays compacted to the visits
-        that still have budget.  Loop back-edges emit their repeats as a
-        single ``(start, length, count)`` record instead of per
-        iteration.  Returns ``(visit, start_addr, length, count)``
+        basic block per level, over arrays compacted to the visits that
+        still have budget.  A level costs a few dozen numpy calls however
+        few visits remain live, so once at most :data:`_SCALAR_TAIL`
+        are left, :meth:`_walk_tail` finishes them as Python scalars.
+        Both walks draw the same per-level RNG blocks, so the split
+        point never changes the trace.  Loop back-edges emit their
+        repeats as a single ``(start, length, count)`` record instead of
+        per iteration.  Returns ``(visit, start_addr, length, count)``
         record columns; records of one visit appear in execution order
         once the caller stable-sorts by visit.
         """
@@ -296,7 +309,7 @@ class _ComponentPlan:
         out_l: list[np.ndarray] = []
         out_c: list[np.ndarray] = []
         ends_global = self._block_ends_global
-        while idx.size:
+        while idx.size > _SCALAR_TAIL:
             k = idx.size
             block = np.searchsorted(ends_global, pos + pos_base, side="left")
             end = self._block_ends[block]
@@ -358,11 +371,103 @@ class _ComponentPlan:
                 for a in (idx, new_pos, rem_after, n_instr, base, pos_base)
             )
 
+        if idx.size:
+            tail = self._walk_tail(idx, pos, rem, n_instr, base, pos_base)
+            for out, column in zip((out_v, out_s, out_l, out_c), tail):
+                out.append(column)
         return (
             np.concatenate(out_v),
             np.concatenate(out_s),
             np.concatenate(out_l),
             np.concatenate(out_c),
+        )
+
+    def _walk_tail(
+        self,
+        idx: np.ndarray,
+        pos: np.ndarray,
+        rem: np.ndarray,
+        n_instr: np.ndarray,
+        base: np.ndarray,
+        pos_base: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Finish the last live visits of :meth:`visit_runs` as scalars.
+
+        The same walk as the array levels, one visit at a time in
+        Python: each level still draws one ``geometric`` block and then
+        one ``random`` block of the live-visit count, in that order, so
+        the stream matches the array walk draw for draw.  (The draws
+        cannot be pre-drawn across levels: for small ``p`` numpy's
+        ``geometric`` consumes a variable number of raw draws.)  Each
+        visit carries its procedure's blocks as tuples and finds its
+        current block with ``bisect`` on the procedure-local ends.
+        """
+        rng = self._rng_runs
+        p_loop_exit = 1.0 / (self.params.loop_mean_iters + 1.0)
+        ends_global = self._block_ends_global
+        first = np.searchsorted(ends_global, pos_base, side="left").tolist()
+        stop = np.searchsorted(
+            ends_global, pos_base + n_instr - 1, side="right"
+        ).tolist()
+        block_columns = (
+            self._block_ends, self._block_start, self._block_is_loop,
+            self._block_bias, self._block_target,
+        )
+        walks = []
+        for v, p, r, n, b, lo, hi in zip(
+            idx.tolist(), pos.tolist(), rem.tolist(), n_instr.tolist(),
+            base.tolist(), first, stop,
+        ):
+            columns = [column[lo:hi].tolist() for column in block_columns]
+            walks.append([p, r, v, n, b, columns[0], list(zip(*columns))])
+
+        out_v: list[int] = []
+        out_s: list[int] = []
+        out_l: list[int] = []
+        out_c: list[int] = []
+        while walks:
+            k = len(walks)
+            geometric = rng.geometric(p_loop_exit, size=k).tolist()
+            u_branch = rng.random(k).tolist()
+            for walk, g, u in zip(walks, geometric, u_branch):
+                p, r, v, n, b, ends, blocks = walk
+                end, bstart, is_loop, bias, target = blocks[bisect_left(ends, p)]
+                natural = end - p + 1
+                completed = natural <= r
+                run_len = natural if completed else r
+                r -= run_len
+                out_v.append(v)
+                out_s.append(b + 4 * p)
+                out_l.append(run_len)
+                out_c.append(1)
+                extra = g - 1
+                if completed and is_loop and extra > 0 and r > 0:
+                    block_len = end - bstart + 1
+                    full = min(extra, r // block_len)
+                    if full > 0:
+                        out_v.append(v)
+                        out_s.append(b + 4 * bstart)
+                        out_l.append(block_len)
+                        out_c.append(full)
+                        r -= full * block_len
+                    if full < extra and r > 0:
+                        out_v.append(v)
+                        out_s.append(b + 4 * bstart)
+                        out_l.append(r)
+                        out_c.append(1)
+                        r = 0
+                if completed and not is_loop and u < bias:
+                    walk[0] = target
+                else:
+                    walk[0] = 0 if end + 1 >= n else end + 1
+                walk[1] = r
+            walks = [walk for walk in walks if walk[1] > 0]
+
+        return (
+            np.array(out_v, dtype=np.int64),
+            np.array(out_s, dtype=np.uint64),
+            np.array(out_l, dtype=np.int64),
+            np.array(out_c, dtype=np.int64),
         )
 
 
@@ -459,13 +564,14 @@ class TraceSynthesizer:
             rec_count.append(count)
             rec_comp.append(np.full(len(v), comp_values[ci], dtype=np.uint8))
 
-        visit_col = np.concatenate(rec_visit)
-        order = np.argsort(visit_col, kind="stable")
-        counts = np.concatenate(rec_count)[order]
-        starts = np.repeat(np.concatenate(rec_start)[order], counts)
-        lengths = np.repeat(np.concatenate(rec_len)[order], counts)
-        run_components = np.repeat(np.concatenate(rec_comp)[order], counts)
-        return self._assemble(starts, lengths, run_components, root)
+        order = np.argsort(np.concatenate(rec_visit), kind="stable")
+        return self._assemble(
+            np.concatenate(rec_start)[order],
+            np.concatenate(rec_len)[order],
+            np.concatenate(rec_count)[order],
+            np.concatenate(rec_comp)[order],
+            root,
+        )
 
     def _plan_schedule(
         self,
@@ -534,24 +640,33 @@ class TraceSynthesizer:
 
     def _assemble(
         self,
-        starts,
-        lengths,
-        run_components,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        counts: np.ndarray,
+        record_components: np.ndarray,
         root: np.random.Generator,
     ) -> Trace:
-        """Expand runs into per-reference columns and weave in data refs."""
-        params = self.params
-        starts_arr = np.asarray(starts, dtype=np.uint64)
-        lens_arr = np.asarray(lengths, dtype=np.int64)
-        comps_arr = np.asarray(run_components, dtype=np.uint8)
-        total = int(lens_arr.sum())
+        """Expand run records into per-reference columns and weave in
+        data refs.
 
-        # Instruction addresses: start-of-run + 4 * position-within-run.
-        run_id = np.repeat(np.arange(len(lens_arr)), lens_arr)
-        run_first = np.repeat(np.cumsum(lens_arr) - lens_arr, lens_arr)
-        within = np.arange(total, dtype=np.int64) - run_first
-        ifetch_addr = starts_arr[run_id] + np.uint64(4) * within.astype(np.uint64)
-        ifetch_comp = comps_arr[run_id]
+        Record ``i`` stands for ``counts[i]`` back-to-back runs of
+        ``lengths[i]`` instructions from ``starts[i]`` (uint64), all in
+        component ``record_components[i]``.
+        """
+        params = self.params
+        run_lens = np.repeat(lengths, counts)
+        total = int(run_lens.sum())
+
+        # Instruction t of a run whose first instruction is trace
+        # instruction ``first`` sits at start + 4*(t - first): one
+        # repeat of ``start - 4*first`` plus 4*t.  The uint64
+        # subtraction may wrap; adding 4*t wraps it back.
+        first = (np.cumsum(run_lens) - run_lens).astype(np.uint64)
+        ifetch_addr = np.repeat(
+            np.repeat(starts, counts) - np.uint64(4) * first, run_lens
+        )
+        ifetch_addr += np.arange(0, 4 * total, 4, dtype=np.uint64)
+        ifetch_comp = np.repeat(record_components, lengths * counts)
 
         # Attach loads/stores to instructions.  Stores come in bursts of
         # consecutive instructions (register spills, structure writes) —

@@ -15,6 +15,15 @@ from dataclasses import dataclass, field, replace
 from repro._util.validate import check_fraction, check_positive
 from repro.trace.record import Component
 
+#: Version of the synthesis algorithm (:mod:`repro.workloads.generator`
+#: re-exports it).  Bump whenever a change alters the trace produced
+#: for a given ``(params, n_instructions, seed)`` — it is part of the
+#: on-disk trace-cache key, so stale cached traces are never mistaken
+#: for current ones.  Version 2 is the batched synthesizer; its traces
+#: are statistically equivalent to v1's but not byte-identical, so every
+#: v1 cache entry is invalid under v2.
+GENERATOR_VERSION = 2
+
 
 @dataclass(frozen=True)
 class ComponentParams:

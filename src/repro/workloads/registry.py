@@ -20,6 +20,7 @@ variable, the CLI's ``--cache-dir`` flag, or programmatically via
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -203,8 +204,9 @@ def get_workload(name: str, os_name: str = MACH3) -> WorkloadParams:
                 f"unknown IBS workload {name!r}; available: "
                 f"{sorted(IBS_WORKLOADS)}"
             )
-        workload = IBS_WORKLOADS[name]
-        return to_ultrix(workload) if os_name == ULTRIX else workload
+        if os_name == ULTRIX:
+            return _ultrix_workload(name)
+        return IBS_WORKLOADS[name]
     if os_name == "spec92":
         table = {**SPEC92_INT_WORKLOADS, **SPEC92_FP_WORKLOADS}
     elif os_name == "spec89":
@@ -216,6 +218,14 @@ def get_workload(name: str, os_name: str = MACH3) -> WorkloadParams:
             f"unknown {os_name} workload {name!r}; available: {sorted(table)}"
         )
     return table[name]
+
+
+@functools.cache
+def _ultrix_workload(name: str) -> WorkloadParams:
+    """The Ultrix variant of an IBS workload, derived once per process
+    so every lookup returns the same object (its trace-cache
+    fingerprint is then computed once)."""
+    return to_ultrix(IBS_WORKLOADS[name])
 
 
 def trace_cache_backend():

@@ -3,9 +3,10 @@
 Every ``repro`` package ``__init__`` is a lazy export table resolved by
 :func:`repro._util.lazy.lazy_exports`, and ``repro.cli`` imports
 simulator modules only inside the command handlers that use them.
-These tests hold both: building the parser must leave numpy out of the
-process, and every exported name must still resolve — from a fresh
-interpreter, to the object its defining module holds.
+These tests hold both: building the parser, and ``--version``, must
+leave numpy out of the process, and every exported name must still
+resolve — from a fresh interpreter, to the object its defining module
+holds.
 """
 
 import importlib
@@ -43,6 +44,23 @@ def test_parser_imports_no_numpy():
         "print(sorted({'numpy', 'networkx'} & set(sys.modules)))\n"
     )
     assert out.strip() == "[]"
+
+
+def test_version_imports_no_numpy():
+    # ``--version`` reports GENERATOR_VERSION, which lives in the
+    # numpy-free ``workloads.params``.
+    out = _run(
+        "import runpy, sys\n"
+        "sys.argv = ['repro', '--version']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as exit:\n"
+        "    assert not exit.code, exit.code\n"
+        "print(sorted({'numpy', 'networkx'} & set(sys.modules)))\n"
+    )
+    lines = out.strip().splitlines()
+    assert "generator v2" in lines[0]
+    assert lines[-1] == "[]"
 
 
 @pytest.mark.parametrize("package", PACKAGES)

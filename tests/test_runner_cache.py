@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.runner import cache as cache_module
 from repro.runner.cache import (
     TraceDiskCache,
     cache_from_environment,
@@ -12,7 +13,7 @@ from repro.runner.cache import (
 )
 from repro.trace.rle import to_line_runs
 from repro.workloads import registry
-from repro.workloads.generator import synthesize_trace
+from repro.workloads.generator import GENERATOR_VERSION, synthesize_trace
 from repro.workloads.registry import (
     clear_trace_cache,
     get_line_runs,
@@ -80,6 +81,48 @@ class TestFingerprint:
         a = params_fingerprint(get_workload("gcc", "mach3"))
         b = params_fingerprint(get_workload("groff", "mach3"))
         assert a != b
+
+    def test_computed_once_per_object(self, params, monkeypatch):
+        calls = []
+        compute = cache_module._fingerprint
+        monkeypatch.setattr(cache_module, "_FINGERPRINTS", {})
+        monkeypatch.setattr(
+            cache_module,
+            "_fingerprint",
+            lambda *args: calls.append(args) or compute(*args),
+        )
+        cache = TraceDiskCache("unused")
+        first = cache.entry_dir(params, N, SEED)
+        assert cache.entry_dir(params, N, SEED) == first
+        assert params_fingerprint(params) == compute(params, GENERATOR_VERSION)
+        assert len(calls) == 1
+
+    def test_memo_keys_on_object_and_version(self, params, monkeypatch):
+        monkeypatch.setattr(cache_module, "_FINGERPRINTS", {})
+        memoized = params_fingerprint(params)
+        tweaked = dataclasses.replace(params, load_rate=params.load_rate / 2)
+        assert params_fingerprint(tweaked) != memoized
+        assert params_fingerprint(tweaked) == cache_module._fingerprint(
+            tweaked, GENERATOR_VERSION
+        )
+        older = params_fingerprint(params, generator_version=1)
+        assert older != memoized
+        assert older == cache_module._fingerprint(params, 1)
+        assert params_fingerprint(params) == memoized
+
+    def test_memo_is_bounded(self, params, monkeypatch):
+        monkeypatch.setattr(cache_module, "_FINGERPRINTS", {})
+        monkeypatch.setattr(cache_module, "_FINGERPRINTS_MAX", 4)
+        for k in range(10):
+            params_fingerprint(
+                dataclasses.replace(params, burst_visits=1.0 + k)
+            )
+        assert len(cache_module._FINGERPRINTS) == 4
+
+    def test_registry_returns_one_object_per_workload(self):
+        for os_name in ("mach3", "ultrix", "spec92"):
+            name = registry.list_workloads(os_name)[0][0]
+            assert get_workload(name, os_name) is get_workload(name, os_name)
 
 
 class TestRoundTrip:
