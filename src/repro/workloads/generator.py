@@ -691,22 +691,18 @@ class TraceSynthesizer:
         )
 
         # Interleave: each instruction's data reference directly follows
-        # its fetch.
-        data_flag = has_data.astype(np.int64)
-        cum_data = np.cumsum(data_flag)
-        ifetch_pos = np.arange(total, dtype=np.int64) + cum_data - data_flag
-        data_pos = ifetch_pos[data_index] + 1
-
-        out_len = total + n_data
-        addresses = np.empty(out_len, dtype=np.uint64)
-        kinds = np.empty(out_len, dtype=np.uint8)
-        components_col = np.empty(out_len, dtype=np.uint8)
-        addresses[ifetch_pos] = ifetch_addr
-        kinds[ifetch_pos] = np.uint8(RefKind.IFETCH)
-        components_col[ifetch_pos] = ifetch_comp
+        # its fetch.  Repeating every instruction once per reference it
+        # issues gets the fetch columns (and the data references'
+        # components) in place; the j-th data reference sits right
+        # after its instruction, which j earlier data references push
+        # back by j.
+        refs = has_data.astype(np.intp) + 1
+        addresses = np.repeat(ifetch_addr, refs)
+        components_col = np.repeat(ifetch_comp, refs)
+        kinds = np.full(total + n_data, RefKind.IFETCH, dtype=np.uint8)
+        data_pos = data_index + np.arange(1, n_data + 1)
         addresses[data_pos] = data_addr
         kinds[data_pos] = data_kind
-        components_col[data_pos] = ifetch_comp[data_index]
 
         label = f"{params.name}@{params.os_name}"
         return Trace(addresses, kinds, components_col, label)
