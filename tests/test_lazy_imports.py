@@ -17,6 +17,7 @@ import sys
 import pytest
 
 import repro
+from repro.workloads.params import GENERATOR_VERSION
 
 PACKAGES = ["repro"] + sorted(
     f"repro.{info.name}"
@@ -59,7 +60,7 @@ def test_version_imports_no_numpy():
         "print(sorted({'numpy', 'networkx'} & set(sys.modules)))\n"
     )
     lines = out.strip().splitlines()
-    assert "generator v2" in lines[0]
+    assert f"generator v{GENERATOR_VERSION}" in lines[0]
     assert lines[-1] == "[]"
 
 

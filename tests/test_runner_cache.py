@@ -119,11 +119,6 @@ class TestFingerprint:
             )
         assert len(cache_module._FINGERPRINTS) == 4
 
-    def test_registry_returns_one_object_per_workload(self):
-        for os_name in ("mach3", "ultrix", "spec92"):
-            name = registry.list_workloads(os_name)[0][0]
-            assert get_workload(name, os_name) is get_workload(name, os_name)
-
 
 class TestRoundTrip:
     def test_miss_on_empty_cache(self, tmp_path, params):

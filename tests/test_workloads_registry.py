@@ -24,6 +24,12 @@ class TestLookups:
         workload = get_workload("groff", "ultrix")
         assert workload.os_name == "ultrix"
 
+    @pytest.mark.parametrize("os_name", ["mach3", "ultrix", "spec92"])
+    def test_one_object_per_workload(self, os_name):
+        # Trace-cache fingerprints are memoized per params object.
+        name = list_workloads(os_name)[0][0]
+        assert get_workload(name, os_name) is get_workload(name, os_name)
+
     def test_spec(self):
         workload = get_workload("eqntott", "spec92")
         assert workload.name == "eqntott"
