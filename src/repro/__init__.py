@@ -50,7 +50,7 @@ _EXPORTS = {
     "to_line_runs": ".trace.rle",
     "WorkloadParams": ".workloads.params",
     "get_trace": ".workloads.registry",
-    "get_workload": ".workloads.registry",
+    "get_workload": ".workloads.suites",
     "suite_workloads": ".workloads.suites",
     "synthesize_trace": ".workloads.generator",
 }

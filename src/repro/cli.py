@@ -53,6 +53,7 @@ from repro import version_info
 from repro.fetch.dispatch import ENGINES, MECHANISMS
 from repro.obs.manifest import OBS_DIR_ENV
 from repro.runner import CACHE_DIR_ENV
+from repro.runner.cachedir import select_cache_dir, selected_cache_dir
 from repro.workloads.suites import list_workloads, suite_names
 
 
@@ -275,12 +276,11 @@ def _cmd_cache(args) -> int:
 def _result_store():
     """The content-addressed result store next to the trace cache."""
     from repro.service.store import result_store_for_cache
-    from repro.workloads.registry import trace_cache_backend
 
-    backend = trace_cache_backend()
-    if backend is None:
+    root = selected_cache_dir()
+    if root is None:
         return None
-    return result_store_for_cache(backend)
+    return result_store_for_cache(root)
 
 
 def _cmd_results(args) -> int:
@@ -827,16 +827,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_cache_flags(args) -> None:
-    """Resolve the disk-cache tri-state before dispatching a command."""
-    from repro.runner.cache import TraceDiskCache, cache_from_environment
-    from repro.workloads.registry import set_trace_cache_backend
+    """Resolve the disk-cache tri-state before dispatching a command.
 
+    A plain directory setting: the trace-cache backend is built only by
+    a command that reads traces.
+    """
     if args.no_disk_cache:
-        set_trace_cache_backend(None)
+        root = None
     elif args.cache_dir:
-        set_trace_cache_backend(TraceDiskCache(args.cache_dir))
+        root = args.cache_dir
     else:
-        set_trace_cache_backend(cache_from_environment())
+        root = os.environ.get(CACHE_DIR_ENV, "").strip() or None
+    select_cache_dir(root)
 
 
 def main(argv: list[str] | None = None) -> int:

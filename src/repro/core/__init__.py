@@ -22,7 +22,7 @@ _EXPORTS = {
     "measure_mpi_lines": ".metrics",
     "measure_three_cs": ".metrics",
     "warmup_cut": ".metrics",
-    "DEFAULT_WARMUP_FRACTION": ".metrics",
+    "DEFAULT_WARMUP_FRACTION": ".config",
     "CpiBreakdown": ".cpi",
     "cpi_instr": ".cpi",
     "cache_area_rbe": ".area",

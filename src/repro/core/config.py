@@ -26,6 +26,12 @@ from repro.fetch.timing import (
     MemoryTiming,
 )
 
+#: Fraction of instructions excluded from measurement (state still
+#: simulated) at the start of every trace; see :mod:`repro.core.metrics`,
+#: which re-exports it.  Defined here, numpy-free, because it is part
+#: of every experiment's settings and so of every serving-layer job key.
+DEFAULT_WARMUP_FRACTION = 0.30
+
 #: The paper's baseline L1: 8 KB, direct-mapped, 32-byte lines.
 BASELINE_L1 = CacheGeometry(size_bytes=8192, line_size=32, associativity=1)
 

@@ -23,12 +23,9 @@ from repro._util.bitops import ilog2
 from repro.caches.base import CacheGeometry
 from repro.caches.classify import ThreeCs
 from repro.caches.vectorized import compulsory_mask, line_order_cache
+from repro.core.config import DEFAULT_WARMUP_FRACTION
 from repro.runner import timing
 from repro.trace.rle import LineRuns
-
-#: Fraction of instructions excluded from measurement (state still
-#: simulated) at the start of every trace.
-DEFAULT_WARMUP_FRACTION = 0.30
 
 
 @dataclass(frozen=True)

@@ -261,8 +261,12 @@ def _prefetch_mask(
 
     Computed once per (stream, shape, depth) — installs feed back into
     the miss sequence, so unlike the demand mask this needs one exact
-    replay; every timing point then reuses it.
+    replay; every timing point then reuses it.  With no installs
+    (depth 0, the ``prefetch+bypass`` default) the replay is plain LRU,
+    so the memoized demand mask is the answer.
     """
+    if n_prefetch == 0:
+        return _demand_mask(runs, geometry)
     cache = line_order_cache(runs.lines)
     n_sets, ways = geometry.n_sets, geometry.ways
     return cache.memo(

@@ -7,7 +7,10 @@ nothing from it:
 * :mod:`repro.runner.timing` — per-phase wall-time accounting
   (synthesize / line-runs / simulate) and JSON timing reports.
 * :mod:`repro.runner.cache` — the persistent on-disk trace and
-  line-run cache (``REPRO_CACHE_DIR`` / ``--cache-dir``).
+  line-run cache.
+* :mod:`repro.runner.cachedir` — which cache directory the process
+  uses (``--cache-dir`` / ``--no-disk-cache`` / ``REPRO_CACHE_DIR``),
+  as a numpy-free setting.
 * :mod:`repro.runner.pool` — the process-pool cell runner behind the
   CLI's ``--jobs N`` flag, returning results in cell order so parallel
   runs are bit-identical to serial ones.

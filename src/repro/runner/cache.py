@@ -10,7 +10,7 @@ worker processes of the parallel sweep runner — load it with
 Entries are keyed by everything that determines the trace bytes:
 ``(name, os, n_instructions, seed)`` plus a fingerprint of the full
 :class:`~repro.workloads.params.WorkloadParams` record and the
-synthesizer version (:data:`~repro.workloads.generator.GENERATOR_VERSION`).
+synthesizer version (:data:`~repro.workloads.params.GENERATOR_VERSION`).
 Recalibrating a workload or changing the generator therefore changes the
 key; stale entries are simply never matched again (``repro cache clear``
 reclaims the space).
@@ -21,79 +21,35 @@ sweep needs are memoized as ``lineruns-<bytes>.npz`` inside the owning
 trace's entry directory.
 
 The cache directory comes from the ``REPRO_CACHE_DIR`` environment
-variable or the CLI's ``--cache-dir`` flag; with neither set, caching is
-disabled and behaviour is identical to the pre-cache library.
+variable or the CLI's ``--cache-dir`` flag (see
+:mod:`repro.runner.cachedir`); with neither set, caching is disabled
+and behaviour is identical to the pre-cache library.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 import shutil
 import tempfile
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.runner import CACHE_DIR_ENV
 from repro.trace.io import load_trace_columns, save_trace_columns
 from repro.trace.rle import LineRuns
 from repro.trace.trace import Trace
-from repro.workloads.params import WorkloadParams
+# params_fingerprint lives with the params records, numpy-free, so the
+# serving layer can derive job keys without loading this module.
+from repro.workloads.params import (
+    GENERATOR_VERSION,
+    WorkloadParams,
+    params_fingerprint,
+)
 
 #: Length of the fingerprint prefix used in entry directory names (the
 #: full digest is kept in the entry's ``entry.json`` for verification).
 _FP_PREFIX = 12
-
-#: Digests already computed, by ``(id(params), generator_version)``.
-#: Each value holds its params object, so that id cannot be reused
-#: while the entry lives.  Bounded: calibration tools derive many
-#: short-lived params objects.
-_FINGERPRINTS: dict[tuple[int, int], tuple[WorkloadParams, str]] = {}
-_FINGERPRINTS_MAX = 256
-_FINGERPRINTS_LOCK = threading.Lock()
-
-
-def params_fingerprint(params: WorkloadParams, generator_version: int | None = None) -> str:
-    """Hex digest of a workload's full parameterization.
-
-    Covers every field of :class:`WorkloadParams` (components included)
-    and the synthesizer version, so any recalibration or generator
-    change produces a different trace-cache key.  Computed once per
-    params object and version: params records are never mutated (they
-    are frozen; derive a changed one with ``dataclasses.replace``), so
-    every trace-cache lookup after the first reuses the digest.
-    """
-    if generator_version is None:
-        from repro.workloads.generator import GENERATOR_VERSION
-
-        generator_version = GENERATOR_VERSION
-    key = (id(params), generator_version)
-    with _FINGERPRINTS_LOCK:
-        entry = _FINGERPRINTS.get(key)
-        if entry is None:
-            if len(_FINGERPRINTS) >= _FINGERPRINTS_MAX:
-                del _FINGERPRINTS[next(iter(_FINGERPRINTS))]
-            entry = (params, _fingerprint(params, generator_version))
-            _FINGERPRINTS[key] = entry
-    return entry[1]
-
-
-def _fingerprint(params: WorkloadParams, generator_version: int) -> str:
-    record = dataclasses.asdict(params)
-    # Component enum keys are not JSON keys; use their stable names.
-    record["components"] = {
-        component.name: fields
-        for component, fields in record["components"].items()
-    }
-    payload = json.dumps(
-        {"generator_version": generator_version, "params": record},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -178,8 +134,6 @@ class TraceDiskCache:
         os.makedirs(self.root, exist_ok=True)
         staging = tempfile.mkdtemp(prefix=".staging-", dir=self.root)
         try:
-            from repro.workloads.generator import GENERATOR_VERSION
-
             save_trace_columns(trace, staging)
             with open(os.path.join(staging, "entry.json"), "w") as handle:
                 json.dump(
@@ -334,9 +288,3 @@ class TraceDiskCache:
                 shutil.rmtree(entry, ignore_errors=True)
                 removed += 1
         return removed
-
-
-def cache_from_environment() -> TraceDiskCache | None:
-    """The cache named by ``REPRO_CACHE_DIR``, or ``None`` if unset."""
-    root = os.environ.get(CACHE_DIR_ENV, "").strip()
-    return TraceDiskCache(root) if root else None

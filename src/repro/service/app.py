@@ -37,15 +37,17 @@ sample to the worker that served it.
 from __future__ import annotations
 
 import asyncio
-import importlib
-import os
+import sys
 import time
 from http import HTTPStatus
 
+# The server answers /healthz, /metrics and store hits from numpy-free
+# modules alone; the simulator loads on the first miss, on an executor
+# thread (see repro.service.scheduler).
 from repro import package_version
-from repro.core.study import ENGINES, MECHANISMS
 from repro.experiments import EXTENSION_STUDIES, PAPER_EXPERIMENTS
-from repro.experiments.common import ExperimentSettings
+from repro.experiments.settings import ExperimentSettings
+from repro.fetch.dispatch import ENGINES, MECHANISMS
 from repro.obs.logs import log_event
 from repro.service.http import (
     HttpError,
@@ -68,17 +70,31 @@ from repro.service.supervisor import (
     scrape_json,
 )
 from repro.service.metrics import render_prometheus_multi
-from repro.caches.vectorized import order_cache_stats
-from repro.workloads.generator import GENERATOR_VERSION
-from repro.workloads.registry import (
-    DEFAULT_TRACE_INSTRUCTIONS,
-    get_workload,
-    trace_cache_stats,
-)
+from repro.workloads.params import GENERATOR_VERSION
+from repro.workloads.suites import DEFAULT_TRACE_INSTRUCTIONS, get_workload
 
 #: Default bind for ``repro serve``.
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
+
+
+def _loaded_cache_stats() -> tuple[dict, dict]:
+    """Trace-cache and line-order-cache stats, without loading either.
+
+    A cache module that never loaded has cached nothing, so it reports
+    zeros instead of being imported (with numpy) just to say so.
+    """
+    registry = sys.modules.get("repro.workloads.registry")
+    vectorized = sys.modules.get("repro.caches.vectorized")
+    traces = (
+        registry.trace_cache_stats() if registry is not None
+        else {"entries": 0, "resident_bytes": 0}
+    )
+    order = (
+        vectorized.order_cache_stats() if vectorized is not None
+        else {"entries": 0, "bytes": 0, "evictions": 0}
+    )
+    return traces, order
 
 
 def _endpoint_label(method: str, path: str) -> str:
@@ -359,14 +375,13 @@ class ServiceApp:
         self.metrics.set_gauge("queued_jobs", self.scheduler.queued_count)
         self.metrics.set_gauge("result_store_entries", len(self.store))
         self.metrics.set_gauge("result_store_bytes", self.store.current_bytes)
-        traces = trace_cache_stats()
+        traces, order = _loaded_cache_stats()
         self.metrics.set_gauge("trace_cache_entries", traces["entries"])
         self.metrics.set_gauge(
             "trace_cache_resident_bytes", traces["resident_bytes"]
         )
         # The process-global stack-distance memo (caches/vectorized):
         # bounded, but worth watching on a long-lived server.
-        order = order_cache_stats()
         self.metrics.set_gauge("line_order_cache_entries", order["entries"])
         self.metrics.set_gauge("line_order_cache_bytes", order["bytes"])
         self.metrics.set_gauge(
@@ -424,6 +439,12 @@ class ServiceApp:
         status = HTTPStatus.OK if job.finished else HTTPStatus.ACCEPTED
         if job.status == "failed":
             status = HTTPStatus.INTERNAL_SERVER_ERROR
+        if job.result_json is not None:
+            # A store hit: its stored result text goes in verbatim.
+            return Response.from_json(
+                job.to_dict(include_result=False), status,
+                splice=("result", job.result_json),
+            )
         return Response.from_json(job.to_dict(), status)
 
     async def _post_experiment(
@@ -439,9 +460,10 @@ class ServiceApp:
                 f"{', '.join(names)}",
             )
         settings = self._settings_from(payload)
-        module = importlib.import_module(f"repro.experiments.{name}")
+        # The experiment module (and the simulator under it) is imported
+        # by a miss's executor thread, never for a store hit.
         job = await self.scheduler.submit_experiment(
-            name, module, settings, trace_id=trace_id
+            name, None, settings, trace_id=trace_id
         )
         if payload.get("wait"):
             await job.wait()
@@ -503,6 +525,8 @@ class ServiceApp:
             raise HttpError(HTTPStatus.INTERNAL_SERVER_ERROR, job.error or "")
         if job.rendering is not None:
             return Response.from_text(job.rendering)
+        if job.result_json is not None:
+            return Response.from_json_text(job.result_json)
         return Response.from_json(job.result)
 
 

@@ -106,9 +106,37 @@ class Response:
     headers: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
     @classmethod
-    def from_json(cls, payload, status: int = 200) -> "Response":
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        return cls(status=status, body=body)
+    def from_json(
+        cls, payload, status: int = 200,
+        splice: tuple[str, str] | None = None,
+    ) -> "Response":
+        """``payload`` as sorted-key JSON.
+
+        ``splice=(name, text)`` adds member ``name`` to the object
+        ``payload`` from ``text``, its value already encoded by
+        ``json.dumps(value, sort_keys=True)``.  The text goes in
+        verbatim, and the body is byte-identical to encoding the
+        decoded value with the rest.
+        """
+        if splice is None:
+            text = json.dumps(payload, sort_keys=True)
+            return cls.from_json_text(text, status)
+        name, text = splice
+        head = {key: value for key, value in payload.items() if key < name}
+        tail = {key: value for key, value in payload.items() if key > name}
+        members = [
+            json.dumps(head, sort_keys=True)[1:-1],
+            f"{json.dumps(name)}: {text}",
+            json.dumps(tail, sort_keys=True)[1:-1],
+        ]
+        return cls.from_json_text(
+            "{" + ", ".join(part for part in members if part) + "}", status
+        )
+
+    @classmethod
+    def from_json_text(cls, text: str, status: int = 200) -> "Response":
+        """An already-encoded JSON document as the body."""
+        return cls(status=status, body=(text + "\n").encode("utf-8"))
 
     @classmethod
     def from_text(

@@ -26,26 +26,28 @@ already stored completes immediately as a recorded hit.
 from __future__ import annotations
 
 import asyncio
+import importlib
 import itertools
+import json
 import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+# Only numpy-free modules at the top: a store hit is keyed and answered
+# with these alone.  The compute layers (core.study, plan.executor,
+# plan.inputs, the workload registry) load on the first miss, inside an
+# executor-thread body, so the event loop never waits on that import.
 from repro.core.config import MemorySystemConfig
-from repro.core.study import evaluate_trace
-from repro.experiments.common import (
+from repro.experiments.settings import (
     ExperimentSettings,
     canonical_job_key,
-    fetch_point,
     settings_record,
 )
 from repro.obs import tracing
 from repro.obs.logs import log_event
 from repro.obs.manifest import build_manifest, write_manifest
-from repro.plan import inputs as plan_inputs
-from repro.plan.executor import execute_cells, run_experiment
 from repro.plan.ir import PlanCell
 
 #: Job lifecycle states.
@@ -151,7 +153,11 @@ class Job:
         self.finished_at: float | None = None
         self.coalesced = 0
         self.source: str | None = None  # "executed" | "store"
-        self.result: dict | None = None
+        self._result: dict | None = None
+        #: A store hit's result, as the text the store holds: responses
+        #: splice it in verbatim (see :meth:`ResultStore.lookup`), and
+        #: the job ledger keeps no decoded copy of it.
+        self.result_json: str | None = None
         self.rendering: str | None = None
         self.error: str | None = None
         self._event = asyncio.Event()
@@ -164,12 +170,25 @@ class Job:
     def finished(self) -> bool:
         return self.status in (DONE, FAILED, CANCELLED)
 
+    @property
+    def result(self) -> dict | None:
+        """The result payload (a store hit's is decoded on access)."""
+        if self.result_json is not None:
+            return json.loads(self.result_json)
+        return self._result
+
     def _complete(
-        self, result: dict, rendering: str | None, source: str
+        self,
+        result: dict | None,
+        rendering: str | None,
+        source: str,
+        result_json: str | None = None,
     ) -> None:
+        """Finish with ``result``, or with a store hit's ``result_json``."""
         if self.finished:
             return  # a drain already cancelled this job; keep that verdict
-        self.result = result
+        self._result = result
+        self.result_json = result_json
         self.rendering = rendering
         self.source = source
         self.status = DONE
@@ -208,8 +227,9 @@ class Job:
             "finished_at": self.finished_at,
             "error": self.error,
         }
-        if include_result and self.result is not None:
-            record["result"] = self.result
+        result = self.result if include_result else None
+        if result is not None:
+            record["result"] = result
         return record
 
 
@@ -229,6 +249,7 @@ def _evaluate_group_cell(
     shares trace synthesis *and* the per-stream miss-mask memoization.
     Returns one payload per point, aligned with ``points``.
     """
+    from repro.core.study import evaluate_trace
     from repro.workloads.registry import get_trace
 
     trace = get_trace(workload, os_name, n_instructions, seed)
@@ -280,6 +301,9 @@ def evaluate_group_cells(
     cell list) alongside the cells; both the scheduler's evaluate
     flush and ``repro warm`` build their batches here.
     """
+    from repro.experiments.common import fetch_point
+    from repro.plan import inputs as plan_inputs
+
     groups: dict[tuple, list[int]] = {}
     for index, request in enumerate(requests):
         groups.setdefault(request.group_key, []).append(index)
@@ -526,9 +550,14 @@ class JobScheduler:
         return job
 
     def _check_store(self, job: Job) -> bool:
-        """Complete ``job`` from the result store if its key is present."""
-        payload = self.store.get(job.key)
-        if payload is None:
+        """Complete ``job`` from the result store if its key is present.
+
+        Payload and rendering come from one read of the entry, so an
+        entry evicted meanwhile by another process is a plain miss, never
+        a payload without its rendering.
+        """
+        stored = self.store.lookup(job.key)
+        if stored is None:
             self.metrics.inc("result_store_misses_total")
             return False
         self.metrics.inc("result_store_hits_total")
@@ -536,7 +565,7 @@ class JobScheduler:
         # while shedding; that is what makes a warmed tier ride out
         # overload.
         self.metrics.inc("admission_total", {"decision": "store-hit"})
-        job._complete(payload, self.store.get_rendering(job.key), "store")
+        job._complete(None, stored.rendering, "store", stored.payload_json)
         return True
 
     async def submit_experiment(
@@ -546,7 +575,11 @@ class JobScheduler:
         settings: ExperimentSettings,
         trace_id: str | None = None,
     ) -> Job:
-        """Submit one experiment module run (single-flight per key)."""
+        """Submit one experiment module run (single-flight per key).
+
+        ``module`` may be ``None``: a miss then imports
+        ``repro.experiments.<name>`` on its executor thread.
+        """
         key = canonical_job_key("experiment", name, settings)
         existing = self._coalesce(key)
         if existing is not None:
@@ -627,9 +660,13 @@ class JobScheduler:
         ``run_in_executor``), so the recorder must be bound *here*, not
         on the event loop.
         """
+        from repro.plan.executor import run_experiment
+
         self._jobs_started([job.created_at])
         started = time.perf_counter()
         try:
+            if module is None:
+                module = importlib.import_module(f"repro.experiments.{name}")
             with tracing.run(
                 name,
                 trace_id=job.trace_id,
@@ -753,11 +790,6 @@ class JobScheduler:
             return
         self.metrics.inc("eval_batches_total")
         self.metrics.observe("eval_batch_size", len(batch))
-        # One cell per (workload, OS, engine): all of a workload's
-        # requested points share one trace and its memoized miss masks.
-        groups, cells = evaluate_group_cells(
-            [request for request, _job in batch]
-        )
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
         # The flush is one traced run: its trace id is the first job's
@@ -769,9 +801,10 @@ class JobScheduler:
             for _, job in batch
         ]
         try:
-            results, manifest_path = await loop.run_in_executor(
+            groups, results, manifest_path = await loop.run_in_executor(
                 self._executor, self._execute_eval_batch,
-                cells, batch[0][1].trace_id, requests_meta,
+                [request for request, _job in batch],
+                batch[0][1].trace_id, requests_meta,
                 [job.created_at for _, job in batch],
             )
         except asyncio.CancelledError:
@@ -817,12 +850,18 @@ class JobScheduler:
 
     def _execute_eval_batch(
         self,
-        cells: list[PlanCell],
+        requests: list[EvaluateRequest],
         trace_id: str,
         requests_meta: list,
         created_ats: list[float],
     ):
-        """Executor-thread body of one evaluate flush, traced end to end."""
+        """Executor-thread body of one evaluate flush, traced end to end.
+
+        Returns the request groups, one payload list per group, and the
+        manifest path.
+        """
+        from repro.plan.executor import execute_cells
+
         self._jobs_started(created_ats)
         started = time.perf_counter()
         try:
@@ -832,6 +871,9 @@ class JobScheduler:
                 on_span=self._observe_span,
                 batch_size=len(requests_meta),
             ) as recorder:
+                # One cell per (workload, OS, engine): all of a workload's
+                # requested points share one trace and its memoized masks.
+                groups, cells = evaluate_group_cells(requests)
                 results, plan_report = execute_cells(
                     cells, self.jobs, label="evaluate-batch"
                 )
@@ -849,4 +891,4 @@ class JobScheduler:
                 "jobs": self.jobs,
             },
         )
-        return results, manifest_path
+        return groups, results, manifest_path

@@ -72,6 +72,25 @@ _LOCK = ".lock"
 
 
 @dataclass(frozen=True)
+class StoredResult:
+    """One stored result, its payload and rendering read together.
+
+    ``payload_json`` is the payload's text exactly as stored, which
+    :meth:`ResultStore.put` writes as ``json.dumps(payload,
+    sort_keys=True)``; the server splices it into a hit's response
+    verbatim instead of encoding the payload again.
+    """
+
+    payload_json: str
+    rendering: str | None
+
+    @property
+    def payload(self) -> dict:
+        """The payload, decoded afresh on every access."""
+        return json.loads(self.payload_json)
+
+
+@dataclass(frozen=True)
 class ResultEntryInfo:
     """Inventory record of one stored result (``repro results info``)."""
 
@@ -114,7 +133,7 @@ class ResultStore:
         # eviction, so the set's own capacity is effectively unbounded.
         self._lru = LruSet(capacity=1 << 40)
         self._bytes: dict[str, int] = {}
-        self._memory: dict[str, tuple[dict, str | None]] = {}
+        self._memory: dict[str, StoredResult] = {}
         self.current_bytes = 0
         if self.root:
             self._scan()
@@ -247,14 +266,24 @@ class ResultStore:
     def get(self, key: str) -> dict | None:
         """The stored payload for ``key``, refreshing its recency."""
         record = self._load(key)
-        return record[0] if record else None
+        return record.payload if record else None
 
     def get_rendering(self, key: str) -> str | None:
         """The stored rendering for ``key`` (may be ``None``)."""
         record = self._load(key)
-        return record[1] if record else None
+        return record.rendering if record else None
 
-    def _load(self, key: str) -> tuple[dict, str | None] | None:
+    def lookup(self, key: str) -> StoredResult | None:
+        """Payload and rendering of ``key`` from one read, refreshing its
+        recency.
+
+        Use this rather than :meth:`get` then :meth:`get_rendering`: an
+        entry another process evicts between those two reads would
+        yield a payload without its rendering.
+        """
+        return self._load(key)
+
+    def _load(self, key: str) -> StoredResult | None:
         with self._lock:
             if key not in self._lru and not self._adopt(key):
                 return None
@@ -263,8 +292,9 @@ class ResultStore:
                 return self._memory.get(key)
             entry = self._entry_dir(key)
             try:
-                with open(os.path.join(entry, _META)) as handle:
-                    payload = json.load(handle)
+                with open(os.path.join(entry, _META), "rb") as handle:
+                    payload_json = handle.read().decode("utf-8")
+                json.loads(payload_json)  # a torn or foreign entry raises
                 rendering = None
                 rendering_path = os.path.join(entry, _RENDERING)
                 if os.path.exists(rendering_path):
@@ -275,7 +305,7 @@ class ResultStore:
                 self._drop(key)
                 return None
             self._touch(key)
-            return payload, rendering
+            return StoredResult(payload_json, rendering)
 
     @staticmethod
     def _write_durable(path: str, data: bytes) -> None:
@@ -291,16 +321,17 @@ class ResultStore:
             if key in self._lru or self._adopt(key):
                 self._touch(key)
                 return
+            payload_json = json.dumps(payload, sort_keys=True)
             if not self.root:
-                size = len(json.dumps(payload)) + len(rendering or "")
-                self._memory[key] = (payload, rendering)
+                size = len(payload_json) + len(rendering or "")
+                self._memory[key] = StoredResult(payload_json, rendering)
             else:
                 os.makedirs(self.root, exist_ok=True)
                 staging = tempfile.mkdtemp(prefix=".staging-", dir=self.root)
                 try:
                     self._write_durable(
                         os.path.join(staging, _META),
-                        json.dumps(payload, sort_keys=True).encode("utf-8"),
+                        payload_json.encode("utf-8"),
                     )
                     if rendering is not None:
                         self._write_durable(
@@ -349,7 +380,7 @@ class ResultStore:
                         payload = None
                 else:
                     record = self._memory.get(key)
-                    payload = record[0] if record else None
+                    payload = record.payload if record else None
                     stored_at = time.time()
                 payload = payload or {}
                 infos.append(
@@ -385,14 +416,17 @@ class ResultStore:
             return removed
 
 
-def result_store_for_cache(backend, max_bytes: int | None = None) -> ResultStore:
-    """The result store co-located with a trace-cache backend.
+def result_store_for_cache(cache, max_bytes: int | None = None) -> ResultStore:
+    """The result store co-located with a trace cache.
 
-    ``backend`` is a :class:`repro.runner.cache.TraceDiskCache` (or
-    anything with a ``root``) — results live under ``<root>/results``.
-    With ``backend=None`` the store is memory-only.
+    ``cache`` is the cache directory (see
+    :func:`repro.runner.cachedir.selected_cache_dir`) or anything with
+    a ``root``, such as a :class:`repro.runner.cache.TraceDiskCache`;
+    results live under ``<root>/results``.  With ``cache=None`` the
+    store is memory-only.
     """
-    root = getattr(backend, "root", None)
+    root = getattr(cache, "root", cache)
     return ResultStore(
-        os.path.join(root, "results") if root else None, max_bytes=max_bytes
+        os.path.join(os.fspath(root), "results") if root else None,
+        max_bytes=max_bytes,
     )

@@ -35,7 +35,7 @@ _EXPORTS = {
     "SPEC89_INT_WORKLOADS": ".spec",
     "SPEC89_FP_WORKLOADS": ".spec",
     "spec_workload": ".spec",
-    "get_workload": ".registry",
+    "get_workload": ".suites",
     "get_trace": ".registry",
     "list_workloads": ".suites",
     "suite_names": ".suites",

@@ -10,6 +10,10 @@ synthesizer (:mod:`repro.workloads.generator`).
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+import threading
 from dataclasses import dataclass, field, replace
 
 from repro._util.validate import check_fraction, check_positive
@@ -171,3 +175,53 @@ class WorkloadParams:
             for comp, params in self.components.items()
         }
         return replace(self, components=new_components)
+
+
+#: Digests already computed, by ``(id(params), generator_version)``.
+#: Each value holds its params object, so that id cannot be reused
+#: while the entry lives.  Bounded: calibration tools derive many
+#: short-lived params objects.
+_FINGERPRINTS: dict[tuple[int, int], tuple[WorkloadParams, str]] = {}
+_FINGERPRINTS_MAX = 256
+_FINGERPRINTS_LOCK = threading.Lock()
+
+
+def params_fingerprint(
+    params: WorkloadParams, generator_version: int | None = None
+) -> str:
+    """Hex digest of a workload's full parameterization.
+
+    Covers every field of :class:`WorkloadParams` (components included)
+    and the synthesizer version, so any recalibration or generator
+    change produces a different trace-cache key (and a different
+    serving-layer job key).  Computed once per params object and
+    version: params records are never mutated (they are frozen; derive
+    a changed one with ``dataclasses.replace``), so every lookup after
+    the first reuses the digest.  :mod:`repro.runner.cache` re-exports
+    it.
+    """
+    if generator_version is None:
+        generator_version = GENERATOR_VERSION
+    key = (id(params), generator_version)
+    with _FINGERPRINTS_LOCK:
+        entry = _FINGERPRINTS.get(key)
+        if entry is None:
+            if len(_FINGERPRINTS) >= _FINGERPRINTS_MAX:
+                del _FINGERPRINTS[next(iter(_FINGERPRINTS))]
+            entry = (params, _fingerprint(params, generator_version))
+            _FINGERPRINTS[key] = entry
+    return entry[1]
+
+
+def _fingerprint(params: WorkloadParams, generator_version: int) -> str:
+    record = dataclasses.asdict(params)
+    # Component enum keys are not JSON keys; use their stable names.
+    record["components"] = {
+        component.name: fields
+        for component, fields in record["components"].items()
+    }
+    payload = json.dumps(
+        {"generator_version": generator_version, "params": record},
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

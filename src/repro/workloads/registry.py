@@ -14,13 +14,13 @@ trace cache:
   synthesized traces instead of regenerating them.
 
 The disk layer is configured by the ``REPRO_CACHE_DIR`` environment
-variable, the CLI's ``--cache-dir`` flag, or programmatically via
+variable, the CLI's ``--cache-dir`` flag (both resolved through
+:mod:`repro.runner.cachedir`), or programmatically via
 :func:`set_trace_cache_backend`; it is off by default.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 
 import numpy as np
@@ -30,22 +30,16 @@ from repro.runner import timing
 from repro.trace.rle import LineRuns
 from repro.trace.trace import Trace
 from repro.workloads.generator import synthesize_trace
-from repro.workloads.ibs import IBS_WORKLOADS
-from repro.workloads.os_model import MACH3, ULTRIX, to_ultrix
-from repro.workloads.params import WorkloadParams
-from repro.workloads.spec import (
-    SPEC89_FP_WORKLOADS,
-    SPEC89_INT_WORKLOADS,
-    SPEC92_FP_WORKLOADS,
-    SPEC92_INT_WORKLOADS,
+from repro.workloads.os_model import MACH3
+# Lookup and suites live in the numpy-free suites module (the CLI parser
+# and the server's store-hit path use them); re-exported here.
+from repro.workloads.suites import (
+    DEFAULT_TRACE_INSTRUCTIONS,
+    get_workload,
+    list_workloads,
+    suite_names,
+    suite_workloads,
 )
-from repro.workloads.suites import list_workloads, suite_names, suite_workloads
-
-#: Default trace length (instruction fetches) for experiments.  Long
-#: enough that 8 KB-cache MPIs are stable to well under the paper's
-#: quoted 5% measurement error; short enough that a full table sweep
-#: runs in minutes on a laptop.
-DEFAULT_TRACE_INSTRUCTIONS = 1_000_000
 
 #: Environment knobs bounding the in-memory trace cache.
 TRACE_CACHE_ENTRIES_ENV = "REPRO_TRACE_CACHE_ENTRIES"
@@ -192,53 +186,21 @@ def _notify_cache(event: str) -> None:
         observer(event)
 
 
-def get_workload(name: str, os_name: str = MACH3) -> WorkloadParams:
-    """Look up a workload definition by name and OS/suite.
-
-    ``os_name`` is ``"mach3"`` or ``"ultrix"`` for IBS workloads,
-    ``"spec92"`` or ``"spec89"`` for SPEC models.
-    """
-    if os_name in (MACH3, ULTRIX):
-        if name not in IBS_WORKLOADS:
-            raise KeyError(
-                f"unknown IBS workload {name!r}; available: "
-                f"{sorted(IBS_WORKLOADS)}"
-            )
-        if os_name == ULTRIX:
-            return _ultrix_workload(name)
-        return IBS_WORKLOADS[name]
-    if os_name == "spec92":
-        table = {**SPEC92_INT_WORKLOADS, **SPEC92_FP_WORKLOADS}
-    elif os_name == "spec89":
-        table = {**SPEC89_INT_WORKLOADS, **SPEC89_FP_WORKLOADS}
-    else:
-        raise KeyError(f"unknown OS/suite {os_name!r}")
-    if name not in table:
-        raise KeyError(
-            f"unknown {os_name} workload {name!r}; available: {sorted(table)}"
-        )
-    return table[name]
-
-
-@functools.cache
-def _ultrix_workload(name: str) -> WorkloadParams:
-    """The Ultrix variant of an IBS workload, derived once per process
-    so every lookup returns the same object (its trace-cache
-    fingerprint is then computed once)."""
-    return to_ultrix(IBS_WORKLOADS[name])
-
-
 def trace_cache_backend():
     """The active on-disk cache backend, or ``None`` when disabled.
 
-    Defaults to the directory named by ``REPRO_CACHE_DIR`` (if set);
+    Built on first use from the process's selected cache directory
+    (:func:`repro.runner.cachedir.selected_cache_dir`: the CLI's
+    ``--cache-dir``/``--no-disk-cache``, else ``REPRO_CACHE_DIR``);
     override with :func:`set_trace_cache_backend`.
     """
     global _disk_cache
     if _disk_cache is _UNSET:
-        from repro.runner.cache import cache_from_environment
+        from repro.runner.cache import TraceDiskCache
+        from repro.runner.cachedir import selected_cache_dir
 
-        _disk_cache = cache_from_environment()
+        root = selected_cache_dir()
+        _disk_cache = TraceDiskCache(root) if root else None
     return _disk_cache
 
 

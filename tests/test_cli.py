@@ -107,9 +107,13 @@ class TestCacheAndJobsCli:
     @pytest.fixture(autouse=True)
     def _isolated_backend(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        from repro.runner import cachedir
         from repro.workloads import registry
         from repro.workloads.registry import clear_trace_cache
 
+        # main() selects a cache directory for the process; put the
+        # selection back afterwards along with the registry's backend.
+        monkeypatch.setattr(cachedir, "_selected", cachedir._selected)
         saved = registry._disk_cache
         clear_trace_cache()
         yield
@@ -252,3 +256,84 @@ class TestCacheAndJobsCli:
         assert record["jobs"] == 1
         assert len(record["cells"]) == 4
         assert "phase_totals" in record
+
+
+#: ``(flags, whether $REPRO_CACHE_DIR is set, which directory wins)``:
+#: ``--no-disk-cache`` beats ``--cache-dir``, which beats the variable.
+CACHE_SELECTIONS = [
+    pytest.param([], False, None, id="none"),
+    pytest.param([], True, "env", id="env"),
+    pytest.param(["--cache-dir", "{flag}"], True, "flag", id="flag-over-env"),
+    pytest.param(["--no-disk-cache"], True, None, id="no-disk-cache"),
+    pytest.param(
+        ["--no-disk-cache", "--cache-dir", "{flag}"], False, None,
+        id="no-disk-cache-over-flag",
+    ),
+]
+
+
+def _selection_argv(tmp_path, monkeypatch, flags, env_set):
+    dirs = {"flag": tmp_path / "flag", "env": tmp_path / "env"}
+    if env_set:
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(dirs["env"]))
+    else:
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    return [flag.format(flag=dirs["flag"]) for flag in flags], dirs
+
+
+class TestCacheSelection:
+    """The cache flags pick the same trace backend as they always have."""
+
+    @pytest.fixture(autouse=True)
+    def _isolated_backend(self, monkeypatch):
+        from repro.runner import cachedir
+        from repro.workloads import registry
+
+        monkeypatch.setattr(cachedir, "_selected", cachedir._selected)
+        monkeypatch.setattr(registry, "_disk_cache", registry._disk_cache)
+
+    @pytest.mark.parametrize("flags, env_set, winner", CACHE_SELECTIONS)
+    def test_report(self, tmp_path, monkeypatch, flags, env_set, winner):
+        from repro.plan import executor
+        from repro.workloads import registry
+
+        argv, dirs = _selection_argv(tmp_path, monkeypatch, flags, env_set)
+        seen = []
+
+        def run_report(experiments, settings, jobs=1):
+            seen.append(registry.trace_cache_backend())
+            return [], None
+
+        monkeypatch.setattr(executor, "run_report", run_report)
+        assert main(argv + ["report"]) == 0
+        (backend,) = seen
+        if winner is None:
+            assert backend is None
+        else:
+            assert backend.root == str(dirs[winner])
+
+    @pytest.mark.parametrize("flags, env_set, winner", CACHE_SELECTIONS)
+    def test_warm(self, tmp_path, monkeypatch, flags, env_set, winner):
+        # A fresh process: the registry first loads after the selection.
+        import subprocess
+        import sys
+
+        argv, dirs = _selection_argv(tmp_path, monkeypatch, flags, env_set)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "--instructions", "5000",
+                *argv, "warm", "--suite", "ibs-mach3", "--config",
+                "economy", "--mechanism", "demand",
+            ],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name, directory in dirs.items():
+            if name == winner:
+                # Traces, their line runs and the results, side by side.
+                assert (directory / "results").is_dir()
+                assert any(directory.glob("gcc-mach3-5000-0-*/entry.json"))
+            else:
+                assert not directory.exists()
+        if winner is None:
+            assert "memory only" in proc.stdout

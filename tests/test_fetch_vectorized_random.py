@@ -14,11 +14,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
 from repro.core.study import make_engine
 from repro.fetch import MemoryTiming, run_vectorized
+from repro.fetch.vectorized import (
+    _demand_mask,
+    _prefetch_mask,
+    _prefetch_mask_compute,
+)
 from repro.trace.rle import to_line_runs
 
 LINE_SIZE = 32
@@ -166,4 +173,38 @@ class TestFormerlyUncoveredCorners:
             assert_point_identical(
                 runs, geometry, TIMINGS[0], "markov",
                 table_size=table_size, n_buffers=2, hybrid=hybrid,
+            )
+
+
+class TestDepthZeroPrefetchMask:
+    """Depth 0 installs nothing, so the prefetch replay is plain LRU:
+    ``_prefetch_mask`` returns the memoized demand mask, and the
+    per-reference replay it skips stays the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(st.integers(0, 95), max_size=400),
+        size_log2=st.integers(6, 12),
+        associativity=st.sampled_from((0, 1, 2, 4, 8)),
+    )
+    def test_matches_the_replay(self, lines, size_log2, associativity):
+        size = 1 << size_log2
+        if size // LINE_SIZE < max(associativity, 1):
+            associativity = 0  # fewer lines than ways: fully associative
+        geometry = CacheGeometry(size, LINE_SIZE, associativity)
+        addresses = np.array(lines, dtype=np.uint64) * LINE_SIZE
+        runs = to_line_runs(addresses, LINE_SIZE)
+        oracle = _prefetch_mask_compute(
+            np.asarray(runs.lines), geometry.n_sets, geometry.ways, 0
+        )
+        mask = _prefetch_mask(runs, geometry, 0)
+        assert np.array_equal(mask, oracle)
+        assert mask is _demand_mask(runs, geometry)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_depth_zero_bypass_matches_reference(self, geometry):
+        runs = synthetic_runs(seed=17)
+        for timing in TIMINGS[:3]:
+            assert_point_identical(
+                runs, geometry, timing, "prefetch+bypass", n_prefetch=0
             )

@@ -1,4 +1,5 @@
-"""Start-up cost: the CLI parser loads no simulator layer.
+"""Start-up cost: the CLI parser and the store-hit server load no
+simulator layer.
 
 Every ``repro`` package ``__init__`` is a lazy export table resolved by
 :func:`repro._util.lazy.lazy_exports`, and ``repro.cli`` imports
@@ -7,9 +8,15 @@ These tests hold both: building the parser, and ``--version``, must
 leave numpy out of the process, and every exported name must still
 resolve — from a fresh interpreter, to the object its defining module
 holds.
+
+The server keeps the same rule for everything but a miss: building a
+:class:`~repro.service.app.ServiceApp`, answering ``/healthz`` and
+``/metrics``, and answering ``/v1/evaluate`` from the result store all
+leave numpy out; the first miss loads the compute path.
 """
 
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -26,9 +33,9 @@ PACKAGES = ["repro"] + sorted(
 )
 
 
-def _run(code: str) -> str:
+def _run(code: str, *args: str) -> str:
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         timeout=120,
@@ -132,3 +139,144 @@ def test_name_shared_with_its_submodule_stays_the_export():
     from repro.core.sweep import sweep
 
     assert repro.core.sweep is sweep
+
+
+# -- the store-hit server ----------------------------------------------
+
+#: Trace length of the warmed store.
+SERVE_INSTRUCTIONS = 5_000
+
+#: Warmed points: one configuration and mechanism over one suite.
+WARM_SUITE = "ibs-mach3"
+WARM_CONFIG = "economy"
+WARM_MECHANISM = "demand"
+
+#: Prelude of every server subprocess: an app over the store at argv[1],
+#: and ``ask(method, path, body)``, which sends one request through the
+#: app's real connection handler and returns ``(status, body bytes)``.
+_SERVER = """
+import asyncio, json, sys
+from repro.service.app import ServiceApp
+from repro.service.store import ResultStore
+
+app = ServiceApp(store=ResultStore(sys.argv[1]))
+
+async def _ask(method, path, body):
+    server = await asyncio.start_server(app.handle_connection, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    data = json.dumps(body).encode() if body is not None else b""
+    writer.write(
+        f"{method} {path} HTTP/1.1\\r\\nConnection: close\\r\\n"
+        f"Content-Length: {len(data)}\\r\\n\\r\\n".encode() + data
+    )
+    response = await reader.read()
+    writer.close()
+    server.close()
+    await server.wait_closed()
+    head, _, payload = response.partition(b"\\r\\n\\r\\n")
+    return int(head.split()[1]), payload
+
+def ask(method, path, body=None):
+    return asyncio.run(_ask(method, path, body))
+
+def numpy_loaded():
+    return "numpy" in sys.modules
+"""
+
+
+def _evaluate_body(workload: str, mechanism: str = WARM_MECHANISM) -> dict:
+    return {
+        "workload": workload,
+        "os": "mach3",
+        "config": WARM_CONFIG,
+        "mechanism": mechanism,
+        "instructions": SERVE_INSTRUCTIONS,
+        "seed": 0,
+        "wait": True,
+    }
+
+
+@pytest.fixture(scope="module")
+def warmed_store(tmp_path_factory):
+    """A result store warmed with one suite at 5k instructions."""
+    from repro.experiments.common import ExperimentSettings
+    from repro.service.store import ResultStore
+    from repro.service.warm import warm_plan, warm_store
+
+    root = tmp_path_factory.mktemp("lean") / "results"
+    plan = warm_plan(
+        suite=WARM_SUITE,
+        configs=(WARM_CONFIG,),
+        mechanisms=(WARM_MECHANISM,),
+        settings=ExperimentSettings(n_instructions=SERVE_INSTRUCTIONS),
+    )
+    warm_store(ResultStore(root), plan)
+    return str(root)
+
+
+def test_service_app_imports_no_numpy(warmed_store):
+    out = _run(_SERVER + "print(numpy_loaded())\n", warmed_store)
+    assert out.strip() == "False"
+
+
+def test_store_hits_and_probes_import_no_numpy(warmed_store):
+    body = _evaluate_body("gcc")
+    out = _run(
+        _SERVER
+        + "import json\n"
+        + "answers = {}\n"
+        + "answers['healthz'] = ask('GET', '/healthz')\n"
+        + "answers['metrics'] = ask('GET', '/metrics')\n"
+        + "answers['metrics_json'] = ask('GET', '/metrics?format=json')\n"
+        + f"answers['hit'] = ask('POST', '/v1/evaluate', {body!r})\n"
+        + "print(json.dumps({name: [status, payload.decode()]"
+        + " for name, (status, payload) in answers.items()}))\n"
+        + "print(numpy_loaded())\n",
+        warmed_store,
+    )
+    answers_line, numpy_line = out.strip().splitlines()
+    answers = json.loads(answers_line)
+    assert numpy_line == "False"
+    assert {status for status, _ in answers.values()} == {200}
+    health = json.loads(answers["healthz"][1])
+    assert health["status"] == "ok"
+    assert health["store"]["entries"] == 8
+    # Neither cache module loaded, so both report empty.
+    assert "repro_trace_cache_entries 0" in answers["metrics"][1]
+    assert "repro_line_order_cache_entries 0" in answers["metrics"][1]
+    gauges = json.loads(answers["metrics_json"][1])["gauges"]
+    assert gauges["trace_cache_entries"][0]["value"] == 0
+    job = json.loads(answers["hit"][1])
+    assert job["status"] == "done"
+    assert job["source"] == "store"
+
+
+def test_first_miss_loads_the_compute_path(warmed_store):
+    from repro.core.config import MemorySystemConfig
+    from repro.core.study import evaluate
+
+    # "prefetch" was not warmed, so this request misses.
+    body = _evaluate_body("gcc", mechanism="prefetch")
+    out = _run(
+        _SERVER
+        + f"status, payload = ask('POST', '/v1/evaluate', {body!r})\n"
+        + "job = json.loads(payload)\n"
+        + "assert status == 200 and job['source'] == 'executed', payload\n"
+        + "print(json.dumps(job['result']['metrics']))\n"
+        + "print(numpy_loaded())\n",
+        warmed_store,
+    )
+    metrics_line, numpy_line = out.strip().splitlines()
+    assert numpy_line == "True"
+    result = evaluate(
+        "gcc", "mach3", MemorySystemConfig.economy(), "prefetch",
+        n_instructions=SERVE_INSTRUCTIONS, seed=0, engine="reference",
+    )
+    assert json.loads(metrics_line) == {
+        "mpi": result.l1.mpi,
+        "l2_mpi": result.l2_mpi,
+        "cpi_l1": result.cpi_l1,
+        "cpi_l2": result.cpi_l2,
+        "cpi_instr": result.cpi_instr,
+    }

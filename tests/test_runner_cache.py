@@ -5,13 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.runner import cache as cache_module
-from repro.runner.cache import (
-    TraceDiskCache,
-    cache_from_environment,
-    params_fingerprint,
-)
+from repro.runner import cachedir
+from repro.runner.cache import TraceDiskCache, params_fingerprint
+from repro.runner.cachedir import select_cache_dir, selected_cache_dir
 from repro.trace.rle import to_line_runs
+from repro.workloads import params as params_module
 from repro.workloads import registry
 from repro.workloads.generator import GENERATOR_VERSION, synthesize_trace
 from repro.workloads.registry import (
@@ -84,10 +82,10 @@ class TestFingerprint:
 
     def test_computed_once_per_object(self, params, monkeypatch):
         calls = []
-        compute = cache_module._fingerprint
-        monkeypatch.setattr(cache_module, "_FINGERPRINTS", {})
+        compute = params_module._fingerprint
+        monkeypatch.setattr(params_module, "_FINGERPRINTS", {})
         monkeypatch.setattr(
-            cache_module,
+            params_module,
             "_fingerprint",
             lambda *args: calls.append(args) or compute(*args),
         )
@@ -98,26 +96,26 @@ class TestFingerprint:
         assert len(calls) == 1
 
     def test_memo_keys_on_object_and_version(self, params, monkeypatch):
-        monkeypatch.setattr(cache_module, "_FINGERPRINTS", {})
+        monkeypatch.setattr(params_module, "_FINGERPRINTS", {})
         memoized = params_fingerprint(params)
         tweaked = dataclasses.replace(params, load_rate=params.load_rate / 2)
         assert params_fingerprint(tweaked) != memoized
-        assert params_fingerprint(tweaked) == cache_module._fingerprint(
+        assert params_fingerprint(tweaked) == params_module._fingerprint(
             tweaked, GENERATOR_VERSION
         )
         older = params_fingerprint(params, generator_version=1)
         assert older != memoized
-        assert older == cache_module._fingerprint(params, 1)
+        assert older == params_module._fingerprint(params, 1)
         assert params_fingerprint(params) == memoized
 
     def test_memo_is_bounded(self, params, monkeypatch):
-        monkeypatch.setattr(cache_module, "_FINGERPRINTS", {})
-        monkeypatch.setattr(cache_module, "_FINGERPRINTS_MAX", 4)
+        monkeypatch.setattr(params_module, "_FINGERPRINTS", {})
+        monkeypatch.setattr(params_module, "_FINGERPRINTS_MAX", 4)
         for k in range(10):
             params_fingerprint(
                 dataclasses.replace(params, burst_visits=1.0 + k)
             )
-        assert len(cache_module._FINGERPRINTS) == 4
+        assert len(params_module._FINGERPRINTS) == 4
 
 
 class TestRoundTrip:
@@ -181,10 +179,10 @@ class TestInvalidation:
     ):
         cache = TraceDiskCache(tmp_path)
         cache.store(trace, params, N, SEED)
-        import repro.workloads.generator as generator
-
+        # The version is defined with the params records, where the
+        # fingerprint reads it.
         monkeypatch.setattr(
-            generator, "GENERATOR_VERSION", generator.GENERATOR_VERSION + 1
+            params_module, "GENERATOR_VERSION", GENERATOR_VERSION + 1
         )
         assert cache.load(params, N, SEED) is None
 
@@ -249,15 +247,34 @@ class TestInventory:
 
 
 class TestEnvironment:
+    """With no directory selected, ``$REPRO_CACHE_DIR`` names the cache."""
+
+    @pytest.fixture(autouse=True)
+    def _nothing_selected(self, monkeypatch):
+        monkeypatch.setattr(cachedir, "_selected", cachedir._UNSET)
+        monkeypatch.setattr(registry, "_disk_cache", registry._UNSET)
+
     def test_unset_means_disabled(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert cache_from_environment() is None
+        assert selected_cache_dir() is None
+        assert registry.trace_cache_backend() is None
 
     def test_env_var_selects_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = cache_from_environment()
-        assert cache is not None
-        assert cache.root == str(tmp_path)
+        assert selected_cache_dir() == str(tmp_path)
+        # The registry builds its backend from the selection on first use.
+        assert registry.trace_cache_backend().root == str(tmp_path)
+
+    def test_selection_overrides_env_var(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        set_trace_cache_backend(TraceDiskCache(tmp_path / "installed"))
+        select_cache_dir(tmp_path / "chosen")
+        assert selected_cache_dir() == str(tmp_path / "chosen")
+        # An already-loaded registry follows the new selection at once.
+        assert registry.trace_cache_backend().root == str(tmp_path / "chosen")
+        select_cache_dir(None)
+        assert selected_cache_dir() is None
+        assert registry.trace_cache_backend() is None
 
 
 class TestRegistryIntegration:

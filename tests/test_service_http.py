@@ -12,10 +12,13 @@ import asyncio
 import io
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.obs import logs
 from repro.obs.manifest import load_manifest
 from repro.service.app import ServiceApp, start_service
-from repro.service.http import request_trace_id
+from repro.service.http import Response, request_trace_id
 from repro.service.store import ResultStore
 
 EXPERIMENT_BODY = {"experiment": "table2", "instructions": 20_000, "wait": True}
@@ -123,6 +126,55 @@ class TestEndToEnd:
         job, rendering = asyncio.run(first_generation())
         assert b"Table 2" in rendering
         asyncio.run(second_generation(job, rendering))
+
+    def test_store_hits_serve_the_stored_bytes(self, tmp_path):
+        """A hit splices the stored result text into its response, and
+        the body is byte for byte what encoding the decoded job record
+        gives."""
+        store_root = tmp_path / "results"
+        evaluate_body = {"workload": "gcc", "instructions": 20_000,
+                         "wait": True}
+        posts = [
+            ("/v1/experiments", EXPERIMENT_BODY),
+            ("/v1/evaluate", evaluate_body),
+        ]
+
+        async def fill():
+            async with _Server(store_root) as served:
+                for path, body in posts:
+                    status, job = await _json_request(
+                        served.port, "POST", path, body
+                    )
+                    assert status == 200 and job["source"] == "executed"
+
+        async def hit():
+            async with _Server(store_root) as served:
+                answers = []
+                for path, body in posts:
+                    status, raw = await _request(
+                        served.port, "POST", path, body
+                    )
+                    job = json.loads(raw)
+                    _, result = await _request(
+                        served.port, "GET", f"/v1/jobs/{job['id']}/result"
+                    )
+                    answers.append((status, raw, job, result))
+                return answers
+
+        asyncio.run(fill())
+        (_, experiment_raw, experiment, rendering), (
+            _, evaluate_raw, evaluate, result
+        ) = asyncio.run(hit())
+        for raw, job in ((experiment_raw, experiment),
+                         (evaluate_raw, evaluate)):
+            assert job["source"] == "store"
+            assert raw == (json.dumps(job, sort_keys=True) + "\n").encode()
+            stored = (store_root / job["key"] / "meta.json").read_bytes()
+            assert b'"result": ' + stored + b", " in raw
+        assert b"Table 2" in rendering
+        stored = (store_root / evaluate["key"] / "meta.json").read_bytes()
+        assert result == stored + b"\n"
+        assert json.loads(result) == evaluate["result"]
 
     def test_evaluate_and_poll(self, tmp_path):
         async def body():
@@ -258,6 +310,32 @@ async def _request_full(port, method, path, body=None, extra_headers=""):
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
     return int(lines[0].split()[1]), headers, body_part
+
+
+class TestSplicedJson:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        payload=st.dictionaries(
+            st.text(max_size=6),
+            st.recursive(
+                st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False) | st.text(max_size=8),
+                lambda children: st.lists(children, max_size=3)
+                | st.dictionaries(st.text(max_size=4), children, max_size=3),
+                max_leaves=8,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    def test_splice_encodes_like_the_whole_record(self, payload, data):
+        name = data.draw(st.sampled_from(sorted(payload)))
+        rest = {key: value for key, value in payload.items() if key != name}
+        spliced = Response.from_json(
+            rest, splice=(name, json.dumps(payload[name], sort_keys=True))
+        )
+        assert spliced.body == Response.from_json(payload).body
 
 
 class TestTraceIds:

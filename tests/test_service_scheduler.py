@@ -1,6 +1,8 @@
 """Unit tests for the coalescing/batching job scheduler."""
 
 import asyncio
+import os
+import shutil
 
 import pytest
 
@@ -90,6 +92,55 @@ class TestExperimentJobs:
         assert cold.metrics.counter_value("result_store_hits_total") == 1
         assert cold.metrics.counter_value(
             "jobs_executed_total", {"kind": "experiment"}) == 0
+
+    def test_store_hit_reads_the_entry_once(self, make_scheduler, monkeypatch):
+        from repro.service import store as store_module
+
+        async def run_once(scheduler):
+            job = await scheduler.submit_experiment("table2", table2, SETTINGS)
+            await job.wait()
+            return job
+
+        executed = _run(run_once(make_scheduler()))
+        cold = make_scheduler()
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(store_module, "open", counting_open, raising=False)
+        replayed = _run(run_once(cold))
+        assert replayed.source == "store"
+        assert replayed.rendering == executed.rendering
+        assert opened.count("meta.json") == 1
+
+    def test_entry_evicted_after_the_read_still_answers_whole(
+        self, make_scheduler
+    ):
+        """Another process evicting the entry right after this one read
+        it cannot leave an experiment hit without its rendering."""
+
+        async def run_once(scheduler):
+            job = await scheduler.submit_experiment("table2", table2, SETTINGS)
+            await job.wait()
+            return job
+
+        executed = _run(run_once(make_scheduler()))
+        cold = make_scheduler()
+        store = cold.store
+        read = store._load
+
+        def read_then_evicted(key):
+            record = read(key)
+            shutil.rmtree(os.path.join(store.root, key), ignore_errors=True)
+            return record
+
+        store._load = read_then_evicted
+        replayed = _run(run_once(cold))
+        assert replayed.source == "store"
+        assert replayed.rendering == executed.rendering
+        assert replayed.result == executed.result
 
     def test_job_lookup_and_queue_depth(self, make_scheduler):
         scheduler = make_scheduler()
