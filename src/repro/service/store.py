@@ -4,7 +4,7 @@ The serving layer's second cache tier: where the trace cache
 (:mod:`repro.runner.cache`) persists the *inputs* of an experiment, this
 store persists the *outputs* — the structured result record and its
 rendered table — keyed by the canonical content hash of everything that
-determines them (:func:`repro.experiments.common.canonical_job_key`:
+determines them (:func:`repro.experiments.settings.canonical_job_key`:
 job kind, target, settings, request knobs, workload parameterization,
 generator version).  A restarted server therefore answers a repeated
 request from disk without re-running anything, and a stale key is
