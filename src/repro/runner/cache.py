@@ -41,11 +41,8 @@ from repro.trace.rle import LineRuns
 from repro.trace.trace import Trace
 # params_fingerprint lives with the params records, numpy-free, so the
 # serving layer can derive job keys without loading this module.
-from repro.workloads.params import (
-    GENERATOR_VERSION,
-    WorkloadParams,
-    params_fingerprint,
-)
+from repro.workloads import params as workload_params
+from repro.workloads.params import WorkloadParams, params_fingerprint
 
 #: Length of the fingerprint prefix used in entry directory names (the
 #: full digest is kept in the entry's ``entry.json`` for verification).
@@ -143,7 +140,12 @@ class TraceDiskCache:
                         "n_instructions": n_instructions,
                         "seed": seed,
                         "fingerprint": params_fingerprint(params),
-                        "generator_version": GENERATOR_VERSION,
+                        # Read at call time, as params_fingerprint
+                        # does, so the entry records the version its
+                        # key was derived under.
+                        "generator_version": (
+                            workload_params.GENERATOR_VERSION
+                        ),
                     },
                     handle,
                 )

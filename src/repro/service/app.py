@@ -84,14 +84,21 @@ def _loaded_cache_stats() -> tuple[dict, dict]:
     A cache module that never loaded has cached nothing, so it reports
     zeros instead of being imported (with numpy) just to say so.
     """
-    registry = sys.modules.get("repro.workloads.registry")
-    vectorized = sys.modules.get("repro.caches.vectorized")
+    # A module another thread is still importing sits in sys.modules
+    # before its body has run, so the stats function may not exist yet;
+    # such a module has cached nothing either.
+    trace_cache_stats = getattr(
+        sys.modules.get("repro.workloads.registry"), "trace_cache_stats", None
+    )
+    order_cache_stats = getattr(
+        sys.modules.get("repro.caches.vectorized"), "order_cache_stats", None
+    )
     traces = (
-        registry.trace_cache_stats() if registry is not None
+        trace_cache_stats() if trace_cache_stats is not None
         else {"entries": 0, "resident_bytes": 0}
     )
     order = (
-        vectorized.order_cache_stats() if vectorized is not None
+        order_cache_stats() if order_cache_stats is not None
         else {"entries": 0, "bytes": 0, "evictions": 0}
     )
     return traces, order
@@ -439,13 +446,12 @@ class ServiceApp:
         status = HTTPStatus.OK if job.finished else HTTPStatus.ACCEPTED
         if job.status == "failed":
             status = HTTPStatus.INTERNAL_SERVER_ERROR
-        if job.result_json is not None:
-            # A store hit: its stored result text goes in verbatim.
-            return Response.from_json(
-                job.to_dict(include_result=False), status,
-                splice=("result", job.result_json),
-            )
-        return Response.from_json(job.to_dict(), status)
+        if job.result_json is None:
+            return Response.from_json(job.to_dict(), status)
+        # The stored result text goes in verbatim.
+        return Response.from_json(
+            job.to_dict(), status, splice=("result", job.result_json)
+        )
 
     async def _post_experiment(
         self, request: Request, trace_id: str
@@ -460,10 +466,8 @@ class ServiceApp:
                 f"{', '.join(names)}",
             )
         settings = self._settings_from(payload)
-        # The experiment module (and the simulator under it) is imported
-        # by a miss's executor thread, never for a store hit.
         job = await self.scheduler.submit_experiment(
-            name, None, settings, trace_id=trace_id
+            name, settings, trace_id=trace_id
         )
         if payload.get("wait"):
             await job.wait()
@@ -518,16 +522,12 @@ class ServiceApp:
         if not want_result:
             return self._job_response(job, wait=False)
         if not job.finished:
-            return Response.from_json(
-                job.to_dict(include_result=False), HTTPStatus.ACCEPTED
-            )
+            return Response.from_json(job.to_dict(), HTTPStatus.ACCEPTED)
         if job.status == "failed":
             raise HttpError(HTTPStatus.INTERNAL_SERVER_ERROR, job.error or "")
         if job.rendering is not None:
             return Response.from_text(job.rendering)
-        if job.result_json is not None:
-            return Response.from_json_text(job.result_json)
-        return Response.from_json(job.result)
+        return Response.from_json_text(job.result_json)
 
 
 async def start_service(

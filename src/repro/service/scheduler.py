@@ -153,10 +153,9 @@ class Job:
         self.finished_at: float | None = None
         self.coalesced = 0
         self.source: str | None = None  # "executed" | "store"
-        self._result: dict | None = None
-        #: A store hit's result, as the text the store holds: responses
-        #: splice it in verbatim (see :meth:`ResultStore.lookup`), and
-        #: the job ledger keeps no decoded copy of it.
+        #: The result payload as the text the store holds (see
+        #: :meth:`ResultStore.put`): responses splice it in verbatim,
+        #: and the job ledger keeps no decoded copy of it.
         self.result_json: str | None = None
         self.rendering: str | None = None
         self.error: str | None = None
@@ -172,22 +171,16 @@ class Job:
 
     @property
     def result(self) -> dict | None:
-        """The result payload (a store hit's is decoded on access)."""
-        if self.result_json is not None:
-            return json.loads(self.result_json)
-        return self._result
+        """The result payload, decoded afresh on every access."""
+        if self.result_json is None:
+            return None
+        return json.loads(self.result_json)
 
     def _complete(
-        self,
-        result: dict | None,
-        rendering: str | None,
-        source: str,
-        result_json: str | None = None,
+        self, result_json: str, rendering: str | None, source: str
     ) -> None:
-        """Finish with ``result``, or with a store hit's ``result_json``."""
         if self.finished:
             return  # a drain already cancelled this job; keep that verdict
-        self._result = result
         self.result_json = result_json
         self.rendering = rendering
         self.source = source
@@ -212,8 +205,9 @@ class Job:
         self.finished_at = time.time()
         self._event.set()
 
-    def to_dict(self, include_result: bool = True) -> dict:
-        record = {
+    def to_dict(self) -> dict:
+        """The job record without its result (see :attr:`result_json`)."""
+        return {
             "id": self.id,
             "key": self.key,
             "kind": self.kind,
@@ -227,10 +221,6 @@ class Job:
             "finished_at": self.finished_at,
             "error": self.error,
         }
-        result = self.result if include_result else None
-        if result is not None:
-            record["result"] = result
-        return record
 
 
 def _evaluate_group_cell(
@@ -565,20 +555,20 @@ class JobScheduler:
         # while shedding; that is what makes a warmed tier ride out
         # overload.
         self.metrics.inc("admission_total", {"decision": "store-hit"})
-        job._complete(None, stored.rendering, "store", stored.payload_json)
+        job._complete(stored.payload_json, stored.rendering, "store")
         return True
 
     async def submit_experiment(
         self,
         name: str,
-        module,
         settings: ExperimentSettings,
         trace_id: str | None = None,
     ) -> Job:
-        """Submit one experiment module run (single-flight per key).
+        """Submit one run of ``repro.experiments.<name>`` (single-flight
+        per key).
 
-        ``module`` may be ``None``: a miss then imports
-        ``repro.experiments.<name>`` on its executor thread.
+        The module, and the simulator under it, is imported by a miss's
+        executor thread, never for a store hit.
         """
         key = canonical_job_key("experiment", name, settings)
         existing = self._coalesce(key)
@@ -598,7 +588,7 @@ class JobScheduler:
             raise
         self._inflight[key] = job
         job.status = RUNNING
-        asyncio.ensure_future(self._run_experiment_job(job, name, module, settings))
+        asyncio.ensure_future(self._run_experiment_job(job, name, settings))
         return job
 
     def _finish_manifest(self, recorder, extra: dict) -> str | None:
@@ -652,7 +642,7 @@ class JobScheduler:
         )
 
     def _execute_experiment(
-        self, job: Job, name: str, module, settings: ExperimentSettings
+        self, job: Job, name: str, settings: ExperimentSettings
     ):
         """Executor-thread body of one experiment job, traced end to end.
 
@@ -665,8 +655,7 @@ class JobScheduler:
         self._jobs_started([job.created_at])
         started = time.perf_counter()
         try:
-            if module is None:
-                module = importlib.import_module(f"repro.experiments.{name}")
+            module = importlib.import_module(f"repro.experiments.{name}")
             with tracing.run(
                 name,
                 trace_id=job.trace_id,
@@ -694,14 +683,14 @@ class JobScheduler:
         return result, report, manifest_path
 
     async def _run_experiment_job(
-        self, job: Job, name: str, module, settings: ExperimentSettings
+        self, job: Job, name: str, settings: ExperimentSettings
     ) -> None:
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
         try:
             result, report, manifest_path = await loop.run_in_executor(
                 self._executor, self._execute_experiment,
-                job, name, module, settings,
+                job, name, settings,
             )
             payload = {
                 "kind": "experiment",
@@ -723,14 +712,14 @@ class JobScheduler:
             job._fail(str(exc))
         else:
             job.manifest = manifest_path
-            self.store.put(job.key, payload, rendering)
+            payload_json = self.store.put(job.key, payload, rendering)
             self.metrics.inc("jobs_executed_total", {"kind": "experiment"})
             self.metrics.observe(
                 "job_seconds",
                 time.perf_counter() - start,
                 {"kind": "experiment"},
             )
-            job._complete(payload, rendering, "executed")
+            job._complete(payload_json, rendering, "executed")
         finally:
             self._inflight.pop(job.key, None)
             log_event(
@@ -832,9 +821,9 @@ class JobScheduler:
             for index, payload in zip(indices, payloads):
                 _, job = batch[index]
                 job.manifest = manifest_path
-                self.store.put(job.key, payload)
+                payload_json = self.store.put(job.key, payload)
                 self.metrics.inc("jobs_executed_total", {"kind": "evaluate"})
-                job._complete(payload, None, "executed")
+                job._complete(payload_json, None, "executed")
                 self._inflight.pop(job.key, None)
                 log_event(
                     "job_finished",

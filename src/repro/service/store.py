@@ -315,13 +315,17 @@ class ResultStore:
             handle.flush()
             os.fsync(handle.fileno())
 
-    def put(self, key: str, payload: dict, rendering: str | None = None) -> None:
-        """Store one result (idempotent: an existing key is refreshed)."""
+    def put(self, key: str, payload: dict, rendering: str | None = None) -> str:
+        """Store one result (idempotent: an existing key is refreshed).
+
+        Returns the payload's text as the store encodes it,
+        ``json.dumps(payload, sort_keys=True)``.
+        """
+        payload_json = json.dumps(payload, sort_keys=True)
         with self._lock:
             if key in self._lru or self._adopt(key):
                 self._touch(key)
-                return
-            payload_json = json.dumps(payload, sort_keys=True)
+                return payload_json
             if not self.root:
                 size = len(payload_json) + len(rendering or "")
                 self._memory[key] = StoredResult(payload_json, rendering)
@@ -351,7 +355,7 @@ class ResultStore:
                             shutil.rmtree(staging, ignore_errors=True)
                             if self._adopt(key):
                                 self._evict()
-                            return
+                            return payload_json
                 except BaseException:
                     shutil.rmtree(staging, ignore_errors=True)
                     raise
@@ -359,6 +363,7 @@ class ResultStore:
             self._bytes[key] = size
             self.current_bytes += size
             self._evict()
+            return payload_json
 
     # -- inventory -----------------------------------------------------
 

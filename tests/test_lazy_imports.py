@@ -280,3 +280,24 @@ def test_first_miss_loads_the_compute_path(warmed_store):
         "cpi_l2": result.cpi_l2,
         "cpi_instr": result.cpi_instr,
     }
+
+
+def test_cache_stats_skip_a_module_still_importing(monkeypatch):
+    """While a miss imports the compute layers on an executor thread,
+    ``repro.workloads.registry`` and ``repro.caches.vectorized`` sit in
+    ``sys.modules`` before their stats functions are defined; a probe in
+    that window reports zeros instead of failing."""
+    import types
+
+    from repro.service.app import _loaded_cache_stats
+
+    for name in ("repro.workloads.registry", "repro.caches.vectorized"):
+        monkeypatch.setitem(sys.modules, name, types.ModuleType(name))
+    assert _loaded_cache_stats() == (
+        {"entries": 0, "resident_bytes": 0},
+        {"entries": 0, "bytes": 0, "evictions": 0},
+    )
+    sys.modules["repro.workloads.registry"].trace_cache_stats = (
+        lambda: {"entries": 3, "resident_bytes": 7}
+    )
+    assert _loaded_cache_stats()[0] == {"entries": 3, "resident_bytes": 7}

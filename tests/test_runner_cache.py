@@ -229,6 +229,19 @@ class TestInventory:
         assert info.generator_version == GENERATOR_VERSION
         assert info.to_dict()["generator_version"] == GENERATOR_VERSION
 
+    def test_entries_report_the_version_their_key_uses(
+        self, tmp_path, params, trace, monkeypatch
+    ):
+        """The recorded version and the fingerprint in the entry's key
+        are read at the same time, so a bumped version shows in both."""
+        monkeypatch.setattr(
+            params_module, "GENERATOR_VERSION", GENERATOR_VERSION + 1
+        )
+        cache = TraceDiskCache(tmp_path)
+        cache.store(trace, params, N, SEED)
+        assert cache.load(params, N, SEED) is not None
+        assert cache.entries()[0].generator_version == GENERATOR_VERSION + 1
+
     def test_pre_versioned_entries_report_v1(self, tmp_path, params, trace):
         """Entries written before ``entry.json`` carried the field are
         all from the v1 synthesizer and must be reported as such."""

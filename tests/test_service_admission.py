@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from repro.experiments import table2
 from repro.experiments.common import ExperimentSettings
 from repro.loadgen.driver import LoadConfig, run_load_async
 from repro.loadgen.stats import OK, SHED
@@ -45,7 +44,7 @@ def _block_executor(scheduler, release: threading.Event):
     Retry-After see the stalled job exactly like a slow real one.
     """
 
-    def stalled(job, name, module, settings):
+    def stalled(job, name, settings):
         scheduler._jobs_started([job.created_at])
         try:
             release.wait(30)
@@ -214,9 +213,7 @@ class TestSchedulerAdmission:
         warm = make_scheduler()
 
         async def fill(scheduler):
-            job = await scheduler.submit_experiment(
-                "table2", table2, SETTINGS
-            )
+            job = await scheduler.submit_experiment("table2", SETTINGS)
             await job.wait()
             return job
 
@@ -228,19 +225,19 @@ class TestSchedulerAdmission:
 
         async def body():
             other = ExperimentSettings(n_instructions=40_000, seed=0)
-            blocked = await cold.submit_experiment("table2", table2, other)
+            blocked = await cold.submit_experiment("table2", other)
             for _ in range(200):
                 if cold.inflight_count:
                     break
                 await asyncio.sleep(0.01)
             assert cold.admission_state == "shedding"
             # The warmed key sails through the full queue...
-            hit = await cold.submit_experiment("table2", table2, SETTINGS)
+            hit = await cold.submit_experiment("table2", SETTINGS)
             assert hit.status == "done" and hit.source == "store"
             # ...while fresh compute sheds.
             third = ExperimentSettings(n_instructions=60_000, seed=0)
             with pytest.raises(AdmissionError) as excinfo:
-                await cold.submit_experiment("table2", table2, third)
+                await cold.submit_experiment("table2", third)
             assert excinfo.value.retry_after >= 1
             release.set()
             await blocked.wait()
@@ -258,12 +255,10 @@ class TestSchedulerAdmission:
         _block_executor(scheduler, release)
 
         async def body():
-            blocked = await scheduler.submit_experiment(
-                "table2", table2, SETTINGS
-            )
+            blocked = await scheduler.submit_experiment("table2", SETTINGS)
             other = ExperimentSettings(n_instructions=40_000, seed=0)
             with pytest.raises(AdmissionError):
-                await scheduler.submit_experiment("table2", table2, other)
+                await scheduler.submit_experiment("table2", other)
             # The shed submission left no job behind to poll forever.
             shed_ids = [
                 job_id for job_id, job in scheduler._jobs.items()
@@ -281,9 +276,7 @@ class TestGracefulDrain:
         scheduler = make_scheduler(max_inflight=1)
 
         async def body():
-            job = await scheduler.submit_experiment(
-                "table2", table2, SETTINGS
-            )
+            job = await scheduler.submit_experiment("table2", SETTINGS)
             tally = await scheduler.drain(timeout=120)
             return job, tally
 
@@ -299,11 +292,9 @@ class TestGracefulDrain:
         _block_executor(scheduler, release)
 
         async def body():
-            running = await scheduler.submit_experiment(
-                "table2", table2, SETTINGS
-            )
+            running = await scheduler.submit_experiment("table2", SETTINGS)
             queued = await scheduler.submit_experiment(
-                "table2", table2,
+                "table2",
                 ExperimentSettings(n_instructions=40_000, seed=0),
             )
             for _ in range(200):
@@ -314,7 +305,7 @@ class TestGracefulDrain:
             # Draining sheds new work immediately.
             with pytest.raises(AdmissionError):
                 await scheduler.submit_experiment(
-                    "table2", table2,
+                    "table2",
                     ExperimentSettings(n_instructions=60_000, seed=0),
                 )
             return running, queued, tally

@@ -6,7 +6,6 @@ import shutil
 
 import pytest
 
-from repro.experiments import table2
 from repro.experiments.common import ExperimentSettings
 from repro.obs.manifest import load_manifest
 from repro.service.metrics import ServiceMetrics
@@ -52,8 +51,8 @@ class TestExperimentJobs:
 
         async def body():
             first, second = await asyncio.gather(
-                scheduler.submit_experiment("table2", table2, SETTINGS),
-                scheduler.submit_experiment("table2", table2, SETTINGS),
+                scheduler.submit_experiment("table2", SETTINGS),
+                scheduler.submit_experiment("table2", SETTINGS),
             )
             await asyncio.gather(first.wait(), second.wait())
             return first, second
@@ -75,7 +74,7 @@ class TestExperimentJobs:
         warm = make_scheduler()
 
         async def run_once(scheduler):
-            job = await scheduler.submit_experiment("table2", table2, SETTINGS)
+            job = await scheduler.submit_experiment("table2", SETTINGS)
             await job.wait()
             return job
 
@@ -97,7 +96,7 @@ class TestExperimentJobs:
         from repro.service import store as store_module
 
         async def run_once(scheduler):
-            job = await scheduler.submit_experiment("table2", table2, SETTINGS)
+            job = await scheduler.submit_experiment("table2", SETTINGS)
             await job.wait()
             return job
 
@@ -122,7 +121,7 @@ class TestExperimentJobs:
         it cannot leave an experiment hit without its rendering."""
 
         async def run_once(scheduler):
-            job = await scheduler.submit_experiment("table2", table2, SETTINGS)
+            job = await scheduler.submit_experiment("table2", SETTINGS)
             await job.wait()
             return job
 
@@ -146,7 +145,7 @@ class TestExperimentJobs:
         scheduler = make_scheduler()
 
         async def body():
-            job = await scheduler.submit_experiment("table2", table2, SETTINGS)
+            job = await scheduler.submit_experiment("table2", SETTINGS)
             assert scheduler.get_job(job.id) is job
             assert scheduler.get_job("nope") is None
             await job.wait()
