@@ -87,8 +87,8 @@ def sampled_mpi(
         )
     shift = ilog2(geometry.line_size) - ilog2(runs.line_size)
     lines = runs.lines >> np.uint64(shift)
-    counts = np.asarray(runs.counts)
-    cumulative = np.cumsum(counts)
+    counts = runs.counts
+    cumulative = np.cumsum(counts, dtype=np.int64)
     total_instructions = int(cumulative[-1]) if len(counts) else 0
     if total_instructions == 0:
         return SampledEstimate(0.0, 0, 0, 0, ())
@@ -115,20 +115,20 @@ def sampled_mpi(
         window_counts = counts[lo:hi]
         if len(window_lines) == 0:
             continue
-        window_instr = int(window_counts.sum())
+        window_instr = int(window_counts.sum(dtype=np.int64))
         simulated += window_instr
         miss = miss_mask_set_associative(
             window_lines, geometry.n_sets, geometry.associativity
         )
         # Warm-up cut inside the window.
         warm_target = warm_fraction * window_instr
-        inner_cum = np.cumsum(window_counts)
+        inner_cum = np.cumsum(window_counts, dtype=np.int64)
         cut = int(
             np.searchsorted(inner_cum - window_counts, warm_target, side="left")
         )
         cut = min(cut, len(window_lines) - 1)
-        measured_instr = window_instr - int(
-            (inner_cum[cut] - window_counts[cut])
+        measured_instr = window_instr - (
+            int(inner_cum[cut]) - int(window_counts[cut])
         )
         if measured_instr <= 0:
             continue

@@ -15,6 +15,7 @@ every experiment and the calibration share one measurement convention.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,25 +62,40 @@ def warmup_cut(runs: LineRuns, warmup_fraction: float) -> tuple[int, int]:
     """Index of the first measured run, and instructions after the cut.
 
     The cut is placed at the first run whose cumulative instruction
-    count reaches ``warmup_fraction`` of the total.
+    count reaches ``warmup_fraction`` of the total.  Memoized per
+    (stream, fraction) in the stream's line-order memo: a report asks
+    thousands of times, and each answer is a pass over every run.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(
             f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
         )
-    total = int(runs.counts.sum())
-    if len(runs) == 0 or warmup_fraction == 0.0:
+    counts = runs.counts
+    owner, cut, measured = line_order_cache(runs.lines).memo(
+        ("warmup-cut", warmup_fraction),
+        lambda: (weakref.ref(counts),)
+        + _warmup_cut_compute(counts, warmup_fraction),
+    )
+    if owner() is not counts:
+        # Another counts column over the same line array: not ours.
+        return _warmup_cut_compute(counts, warmup_fraction)
+    return cut, measured
+
+
+def _warmup_cut_compute(
+    counts: np.ndarray, warmup_fraction: float
+) -> tuple[int, int]:
+    starts = np.cumsum(counts, dtype=np.int64)
+    total = int(starts[-1]) if len(starts) else 0
+    if len(counts) == 0 or warmup_fraction == 0.0:
         return 0, total
-    threshold = warmup_fraction * total
-    cumulative = np.cumsum(runs.counts)
-    starts = cumulative - runs.counts
+    starts -= counts
     # The window opens at the first run that *starts* at or beyond the
     # threshold, so the warmup covers at least warmup_fraction of the
     # instructions.
-    cut = int(np.searchsorted(starts, threshold, side="left"))
-    cut = min(cut, len(runs) - 1)
-    measured = total - int(starts[cut])
-    return cut, measured
+    cut = int(np.searchsorted(starts, warmup_fraction * total, side="left"))
+    cut = min(cut, len(counts) - 1)
+    return cut, total - int(starts[cut])
 
 
 def measure_mpi(
@@ -174,13 +190,12 @@ def measure_mpi_lines(
     ``instruction_counts`` gives the instructions carried by each entry
     (defaults to 1 per entry — an unencoded per-reference stream).
     """
-    lines = np.asarray(lines, dtype=np.uint64)
     if instruction_counts is None:
-        instruction_counts = np.ones(len(lines), dtype=np.int64)
+        instruction_counts = np.ones(len(lines), dtype=np.int32)
     runs = LineRuns(
         lines=lines,
-        counts=np.asarray(instruction_counts, dtype=np.int64),
-        first_offsets=np.zeros(len(lines), dtype=np.int64),
+        counts=instruction_counts,
+        first_offsets=np.zeros(len(lines), dtype=np.uint8),
         line_size=base_line_size,
     )
     return measure_mpi(runs, geometry, warmup_fraction)

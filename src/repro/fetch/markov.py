@@ -258,7 +258,7 @@ def markov_trace_events_direct(
                 del buffer[next(iter(buffer))]
             buffer[target] = (event, offset)
     return (
-        np.asarray(positions, dtype=np.int64).reshape(n_events),
+        np.asarray(positions).reshape(n_events),
         np.asarray(event_is_miss, dtype=bool),
         np.asarray(event_source, dtype=np.int64),
         np.asarray(event_offset, dtype=np.int64),

@@ -45,7 +45,11 @@ from bisect import bisect_left
 import numpy as np
 
 from repro.caches.base import CacheGeometry
-from repro.caches.vectorized import LineOrderCache, line_order_cache
+from repro.caches.vectorized import (
+    LineOrderCache,
+    _index_dtype,
+    line_order_cache,
+)
 from repro.core.metrics import DEFAULT_WARMUP_FRACTION, warmup_cut
 from repro.fetch.engine import FetchResult
 from repro.fetch.markov import markov_trace_events, markov_trace_events_direct
@@ -251,7 +255,10 @@ def _demand_mask(runs: LineRuns, geometry: CacheGeometry) -> np.ndarray:
 
 
 def _miss_positions(cache: LineOrderCache, mask_key, mask) -> np.ndarray:
-    return cache.memo(("nz",) + mask_key, lambda: np.flatnonzero(mask))
+    return cache.memo(
+        ("nz",) + mask_key,
+        lambda: np.flatnonzero(mask).astype(_index_dtype(len(mask))),
+    )
 
 
 def _prefetch_mask(
@@ -304,7 +311,7 @@ def _prefetch_mask_compute(
 
 def _run_starts(runs: LineRuns) -> np.ndarray:
     """Instruction count preceding each run (time base with no stalls)."""
-    starts = np.cumsum(runs.counts)
+    starts = np.cumsum(runs.counts, dtype=np.int64)
     starts -= runs.counts
     return starts
 

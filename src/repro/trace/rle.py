@@ -23,12 +23,20 @@ from repro.runner import timing
 class LineRuns:
     """A run-length-encoded, line-granular reference stream.
 
+    Each column is stored at its narrowest exact width, 13 bytes per run
+    at line sizes up to 256 B.  Read ``counts`` and ``first_offsets`` as
+    numbers only through ``int()``/``tolist()`` or a reduction with an
+    explicit ``dtype=np.int64``: numpy arithmetic on the narrow columns
+    themselves can wrap.
+
     Attributes:
         lines: line numbers (byte address >> log2(line_size)), ``uint64``.
-        counts: number of consecutive references to each line, ``int64``.
+        counts: number of consecutive references to each line, ``int32``
+            (every run is shorter than 2**31 references).
         line_size: the line size in bytes the stream was encoded for.
         first_offsets: byte offset within the line of the *first* reference
-            of each run (needed by the bypass/critical-word models).
+            of each run (needed by the bypass/critical-word models),
+            ``uint8`` up to 256 B lines and ``uint16`` above.
     """
 
     lines: np.ndarray
@@ -37,8 +45,19 @@ class LineRuns:
     line_size: int
 
     def __post_init__(self) -> None:
-        if not (len(self.lines) == len(self.counts) == len(self.first_offsets)):
+        lines = np.asarray(self.lines, dtype=np.uint64)
+        counts = _narrowed(self.counts, np.int32, 2**31, "run count")
+        offsets = _narrowed(
+            self.first_offsets,
+            np.min_scalar_type(max(self.line_size - 1, 0)),
+            self.line_size,
+            "first offset",
+        )
+        if not (len(lines) == len(counts) == len(offsets)):
             raise ValueError("lines, counts and first_offsets must align")
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "first_offsets", offsets)
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -46,7 +65,19 @@ class LineRuns:
     @property
     def total_references(self) -> int:
         """Number of references in the original (unencoded) stream."""
-        return int(self.counts.sum())
+        return int(self.counts.sum(dtype=np.int64))
+
+
+def _narrowed(column, dtype, limit: int, what: str) -> np.ndarray:
+    """``column`` cast to ``dtype``, refusing any value outside
+    ``[0, limit)`` rather than letting the cast wrap it."""
+    column = np.asarray(column)
+    if column.dtype != dtype and len(column):
+        low, high = int(column.min()), int(column.max())
+        if low < 0 or high >= limit:
+            bad = low if low < 0 else high
+            raise ValueError(f"{what} {bad} is outside [0, {limit})")
+    return column.astype(dtype, copy=False)
 
 
 def to_line_runs(addresses: np.ndarray, line_size: int) -> LineRuns:
@@ -59,16 +90,18 @@ def to_line_runs(addresses: np.ndarray, line_size: int) -> LineRuns:
     shift = ilog2(line_size)
     addresses = np.asarray(addresses, dtype=np.uint64)
     if len(addresses) == 0:
-        empty64 = np.zeros(0, dtype=np.uint64)
-        return LineRuns(empty64, np.zeros(0, np.int64), np.zeros(0, np.int64), line_size)
+        empty = np.zeros(0, dtype=np.uint64)
+        return LineRuns(empty, empty, empty, line_size)
     with timing.phase(timing.PHASE_LINE_RUNS):
         lines = addresses >> np.uint64(shift)
         boundaries = np.empty(len(lines), dtype=bool)
         boundaries[0] = True
         np.not_equal(lines[1:], lines[:-1], out=boundaries[1:])
         starts = np.flatnonzero(boundaries)
+        # Wide here; LineRuns narrows both columns and refuses a run
+        # of 2**31 references or more.
         counts = np.empty(len(starts), dtype=np.int64)
         counts[:-1] = np.diff(starts)
         counts[-1] = len(lines) - starts[-1]
-        offsets = (addresses[starts] & np.uint64(line_size - 1)).astype(np.int64)
+        offsets = addresses[starts] & np.uint64(line_size - 1)
         return LineRuns(lines[starts], counts, offsets, line_size)

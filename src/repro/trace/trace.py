@@ -113,23 +113,20 @@ class Trace:
     def ifetch_addresses(self) -> np.ndarray:
         """Addresses of instruction fetches only, in program order.
 
-        Memoized: config sweeps ask for this once per evaluated cache
-        configuration, and the selection costs a full column scan.  The
-        returned array is marked read-only because it is shared.
+        A fresh selection on every call (one column scan), not memoized:
+        the simulators read the stream through :meth:`ifetch_line_runs`,
+        and a retained copy would be 8 bytes per instruction that
+        nothing reads again once the line runs exist.
         """
-        key = "ifetch_addresses"
-        if key not in self._cache:
-            selected = self.addresses[self.kinds == RefKind.IFETCH]
-            selected.setflags(write=False)
-            self._cache[key] = selected
-        return self._cache[key]
+        return self.addresses[self.kinds == RefKind.IFETCH]
 
     def ifetch_line_runs(self, line_size: int) -> "LineRuns":
         """The RLE instruction-fetch stream at ``line_size`` granularity.
 
         Memoized per line size: every sweep over this trace re-encodes
         the same stream, and the encoding (a sort-free but full-stream
-        pass) dominates small-config simulation time.  See
+        pass) dominates small-config simulation time.  The address
+        selection it encodes from is transient.  See
         :func:`repro.trace.rle.to_line_runs`.
         """
         from repro.trace.rle import to_line_runs

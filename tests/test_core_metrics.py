@@ -125,3 +125,44 @@ class TestMeasureThreeCs:
         eight, _ = measure_three_cs(runs, CacheGeometry(8192, 32, 8), 0.3)
         assert eight.conflict == 0
         assert dm.conflict > 0
+
+
+class TestWarmupCutMemo:
+    def test_second_call_is_a_memo_hit(self, monkeypatch):
+        from repro.caches.vectorized import line_order_cache
+        from repro.core import metrics
+
+        runs = _runs([i * 32 for i in range(10)])
+        first = warmup_cut(runs, 0.5)
+        assert ("warmup-cut", 0.5) in line_order_cache(runs.lines)._memo
+
+        def recompute(*args):
+            raise AssertionError("warmup_cut recomputed a memoized cut")
+
+        monkeypatch.setattr(metrics, "_warmup_cut_compute", recompute)
+        assert warmup_cut(runs, 0.5) == first == (5, 5)
+
+    def test_memo_is_per_counts_column(self):
+        # Two streams over one line array with different counts must not
+        # share a memoized cut.
+        lines = np.arange(3, dtype=np.uint64)
+        zeros = np.zeros(3, np.uint8)
+        even = LineRuns(lines, np.array([10, 10, 10]), zeros, 32)
+        heavy = LineRuns(lines, np.array([80, 10, 10]), zeros, 32)
+        assert warmup_cut(even, 0.5) == (2, 10)
+        assert warmup_cut(heavy, 0.5) == (1, 20)
+        assert warmup_cut(even, 0.5) == (2, 10)
+
+    def test_cut_past_int32_is_exact(self):
+        # Cumulative counts past 2**31 accumulate in int64, not int32.
+        big = 2**31 - 1
+        runs = LineRuns(
+            lines=np.arange(3, dtype=np.uint64),
+            counts=np.array([big, big, 5], np.int64),
+            first_offsets=np.zeros(3, np.int64),
+            line_size=32,
+        )
+        assert runs.counts.dtype == np.int32
+        assert warmup_cut(runs, 0.0) == (0, 2 * big + 5)
+        assert warmup_cut(runs, 0.5) == (2, 5)
+        assert warmup_cut(runs, 0.25) == (1, big + 5)

@@ -1,6 +1,7 @@
 """Unit tests for the persistent on-disk trace/artifact cache."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -158,6 +159,45 @@ class TestRoundTrip:
         assert np.array_equal(loaded.counts, runs.counts)
         assert np.array_equal(loaded.first_offsets, runs.first_offsets)
 
+    def test_int64_line_runs_load_narrow_and_identical(
+        self, tmp_path, params, trace
+    ):
+        # Older caches wrote int64 counts and first offsets; they load
+        # into the narrow columns and drive every kernel identically.
+        from repro.caches.base import CacheGeometry
+        from repro.fetch.timing import MemoryTiming
+        from repro.fetch.vectorized import (
+            VECTORIZED_MECHANISMS,
+            run_vectorized,
+            supports,
+        )
+
+        cache = TraceDiskCache(tmp_path)
+        cache.store(trace, params, N, SEED)
+        runs = to_line_runs(trace.ifetch_addresses(), 32)
+        path = os.path.join(
+            cache.entry_dir(params, N, SEED), "lineruns-32.npz"
+        )
+        np.savez(
+            path,
+            lines=runs.lines,
+            counts=runs.counts.astype(np.int64),
+            first_offsets=runs.first_offsets.astype(np.int64),
+        )
+        loaded = cache.load_line_runs(params, N, SEED, 32)
+        assert loaded.counts.dtype == np.int32
+        assert loaded.first_offsets.dtype == np.uint8
+        timing = MemoryTiming(latency=6, bytes_per_cycle=8)
+        for geometry in (CacheGeometry(4096, 32, 1), CacheGeometry(4096, 32, 2)):
+            for mechanism in VECTORIZED_MECHANISMS:
+                if not supports(geometry, timing, mechanism) or (
+                    mechanism == "victim" and geometry.associativity != 1
+                ):
+                    continue
+                assert run_vectorized(
+                    loaded, geometry, timing, mechanism
+                ) == run_vectorized(runs, geometry, timing, mechanism)
+
     def test_line_runs_require_trace_entry(self, tmp_path, params, trace):
         cache = TraceDiskCache(tmp_path)
         runs = to_line_runs(trace.ifetch_addresses(), 32)
@@ -189,8 +229,6 @@ class TestInvalidation:
     def test_foreign_directory_is_a_miss(self, tmp_path, params):
         cache = TraceDiskCache(tmp_path)
         entry = cache.entry_dir(params, N, SEED)
-        import os
-
         os.makedirs(entry)
         with open(os.path.join(entry, "garbage.txt"), "w") as handle:
             handle.write("not a trace")

@@ -1,0 +1,129 @@
+"""The memory footprint of instruction-fetch streams.
+
+A report keeps every workload's trace and its line runs alive for the
+whole run, so their width is the report's resident memory.  These tests
+pin the narrow representation: no trace keeps a copy of its fetch
+addresses, a line run costs 13 bytes (``uint64`` line, ``int32`` count,
+``uint8`` first offset), and the narrow columns encode exactly what a
+plain int64 encoding does.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.caches.base import CacheGeometry
+from repro.caches.vectorized import line_order_cache
+from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.common import ExperimentSettings
+from repro.fetch.timing import MemoryTiming
+from repro.fetch.vectorized import _run_starts, run_vectorized
+from repro.plan.executor import run_report
+from repro.trace.rle import LineRuns, to_line_runs
+from repro.workloads import registry
+
+
+@pytest.fixture(scope="module")
+def report_traces():
+    """Every trace a 5k-instruction report leaves in the trace cache."""
+    saved = registry._disk_cache
+    registry.set_trace_cache_backend(None)
+    registry.clear_trace_cache()
+    run_report(
+        dict(ALL_EXPERIMENTS),
+        ExperimentSettings(n_instructions=5_000, seed=0),
+        jobs=1,
+    )
+    traces = list(registry._trace_cache._entries.values())
+    yield traces
+    registry._disk_cache = saved
+    registry.clear_trace_cache()
+
+
+def test_no_trace_memoizes_its_fetch_addresses(report_traces):
+    assert report_traces
+    for trace in report_traces:
+        assert "ifetch_addresses" not in trace._cache
+        assert not any(
+            isinstance(value, np.ndarray) and value.dtype == np.uint64
+            for value in trace._cache.values()
+        )
+
+
+def test_memoized_line_runs_hold_13_bytes_per_run(report_traces):
+    memoized = [
+        value
+        for trace in report_traces
+        for value in trace._cache.values()
+        if isinstance(value, LineRuns)
+    ]
+    assert memoized
+    for runs in memoized:
+        held = runs.lines.nbytes + runs.counts.nbytes + runs.first_offsets.nbytes
+        assert held == 13 * len(runs), runs.line_size
+
+
+def _plain_encoding(addresses: list[int], line_size: int):
+    """Run-length encoding in Python integers, one reference at a time."""
+    shift = line_size.bit_length() - 1
+    lines, counts, offsets = [], [], []
+    for address in addresses:
+        line = address >> shift
+        if lines and lines[-1] == line:
+            counts[-1] += 1
+        else:
+            lines.append(line)
+            counts.append(1)
+            offsets.append(address & (line_size - 1))
+    return lines, counts, offsets
+
+
+# Sequential segments (4-byte instructions from an arbitrary start), the
+# shape of real fetch streams, over the whole uint64 address space.
+_segments = st.lists(
+    st.tuples(st.integers(0, 2**64 - 2**12), st.integers(1, 300)),
+    max_size=12,
+)
+
+
+@given(segments=_segments, log_line=st.integers(2, 9))
+@settings(max_examples=80, deadline=None)
+def test_to_line_runs_matches_plain_int64_encoding(segments, log_line):
+    line_size = 1 << log_line
+    addresses = [
+        start + 4 * i for start, length in segments for i in range(length)
+    ]
+    runs = to_line_runs(np.array(addresses, dtype=np.uint64), line_size)
+    lines, counts, offsets = _plain_encoding(addresses, line_size)
+    assert runs.lines.tolist() == lines
+    assert runs.counts.tolist() == counts
+    assert runs.first_offsets.tolist() == offsets
+    assert runs.total_references == len(addresses)
+    assert runs.first_offsets.dtype == (np.uint8 if line_size <= 256 else np.uint16)
+
+
+def test_run_starts_accumulate_past_int32():
+    big = 2**31 - 1
+    runs = LineRuns(
+        lines=np.arange(3, dtype=np.uint64),
+        counts=np.array([big, big, 5]),
+        first_offsets=np.zeros(3, np.uint8),
+        line_size=32,
+    )
+    assert _run_starts(runs).tolist() == [0, big, 2 * big]
+
+
+def test_miss_positions_are_memoized_at_index_width():
+    addresses = np.random.default_rng(4).integers(0, 1 << 16, 4000) * 4
+    runs = to_line_runs(addresses.astype(np.uint64), 32)
+    run_vectorized(
+        runs, CacheGeometry(1024, 32, 1), MemoryTiming(6, 8), "stream-buffer"
+    )
+    positions = [
+        value
+        for key, value in line_order_cache(runs.lines)._memo.items()
+        if key[0] == "nz"
+    ]
+    assert positions
+    assert all(value.dtype == np.int32 for value in positions)

@@ -74,3 +74,75 @@ class TestLineRunsValidation:
                 first_offsets=np.zeros(2, np.int64),
                 line_size=32,
             )
+
+
+class TestNarrowColumns:
+    def test_columns_are_stored_narrow(self):
+        addresses = np.arange(0, 4096, 4, dtype=np.uint64)
+        runs = to_line_runs(addresses, 32)
+        assert runs.lines.dtype == np.uint64
+        assert runs.counts.dtype == np.int32
+        assert runs.first_offsets.dtype == np.uint8
+
+    @pytest.mark.parametrize(
+        "line_size, dtype",
+        [(4, np.uint8), (256, np.uint8), (512, np.uint16), (65536, np.uint16)],
+    )
+    def test_offset_width_follows_line_size(self, line_size, dtype):
+        runs = LineRuns(
+            lines=np.zeros(1, np.uint64),
+            counts=np.ones(1, np.int64),
+            first_offsets=np.array([line_size - 1], np.int64),
+            line_size=line_size,
+        )
+        assert runs.first_offsets.dtype == dtype
+        assert int(runs.first_offsets[0]) == line_size - 1
+
+    def test_every_constructor_narrows(self):
+        # Wide columns from any caller (the parent's npz files, hand-made
+        # synthetic streams) arrive narrow; uint64 lines keep identity.
+        lines = np.array([3, 4], np.uint64)
+        runs = LineRuns(
+            lines=lines,
+            counts=np.array([5, 7], np.int64),
+            first_offsets=np.array([4, 8], np.int64),
+            line_size=32,
+        )
+        assert runs.lines is lines
+        assert runs.counts.dtype == np.int32
+        assert runs.first_offsets.dtype == np.uint8
+        assert runs.counts.tolist() == [5, 7]
+        assert runs.first_offsets.tolist() == [4, 8]
+
+    def test_empty_stream_is_narrow(self):
+        runs = to_line_runs(np.zeros(0, dtype=np.uint64), 32)
+        assert runs.counts.dtype == np.int32
+        assert runs.first_offsets.dtype == np.uint8
+
+    @pytest.mark.parametrize(
+        "counts, offsets",
+        [
+            ([2**31], [0]),  # a run of 2**31 references
+            ([-1], [0]),
+            ([1], [32]),  # an offset past the 32 B line
+            ([1], [-1]),
+        ],
+    )
+    def test_values_that_would_wrap_are_rejected(self, counts, offsets):
+        with pytest.raises(ValueError, match="outside"):
+            LineRuns(
+                lines=np.zeros(1, np.uint64),
+                counts=np.array(counts, np.int64),
+                first_offsets=np.array(offsets, np.int64),
+                line_size=32,
+            )
+
+    def test_total_past_int32_is_exact(self):
+        big = 2**31 - 1
+        runs = LineRuns(
+            lines=np.arange(3, dtype=np.uint64),
+            counts=np.array([big, big, 5], np.int64),
+            first_offsets=np.zeros(3, np.int64),
+            line_size=32,
+        )
+        assert runs.total_references == 2 * big + 5
