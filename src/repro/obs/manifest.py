@@ -16,6 +16,7 @@ import json
 import os
 import platform
 import subprocess
+import sys
 
 from repro.obs.tracing import RunRecorder
 
@@ -24,6 +25,9 @@ OBS_DIR_ENV = "REPRO_OBS_DIR"
 
 #: Manifest format version (bump on incompatible shape changes).
 MANIFEST_SCHEMA = 1
+
+#: Bytes per ``ru_maxrss`` unit: bytes on macOS, KiB elsewhere.
+_MAXRSS_BYTES = 1 if sys.platform == "darwin" else 1024
 
 _git_cache: dict | None = None
 
@@ -72,8 +76,25 @@ def provenance() -> dict:
     }
 
 
+def peak_rss_mb(children: bool = False) -> float:
+    """Peak resident set size in MB (2**20 bytes) from ``getrusage``.
+
+    This process, or with ``children`` the largest of its reaped
+    children (pool workers), 0 before any is reaped.
+    """
+    import resource  # not at module level: `--version` imports this module
+
+    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
+    return resource.getrusage(who).ru_maxrss * _MAXRSS_BYTES / 2**20
+
+
 def build_manifest(recorder: RunRecorder, extra: dict | None = None) -> dict:
-    """Assemble the manifest dict of one finished run."""
+    """Assemble the manifest dict of one finished run.
+
+    ``peak_rss_mb`` and ``children_peak_rss_mb`` are the process's and
+    its reaped pool workers' peak RSS when the manifest is built, so a
+    memory claim can be read from the run's own manifest.
+    """
     from repro.obs.export import cell_rollups
 
     spans = recorder.spans
@@ -87,6 +108,8 @@ def build_manifest(recorder: RunRecorder, extra: dict | None = None) -> dict:
         "provenance": provenance(),
         "extra": extra or {},
         "wall_seconds": wall,
+        "peak_rss_mb": peak_rss_mb(),
+        "children_peak_rss_mb": peak_rss_mb(children=True),
         "cells": cell_rollups(spans),
         "spans": spans,
     }

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -63,6 +65,16 @@ class TestBuildManifest:
         cell = manifest["cells"][0]
         assert cell["key"] == ["w", 1]
         assert cell["attrs"]["engine"] == "auto"
+
+    def test_peak_rss_of_process_and_reaped_children(self):
+        # A reaped child makes the children's peak positive even when
+        # this test runs alone.
+        subprocess.run([sys.executable, "-c", "pass"], check=True)
+        manifest = build_manifest(_traced_recorder())
+        assert manifest["peak_rss_mb"] > 0.0
+        assert manifest["children_peak_rss_mb"] > 0.0
+        # MB, not KiB or bytes: a Python process is tens of MB.
+        assert 1.0 < manifest["peak_rss_mb"] < 1e5
 
     def test_wall_is_root_span_wall(self):
         recorder = _traced_recorder()
