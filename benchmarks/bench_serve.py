@@ -11,12 +11,8 @@ End-to-end shape of the serving story:
    closed-loop Zipf stream over that grid (:mod:`repro.loadgen`), and
    record throughput + p50/p95/p99/p999 plus the concurrency speedup
    (concurrent ÷ single-client req/s) to the ``BENCH_serve.json``
-   trajectory.  With ``--workers N`` (N > 1) a second server is
-   launched with N pre-forked workers and the same closed-loop stream
-   is replayed against the fleet; the record gains ``worker_speedup``
-   (multi-worker ÷ same-run single-worker req/s) and the per-worker
-   request counts observed via the ``X-Repro-Worker`` header.
-4. **Stop** — SIGTERM each server and require a clean graceful-drain
+   trajectory.
+4. **Stop** — SIGTERM the server and require a clean graceful-drain
    exit; a hung or crashed shutdown fails the benchmark.
 
 Run from the repository root:
@@ -24,17 +20,13 @@ Run from the repository root:
     PYTHONPATH=src python benchmarks/bench_serve.py
         [--suite ibs-mach3] [--instructions 20000] [--clients 4]
         [--requests 200] [--out BENCH_serve.json] [--min-speedup 0.8]
-        [--workers 2] [--min-worker-speedup 1.2]
 
 ``--min-speedup`` gates the fresh ``concurrency_speedup`` against a
 fixed floor (default 0.8x: concurrency must never collapse throughput
-below 80% of the serial reference).  ``--min-worker-speedup`` gates
-``worker_speedup`` the same way (only meaningful with ``--workers``;
-leave it unset on single-core machines, where the ratio sits near
-1.0x).  Both sides of every ratio are measured within this run on this
-machine, so the gates hold on any runner hardware — unlike absolute
-req/s, which is machine-dependent and is recorded for trend-reading
-only, never gated across machines.
+below 80% of the serial reference).  Both sides of the ratio are
+measured within this run on this machine, so the gate holds on any
+runner hardware — unlike absolute req/s, which is machine-dependent and
+is recorded for trend-reading only, never gated across machines.
 """
 
 from __future__ import annotations
@@ -81,7 +73,7 @@ def _wait_healthy(port: int, timeout: float = 30.0) -> None:
     raise RuntimeError(f"server on port {port} never became healthy")
 
 
-def _launch_server(args, port: int, workers: int) -> subprocess.Popen:
+def _launch_server(args, port: int) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
@@ -91,14 +83,13 @@ def _launch_server(args, port: int, workers: int) -> subprocess.Popen:
             "--seed", str(args.seed),
             "--cache-dir", str(args.cache_dir),
             "serve", "--port", str(port),
-            "--workers", str(workers),
             "--max-inflight", "4", "--max-queue", "256",
         ],
         env=env,
     )
 
 
-def _stop_server(server: subprocess.Popen, label: str) -> bool:
+def _stop_server(server: subprocess.Popen) -> bool:
     """SIGTERM and require a clean drain; True when the stop was clean."""
     server.send_signal(signal.SIGTERM)
     try:
@@ -106,11 +97,10 @@ def _stop_server(server: subprocess.Popen, label: str) -> bool:
     except subprocess.TimeoutExpired:
         server.kill()
         server.wait()
-        print(f"{label} server did not drain within 30s of SIGTERM",
-              file=sys.stderr)
+        print("server did not drain within 30s of SIGTERM", file=sys.stderr)
         return False
     if returncode != 0:
-        print(f"{label} server exited {returncode} on SIGTERM (expected 0)",
+        print(f"server exited {returncode} on SIGTERM (expected 0)",
               file=sys.stderr)
         return False
     return True
@@ -140,21 +130,7 @@ def main() -> int:
                         help="fail when concurrent throughput falls "
                         "below this fraction of the same-run "
                         "single-client reference")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="also measure an N-worker pre-fork fleet "
-                        "and record worker_speedup (multi-worker / "
-                        "same-run single-worker req/s)")
-    parser.add_argument("--min-worker-speedup", type=float, default=None,
-                        help="fail when the N-worker fleet's throughput "
-                        "falls below this multiple of the same-run "
-                        "single-worker pass (requires --workers > 1; "
-                        "pick the floor for the gating machine's core "
-                        "count and leave unset on single-core boxes)")
     args = parser.parse_args()
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.min_worker_speedup is not None and args.workers < 2:
-        parser.error("--min-worker-speedup requires --workers > 1")
 
     cache_dir = pathlib.Path(args.cache_dir)
     settings = ExperimentSettings(
@@ -183,11 +159,9 @@ def main() -> int:
     if reference_requests is None:
         reference_requests = max(1, args.requests // 2)
 
-    # 2. A real single-worker server subprocess over the same store:
-    # the same-machine yardstick both speedup gates divide by.
+    # 2. A real server subprocess over the same store.
     port = _free_port()
-    server = _launch_server(args, port, workers=1)
-    clean = True
+    server = _launch_server(args, port)
     try:
         _wait_healthy(port)
 
@@ -195,21 +169,17 @@ def main() -> int:
         reference_config = LoadConfig(
             host="127.0.0.1",
             port=port,
-            mode="closed",
             clients=1,
             max_requests=reference_requests,
             duration_seconds=3600.0,
         )
         reference = run_load(workload, reference_config)
 
-        # 3b. The seeded closed-loop stream over the warmed grid
-        # against one worker (a fresh replay: same seed, same
-        # sequence).  With --workers 1 this is the measured pass;
-        # with --workers N it is the worker-speedup yardstick.
+        # 3b. The seeded closed-loop stream over the warmed grid (a
+        # fresh replay: same seed, same sequence).
         config = LoadConfig(
             host="127.0.0.1",
             port=port,
-            mode="closed",
             clients=args.clients,
             max_requests=args.requests,
             duration_seconds=3600.0,
@@ -220,40 +190,15 @@ def main() -> int:
         # hang sets a flag rather than returning here — a return in a
         # finally block would swallow any in-flight exception from the
         # measurement above, masking the real failure.
-        clean = _stop_server(server, "single-worker")
+        clean = _stop_server(server)
     if not clean:
         return 1
 
-    multi = None
-    if args.workers > 1:
-        # 3c. The same stream replayed against an N-worker pre-fork
-        # fleet over the same warmed store, on a fresh port.
-        port = _free_port()
-        server = _launch_server(args, port, workers=args.workers)
-        try:
-            _wait_healthy(port)
-            multi_config = LoadConfig(
-                host="127.0.0.1",
-                port=port,
-                mode="closed",
-                clients=args.clients,
-                max_requests=args.requests,
-                duration_seconds=3600.0,
-            )
-            multi = run_load(workload, multi_config)
-        finally:
-            clean = _stop_server(server, f"{args.workers}-worker")
-        if not clean:
-            return 1
-
     reference_summary = reference.summary()
     base_summary = base.summary()
-    passes = [("reference", reference_summary), ("warmed", base_summary)]
-    multi_summary = None
-    if multi is not None:
-        multi_summary = multi.summary()
-        passes.append((f"{args.workers}-worker", multi_summary))
-    for label, passed in passes:
+    for label, passed in (
+        ("reference", reference_summary), ("warmed", base_summary)
+    ):
         if passed["completed"] != passed["requests"]:
             print(
                 f"{label} run had non-ok responses: {passed['outcomes']}",
@@ -264,35 +209,21 @@ def main() -> int:
     reference_rps = reference_summary["throughput_rps"]
     base_rps = base_summary["throughput_rps"]
     run_meta = {
-        "mode": "closed",
         "clients": args.clients,
         "suite": args.suite,
         "n_instructions": args.instructions,
         "warmed_cells": len(plan),
         "reference_requests": reference_requests,
         "reference_throughput_rps": reference_rps,
-        # Gated quantity #1: concurrent vs single-client req/s on one
-        # worker, both measured this run on this machine.
+        # The gated quantity: concurrent vs single-client req/s, both
+        # measured this run on this machine.
         "concurrency_speedup": (
             base_rps / reference_rps if reference_rps > 0 else 0.0
         ),
     }
-    summary = base_summary
-    if multi_summary is not None:
-        # The record's headline numbers are the fleet's; the
-        # single-worker pass stays as the in-record yardstick.
-        summary = multi_summary
-        run_meta["workers"] = args.workers
-        run_meta["single_worker_throughput_rps"] = base_rps
-        # Gated quantity #2: N-worker vs single-worker req/s at the
-        # same closed-loop client count, both measured this run.
-        run_meta["worker_speedup"] = (
-            multi_summary["throughput_rps"] / base_rps
-            if base_rps > 0 else 0.0
-        )
     record = lg_report.build_record(
         args.benchmark,
-        summary,
+        base_summary,
         workload_meta=workload.describe(),
         run_meta=run_meta,
     )
@@ -306,13 +237,6 @@ def main() -> int:
     if message is not None:
         print(message, file=sys.stderr)
         return 1
-    if args.min_worker_speedup is not None:
-        message = lg_report.check_worker_scaling(
-            record, args.min_worker_speedup
-        )
-        if message is not None:
-            print(message, file=sys.stderr)
-            return 1
     return 0
 
 

@@ -15,16 +15,10 @@ Subcommands:
   store that backs the server (``--json`` likewise).
 * ``serve`` — run the long-running HTTP/JSON simulation server
   (:mod:`repro.service`); ``--max-queue``/``--max-inflight`` bound the
-  scheduler (overload answers 429 + ``Retry-After``), ``--workers N``
-  pre-forks N processes over one listening socket and one shared
-  result store (admission is per worker: the fleet bound is
-  N × (max-queue + max-inflight)), SIGINT/SIGTERM drain gracefully
-  across the whole fleet.
+  scheduler (overload answers 429 + ``Retry-After``), and
+  SIGINT/SIGTERM drain in-flight jobs before exit.
 * ``warm`` — pre-populate the result store with the evaluate grid so
   steady-state serving traffic is ~100% store hits.
-* ``loadgen run|report`` — drive a deterministic Zipf/uniform request
-  stream against a running server (open- or closed-loop) and record
-  throughput + tail latency to the ``BENCH_serve.json`` trajectory.
 * ``obs export|summary|diff`` — work with run manifests: export a
   Perfetto-loadable chrome trace, print per-phase/per-cell/per-engine
   rollups, or diff two runs.
@@ -319,12 +313,6 @@ def _cmd_results(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.service.app import run_service
 
-    if args.workers < 1:
-        print(
-            f"repro serve: --workers must be >= 1, got {args.workers}",
-            file=sys.stderr,
-        )
-        return 2
     store = _result_store()
     if store is None:
         from repro.service.store import ResultStore
@@ -334,36 +322,7 @@ def _cmd_serve(args) -> int:
             " configured; results will not survive restarts",
             file=sys.stderr,
         )
-        if args.workers > 1:
-            print(
-                "repro serve: without a persistent store each worker "
-                "caches results privately — cross-worker single-flight "
-                "needs --cache-dir",
-                file=sys.stderr,
-            )
         store = ResultStore(None)
-    max_queue = args.max_queue if args.max_queue >= 0 else None
-    if args.workers > 1:
-        # Pre-fork fleet: the supervisor forks args.workers processes
-        # over one listening socket and one store root.  Admission is
-        # per worker — the fleet's effective bound is
-        # workers × (max_queue + max_inflight).
-        from repro.service.supervisor import run_supervisor
-
-        return run_supervisor(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            store_root=store.root,
-            jobs=args.jobs,
-            batch_window=args.batch_window,
-            max_inflight=args.max_inflight,
-            max_queue=max_queue,
-            drain_timeout=args.drain_timeout,
-            obs_dir=_obs_dir(args),
-            socket_strategy=args.socket_strategy,
-            max_restarts=args.max_worker_restarts,
-        )
     return run_service(
         host=args.host,
         port=args.port,
@@ -371,7 +330,7 @@ def _cmd_serve(args) -> int:
         jobs=args.jobs,
         batch_window=args.batch_window,
         max_inflight=args.max_inflight,
-        max_queue=max_queue,
+        max_queue=args.max_queue if args.max_queue >= 0 else None,
         drain_timeout=args.drain_timeout,
         obs_dir=_obs_dir(args),
     )
@@ -421,72 +380,6 @@ def _cmd_warm(args) -> int:
         return 0
 
     return _run_traced(args, "warm", "warm", body)
-
-
-def _cmd_loadgen(args) -> int:
-    import pathlib
-
-    from repro.loadgen import report as lg_report
-
-    if args.loadgen_command == "report":
-        trajectory = lg_report.load_trajectory(pathlib.Path(args.file))
-        if args.json:
-            print(json.dumps(trajectory, indent=2, sort_keys=True))
-        else:
-            print(lg_report.render_trajectory(trajectory))
-        return 0
-    if args.loadgen_command != "run":
-        raise SystemExit(f"unknown loadgen command {args.loadgen_command!r}")
-
-    from repro.loadgen.driver import LoadConfig, run_load
-    from repro.loadgen.workload import Workload
-    from repro.workloads.suites import suite_workloads
-
-    workload = Workload.grid(
-        skew=args.skew,
-        theta=args.theta,
-        seed=args.stream_seed,
-        n_instructions=args.instructions,
-        trace_seed=args.seed,
-        suite_pairs=suite_workloads(args.suite) if args.suite else None,
-    )
-    config = LoadConfig(
-        host=args.host,
-        port=args.port,
-        mode=args.mode,
-        clients=args.clients,
-        rate=args.rate,
-        arrival=args.arrival,
-        warmup_seconds=args.warmup,
-        duration_seconds=args.duration,
-        max_requests=args.requests,
-        timeout_seconds=args.timeout,
-    )
-    result = run_load(workload, config)
-    summary = result.summary()
-    record = lg_report.build_record(
-        args.benchmark,
-        summary,
-        workload_meta=workload.describe(),
-        run_meta={
-            "mode": config.mode,
-            "clients": config.clients if config.mode == "closed" else None,
-            "rate": config.rate if config.mode == "open" else None,
-        },
-    )
-    print(lg_report.render_record(record))
-    if args.out:
-        length = lg_report.append_record(record, pathlib.Path(args.out))
-        print(f"appended to {args.out} ({length} record(s))", file=sys.stderr)
-    if args.check_against:
-        message = lg_report.check_throughput_regression(
-            record, pathlib.Path(args.check_against),
-            args.min_throughput_ratio,
-        )
-        if message is not None:
-            print(message, file=sys.stderr)
-            return 1
-    return 0
 
 
 def _cmd_obs(args) -> int:
@@ -663,25 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how long graceful shutdown waits for in-flight jobs "
         "before marking the stragglers cancelled",
     )
-    p_serve.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="pre-fork N worker processes accepting on one shared "
-        "listening socket over one result store (POSIX only); "
-        "admission bounds are per worker, so the fleet's effective "
-        "bound is N x (max-queue + max-inflight)",
-    )
-    p_serve.add_argument(
-        "--socket-strategy", choices=["auto", "reuseport", "inherit"],
-        default="auto",
-        help="how workers share the listening socket: SO_REUSEPORT "
-        "(kernel load-balancing, where available) or an inherited "
-        "pre-fork FD; auto prefers reuseport",
-    )
-    p_serve.add_argument(
-        "--max-worker-restarts", type=int, default=8, metavar="N",
-        help="consecutive young-worker crashes tolerated before the "
-        "supervisor gives up and exits non-zero",
-    )
 
     p_warm = sub.add_parser(
         "warm", help="pre-populate the result store from a sweep plan"
@@ -699,96 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mechanism", action="append", choices=list(MECHANISMS),
         metavar="NAME",
         help="mechanism(s) to warm (repeatable; default: all)",
-    )
-
-    p_loadgen = sub.add_parser(
-        "loadgen", help="drive load against a running server"
-    )
-    loadgen_sub = p_loadgen.add_subparsers(
-        dest="loadgen_command", required=True
-    )
-    p_lg_run = loadgen_sub.add_parser(
-        "run", help="run one open- or closed-loop load experiment"
-    )
-    p_lg_run.add_argument("--host", default="127.0.0.1")
-    p_lg_run.add_argument("--port", type=int, default=8765)
-    p_lg_run.add_argument(
-        "--mode", choices=["closed", "open"], default="closed",
-        help="closed: N clients back-to-back; open: fixed arrival rate",
-    )
-    p_lg_run.add_argument(
-        "--clients", type=int, default=4, metavar="N",
-        help="closed-loop concurrent clients",
-    )
-    p_lg_run.add_argument(
-        "--rate", type=float, default=50.0, metavar="RPS",
-        help="open-loop arrival rate (requests per second)",
-    )
-    p_lg_run.add_argument(
-        "--arrival", choices=["uniform", "poisson"], default="uniform",
-        help="open-loop inter-arrival process",
-    )
-    p_lg_run.add_argument(
-        "--duration", type=float, default=5.0, metavar="SECONDS",
-        help="measured-phase length",
-    )
-    p_lg_run.add_argument(
-        "--warmup", type=float, default=0.0, metavar="SECONDS",
-        help="warmup phase excluded from the reported percentiles",
-    )
-    p_lg_run.add_argument(
-        "--requests", type=int, default=None, metavar="N",
-        help="stop after N requests instead of after --duration",
-    )
-    p_lg_run.add_argument(
-        "--timeout", type=float, default=60.0, metavar="SECONDS",
-        help="per-request client timeout",
-    )
-    p_lg_run.add_argument(
-        "--suite", choices=suite_names(),
-        help="restrict the request population to one suite's workloads "
-        "(match the warmed suite for pure store-hit traffic)",
-    )
-    p_lg_run.add_argument(
-        "--skew", choices=["zipf", "uniform"], default="zipf",
-        help="popularity skew over the evaluate grid",
-    )
-    p_lg_run.add_argument(
-        "--theta", type=float, default=0.99,
-        help="Zipf exponent (0 degenerates to uniform)",
-    )
-    p_lg_run.add_argument(
-        "--stream-seed", type=int, default=0, metavar="SEED",
-        help="request-stream seed; the same seed replays the identical "
-        "sequence",
-    )
-    p_lg_run.add_argument(
-        "--benchmark", default="serve_closed_grid", metavar="NAME",
-        help="benchmark name recorded in the trajectory",
-    )
-    p_lg_run.add_argument(
-        "--out", metavar="FILE",
-        help="append the record to this trajectory (BENCH_serve.json)",
-    )
-    p_lg_run.add_argument(
-        "--check-against", metavar="FILE",
-        help="gate throughput against the last committed record of the "
-        "same benchmark in FILE (absolute req/s: only meaningful when "
-        "FILE was recorded on this machine)",
-    )
-    p_lg_run.add_argument(
-        "--min-throughput-ratio", type=float, default=0.8, metavar="R",
-        help="fail when throughput drops below R x the committed baseline",
-    )
-    p_lg_report = loadgen_sub.add_parser(
-        "report", help="render a BENCH_serve.json trajectory"
-    )
-    p_lg_report.add_argument(
-        "--file", default="BENCH_serve.json", metavar="FILE",
-    )
-    p_lg_report.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of text",
     )
 
     p_obs = sub.add_parser(
@@ -854,7 +638,6 @@ def main(argv: list[str] | None = None) -> int:
         "results": _cmd_results,
         "serve": _cmd_serve,
         "warm": _cmd_warm,
-        "loadgen": _cmd_loadgen,
         "obs": _cmd_obs,
     }
     try:

@@ -20,6 +20,7 @@ from repro.core.study import StudyResult, evaluate_trace
 # server's store-hit path uses them); re-exported here.
 from repro.experiments.settings import (
     DEFAULT_SETTINGS,
+    MODEL_VERSION,
     ExperimentSettings,
     canonical_job_key,
     settings_record,
@@ -36,6 +37,7 @@ from repro.workloads.registry import (
 
 __all__ = [
     "DEFAULT_SETTINGS",
+    "MODEL_VERSION",
     "ExperimentSettings",
     "FetchPoint",
     "canonical_job_key",

@@ -23,6 +23,7 @@ from repro.workloads.suites import (
 
 __all__ = [
     "DEFAULT_SETTINGS",
+    "MODEL_VERSION",
     "ExperimentSettings",
     "canonical_job_key",
     "settings_record",
@@ -84,6 +85,13 @@ def settings_record(settings: ExperimentSettings) -> dict:
     }
 
 
+#: Version of the simulator semantics behind every result.  Bump it
+#: whenever a change alters any number the experiments compute (the
+#: golden digests in tests/test_golden.py are pinned to it): it is part
+#: of every result key, so a persistent result store never serves
+#: numbers computed by an older model.
+MODEL_VERSION = 1
+
 _workloads_fingerprint: str | None = None
 
 
@@ -118,9 +126,9 @@ def canonical_job_key(
     Hashes everything that determines the job's output — the job kind
     (``"experiment"`` / ``"evaluate"``), its target name, the full
     :class:`ExperimentSettings`, any request-specific knobs (``extra``:
-    OS, configuration, mechanism...), and the workload/generator
-    fingerprint — so two requests share a key exactly when their results
-    are interchangeable.
+    OS, configuration, mechanism...), the workload/generator
+    fingerprint and :data:`MODEL_VERSION` — so two requests share a key
+    exactly when their results are interchangeable.
     """
     payload = json.dumps(
         {
@@ -129,6 +137,7 @@ def canonical_job_key(
             "settings": settings_record(settings),
             "extra": extra or {},
             "workloads": workloads_fingerprint(),
+            "model_version": MODEL_VERSION,
         },
         sort_keys=True,
     )

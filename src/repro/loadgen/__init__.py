@@ -1,15 +1,15 @@
 """Workload-replay load generation for the serving tier.
 
-The subsystem that answers "does ``repro serve`` survive heavy
-traffic?": deterministic seeded request streams over the experiment
-grid (:mod:`~repro.loadgen.workload`), open- and closed-loop asyncio
-drivers with per-request latency recording
-(:mod:`~repro.loadgen.driver`), tail-percentile summaries
-(:mod:`~repro.loadgen.stats`), and the ``BENCH_serve.json`` trajectory
-plus its CI gate (:mod:`~repro.loadgen.report`).
+Deterministic seeded request streams over the experiment grid
+(:mod:`~repro.loadgen.workload`), a closed-loop asyncio driver with
+per-request latency recording (:mod:`~repro.loadgen.driver`),
+tail-percentile summaries (:mod:`~repro.loadgen.stats`), and the
+``BENCH_serve.json`` trajectory plus its CI gate
+(:mod:`~repro.loadgen.report`).
 
-Exposed on the CLI as ``repro loadgen run | report`` and scripted by
-``benchmarks/bench_serve.py``.
+Scripted by ``benchmarks/bench_serve.py``; the admission tests drive
+the closed loop, and the end-to-end benchmark replays the workload
+streams.
 """
 
 from repro._util.lazy import lazy_exports

@@ -1,28 +1,19 @@
-"""Open- and closed-loop load drivers over the serving tier's HTTP API.
+"""A closed-loop load driver over the serving tier's HTTP API.
 
-Two classic driver shapes:
+``clients`` concurrent clients each issue the next request of the
+shared stream as soon as their previous one completes.  Offered load
+adapts to service rate; this is the throughput-measuring shape (and
+the burst shape the admission-control tests use: many clients against
+one executor thread).
 
-* **Closed loop** — ``clients`` concurrent workers, each issuing the
-  next request of the shared stream as soon as its previous one
-  completes.  Offered load adapts to service rate; this is the
-  throughput-measuring shape (and the burst shape the admission-control
-  tests use: N clients >> 1 worker).
-* **Open loop** — arrivals fire at a fixed rate on a schedule computed
-  up front from the seeded arrival process (uniform spacing or Poisson
-  inter-arrivals), regardless of completions.  Offered load is
-  constant; this is the tail-latency / overload shape: when the rate
-  exceeds capacity the server must shed, and the driver records exactly
-  how it did.
-
-Both record every request into a :class:`~repro.loadgen.stats.
+Every request is recorded into a :class:`~repro.loadgen.stats.
 LatencyRecorder` with its phase (warmup/measure), status, and
-client-observed outcome, and both send the stream-derived
+client-observed outcome, and carries the stream-derived
 ``X-Repro-Trace-Id`` so each generated request is traceable through the
 server's logs, manifests and metrics.
 
 The HTTP client is the same stdlib-asyncio framing the server speaks:
-one keep-alive connection per closed-loop client, one connection per
-open-loop arrival.
+one keep-alive connection per client.
 """
 
 from __future__ import annotations
@@ -32,8 +23,6 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.loadgen.stats import (
     ERROR,
@@ -47,14 +36,6 @@ from repro.loadgen.workload import Request, Workload
 
 __all__ = ["LoadConfig", "LoadResult", "run_load"]
 
-#: Arrival processes for the open-loop driver.
-ARRIVALS = ("uniform", "poisson")
-
-#: Safety cap on concurrently in-flight open-loop requests, so a badly
-#: mis-set rate degrades into queuing at the client instead of melting
-#: the host with tens of thousands of sockets.
-MAX_OPEN_INFLIGHT = 1024
-
 
 @dataclass(frozen=True)
 class LoadConfig:
@@ -62,10 +43,7 @@ class LoadConfig:
 
     host: str = "127.0.0.1"
     port: int = 8765
-    mode: str = "closed"          # "closed" | "open"
-    clients: int = 4              # closed-loop concurrency
-    rate: float = 50.0            # open-loop arrivals per second
-    arrival: str = "uniform"      # open-loop inter-arrival process
+    clients: int = 4              # concurrent clients
     warmup_seconds: float = 0.0
     duration_seconds: float = 5.0
     max_requests: int | None = None  # count-bounded run (tests/CI)
@@ -179,10 +157,9 @@ async def _issue(
             except ValueError:
                 retry_after = None
         outcome = _classify(status)
-        worker = headers.get("x-repro-worker")
     except (ConnectionError, OSError, asyncio.TimeoutError,
             asyncio.IncompleteReadError, ValueError, IndexError):
-        status, retry_after, outcome, worker = 0, None, ERROR, None
+        status, retry_after, outcome = 0, None, ERROR
     recorder.record(
         Sample(
             index=request.index,
@@ -192,14 +169,13 @@ async def _issue(
             outcome=outcome,
             phase=phase,
             retry_after=retry_after,
-            worker=worker,
         )
     )
 
 
-async def _run_closed(
-    workload: Workload, config: LoadConfig, recorder: LatencyRecorder
-) -> float:
+async def run_load_async(workload: Workload, config: LoadConfig) -> LoadResult:
+    """Drive one load run on the current event loop."""
+    recorder = LatencyRecorder()
     started = time.perf_counter()
     measure_start = started + config.warmup_seconds
     deadline = measure_start + config.duration_seconds
@@ -226,74 +202,10 @@ async def _run_closed(
     await asyncio.gather(
         *(client() for _ in range(max(1, config.clients)))
     )
-    return time.perf_counter() - measure_start
-
-
-async def _run_open(
-    workload: Workload, config: LoadConfig, recorder: LatencyRecorder
-) -> float:
-    if config.rate <= 0:
-        raise ValueError(f"open-loop rate must be positive, got {config.rate}")
-    if config.arrival not in ARRIVALS:
-        raise ValueError(
-            f"unknown arrival process {config.arrival!r}; "
-            f"expected one of {ARRIVALS}"
-        )
-    horizon = config.warmup_seconds + config.duration_seconds
-    if config.max_requests is not None:
-        n_arrivals = config.max_requests
-    else:
-        n_arrivals = max(1, int(round(config.rate * horizon)))
-    # The arrival schedule is part of the deterministic stream: derived
-    # from the workload's stream seed, not wall-clock randomness.
-    if config.arrival == "uniform":
-        offsets = np.arange(n_arrivals, dtype=np.float64) / config.rate
-    else:
-        rng = np.random.default_rng(workload.engine.seed ^ 0x9E3779B9)
-        offsets = np.cumsum(rng.exponential(1.0 / config.rate, n_arrivals))
-    started = time.perf_counter()
-    measure_start = started + config.warmup_seconds
-    gate = asyncio.Semaphore(MAX_OPEN_INFLIGHT)
-    tasks: list[asyncio.Task] = []
-
-    async def fire(request: Request, phase: str) -> None:
-        connection = _Connection(
-            config.host, config.port, config.timeout_seconds
-        )
-        try:
-            await _issue(connection, request, recorder, phase)
-        finally:
-            await connection.close()
-            gate.release()
-
-    for offset in offsets:
-        target = started + float(offset)
-        delay = target - time.perf_counter()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        await gate.acquire()
-        request = workload.next_request()
-        phase = (
-            "warmup" if time.perf_counter() < measure_start else "measure"
-        )
-        tasks.append(asyncio.ensure_future(fire(request, phase)))
-    if tasks:
-        await asyncio.gather(*tasks)
-    return time.perf_counter() - measure_start
-
-
-async def run_load_async(workload: Workload, config: LoadConfig) -> LoadResult:
-    """Drive one load run on the current event loop."""
-    recorder = LatencyRecorder()
-    if config.mode == "closed":
-        measure_seconds = await _run_closed(workload, config, recorder)
-    elif config.mode == "open":
-        measure_seconds = await _run_open(workload, config, recorder)
-    else:
-        raise ValueError(
-            f"unknown mode {config.mode!r}; expected 'closed' or 'open'"
-        )
-    return LoadResult(recorder=recorder, measure_seconds=measure_seconds)
+    return LoadResult(
+        recorder=recorder,
+        measure_seconds=time.perf_counter() - measure_start,
+    )
 
 
 def run_load(workload: Workload, config: LoadConfig) -> LoadResult:

@@ -1,18 +1,14 @@
 """``BENCH_serve.json`` trajectory records, rendering, and the CI gate.
 
-Same trajectory discipline as ``BENCH_fetch.json`` /
-``BENCH_workloads.json``: the file is a JSON list of records and each
-run appends.  Absolute req/s is machine-dependent, so the CI gate
-never compares it across machines; instead it checks
-``concurrency_speedup`` — concurrent ÷ single-client throughput, both
-measured *within one run* on one machine — against a fixed floor
-(:func:`check_concurrency_sanity`).  The single-client reference pass
-is the baseline, re-measured on the gating machine every run, which
-keeps the gate hardware-independent and immune to committed-record
-noise.  The absolute-throughput gate
-(:func:`check_throughput_regression`) remains for trajectories whose
-records all come from the same machine, e.g. ``repro loadgen run
---check-against`` on a developer box.
+Same trajectory discipline as ``BENCH_fetch.json``: the file is a JSON
+list of records and each run appends.  Absolute req/s is
+machine-dependent, so the CI gate never compares it across machines;
+instead it checks ``concurrency_speedup`` — concurrent ÷ single-client
+throughput, both measured *within one run* on one machine — against a
+fixed floor (:func:`check_concurrency_sanity`).  The single-client
+reference pass is the baseline, re-measured on the gating machine every
+run, which keeps the gate hardware-independent and immune to
+committed-record noise.
 """
 
 from __future__ import annotations
@@ -24,11 +20,9 @@ import time
 __all__ = [
     "build_record",
     "check_concurrency_sanity",
-    "check_throughput_regression",
-    "check_worker_scaling",
     "load_trajectory",
     "append_record",
-    "render_trajectory",
+    "render_record",
 ]
 
 
@@ -73,36 +67,6 @@ def append_record(record: dict, path: pathlib.Path) -> int:
     return len(trajectory)
 
 
-def check_throughput_regression(
-    record: dict, baseline_path: pathlib.Path, min_ratio: float
-) -> str | None:
-    """``None`` if acceptable, else a message describing the regression.
-
-    Gates ``throughput_rps`` against the last committed record of the
-    same benchmark name; a fresh benchmark (no history) passes.
-    Absolute req/s is machine-dependent — only gate against a
-    trajectory recorded on the same machine (the CI gate uses
-    :func:`check_concurrency_sanity` instead).
-    """
-    name = record["benchmark"]
-    history = [
-        entry
-        for entry in load_trajectory(baseline_path)
-        if entry.get("benchmark") == name
-    ]
-    if not history:
-        return None
-    baseline = history[-1]["throughput_rps"]
-    floor = min_ratio * baseline
-    if record["throughput_rps"] < floor:
-        return (
-            f"{name}: serving throughput regressed: "
-            f"{record['throughput_rps']:.1f} req/s vs baseline "
-            f"{baseline:.1f} req/s (floor {floor:.1f})"
-        )
-    return None
-
-
 def check_concurrency_sanity(record: dict, min_speedup: float) -> str | None:
     """``None`` if acceptable, else a message describing the failure.
 
@@ -130,36 +94,6 @@ def check_concurrency_sanity(record: dict, min_speedup: float) -> str | None:
     return None
 
 
-def check_worker_scaling(record: dict, min_speedup: float) -> str | None:
-    """``None`` if acceptable, else a message describing the failure.
-
-    Gates ``worker_speedup`` — multi-worker ÷ single-worker closed-loop
-    throughput, both measured within one run on one machine — against a
-    fixed floor.  Same discipline as :func:`check_concurrency_sanity`:
-    both sides of the ratio come from the gating machine in the same
-    invocation, so the check is hardware-independent (absolute req/s is
-    never compared across machines) and history-free.  The floor must
-    be chosen for the gating machine's core count: ``--workers 2`` on a
-    >=2-core runner should clear 1.2x comfortably; a 1-core box will
-    sit near 1.0x and should not enforce the gate at all.
-    """
-    if "worker_speedup" not in record:
-        return (
-            f"{record['benchmark']}: record has no worker_speedup "
-            f"(was the run single-worker only?)"
-        )
-    speedup = record["worker_speedup"]
-    if speedup < min_speedup:
-        return (
-            f"{record['benchmark']}: worker scaling failed: "
-            f"{speedup:.2f}x with {record.get('workers', '?')} workers vs "
-            f"the same-run single-worker reference "
-            f"({record.get('single_worker_throughput_rps', 0):.1f} req/s; "
-            f"floor {min_speedup:.2f}x)"
-        )
-    return None
-
-
 def render_record(record: dict) -> str:
     """One record as a human-readable block."""
     latency = record.get("latency_seconds", {})
@@ -177,19 +111,6 @@ def render_record(record: dict) -> str:
             f"single-client reference "
             f"({record.get('reference_throughput_rps', 0):.1f} req/s)"
         )
-    if "worker_speedup" in record:
-        lines.append(
-            f"  workers:    {record['worker_speedup']:.2f}x with "
-            f"{record.get('workers', '?')} workers over single-worker "
-            f"reference "
-            f"({record.get('single_worker_throughput_rps', 0):.1f} req/s)"
-        )
-    per_worker = record.get("workers_served")
-    if per_worker:
-        rendered = ", ".join(
-            f"worker {k}: {v}" for k, v in sorted(per_worker.items())
-        )
-        lines.append(f"  served by:  {rendered}")
     lines += [
         "  latency:    "
         + "  ".join(
@@ -211,9 +132,3 @@ def render_record(record: dict) -> str:
         )
     return "\n".join(lines)
 
-
-def render_trajectory(trajectory: list[dict]) -> str:
-    """The whole trajectory, newest last (``repro loadgen report``)."""
-    if not trajectory:
-        return "no records"
-    return "\n\n".join(render_record(record) for record in trajectory)

@@ -1,6 +1,6 @@
 """Per-request latency recording and tail-percentile summaries.
 
-The load drivers append one :class:`Sample` per completed request;
+The load driver appends one :class:`Sample` per completed request;
 :func:`summarize` turns the measure-phase samples into the record the
 ``BENCH_serve.json`` trajectory stores: throughput, p50/p95/p99/p999
 latency, and the status/outcome breakdown an admission-control check
@@ -40,12 +40,11 @@ class Sample:
     outcome: str
     phase: str  # "warmup" | "measure"
     retry_after: float | None = None
-    worker: str | None = None  # X-Repro-Worker header (multi-worker serving)
 
 
 @dataclass
 class LatencyRecorder:
-    """Accumulates samples; the drivers share one per run."""
+    """Accumulates samples; one per load run."""
 
     samples: list[Sample] = field(default_factory=list)
 
@@ -73,14 +72,11 @@ def summarize(recorder: LatencyRecorder, measure_seconds: float) -> dict:
     completed = [s for s in measured if s.outcome == OK]
     statuses: dict[str, int] = {}
     outcomes: dict[str, int] = {}
-    workers: dict[str, int] = {}
     for sample in measured:
         statuses[str(sample.status)] = statuses.get(str(sample.status), 0) + 1
         outcomes[sample.outcome] = outcomes.get(sample.outcome, 0) + 1
-        if sample.worker is not None:
-            workers[sample.worker] = workers.get(sample.worker, 0) + 1
     elapsed = max(measure_seconds, 1e-9)
-    summary = {
+    return {
         "requests": len(measured),
         "completed": len(completed),
         "measure_seconds": round(measure_seconds, 4),
@@ -90,9 +86,3 @@ def summarize(recorder: LatencyRecorder, measure_seconds: float) -> dict:
         "statuses": dict(sorted(statuses.items())),
         "outcomes": dict(sorted(outcomes.items())),
     }
-    if workers:
-        # Which worker served each measured request (from the
-        # X-Repro-Worker header) — the multi-worker benchmark uses this
-        # to show the kernel actually spread load across the fleet.
-        summary["workers_served"] = dict(sorted(workers.items()))
-    return summary

@@ -21,22 +21,17 @@ Endpoints:
   the rendered table (experiments) or result JSON (evaluations).
 * ``GET /v1/results`` — result-store inventory.
 * ``GET /metrics`` — Prometheus text (``?format=json`` for JSON).
-* ``GET /healthz`` — liveness, versions, store/queue state.
+* ``GET /healthz`` — liveness, versions, pid, store/queue state.
 
-Under ``repro serve --workers N`` each worker process runs one of
-these apps over the **shared** result store, all accepting on one
-listening socket (see :mod:`repro.service.supervisor`).  ``/metrics``
-and ``/healthz`` then answer for the whole fleet: the worker that
-catches the request scrapes its siblings over their loopback control
-ports and merges (``?scope=local`` asks for just the one process).
-Every response carries an ``X-Repro-Worker: <index>`` header so a
-client — the loadgen driver in particular — can attribute a latency
-sample to the worker that served it.
+One process serves; ``--jobs`` widens the pool its misses run on.  The
+result store is safe to share with ``repro warm`` or a second server
+over the same directory (see :mod:`repro.service.store`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 import sys
 import time
 from http import HTTPStatus
@@ -46,7 +41,7 @@ from http import HTTPStatus
 # thread (see repro.service.scheduler).
 from repro import package_version
 from repro.experiments import EXTENSION_STUDIES, PAPER_EXPERIMENTS
-from repro.experiments.settings import ExperimentSettings
+from repro.experiments.settings import MODEL_VERSION, ExperimentSettings
 from repro.fetch.dispatch import ENGINES, MECHANISMS
 from repro.obs.logs import log_event
 from repro.service.http import (
@@ -64,12 +59,6 @@ from repro.service.scheduler import (
     JobScheduler,
 )
 from repro.service.store import ResultStore
-from repro.service.supervisor import (
-    WorkerIdentity,
-    WorkerRegistry,
-    scrape_json,
-)
-from repro.service.metrics import render_prometheus_multi
 from repro.workloads.params import GENERATOR_VERSION
 from repro.workloads.suites import DEFAULT_TRACE_INSTRUCTIONS, get_workload
 
@@ -125,24 +114,12 @@ class ServiceApp:
         max_inflight: int = 4,
         max_queue: int | None = None,
         obs_dir: str | None = None,
-        worker: WorkerIdentity | None = None,
-        registry: WorkerRegistry | None = None,
     ):
-        #: Who this process is within its fleet; a plain single-process
-        #: server is worker 0 of 1.
-        self.worker = worker or WorkerIdentity.solo()
-        #: Sibling-discovery registry; ``None`` outside a supervised
-        #: fleet (aggregation then collapses to the local process).
-        self.registry = registry
-        #: This worker's loopback control port, once the control
-        #: listener is up (supervised fleets only).
-        self.control_port: int | None = None
         self.metrics = metrics or ServiceMetrics()
         self.store = store if store is not None else ResultStore(None)
         self.scheduler = scheduler or JobScheduler(
             self.store, self.metrics, jobs=jobs, batch_window=batch_window,
             max_inflight=max_inflight, max_queue=max_queue, obs_dir=obs_dir,
-            worker=self.worker.to_dict(),
         )
         self.started_at = time.time()
         #: Open client transports (writer -> mid-request flag), so
@@ -248,7 +225,6 @@ class ServiceApp:
         elapsed = time.perf_counter() - start
         response.headers = response.headers + (
             ("X-Repro-Trace-Id", trace_id),
-            ("X-Repro-Worker", self.worker.label),
         )
         self.metrics.inc("responses_total", {"status": str(response.status)})
         self.metrics.observe("request_seconds", elapsed)
@@ -265,9 +241,9 @@ class ServiceApp:
     async def _route(self, request: Request, trace_id: str) -> Response:
         method, path = request.method, request.path
         if path == "/healthz" and method == "GET":
-            return await self._healthz(request)
+            return self._healthz()
         if path == "/metrics" and method == "GET":
-            return await self._metrics(request)
+            return self._metrics(request)
         if path == "/v1/experiments" and method == "POST":
             return await self._post_experiment(request, trace_id)
         if path == "/v1/evaluate" and method == "POST":
@@ -280,46 +256,24 @@ class ServiceApp:
 
     # -- endpoints -----------------------------------------------------
 
-    def _fleet_scope(self, request: Request) -> bool:
-        """Whether this request should answer for the whole fleet.
+    def _healthz(self) -> Response:
+        """Liveness plus admission state, so a load generator (or CI)
+        can detect overload without inferring it from 429 rates.
 
-        ``?scope=local`` (the control-port scrape the aggregation path
-        itself issues) pins the answer to this one process and stops
-        the recursion; everything else aggregates when a registry is
-        present.
+        ``status`` is pure liveness and stays ``ok`` even while
+        shedding or draining — external health checks matching
+        ``"status": "ok"`` must not flap under transient overload.
+        The admission state lives in the ``admission`` object.
         """
-        return (
-            self.registry is not None
-            and request.query.get("scope") != "local"
-        )
-
-    async def _peer_scrapes(self, path: str) -> list[tuple[dict, dict | None]]:
-        """Each live sibling's announcement plus its scraped payload.
-
-        A sibling that dies (or respawns) mid-scrape yields ``None``
-        instead of failing the whole aggregation — the fleet view
-        degrades to the workers that answered.
-        """
-        peers = self.registry.peers(exclude_index=self.worker.index)
-
-        async def scrape(peer: dict):
-            try:
-                return peer, await scrape_json(peer["control_port"], path)
-            except (OSError, ValueError, ConnectionError,
-                    asyncio.TimeoutError, asyncio.IncompleteReadError):
-                return peer, None
-
-        return list(await asyncio.gather(*(scrape(peer) for peer in peers)))
-
-    def _health_payload(self) -> dict:
         scheduler = self.scheduler
-        return {
+        return Response.from_json({
             "status": "ok",
             "version": package_version(),
             "generator_version": GENERATOR_VERSION,
+            "model_version": MODEL_VERSION,
             "uptime_seconds": time.time() - self.started_at,
             "queue_depth": scheduler.queue_depth,
-            "worker": self.worker.to_dict(),
+            "pid": os.getpid(),
             "admission": {
                 "state": scheduler.admission_state,
                 "queued": scheduler.queued_count,
@@ -333,50 +287,9 @@ class ServiceApp:
                 "entries": len(self.store),
                 "bytes": self.store.current_bytes,
             },
-        }
+        })
 
-    async def _healthz(self, request: Request) -> Response:
-        """Liveness plus admission state, so a load generator (or CI)
-        can detect overload without inferring it from 429 rates.
-
-        ``status`` is pure liveness and stays ``ok`` even while
-        shedding or draining — external health checks matching
-        ``"status": "ok"`` must not flap under transient overload.
-        The admission state lives in the ``admission`` object; the
-        serving process identifies itself in ``worker`` and, in a
-        multi-worker fleet, summarizes every sibling in ``workers``.
-        """
-        payload = self._health_payload()
-        if self._fleet_scope(request):
-            summaries = [
-                {
-                    "worker": self.worker.index,
-                    "pid": self.worker.pid,
-                    "alive": True,
-                    "control_port": self.control_port,
-                    "admission": payload["admission"],
-                    "queue_depth": payload["queue_depth"],
-                }
-            ]
-            for peer, scraped in await self._peer_scrapes(
-                "/healthz?scope=local"
-            ):
-                summary = {
-                    "worker": peer.get("index"),
-                    "pid": peer.get("pid"),
-                    "alive": scraped is not None,
-                    "control_port": peer.get("control_port"),
-                }
-                if scraped is not None:
-                    summary["admission"] = scraped.get("admission")
-                    summary["queue_depth"] = scraped.get("queue_depth")
-                summaries.append(summary)
-            payload["workers"] = sorted(
-                summaries, key=lambda s: (s["worker"] is None, s["worker"])
-            )
-        return Response.from_json(payload)
-
-    async def _metrics(self, request: Request) -> Response:
+    def _metrics(self, request: Request) -> Response:
         self.metrics.set_gauge("queue_depth", self.scheduler.queue_depth)
         self.metrics.set_gauge("inflight_jobs", self.scheduler.inflight_count)
         self.metrics.set_gauge("queued_jobs", self.scheduler.queued_count)
@@ -394,22 +307,6 @@ class ServiceApp:
         self.metrics.set_gauge(
             "line_order_cache_evictions", order["evictions"]
         )
-        if self._fleet_scope(request):
-            # Scrape-and-merge: this worker answers for the fleet.  The
-            # siblings' local JSON snapshots merge under per-series
-            # ``worker`` labels; an unreachable sibling is skipped.
-            snapshots = {self.worker.label: self.metrics.to_dict()}
-            for peer, scraped in await self._peer_scrapes(
-                "/metrics?format=json&scope=local"
-            ):
-                if scraped is not None:
-                    snapshots[str(peer.get("index"))] = scraped
-            if request.query.get("format") == "json":
-                return Response.from_json({"workers": snapshots})
-            return Response.from_text(
-                render_prometheus_multi(snapshots),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
         if request.query.get("format") == "json":
             return Response.from_json(self.metrics.to_dict())
         return Response.from_text(
@@ -534,16 +431,8 @@ async def start_service(
     app: ServiceApp,
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
-    sock=None,
 ):
-    """Bind and return the asyncio server (``port=0`` → ephemeral).
-
-    With ``sock``, serve on that already-bound listening socket instead
-    — the pre-fork path, where every worker accepts on one shared (or
-    SO_REUSEPORT-grouped) socket created by the supervisor.
-    """
-    if sock is not None:
-        return await asyncio.start_server(app.handle_connection, sock=sock)
+    """Bind and return the asyncio server (``port=0`` → ephemeral)."""
     return await asyncio.start_server(app.handle_connection, host, port)
 
 
@@ -577,50 +466,24 @@ async def _serve_forever(
     host: str,
     port: int,
     drain_timeout: float = 30.0,
-    sock=None,
 ) -> None:
     """Serve until SIGINT/SIGTERM, then drain before exiting.
 
-    The stop signal closes the listening socket(s) first (no new
+    The stop signal closes the listening socket first (no new
     connections), then drains the scheduler: in-flight jobs get
     ``drain_timeout`` seconds to finish; stragglers report
     ``cancelled``.  ``/healthz`` shows ``draining`` for the duration.
-
-    A supervised worker (``app.registry`` set) additionally binds a
-    loopback *control* listener serving the same app — the port its
-    siblings scrape for fleet-wide ``/metrics``/``/healthz`` — and
-    announces (pid, index, control port) in the fleet registry for as
-    long as it serves.
     """
     import signal
 
-    server = await start_service(app, host, port, sock=sock)
-    servers = [server]
-    worker = app.worker
-    if app.registry is not None:
-        control = await asyncio.start_server(
-            app.handle_connection, "127.0.0.1", 0
-        )
-        servers.append(control)
-        control_port = control.sockets[0].getsockname()[1]
-        app.control_port = control_port
-        app.registry.announce(worker, control_port)
-        bound = sock.getsockname() if sock is not None else \
-            server.sockets[0].getsockname()
-        print(
-            f"repro serve: worker {worker.index + 1}/{worker.count} "
-            f"(pid {worker.pid}) serving http://{bound[0]}:{bound[1]}, "
-            f"control port {control_port}",
-            flush=True,
-        )
-    else:
-        bound = server.sockets[0].getsockname()
-        print(
-            f"repro serve: listening on http://{bound[0]}:{bound[1]} "
-            f"(worker {worker.index + 1}/{worker.count}, "
-            f"pid {worker.pid})",
-            flush=True,
-        )
+    server = await start_service(app, host, port)
+    bound = server.sockets[0].getsockname()
+    pid = os.getpid()
+    print(
+        f"repro serve: listening on http://{bound[0]}:{bound[1]} "
+        f"(pid {pid})",
+        flush=True,
+    )
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     installed = []
@@ -631,22 +494,17 @@ async def _serve_forever(
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass  # non-unix event loop: KeyboardInterrupt path below
     try:
-        serve_tasks = [
-            asyncio.ensure_future(entry.serve_forever()) for entry in servers
-        ]
+        serve_task = asyncio.ensure_future(server.serve_forever())
         await stop.wait()
-        print(f"repro serve: draining (pid {worker.pid})", flush=True)
-        for serve_task in serve_tasks:
-            serve_task.cancel()
-        tally = await _graceful_shutdown(servers, app, drain_timeout)
+        print(f"repro serve: draining (pid {pid})", flush=True)
+        serve_task.cancel()
+        tally = await _graceful_shutdown([server], app, drain_timeout)
         print(
             f"repro serve: drained ({tally['finished']} finished, "
             f"{tally['cancelled']} cancelled)",
             flush=True,
         )
     finally:
-        if app.registry is not None:
-            app.registry.retract(worker.index)
         for signum in installed:
             loop.remove_signal_handler(signum)
 
@@ -663,7 +521,7 @@ def run_service(
     drain_timeout: float = 30.0,
     obs_dir: str | None = None,
 ) -> int:
-    """Blocking entry point behind single-process ``repro serve``."""
+    """Blocking entry point behind ``repro serve``."""
     app = ServiceApp(
         store=store, jobs=jobs, batch_window=batch_window,
         max_inflight=max_inflight, max_queue=max_queue, obs_dir=obs_dir,
@@ -672,50 +530,6 @@ def run_service(
         asyncio.run(_serve_forever(app, host, port, drain_timeout))
     except KeyboardInterrupt:
         print("repro serve: shutting down")
-    finally:
-        app.close()
-    return 0
-
-
-def run_worker(
-    *,
-    sock,
-    identity: WorkerIdentity,
-    registry_dir: str,
-    store_root: str | None,
-    jobs: int = 1,
-    batch_window: float = 0.0,
-    max_inflight: int = 4,
-    max_queue: int | None = None,
-    drain_timeout: float = 30.0,
-    obs_dir: str | None = None,
-) -> int:
-    """Blocking entry point of one supervised worker process.
-
-    Runs post-fork: builds its own :class:`ResultStore` over the shared
-    ``store_root`` (the cross-process flock/adopt-on-miss contract from
-    PR 7 is what makes N of these safe over one root) and serves the
-    shared listening socket until the supervisor's SIGTERM.
-    """
-    store = ResultStore(store_root)
-    app = ServiceApp(
-        store=store,
-        jobs=jobs,
-        batch_window=batch_window,
-        max_inflight=max_inflight,
-        max_queue=max_queue,
-        obs_dir=obs_dir,
-        worker=identity,
-        registry=WorkerRegistry(registry_dir),
-    )
-    try:
-        asyncio.run(
-            _serve_forever(
-                app, DEFAULT_HOST, DEFAULT_PORT, drain_timeout, sock=sock
-            )
-        )
-    except KeyboardInterrupt:  # pragma: no cover - supervisor sends TERM
-        print(f"repro serve: worker {identity.index} interrupted")
     finally:
         app.close()
     return 0

@@ -11,15 +11,6 @@ series from each finished span of the jobs it runs.
 Metric identity is ``(name, labels)`` where labels is a small dict
 (``{"phase": "simulate"}``); the registry namespaces everything under
 the ``repro_`` prefix on render.
-
-Multi-worker serving adds a second exposition path: each worker owns a
-private registry, and whichever worker answers ``GET /metrics`` on the
-shared socket scrapes its siblings' JSON snapshots
-(:meth:`ServiceMetrics.to_dict` over their control ports) and renders
-the fleet with :func:`render_prometheus_multi` — every series gains a
-``worker`` label, so counters stay summable in PromQL and per-worker
-gauges (queue depth, inflight) remain meaningful instead of being
-whichever process the scrape happened to land on.
 """
 
 from __future__ import annotations
@@ -227,10 +218,6 @@ class ServiceMetrics:
                 },
             }
 
-    def to_multi_dict(self, worker: str) -> dict:
-        """This registry as a one-worker fleet snapshot (see below)."""
-        return {"workers": {worker: self.to_dict()}}
-
     def render_prometheus(self) -> str:
         """The Prometheus text exposition of every metric."""
         lines: list[str] = []
@@ -262,62 +249,3 @@ class ServiceMetrics:
                     lines.append(f"{full}_count{labels} {histogram.count}")
         return "\n".join(lines) + "\n"
 
-
-def _multi_label_key(labels: Mapping[str, str], worker: str) -> tuple:
-    """A snapshot series' label identity with the worker label added."""
-    merged = dict(labels)
-    merged["worker"] = worker
-    return _label_key(merged)
-
-
-def _collect_family(
-    snapshots: Mapping[str, dict], section: str
-) -> dict[str, dict[tuple, dict]]:
-    """``{family: {label_key_with_worker: series_record}}`` across workers."""
-    families: dict[str, dict[tuple, dict]] = {}
-    for worker, snapshot in snapshots.items():
-        for name, series_list in snapshot.get(section, {}).items():
-            family = families.setdefault(name, {})
-            for series in series_list:
-                key = _multi_label_key(series.get("labels", {}), worker)
-                family[key] = series
-    return families
-
-
-def render_prometheus_multi(snapshots: Mapping[str, dict]) -> str:
-    """The Prometheus text exposition of a whole worker fleet.
-
-    ``snapshots`` maps a worker label (the worker index as a string) to
-    that worker's :meth:`ServiceMetrics.to_dict` snapshot.  Every
-    series is re-emitted with a ``worker`` label so the exposition
-    stays one coherent document: HELP/TYPE once per family, per-worker
-    series under it.  Workers whose scrape failed are simply absent —
-    the supervisor's respawn closes the gap on the next scrape.
-    """
-    lines: list[str] = []
-    for name, family in sorted(_collect_family(snapshots, "counters").items()):
-        full = METRIC_PREFIX + name
-        lines.append(_help_line(full, name))
-        lines.append(f"# TYPE {full} counter")
-        for key, series in sorted(family.items()):
-            lines.append(f"{full}{_render_labels(key)} {series['value']:g}")
-    for name, family in sorted(_collect_family(snapshots, "gauges").items()):
-        full = METRIC_PREFIX + name
-        lines.append(_help_line(full, name))
-        lines.append(f"# TYPE {full} gauge")
-        for key, series in sorted(family.items()):
-            lines.append(f"{full}{_render_labels(key)} {series['value']:g}")
-    histograms = _collect_family(snapshots, "histograms")
-    for name, family in sorted(histograms.items()):
-        full = METRIC_PREFIX + name
-        lines.append(_help_line(full, name))
-        lines.append(f"# TYPE {full} histogram")
-        for key, series in sorted(family.items()):
-            bounds = [f"{b:g}" for b in series["buckets"]] + ["+Inf"]
-            for bound, count in zip(bounds, series["cumulative"]):
-                labels = _render_labels(key, f'le="{bound}"')
-                lines.append(f"{full}_bucket{labels} {count}")
-            labels = _render_labels(key)
-            lines.append(f"{full}_sum{labels} {series['sum']:g}")
-            lines.append(f"{full}_count{labels} {series['count']}")
-    return "\n".join(lines) + "\n"

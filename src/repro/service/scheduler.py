@@ -29,6 +29,7 @@ import asyncio
 import importlib
 import itertools
 import json
+import os
 import threading
 import time
 import uuid
@@ -349,17 +350,12 @@ class JobScheduler:
         max_queue: int | None = None,
         max_finished_jobs: int = 1024,
         obs_dir: str | None = None,
-        worker: dict | None = None,
     ):
         self.store = store
         self.metrics = metrics
         self.jobs = jobs
         self.batch_window = batch_window
         self.obs_dir = obs_dir
-        #: Serving-process identity (pid, worker index, worker count),
-        #: stamped into every job manifest so a loadgen trace can
-        #: attribute a job's latency to the worker that ran it.
-        self.worker = worker
         if max_inflight <= 0:
             raise ValueError(
                 f"max_inflight must be positive, got {max_inflight}"
@@ -595,8 +591,9 @@ class JobScheduler:
         """Write one run manifest under ``obs_dir`` (if configured)."""
         if self.obs_dir is None:
             return None
-        if self.worker is not None:
-            extra = {**extra, "worker": self.worker}
+        # The serving process's pid keeps a job traceable to the server
+        # that ran it when several share one obs directory.
+        extra = {**extra, "pid": os.getpid()}
         manifest = build_manifest(recorder, extra=extra)
         return write_manifest(manifest, self.obs_dir)
 

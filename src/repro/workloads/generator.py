@@ -25,9 +25,7 @@ a full address trace.  The model, bottom-up:
   configured rates, with addresses drawn from a per-component stack +
   heap model (:mod:`repro.workloads.datarefs`).
 
-Unlike the v1 synthesizer (kept frozen in
-:mod:`repro.workloads.generator_reference` for benchmarking), the
-synthesizer walks visits in bulk.  The component schedule, visit
+The synthesizer walks visits in bulk.  The component schedule, visit
 budgets, Zipf stack distances and entry points are drawn in large
 blocks, and the run walk advances *every* visit of a component
 simultaneously, one basic block per level, over compacted numpy arrays.

@@ -83,6 +83,17 @@ class TestCanonicalKeys:
             "evaluate", "gcc", SETTINGS, extra={"config": "high-performance"}
         )
 
+    def test_model_version_changes_key(self, monkeypatch):
+        from repro.experiments import settings
+
+        key = settings.canonical_job_key("experiment", "table5", SETTINGS)
+        monkeypatch.setattr(
+            settings, "MODEL_VERSION", settings.MODEL_VERSION + 1
+        )
+        assert key != settings.canonical_job_key(
+            "experiment", "table5", SETTINGS
+        )
+
     def test_workloads_fingerprint(self):
         from repro.experiments.common import workloads_fingerprint
 

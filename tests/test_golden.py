@@ -4,7 +4,8 @@
 ``render()`` at 20,000 instructions, seed 3.  Any change to what an
 experiment computes, how its cells merge, or how it renders shows up
 here as a digest mismatch; a deliberate change to the reproduced
-numbers updates the digests in the same commit.
+numbers updates the digests in the same commit and bumps
+``MODEL_VERSION``, which ``GOLDEN_PIN`` ties to this table.
 
 The other tests pin the single decomposition every experiment uses:
 ``plan_cells`` keys are unique, and a sub-grid run equals the matching
@@ -12,6 +13,7 @@ entries of the full grid.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -21,7 +23,7 @@ from repro.experiments import (
     figure1,
     figure6,
 )
-from repro.experiments.common import ExperimentSettings
+from repro.experiments.common import MODEL_VERSION, ExperimentSettings
 from repro.plan.executor import run_report
 from repro.workloads import registry
 
@@ -89,9 +91,22 @@ GOLDEN = {
         "e92b5ddeac2767b69db0325ad88a33c74dee7d2850129bdd8668e92554ac5939",
 }
 
+#: sha256 of ``MODEL_VERSION`` with the sorted ``GOLDEN`` table.  Every
+#: result key carries ``MODEL_VERSION``, so a change to the numbers must
+#: bump it, or a persistent result store keeps serving the old ones.
+GOLDEN_PIN = "be55d00eaac7169dbee55e2a1c5ba9ea595d3c189b20ba43db100cc95732b745"
+
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_golden_table_is_pinned_to_model_version():
+    pinned = digest(json.dumps([MODEL_VERSION, sorted(GOLDEN.items())]))
+    assert pinned == GOLDEN_PIN, (
+        "GOLDEN changed: bump MODEL_VERSION in "
+        "repro/experiments/settings.py, then re-pin GOLDEN_PIN"
+    )
 
 
 @pytest.fixture(autouse=True, scope="module")

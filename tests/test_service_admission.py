@@ -77,7 +77,6 @@ class TestAdmissionBurst:
                 config = LoadConfig(
                     host="127.0.0.1",
                     port=served.port,
-                    mode="closed",
                     clients=6,
                     max_requests=max_requests,
                     duration_seconds=60.0,

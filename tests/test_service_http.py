@@ -203,7 +203,10 @@ class TestEndToEnd:
         asyncio.run(body())
 
     def test_healthz_reports_versions(self, tmp_path):
+        import os
+
         from repro import package_version
+        from repro.experiments.settings import MODEL_VERSION
         from repro.workloads.generator import GENERATOR_VERSION
 
         async def body():
@@ -215,6 +218,8 @@ class TestEndToEnd:
                 assert record["status"] == "ok"
                 assert record["version"] == package_version()
                 assert record["generator_version"] == GENERATOR_VERSION
+                assert record["model_version"] == MODEL_VERSION
+                assert record["pid"] == os.getpid()
                 assert record["store"]["persistent"] is True
                 assert record["queue_depth"] == 0
 

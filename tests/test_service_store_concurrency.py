@@ -6,15 +6,21 @@ sharing it.  These tests check the cross-process contract: no torn
 entries (every published ``meta.json`` parses), no lost entries (every
 written key is readable from a fresh store and from sibling instances),
 and eviction under a byte budget never corrupts a reader — and, end to
-end, that a two-worker ``repro serve`` fleet receiving the same
-evaluate key over real HTTP publishes exactly one store entry.
+end, that two ``repro serve`` processes over one cache directory
+receiving the same evaluate key over real HTTP publish exactly one
+store entry.
 """
 
 import asyncio
 import json
 import multiprocessing
 import os
+import pathlib
+import re
+import signal
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -26,6 +32,8 @@ pytestmark = pytest.mark.skipif(
 
 N_WORKERS = 4
 N_KEYS = 24
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def _payload(i: int) -> dict:
@@ -160,32 +168,64 @@ class TestCrossInstanceVisibility:
         assert "real" in fresh
 
 
-class TestTwoWorkerSingleFlight:
-    """Store-level single-flight across a real two-worker fleet.
+def _start_server(cache_dir, log_path) -> tuple[subprocess.Popen, int]:
+    """One ``repro serve --port 0`` subprocess and the port it bound."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    with open(log_path, "w") as log:
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro",
+                "--cache-dir", str(cache_dir),
+                "serve", "--port", "0",
+            ],
+            env=env,
+            stdout=log,
+            stderr=subprocess.STDOUT,
+        )
+    deadline = time.time() + 30
+    while time.time() < deadline:
+        match = re.search(r"http://[\d.]+:(\d+)", log_path.read_text())
+        if match:
+            return proc, int(match.group(1))
+        if proc.poll() is not None:
+            break
+        time.sleep(0.05)
+    proc.kill()
+    proc.wait()
+    raise AssertionError(
+        f"repro serve never listened:\n{log_path.read_text()}"
+    )
 
-    Each worker of a ``repro serve --workers 2`` fleet receives the
-    *same* evaluate key over real HTTP (addressed directly via the
-    control ports ``/healthz`` reports, so the kernel's accept
-    balancing can't collapse the race onto one process).  Both compute
+
+def _stop_server(proc: subprocess.Popen) -> int:
+    proc.send_signal(signal.SIGTERM)
+    try:
+        return proc.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        raise
+
+
+class TestTwoWorkerSingleFlight:
+    """Store-level single-flight across two real server processes.
+
+    Two independent ``repro serve`` processes over one ``--cache-dir``
+    each receive the *same* evaluate key over real HTTP.  Both compute
     concurrently; the cross-process flock publish and adopt-on-miss
     must collapse the results into exactly one store entry, and both
     responses must be served from it.
     """
 
     def test_same_key_on_both_workers_one_store_entry(self, tmp_path):
-        from tests.test_service_supervisor import _ServeProcess
-
-        server = _ServeProcess(tmp_path)
+        cache_dir = tmp_path / "cache"
+        servers = []
         try:
-            server.wait_listening()
-            payload = server.wait_healthy_fleet(2)
-            ports = sorted(
-                entry["control_port"]
-                for entry in payload["workers"]
-                if entry.get("alive")
-            )
-            assert len(ports) == 2
-
+            for i in range(2):
+                servers.append(
+                    _start_server(cache_dir, tmp_path / f"serve-{i}.log")
+                )
             body = json.dumps({
                 "workload": "gcc",
                 "instructions": 20_000,
@@ -213,16 +253,18 @@ class TestTwoWorkerSingleFlight:
                 return json.loads(raw_body)
 
             async def race():
-                return await asyncio.gather(*(post(p) for p in ports))
+                return await asyncio.gather(
+                    *(post(port) for _, port in servers)
+                )
 
             first, second = asyncio.run(race())
-            # Both workers answered the same key with identical results.
+            # Both servers answered the same key with identical results.
             assert first["key"] == second["key"]
             assert first["status"] == second["status"] == "done"
             assert first["result"] == second["result"]
             assert first["result"]["metrics"]["cpi_instr"] > 1.0
             # Exactly one published entry backs both responses.
-            results_root = tmp_path / "cache" / "results"
+            results_root = cache_dir / "results"
             entries = [
                 child for child in os.listdir(results_root)
                 if not child.startswith(".")
@@ -230,6 +272,9 @@ class TestTwoWorkerSingleFlight:
             assert len(entries) == 1
             store = ResultStore(str(results_root))
             assert first["key"] in store
-            assert server.terminate_and_wait() == 0
+            stopping, servers = servers, []
+            assert [_stop_server(proc) for proc, _ in stopping] == [0, 0]
         finally:
-            server.cleanup()
+            for proc, _ in servers:
+                proc.kill()
+                proc.wait()
