@@ -1,61 +1,17 @@
-"""Benchmarks: the extension studies beyond the paper.
+"""Benchmarks: Table 2 and the extension studies beyond the paper.
 
-Covers the paper's stated future work (non-sequential prefetching), its
-Section 5.2 sub-block footnote, the Section 5.1 CML remark, the Section
-2 software methods, and the multi-issue projection from the conclusion.
+Covers the Section 5.2 sub-block footnote, the multi-issue projection
+from the conclusion, the paper's additive two-level accounting, and the
+per-component and knob-sensitivity checks of the synthetic workloads.
 """
 
-from repro.experiments import (
-    ext_conflict,
-    ext_multiissue,
-    ext_placement,
-    ext_prefetch,
-    ext_subblock,
-    table2,
-)
+from repro.experiments import ext_multiissue, ext_subblock, table2
 
 
 def test_table2(benchmark, settings, report):
     result = benchmark.pedantic(table2.run, rounds=1, iterations=1)
     report.append(result.render())
     assert len(result.workloads) == 8
-
-
-def test_ext_prefetch(benchmark, settings, report):
-    result = benchmark.pedantic(
-        ext_prefetch.run, args=(settings,), rounds=1, iterations=1
-    )
-    report.append(result.render())
-    # Non-sequential prediction helps, hybrid more, but sequential
-    # lookahead remains the strongest single mechanism on I-streams.
-    assert result.mean("markov") < result.mean("demand")
-    assert result.mean("hybrid") < result.mean("markov")
-    assert result.mean("stream-buffer-4") <= result.mean("hybrid") * 1.05
-
-
-def test_ext_conflict(benchmark, settings, report):
-    result = benchmark.pedantic(
-        ext_conflict.run, args=(settings,), rounds=1, iterations=1
-    )
-    report.append(result.render())
-    for size in (8192, 65536):
-        dm = result.cells[(size, "direct-mapped")]
-        assert result.cells[(size, "8-way")] < result.cells[(size, "2-way")] <= dm
-        # The paper's Section 5.1 stance: associativity dominates the
-        # reactive CML mechanism.
-        assert result.cells[(size, "2-way")] < result.cells[(size, "cml")]
-
-
-def test_ext_placement(benchmark, settings, report):
-    result = benchmark.pedantic(
-        ext_placement.run, args=(settings,), rounds=1, iterations=1
-    )
-    report.append(result.render())
-    # Placement helps the isolated user task (the literature's setting)
-    # but cross-component interleaving erodes the gain on the full
-    # stream — the reason the paper's remedies are hardware-side.
-    assert result.mean_user_reduction() > 0.03
-    assert result.mean_reduction() < result.mean_user_reduction()
 
 
 def test_ext_subblock(benchmark, settings, report):
@@ -77,18 +33,6 @@ def test_ext_multiissue(benchmark, settings, report):
     # share of its time fetch-stalled; SPEC does not.
     assert result.stall_share("ibs-mach3", 4) > 0.30
     assert result.stall_share("spec92", 4) < 0.25
-
-
-def test_ext_context(benchmark, settings, report):
-    from repro.experiments import ext_context
-
-    result = benchmark.pedantic(
-        ext_context.run, args=(settings,), rounds=1, iterations=1
-    )
-    report.append(result.render())
-    # Context switching always costs, and costs more at short quanta.
-    for size in (8192, 32768):
-        assert result.overhead(size, 1_000) > result.overhead(size, 20_000) > 0
 
 
 def test_ext_components(benchmark, settings, report):
@@ -135,85 +79,3 @@ def test_ext_methodology(benchmark, settings, report):
     assert abs(result.additive_error) < 0.15
     # ...and its "shared L2 is a lower bound" caveat is real and large.
     assert result.shared_data_penalty > 0.10
-
-
-def test_ext_branch(benchmark, settings, report):
-    from repro.experiments import ext_branch
-    from repro.experiments.ext_branch import BTB_SIZES
-
-    result = benchmark.pedantic(
-        ext_branch.run, args=(settings,), rounds=1, iterations=1
-    )
-    report.append(result.render())
-    # IBS pays more for fetch redirects than SPEC at every BTB size...
-    for size in BTB_SIZES:
-        assert result.cells[("ibs-mach3", size)][1] > result.cells[
-            ("spec92", size)
-        ][1]
-    # ...and capacity is not the bottleneck: 64x more entries barely
-    # moves the rate (the redirect problem is inherent, not structural).
-    small = result.cells[("ibs-mach3", min(BTB_SIZES))][1]
-    large = result.cells[("ibs-mach3", max(BTB_SIZES))][1]
-    assert abs(large - small) < 0.35 * small
-
-
-def test_ext_area(benchmark, settings, report):
-    from repro.experiments import ext_area
-
-    result = benchmark.pedantic(
-        ext_area.run, args=(settings,), rounds=1, iterations=1
-    )
-    report.append(result.render())
-    for budget in ext_area.BUDGETS_RBE:
-        # IBS's best allocation always buys an associative on-chip L2
-        # (the paper's Section 5.1 design, re-derived from area)...
-        best = result.best("ibs-mach3", budget)
-        assert best.l2 is not None and best.l2.associativity > 1
-        # ...and IBS has several times more CPI riding on getting the
-        # allocation right than SPEC does.
-        assert result.stakes("ibs-mach3", budget) > 2 * result.stakes(
-            "spec92", budget
-        )
-
-
-def test_ext_tlb(benchmark, settings, report):
-    from repro.experiments import ext_tlb
-    from repro.tlb.mach_tlb import USER_REFILL_CYCLES
-
-    result = benchmark.pedantic(
-        ext_tlb.run, args=(settings,), rounds=1, iterations=1
-    )
-    report.append(result.render())
-    # The microkernel tax shows up in the TLB too: higher CPItlb and a
-    # costlier effective refill path than the same apps under Ultrix.
-    assert result.mean_effective_refill("mach3") > result.mean_effective_refill(
-        "ultrix"
-    )
-    assert result.mean_effective_refill("mach3") > USER_REFILL_CYCLES
-
-
-def test_ext_sampling(benchmark, settings, report):
-    from repro.experiments import ext_sampling
-
-    result = benchmark.pedantic(
-        ext_sampling.run, args=(settings,), rounds=1, iterations=1
-    )
-    report.append(result.render())
-    # The practical frontier: ~5x speedup at a few percent error.
-    assert result.error("ibs-mach3", 0.2) < 0.15
-    assert result.cells[("ibs-mach3", 0.05)][1] > 5.0
-
-
-def test_ext_bloat(benchmark, settings, report):
-    from repro.experiments import ext_bloat
-
-    result = benchmark.pedantic(
-        ext_bloat.run, args=(settings,), rounds=1, iterations=1
-    )
-    report.append(result.render())
-    # The title's trend, forward-projected: MPI grows monotonically
-    # with bloat, and even the paper's optimized memory system gives
-    # back ~2x of its fetch CPI by 3x code growth.
-    series = result.mpi_series()
-    assert series == sorted(series)
-    assert result.growth() > 1.5

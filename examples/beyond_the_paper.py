@@ -1,51 +1,21 @@
 """Beyond the paper: the extension studies.
 
-The paper ends with future work — non-sequential prefetching — and
-leaves several cited alternatives unevaluated: CML buffers (§5.1),
-compiler code placement (§2), and the multi-issue implications of the
-CPIinstr floor (conclusion).  This example runs all of those studies
-and prints the findings.
+Two questions the paper raises without a table of its own: which
+workload components cause the misses (Section 4's discussion), and
+what the optimized system's CPIinstr floor costs a multi-issue machine
+(the conclusion).  This example runs both studies and prints the
+findings.
 
 Run:  python examples/beyond_the_paper.py
 """
 
-from repro.experiments import (
-    ext_components,
-    ext_conflict,
-    ext_multiissue,
-    ext_placement,
-    ext_prefetch,
-)
+from repro.experiments import ext_components, ext_multiissue
 from repro.experiments.common import ExperimentSettings
 
 SETTINGS = ExperimentSettings(n_instructions=200_000, seed=0)
 
 
 def main() -> None:
-    print(ext_prefetch.run(SETTINGS).render())
-    print(
-        "\n-> Miss-correlation (Markov) prefetching helps, and helps "
-        "*on top of* sequential fetch (hybrid), but plain sequential "
-        "lookahead remains the strongest single mechanism on "
-        "instruction streams.\n"
-    )
-
-    print(ext_conflict.run(SETTINGS, sizes=(8192, 32768)).render())
-    print(
-        "\n-> Hardware associativity dominates; small victim caches "
-        "help at the margin; reactive CML recoloring is near-neutral "
-        "at these sizes - the quantitative version of the paper's "
-        "Section 5.1 remark.\n"
-    )
-
-    placement = ext_placement.run(SETTINGS, workload_names=("groff", "gs", "sdet"))
-    print(placement.render())
-    print(
-        f"\n-> Software placement recovers ~{placement.mean_reduction():.0%} "
-        "of the misses (the conflict share) - real, but it cannot touch "
-        "the capacity misses that dominate bloated code.\n"
-    )
-
     components = ext_components.run(
         SETTINGS, workload_names=("mpeg_play", "sdet", "groff")
     )

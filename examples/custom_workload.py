@@ -7,14 +7,12 @@ web/application server — using the builder API:
 
 1. describe the workload (components, footprints, locality, data),
 2. sanity-check the synthesized trace's characteristics,
-3. sweep the paper's memory-system design space for it,
-4. allocate a die-area budget with the Mulder model.
+3. sweep the paper's memory-system design space for it.
 
 Run:  python examples/custom_workload.py
 """
 
 from repro import CacheGeometry, MemorySystemConfig, MemoryTiming
-from repro.core.area import cache_area_rbe
 from repro.core.metrics import measure_mpi
 from repro.core.study import evaluate_trace
 from repro.trace import compute_stats, to_line_runs
@@ -72,14 +70,6 @@ def main() -> None:
             f"{result.cpi_instr:5.3f}"
         )
 
-    # 4. What does the winning L2 cost in die area?
-    l1 = CacheGeometry(8192, 32, 1)
-    l2 = CacheGeometry(64 * 1024, 64, 8)
-    print(
-        f"\ndie area (Mulder rbe): L1 {cache_area_rbe(l1):,.0f}, "
-        f"L2 {cache_area_rbe(l2):,.0f} "
-        f"({cache_area_rbe(l2) / cache_area_rbe(l1):.1f}x the L1)"
-    )
     print(
         "\nSame conclusion the paper reached for IBS: for bloated, "
         "OS-intensive code, spend the area on an associative on-chip L2."

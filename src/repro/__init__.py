@@ -94,9 +94,9 @@ def version_info() -> dict:
 #: Subpackages stay reachable as attributes (``repro.core``) after a
 #: bare ``import repro``, loading on first access like the names above.
 _SUBPACKAGES = (
-    "caches", "core", "experiments", "fetch", "layout", "loadgen",
-    "monitor", "obs", "plan", "runner", "service", "tapeworm", "tlb",
-    "trace", "vm", "workloads",
+    "caches", "core", "experiments", "fetch", "loadgen", "monitor",
+    "obs", "plan", "runner", "service", "tapeworm", "tlb", "trace", "vm",
+    "workloads",
 )
 
 __all__ = [*_EXPORTS, "package_version", "version_info", "__version__"]

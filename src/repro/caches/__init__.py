@@ -35,16 +35,12 @@ _EXPORTS = {
     "ThreeCs": ".classify",
     "classify_misses": ".classify",
     "classify_misses_exact": ".classify",
-    "CmlConflictAvoider": ".cml",
-    "CmlResult": ".cml",
     "InclusionReport": ".inclusion",
     "check_inclusion": ".inclusion",
     "inclusion_guaranteed": ".inclusion",
     "DataCache": ".writepolicy",
     "DataCacheStats": ".writepolicy",
     "WritePolicy": ".writepolicy",
-    "SampledEstimate": ".sampling",
-    "sampled_mpi": ".sampling",
 }
 
 __all__ = list(_EXPORTS)

@@ -25,9 +25,6 @@ _EXPORTS = {
     "DEFAULT_WARMUP_FRACTION": ".config",
     "CpiBreakdown": ".cpi",
     "cpi_instr": ".cpi",
-    "cache_area_rbe": ".area",
-    "area_per_byte": ".area",
-    "fits_budget": ".area",
     "evaluate": ".study",
     "StudyResult": ".study",
     "IssueProjection": ".multiissue",

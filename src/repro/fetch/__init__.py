@@ -29,8 +29,6 @@ _EXPORTS = {
     "MarkovPrefetchEngine": ".markov",
     "TwoLevelDemandEngine": ".twolevel",
     "TwoLevelResult": ".twolevel",
-    "BranchTargetBuffer": ".branch",
-    "BranchResult": ".branch",
     "VECTORIZED_MECHANISMS": ".vectorized",
     "run_vectorized": ".vectorized",
     "supports": ".vectorized",

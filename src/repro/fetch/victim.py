@@ -8,8 +8,8 @@ removing exactly the conflict misses that Figure 1 shows are a
 significant share of IBS's 8 KB direct-mapped miss rate.
 
 The paper evaluates associativity and page-allocation remedies for
-conflicts; the victim cache is the third classic remedy, included here
-as an extension study (``experiments.ext_conflict``).
+conflicts; the victim cache is the third classic remedy, available as
+the ``victim`` fetch mechanism of :func:`repro.core.evaluate`.
 """
 
 from __future__ import annotations

@@ -479,9 +479,8 @@ class TraceSynthesizer:
     def component_seed(self, component: Component) -> int:
         """The deterministic seed of one component's code image/walker.
 
-        Computed from a fresh root each call, so external consumers
-        (e.g. :mod:`repro.layout`) can rebuild the exact code image a
-        trace was generated from.
+        Computed from a fresh root each call, so :meth:`code_images`
+        can rebuild the exact code image a trace was generated from.
         """
         root = make_rng(self.seed)
         return int(

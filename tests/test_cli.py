@@ -12,15 +12,16 @@ class TestCli:
         assert "groff" in out
         assert "ibs-mach3" in out
         assert "table4" in out
-        assert "ext_prefetch" in out
+        assert "ext_methodology" in out
 
     def test_experiment_table2(self, capsys):
         assert main(["--instructions", "20000", "experiment", "table2"]) == 0
         assert "Table 2" in capsys.readouterr().out
 
     def test_experiment_unknown(self, capsys):
-        assert main(["experiment", "table99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        for name in ("table99", "ext_prefetch"):  # never existed; retired
+            assert main(["experiment", name]) == 2
+            assert "unknown experiment" in capsys.readouterr().err
 
     def test_evaluate(self, capsys):
         code = main(

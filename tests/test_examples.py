@@ -1,9 +1,11 @@
 """Smoke tests for the example scripts.
 
 Full runs take tens of seconds each (they use realistic trace lengths),
-so tests compile every example and execute only the fastest end to end.
+so tests compile and import every example and execute only the fastest
+end to end.
 """
 
+import importlib.util
 import pathlib
 import py_compile
 import subprocess
@@ -40,6 +42,16 @@ def test_example_has_main(path):
     assert "def main() -> None:" in source
     assert '__name__ == "__main__"' in source
     assert source.startswith('"""')  # every example is documented
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_example_imports(path):
+    """Importing runs every top-level import (``main()`` is guarded),
+    so an example that names a deleted module fails here."""
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 def test_quickstart_runs_end_to_end(tmp_path):

@@ -434,11 +434,12 @@ class TestErrorPaths:
                 status, record = await _json_request(port, "GET", "/nope")
                 assert status == 404
 
-                status, record = await _json_request(
-                    port, "POST", "/v1/experiments", {"experiment": "table99"}
-                )
-                assert status == 400
-                assert "unknown experiment" in record["error"]
+                for name in ("table99", "ext_prefetch"):
+                    status, record = await _json_request(
+                        port, "POST", "/v1/experiments", {"experiment": name}
+                    )
+                    assert status == 400
+                    assert "unknown experiment" in record["error"]
 
                 status, record = await _json_request(
                     port, "POST", "/v1/evaluate", {"workload": "zzz"}
