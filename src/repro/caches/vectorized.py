@@ -8,21 +8,30 @@ Python object at a time:
 
 * direct-mapped: a reference hits iff the previous reference to the same
   set carried the same tag — computable with one stable sort.
-* set-associative LRU: exact per-set stack distances over the set-grouped
-  stream; a reference hits iff fewer than ``associativity`` distinct
-  lines of its set intervened since its previous occurrence.
-* fully-associative LRU: the same exact stack distances over the whole
-  stream, which yields the miss mask for *every* capacity at once.
+* set-associative LRU: a reference hits iff fewer than
+  ``associativity`` distinct lines of its set intervened since its
+  previous occurrence.
+* fully-associative LRU: the same question over the whole stream, with
+  the capacity as the bound.
 
-Stack distances are computed offline and fully vectorized (no Python
-per-reference loop): a reference's distance is the count of distinct
-lines in the window back to its previous occurrence, which reduces to
-counting the occurrence-gap intervals nested strictly inside the
-window's own gap interval — a 2D dominance count solved by an MSD-radix
-divide and conquer made of cumulative sums and stable partitions (see
-:func:`_count_smaller_to_right`).  One distance array per grouping is
-memoized on :class:`LineOrderCache` and serves every capacity and
-associativity of a sweep.
+Both LRU questions are small thresholds, so the masks come from bounded
+queries (:func:`_bounded_miss_masks`), not from exact stack distances.
+A reference whose gap to its previous occurrence is shorter than the
+bound hits outright; only the long-gap references are counted, by a
+vectorized backward scan of their windows that stops at the bound.
+Every bound of one set grouping shares one previous/next-occurrence
+pass, built from the stream's one memoized sort, and only the masks are
+memoized.
+
+Exact stack distances (:func:`lru_stack_distances`,
+:meth:`LineOrderCache.stack_distances`) remain as the differential
+oracle for the masks.  They are computed offline and fully vectorized
+(no Python per-reference loop): a reference's distance is the count of
+distinct lines in the window back to its previous occurrence, which
+reduces to counting the occurrence-gap intervals nested strictly inside
+the window's own gap interval — a 2D dominance count solved by an
+MSD-radix divide and conquer made of cumulative sums and stable
+partitions (see :func:`_count_smaller_to_right`).
 
 All functions take *line numbers* (byte address >> log2(line_size)); use
 :meth:`repro.trace.Trace.line_addresses` or :func:`repro.trace.to_line_runs`
@@ -44,13 +53,15 @@ from repro._util.validate import check_power_of_two
 class LineOrderCache:
     """Memoized per-configuration derived views of one line array.
 
-    The direct-mapped miss computation and the compulsory-miss mask each
-    need a full stable sort of the line stream, and design-space sweeps
-    (Figures 1, 3, 4; the bandwidth studies) re-request them for the
-    same stream over and over — the sorts dominated sweep time.  This
-    cache computes the by-line order, the stack distances of each set
-    grouping and the first-touch mask once per line array and hands back
-    the memoized result.
+    The miss masks and the compulsory-miss mask each need a full stable
+    sort of the line stream, and design-space sweeps (Figures 1, 3, 4;
+    the bandwidth studies) re-request them for the same stream over and
+    over — the sorts dominated sweep time.  This cache computes the
+    by-line order once per line array and memoizes the masks answered
+    from it (each LRU mask a bounded query, see :meth:`miss_masks`) and
+    the first-touch mask.  Exact stack distances
+    (:meth:`stack_distances`) are the masks' oracle only; no mask reads
+    them.
 
     Obtain instances through :func:`line_order_cache`, which keeps a
     registry keyed by array identity so independent sweeps over the same
@@ -119,12 +130,8 @@ class LineOrderCache:
 
     def miss_mask(self, n_sets: int, associativity: int) -> np.ndarray:
         """Memoized per-reference LRU miss mask of one cache shape."""
-        return self.memo(
-            ("miss-mask", n_sets, associativity),
-            lambda: miss_mask_set_associative(
-                self.lines, n_sets, associativity
-            ),
-        )
+        shape = (n_sets, associativity)
+        return self.miss_masks([shape])[shape]
 
     def miss_masks(
         self, shapes: list[tuple[int, int]]
@@ -134,47 +141,70 @@ class LineOrderCache:
         ``shapes`` are ``(n_sets, associativity)`` pairs in
         :func:`miss_mask_set_associative`'s convention (fully
         associative passes capacity with associativity 0).  Shapes
-        sharing a stack-distance grouping — the same set count, or any
-        fully-associative capacity — derive from one shared distance
-        array, cheetah-style: a reference misses a shape iff its
-        group-local stack distance reaches the shape's ways (or is a
-        first touch), so one pass over the stream prices every
-        associativity at that set count at once.  A set count requested
-        only direct-mapped keeps the cheaper sort-based path.  Each
-        mask lands under its standard memo key, so later
-        :meth:`miss_mask` calls for the same shape are hits.
+        sharing a grouping — the same set count, or any
+        fully-associative capacity — share one previous/next-occurrence
+        pass and one bounded scan (:func:`_bounded_miss_masks`): a
+        reference misses a shape iff at least ``ways`` distinct lines of
+        its group intervened since its previous occurrence (or it is a
+        first touch), and counting up to the largest bound answers every
+        smaller one.  A set count requested only direct-mapped keeps the
+        cheaper sort-based path.  Only the masks are memoized, each
+        under its ``("miss-mask", n_sets, associativity)`` key.
         """
         unique = list(dict.fromkeys((int(n), int(a)) for n, a in shapes))
         out: dict[tuple[int, int], np.ndarray] = {}
-        # distance grouping (set count; 1 = whole stream) -> members as
-        # (shape, miss threshold in group-local stack distance)
+        # grouping (set count; 1 = whole stream) -> members as
+        # (shape, miss bound on the group-local distinct-line count)
         groups: dict[int, list[tuple[tuple[int, int], int]]] = {}
         for shape in unique:
             n_sets, associativity = shape
-            cached = self._memo.get(("miss-mask", n_sets, associativity))
+            cached = self._memo.get(("miss-mask",) + shape)
             if cached is not None:
                 out[shape] = cached
             elif associativity == 0:
                 groups.setdefault(1, []).append((shape, n_sets))
             else:
+                check_power_of_two("n_sets", n_sets)
                 groups.setdefault(n_sets, []).append((shape, associativity))
         for group_sets, members in groups.items():
             if group_sets > 1 and all(t == 1 for _, t in members):
                 for shape, _ in members:
-                    out[shape] = self.miss_mask(*shape)
+                    out[shape] = self.memo(
+                        ("miss-mask",) + shape,
+                        lambda n=group_sets: _read_only(
+                            miss_mask_direct_mapped(self.lines, n)
+                        ),
+                    )
                 continue
-            distances = self.stack_distances(group_sets)
-            for shape, threshold in members:
+            masks = self._bounded_masks(
+                group_sets, sorted({t for _, t in members})
+            )
+            for shape, bound in members:
                 out[shape] = self.memo(
-                    ("miss-mask",) + shape,
-                    lambda d=distances, t=threshold: (d < 0) | (d >= t),
+                    ("miss-mask",) + shape, lambda m=masks[bound]: m
                 )
         return out
+
+    def _bounded_masks(
+        self, n_sets: int, bounds: list[int]
+    ) -> dict[int, np.ndarray]:
+        """LRU miss masks of one ``n_sets`` grouping at several bounds.
+
+        Not memoized: the grouping and its previous/next-occurrence
+        arrays are transient, and :meth:`miss_masks` keeps the masks.
+        """
+        order, prev, nxt = _grouped_links(self.lines, n_sets, self.by_line())
+        grouped = _bounded_miss_masks(prev, nxt, bounds)
+        del prev, nxt
+        masks = {}
+        for bound, mask in zip(bounds, grouped):
+            masks[bound] = _read_only(_ungrouped(order, mask))
+        return masks
 
     def by_line(self) -> np.ndarray:
         """Memoized stable argsort of the stream by line number.
 
-        The one full sort every stack-distance grouping shares: a line
+        The one full sort every set grouping shares: a line
         maps to exactly one set at any set count, so a grouped stream's
         by-line order is this global order re-indexed through the
         grouping permutation (two O(n) gathers) instead of a fresh
@@ -194,8 +224,8 @@ class LineOrderCache:
     def order(self, n_sets: int) -> np.ndarray:
         """Stable argsort of the stream grouped by ``n_sets``-set index.
 
-        Not memoized: the direct-mapped mask and the grouped stack
-        distances are, and nothing else reads the permutation.
+        Not memoized: the masks built from it are, and nothing else
+        reads the permutation.
         """
         return _set_order(self.lines, n_sets)
 
@@ -217,25 +247,15 @@ class LineOrderCache:
 
         ``n_sets == 1`` gives whole-stream distances (fully-associative
         behaviour); larger values give each reference's distance within
-        its own set's substream.  One array serves every associativity
-        (and, for ``n_sets == 1``, every capacity) of a sweep.  Stored
-        as int32 when the stream is shorter than 2**31.
+        its own set's substream.  The differential oracle of the
+        bounded masks: ``(d < 0) | (d >= ways)`` is what
+        :meth:`miss_mask` must return, but no mask path calls this.
+        Stored as int32 when the stream is shorter than 2**31.
         """
         def compute() -> np.ndarray:
-            lines = self.lines
-            by_line = self.by_line()
-            if n_sets > 1:
-                order = _set_order(lines, n_sets)
-                # A line belongs to one set, so the grouped stream's
-                # stable by-line order is the global one re-indexed
-                # through the grouping permutation — no second sort.
-                inverse = np.empty(len(order), dtype=by_line.dtype)
-                inverse[order] = np.arange(len(order), dtype=by_line.dtype)
-                distances = _grouped_stack_distances(
-                    lines, order, inverse[by_line]
-                )
-            else:
-                distances = _grouped_stack_distances(lines, None, by_line)
+            distances = _grouped_stack_distances(
+                self.lines, n_sets, self.by_line()
+            )
             distances.setflags(write=False)  # shared between callers
             return distances
 
@@ -262,6 +282,168 @@ def _set_order(lines: np.ndarray, n_sets: int) -> np.ndarray:
     )
     sets = (lines & np.uint64(n_sets - 1)).astype(key_dtype)
     return np.argsort(sets, kind="stable")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, frozen: memoized masks are shared between callers."""
+    array.setflags(write=False)
+    return array
+
+
+def _grouped_links(
+    lines: np.ndarray, n_sets: int, by_line: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Set-grouped stream order plus its previous/next-occurrence arrays.
+
+    Returns ``(order, prev, nxt)``: ``order`` is the stable grouping
+    permutation (``None`` for one set, where the stream is its own
+    grouping), and ``prev``/``nxt`` index the grouped stream (see
+    :func:`_occurrence_links`).  ``by_line`` is the stream's stable
+    by-line argsort; a line belongs to one set, so the grouped stream's
+    by-line order is that one re-indexed through the grouping — no
+    second sort.
+    """
+    n = len(lines)
+    index = by_line.dtype
+    repeats = _repeat_slots(lines[by_line])
+    if n_sets == 1:
+        return (None,) + _occurrence_links(repeats, by_line)
+    order = _set_order(lines, n_sets).astype(index, copy=False)
+    inverse = np.empty(n, dtype=index)
+    inverse[order] = np.arange(n, dtype=index)
+    return (order,) + _occurrence_links(repeats, inverse[by_line])
+
+
+def _ungrouped(order: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    """Per-position ``values`` of a grouped stream, back in trace order."""
+    if order is None:
+        return values
+    out = np.empty_like(values)
+    out[order] = values
+    return out
+
+
+def _repeat_slots(sorted_lines: np.ndarray) -> np.ndarray:
+    """Slots ``s`` of a by-line sorted stream whose line repeats at ``s + 1``."""
+    repeats = np.flatnonzero(sorted_lines[1:] == sorted_lines[:-1])
+    return repeats.astype(_index_dtype(len(sorted_lines)), copy=False)
+
+
+def _occurrence_links(
+    repeats: np.ndarray, by_line: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Previous and next same-line position of every stream position.
+
+    ``by_line`` is the stream's stable by-line argsort and ``repeats``
+    its :func:`_repeat_slots`.  ``prev`` is ``-1`` and ``nxt`` is ``n``
+    where there is none.  A line maps to exactly one group of a set
+    grouping, so same-line adjacency in the sorted view never crosses
+    groups.
+    """
+    n = len(by_line)
+    index = _index_dtype(n)
+    later = by_line[repeats + 1]
+    earlier = by_line[repeats]
+    prev = np.full(n, -1, dtype=index)
+    prev[later] = earlier
+    nxt = np.full(n, n, dtype=index)
+    nxt[earlier] = later
+    return prev, nxt
+
+
+#: The bounded scan's step shape.  Each numpy step examines at least
+#: ``_SCAN_WIDTH`` window positions of every active reference (one step
+#: settles a miss at a 64-entry bound) and at most ``_SCAN_CELLS``
+#: (reference, position) cells in all, which caps the step's transient
+#: arrays at a few hundred KB; fewer active references get a
+#: proportionally wider window.
+_SCAN_WIDTH = 64
+_SCAN_CELLS = 1 << 16
+
+
+def _bounded_miss_masks(
+    prev: np.ndarray, nxt: np.ndarray, bounds: list[int]
+) -> list[np.ndarray]:
+    """LRU miss masks at each bound, without exact stack distances.
+
+    ``prev``/``nxt`` are one grouped stream's occurrence links
+    (:func:`_occurrence_links`); masks come back in the same grouped
+    order, one per bound.  A first touch misses.  A reference whose gap
+    ``i - p - 1`` to its previous occurrence is below a bound hits it,
+    since its distance is at most its gap.  Only the long-gap
+    references are counted, each up to the largest bound, which
+    answers every smaller one too (see :func:`_capped_window_counts`).
+    """
+    n = len(prev)
+    first = prev < 0
+    gap = np.arange(-1, n - 1, dtype=prev.dtype)
+    gap -= prev
+    long = np.flatnonzero(~first & (gap >= min(bounds))).astype(
+        prev.dtype, copy=False
+    )
+    del gap
+    counts = _capped_window_counts(long, prev[long], nxt, max(bounds))
+    masks = []
+    for bound in bounds:
+        mask = first.copy()
+        mask[long] = counts >= bound
+        masks.append(mask)
+    return masks
+
+
+def _capped_window_counts(
+    i: np.ndarray, p: np.ndarray, nxt: np.ndarray, bound: int
+) -> np.ndarray:
+    """Distinct-line counts of the windows ``(p, i)``, capped at ``bound``.
+
+    The distinct lines of a window are its positions ``j`` whose next
+    occurrence ``nxt[j]`` is at or past ``i`` (each line's last use in
+    the window).  Every window is scanned backwards from ``i - 1`` in
+    steps of many positions, all active windows together, and leaves
+    the scan as soon as its count reaches ``bound`` or its window is
+    exhausted.  Each returned count is exact below ``bound`` and at
+    least ``bound`` otherwise.  Active windows are topped up from the
+    queue after each step, so the step stays full while long windows
+    walk.  A position is scanned only by windows whose part after it
+    holds fewer than ``bound`` distinct lines, which are at most
+    ``bound`` windows, so the scan is ``O(bound * n)`` at worst.
+    """
+    m = len(i)
+    index = nxt.dtype
+    counts = np.zeros(m, dtype=index)
+    if m == 0 or bound <= 0:
+        return counts
+    rows = _SCAN_CELLS // _SCAN_WIDTH
+    active = np.zeros(0, dtype=index)  # query ids
+    hi = np.zeros(0, dtype=index)  # newest unscanned position
+    seen = np.zeros(0, dtype=index)  # distinct lines counted so far
+    admitted = 0
+    while admitted < m or len(active):
+        if admitted < m and len(active) < rows:
+            new = np.arange(
+                admitted, min(m, admitted + rows - len(active)), dtype=index
+            )
+            admitted += len(new)
+            active = np.concatenate([active, new])
+            hi = np.concatenate([hi, i[new] - 1])
+            seen = np.concatenate([seen, np.zeros(len(new), dtype=index)])
+        lo = p[active]
+        width = min(
+            max(_SCAN_WIDTH, _SCAN_CELLS // len(active)),
+            int((hi - lo).max()),
+        )
+        cells = hi[:, None] - np.arange(width, dtype=index)
+        inside = cells > lo[:, None]
+        np.maximum(cells, 0, out=cells)
+        last_use = nxt[cells] >= i[active][:, None]
+        last_use &= inside
+        seen += last_use.sum(axis=1, dtype=index)
+        hi -= width
+        done = (seen >= bound) | (hi <= lo)
+        counts[active[done]] = seen[done]
+        keep = ~done
+        active, hi, seen = active[keep], hi[keep], seen[keep]
+    return counts
 
 
 def _value_nbytes(value) -> int:
@@ -443,10 +625,10 @@ def miss_mask_set_associative(
     """Per-reference miss mask of an LRU set-associative cache.
 
     ``associativity == 0`` means fully associative with capacity
-    ``n_sets`` lines.  A reference hits iff its exact stack distance
-    *within its set's substream* is below the associativity, so one
-    memoized per-set distance array answers every associativity at the
-    same set count.
+    ``n_sets`` lines.  A reference hits iff fewer than
+    ``associativity`` distinct lines of its set intervened since its
+    previous occurrence; the bounded kernel answers that without exact
+    stack distances, and the mask is memoized per stream and shape.
     """
     if associativity == 0:
         return miss_mask_fully_associative(lines, n_sets)
@@ -454,10 +636,7 @@ def miss_mask_set_associative(
         return miss_mask_direct_mapped(lines, n_sets)
     check_power_of_two("n_sets", n_sets)
     lines = np.asarray(lines, dtype=np.uint64)
-    if len(lines) == 0:
-        return np.zeros(0, dtype=bool)
-    distances = line_order_cache(lines).stack_distances(n_sets)
-    return (distances < 0) | (distances >= associativity)
+    return line_order_cache(lines).miss_mask(n_sets, associativity)
 
 
 def miss_mask_fully_associative(
@@ -465,16 +644,13 @@ def miss_mask_fully_associative(
 ) -> np.ndarray:
     """Per-reference miss mask of a fully-associative LRU cache.
 
-    Computed from exact LRU stack distances: a reference misses iff the
-    number of distinct lines touched since its previous occurrence is at
-    least ``capacity_lines`` (infinite for first touches).  The distance
-    array is memoized per stream, so a capacity sweep pays for it once.
+    A reference misses iff at least ``capacity_lines`` distinct lines
+    were touched since its previous occurrence (always, for first
+    touches).  The bounded kernel counts those lines only as far as
+    the capacity, and the mask is memoized per stream and capacity.
     """
     lines = np.asarray(lines, dtype=np.uint64)
-    if len(lines) == 0:
-        return np.zeros(0, dtype=bool)
-    distances = line_order_cache(lines).stack_distances(1)
-    return (distances < 0) | (distances >= capacity_lines)
+    return line_order_cache(lines).miss_mask(capacity_lines, 0)
 
 
 def lru_stack_distances(lines: np.ndarray) -> np.ndarray:
@@ -488,44 +664,29 @@ def lru_stack_distances(lines: np.ndarray) -> np.ndarray:
     dominance count handled by :func:`_count_smaller_to_right`.
     """
     lines = np.asarray(lines, dtype=np.uint64)
-    return _grouped_stack_distances(lines, None).astype(np.int64, copy=False)
+    by_line = np.argsort(lines, kind="stable").astype(
+        _index_dtype(len(lines)), copy=False
+    )
+    distances = _grouped_stack_distances(lines, 1, by_line)
+    return distances.astype(np.int64, copy=False)
 
 
 def _grouped_stack_distances(
-    lines: np.ndarray,
-    order: np.ndarray | None,
-    by_line: np.ndarray | None = None,
+    lines: np.ndarray, n_sets: int, by_line: np.ndarray
 ) -> np.ndarray:
-    """Exact per-reference stack distances within each group of ``order``.
+    """Exact per-reference stack distances within each of ``n_sets`` sets.
 
-    ``order`` is a stable grouping permutation (e.g. by cache set); the
-    distance of a reference is then computed within its group's
-    substream only.  ``None`` means one global group.  ``by_line``, if
-    given, must be the stable by-line argsort of the *grouped* stream
-    (:meth:`LineOrderCache.by_line` derives it once per line array).
-    Returns distances in original trace order, ``-1`` for group-local
-    first touches, as int32 when ``len(lines) < 2**31`` (int64 beyond).
+    The distance of a reference is computed within its set's substream
+    only (one set: the whole stream).  ``by_line`` is the stream's
+    stable by-line argsort.  Returns distances in original trace order,
+    ``-1`` for set-local first touches, as int32 when
+    ``len(lines) < 2**31`` (int64 beyond).
     """
     n = len(lines)
     index = _index_dtype(n)
     if n == 0:
         return np.zeros(0, dtype=index)
-    stream = lines if order is None else lines[order]
-    # Previous/next same-line occurrence within the (grouped) stream,
-    # via one stable argsort.  A line maps to exactly one group, so
-    # same-line adjacency in the sorted view never crosses groups.
-    if by_line is None:
-        by_line = np.argsort(stream, kind="stable").astype(index, copy=False)
-    sorted_lines = stream[by_line]
-    repeat = np.zeros(n, dtype=bool)
-    np.equal(sorted_lines[1:], sorted_lines[:-1], out=repeat[1:])
-    repeat_slots = np.flatnonzero(repeat)
-    later = by_line[repeat_slots]
-    earlier = by_line[repeat_slots - 1]
-    prev = np.full(n, -1, dtype=index)
-    prev[later] = earlier
-    nxt = np.full(n, n, dtype=index)
-    nxt[earlier] = later
+    order, prev, nxt = _grouped_links(lines, n_sets, by_line)
     # distance(i) = (i - p - 1) - #{gap intervals [j, next_j] strictly
     # inside (p, i)}.  Intervals sorted by left endpoint are simply the
     # positions with a finite next, so the nested-interval count is a
@@ -536,13 +697,9 @@ def _grouped_stack_distances(
     nested[points] = _count_smaller_to_right(nxt[points])
     where = np.flatnonzero(prev >= 0)
     p = prev[where]
-    stream_distances = np.full(n, -1, dtype=index)
-    stream_distances[where] = (where - p - 1) - nested[p]
-    if order is None:
-        return stream_distances
-    distances = np.empty(n, dtype=index)
-    distances[order] = stream_distances
-    return distances
+    distances = np.full(n, -1, dtype=index)
+    distances[where] = (where - p - 1) - nested[p]
+    return _ungrouped(order, distances)
 
 
 def _count_smaller_to_right(values: np.ndarray) -> np.ndarray:

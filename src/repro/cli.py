@@ -220,7 +220,7 @@ def _print_order_cache(order: dict) -> None:
 
 def _cmd_cache(args) -> int:
     # The on-disk trace cache persists across runs; the line-order memo
-    # (stack-distance/miss-mask arrays) is in-process and reported here
+    # (sort orders and miss masks) is in-process and reported here
     # so one command answers both "what is cached" questions.
     from repro.caches.vectorized import order_cache_stats
     from repro.workloads.registry import trace_cache_backend

@@ -125,6 +125,26 @@ def measure_mpi(
     )
 
 
+def prime_mpi_masks(runs: LineRuns, geometries: list[CacheGeometry]) -> None:
+    """Batch the miss masks :func:`measure_mpi` will read for ``runs``.
+
+    One :meth:`~repro.caches.vectorized.LineOrderCache.miss_masks` call
+    per line size prices every geometry of that size from shared
+    per-set-count passes, so the per-geometry measurements that follow
+    are memo hits.  Geometries finer than the runs are left to
+    :func:`measure_mpi` to refuse.
+    """
+    shapes: dict[int, list[tuple[int, int]]] = {}
+    for geometry in geometries:
+        if geometry.line_size >= runs.line_size:
+            shapes.setdefault(geometry.line_size, []).append(
+                (geometry.n_sets, geometry.associativity)
+            )
+    with timing.phase(timing.PHASE_SIMULATE):
+        for line_size, group in shapes.items():
+            line_order_cache(_lines_at(runs, line_size)).miss_masks(group)
+
+
 def _lines_at(runs: LineRuns, line_size: int) -> np.ndarray:
     """``runs.lines`` coarsened to ``line_size`` granularity.
 

@@ -23,10 +23,11 @@ arithmetic, without stepping a Python object per line run:
   replays only the events.
 * **prefetch+bypass** / **stream-buffer** — stalls depend on inter-miss
   gaps, so the kernels walk *miss events* (plus the few runs inside a
-  refill burst window) instead of every run.  Associative and
-  wrap-around bypass geometries, whose cache state depends on the
-  timing point, get an exact per-timing replay instead of the memoized
-  miss mask.
+  refill burst window) instead of every run; the bypass kernel walks
+  every miss's window at once, one numpy step per window depth.
+  Associative and wrap-around bypass geometries, whose cache state
+  depends on the timing point, get an exact per-timing replay instead
+  of the memoized miss mask.
 
 Every kernel is bit-identical to its reference engine — the same
 ``(instructions, stall_cycles, misses)`` on any stream — which the
@@ -39,8 +40,6 @@ engines for those.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 import numpy as np
 
@@ -575,11 +574,12 @@ def _bypass_result(
     On direct-mapped geometries with no index wrap-around, cache
     contents match sequential prefetch-on-miss exactly, so the memoized
     prefetch mask gives the miss sequence and this kernel only walks
-    the few runs inside each refill burst window.  Associative caches
-    (buffer hits skip the LRU update, so replacement state depends on
-    the timing point) and bursts that wrap the index (a prefetch can
-    evict its own burst's lines, making in-window buffer hits diverge
-    from any timing-free mask) take the exact per-timing replay.
+    the few runs inside each refill burst window, all windows in step.
+    Associative caches (buffer hits skip the LRU update, so replacement
+    state depends on the timing point) and bursts that wrap the index
+    (a prefetch can evict its own burst's lines, making in-window
+    buffer hits diverge from any timing-free mask) take the exact
+    per-timing replay.
     """
     if geometry.associativity != 1 or geometry.n_sets <= n_prefetch:
         return _bypass_replay_result(
@@ -595,73 +595,66 @@ def _bypass_result(
     if len(positions) == 0:
         return FetchResult(instructions, 0, 0)
 
-    starts = _run_starts(runs)
     lines = runs.lines
-    offsets = runs.first_offsets
-    latency = timing.latency
-    bandwidth = timing.bytes_per_cycle
-    line_size = geometry.line_size
-    burst = timing.fill_penalty(line_size * (n_prefetch + 1))
-    fills = [
-        timing.fill_penalty(line_size * (d + 1)) for d in range(n_prefetch + 1)
-    ]
-    position_list = positions.tolist()
+    counts = runs.counts
     n_runs = len(runs)
-    n_miss = len(position_list)
-
-    stalls = 0
-    extra = 0
-    k = 0
-    while k < n_miss:
-        i = position_list[k]
-        now = int(starts[i]) + extra
-        while True:
-            # Miss at run i, request issued at `now`: resume when the
-            # first word arrives, buffers busy until the burst lands.
-            stall = latency + int(offsets[i]) // bandwidth
-            if i >= cut:
-                stalls += stall
-            extra += stall
-            busy_until = now + burst
-            # The buffers hold the contiguous burst [line, line + N]:
-            # membership and arrival are arithmetic off the base line.
-            base_line = int(lines[i])
-            base_at = now
-            j = i + 1
-            chained = False
-            while j < n_runs:
-                now_j = int(starts[j]) + extra
-                if now_j > busy_until:
-                    break
-                d = int(lines[j]) - base_line
-                if 0 <= d <= n_prefetch:
-                    # Fetching from a bypass buffer: wait for the line.
-                    ready = base_at + fills[d]
-                    wait = ready - now_j if ready > now_j else 0
-                elif not mask[j]:
-                    # Resident elsewhere: wait out the whole refill.
-                    wait = busy_until - now_j + 1
-                else:
-                    # A further miss inside the window: wait out the
-                    # refill, then restart the burst one cycle later.
-                    wait = busy_until - now_j + 1
-                    if j >= cut:
-                        stalls += wait
-                    extra += wait
-                    i = j
-                    now = busy_until + 1
-                    chained = True
-                    break
-                if j >= cut:
-                    stalls += wait
-                extra += wait
-                j += 1
-            if not chained:
-                break
-        # Everything before run j is accounted; hits outside a busy
-        # window are free, so jump straight to the next miss.
-        k = bisect_left(position_list, j)
-    return FetchResult(instructions, stalls, misses)
+    burst = timing.fill_penalty(geometry.line_size * (n_prefetch + 1))
+    fills = np.array(
+        [
+            timing.fill_penalty(geometry.line_size * (d + 1))
+            for d in range(n_prefetch + 1)
+        ],
+        dtype=np.int64,
+    )
+    # Every miss opens a refill burst window, fresh or chained off an
+    # earlier window, and what happens inside it depends only on times
+    # relative to the miss: its stall, the buffers' arrival times and
+    # the busy horizon ``burst``.  So every miss's window is walked at
+    # once, one numpy step per window depth, and the misses the replay
+    # actually opens a window at are picked out afterwards.  ``rel`` is
+    # a live window's next run's start relative to its miss.
+    stall = timing.latency + (
+        runs.first_offsets[positions].astype(np.int64)
+        // timing.bytes_per_cycle
+    )
+    stalls = np.where(positions >= cut, stall, 0)
+    resume = np.full(len(positions), n_runs, dtype=np.int64)
+    live = np.arange(len(positions))
+    j = positions.astype(np.int64) + 1
+    rel = stall + counts[positions]
+    base = lines[positions]
+    while len(live):
+        inside = (j < n_runs) & (rel <= burst)
+        # A window ends at its first run past the busy horizon.
+        resume[live[~inside]] = j[~inside]
+        live, j, rel, base = live[inside], j[inside], rel[inside], base[inside]
+        d = (lines[j] - base).view(np.int64)
+        buffered = (d >= 0) & (d <= n_prefetch)
+        # A buffered line waits for its beat of the burst; anything else
+        # waits out the whole refill.
+        wait = np.where(
+            buffered,
+            np.maximum(fills[np.where(buffered, d, 0)] - rel, 0),
+            burst - rel + 1,
+        )
+        stalls[live] += np.where(j >= cut, wait, 0)
+        # A further miss outside the buffers restarts the burst there.
+        chained = ~buffered & mask[j]
+        resume[live[chained]] = j[chained]
+        rel += wait + counts[j]
+        j += 1
+        kept = ~chained
+        live, j, rel, base = live[kept], j[kept], rel[kept], base[kept]
+    # The replay opens a window at the first miss, then at the chained
+    # miss or the first miss at or past the window's end; hits outside
+    # a busy window are free.
+    follow = np.searchsorted(positions, resume).tolist()
+    window_stalls = stalls.tolist()
+    total = k = 0
+    while k < len(positions):
+        total += window_stalls[k]
+        k = follow[k]
+    return FetchResult(instructions, total, misses)
 
 
 def _bypass_replay_result(

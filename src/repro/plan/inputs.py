@@ -43,7 +43,7 @@ DEMAND_MASK_MECHANISMS = frozenset({"demand", "stream-buffer"})
 def mask_shape_plan(
     points: Sequence, engine: str
 ) -> dict[tuple[int, int], set[tuple[int, int]]]:
-    """The stack-distance mask shapes a sweep will consult, per stream.
+    """The miss-mask shapes a sweep will consult, per stream.
 
     Keyed by ``(encode_line_size, mask_line_size)``: the stream is the
     workload's RLE lines at the first size, coarsened to the second —
@@ -80,7 +80,7 @@ def prime_miss_masks(
     Feeds every geometry of the sweep into
     :meth:`~repro.caches.vectorized.LineOrderCache.miss_masks` so
     shapes sharing a set count are priced from one shared
-    stack-distance pass; the per-point evaluations then hit the memo.
+    occurrence pass; the per-point evaluations then hit the memo.
     Purely a warm-up: evaluation order and arithmetic are unchanged, so
     results stay bit-identical with or without it.
     """

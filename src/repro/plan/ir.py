@@ -44,7 +44,7 @@ class TraceKey:
 
 @dataclass(frozen=True)
 class MaskFamily:
-    """One stack-distance mask family over a coarsened line stream.
+    """One miss-mask family over a coarsened line stream.
 
     Attributes:
         encode_line_size: line size of the underlying RLE stream.
@@ -57,7 +57,7 @@ class MaskFamily:
     feeds the union of shapes demanded by all cells of the plan into
     one :meth:`~repro.caches.vectorized.LineOrderCache.miss_masks`
     call per (trace, family stream), so geometries sharing a set count
-    are priced from one shared stack-distance pass.
+    are priced from one shared occurrence pass.
     """
 
     encode_line_size: int

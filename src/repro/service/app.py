@@ -166,6 +166,17 @@ class ServiceApp:
             while True:
                 try:
                     request = await read_request(reader)
+                except asyncio.CancelledError:
+                    # Shutdown cancels a handler idle between requests.
+                    # There is nothing to answer, so the handler ends
+                    # normally (the finally clause closes the writer)
+                    # instead of re-raising: on Python 3.11 the done
+                    # callback asyncio.start_server puts on this task
+                    # calls task.exception(), which raises for a
+                    # cancelled task and is logged as an ERROR.  A
+                    # handler mid-request is not waiting here; it
+                    # keeps the drain behaviour.
+                    break
                 except HttpError as exc:
                     writer.write(Response.error(exc.status, exc.message).encode())
                     await writer.drain()
@@ -300,7 +311,7 @@ class ServiceApp:
         self.metrics.set_gauge(
             "trace_cache_resident_bytes", traces["resident_bytes"]
         )
-        # The process-global stack-distance memo (caches/vectorized):
+        # The process-global line-order memo (caches/vectorized):
         # bounded, but worth watching on a long-lived server.
         self.metrics.set_gauge("line_order_cache_entries", order["entries"])
         self.metrics.set_gauge("line_order_cache_bytes", order["bytes"])

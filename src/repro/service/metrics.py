@@ -62,9 +62,9 @@ METRIC_HELP = {
     "trace_cache_lookups_total": "Trace cache lookups, by result.",
     "trace_cache_entries": "Traces resident in the in-memory cache.",
     "trace_cache_resident_bytes": "Bytes resident in the trace cache.",
-    "line_order_cache_entries": "Entries in the stack-distance memo.",
-    "line_order_cache_bytes": "Bytes in the stack-distance memo.",
-    "line_order_cache_evictions": "Evictions from the stack-distance memo.",
+    "line_order_cache_entries": "Entries in the line-order memo.",
+    "line_order_cache_bytes": "Bytes in the line-order memo.",
+    "line_order_cache_evictions": "Evictions from the line-order memo.",
 }
 
 

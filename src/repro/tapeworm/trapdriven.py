@@ -21,7 +21,11 @@ import numpy as np
 
 from repro._util.bitops import ilog2
 from repro.caches.base import CacheGeometry
-from repro.core.metrics import DEFAULT_WARMUP_FRACTION, measure_mpi
+from repro.core.metrics import (
+    DEFAULT_WARMUP_FRACTION,
+    measure_mpi,
+    prime_mpi_masks,
+)
 from repro.trace.rle import LineRuns
 from repro.vm.pagemap import PageMapper, RandomPageMapper
 
@@ -182,12 +186,16 @@ class TapewormSimulator:
         each trial's page-mapped stream is built once and shared: the
         translated line arrays stay identity-stable across geometries,
         so the per-array sort/miss-mask memoization in
-        :mod:`repro.caches.vectorized` carries the whole grid.
+        :mod:`repro.caches.vectorized` carries the whole grid, and each
+        trial's masks are batched so geometries sharing a set count
+        share one pass.
         """
         translated = [
             (seed, self.translated_runs(runs, seed))
             for seed in self._trial_seeds(n_trials, base_seed)
         ]
+        for _, stream in translated:
+            prime_mpi_masks(stream, geometries)
         return [
             VariabilityResult(
                 geometry=geometry,

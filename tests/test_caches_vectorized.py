@@ -487,6 +487,9 @@ class TestMultiGeometryMasks:
         assert set(masks) == set(self.shapes())
         for shape, mask in masks.items():
             n_sets, ways = shape
+            # The single-shape calls read the same memo; start each
+            # from an empty one so it computes its own mask.
+            clear_order_caches()
             expected = (
                 miss_mask_fully_associative(lines, n_sets)
                 if ways == 0

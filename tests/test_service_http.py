@@ -11,6 +11,7 @@ recorded in ``/metrics``.
 import asyncio
 import io
 import json
+import logging
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -502,3 +503,38 @@ class TestErrorPaths:
                 writer.close()
 
         asyncio.run(body())
+
+    def test_idle_keep_alive_connection_shuts_down_quietly(
+        self, tmp_path, caplog
+    ):
+        # The client sends one request and hangs up only as the loop
+        # ends, so the server's handler is still parked in read_request
+        # when the loop shuts down and cancels it.  That cancellation
+        # must end the handler quietly, not surface as an asyncio
+        # "Exception in callback" ERROR record.
+        async def body():
+            served = _Server(tmp_path / "results")
+            await served.__aenter__()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", served.port
+            )
+            writer.write(
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 0\r\n\r\n"
+            )
+            await writer.drain()
+            data = b""
+            while b'"status": "ok"' not in data:
+                chunk = await asyncio.wait_for(reader.read(4096), 5)
+                assert chunk, "connection closed before the response"
+                data += chunk
+            # No wait_closed(): from Python 3.12.1 it waits for the
+            # very handler this test leaves parked.
+            served.server.close()
+            served.app.close()
+            writer.close()
+
+        with caplog.at_level(logging.ERROR):
+            asyncio.run(body())
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [], [r.getMessage() for r in errors]

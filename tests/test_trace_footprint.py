@@ -5,8 +5,12 @@ whole run, so their width is the report's resident memory.  These tests
 pin the narrow representation: no trace keeps a copy of its fetch
 addresses, a line run costs 13 bytes (``uint64`` line, ``int32`` count,
 ``uint8`` first offset), and the narrow columns encode exactly what a
-plain int64 encoding does.
+plain int64 encoding does.  The LRU miss masks a report computes come
+from bounded queries, so no report builds an exact stack-distance
+array, and one bounded mask costs a small multiple of its stream.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.caches.base import CacheGeometry
-from repro.caches.vectorized import line_order_cache
+from repro.caches import vectorized
+from repro.caches.vectorized import (
+    LineOrderCache,
+    clear_order_caches,
+    line_order_cache,
+)
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import ExperimentSettings
 from repro.fetch.timing import MemoryTiming
@@ -24,21 +33,71 @@ from repro.trace.rle import LineRuns, to_line_runs
 from repro.workloads import registry
 
 
+#: Exact stack-distance calls the report fixture made, by set count.
+_distance_calls: list[int] = []
+
+
 @pytest.fixture(scope="module")
 def report_traces():
-    """Every trace a 5k-instruction report leaves in the trace cache."""
+    """Every trace a 5k-instruction report leaves in the trace cache.
+
+    The report runs with :meth:`LineOrderCache.stack_distances` wrapped
+    to record its calls, which would include those on transient streams
+    (TLB pages, Tapeworm trials) whose memos die before any test looks.
+    """
     saved = registry._disk_cache
     registry.set_trace_cache_backend(None)
     registry.clear_trace_cache()
-    run_report(
-        dict(ALL_EXPERIMENTS),
-        ExperimentSettings(n_instructions=5_000, seed=0),
-        jobs=1,
-    )
+    clear_order_caches()
+    exact = LineOrderCache.stack_distances
+
+    def recorded(self, n_sets=1):
+        _distance_calls.append(n_sets)
+        return exact(self, n_sets)
+
+    LineOrderCache.stack_distances = recorded
+    try:
+        run_report(
+            dict(ALL_EXPERIMENTS),
+            ExperimentSettings(n_instructions=5_000, seed=0),
+            jobs=1,
+        )
+    finally:
+        LineOrderCache.stack_distances = exact
     traces = list(registry._trace_cache._entries.values())
     yield traces
     registry._disk_cache = saved
     registry.clear_trace_cache()
+
+
+def test_report_builds_no_exact_stack_distances(report_traces):
+    assert report_traces
+    assert _distance_calls == []
+    memo_keys = [
+        key
+        for cache in list(vectorized._order_caches.values())
+        for key in cache._memo
+    ]
+    assert any(key[0] == "miss-mask" for key in memo_keys)
+    assert not any(key[0] == "stack-distances" for key in memo_keys)
+
+
+def test_bounded_mask_peak_memory_is_a_small_multiple_of_its_stream():
+    # 100k references over 5,000 lines at a 64-line bound: nearly every
+    # repeat has a long gap, so the scan does its most work.  Measured
+    # peak: 4.0x the stream's bytes (the exact-distance kernel this
+    # replaced peaked at 15.4x); the bound leaves 50% headroom.
+    lines = np.random.default_rng(1).integers(0, 5000, 100_000)
+    lines = lines.astype(np.uint64)
+    clear_order_caches()
+    tracemalloc.start()
+    try:
+        mask = line_order_cache(lines).miss_mask(64, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mask.shape == lines.shape and mask.any()
+    assert peak <= 6 * lines.nbytes, peak / lines.nbytes
 
 
 def test_no_trace_memoizes_its_fetch_addresses(report_traces):
