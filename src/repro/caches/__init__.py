@@ -4,7 +4,7 @@ Two complementary simulator families, mirroring the paper's dual
 methodology:
 
 * Sequential object simulators (:class:`SetAssociativeCache`,
-  :class:`SubblockCache`, :class:`CacheHierarchy`) that model one
+  :class:`SubblockCache`) that model one
   reference at a time and expose full internal state — used by the
   fetch-engine timing models and the trap-driven (Tapeworm-style)
   harness.
@@ -24,9 +24,6 @@ _EXPORTS = {
     "ReplacementPolicy": ".base",
     "SetAssociativeCache": ".setassoc",
     "SubblockCache": ".subblock",
-    "CacheHierarchy": ".hierarchy",
-    "CacheLevelResult": ".hierarchy",
-    "PhysicallyIndexedCache": ".physical",
     "miss_mask_direct_mapped": ".vectorized",
     "miss_mask_set_associative": ".vectorized",
     "miss_mask_fully_associative": ".vectorized",
@@ -38,9 +35,6 @@ _EXPORTS = {
     "InclusionReport": ".inclusion",
     "check_inclusion": ".inclusion",
     "inclusion_guaranteed": ".inclusion",
-    "DataCache": ".writepolicy",
-    "DataCacheStats": ".writepolicy",
-    "WritePolicy": ".writepolicy",
 }
 
 __all__ = list(_EXPORTS)

@@ -2,19 +2,22 @@
 
 Each experiment sweeps configurations over workload suites; this module
 provides the common plumbing: settings (defined in
-:mod:`repro.experiments.settings`), cached trace access, and
-suite-averaged evaluation helpers.  How an experiment decomposes into
+:mod:`repro.experiments.settings`), cached trace access,
+suite-averaged evaluation helpers, and the DECstation machine-model
+cell that Tables 1 and 3 share.  How an experiment decomposes into
 independently schedulable units is its ``plan_cells`` + ``merge`` pair
 (see :mod:`repro.plan.compile`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.config import MemorySystemConfig
+from repro.core.cpi import CpiBreakdown
 from repro.core.study import StudyResult, evaluate_trace
 # Settings and job keys live in the numpy-free settings module (the
 # server's store-hit path uses them); re-exported here.
@@ -26,8 +29,12 @@ from repro.experiments.settings import (
     settings_record,
     workloads_fingerprint,
 )
+from repro.monitor.hwcounters import DECSTATION_3100, HardwareMonitor
 from repro.plan import inputs as plan_inputs
+from repro.plan.ir import PlanCell
+from repro.trace.record import Component
 from repro.trace.rle import LineRuns
+from repro.trace.stats import component_mix
 from repro.trace.trace import Trace
 from repro.workloads.registry import (
     get_line_runs,
@@ -42,7 +49,10 @@ __all__ = [
     "FetchPoint",
     "canonical_job_key",
     "fetch_point",
+    "machine_breakdown",
+    "machine_cells",
     "settings_record",
+    "suite_groups",
     "suite_cpi_instr",
     "suite_evaluate",
     "suite_runs",
@@ -114,6 +124,57 @@ def suite_cpi_instr(
         float(np.mean([r.cpi_l1 for r in results])),
         float(np.mean([r.cpi_l2 for r in results])),
     )
+
+
+def machine_breakdown(
+    name: str, os_name: str, settings: ExperimentSettings
+) -> tuple[CpiBreakdown, float]:
+    """One workload on the DECstation 3100 model, as Tables 1 and 3 see it.
+
+    Returns the hardware monitor's CPI breakdown of the workload's trace
+    and the user share of its instruction fetches.  Both tables build
+    their cells from this one function (:func:`machine_cells`), so a
+    workload they share has one cell identity and runs once per plan.
+    """
+    trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
+    breakdown = HardwareMonitor(DECSTATION_3100).measure(
+        trace, settings.warmup_fraction
+    )
+    return breakdown, component_mix(trace).get(Component.USER, 0.0)
+
+
+def machine_cells(
+    suites: Iterable[str], settings: ExperimentSettings
+) -> list[PlanCell]:
+    """One :func:`machine_breakdown` cell per (suite, workload).
+
+    Keys are ``(suite, name, os_name)``; the only shared input is each
+    workload's trace (the machine model walks the raw records itself).
+    """
+    return [
+        PlanCell(
+            key=(suite, name, os_name),
+            fn=machine_breakdown,
+            args=(name, os_name, settings),
+            traces=plan_inputs.workload_trace_keys(
+                [(name, os_name)], settings
+            ),
+        )
+        for suite in suites
+        for name, os_name in suite_workloads(suite)
+    ]
+
+
+def suite_groups(keyed: dict[tuple, object]) -> dict[str, list]:
+    """Per-workload results grouped by suite, each in plan order.
+
+    ``keyed`` maps ``(suite, name, os_name)`` keys (as
+    :func:`machine_cells` emits them) to results.
+    """
+    groups: dict[str, list] = {}
+    for (suite, _name, _os_name), value in keyed.items():
+        groups.setdefault(suite, []).append(value)
+    return groups
 
 
 @dataclass(frozen=True)

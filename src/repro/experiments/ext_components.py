@@ -76,19 +76,6 @@ class ExtComponentsResult:
             "(8 KB DM, 32 B lines; concentration = miss share / exec share)",
         )
 
-    def os_concentration(self, workload: str) -> float:
-        """Combined OS (non-user) concentration for one workload."""
-        shares = self.rows[workload]
-        os_exec = sum(
-            s.execution for c, s in shares.items() if c != Component.USER
-        )
-        os_miss = sum(
-            s.misses for c, s in shares.items() if c != Component.USER
-        )
-        if os_exec == 0:
-            return 0.0
-        return os_miss / os_exec
-
 
 def run(
     settings: ExperimentSettings = DEFAULT_SETTINGS,

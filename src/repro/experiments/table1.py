@@ -19,12 +19,11 @@ from repro.core.cpi import CpiBreakdown
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
+    machine_cells,
+    suite_groups,
 )
-from repro.monitor.hwcounters import DECSTATION_3100, HardwareMonitor
-from repro.plan import inputs as plan_inputs
 from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
-from repro.workloads.registry import get_trace, suite_workloads
 
 #: The paper's measured values: suite -> (total memory CPI, I, D, TLB, write).
 PAPER = {
@@ -80,54 +79,27 @@ class Table1Result:
         )
 
 
-def _measure_workload(
-    name: str, os_name: str, settings: ExperimentSettings
-) -> CpiBreakdown:
-    """One cell: the CPI breakdown of a single workload's trace."""
-    monitor = HardwareMonitor(DECSTATION_3100)
-    trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
-    return monitor.measure(trace, settings.warmup_fraction)
-
-
 def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
 ) -> list[PlanCell]:
-    """One cell per (suite, workload) measurement.
-
-    The hardware-monitor model walks the raw trace records itself, so
-    the only shared input is each workload's synthesized trace.
-    """
-    return [
-        PlanCell(
-            key=(suite, name, os_name),
-            fn=_measure_workload,
-            args=(name, os_name, settings),
-            traces=plan_inputs.workload_trace_keys(
-                [(name, os_name)], settings
-            ),
-        )
-        for suite in PAPER
-        for name, os_name in suite_workloads(suite)
-    ]
+    """One machine-model cell per (suite, workload), shared with Table 3."""
+    return machine_cells(PAPER, settings)
 
 
 def merge(
     settings: ExperimentSettings,
-    keyed: dict[tuple[str, str, str], CpiBreakdown],
+    keyed: dict[tuple[str, str, str], tuple[CpiBreakdown, float]],
 ) -> Table1Result:
     """Suite-average the per-workload breakdowns (deterministic order)."""
-    per_suite: dict[str, list[CpiBreakdown]] = {}
-    for (suite, _name, _os_name), breakdown in keyed.items():
-        per_suite.setdefault(suite, []).append(breakdown)
-    rows = {
-        suite: CpiBreakdown(
+    rows = {}
+    for suite, measured in suite_groups(keyed).items():
+        breakdowns = [breakdown for breakdown, _user in measured]
+        rows[suite] = CpiBreakdown(
             instr_l1=float(np.mean([b.instr_l1 for b in breakdowns])),
             data=float(np.mean([b.data for b in breakdowns])),
             write=float(np.mean([b.write for b in breakdowns])),
             tlb=float(np.mean([b.tlb for b in breakdowns])),
         )
-        for suite, breakdowns in per_suite.items()
-    }
     return Table1Result(rows=rows)
 
 

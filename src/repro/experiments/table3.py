@@ -9,16 +9,21 @@ instruction fetches than SPEC92.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro._util.fmt import format_table
-from repro.experiments.common import DEFAULT_SETTINGS, ExperimentSettings, suite_traces
-from repro.monitor.hwcounters import DECSTATION_3100, HardwareMonitor
-from repro.trace.record import Component
-from repro.trace.stats import component_mix
-from repro.plan import inputs as plan_inputs
+from repro.core.cpi import CpiBreakdown
+from repro.experiments.common import (
+    DEFAULT_SETTINGS,
+    ExperimentSettings,
+    machine_cells,
+    suite_groups,
+)
+from repro.plan.executor import run_experiment
+from repro.plan.ir import PlanCell
 
 #: Paper values: suite -> (user%, os%, CPIinstr, CPIdata, CPIwrite).
 PAPER = {
@@ -81,23 +86,27 @@ class Table3Result:
         )
 
 
-def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table3Result:
-    """Reproduce Table 3 over IBS (both OSes) and SPEC92 int/fp."""
-    monitor = HardwareMonitor(DECSTATION_3100)
-    rows: dict[str, Table3Row] = {}
-    for suite in PAPER:
-        traces = suite_traces(suite, settings)
-        breakdowns = [
-            monitor.measure(trace, settings.warmup_fraction) for trace in traces
-        ]
-        user = float(
-            np.mean(
-                [
-                    component_mix(trace).get(Component.USER, 0.0)
-                    for trace in traces
-                ]
-            )
-        )
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+) -> list[PlanCell]:
+    """One machine-model cell per (suite, workload).
+
+    The cells are Table 1's (:func:`~repro.experiments.common.
+    machine_cells`), so in a report plan the SPEC92 workloads both
+    tables measure run once.
+    """
+    return machine_cells(PAPER, settings)
+
+
+def merge(
+    settings: ExperimentSettings,
+    keyed: dict[tuple[str, str, str], tuple[CpiBreakdown, float]],
+) -> Table3Result:
+    """Suite-average the per-workload measurements (plan order)."""
+    rows = {}
+    for suite, measured in suite_groups(keyed).items():
+        breakdowns = [breakdown for breakdown, _user in measured]
+        user = float(np.mean([user for _breakdown, user in measured]))
         rows[suite] = Table3Row(
             user_fraction=user,
             os_fraction=1.0 - user,
@@ -108,6 +117,6 @@ def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table3Result:
     return Table3Result(rows=rows)
 
 
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
-    """The sweep-plan compilation: one cell sharing all four suites' traces."""
-    return plan_inputs.run_cell(run, settings, suites=tuple(PAPER))
+def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table3Result:
+    """Reproduce Table 3 over IBS (both OSes) and SPEC92 int/fp."""
+    return run_experiment(sys.modules[__name__], settings)[0]

@@ -579,7 +579,8 @@ def _bypass_result(
     state depends on the timing point) and bursts that wrap the index
     (a prefetch can evict its own burst's lines, making in-window
     buffer hits diverge from any timing-free mask) take the exact
-    per-timing replay.
+    per-timing replay, :func:`_bypass_replay_result`, which covers
+    direct-mapped caches as 1-way sets.
     """
     if geometry.associativity != 1 or geometry.n_sets <= n_prefetch:
         return _bypass_replay_result(
@@ -672,15 +673,12 @@ def _bypass_replay_result(
     skip the LRU touch), so no timing-independent mask exists.  This
     replay mirrors :class:`PrefetchBypassEngine` run-for-run on plain
     dicts — covering the corners the sparse kernel cannot, at reference
-    asymptotics but without the per-run object machinery.  Direct-mapped
-    wrap-around geometries take a flat-array specialization: a 1-way
-    set's LRU refresh is a no-op, so hits never mutate state and each
-    set reduces to a single resident line number.
+    asymptotics but without the per-run object machinery.  A
+    direct-mapped cache with a burst that wraps the index is the 1-way
+    case of the same replay: its LRU refresh is a no-op, and the
+    install order (demand line first, then prefetch distances
+    ascending) evicts exactly the engine's lines.
     """
-    if geometry.associativity == 1:
-        return _bypass_replay_direct(
-            runs, geometry, timing, n_prefetch, cut, instructions
-        )
     n_sets = geometry.n_sets
     ways = geometry.ways
     set_mask = n_sets - 1
@@ -748,81 +746,6 @@ def _bypass_replay_result(
             stalls += stall
             if missed:
                 misses += 1
-        now += stall + counts[i]
-    return FetchResult(instructions, stalls, misses)
-
-
-def _bypass_replay_direct(
-    runs: LineRuns,
-    geometry: CacheGeometry,
-    timing: MemoryTiming,
-    n_prefetch: int,
-    cut: int,
-    instructions: int,
-) -> FetchResult:
-    """Exact bypass replay for direct-mapped wrap-around geometries.
-
-    With one way per set a hit's LRU refresh is a no-op and each set is
-    a single resident line number, so the cache collapses to a flat
-    array and only misses mutate state.  Install order matches the
-    engine (demand line first, then prefetch distances ascending) so
-    bursts that wrap the index evict exactly the same lines.
-    """
-    set_mask = geometry.n_sets - 1
-    resident = [-1] * geometry.n_sets
-    latency = timing.latency
-    bandwidth = timing.bytes_per_cycle
-    line_size = geometry.line_size
-    burst = timing.fill_penalty(line_size * (n_prefetch + 1))
-    fills = [
-        timing.fill_penalty(line_size * (d + 1)) for d in range(n_prefetch + 1)
-    ]
-    # The buffers hold the contiguous burst [base_line, base_line + N]:
-    # membership and arrival are arithmetic off the base line (only
-    # consulted inside a busy window, i.e. after at least one miss).
-    base_line = 0
-    base_at = 0
-    busy_until = -1
-    now = 0
-    stalls = 0
-    misses = 0
-    lines = runs.lines.tolist()
-    counts = runs.counts.tolist()
-    offsets = runs.first_offsets.tolist()
-    for i, line in enumerate(lines):
-        if now <= busy_until:
-            d = line - base_line
-            if 0 <= d <= n_prefetch:
-                # Fetching from a bypass buffer: no cache access at all.
-                ready = base_at + fills[d]
-                stall = ready - now if ready > now else 0
-                if i >= cut:
-                    stalls += stall
-                now += stall + counts[i]
-                continue
-            # Not in the buffers: wait out the refill, then demand.
-            wait = busy_until - now + 1
-        else:
-            wait = 0
-        if resident[line & set_mask] == line:
-            stall = wait
-        else:
-            at = now + wait
-            stall = wait + latency + offsets[i] // bandwidth
-            resident[line & set_mask] = line
-            base_line = line
-            base_at = at
-            for distance in range(1, n_prefetch + 1):
-                prefetched = line + distance
-                resident[prefetched & set_mask] = prefetched
-            busy_until = at + burst
-            if i >= cut:
-                stalls += stall
-                misses += 1
-            now += stall + counts[i]
-            continue
-        if i >= cut:
-            stalls += stall
         now += stall + counts[i]
     return FetchResult(instructions, stalls, misses)
 

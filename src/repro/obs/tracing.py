@@ -155,10 +155,6 @@ class Span:
             {"name": name, "time": time.time(), "attrs": attrs}
         )
 
-    def set_attr(self, name: str, value) -> None:
-        """Set (or overwrite) one span attribute."""
-        self.attrs[name] = _json_safe(value)
-
     def finish(self, trace_id: str) -> dict:
         """Close the span and return its JSON-ready record."""
         record = {

@@ -21,8 +21,6 @@ _EXPORTS = {
     "Trace": ".trace",
     "save_trace": ".io",
     "load_trace": ".io",
-    "save_dinero": ".io",
-    "load_dinero": ".io",
     "LineRuns": ".rle",
     "to_line_runs": ".rle",
     "ifetch_only": ".filters",
@@ -32,9 +30,6 @@ _EXPORTS = {
     "concat": ".filters",
     "head": ".filters",
     "interleave": ".filters",
-    "FlowStats": ".flow",
-    "flow_stats": ".flow",
-    "miss_sequentiality": ".flow",
     "TraceStats": ".stats",
     "compute_stats": ".stats",
     "component_mix": ".stats",

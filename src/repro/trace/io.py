@@ -13,17 +13,12 @@ import os
 
 import numpy as np
 
-from repro.trace.record import RefKind
 from repro.trace.trace import Trace
 
 _FORMAT_VERSION = 1
 
 #: Column files of the directory layout (one ``.npy`` per column).
 _COLUMN_FILES = ("addresses.npy", "kinds.npy", "components.npy")
-
-#: Dinero "din" access-type codes: 0=read(data), 1=write, 2=ifetch.
-_DIN_CODE = {RefKind.LOAD: 0, RefKind.STORE: 1, RefKind.IFETCH: 2}
-_DIN_KIND = {0: RefKind.LOAD, 1: RefKind.STORE, 2: RefKind.IFETCH}
 
 
 def save_trace(trace: Trace, path: str | os.PathLike) -> None:
@@ -118,55 +113,3 @@ def load_trace_columns(
         )
     addresses, kinds, components = columns
     return Trace(addresses, kinds, components, str(meta.get("label", "")))
-
-
-def save_dinero(trace: Trace, path: str | os.PathLike) -> None:
-    """Export as a classic Dinero III "din" text trace.
-
-    Format: one ``<type> <hex address>`` pair per line, type 0 = data
-    read, 1 = data write, 2 = instruction fetch — so the trace can be
-    fed to dineroIV and other existing trace-driven simulators.  The
-    component column has no din representation and is dropped.
-    """
-    codes = np.zeros(len(trace), dtype=np.int64)
-    for kind, code in _DIN_CODE.items():
-        codes[trace.kinds == kind] = code
-    with open(path, "w") as handle:
-        for code, address in zip(codes.tolist(), trace.addresses.tolist()):
-            handle.write(f"{code} {address:x}\n")
-
-
-def load_dinero(path: str | os.PathLike, label: str = "") -> Trace:
-    """Import a Dinero "din" text trace (components become USER).
-
-    Raises:
-        ValueError: on malformed lines or unknown access types.
-    """
-    addresses: list[int] = []
-    kinds: list[int] = []
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'type addr'")
-            try:
-                code = int(parts[0])
-                address = int(parts[1], 16)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
-            if code not in _DIN_KIND:
-                raise ValueError(
-                    f"{path}:{line_no}: unknown access type {code}"
-                )
-            addresses.append(address)
-            kinds.append(int(_DIN_KIND[code]))
-    n = len(addresses)
-    return Trace(
-        np.array(addresses, dtype=np.uint64),
-        np.array(kinds, dtype=np.uint8),
-        np.zeros(n, dtype=np.uint8),
-        label or os.fspath(path),
-    )

@@ -52,16 +52,6 @@ class Trace:
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def from_columns(
-        addresses: np.ndarray,
-        kinds: np.ndarray,
-        components: np.ndarray,
-        label: str = "",
-    ) -> "Trace":
-        """Build a trace from raw columns (copied/cast as needed)."""
-        return Trace(addresses, kinds, components, label)
-
-    @staticmethod
     def empty(label: str = "") -> "Trace":
         """An empty trace."""
         zero = np.zeros(0, dtype=np.uint64)

@@ -13,13 +13,20 @@ The server keeps the same rule for everything but a miss: building a
 :class:`~repro.service.app.ServiceApp`, answering ``/healthz`` and
 ``/metrics``, and answering ``/v1/evaluate`` from the result store all
 leave numpy out; the first miss loads the compute path.
+
+The export tables also must not keep a module alive on their own:
+every library module is imported by another ``src`` module, an
+example, a tool or a benchmark (or is an experiment in the catalog),
+unless :data:`UNREACHED_KEPT` names it with its reason.
 """
 
+import ast
 import importlib
 import json
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +146,89 @@ def test_name_shared_with_its_submodule_stays_the_export():
     from repro.core.sweep import sweep
 
     assert repro.core.sweep is sweep
+
+
+# -- every library module has a caller -----------------------------------
+
+SRC = Path(repro.__file__).parent
+ROOT = SRC.parent.parent
+
+#: Library modules that no ``src`` module, example, tool or benchmark
+#: imports, each with the reason it stays.  Anything else unreached is
+#: a parallel path: delete it rather than add it here.
+UNREACHED_KEPT = {
+    "repro.caches.inclusion": (
+        "checks the paper's Baer & Wang inclusion methodology claim; "
+        "waits for the claims ledger"
+    ),
+    "repro.tlb.mach_tlb": (
+        "wrapped by benchmarks/e2e/launch.py until the "
+        "instrumentation-stream benchmark revision"
+    ),
+    "repro.core.sweep": (
+        "the top-level repro.sweep helper of docs/API.md; retiring it "
+        "changes the public API, so it gets its own change"
+    ),
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(path: Path) -> set[str]:
+    """The ``repro`` modules a file's import statements load.
+
+    A name imported from a package counts for the module its export
+    table routes it to; the table's own rows count for nothing.
+    """
+    own = _module_name(path) if path.is_relative_to(SRC) else ""
+    package = own if path.name == "__init__.py" else own.rpartition(".")[0]
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            if not base.startswith("repro"):
+                continue
+            found.add(base)
+            exports = getattr(importlib.import_module(base), "_EXPORTS", {})
+            for alias in node.names:
+                target = exports.get(alias.name, f".{alias.name}")
+                if target is None:
+                    target = f".{alias.name}"
+                found.add(f"{base}{target}")
+    return found - {own}
+
+
+def test_every_library_module_is_reached():
+    from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
+
+    callers = [
+        *SRC.rglob("*.py"),
+        *(ROOT / "examples").glob("*.py"),
+        *(ROOT / "tools").glob("*.py"),
+        *(ROOT / "benchmarks").rglob("*.py"),
+    ]
+    reached = set().union(*(_imports(path) for path in callers))
+    reached.update(
+        module.__name__
+        for module in {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}.values()
+    )
+    library = {
+        _module_name(path)
+        for path in SRC.rglob("*.py")
+        if path.name not in ("__init__.py", "__main__.py")
+    }
+    unreached = library - reached
+    assert unreached - UNREACHED_KEPT.keys() == set()
+    # A kept module that gains a caller leaves the list.
+    assert UNREACHED_KEPT.keys() <= unreached
 
 
 # -- the store-hit server ----------------------------------------------

@@ -13,7 +13,7 @@ The load-bearing invariants:
 
 import pytest
 
-from repro.experiments import figure3, table3, table4, table5
+from repro.experiments import figure2, figure3, table1, table3, table4, table5
 from repro.experiments.common import ExperimentSettings, fetch_point
 from repro.plan import inputs as plan_inputs
 from repro.plan.compile import compile_module, compile_report
@@ -35,6 +35,7 @@ from repro.runner.timing import TimingReport
 from repro.workloads.registry import (
     clear_trace_cache,
     set_trace_cache_backend,
+    suite_workloads,
 )
 from tests.test_golden import GOLDEN, digest
 
@@ -133,6 +134,50 @@ class TestDedup:
         assert index_map[half:] == index_map[:half]
 
 
+class TestMachineModelSharing:
+    """Tables 1 and 3 build their cells from one machine-model function,
+    so a report measures each workload on the DECstation model once."""
+
+    MODULES = {"table1": table1, "table3": table3}
+
+    def _workloads(self):
+        return {
+            pair
+            for module in self.MODULES.values()
+            for suite in module.PAPER
+            for pair in suite_workloads(suite)
+        }
+
+    def test_one_unique_cell_per_workload(self):
+        plan = compile_report(self.MODULES, SETTINGS)
+        unique, _ = dedup_cells(plan.cells)
+        workloads = self._workloads()
+        assert len(unique) == len(workloads)
+        assert {cell.args[:2] for cell in unique} == workloads
+        # The tables share workloads, so the plan has more cells than
+        # it runs.
+        assert plan.cells_total > len(unique)
+
+    def test_report_measures_each_workload_once(self, monkeypatch):
+        from repro.monitor.hwcounters import HardwareMonitor
+
+        measured = []
+        original = HardwareMonitor.measure
+
+        def counting(self, trace, *args, **kwargs):
+            measured.append(trace.label)
+            return original(self, trace, *args, **kwargs)
+
+        monkeypatch.setattr(HardwareMonitor, "measure", counting)
+        planned, _ = run_report(self.MODULES, SETTINGS, jobs=1)
+        assert len(measured) == len(set(measured))
+        assert len(measured) == len(self._workloads())
+        # Sharing the cells leaves both renderings byte-identical.
+        assert [(name, digest(text)) for name, text in planned] == [
+            (name, GOLDEN[name]) for name in self.MODULES
+        ]
+
+
 class TestCollectInputs:
     def test_demand_counts_and_union(self):
         family = MaskFamily(
@@ -227,10 +272,13 @@ class TestGoldenEquivalence:
 
     ``tests/test_golden.py`` checks all experiments through one report
     plan; these run single experiments through their own plans (sweeps
-    with masks, per-workload cells, a single-cell module).
+    with masks, per-workload cells, machine-model cells, a single-cell
+    module).
     """
 
-    @pytest.mark.parametrize("module", [table5, table4, figure3, table3])
+    @pytest.mark.parametrize(
+        "module", [table5, table4, figure3, table3, figure2]
+    )
     def test_experiment_byte_identical(self, module):
         result, report = run_experiment(module, SETTINGS, jobs=1)
         name = module.__name__.rsplit(".", 1)[-1]

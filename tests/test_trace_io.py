@@ -114,46 +114,3 @@ class TestColumnDirectory:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="unsupported trace format"):
             load_trace_columns(tmp_path / "entry")
-
-
-class TestDinero:
-    def test_round_trip(self, handmade_trace, tmp_path):
-        from repro.trace.io import load_dinero, save_dinero
-
-        path = tmp_path / "t.din"
-        save_dinero(handmade_trace, path)
-        loaded = load_dinero(path)
-        assert np.array_equal(loaded.addresses, handmade_trace.addresses)
-        assert np.array_equal(loaded.kinds, handmade_trace.kinds)
-
-    def test_format_is_classic_din(self, handmade_trace, tmp_path):
-        from repro.trace.io import save_dinero
-
-        path = tmp_path / "t.din"
-        save_dinero(handmade_trace, path)
-        first = path.read_text().splitlines()[0].split()
-        assert first[0] == "2"  # ifetch
-        assert int(first[1], 16) == 0x1000
-
-    def test_malformed_line_rejected(self, tmp_path):
-        from repro.trace.io import load_dinero
-
-        path = tmp_path / "bad.din"
-        path.write_text("2 1000\nnot a line\n")
-        with pytest.raises(ValueError, match="expected"):
-            load_dinero(path)
-
-    def test_unknown_type_rejected(self, tmp_path):
-        from repro.trace.io import load_dinero
-
-        path = tmp_path / "bad.din"
-        path.write_text("7 1000\n")
-        with pytest.raises(ValueError, match="unknown access type"):
-            load_dinero(path)
-
-    def test_blank_lines_ignored(self, tmp_path):
-        from repro.trace.io import load_dinero
-
-        path = tmp_path / "t.din"
-        path.write_text("2 1000\n\n0 2000\n")
-        assert len(load_dinero(path)) == 2
