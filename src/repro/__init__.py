@@ -35,7 +35,6 @@ _EXPORTS = {
     "cpi_instr": ".core.cpi",
     "evaluate": ".core.study",
     "measure_mpi": ".core.metrics",
-    "sweep": ".core.sweep",
     "CacheGeometry": ".caches.base",
     "ThreeCs": ".caches.classify",
     "classify_misses": ".caches.classify",

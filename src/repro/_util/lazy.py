@@ -27,10 +27,9 @@ def lazy_exports(
     package's namespace, so only the first access goes through
     ``__getattr__``.
 
-    A name defined in a submodule of the same name (``sweep`` from
-    ``.sweep``) is bound at once: importing that submodule binds the
-    package attribute to the module, which would otherwise shadow the
-    export for good.
+    No name may be defined in a submodule of the same name: importing
+    that submodule would bind the package attribute to the module and
+    shadow the export for good.
     """
     namespace = vars(sys.modules[package])
 
@@ -51,7 +50,4 @@ def lazy_exports(
     def __dir__() -> list[str]:
         return sorted(namespace.keys() | exports.keys())
 
-    for name, target in exports.items():
-        if target == f".{name}":
-            namespace[name] = resolve(name)
     return __getattr__, __dir__

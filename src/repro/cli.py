@@ -9,10 +9,9 @@ Subcommands:
   extension studies) as one sweep plan and print the renderings.
 * ``trace NAME`` — synthesize a workload trace and archive it to disk.
 * ``evaluate NAME`` — one workload against a named configuration.
-* ``cache info|clear`` — inspect or wipe the on-disk trace cache
-  (``--json`` for machine-readable output).
-* ``results info|clear`` — inspect or wipe the content-addressed result
-  store that backs the server (``--json`` likewise).
+* ``cache info|clear`` — inspect or wipe everything under the cache
+  directory: traces, their line runs, and the content-addressed results
+  that back the server (``--json`` for machine-readable output).
 * ``serve`` — run the long-running HTTP/JSON simulation server
   (:mod:`repro.service`); ``--max-queue``/``--max-inflight`` bound the
   scheduler (overload answers 429 + ``Retry-After``), and
@@ -25,7 +24,7 @@ Subcommands:
 
 Global flags: ``--jobs N`` fans experiment cells over a process pool
 (results are bit-identical to serial), ``--cache-dir``/``REPRO_CACHE_DIR``
-selects the persistent trace cache, ``--no-disk-cache`` disables it,
+selects the persistent cache directory, ``--no-disk-cache`` disables it,
 ``--timing-out FILE`` writes the per-cell/per-phase wall-time report as
 JSON (including the sweep plan's dedup counters — ``cells_total``,
 ``inputs_shared``, ``inputs_primed``), ``--obs-dir DIR``/
@@ -219,16 +218,18 @@ def _print_order_cache(order: dict) -> None:
 
 
 def _cmd_cache(args) -> int:
-    # The on-disk trace cache persists across runs; the line-order memo
+    # The on-disk namespaces persist across runs; the line-order memo
     # (sort orders and miss masks) is in-process and reported here
     # so one command answers both "what is cached" questions.
+    from dataclasses import asdict
+
     from repro.caches.vectorized import order_cache_stats
-    from repro.workloads.registry import trace_cache_backend
+    from repro.runner.entrystore import NAMESPACES, EntryStore
 
     order = order_cache_stats()
-    backend = trace_cache_backend()
-    if backend is None:
-        if getattr(args, "json", False):
+    root = selected_cache_dir()
+    if root is None:
+        if args.json:
             print(json.dumps({"root": None, "entries": [], "error":
                               "no cache configured",
                               "order_cache": order}))
@@ -239,30 +240,40 @@ def _cmd_cache(args) -> int:
             )
             _print_order_cache(order)
         return 0 if args.action == "info" else 2
+    stores = {
+        name: EntryStore(os.path.join(root, name)) for name in NAMESPACES
+    }
     if args.action == "clear":
-        removed = backend.clear()
-        print(f"cleared {removed} entries from {backend.root}")
+        removed = sum(store.clear() for store in stores.values())
+        print(f"cleared {removed} entries from {root}")
         return 0
+    entries = [
+        dict(asdict(info), namespace=namespace)
+        for namespace, store in stores.items()
+        for info in store.entries()
+    ]
+    total = sum(entry["bytes"] for entry in entries)
     if args.json:
-        record = dict(backend.describe())
-        record["order_cache"] = order
-        print(json.dumps(record, indent=2, sort_keys=True))
+        print(json.dumps(
+            {"root": root, "entry_count": len(entries), "total_bytes": total,
+             "entries": entries, "order_cache": order},
+            indent=2, sort_keys=True,
+        ))
         return 0
-    entries = backend.entries()
-    total = sum(info.bytes for info in entries)
-    print(f"cache directory: {backend.root}")
+    print(f"cache directory: {root}")
     print(f"entries: {len(entries)}")
     print(f"total bytes: {total:,}")
-    if entries:
-        print("\nper-workload breakdown:")
-        for info in entries:
-            print(
-                f"  {info.name:12s} {info.os_name:8s} "
-                f"n={info.n_instructions:>9,} seed={info.seed} "
-                f"gen=v{info.generator_version} "
-                f"{info.bytes:>12,} B  "
-                f"{info.artifacts} line-run artifact(s)"
-            )
+    for namespace in NAMESPACES:
+        listed = [
+            entry for entry in entries if entry["namespace"] == namespace
+        ]
+        size = sum(entry["bytes"] for entry in listed)
+        print(f"\n{namespace}: {len(listed)} entries, {size:,} B")
+        for entry in listed:
+            meta = entry["meta"] or {}
+            label = f"{meta['kind']} {meta['name']}" if "kind" in meta else ""
+            print(f"  {entry['name']:40s} {entry['bytes']:>12,} B  {label}"
+                  .rstrip())
     _print_order_cache(order)
     return 0
 
@@ -275,39 +286,6 @@ def _result_store():
     if root is None:
         return None
     return result_store_for_cache(root)
-
-
-def _cmd_results(args) -> int:
-    store = _result_store()
-    if store is None:
-        if getattr(args, "json", False):
-            print(json.dumps({"root": None, "entries": [], "error":
-                              "no cache configured"}))
-        else:
-            print(
-                "no result store configured; set --cache-dir or the "
-                f"{CACHE_DIR_ENV} environment variable"
-            )
-        return 0 if args.action == "info" else 2
-    if args.action == "clear":
-        removed = store.clear()
-        print(f"cleared {removed} results from {store.root}")
-        return 0
-    if args.json:
-        print(json.dumps(store.describe(), indent=2, sort_keys=True))
-        return 0
-    print(f"result store: {store.root}")
-    entries = store.entries()
-    print(f"entries: {len(entries)}")
-    print(f"total bytes: {store.current_bytes:,}")
-    if entries:
-        print("\nper-result breakdown (LRU first):")
-        for info in entries:
-            print(
-                f"  {info.kind:10s} {info.name:16s} "
-                f"{info.bytes:>10,} B  {info.key[:12]}"
-            )
-    return 0
 
 
 def _cmd_serve(args) -> int:
@@ -516,18 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--mechanism", choices=list(MECHANISMS),
                         default="demand")
 
-    p_cache = sub.add_parser("cache", help="inspect or clear the trace cache")
+    p_cache = sub.add_parser(
+        "cache", help="inspect or clear cached traces, line runs and results"
+    )
     p_cache.add_argument("action", choices=["info", "clear"])
     p_cache.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of text",
-    )
-
-    p_results = sub.add_parser(
-        "results", help="inspect or clear the content-addressed result store"
-    )
-    p_results.add_argument("action", choices=["info", "clear"])
-    p_results.add_argument(
         "--json", action="store_true",
         help="emit machine-readable JSON instead of text",
     )
@@ -635,7 +606,6 @@ def main(argv: list[str] | None = None) -> int:
         "trace": _cmd_trace,
         "evaluate": _cmd_evaluate,
         "cache": _cmd_cache,
-        "results": _cmd_results,
         "serve": _cmd_serve,
         "warm": _cmd_warm,
         "obs": _cmd_obs,

@@ -29,8 +29,6 @@ _EXPORTS = {
     "StudyResult": ".study",
     "IssueProjection": ".multiissue",
     "project_issue_widths": ".multiissue",
-    "sweep": ".sweep",
-    "SweepResult": ".sweep",
 }
 
 __all__ = list(_EXPORTS)

@@ -6,8 +6,10 @@ nothing from it:
 
 * :mod:`repro.runner.timing` — per-phase wall-time accounting
   (synthesize / line-runs / simulate) and JSON timing reports.
+* :mod:`repro.runner.entrystore` — verified on-disk entries: the one
+  publish and read path under a cache directory, numpy-free.
 * :mod:`repro.runner.cache` — the persistent on-disk trace and
-  line-run cache.
+  line-run cache, two namespaces of that store.
 * :mod:`repro.runner.cachedir` — which cache directory the process
   uses (``--cache-dir`` / ``--no-disk-cache`` / ``REPRO_CACHE_DIR``),
   as a numpy-free setting.

@@ -1,4 +1,4 @@
-"""Persistent on-disk cache of synthesized traces and derived artifacts.
+"""Persistent on-disk cache of synthesized traces and their line runs.
 
 Synthesizing a multi-million-reference trace costs seconds; every fresh
 ``repro report`` run used to pay that cost again for every workload.
@@ -15,10 +15,12 @@ Recalibrating a workload or changing the generator therefore changes the
 key; stale entries are simply never matched again (``repro cache clear``
 reclaims the space).
 
-Derived artifacts ride along: the per-line-size run-length-encoded
-instruction streams (:func:`repro.trace.rle.to_line_runs`) that every
-sweep needs are memoized as ``lineruns-<bytes>.npz`` inside the owning
-trace's entry directory.
+The per-line-size run-length-encoded instruction streams
+(:func:`repro.trace.rle.to_line_runs`) that every sweep needs are
+entries of their own, named after their trace and line size.  Both
+namespaces publish and verify through :mod:`repro.runner.entrystore`,
+so a corrupt or torn entry is a miss that is recomputed, never a wrong
+trace.
 
 The cache directory comes from the ``REPRO_CACHE_DIR`` environment
 variable or the CLI's ``--cache-dir`` flag (see
@@ -28,14 +30,11 @@ and behaviour is identical to the pre-cache library.
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
-import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
+from repro.runner.entrystore import LINE_RUNS, TRACES, EntryStore
 from repro.trace.io import load_trace_columns, save_trace_columns
 from repro.trace.rle import LineRuns
 from repro.trace.trace import Trace
@@ -44,56 +43,31 @@ from repro.trace.trace import Trace
 from repro.workloads import params as workload_params
 from repro.workloads.params import WorkloadParams, params_fingerprint
 
-#: Length of the fingerprint prefix used in entry directory names (the
-#: full digest is kept in the entry's ``entry.json`` for verification).
+#: Length of the fingerprint prefix used in entry names (the full digest
+#: is kept in the entry's metadata).
 _FP_PREFIX = 12
 
-
-@dataclass(frozen=True)
-class CacheEntryInfo:
-    """Inventory record of one cached trace (for ``repro cache info``)."""
-
-    name: str
-    os_name: str
-    n_instructions: int
-    seed: int
-    path: str
-    bytes: int
-    artifacts: int
-    generator_version: int
-
-    def to_dict(self) -> dict:
-        """JSON-ready record (for ``repro cache info --json``)."""
-        return {
-            "name": self.name,
-            "os": self.os_name,
-            "n_instructions": self.n_instructions,
-            "seed": self.seed,
-            "path": self.path,
-            "bytes": self.bytes,
-            "artifacts": self.artifacts,
-            "generator_version": self.generator_version,
-        }
+#: The one file of a line-run entry.
+_RUNS = "runs.npz"
 
 
 class TraceDiskCache:
-    """A directory of memory-mappable trace and line-run artifacts."""
+    """Traces and their line runs, as two namespaces of verified entries."""
 
     def __init__(self, root: str | os.PathLike):
         self.root = os.path.abspath(os.fspath(root))
+        self.traces = EntryStore(os.path.join(self.root, TRACES))
+        self.line_runs = EntryStore(os.path.join(self.root, LINE_RUNS))
 
     # -- keys ----------------------------------------------------------
 
-    def entry_dir(
-        self, params: WorkloadParams, n_instructions: int, seed: int
-    ) -> str:
-        """Directory holding the entry for one fully-specified trace."""
+    @staticmethod
+    def _name(params: WorkloadParams, n_instructions: int, seed: int) -> str:
         fingerprint = params_fingerprint(params)[:_FP_PREFIX]
-        name = (
+        return (
             f"{params.name}-{params.os_name}-{n_instructions}-{seed}"
             f"-{fingerprint}"
         )
-        return os.path.join(self.root, name)
 
     # -- traces --------------------------------------------------------
 
@@ -101,13 +75,13 @@ class TraceDiskCache:
         self, params: WorkloadParams, n_instructions: int, seed: int
     ) -> Trace | None:
         """The cached trace, memory-mapped, or ``None`` on a miss."""
-        entry = self.entry_dir(params, n_instructions, seed)
-        if not os.path.isdir(entry):
+        name = self._name(params, n_instructions, seed)
+        if self.traces.open(name) is None:
             return None
         try:
-            return load_trace_columns(entry, mmap=True)
+            return load_trace_columns(self.traces.path(name), mmap=True)
         except ValueError:
-            # Interrupted store or foreign directory: treat as a miss.
+            # Verified, but not this format version (or dropped since).
             return None
 
     def store(
@@ -119,47 +93,27 @@ class TraceDiskCache:
     ) -> str:
         """Persist ``trace``; returns the entry directory.
 
-        Atomic against concurrent writers: the entry is assembled in a
-        temporary directory and renamed into place; whoever renames
-        first wins and the loser's bytes are discarded (both wrote
-        identical content — the key covers everything that determines
-        it).
+        A concurrent writer that published the same key first keeps its
+        entry (the key covers everything that determines the bytes).
         """
-        entry = self.entry_dir(params, n_instructions, seed)
-        if os.path.isdir(entry):
-            return entry
-        os.makedirs(self.root, exist_ok=True)
-        staging = tempfile.mkdtemp(prefix=".staging-", dir=self.root)
-        try:
-            save_trace_columns(trace, staging)
-            with open(os.path.join(staging, "entry.json"), "w") as handle:
-                json.dump(
-                    {
-                        "name": params.name,
-                        "os_name": params.os_name,
-                        "n_instructions": n_instructions,
-                        "seed": seed,
-                        "fingerprint": params_fingerprint(params),
-                        # Read at call time, as params_fingerprint
-                        # does, so the entry records the version its
-                        # key was derived under.
-                        "generator_version": (
-                            workload_params.GENERATOR_VERSION
-                        ),
-                    },
-                    handle,
-                )
-            try:
-                os.rename(staging, entry)
-            except OSError:
-                # A concurrent worker beat us to it.
-                shutil.rmtree(staging, ignore_errors=True)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-        return entry
+        name = self._name(params, n_instructions, seed)
+        self.traces.publish(
+            name,
+            lambda staging: save_trace_columns(trace, staging),
+            meta={
+                "name": params.name,
+                "os": params.os_name,
+                "n_instructions": n_instructions,
+                "seed": seed,
+                "fingerprint": params_fingerprint(params),
+                # Read at call time, as params_fingerprint does, so the
+                # entry records the version its key was derived under.
+                "generator_version": workload_params.GENERATOR_VERSION,
+            },
+        )
+        return self.traces.path(name)
 
-    # -- derived artifacts ---------------------------------------------
+    # -- line runs -----------------------------------------------------
 
     def load_line_runs(
         self,
@@ -169,12 +123,10 @@ class TraceDiskCache:
         line_size: int,
     ) -> LineRuns | None:
         """The cached RLE instruction stream at one line size, if any."""
-        path = os.path.join(
-            self.entry_dir(params, n_instructions, seed),
-            f"lineruns-{line_size}.npz",
-        )
-        if not os.path.exists(path):
+        name = f"{self._name(params, n_instructions, seed)}-{line_size}"
+        if self.line_runs.open(name) is None:
             return None
+        path = os.path.join(self.line_runs.path(name), _RUNS)
         try:
             with np.load(path) as archive:
                 return LineRuns(
@@ -193,100 +145,23 @@ class TraceDiskCache:
         n_instructions: int,
         seed: int,
     ) -> str | None:
-        """Persist an RLE stream under its trace's entry.
+        """Persist an RLE stream as its own entry.
 
-        Requires the trace entry to exist already (the stream is derived
-        from it); returns ``None`` when it does not.
+        Requires its trace's entry to exist already (the stream is
+        derived from it); returns ``None`` when it does not.
         """
-        entry = self.entry_dir(params, n_instructions, seed)
-        if not os.path.isdir(entry):
+        trace = self._name(params, n_instructions, seed)
+        if not os.path.isdir(self.traces.path(trace)):
             return None
-        path = os.path.join(entry, f"lineruns-{runs.line_size}.npz")
-        if os.path.exists(path):
-            return path
-        fd, staging = tempfile.mkstemp(suffix=".npz.tmp", dir=entry)
-        os.close(fd)
-        try:
-            with open(staging, "wb") as handle:
-                np.savez(
-                    handle,
-                    lines=runs.lines,
-                    counts=runs.counts,
-                    first_offsets=runs.first_offsets,
-                )
-            os.replace(staging, path)
-        except BaseException:
-            if os.path.exists(staging):
-                os.unlink(staging)
-            raise
-        return path
-
-    # -- inventory -----------------------------------------------------
-
-    def entries(self) -> list[CacheEntryInfo]:
-        """Inventory of every complete entry, sorted by name."""
-        if not os.path.isdir(self.root):
-            return []
-        infos = []
-        for child in sorted(os.listdir(self.root)):
-            entry = os.path.join(self.root, child)
-            meta_path = os.path.join(entry, "entry.json")
-            if not os.path.isfile(meta_path):
-                continue
-            try:
-                with open(meta_path) as handle:
-                    meta = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-            total = 0
-            artifacts = 0
-            for name in os.listdir(entry):
-                total += os.path.getsize(os.path.join(entry, name))
-                if name.startswith("lineruns-"):
-                    artifacts += 1
-            infos.append(
-                CacheEntryInfo(
-                    name=str(meta.get("name", child)),
-                    os_name=str(meta.get("os_name", "?")),
-                    n_instructions=int(meta.get("n_instructions", 0)),
-                    seed=int(meta.get("seed", 0)),
-                    path=entry,
-                    bytes=total,
-                    artifacts=artifacts,
-                    # Entries written before the field existed are all
-                    # from generator v1.
-                    generator_version=int(meta.get("generator_version", 1)),
-                )
-            )
-        return infos
-
-    def total_bytes(self) -> int:
-        """Bytes held by all complete entries."""
-        return sum(info.bytes for info in self.entries())
-
-    def describe(self) -> dict:
-        """Machine-readable inventory of the whole cache.
-
-        The structured twin of ``repro cache info``'s text rendering, so
-        tooling and the HTTP service consume cache state without
-        scraping.
-        """
-        entries = self.entries()
-        return {
-            "root": self.root,
-            "entry_count": len(entries),
-            "total_bytes": sum(info.bytes for info in entries),
-            "entries": [info.to_dict() for info in entries],
-        }
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        if not os.path.isdir(self.root):
-            return removed
-        for child in os.listdir(self.root):
-            entry = os.path.join(self.root, child)
-            if os.path.isdir(entry):
-                shutil.rmtree(entry, ignore_errors=True)
-                removed += 1
-        return removed
+        name = f"{trace}-{runs.line_size}"
+        self.line_runs.publish(
+            name,
+            lambda staging: np.savez(
+                os.path.join(staging, _RUNS),
+                lines=runs.lines,
+                counts=runs.counts,
+                first_offsets=runs.first_offsets,
+            ),
+            meta={"trace": trace, "line_size": runs.line_size},
+        )
+        return self.line_runs.path(name)

@@ -306,6 +306,7 @@ class ServiceApp:
         self.metrics.set_gauge("queued_jobs", self.scheduler.queued_count)
         self.metrics.set_gauge("result_store_entries", len(self.store))
         self.metrics.set_gauge("result_store_bytes", self.store.current_bytes)
+        self.metrics.set_gauge("result_store_dropped", self.store.dropped)
         traces, order = _loaded_cache_stats()
         self.metrics.set_gauge("trace_cache_entries", traces["entries"])
         self.metrics.set_gauge(

@@ -54,6 +54,12 @@ METRIC_HELP = {
     "result_store_misses_total": "Result-store lookups that missed.",
     "result_store_entries": "Entries resident in the result store.",
     "result_store_bytes": "Bytes resident in the result store.",
+    "result_store_dropped": (
+        "Result-store entries dropped on read for failing verification."
+    ),
+    "result_store_publish_failures_total": (
+        "Computed results the store failed to publish (served anyway)."
+    ),
     "phase_seconds": "Simulation phase wall time per span, by phase.",
     "span_seconds": "Traced span wall time, by span name.",
     "engine_dispatch_total": (

@@ -679,6 +679,27 @@ class JobScheduler:
         )
         return result, report, manifest_path
 
+    def _publish(
+        self, job: Job, payload: dict, rendering: str | None = None
+    ) -> str:
+        """Store a computed result; returns its JSON text either way.
+
+        A store that cannot publish (a full disk, say) must not strand
+        the job: its callers still get the result they waited for, and
+        the failure is counted and logged.
+        """
+        try:
+            return self.store.put(job.key, payload, rendering)
+        except OSError as exc:
+            self.metrics.inc("result_store_publish_failures_total")
+            log_event(
+                "result_publish_failed",
+                trace_id=job.trace_id,
+                job=job.id,
+                error=str(exc),
+            )
+            return json.dumps(payload, sort_keys=True)
+
     async def _run_experiment_job(
         self, job: Job, name: str, settings: ExperimentSettings
     ) -> None:
@@ -709,7 +730,7 @@ class JobScheduler:
             job._fail(str(exc))
         else:
             job.manifest = manifest_path
-            payload_json = self.store.put(job.key, payload, rendering)
+            payload_json = self._publish(job, payload, rendering)
             self.metrics.inc("jobs_executed_total", {"kind": "experiment"})
             self.metrics.observe(
                 "job_seconds",
@@ -818,7 +839,7 @@ class JobScheduler:
             for index, payload in zip(indices, payloads):
                 _, job = batch[index]
                 job.manifest = manifest_path
-                payload_json = self.store.put(job.key, payload)
+                payload_json = self._publish(job, payload)
                 self.metrics.inc("jobs_executed_total", {"kind": "evaluate"})
                 job._complete(payload_json, None, "executed")
                 self._inflight.pop(job.key, None)

@@ -10,14 +10,13 @@ generator version).  A restarted server therefore answers a repeated
 request from disk without re-running anything, and a stale key is
 simply never matched again.
 
-Layout mirrors the trace cache: one directory per entry under the
-store root (conventionally ``<cache-dir>/results``), holding
-``meta.json`` (the JSON payload) plus an optional ``rendering.txt``
-(the rendered table, kept as raw bytes so large renderings stay out of
-the JSON).  Writes stage into a temp directory (files fsynced before
-publish) and atomically rename into place, so concurrent writers and
-interrupted stores never publish a partial entry — a torn write leaves
-only a ``.staging-*`` directory the scanner ignores.
+Each result is one verified entry (:mod:`repro.runner.entrystore`) of
+the ``results`` namespace, conventionally ``<cache-dir>/results``,
+holding ``meta.json`` (the JSON payload) plus an optional
+``rendering.txt`` (the rendered table, kept as raw bytes so large
+renderings stay out of the JSON).  Entries are published whole and
+verified on every read, so a torn, truncated or altered entry is a miss
+that is recomputed.
 
 The store is safe under concurrent *processes* sharing one root (the
 warm tier and a live server, or several servers):
@@ -45,11 +44,9 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import shutil
-import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 try:  # POSIX-only; the store degrades to in-process locking without it.
     import fcntl
@@ -57,6 +54,7 @@ except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None
 
 from repro._util.lru import LruSet
+from repro.runner.entrystore import RESULTS, EntryStore
 
 #: Environment variable bounding the store's on-disk footprint.
 RESULT_STORE_BYTES_ENV = "REPRO_RESULT_STORE_BYTES"
@@ -92,7 +90,7 @@ class StoredResult:
 
 @dataclass(frozen=True)
 class ResultEntryInfo:
-    """Inventory record of one stored result (``repro results info``)."""
+    """Inventory record of one stored result (``GET /v1/results``)."""
 
     key: str
     kind: str
@@ -101,22 +99,13 @@ class ResultEntryInfo:
     stored_at: float
     path: str | None
 
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "kind": self.kind,
-            "name": self.name,
-            "bytes": self.bytes,
-            "stored_at": self.stored_at,
-            "path": self.path,
-        }
-
 
 class ResultStore:
     """An LRU-bounded, content-addressed result cache (disk or memory)."""
 
     def __init__(self, root: str | os.PathLike | None, max_bytes: int | None = None):
-        self.root = os.path.abspath(os.fspath(root)) if root else None
+        self._entries = EntryStore(root) if root else None
+        self.root = self._entries.root if self._entries else None
         if max_bytes is None:
             raw = os.environ.get(RESULT_STORE_BYTES_ENV, "").strip()
             try:
@@ -135,13 +124,22 @@ class ResultStore:
         self._bytes: dict[str, int] = {}
         self._memory: dict[str, StoredResult] = {}
         self.current_bytes = 0
-        if self.root:
-            self._scan()
+        # Oldest-touched first; a directory without a digest is not a
+        # published entry.
+        infos = self._entries.entries() if self._entries else []
+        for info in sorted(infos, key=lambda info: info.mtime):
+            if info.meta is not None:
+                self._account(info.name, info.bytes)
 
     @property
     def persistent(self) -> bool:
         """Whether entries survive process restarts."""
         return self.root is not None
+
+    @property
+    def dropped(self) -> int:
+        """Entries dropped on read because they failed verification."""
+        return self._entries.dropped if self._entries else 0
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -174,49 +172,16 @@ class ResultStore:
             if self._flock_depth == 0:
                 fcntl.flock(self._flock_fd, fcntl.LOCK_UN)
 
-    def _entry_dir(self, key: str) -> str:
-        assert self.root is not None
-        return os.path.join(self.root, key)
-
-    def _entry_bytes(self, entry: str) -> int:
-        total = 0
-        try:
-            for name in os.listdir(entry):
-                total += os.path.getsize(os.path.join(entry, name))
-        except OSError:
-            pass
-        return total
-
-    def _scan(self) -> None:
-        """Rebuild accounting from disk, oldest-touched first."""
-        if not os.path.isdir(self.root):
-            return
-        aged = []
-        for child in os.listdir(self.root):
-            if child.startswith("."):
-                # Torn staging dirs and the lock file are not entries.
-                continue
-            entry = os.path.join(self.root, child)
-            meta = os.path.join(entry, _META)
-            if not os.path.isfile(meta):
-                continue
-            try:
-                aged.append((os.path.getmtime(entry), child))
-            except OSError:
-                continue
-        for _, key in sorted(aged):
-            size = self._entry_bytes(self._entry_dir(key))
-            self._lru.touch(key)
-            self._bytes[key] = size
-            self.current_bytes += size
+    def _account(self, key: str, size: int) -> None:
+        self._lru.touch(key)
+        self._bytes[key] = size
+        self.current_bytes += size
 
     def _touch(self, key: str) -> None:
         self._lru.touch(key)
-        if self.root:
-            try:
-                os.utime(self._entry_dir(key))
-            except OSError:
-                pass
+        if self._entries:
+            with contextlib.suppress(OSError):
+                os.utime(self._entries.path(key))
 
     def _adopt(self, key: str) -> bool:
         """Account an entry another process published under this root.
@@ -227,14 +192,13 @@ class ResultStore:
         """
         if key in self._lru:
             return True
-        if not self.root or not key or key.startswith(".") or os.sep in key:
+        hostile = not key or key.startswith(".") or os.sep in key
+        if not self._entries or hostile:
             return False
-        if not os.path.isfile(os.path.join(self._entry_dir(key), _META)):
+        info = self._entries.info(key)
+        if info is None or info.meta is None:
             return False
-        size = self._entry_bytes(self._entry_dir(key))
-        self._lru.touch(key)
-        self._bytes[key] = size
-        self.current_bytes += size
+        self._account(key, info.bytes)
         return True
 
     def _evict(self) -> None:
@@ -249,9 +213,9 @@ class ResultStore:
         self._lru.discard(key)
         self.current_bytes -= self._bytes.pop(key, 0)
         self._memory.pop(key, None)
-        if self.root:
+        if self._entries:
             with self._exclusive():
-                shutil.rmtree(self._entry_dir(key), ignore_errors=True)
+                self._entries.drop(key)
 
     # -- the content-addressed interface -------------------------------
 
@@ -287,33 +251,21 @@ class ResultStore:
         with self._lock:
             if key not in self._lru and not self._adopt(key):
                 return None
-            if not self.root:
+            if not self._entries:
                 self._touch(key)
                 return self._memory.get(key)
-            entry = self._entry_dir(key)
-            try:
-                with open(os.path.join(entry, _META), "rb") as handle:
-                    payload_json = handle.read().decode("utf-8")
-                json.loads(payload_json)  # a torn or foreign entry raises
-                rendering = None
-                rendering_path = os.path.join(entry, _RENDERING)
-                if os.path.exists(rendering_path):
-                    with open(rendering_path, "rb") as handle:
-                        rendering = handle.read().decode("utf-8")
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                # Interrupted or foreign entry: forget it.
+            files = self._entries.open(key, read=(_META, _RENDERING))
+            if files is None or _META not in files:
+                # Evicted by another process, corrupt (the entry store
+                # dropped it) or foreign: forget it.
                 self._drop(key)
                 return None
             self._touch(key)
-            return StoredResult(payload_json, rendering)
-
-    @staticmethod
-    def _write_durable(path: str, data: bytes) -> None:
-        """Write one staged file and fsync it before publish."""
-        with open(path, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
+            rendering = files.get(_RENDERING)
+            return StoredResult(
+                files[_META].decode("utf-8"),
+                None if rendering is None else rendering.decode("utf-8"),
+            )
 
     def put(self, key: str, payload: dict, rendering: str | None = None) -> str:
         """Store one result (idempotent: an existing key is refreshed).
@@ -326,42 +278,26 @@ class ResultStore:
             if key in self._lru or self._adopt(key):
                 self._touch(key)
                 return payload_json
-            if not self.root:
-                size = len(payload_json) + len(rendering or "")
+            if not self._entries:
                 self._memory[key] = StoredResult(payload_json, rendering)
+                self._account(key, len(payload_json) + len(rendering or ""))
             else:
-                os.makedirs(self.root, exist_ok=True)
-                staging = tempfile.mkdtemp(prefix=".staging-", dir=self.root)
-                try:
-                    self._write_durable(
-                        os.path.join(staging, _META),
-                        payload_json.encode("utf-8"),
-                    )
-                    if rendering is not None:
-                        self._write_durable(
-                            os.path.join(staging, _RENDERING),
-                            rendering.encode("utf-8"),
-                        )
-                    size = self._entry_bytes(staging)
-                    with self._exclusive():
-                        try:
-                            os.rename(staging, self._entry_dir(key))
-                        except OSError:
-                            # A concurrent writer won the publish race;
-                            # the content under one key is identical, so
-                            # adopt the winner's entry.  (If the rename
-                            # failed for any other reason nothing was
-                            # published — account nothing.)
-                            shutil.rmtree(staging, ignore_errors=True)
-                            if self._adopt(key):
-                                self._evict()
-                            return payload_json
-                except BaseException:
-                    shutil.rmtree(staging, ignore_errors=True)
-                    raise
-            self._lru.touch(key)
-            self._bytes[key] = size
-            self.current_bytes += size
+                def write(staging: str) -> None:
+                    for name, text in (
+                        (_META, payload_json), (_RENDERING, rendering)
+                    ):
+                        if text is not None:
+                            path = os.path.join(staging, name)
+                            with open(path, "wb") as handle:
+                                handle.write(text.encode("utf-8"))
+
+                meta = {k: str(payload.get(k, "?")) for k in ("kind", "name")}
+                with self._exclusive():
+                    # Published here or by a concurrent writer, the
+                    # entry under one key is the same: account it.
+                    self._entries.publish(key, write, meta)
+                    if not self._adopt(key):
+                        return payload_json
             self._evict()
             return payload_json
 
@@ -372,36 +308,21 @@ class ResultStore:
         with self._lock:
             infos = []
             for key in self._lru:
-                payload = None
-                stored_at = 0.0
-                path = None
-                if self.root:
-                    path = self._entry_dir(key)
-                    try:
-                        with open(os.path.join(path, _META)) as handle:
-                            payload = json.load(handle)
-                        stored_at = os.path.getmtime(path)
-                    except (OSError, json.JSONDecodeError):
-                        payload = None
-                else:
-                    record = self._memory.get(key)
-                    payload = record.payload if record else None
-                    stored_at = time.time()
-                payload = payload or {}
-                infos.append(
-                    ResultEntryInfo(
-                        key=key,
-                        kind=str(payload.get("kind", "?")),
-                        name=str(payload.get("name", "?")),
-                        bytes=self._bytes.get(key, 0),
-                        stored_at=stored_at,
-                        path=path,
-                    )
-                )
+                info = self._entries.info(key) if self._entries else None
+                record = self._memory.get(key)
+                meta = (info and info.meta) or (record and record.payload)
+                infos.append(ResultEntryInfo(
+                    key=key,
+                    kind=str((meta or {}).get("kind", "?")),
+                    name=str((meta or {}).get("name", "?")),
+                    bytes=self._bytes.get(key, 0),
+                    stored_at=info.mtime if info else time.time(),
+                    path=info.path if info else None,
+                ))
             return infos
 
     def describe(self) -> dict:
-        """Machine-readable inventory (``repro results info --json``)."""
+        """Machine-readable inventory (``GET /v1/results``)."""
         entries = self.entries()
         return {
             "root": self.root,
@@ -409,7 +330,7 @@ class ResultStore:
             "max_bytes": self.max_bytes,
             "entry_count": len(entries),
             "total_bytes": self.current_bytes,
-            "entries": [info.to_dict() for info in entries],
+            "entries": [asdict(info) for info in entries],
         }
 
     def clear(self) -> int:
@@ -427,11 +348,11 @@ def result_store_for_cache(cache, max_bytes: int | None = None) -> ResultStore:
     ``cache`` is the cache directory (see
     :func:`repro.runner.cachedir.selected_cache_dir`) or anything with
     a ``root``, such as a :class:`repro.runner.cache.TraceDiskCache`;
-    results live under ``<root>/results``.  With ``cache=None`` the
+    results live in its ``results`` namespace.  With ``cache=None`` the
     store is memory-only.
     """
     root = getattr(cache, "root", cache)
     return ResultStore(
-        os.path.join(os.fspath(root), "results") if root else None,
+        os.path.join(os.fspath(root), RESULTS) if root else None,
         max_bytes=max_bytes,
     )

@@ -26,6 +26,7 @@ import os
 import numpy as np
 
 from repro.obs import tracing
+from repro.obs.logs import log_event
 from repro.runner import timing
 from repro.trace.rle import LineRuns
 from repro.trace.trace import Trace
@@ -215,6 +216,24 @@ def set_trace_cache_backend(backend) -> None:
     _disk_cache = backend
 
 
+def _persist(store, value, params, n_instructions: int, seed: int) -> None:
+    """Write a computed value to the disk layer, best effort.
+
+    The caller already holds the value, so a disk that cannot take it
+    (full, read-only) costs only the next run's recomputation; the
+    failure is logged rather than failing the cell.
+    """
+    try:
+        store(value, params, n_instructions, seed)
+    except OSError as exc:
+        log_event(
+            "trace_cache_store_failed",
+            workload=params.name,
+            os=params.os_name,
+            error=str(exc),
+        )
+
+
 def get_trace(
     name: str,
     os_name: str = MACH3,
@@ -237,7 +256,7 @@ def get_trace(
         with timing.phase(timing.PHASE_SYNTHESIZE):
             trace = synthesize_trace(params, n_instructions, seed=seed)
         if backend is not None:
-            backend.store(trace, params, n_instructions, seed)
+            _persist(backend.store, trace, params, n_instructions, seed)
         _notify_cache(TRACE_CACHE_SYNTHESIZED)
     else:
         _notify_cache(TRACE_CACHE_DISK_HIT)
@@ -273,7 +292,9 @@ def get_line_runs(
     if runs is None:
         runs = trace.ifetch_line_runs(line_size)
         if backend is not None:
-            backend.store_line_runs(runs, params, n_instructions, seed)
+            _persist(
+                backend.store_line_runs, runs, params, n_instructions, seed
+            )
     else:
         trace._cache[memo_key] = runs
     return runs

@@ -147,9 +147,12 @@ class TestCacheAndJobsCli:
         assert main(["--cache-dir", cache_dir, "cache", "info"]) == 0
         out = capsys.readouterr().out
         assert cache_dir in out
-        assert "entries: 22" in out
+        # 22 traces, and the 32 B line runs of each.
+        assert "entries: 44" in out
+        assert "traces: 22 entries" in out
+        assert "lineruns: 22 entries" in out
         assert main(["--cache-dir", cache_dir, "cache", "clear"]) == 0
-        assert "cleared 22 entries" in capsys.readouterr().out
+        assert "cleared 44 entries" in capsys.readouterr().out
 
     def test_cache_info_json(self, tmp_path, capsys):
         import json
@@ -166,16 +169,20 @@ class TestCacheAndJobsCli:
         assert main(["--cache-dir", cache_dir, "cache", "info", "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["root"] == cache_dir
-        assert record["entry_count"] == 22
-        assert record["total_bytes"] > 0
+        assert record["entry_count"] == 44
+        assert record["total_bytes"] == sum(
+            entry["bytes"] for entry in record["entries"]
+        )
         order = record["order_cache"]
         assert set(order) == {"entries", "bytes", "evictions", "max_bytes"}
         # The experiment's traces are still cached, and so are the
         # memos of their streams.
         assert order["entries"] > 0
         entry = record["entries"][0]
-        assert {"name", "os", "n_instructions", "seed", "bytes",
-                "artifacts", "path"} <= set(entry)
+        assert entry["namespace"] == "traces"
+        assert {"name", "path", "bytes", "mtime", "meta"} <= set(entry)
+        assert {"name", "os", "n_instructions", "seed",
+                "generator_version"} <= set(entry["meta"])
 
     def test_cache_info_json_unconfigured(self, capsys):
         import json
@@ -193,29 +200,60 @@ class TestCacheAndJobsCli:
         store = ResultStore(str(tmp_path / "cache" / "results"))
         store.put("f" * 64, {"kind": "experiment", "name": "table5"}, "body")
 
-        assert main(["--cache-dir", cache_dir, "results", "info"]) == 0
+        assert main(["--cache-dir", cache_dir, "cache", "info"]) == 0
         out = capsys.readouterr().out
-        assert "entries: 1" in out
-        assert "table5" in out
+        assert "results: 1 entries" in out
+        assert "experiment table5" in out
 
-        assert main(
-            ["--cache-dir", cache_dir, "results", "info", "--json"]
-        ) == 0
+        assert main(["--cache-dir", cache_dir, "cache", "info", "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["entry_count"] == 1
-        assert record["entries"][0]["key"] == "f" * 64
+        (entry,) = record["entries"]
+        assert entry["namespace"] == "results"
+        assert entry["name"] == "f" * 64
+        assert entry["meta"] == {"kind": "experiment", "name": "table5"}
 
-        assert main(["--cache-dir", cache_dir, "results", "clear"]) == 0
-        assert "cleared 1 results" in capsys.readouterr().out
-        assert main(
-            ["--cache-dir", cache_dir, "results", "info", "--json"]
-        ) == 0
+        assert main(["--cache-dir", cache_dir, "cache", "clear"]) == 0
+        assert "cleared 1 entries" in capsys.readouterr().out
+        assert main(["--cache-dir", cache_dir, "cache", "info", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entry_count"] == 0
 
-    def test_results_unconfigured(self, capsys):
-        assert main(["results", "info"]) == 0
-        assert "no result store configured" in capsys.readouterr().out
-        assert main(["results", "clear"]) == 2
+    def test_results_subcommand_is_gone(self, capsys):
+        # `repro cache` reports and clears the results with the traces.
+        with pytest.raises(SystemExit) as exc:
+            main(["results", "info"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'results'" in capsys.readouterr().err
+
+    def test_clear_removes_what_info_lists_and_keeps_the_lock(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        from repro.service.store import ResultStore
+
+        cache_dir = tmp_path / "cache"
+        assert main([
+            "--instructions", "20000", "--cache-dir", str(cache_dir),
+            "experiment", "table5",
+        ]) == 0
+        store = ResultStore(cache_dir / "results")
+        store.put("f" * 64, {"kind": "experiment", "name": "table5"})
+        lock = cache_dir / "results" / ".lock"
+        inode = lock.stat().st_ino
+        capsys.readouterr()
+
+        info = ["--cache-dir", str(cache_dir), "cache", "info", "--json"]
+        assert main(info) == 0
+        listed = json.loads(capsys.readouterr().out)["entry_count"]
+        assert listed == 45
+        assert main(["--cache-dir", str(cache_dir), "cache", "clear"]) == 0
+        assert f"cleared {listed} entries" in capsys.readouterr().out
+        # A live server's flock stays on the same file.
+        assert lock.stat().st_ino == inode
+        assert main(info) == 0
+        assert json.loads(capsys.readouterr().out)["entry_count"] == 0
+        assert store.get("f" * 64) is None
 
     def test_no_disk_cache_flag(self, tmp_path, capsys, monkeypatch):
         cache_dir = tmp_path / "cache"
@@ -333,7 +371,9 @@ class TestCacheSelection:
             if name == winner:
                 # Traces, their line runs and the results, side by side.
                 assert (directory / "results").is_dir()
-                assert any(directory.glob("gcc-mach3-5000-0-*/entry.json"))
+                assert any(
+                    directory.glob("traces/gcc-mach3-5000-0-*/digest.json")
+                )
             else:
                 assert not directory.exists()
         if winner is None:

@@ -105,6 +105,9 @@ def test_exports_are_their_defining_modules_objects(package):
         if not target:  # defined in the package itself
             assert value is vars(pkg)[name]
             continue
+        # Importing a submodule binds its name in the package, so a name
+        # defined in a submodule of the same name would be shadowed.
+        assert target != f".{name}"
         module = importlib.import_module(target, package)
         assert value is getattr(module, name)
         if getattr(value, "__name__", None) == name:
@@ -139,15 +142,6 @@ def test_subpackages_load_on_attribute_access():
     assert out.split() == ["False", "True"]
 
 
-def test_name_shared_with_its_submodule_stays_the_export():
-    # Importing repro.core.sweep binds the package attribute ``sweep``
-    # to the submodule; the export table must keep the function.
-    import repro.core
-    from repro.core.sweep import sweep
-
-    assert repro.core.sweep is sweep
-
-
 # -- every library module has a caller -----------------------------------
 
 SRC = Path(repro.__file__).parent
@@ -164,10 +158,6 @@ UNREACHED_KEPT = {
     "repro.tlb.mach_tlb": (
         "wrapped by benchmarks/e2e/launch.py until the "
         "instrumentation-stream benchmark revision"
-    ),
-    "repro.core.sweep": (
-        "the top-level repro.sweep helper of docs/API.md; retiring it "
-        "changes the public API, so it gets its own change"
     ),
 }
 

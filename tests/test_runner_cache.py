@@ -1,7 +1,9 @@
 """Unit tests for the persistent on-disk trace/artifact cache."""
 
 import dataclasses
+import errno
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -81,7 +83,7 @@ class TestFingerprint:
         b = params_fingerprint(get_workload("groff", "mach3"))
         assert a != b
 
-    def test_computed_once_per_object(self, params, monkeypatch):
+    def test_computed_once_per_object(self, tmp_path, params, monkeypatch):
         calls = []
         compute = params_module._fingerprint
         monkeypatch.setattr(params_module, "_FINGERPRINTS", {})
@@ -90,9 +92,9 @@ class TestFingerprint:
             "_fingerprint",
             lambda *args: calls.append(args) or compute(*args),
         )
-        cache = TraceDiskCache("unused")
-        first = cache.entry_dir(params, N, SEED)
-        assert cache.entry_dir(params, N, SEED) == first
+        cache = TraceDiskCache(tmp_path)
+        assert cache.load(params, N, SEED) is None
+        assert cache.load(params, N, SEED) is None
         assert params_fingerprint(params) == compute(params, GENERATOR_VERSION)
         assert len(calls) == 1
 
@@ -145,7 +147,7 @@ class TestRoundTrip:
         first = cache.store(trace, params, N, SEED)
         second = cache.store(trace, params, N, SEED)
         assert first == second
-        assert len(cache.entries()) == 1
+        assert len(cache.traces.entries()) == 1
 
     def test_line_runs_round_trip(self, tmp_path, params, trace):
         cache = TraceDiskCache(tmp_path)
@@ -173,16 +175,17 @@ class TestRoundTrip:
         )
 
         cache = TraceDiskCache(tmp_path)
-        cache.store(trace, params, N, SEED)
+        entry = cache.store(trace, params, N, SEED)
         runs = to_line_runs(trace.ifetch_addresses(), 32)
-        path = os.path.join(
-            cache.entry_dir(params, N, SEED), "lineruns-32.npz"
-        )
-        np.savez(
-            path,
-            lines=runs.lines,
-            counts=runs.counts.astype(np.int64),
-            first_offsets=runs.first_offsets.astype(np.int64),
+        name = os.path.basename(entry) + "-32"
+        cache.line_runs.publish(
+            name,
+            lambda staging: np.savez(
+                os.path.join(staging, "runs.npz"),
+                lines=runs.lines,
+                counts=runs.counts.astype(np.int64),
+                first_offsets=runs.first_offsets.astype(np.int64),
+            ),
         )
         loaded = cache.load_line_runs(params, N, SEED, 32)
         assert loaded.counts.dtype == np.int32
@@ -226,9 +229,10 @@ class TestInvalidation:
         )
         assert cache.load(params, N, SEED) is None
 
-    def test_foreign_directory_is_a_miss(self, tmp_path, params):
+    def test_foreign_directory_is_a_miss(self, tmp_path, params, trace):
         cache = TraceDiskCache(tmp_path)
-        entry = cache.entry_dir(params, N, SEED)
+        entry = cache.store(trace, params, N, SEED)
+        shutil.rmtree(entry)
         os.makedirs(entry)
         with open(os.path.join(entry, "garbage.txt"), "w") as handle:
             handle.write("not a trace")
@@ -238,34 +242,33 @@ class TestInvalidation:
 class TestInventory:
     def test_entries_and_clear(self, tmp_path, params, trace):
         cache = TraceDiskCache(tmp_path)
-        assert cache.entries() == []
-        assert cache.total_bytes() == 0
+        assert cache.traces.entries() == []
         cache.store(trace, params, N, SEED)
-        infos = cache.entries()
+        infos = cache.traces.entries()
         assert len(infos) == 1
-        assert infos[0].name == "gcc"
-        assert infos[0].os_name == "mach3"
-        assert infos[0].n_instructions == N
+        assert infos[0].meta["name"] == "gcc"
+        assert infos[0].meta["os"] == "mach3"
+        assert infos[0].meta["n_instructions"] == N
         assert infos[0].bytes > 0
-        assert cache.total_bytes() == infos[0].bytes
-        assert cache.clear() == 1
-        assert cache.entries() == []
+        assert cache.traces.clear() == 1
+        assert cache.traces.entries() == []
 
     def test_artifact_count(self, tmp_path, params, trace):
         cache = TraceDiskCache(tmp_path)
-        cache.store(trace, params, N, SEED)
+        entry = cache.store(trace, params, N, SEED)
         runs = to_line_runs(trace.ifetch_addresses(), 32)
         cache.store_line_runs(runs, params, N, SEED)
-        assert cache.entries()[0].artifacts == 1
+        (info,) = cache.line_runs.entries()
+        assert info.meta["line_size"] == 32
+        assert info.meta["trace"] == os.path.basename(entry)
 
     def test_entries_report_generator_version(self, tmp_path, params, trace):
         from repro.workloads.generator import GENERATOR_VERSION
 
         cache = TraceDiskCache(tmp_path)
         cache.store(trace, params, N, SEED)
-        info = cache.entries()[0]
-        assert info.generator_version == GENERATOR_VERSION
-        assert info.to_dict()["generator_version"] == GENERATOR_VERSION
+        info = cache.traces.entries()[0]
+        assert info.meta["generator_version"] == GENERATOR_VERSION
 
     def test_entries_report_the_version_their_key_uses(
         self, tmp_path, params, trace, monkeypatch
@@ -278,23 +281,9 @@ class TestInventory:
         cache = TraceDiskCache(tmp_path)
         cache.store(trace, params, N, SEED)
         assert cache.load(params, N, SEED) is not None
-        assert cache.entries()[0].generator_version == GENERATOR_VERSION + 1
-
-    def test_pre_versioned_entries_report_v1(self, tmp_path, params, trace):
-        """Entries written before ``entry.json`` carried the field are
-        all from the v1 synthesizer and must be reported as such."""
-        import json as jsonlib
-        import os
-
-        cache = TraceDiskCache(tmp_path)
-        entry = cache.store(trace, params, N, SEED)
-        meta_path = os.path.join(entry, "entry.json")
-        with open(meta_path) as handle:
-            meta = jsonlib.load(handle)
-        meta.pop("generator_version")
-        with open(meta_path, "w") as handle:
-            jsonlib.dump(meta, handle)
-        assert cache.entries()[0].generator_version == 1
+        assert cache.traces.entries()[0].meta["generator_version"] == (
+            GENERATOR_VERSION + 1
+        )
 
 
 class TestEnvironment:
@@ -333,7 +322,7 @@ class TestRegistryIntegration:
         set_trace_cache_backend(TraceDiskCache(tmp_path))
         trace = get_trace("gcc", "mach3", N, seed=SEED)
         backend = registry.trace_cache_backend()
-        assert len(backend.entries()) == 1
+        assert len(backend.traces.entries()) == 1
         # A cold in-memory cache now loads from disk: equal data, and
         # memory-mapped rather than freshly synthesized.
         clear_trace_cache()
@@ -345,7 +334,7 @@ class TestRegistryIntegration:
     def test_get_line_runs_populates_disk(self, tmp_path):
         set_trace_cache_backend(TraceDiskCache(tmp_path))
         runs = get_line_runs("gcc", "mach3", N, seed=SEED, line_size=32)
-        assert registry.trace_cache_backend().entries()[0].artifacts == 1
+        assert len(registry.trace_cache_backend().line_runs.entries()) == 1
         # Warm process: memoized on the Trace, same object back.
         assert get_line_runs("gcc", "mach3", N, seed=SEED, line_size=32) is runs
         # Cold process (simulated): the artifact loads from disk.
@@ -353,6 +342,22 @@ class TestRegistryIntegration:
         reloaded = get_line_runs("gcc", "mach3", N, seed=SEED, line_size=32)
         assert np.array_equal(reloaded.lines, runs.lines)
         assert np.array_equal(reloaded.counts, runs.counts)
+
+    def test_failed_disk_writes_still_return_the_value(self, tmp_path):
+        class FullDisk(TraceDiskCache):
+            def store(self, *args):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            store_line_runs = store
+
+        set_trace_cache_backend(FullDisk(tmp_path))
+        trace = get_trace("gcc", "mach3", N, seed=SEED)
+        runs = get_line_runs("gcc", "mach3", N, seed=SEED, line_size=32)
+        expected = synthesize_trace(get_workload("gcc", "mach3"), N, seed=SEED)
+        assert np.array_equal(trace.addresses, expected.addresses)
+        assert np.array_equal(
+            runs.lines, to_line_runs(expected.ifetch_addresses(), 32).lines
+        )
 
     def test_disabled_backend_still_works(self):
         trace = get_trace("gcc", "mach3", N, seed=SEED)

@@ -1,6 +1,7 @@
 """Unit tests for the coalescing/batching job scheduler."""
 
 import asyncio
+import errno
 import os
 import shutil
 
@@ -93,7 +94,7 @@ class TestExperimentJobs:
             "jobs_executed_total", {"kind": "experiment"}) == 0
 
     def test_store_hit_reads_the_entry_once(self, make_scheduler, monkeypatch):
-        from repro.service import store as store_module
+        from repro.runner import entrystore as store_module
 
         async def run_once(scheduler):
             job = await scheduler.submit_experiment("table2", SETTINGS)
@@ -354,3 +355,48 @@ class TestSpanDerivedMetrics:
         assert _counter_series(
             scheduler.metrics, "engine_dispatch_total"
         ) == dispatches
+
+
+class _FullDiskStore(ResultStore):
+    """A store whose every publish fails as a full disk would."""
+
+    def put(self, key, payload, rendering=None):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestPublishFailure:
+    """A result the store cannot publish still completes its job."""
+
+    @pytest.mark.parametrize("kind", ["experiment", "evaluate"])
+    def test_job_completes_and_failure_is_counted(self, tmp_path, kind):
+        scheduler = JobScheduler(
+            _FullDiskStore(tmp_path / "results"), ServiceMetrics()
+        )
+
+        async def submit():
+            if kind == "experiment":
+                job = await scheduler.submit_experiment("table2", SETTINGS)
+            else:
+                job = await scheduler.submit_evaluate(_evaluate_request())
+            await asyncio.wait_for(job.wait(), 120)
+            return job
+
+        async def body():
+            first = await submit()
+            # An identical request after it runs afresh instead of
+            # coalescing onto a job that never finishes.
+            return first, await submit()
+
+        try:
+            first, second = _run(body())
+        finally:
+            scheduler.close()
+        assert first is not second
+        for job in (first, second):
+            assert job.status == "done"
+            assert job.source == "executed"
+        assert first.rendering == second.rendering
+        assert first.result["name"] == second.result["name"]
+        assert scheduler.metrics.counter_value(
+            "result_store_publish_failures_total"
+        ) == 2

@@ -84,18 +84,26 @@ class TestEviction:
     def _sized_payload(self, n: int) -> dict:
         return {"kind": "experiment", "name": "x", "blob": "y" * n}
 
+    def _two_entry_store(self, tmp_path) -> ResultStore:
+        """A store whose budget holds two of these entries, not three
+        (an entry's bytes include its digest file)."""
+        probe = ResultStore(tmp_path / "probe")
+        probe.put(KEY_A, self._sized_payload(300))
+        budget = 5 * probe.current_bytes // 2
+        return ResultStore(tmp_path / "results", max_bytes=budget)
+
     def test_lru_eviction_by_byte_budget(self, tmp_path):
-        store = ResultStore(tmp_path / "results", max_bytes=900)
+        store = self._two_entry_store(tmp_path)
         store.put(KEY_A, self._sized_payload(300))
         store.put(KEY_B, self._sized_payload(300))
         store.put(KEY_C, self._sized_payload(300))
         # A was least recently used, so it pays for C's admission.
         assert KEY_A not in store
         assert KEY_B in store and KEY_C in store
-        assert store.current_bytes <= 900
+        assert store.current_bytes <= store.max_bytes
 
     def test_get_refreshes_recency(self, tmp_path):
-        store = ResultStore(tmp_path / "results", max_bytes=900)
+        store = self._two_entry_store(tmp_path)
         store.put(KEY_A, self._sized_payload(300))
         store.put(KEY_B, self._sized_payload(300))
         assert store.get(KEY_A) is not None  # A becomes most recent

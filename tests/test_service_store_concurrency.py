@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+from repro.runner.entrystore import EntryStore
 from repro.service.store import ResultStore
 
 pytestmark = pytest.mark.skipif(
@@ -131,9 +132,10 @@ class TestCrossInstanceVisibility:
         root = str(tmp_path / "results")
         writer = ResultStore(root)
         writer.put("abc123", _payload(1))
-        late = ResultStore.__new__(ResultStore)  # skip _scan on purpose
+        late = ResultStore.__new__(ResultStore)  # skip the scan on purpose
         ResultStore.__init__(late, None)
-        late.root = os.path.abspath(root)
+        late._entries = EntryStore(root)
+        late.root = late._entries.root
         late.put("abc123", _payload(1))
         assert len(late) == 1
         assert late.get("abc123") == _payload(1)

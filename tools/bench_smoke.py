@@ -118,14 +118,15 @@ def bench(
                 )
             with tracing.span("fetch-compare"):
                 fetch = bench_fetch(n_instructions)
+        entries = backend.traces.entries() + backend.line_runs.entries()
         record = {
             "fetch": fetch,
             "experiment": experiment,
             "n_instructions": n_instructions,
             "jobs": cold.jobs,
             "cache_dir": backend.root,
-            "cache_entries": len(backend.entries()),
-            "cache_bytes": backend.total_bytes(),
+            "cache_entries": len(entries),
+            "cache_bytes": sum(info.bytes for info in entries),
             "cold": cold.to_dict(),
             "warm": warm.to_dict(),
             "speedup": (
