@@ -217,6 +217,27 @@ def _print_order_cache(order: dict) -> None:
     print(f"  evictions: {order['evictions']}")
 
 
+def _unrecognized_dirs(root: str, known: tuple[str, ...]) -> list[dict]:
+    """Top-level directories of a cache root outside ``known``, with bytes.
+
+    Listed, never cleared: a directory filled by an older layout (a bare
+    ``<workload>-<os>-<n>-<seed>-<fp>/`` trace entry) is dead weight, but
+    a ``--cache-dir`` may also hold data that is not ours.
+    """
+    found = []
+    with os.scandir(root) as listing:
+        for item in listing:
+            if not item.is_dir(follow_symlinks=False) or item.name in known:
+                continue
+            size = sum(
+                os.path.getsize(os.path.join(parent, name))
+                for parent, _, names in os.walk(item.path)
+                for name in names
+            )
+            found.append({"name": item.name, "bytes": size})
+    return sorted(found, key=lambda entry: entry["name"])
+
+
 def _cmd_cache(args) -> int:
     # The on-disk namespaces persist across runs; the line-order memo
     # (sort orders and miss masks) is in-process and reported here
@@ -253,10 +274,12 @@ def _cmd_cache(args) -> int:
         for info in store.entries()
     ]
     total = sum(entry["bytes"] for entry in entries)
+    unrecognized = _unrecognized_dirs(root, NAMESPACES)
     if args.json:
         print(json.dumps(
             {"root": root, "entry_count": len(entries), "total_bytes": total,
-             "entries": entries, "order_cache": order},
+             "entries": entries, "unrecognized": unrecognized,
+             "order_cache": order},
             indent=2, sort_keys=True,
         ))
         return 0
@@ -274,6 +297,10 @@ def _cmd_cache(args) -> int:
             label = f"{meta['kind']} {meta['name']}" if "kind" in meta else ""
             print(f"  {entry['name']:40s} {entry['bytes']:>12,} B  {label}"
                   .rstrip())
+    if unrecognized:
+        print("\nnot read by this version; delete by hand:")
+        for entry in unrecognized:
+            print(f"  {entry['name']:40s} {entry['bytes']:>12,} B")
     _print_order_cache(order)
     return 0
 
@@ -348,7 +375,8 @@ def _cmd_warm(args) -> int:
             print(
                 f"plan: primed {plan_stats['inputs_primed']} shared "
                 f"input(s) once ({plan_stats['inputs_shared']} demanded "
-                "by more than one cell)"
+                f"by more than one cell) in {plan_stats['phases']} "
+                "phase(s)"
             )
         print(
             f"result store: {tally['store_entries']} entries, "

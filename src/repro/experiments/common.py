@@ -50,7 +50,6 @@ __all__ = [
     "canonical_job_key",
     "fetch_point",
     "machine_breakdown",
-    "machine_cells",
     "settings_record",
     "suite_groups",
     "suite_cpi_instr",
@@ -58,6 +57,7 @@ __all__ = [
     "suite_runs",
     "suite_traces",
     "sweep_fetch_cpi",
+    "workload_cells",
     "workloads_fingerprint",
 ]
 
@@ -133,8 +133,9 @@ def machine_breakdown(
 
     Returns the hardware monitor's CPI breakdown of the workload's trace
     and the user share of its instruction fetches.  Both tables build
-    their cells from this one function (:func:`machine_cells`), so a
-    workload they share has one cell identity and runs once per plan.
+    their cells on this one function (through :func:`workload_cells`),
+    so a workload they share has one cell identity and runs once per
+    plan.
     """
     trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
     breakdown = HardwareMonitor(DECSTATION_3100).measure(
@@ -143,18 +144,18 @@ def machine_breakdown(
     return breakdown, component_mix(trace).get(Component.USER, 0.0)
 
 
-def machine_cells(
-    suites: Iterable[str], settings: ExperimentSettings
+def workload_cells(
+    fn, suites: Iterable[str], settings: ExperimentSettings
 ) -> list[PlanCell]:
-    """One :func:`machine_breakdown` cell per (suite, workload).
+    """One ``fn(name, os_name, settings)`` cell per (suite, workload).
 
     Keys are ``(suite, name, os_name)``; the only shared input is each
-    workload's trace (the machine model walks the raw records itself).
+    workload's trace (``fn`` walks the raw records itself).
     """
     return [
         PlanCell(
             key=(suite, name, os_name),
-            fn=machine_breakdown,
+            fn=fn,
             args=(name, os_name, settings),
             traces=plan_inputs.workload_trace_keys(
                 [(name, os_name)], settings
@@ -169,7 +170,7 @@ def suite_groups(keyed: dict[tuple, object]) -> dict[str, list]:
     """Per-workload results grouped by suite, each in plan order.
 
     ``keyed`` maps ``(suite, name, os_name)`` keys (as
-    :func:`machine_cells` emits them) to results.
+    :func:`workload_cells` emits them) to results.
     """
     groups: dict[str, list] = {}
     for (suite, _name, _os_name), value in keyed.items():

@@ -10,16 +10,23 @@ address-space components each suite's traces actually execute in.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro._util.fmt import format_table
-from repro.experiments.common import DEFAULT_SETTINGS, ExperimentSettings, suite_traces
+from repro.experiments.common import (
+    DEFAULT_SETTINGS,
+    ExperimentSettings,
+    suite_groups,
+    workload_cells,
+)
+from repro.plan.executor import run_experiment
 from repro.trace.record import COMPONENT_NAMES
 from repro.trace.stats import component_mix
 from repro.workloads.os_model import MACH3, ULTRIX, os_component_inventory
-from repro.plan import inputs as plan_inputs
+from repro.workloads.registry import get_trace
 
 
 @dataclass(frozen=True)
@@ -49,31 +56,43 @@ class Figure2Result:
         return "\n".join(lines)
 
 
-def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Figure2Result:
-    """Reproduce Figure 2's structural contrast, with trace evidence."""
+#: The suites whose traces Figure 2 measures, in rendering order.
+SUITES = ("spec92", "ibs-ultrix", "ibs-mach3")
+
+
+def active_components(
+    name: str, os_name: str, settings: ExperimentSettings
+) -> int:
+    """Address-space components holding >= 1% of one workload's trace."""
+    trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
+    mix = component_mix(trace)
+    return sum(1 for fraction in mix.values() if fraction >= 0.01)
+
+
+def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
+    """The sweep-plan compilation: one cell per (suite, workload)."""
+    return workload_cells(active_components, SUITES, settings)
+
+
+def merge(
+    settings: ExperimentSettings, keyed: dict[tuple[str, str, str], int]
+) -> Figure2Result:
+    """Each suite's mean active components, in suite-workload order."""
     inventories = {
         "Ultrix (monolithic)": os_component_inventory(ULTRIX),
         "Mach 3.0 (microkernel)": os_component_inventory(MACH3),
     }
-    active: dict[str, float] = {}
-    for suite in ("spec92", "ibs-ultrix", "ibs-mach3"):
-        counts = []
-        for trace in suite_traces(suite, settings):
-            mix = component_mix(trace)
-            counts.append(
-                sum(1 for fraction in mix.values() if fraction >= 0.01)
-            )
-        active[suite] = float(np.mean(counts))
+    active = {
+        suite: float(np.mean(counts))
+        for suite, counts in suite_groups(keyed).items()
+    }
     return Figure2Result(inventories=inventories, active_components=active)
+
+
+def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Figure2Result:
+    """Reproduce Figure 2's structural contrast, with trace evidence."""
+    return run_experiment(sys.modules[__name__], settings)[0]
 
 
 #: Exposed so tests can assert names render sensibly.
 COMPONENT_LABELS = dict(COMPONENT_NAMES)
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
-    """The sweep-plan compilation: one cell sharing all three suites' traces."""
-    return plan_inputs.run_cell(
-        run, settings,
-        suites=("spec92", "ibs-ultrix", "ibs-mach3"),
-    )

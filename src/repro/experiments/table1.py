@@ -19,8 +19,9 @@ from repro.core.cpi import CpiBreakdown
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
-    machine_cells,
+    machine_breakdown,
     suite_groups,
+    workload_cells,
 )
 from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
@@ -83,7 +84,7 @@ def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
 ) -> list[PlanCell]:
     """One machine-model cell per (suite, workload), shared with Table 3."""
-    return machine_cells(PAPER, settings)
+    return workload_cells(machine_breakdown, PAPER, settings)
 
 
 def merge(

@@ -19,8 +19,9 @@ from repro.core.cpi import CpiBreakdown
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
-    machine_cells,
+    machine_breakdown,
     suite_groups,
+    workload_cells,
 )
 from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
@@ -91,11 +92,11 @@ def plan_cells(
 ) -> list[PlanCell]:
     """One machine-model cell per (suite, workload).
 
-    The cells are Table 1's (:func:`~repro.experiments.common.
-    machine_cells`), so in a report plan the SPEC92 workloads both
-    tables measure run once.
+    The cells are Table 1's (both tables run :func:`~repro.experiments.
+    common.machine_breakdown`), so in a report plan the SPEC92
+    workloads both tables measure run once.
     """
-    return machine_cells(PAPER, settings)
+    return workload_cells(machine_breakdown, PAPER, settings)
 
 
 def merge(

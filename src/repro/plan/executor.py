@@ -1,32 +1,41 @@
-"""The plan executor: prime shared inputs once, then fan out cells.
+"""The plan executor: prime shared inputs, fan out cells, free inputs.
 
 One code path executes every compiled plan — ``repro experiment``,
 ``repro report``, ``repro warm``, and the service scheduler's evaluate
 batches all land here:
 
-1. **Collect** the shared-input union of all cells (traces, line-run
-   streams, miss-mask geometry families) with demand counts.
-2. **Prime** each input exactly once, in the parent process, captured
-   as a ``plan-prime`` span: traces through the registry (memory/disk
-   cache), streams through :func:`~repro.workloads.registry.
-   get_line_runs`, and mask families through one cheetah-style
-   :func:`~repro.plan.inputs.prime_miss_masks` call per (trace,
-   stream) covering the union of geometries every experiment in the
-   plan requested.  The span's rollup is the plan's ``prime_seconds``
-   and ``prime_phases``.  The primed memos live as long as their
-   streams, which the trace cache holds (the line-order registry's
-   byte budget is the memory cap).
-3. **Dedup** cells whose function and arguments are identical across
+1. **Dedup** cells whose function and arguments are identical across
    experiments; each unique cell runs once.
-4. **Execute** the unique cells on :func:`~repro.runner.pool.
-   run_cells`.  Priming happens before the pool forks, so workers
-   inherit every warm memo copy-on-write and one trace walk serves
-   the whole plan (on spawn-only platforms the cells recompute
-   lazily — slower, never incorrect).
+2. **Split** the unique cells into *phases* that share no trace
+   (:func:`~repro.plan.ir.plan_phases`): the connected components of
+   "these cells read a common trace", with runs of single-trace
+   components packed up to the size of the largest component.  A
+   caller that keeps its inputs (the server, whose registry is its
+   cache across requests) runs the whole plan as one phase.
+3. For each phase in turn, **prime** its shared inputs (traces,
+   line-run streams, miss-mask geometry families) exactly once, in
+   the parent process, captured as one ``plan-prime`` span carrying
+   the phase index and trace count: traces through the registry
+   (memory/disk cache), streams through :func:`~repro.workloads.
+   registry.get_line_runs`, and mask families through one
+   cheetah-style :func:`~repro.plan.inputs.prime_miss_masks` call per
+   (trace, stream) covering the union of geometries the phase's cells
+   requested.  The spans' summed rollups are the plan's
+   ``prime_seconds`` and ``prime_phases``.  Then **execute** the
+   phase's cells on :func:`~repro.runner.pool.run_cells`.  Priming
+   happens before the pool forks, so workers inherit every warm memo
+   copy-on-write and one trace walk serves the whole plan (on
+   spawn-only platforms the cells recompute lazily — slower, never
+   incorrect).
+4. **Release** the phase's traces from the registry's in-memory cache
+   once its last cell has run.  No later phase reads them, so their
+   line runs, line-order memos and miss masks die with them (through
+   the memo finalizers), and the plan's resident memory is one phase
+   at a time rather than the whole plan.
 5. **Fan back** results in plan order and merge per experiment.
 
 Plan-level dedup counters (``cells_total``, ``inputs_shared``,
-``inputs_primed``, ...) ride on the returned
+``inputs_primed``, ``phases``, ...) ride on the returned
 :class:`~repro.runner.timing.TimingReport` (the ``plan`` block of
 ``--timing-out``), on the service's ``/metrics``, and — through
 :func:`add_plan_observer` — on any process-wide observer.
@@ -37,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
+from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.obs import tracing
@@ -49,10 +59,11 @@ from repro.plan.ir import (
     SweepPlan,
     collect_inputs,
     dedup_cells,
+    plan_phases,
 )
 from repro.runner.pool import resolve_jobs, run_cells
 from repro.runner.timing import TimingReport
-from repro.workloads.registry import get_line_runs, get_trace
+from repro.workloads.registry import discard_trace, get_line_runs, get_trace
 
 __all__ = [
     "add_plan_observer",
@@ -127,43 +138,81 @@ def _prime_inputs(inputs: PlanInputs) -> int:
     return primed
 
 
+def _release_traces(inputs: PlanInputs) -> None:
+    """Drop a phase's traces from the registry's in-memory cache."""
+    for key in inputs.traces:
+        discard_trace(key.workload, key.os_name, key.n_instructions, key.seed)
+
+
 def execute_cells(
-    cells: Sequence[PlanCell], jobs: int = 1, label: str = "plan"
+    cells: Sequence[PlanCell],
+    jobs: int = 1,
+    label: str = "plan",
+    *,
+    keep_inputs: bool = False,
 ) -> tuple[list, TimingReport]:
     """Execute plan cells with priming and dedup; results align with
     ``cells``.
 
     The returned :class:`TimingReport` carries the per-(unique-)cell
     timings plus the plan stats block; results are bit-identical to
-    running every cell individually with no priming.
+    running every cell individually with no priming.  Each phase's
+    traces leave the registry's in-memory cache after its last cell
+    unless ``keep_inputs`` is set, which runs the plan as one phase
+    and leaves every trace cached.
     """
     start = time.perf_counter()
     inputs = collect_inputs(cells)
     unique, index_map = dedup_cells(cells)
+    if keep_inputs:
+        phases = [list(range(len(unique)))]
+    else:
+        phases = plan_phases(unique)
     stats = {
         "cells_total": len(cells),
         "cells_unique": len(unique),
         "inputs_total": inputs.total,
         "inputs_shared": inputs.shared,
         "inputs_primed": 0,
+        "phases": len(phases),
     }
+    prime_seconds = 0.0
+    prime_phases: Counter[str] = Counter()
+    results_unique: list = [None] * len(unique)
+    cell_timings: list = [None] * len(unique)
+    for number, members in enumerate(phases):
+        phase_cells = [unique[index] for index in members]
+        phase_inputs = collect_inputs(phase_cells)
+        try:
+            if phase_inputs.total:
+                with tracing.capture(
+                    "plan-prime",
+                    label=label,
+                    phase=number,
+                    traces=len(phase_inputs.traces),
+                    streams=len(phase_inputs.streams),
+                    masks=len(phase_inputs.masks),
+                ) as records:
+                    stats["inputs_primed"] += _prime_inputs(phase_inputs)
+                prime = span_rollup(records, records[-1])
+                prime_seconds += prime["wall_seconds"]
+                prime_phases.update(prime["phases"])
+            phase_results, phase_timings = run_cells(phase_cells, jobs)
+        finally:
+            if not keep_inputs:
+                _release_traces(phase_inputs)
+        for index, result, cell_timing in zip(
+            members, phase_results, phase_timings
+        ):
+            results_unique[index] = result
+            cell_timings[index] = cell_timing
     if inputs.total:
-        with tracing.capture(
-            "plan-prime",
-            label=label,
-            traces=len(inputs.traces),
-            streams=len(inputs.streams),
-            masks=len(inputs.masks),
-        ) as records:
-            stats["inputs_primed"] = _prime_inputs(inputs)
-        prime = span_rollup(records, records[-1])
-        stats["prime_seconds"] = round(prime["wall_seconds"], 6)
+        stats["prime_seconds"] = round(prime_seconds, 6)
         stats["prime_phases"] = {
             name: round(seconds, 6)
-            for name, seconds in prime["phases"].items()
+            for name, seconds in prime_phases.items()
             if seconds > 0.0
         }
-    results_unique, cell_timings = run_cells(unique, jobs)
     results = [results_unique[index] for index in index_map]
     _notify(dict(stats, label=label))
     report = TimingReport(
@@ -177,10 +226,16 @@ def execute_cells(
 
 
 def execute_plan(
-    plan: SweepPlan, jobs: int = 1, label: str = "plan"
+    plan: SweepPlan,
+    jobs: int = 1,
+    label: str = "plan",
+    *,
+    keep_inputs: bool = False,
 ) -> tuple[list, TimingReport]:
     """Execute a whole plan; returns one merged result per experiment."""
-    results, report = execute_cells(plan.cells, jobs, label=label)
+    results, report = execute_cells(
+        plan.cells, jobs, label=label, keep_inputs=keep_inputs
+    )
     merged = []
     cursor = 0
     for experiment in plan.experiments:
@@ -191,13 +246,20 @@ def execute_plan(
 
 
 def run_experiment(
-    module, settings, jobs: int = 1, label: str | None = None, **axes
+    module,
+    settings,
+    jobs: int = 1,
+    label: str | None = None,
+    *,
+    keep_inputs: bool = False,
+    **axes,
 ):
     """Run one experiment module through its compiled plan.
 
     ``axes`` narrow the module's sweep (they are passed through to its
-    ``plan_cells``).  Returns ``(result, TimingReport)``; each
-    experiment module's ``run`` returns the result of this call.
+    ``plan_cells``); ``keep_inputs`` is :func:`execute_cells`'s.
+    Returns ``(result, TimingReport)``; each experiment module's
+    ``run`` returns the result of this call.
     """
     if label is None:
         label = module.__name__.rsplit(".", 1)[-1]
@@ -205,7 +267,9 @@ def run_experiment(
     with tracing.span("experiment", label=label, jobs=resolve_jobs(jobs)):
         compiled = compile_module(module, settings, name=label, **axes)
         plan = SweepPlan(experiments=(compiled,))
-        [result], report = execute_plan(plan, jobs, label=label)
+        [result], report = execute_plan(
+            plan, jobs, label=label, keep_inputs=keep_inputs
+        )
     return result, dataclasses.replace(
         report, wall_seconds=time.perf_counter() - start
     )
@@ -219,7 +283,8 @@ def run_report(
     Every module compiles into a single :class:`SweepPlan`, so shared
     inputs are primed once *across experiments* — one trace walk per
     (workload, stream) for the whole report — and identical cells
-    appearing in several experiments run once.  Rendering happens in
+    appearing in several experiments run once.  Each trace is freed
+    once the one phase that reads it has run.  Rendering happens in
     the parent, from each experiment's merged result.  Returns
     ``[(name, rendering), ...]`` in module order plus the timing
     report with the plan stats block.

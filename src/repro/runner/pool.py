@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import multiprocessing
 
@@ -138,7 +139,9 @@ def run_cells(
 
     ``jobs <= 1`` runs in-process; anything larger fans out over a
     process pool.  Either way the returned lists align with ``cells``,
-    which is what makes parallel merges deterministic.
+    which is what makes parallel merges deterministic.  A worker that
+    dies (killed, say, by the OOM killer) surfaces as a
+    :class:`CellExecutionError` naming the first unfinished cell.
     """
     jobs = min(resolve_jobs(jobs), max(len(cells), 1))
     if jobs <= 1 or len(cells) <= 1:
@@ -158,8 +161,18 @@ def run_cells(
         futures = [
             pool.submit(_execute_cell, c.key, c.fn, c.args) for c in cells
         ]
-        for future in futures:
-            result, cell_timing, records = future.result()
+        for cell, future in zip(cells, futures):
+            try:
+                result, cell_timing, records = future.result()
+            except BrokenProcessPool as exc:
+                # A killed worker breaks the whole pool: every pending
+                # future fails, so name the first cell left without a
+                # result.
+                raise CellExecutionError(
+                    cell.key,
+                    f"{type(exc).__name__}: a worker process died "
+                    "before the cell returned",
+                ) from exc
             # Workers count dispatches in their own processes; fold them
             # into this process's totals so those match a serial run.
             dispatch.notify(cell_timing.dispatch)

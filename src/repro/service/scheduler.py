@@ -660,8 +660,10 @@ class JobScheduler:
                 job=job.id,
                 kind="experiment",
             ) as recorder:
+                # The registry is the server's cache across requests:
+                # its traces outlive the plan.
                 result, report = run_experiment(
-                    module, settings, self.jobs, name
+                    module, settings, self.jobs, name, keep_inputs=True
                 )
             self._record_plan_stats(report.plan)
         finally:
@@ -879,10 +881,12 @@ class JobScheduler:
                 batch_size=len(requests_meta),
             ) as recorder:
                 # One cell per (workload, OS, engine): all of a workload's
-                # requested points share one trace and its memoized masks.
+                # requested points share one trace and its memoized masks,
+                # which stay cached for the next batch.
                 groups, cells = evaluate_group_cells(requests)
                 results, plan_report = execute_cells(
-                    cells, self.jobs, label="evaluate-batch"
+                    cells, self.jobs, label="evaluate-batch",
+                    keep_inputs=True,
                 )
             self._record_plan_stats(plan_report.plan)
         finally:

@@ -126,6 +126,13 @@ class BoundedTraceCache:
             del self._entries[victim]
             self.current_bytes -= self._bytes.pop(victim)
 
+    def discard(self, key: tuple) -> Trace | None:
+        """Drop one entry (if cached) and return it, uncharging its bytes."""
+        trace = self._entries.pop(key, None)
+        if trace is not None:
+            self.current_bytes -= self._bytes.pop(key)
+        return trace
+
     def rebound(self, max_entries: int, max_bytes: int) -> None:
         """Change the limits and evict down to them immediately."""
         if max_entries <= 0:
@@ -318,6 +325,19 @@ def trace_cache_stats() -> dict[str, int]:
         "max_entries": _trace_cache.max_entries,
         "max_bytes": _trace_cache.max_bytes,
     }
+
+
+def discard_trace(
+    name: str, os_name: str, n_instructions: int, seed: int
+) -> None:
+    """Drop one trace from the in-memory cache.
+
+    Once no caller holds the trace, its memoized line runs go with it,
+    and their line-order memos and miss masks follow through the
+    finalizers of :func:`repro.caches.vectorized.line_order_cache`.
+    The disk layer is untouched.
+    """
+    _trace_cache.discard((name, os_name, n_instructions, seed))
 
 
 def clear_trace_cache() -> None:

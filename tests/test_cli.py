@@ -157,7 +157,12 @@ class TestCacheAndJobsCli:
     def test_cache_info_json(self, tmp_path, capsys):
         import json
 
+        import numpy as np
+
+        from repro.caches.vectorized import line_order_cache, order_cache_stats
+
         cache_dir = str(tmp_path / "cache")
+        memos_before = order_cache_stats()["entries"]
         assert main(
             [
                 "--instructions", "20000",
@@ -175,9 +180,15 @@ class TestCacheAndJobsCli:
         )
         order = record["order_cache"]
         assert set(order) == {"entries", "bytes", "evictions", "max_bytes"}
-        # The experiment's traces are still cached, and so are the
-        # memos of their streams.
-        assert order["entries"] > 0
+        # The experiment freed its traces after its cells ran, and the
+        # memos of their streams went with them; a stream still held
+        # keeps its memo listed.
+        assert order["entries"] == memos_before
+        held = np.arange(8, dtype=np.uint64)
+        line_order_cache(held)
+        assert main(["--cache-dir", cache_dir, "cache", "info", "--json"]) == 0
+        listed = json.loads(capsys.readouterr().out)["order_cache"]
+        assert listed["entries"] == memos_before + 1
         entry = record["entries"][0]
         assert entry["namespace"] == "traces"
         assert {"name", "path", "bytes", "mtime", "meta"} <= set(entry)
@@ -217,6 +228,37 @@ class TestCacheAndJobsCli:
         assert "cleared 1 entries" in capsys.readouterr().out
         assert main(["--cache-dir", cache_dir, "cache", "info", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entry_count"] == 0
+
+    def test_info_lists_directories_it_does_not_read(self, tmp_path, capsys):
+        import json
+
+        from repro.service.store import ResultStore
+
+        cache_dir = tmp_path / "cache"
+        ResultStore(cache_dir / "results").put("f" * 64, {"kind": "x"})
+        # A trace entry where caches filled before the namespaced layout
+        # kept it: a bare top-level directory.
+        old = cache_dir / "gcc-mach3-5000-0-0123456789ab"
+        old.mkdir()
+        (old / "lineruns-32.npz").write_bytes(b"x" * 1000)
+        info = ["--cache-dir", str(cache_dir), "cache", "info"]
+
+        assert main(info) == 0
+        out = capsys.readouterr().out
+        assert "not read by this version; delete by hand" in out
+        assert f"{old.name}" in out and "1,000 B" in out
+        assert main([*info, "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["unrecognized"] == [{"name": old.name, "bytes": 1000}]
+        assert record["entry_count"] == 1
+
+        # Clearing leaves it: a cache directory may hold other data.
+        assert main(["--cache-dir", str(cache_dir), "cache", "clear"]) == 0
+        assert "cleared 1 entries" in capsys.readouterr().out
+        assert (old / "lineruns-32.npz").read_bytes() == b"x" * 1000
+        assert main([*info, "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["unrecognized"] == [{"name": old.name, "bytes": 1000}]
 
     def test_results_subcommand_is_gone(self, capsys):
         # `repro cache` reports and clears the results with the traces.
@@ -367,6 +409,8 @@ class TestCacheSelection:
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
+        # The suite's eight workloads share no trace: a phase each.
+        assert "in 8 phase(s)" in proc.stdout
         for name, directory in dirs.items():
             if name == winner:
                 # Traces, their line runs and the results, side by side.

@@ -9,11 +9,23 @@ The load-bearing invariants:
 * **Full priming** — the executor primes every declared shared input
   exactly once (``inputs_primed == inputs_total``), and annotations
   only warm memos, never change arithmetic.
+* **Phase soundness** — the phases a plan runs in share no trace and
+  cover every unique cell, so freeing a phase's traces after its last
+  cell never makes a later cell recompute one.
 """
 
 import pytest
 
-from repro.experiments import figure2, figure3, table1, table3, table4, table5
+from repro.experiments import (
+    ALL_EXPERIMENTS,
+    figure2,
+    figure3,
+    table1,
+    table2,
+    table3,
+    table4,
+    table5,
+)
 from repro.experiments.common import ExperimentSettings, fetch_point
 from repro.plan import inputs as plan_inputs
 from repro.plan.compile import compile_module, compile_report
@@ -30,12 +42,15 @@ from repro.plan.ir import (
     TraceKey,
     collect_inputs,
     dedup_cells,
+    plan_phases,
 )
+from repro.obs import tracing
 from repro.runner.timing import TimingReport
 from repro.workloads.registry import (
     clear_trace_cache,
     set_trace_cache_backend,
     suite_workloads,
+    trace_cache_stats,
 )
 from tests.test_golden import GOLDEN, digest
 
@@ -267,6 +282,123 @@ class TestExecuteCells:
         assert len(seen) == 1  # removed observers stay silent
 
 
+def _traces(cells, members) -> set:
+    return {key for index in members for key in cells[index].traces}
+
+
+class TestPhases:
+    """Phases are the unit of input lifetime: a phase's traces are
+    primed before its first cell and freed after its last."""
+
+    def _report_cells(self):
+        plan = compile_report(dict(ALL_EXPERIMENTS), SETTINGS)
+        return dedup_cells(plan.cells)[0]
+
+    def test_phases_are_disjoint_and_cover_every_unique_cell(self):
+        unique = self._report_cells()
+        phases = plan_phases(unique)
+        assert sorted(
+            index for members in phases for index in members
+        ) == list(range(len(unique)))
+        assert all(members == sorted(members) for members in phases)
+        seen: set = set()
+        for members in phases:
+            traces = _traces(unique, members)
+            assert not traces & seen
+            seen |= traces
+
+    def test_report_plan_phases(self):
+        unique = self._report_cells()
+        phases = plan_phases(unique)
+        largest = max(len(_traces(unique, members)) for members in phases)
+        assert largest == len(suite_workloads("spec92"))
+        for members in phases:
+            multi = [unique[i] for i in members if len(unique[i].traces) > 1]
+            if multi:
+                # A multi-trace component is a phase of its own: every
+                # trace in it is read by one of its multi-trace cells.
+                assert _traces(unique, members) == {
+                    key for cell in multi for key in cell.traces
+                }
+
+    def test_packing_never_joins_single_and_multi_trace_components(self):
+        def cell(name, *workloads):
+            return PlanCell(
+                key=(name,), fn=_double, args=(name,),
+                traces=tuple(_key(workload) for workload in workloads),
+            )
+
+        cells = [
+            cell("a", "w1"),
+            cell("b", "w2"),
+            cell("c", "w3", "w4", "w5"),
+            cell("d", "w6"),
+            cell("e"),
+            cell("f", "w7"),
+            cell("g", "w8"),
+            cell("h", "w9"),
+            cell("i", "w4"),
+            cell("j", "w10"),
+        ]
+        # Singletons pack up to the largest component (3 traces); the
+        # 3-trace component, with the later reader of w4, stands alone.
+        assert plan_phases(cells) == [
+            [0, 1], [2, 8], [3, 4, 5, 6], [7, 9],
+        ]
+
+    def test_trace_free_cells_share_one_phase(self):
+        cells = [
+            PlanCell(key=("x", i), fn=_double, args=(i,)) for i in range(4)
+        ]
+        assert plan_phases(cells) == [[0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_phase_primes_and_frees_its_inputs(self, jobs):
+        clear_trace_cache()
+        modules = {"table5": table5, "figure2": figure2}
+        with tracing.run("phased") as recorder:
+            planned, report = run_report(modules, SETTINGS, jobs=jobs)
+        assert [(name, digest(text)) for name, text in planned] == [
+            (name, GOLDEN[name]) for name in modules
+        ]
+        stats = report.plan
+        # SPEC92, IBS-Mach3, then the IBS-Ultrix singletons packed.
+        assert stats["phases"] == 3
+        assert stats["inputs_primed"] == stats["inputs_total"]
+        primes = [
+            span["attrs"] for span in recorder.spans
+            if span["name"] == "plan-prime"
+        ]
+        assert [attrs["phase"] for attrs in primes] == [0, 1, 2]
+        assert [attrs["traces"] for attrs in primes] == [
+            len(suite_workloads(suite))
+            for suite in ("spec92", "ibs-mach3", "ibs-ultrix")
+        ]
+        assert trace_cache_stats()["entries"] == 0
+        # Timings stay aligned with the unique cells, in cell order.
+        unique, _ = dedup_cells(compile_report(modules, SETTINGS).cells)
+        assert [cell.key for cell in report.cells] == [
+            cell.key for cell in unique
+        ]
+
+    def test_kept_inputs_stay_in_the_registry(self):
+        clear_trace_cache()
+        cells = [
+            PlanCell(
+                key=("k", workload), fn=_double, args=(workload,),
+                traces=(_key(workload),),
+            )
+            for workload in ("groff", "sdet")
+        ]
+        _, report = execute_cells(cells, jobs=1, keep_inputs=True)
+        assert report.plan["phases"] == 1
+        assert trace_cache_stats()["entries"] == 2
+        _, report = execute_cells(cells, jobs=1)
+        # No component reads more than one trace: a phase per trace.
+        assert report.plan["phases"] == 2
+        assert trace_cache_stats()["entries"] == 0
+
+
 class TestGoldenEquivalence:
     """Plan-executed output must match the pinned golden renderings.
 
@@ -277,7 +409,7 @@ class TestGoldenEquivalence:
     """
 
     @pytest.mark.parametrize(
-        "module", [table5, table4, figure3, table3, figure2]
+        "module", [table5, table4, figure3, table3, figure2, table2]
     )
     def test_experiment_byte_identical(self, module):
         result, report = run_experiment(module, SETTINGS, jobs=1)

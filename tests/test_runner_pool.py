@@ -5,6 +5,11 @@ serial one — same cells, same arithmetic, merge in enumeration order —
 so ``--jobs N`` is purely a wall-clock knob.
 """
 
+import os
+import signal
+import threading
+import time
+
 import pytest
 
 from repro.experiments import figure1, table1, table4, table5
@@ -35,6 +40,15 @@ def _double(x):
 
 def _boom(x):
     raise ValueError(f"bad input {x}")
+
+
+def _kill_own_worker():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _nap():
+    time.sleep(0.2)
+    return "rested"
 
 
 class TestRunCells:
@@ -90,6 +104,29 @@ class TestCellFailures:
             run_cells(self._mixed_cells(), jobs=2)
         assert "('groff', 'mach3', '8KB')" in str(excinfo.value)
         assert excinfo.value.key == ("groff", "mach3", "8KB")
+
+    def test_dead_worker_names_first_unfinished_cell(self):
+        cells = [
+            PlanCell(key=("killed",), fn=_kill_own_worker),
+            PlanCell(key=("napping",), fn=_nap),
+        ]
+        raised = []
+
+        def call():
+            try:
+                run_cells(cells, jobs=2)
+            except CellExecutionError as exc:
+                raised.append(exc)
+
+        # A daemon thread, so a hung pool fails the test instead of
+        # stalling the suite.
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "run_cells hung after a worker died"
+        [error] = raised
+        assert error.key == ("killed",)
+        assert "a worker process died" in str(error)
 
     def test_pickle_roundtrip(self):
         import pickle

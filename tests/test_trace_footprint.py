@@ -1,16 +1,21 @@
 """The memory footprint of instruction-fetch streams.
 
-A report keeps every workload's trace and its line runs alive for the
-whole run, so their width is the report's resident memory.  These tests
-pin the narrow representation: no trace keeps a copy of its fetch
-addresses, a line run costs 13 bytes (``uint64`` line, ``int32`` count,
-``uint8`` first offset), and the narrow columns encode exactly what a
-plain int64 encoding does.  The LRU miss masks a report computes come
-from bounded queries, so no report builds an exact stack-distance
-array, and one bounded mask costs a small multiple of its stream.
+A report holds one phase of traces at a time: the traces its current
+cells read, with their line runs and miss masks, are freed once the
+phase's last cell has run.  The largest phase and the width of its
+streams are therefore the report's resident memory.  These tests pin
+both.  The in-memory trace cache never holds more traces than the
+plan's largest phase, and each trace is synthesized once.  No trace
+keeps a copy of its fetch addresses, a line run costs 13 bytes
+(``uint64`` line, ``int32`` count, ``uint8`` first offset), and the
+narrow columns encode exactly what a plain int64 encoding does.  The
+LRU miss masks a report computes come from bounded queries, so no
+report builds an exact stack-distance array, and one bounded mask
+costs a small multiple of its stream.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,58 +33,125 @@ from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import ExperimentSettings
 from repro.fetch.timing import MemoryTiming
 from repro.fetch.vectorized import _run_starts, run_vectorized
+from repro.plan.compile import compile_report
 from repro.plan.executor import run_report
+from repro.plan.ir import collect_inputs, dedup_cells, plan_phases
 from repro.trace.rle import LineRuns, to_line_runs
 from repro.workloads import registry
+from repro.workloads.registry import BoundedTraceCache, suite_workloads
 
-
-#: Exact stack-distance calls the report fixture made, by set count.
-_distance_calls: list[int] = []
+REPORT_SETTINGS = ExperimentSettings(n_instructions=5_000, seed=0)
 
 
 @pytest.fixture(scope="module")
-def report_traces():
-    """Every trace a 5k-instruction report leaves in the trace cache.
+def report_run():
+    """What a 5k-instruction report held, released and synthesized.
 
-    The report runs with :meth:`LineOrderCache.stack_distances` wrapped
-    to record its calls, which would include those on transient streams
-    (TLB pages, Tapeworm trials) whose memos die before any test looks.
+    Every phase frees its traces once its cells have run, so the cache
+    is empty afterwards.  The report therefore runs with
+    :meth:`BoundedTraceCache.discard` wrapped to keep each released
+    trace and record the line-order memo keys live at that moment, with
+    :meth:`BoundedTraceCache.put` wrapped to record how many traces
+    the cache held at once, and with
+    :meth:`LineOrderCache.stack_distances` wrapped to record its calls
+    (including those on transient streams, such as TLB pages and
+    Tapeworm trials, whose memos die before any test looks).
     """
+    record = SimpleNamespace(
+        traces=[], memo_keys=set(), distance_calls=[], held=[],
+        stored=[], synthesized=0,
+    )
     saved = registry._disk_cache
     registry.set_trace_cache_backend(None)
     registry.clear_trace_cache()
     clear_order_caches()
     exact = LineOrderCache.stack_distances
+    discard = BoundedTraceCache.discard
+    put = BoundedTraceCache.put
 
     def recorded(self, n_sets=1):
-        _distance_calls.append(n_sets)
+        record.distance_calls.append(n_sets)
         return exact(self, n_sets)
 
-    LineOrderCache.stack_distances = recorded
-    try:
-        run_report(
-            dict(ALL_EXPERIMENTS),
-            ExperimentSettings(n_instructions=5_000, seed=0),
-            jobs=1,
+    def releasing(self, key):
+        record.memo_keys.update(
+            memo_key
+            for cache in list(vectorized._order_caches.values())
+            for memo_key in cache._memo
         )
+        trace = discard(self, key)
+        if trace is not None:
+            record.traces.append(trace)
+        return trace
+
+    def storing(self, key, trace):
+        put(self, key, trace)
+        record.stored.append(key)
+        record.held.append(len(self))
+
+    def counted(event):
+        if event == registry.TRACE_CACHE_SYNTHESIZED:
+            record.synthesized += 1
+
+    LineOrderCache.stack_distances = recorded
+    BoundedTraceCache.discard = releasing
+    BoundedTraceCache.put = storing
+    registry.add_trace_cache_observer(counted)
+    try:
+        run_report(dict(ALL_EXPERIMENTS), REPORT_SETTINGS, jobs=1)
+        record.left_cached = len(registry._trace_cache)
     finally:
         LineOrderCache.stack_distances = exact
-    traces = list(registry._trace_cache._entries.values())
-    yield traces
+        BoundedTraceCache.discard = discard
+        BoundedTraceCache.put = put
+        registry.remove_trace_cache_observer(counted)
+    yield record
     registry._disk_cache = saved
     registry.clear_trace_cache()
 
 
-def test_report_builds_no_exact_stack_distances(report_traces):
-    assert report_traces
-    assert _distance_calls == []
-    memo_keys = [
-        key
-        for cache in list(vectorized._order_caches.values())
-        for key in cache._memo
+@pytest.fixture(scope="module")
+def report_traces(report_run):
+    """Every trace the report released, in release order."""
+    return report_run.traces
+
+
+def _report_phases():
+    """Each phase's trace set, as the report plan splits it at jobs=1."""
+    plan = compile_report(dict(ALL_EXPERIMENTS), REPORT_SETTINGS)
+    unique, _ = dedup_cells(plan.cells)
+    return [
+        set(collect_inputs([unique[index] for index in members]).traces)
+        for members in plan_phases(unique)
     ]
+
+
+def test_report_builds_no_exact_stack_distances(report_run, report_traces):
+    assert report_traces
+    assert report_run.distance_calls == []
+    memo_keys = report_run.memo_keys
     assert any(key[0] == "miss-mask" for key in memo_keys)
     assert not any(key[0] == "stack-distances" for key in memo_keys)
+
+
+def test_report_holds_at_most_one_phase_of_traces(report_run):
+    largest = max(len(traces) for traces in _report_phases())
+    # SPEC92's 14 workloads share cells, so they are the largest phase.
+    assert largest == len(suite_workloads("spec92"))
+    assert max(report_run.held) <= largest
+    # Every phase released what it primed.
+    assert report_run.left_cached == 0
+    assert len(report_run.traces) == len(report_run.stored)
+
+
+def test_report_synthesizes_each_trace_once(report_run):
+    distinct = set().union(*_report_phases())
+    assert report_run.synthesized == len(distinct)
+    assert len(report_run.stored) == len(set(report_run.stored))
+    assert set(report_run.stored) == {
+        (key.workload, key.os_name, key.n_instructions, key.seed)
+        for key in distinct
+    }
 
 
 def test_bounded_mask_peak_memory_is_a_small_multiple_of_its_stream():

@@ -168,6 +168,25 @@ class TestBoundedCache:
             self._restore()
             clear_trace_cache()
 
+    def test_discard_uncharges_one_trace(self):
+        from repro.workloads.registry import discard_trace, trace_cache_stats
+
+        try:
+            clear_trace_cache()
+            a = get_trace("gcc", "mach3", 10_000, seed=52)
+            b = get_trace("groff", "mach3", 10_000, seed=52)
+            b_bytes = b.addresses.nbytes + b.kinds.nbytes + b.components.nbytes
+            before = trace_cache_stats()["resident_bytes"]
+            discard_trace("groff", "mach3", 10_000, 52)
+            discard_trace("groff", "mach3", 10_000, 52)  # absent: no-op
+            stats = trace_cache_stats()
+            assert stats["entries"] == 1
+            assert stats["resident_bytes"] == before - b_bytes
+            assert get_trace("gcc", "mach3", 10_000, seed=52) is a
+            assert get_trace("groff", "mach3", 10_000, seed=52) is not b
+        finally:
+            clear_trace_cache()
+
     def test_rejects_nonpositive_bounds(self):
         import pytest as _pytest
 
