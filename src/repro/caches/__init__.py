@@ -28,7 +28,6 @@ _EXPORTS = {
     "miss_mask_set_associative": ".vectorized",
     "miss_mask_fully_associative": ".vectorized",
     "compulsory_mask": ".vectorized",
-    "count_misses": ".vectorized",
     "ThreeCs": ".classify",
     "classify_misses": ".classify",
     "classify_misses_exact": ".classify",

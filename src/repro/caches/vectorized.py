@@ -46,7 +46,6 @@ import weakref
 
 import numpy as np
 
-from repro._util.bitops import ilog2
 from repro._util.validate import check_power_of_two
 
 
@@ -770,41 +769,3 @@ def compulsory_mask(lines: np.ndarray) -> np.ndarray:
     """
     lines = np.asarray(lines, dtype=np.uint64)
     return line_order_cache(lines).compulsory()
-
-
-def count_misses(
-    lines: np.ndarray,
-    size_bytes: int,
-    line_size: int,
-    associativity: int = 1,
-) -> int:
-    """Total misses of a cache described by size/line/ways over ``lines``.
-
-    ``lines`` must already be at ``line_size`` granularity.  Convenience
-    wrapper used by the sweep engine.
-    """
-    check_power_of_two("size_bytes", size_bytes)
-    check_power_of_two("line_size", line_size)
-    n_lines = size_bytes // line_size
-    if associativity == 0:
-        return int(miss_mask_fully_associative(lines, n_lines).sum())
-    n_sets = n_lines // associativity
-    if n_sets == 0:
-        raise ValueError(
-            f"cache of {n_lines} lines cannot be {associativity}-way associative"
-        )
-    return int(miss_mask_set_associative(lines, n_sets, associativity).sum())
-
-
-def rescale_lines(lines: np.ndarray, from_line_size: int, to_line_size: int) -> np.ndarray:
-    """Convert line numbers between line-size granularities.
-
-    Only coarsening (``to_line_size >= from_line_size``) is supported:
-    information below ``from_line_size`` granularity is gone.
-    """
-    if to_line_size < from_line_size:
-        raise ValueError(
-            f"cannot refine line granularity from {from_line_size} to {to_line_size}"
-        )
-    shift = ilog2(to_line_size) - ilog2(from_line_size)
-    return np.asarray(lines, dtype=np.uint64) >> np.uint64(shift)

@@ -2,23 +2,23 @@
 
 Each experiment sweeps configurations over workload suites; this module
 provides the common plumbing: settings (defined in
-:mod:`repro.experiments.settings`), cached trace access,
-suite-averaged evaluation helpers, and the DECstation machine-model
-cell that Tables 1 and 3 share.  How an experiment decomposes into
-independently schedulable units is its ``plan_cells`` + ``merge`` pair
-(see :mod:`repro.plan.compile`).
+:mod:`repro.experiments.settings`), cached trace access, the
+suite-mean fetch sweep and the cells that run it, and the DECstation
+machine-model cell that Tables 1 and 3 share.  How an experiment
+decomposes into independently schedulable units is its ``plan_cells``
++ ``merge`` pair (see :mod:`repro.plan.compile`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.config import MemorySystemConfig
 from repro.core.cpi import CpiBreakdown
-from repro.core.study import StudyResult, evaluate_trace
+from repro.core.study import evaluate_trace
 # Settings and job keys live in the numpy-free settings module (the
 # server's store-hit path uses them); re-exported here.
 from repro.experiments.settings import (
@@ -48,12 +48,12 @@ __all__ = [
     "ExperimentSettings",
     "FetchPoint",
     "canonical_job_key",
+    "fetch_cells",
     "fetch_point",
+    "fetch_values",
     "machine_breakdown",
     "settings_record",
     "suite_groups",
-    "suite_cpi_instr",
-    "suite_evaluate",
     "suite_runs",
     "suite_traces",
     "sweep_fetch_cpi",
@@ -88,42 +88,6 @@ def suite_runs(
                       line_size)
         for name, os_name in suite_workloads(suite)
     ]
-
-
-def suite_evaluate(
-    suite: str,
-    config: MemorySystemConfig,
-    mechanism: str = "demand",
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    **options,
-) -> list[StudyResult]:
-    """Evaluate a configuration over every workload of a suite."""
-    return [
-        evaluate_trace(
-            trace,
-            config,
-            mechanism,
-            warmup_fraction=settings.warmup_fraction,
-            engine=settings.engine,
-            **options,
-        )
-        for trace in suite_traces(suite, settings)
-    ]
-
-
-def suite_cpi_instr(
-    suite: str,
-    config: MemorySystemConfig,
-    mechanism: str = "demand",
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    **options,
-) -> tuple[float, float]:
-    """Suite-mean (L1 CPIinstr, L2 CPIinstr) for one configuration."""
-    results = suite_evaluate(suite, config, mechanism, settings, **options)
-    return (
-        float(np.mean([r.cpi_l1 for r in results])),
-        float(np.mean([r.cpi_l2 for r in results])),
-    )
 
 
 def machine_breakdown(
@@ -212,23 +176,25 @@ def fetch_point(
 
 def sweep_fetch_cpi(
     suite: str,
-    points: list[FetchPoint],
+    points: Sequence[FetchPoint],
     settings: ExperimentSettings = DEFAULT_SETTINGS,
 ) -> dict[tuple, tuple[float, float]]:
     """Suite-mean (L1, L2) CPIinstr for many design points, trace-major.
 
-    The Figure 5-7 / Table 6 sweep planner: workloads iterate on the
-    *outside* and design points on the inside, so each workload's RLE
-    streams, miss masks, and mechanism state (all memoized per stream
+    The evaluator behind every fetch sweep (each :func:`fetch_cells`
+    cell runs one call): workloads iterate on the *outside* and design
+    points on the inside, so each workload's RLE streams, miss masks,
+    and mechanism state (all memoized per stream
     through :class:`~repro.caches.vectorized.LineOrderCache`) are
     computed once per (workload, line size) and shared across every
     L2-latency/width/mechanism point, instead of being rebuilt per
     point.  The geometry axis is batched too: before evaluating a
     trace's points, every mask shape the sweep needs is computed
     through one multi-geometry pass per (stream, set count) — one
-    trace walk per (workload, line size).  Per-point arithmetic and
-    averaging order are exactly :func:`suite_cpi_instr`'s, so results
-    are bit-identical to running the points one at a time.
+    trace walk per (workload, line size).  Each point's means are
+    ``np.mean`` over the suite's per-trace
+    :func:`~repro.core.study.evaluate_trace` results in workload order,
+    so results are bit-identical to running the points one at a time.
     """
     per_point: dict[tuple, tuple[list, list]] = {}
     for point in points:
@@ -254,3 +220,46 @@ def sweep_fetch_cpi(
         key: (float(np.mean(l1_values)), float(np.mean(l2_values)))
         for key, (l1_values, l2_values) in per_point.items()
     }
+
+
+def fetch_cells(
+    columns: Mapping[tuple, tuple[str, Sequence[FetchPoint]]],
+    settings: ExperimentSettings,
+) -> list[PlanCell]:
+    """One :func:`sweep_fetch_cpi` cell per column of a fetch sweep.
+
+    ``columns`` maps each cell key to ``(suite, points)``.  The cell
+    runs ``sweep_fetch_cpi(suite, points, settings)``, and its traces,
+    streams and mask families are derived from those same points, so
+    an experiment declares each design point once.  Two experiments
+    that sweep the same points on the same suite emit cells with one
+    identity, which a plan runs once.
+    """
+    cells = []
+    for key, (suite, points) in columns.items():
+        points = tuple(points)
+        cells.append(
+            PlanCell(
+                key=key,
+                fn=sweep_fetch_cpi,
+                args=(suite, points, settings),
+                traces=plan_inputs.suite_trace_keys(suite, settings),
+                streams=plan_inputs.point_streams(points),
+                masks=plan_inputs.mask_families(points, settings.engine),
+            )
+        )
+    return cells
+
+
+def fetch_values(
+    keyed: Mapping[tuple, dict[tuple, tuple[float, float]]],
+) -> dict[tuple, tuple[float, float]]:
+    """Merge :func:`fetch_cells` results into ``{point key: (l1, l2)}``.
+
+    Points appear in plan order: column by column, each column's points
+    in the order it declared them.
+    """
+    merged: dict[tuple, tuple[float, float]] = {}
+    for swept in keyed.values():
+        merged.update(swept)
+    return merged

@@ -15,6 +15,7 @@ fetch and its achieved IPC.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro._util.fmt import format_table
@@ -24,14 +25,27 @@ from repro.core.multiissue import IssueProjection, project_issue_widths
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
+    fetch_cells,
     fetch_point,
-    suite_cpi_instr,
+    fetch_values,
 )
 from repro.fetch.timing import MemoryTiming
-from repro.plan import inputs as plan_inputs
+from repro.plan.executor import run_experiment
+from repro.plan.ir import PlanCell
 
 WIDTHS = (1, 2, 4, 8)
+SUITES = ("ibs-mach3", "spec92")
 L2 = CacheGeometry(64 * 1024, 64, 8)
+
+#: The fully-optimized high-performance system: 8-way on-chip L2 and a
+#: pipelined 32 B/cyc L1-L2 interface with a 6-line stream buffer.
+OPTIMIZED = MemorySystemConfig(
+    "optimized",
+    l1=CacheGeometry(8192, 32, 1),
+    memory=MemorySystemConfig.high_performance().memory,
+    l2=L2,
+    l1_interface=MemoryTiming(latency=6, bytes_per_cycle=32),
+)
 
 
 @dataclass(frozen=True)
@@ -76,46 +90,42 @@ class ExtMultiIssueResult:
         raise KeyError(width)
 
 
+def plan_cells(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    suites: tuple[str, ...] = SUITES,
+) -> list[PlanCell]:
+    """One cell per suite: the optimized system's suite-mean CPIinstr."""
+    return fetch_cells(
+        {
+            (suite,): (
+                suite,
+                [fetch_point((suite,), OPTIMIZED, "stream-buffer", n_lines=6)],
+            )
+            for suite in suites
+        },
+        settings,
+    )
+
+
+def merge(
+    settings: ExperimentSettings, keyed: dict[tuple[str], dict]
+) -> ExtMultiIssueResult:
+    """Project issue widths from each suite's measured floor."""
+    cpi_instr = {
+        suite: l1 + l2 for (suite,), (l1, l2) in fetch_values(keyed).items()
+    }
+    return ExtMultiIssueResult(
+        cpi_instr=cpi_instr,
+        projections={
+            suite: project_issue_widths(floor, WIDTHS)
+            for suite, floor in cpi_instr.items()
+        },
+    )
+
+
 def run(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    suites: tuple[str, ...] = ("ibs-mach3", "spec92"),
+    suites: tuple[str, ...] = SUITES,
 ) -> ExtMultiIssueResult:
     """Project issue widths from the optimized system's measured floor."""
-    pipelined = MemorySystemConfig(
-        "optimized",
-        l1=CacheGeometry(8192, 32, 1),
-        memory=MemorySystemConfig.high_performance().memory,
-        l2=L2,
-        l1_interface=MemoryTiming(latency=6, bytes_per_cycle=32),
-    )
-    cpi_instr: dict[str, float] = {}
-    projections: dict[str, list[IssueProjection]] = {}
-    for suite in suites:
-        l1, l2 = suite_cpi_instr(
-            suite, pipelined, "stream-buffer", settings, n_lines=6
-        )
-        floor = l1 + l2
-        cpi_instr[suite] = floor
-        projections[suite] = project_issue_widths(floor, WIDTHS)
-    return ExtMultiIssueResult(cpi_instr=cpi_instr, projections=projections)
-
-
-def plan_cells(settings: ExperimentSettings = DEFAULT_SETTINGS):
-    """The sweep-plan compilation: one cell sharing both suites' traces
-    plus the optimized system's stream and demand mask."""
-    pipelined = MemorySystemConfig(
-        "optimized",
-        l1=CacheGeometry(8192, 32, 1),
-        memory=MemorySystemConfig.high_performance().memory,
-        l2=L2,
-        l1_interface=MemoryTiming(latency=6, bytes_per_cycle=32),
-    )
-    return plan_inputs.run_cell(
-        run, settings,
-        suites=("ibs-mach3", "spec92"),
-        points=[
-            fetch_point(
-                ("ext_multiissue",), pipelined, "stream-buffer", n_lines=6
-            )
-        ],
-    )
+    return run_experiment(sys.modules[__name__], settings, suites=suites)[0]

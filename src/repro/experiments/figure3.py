@@ -21,10 +21,10 @@ from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
+    fetch_cells,
     fetch_point,
-    suite_cpi_instr,
+    fetch_values,
 )
-from repro.plan import inputs as plan_inputs
 from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
@@ -101,54 +101,32 @@ def _point_config(
     )
 
 
-def _evaluate_point(
-    config_name: str,
-    size: int,
-    line_size: int,
-    settings: ExperimentSettings,
-) -> tuple[float, float]:
-    """One cell: suite-mean (L1, L2) CPIinstr at one L2 design point."""
-    config = _point_config(config_name, size, line_size)
-    return suite_cpi_instr(SUITE, config, "demand", settings)
-
-
 def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     l2_sizes: tuple[int, ...] = L2_SIZES,
     l2_line_sizes: tuple[int, ...] = L2_LINE_SIZES,
 ) -> list[PlanCell]:
     """One cell per feasible (configuration, L2 size, L2 line) point."""
-    traces = plan_inputs.suite_trace_keys(SUITE, settings)
     points = [
-        (config_name, size, line_size)
-        for config_name in CONFIG_NAMES
+        fetch_point((name, size, line), _point_config(name, size, line))
+        for name in CONFIG_NAMES
         for size in l2_sizes
-        for line_size in l2_line_sizes
-        if line_size <= size
+        for line in l2_line_sizes
+        if line <= size
     ]
-    return [
-        PlanCell(
-            key=point,
-            fn=_evaluate_point,
-            args=(*point, settings),
-            traces=traces,
-            masks=plan_inputs.mask_families(
-                [fetch_point(point, _point_config(*point), "demand")],
-                settings.engine,
-            ),
-        )
-        for point in points
-    ]
+    return fetch_cells(
+        {point.key: (SUITE, [point]) for point in points}, settings
+    )
 
 
 def merge(
     settings: ExperimentSettings,
-    keyed: dict[tuple[str, int, int], tuple[float, float]],
+    keyed: dict[tuple[str, int, int], dict],
 ) -> Figure3Result:
     """Reassemble the sweep table from the per-point cells."""
     cells_out: dict[tuple[str, int, int], float] = {}
     l1_contribution = 0.0
-    for point, (l1, l2) in keyed.items():
+    for point, (l1, l2) in fetch_values(keyed).items():
         cells_out[point] = l1 + l2
         l1_contribution = l1  # identical across L2 points
     return Figure3Result(cells=cells_out, l1_contribution=l1_contribution)

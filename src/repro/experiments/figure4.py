@@ -19,11 +19,11 @@ from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
+    fetch_cells,
     fetch_point,
-    suite_cpi_instr,
+    fetch_values,
 )
 from repro.fetch.timing import L1_L2_INTERFACE, MemoryTiming
-from repro.plan import inputs as plan_inputs
 from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
@@ -81,53 +81,33 @@ def _point_config(
     return base.with_l2(CacheGeometry(L2_SIZE, L2_LINE, ways), interface)
 
 
-def _evaluate_point(
-    config_name: str,
-    ways: int,
-    associative_lookup_penalty: bool,
-    settings: ExperimentSettings,
-) -> float:
-    """One cell: suite-mean total CPIinstr at one associativity."""
-    config = _point_config(config_name, ways, associative_lookup_penalty)
-    l1, l2 = suite_cpi_instr(SUITE, config, "demand", settings)
-    return l1 + l2
-
-
 def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     associative_lookup_penalty: bool = False,
 ) -> list[PlanCell]:
     """One cell per (configuration, associativity) curve point."""
-    traces = plan_inputs.suite_trace_keys(SUITE, settings)
-    return [
-        PlanCell(
-            key=(config_name, ways),
-            fn=_evaluate_point,
-            args=(config_name, ways, associative_lookup_penalty, settings),
-            traces=traces,
-            masks=plan_inputs.mask_families(
-                [
-                    fetch_point(
-                        (config_name, ways),
-                        _point_config(
-                            config_name, ways, associative_lookup_penalty
-                        ),
-                        "demand",
-                    )
-                ],
-                settings.engine,
-            ),
+    points = [
+        fetch_point(
+            (name, ways),
+            _point_config(name, ways, associative_lookup_penalty),
         )
-        for config_name in CONFIG_NAMES
+        for name in CONFIG_NAMES
         for ways in ASSOCIATIVITIES
     ]
+    return fetch_cells(
+        {point.key: (SUITE, [point]) for point in points}, settings
+    )
 
 
 def merge(
-    settings: ExperimentSettings, keyed: dict[tuple[str, int], float]
+    settings: ExperimentSettings, keyed: dict[tuple[str, int], dict]
 ) -> Figure4Result:
-    """The per-point totals are the curve layout."""
-    return Figure4Result(cells=dict(keyed))
+    """Each curve point is its suite-mean total CPIinstr."""
+    return Figure4Result(
+        cells={
+            key: l1 + l2 for key, (l1, l2) in fetch_values(keyed).items()
+        }
+    )
 
 
 def run(

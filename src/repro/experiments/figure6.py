@@ -21,11 +21,12 @@ from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
+    FetchPoint,
+    fetch_cells,
     fetch_point,
-    sweep_fetch_cpi,
+    fetch_values,
 )
 from repro.fetch.timing import MemoryTiming
-from repro.plan import inputs as plan_inputs
 from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
@@ -83,11 +84,13 @@ class Figure6Result:
         return min(candidates, key=candidates.get)
 
 
-def _line_size_points(line_size: int, bandwidths: tuple[int, ...]):
+def _line_size_points(
+    line_size: int, bandwidths: tuple[int, ...]
+) -> list[FetchPoint]:
     """All bandwidth points of one line-size column.
 
     Grouping by line size means every point of a group drives the same
-    (workload, line size) RLE stream, so the planner computes each L1
+    (workload, line size) RLE stream, so the sweep computes each L1
     miss mask once and shares it across the whole bandwidth sweep.
     """
     return [
@@ -104,19 +107,6 @@ def _line_size_points(line_size: int, bandwidths: tuple[int, ...]):
     ]
 
 
-def _sweep_line_size(
-    line_size: int,
-    bandwidths: tuple[int, ...],
-    suite: str,
-    settings: ExperimentSettings,
-) -> dict[tuple[int, int], float]:
-    """One cell: the full bandwidth sweep at one L1 line size."""
-    swept = sweep_fetch_cpi(
-        suite, _line_size_points(line_size, bandwidths), settings
-    )
-    return {key: l1 for key, (l1, _l2) in swept.items()}
-
-
 def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     bandwidths: tuple[int, ...] = BANDWIDTHS,
@@ -124,30 +114,22 @@ def plan_cells(
     suite: str = "ibs-mach3",
 ) -> list[PlanCell]:
     """One cell per line size, each sharing one miss mask per workload."""
-    traces = plan_inputs.suite_trace_keys(suite, settings)
-    return [
-        PlanCell(
-            key=(line_size,),
-            fn=_sweep_line_size,
-            args=(line_size, bandwidths, suite, settings),
-            traces=traces,
-            masks=plan_inputs.mask_families(
-                _line_size_points(line_size, bandwidths), settings.engine
-            ),
-        )
-        for line_size in line_sizes
-    ]
+    return fetch_cells(
+        {
+            (line_size,): (suite, _line_size_points(line_size, bandwidths))
+            for line_size in line_sizes
+        },
+        settings,
+    )
 
 
 def merge(
-    settings: ExperimentSettings,
-    keyed: dict[tuple[int], dict[tuple[int, int], float]],
+    settings: ExperimentSettings, keyed: dict[tuple[int], dict]
 ) -> Figure6Result:
     """Reassemble the sweep table from the per-line-size cells."""
-    merged: dict[tuple[int, int], float] = {}
-    for cell_result in keyed.values():
-        merged.update(cell_result)
-    return Figure6Result(cells=merged)
+    return Figure6Result(
+        cells={key: l1 for key, (l1, _l2) in fetch_values(keyed).items()}
+    )
 
 
 def run(

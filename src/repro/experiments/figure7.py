@@ -24,11 +24,11 @@ from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
     FetchPoint,
+    fetch_cells,
     fetch_point,
-    sweep_fetch_cpi,
+    fetch_values,
 )
 from repro.fetch.timing import MemoryTiming
-from repro.plan import inputs as plan_inputs
 from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
@@ -123,42 +123,24 @@ def _step_points(config_name: str) -> list[FetchPoint]:
     ]
 
 
-def _sweep_config(
-    config_name: str, settings: ExperimentSettings
-) -> dict[tuple[str, str], tuple[float, float]]:
-    """One cell: the full optimization ladder of one configuration."""
-    return sweep_fetch_cpi(SUITE, _step_points(config_name), settings)
-
-
 def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
 ) -> list[PlanCell]:
     """One cell per baseline configuration (six steps each)."""
-    traces = plan_inputs.suite_trace_keys(SUITE, settings)
-    return [
-        PlanCell(
-            key=(config_name,),
-            fn=_sweep_config,
-            args=(config_name, settings),
-            traces=traces,
-            streams=plan_inputs.point_streams(_step_points(config_name)),
-            masks=plan_inputs.mask_families(
-                _step_points(config_name), settings.engine
-            ),
-        )
-        for config_name in CONFIG_NAMES
-    ]
+    return fetch_cells(
+        {
+            (config_name,): (SUITE, _step_points(config_name))
+            for config_name in CONFIG_NAMES
+        },
+        settings,
+    )
 
 
 def merge(
-    settings: ExperimentSettings,
-    keyed: dict[tuple[str], dict[tuple[str, str], tuple[float, float]]],
+    settings: ExperimentSettings, keyed: dict[tuple[str], dict]
 ) -> Figure7Result:
     """Reassemble the ladder from the per-configuration cells."""
-    merged: dict[tuple[str, str], tuple[float, float]] = {}
-    for cell_result in keyed.values():
-        merged.update(cell_result)
-    return Figure7Result(cells=merged)
+    return Figure7Result(cells=fetch_values(keyed))
 
 
 def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Figure7Result:

@@ -16,10 +16,10 @@ from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
+    fetch_cells,
     fetch_point,
-    suite_cpi_instr,
+    fetch_values,
 )
-from repro.plan import inputs as plan_inputs
 from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
@@ -76,43 +76,30 @@ def _config(config_name: str) -> MemorySystemConfig:
     return MemorySystemConfig.high_performance()
 
 
-def _evaluate_cell(
-    config_name: str, suite: str, settings: ExperimentSettings
-) -> float:
-    """One cell: suite-mean total CPIinstr of one baseline."""
-    l1, l2 = suite_cpi_instr(suite, _config(config_name), "demand", settings)
-    return l1 + l2
-
-
 def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
 ) -> list[PlanCell]:
-    """One cell per (configuration, suite) table entry, with its masks."""
-    return [
-        PlanCell(
-            key=(config_name, suite),
-            fn=_evaluate_cell,
-            args=(config_name, suite, settings),
-            traces=plan_inputs.suite_trace_keys(suite, settings),
-            masks=plan_inputs.mask_families(
-                [
-                    fetch_point(
-                        (config_name, suite), _config(config_name), "demand"
-                    )
-                ],
-                settings.engine,
-            ),
-        )
-        for config_name in _CONFIG_NAMES
-        for suite in _SUITES
-    ]
+    """One cell per (configuration, suite) table entry."""
+    return fetch_cells(
+        {
+            (name, suite): (suite, [fetch_point((name, suite), _config(name))])
+            for name in _CONFIG_NAMES
+            for suite in _SUITES
+        },
+        settings,
+    )
 
 
 def merge(
-    settings: ExperimentSettings, keyed: dict[tuple[str, str], float]
+    settings: ExperimentSettings,
+    keyed: dict[tuple[str, str], dict],
 ) -> Table5Result:
-    """The cell results are the table layout."""
-    return Table5Result(cells=dict(keyed))
+    """Each entry is its baseline's suite-mean total CPIinstr."""
+    return Table5Result(
+        cells={
+            key: l1 + l2 for key, (l1, l2) in fetch_values(keyed).items()
+        }
+    )
 
 
 def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table5Result:

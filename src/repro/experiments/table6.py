@@ -19,11 +19,12 @@ from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
+    FetchPoint,
+    fetch_cells,
     fetch_point,
-    sweep_fetch_cpi,
+    fetch_values,
 )
 from repro.fetch.timing import MemoryTiming
-from repro.plan import inputs as plan_inputs
 from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
@@ -71,33 +72,23 @@ class Table6Result:
         )
 
 
-def _line_size_points(line_size: int, depths: tuple[int, ...]):
-    """All prefetch-depth points of one line-size column."""
+def _line_size_points(
+    line_size: int, mechanism: str = "prefetch"
+) -> list[FetchPoint]:
+    """All prefetch-depth points of one line-size column.
+
+    All depths share the (workload, line size) stream, so the sweep
+    reuses one set of memoized install-aware miss masks per workload.
+    """
     config = MemorySystemConfig(
         name=f"l1-{line_size}B",
         l1=CacheGeometry(8192, line_size, 1),
         memory=INTERFACE,
     )
     return [
-        fetch_point((line_size, depth), config, "prefetch", n_prefetch=depth)
-        for depth in depths
+        fetch_point((line_size, depth), config, mechanism, n_prefetch=depth)
+        for depth in PREFETCH_DEPTHS
     ]
-
-
-def _sweep_line_size(
-    line_size: int,
-    depths: tuple[int, ...],
-    settings: ExperimentSettings,
-) -> dict[tuple[int, int], float]:
-    """One cell: every prefetch depth at one line size.
-
-    All depths share the (workload, line size) stream, so the planner
-    reuses one set of memoized install-aware miss masks per workload.
-    """
-    swept = sweep_fetch_cpi(
-        SUITE, _line_size_points(line_size, depths), settings
-    )
-    return {key: l1 for key, (l1, _l2) in swept.items()}
 
 
 def plan_cells(
@@ -106,33 +97,26 @@ def plan_cells(
     """One cell per L1 line size.
 
     Prefetch kernels consult install-aware masks (not the plain demand
-    mask), so no mask family is declared — the shared inputs are the
-    traces and the per-line-size RLE streams the depths all drive.
+    mask), so the cells declare no mask family — the shared inputs are
+    the traces and the per-line-size RLE streams the depths all drive.
     """
-    traces = plan_inputs.suite_trace_keys(SUITE, settings)
-    return [
-        PlanCell(
-            key=(line_size,),
-            fn=_sweep_line_size,
-            args=(line_size, PREFETCH_DEPTHS, settings),
-            traces=traces,
-            streams=plan_inputs.point_streams(
-                _line_size_points(line_size, PREFETCH_DEPTHS)
-            ),
-        )
-        for line_size in LINE_SIZES
-    ]
+    return fetch_cells(
+        {
+            (line_size,): (SUITE, _line_size_points(line_size))
+            for line_size in LINE_SIZES
+        },
+        settings,
+    )
 
 
 def merge(
     settings: ExperimentSettings,
-    keyed: dict[tuple[int], dict[tuple[int, int], float]],
+    keyed: dict[tuple[int], dict],
 ) -> Table6Result:
     """Reassemble the table from the per-line-size cells."""
-    merged: dict[tuple[int, int], float] = {}
-    for cell_result in keyed.values():
-        merged.update(cell_result)
-    return Table6Result(cells=merged)
+    return Table6Result(
+        cells={key: l1 for key, (l1, _l2) in fetch_values(keyed).items()}
+    )
 
 
 def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table6Result:

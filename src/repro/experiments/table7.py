@@ -12,22 +12,20 @@ import sys
 from dataclasses import dataclass, field
 
 from repro._util.fmt import format_table
-from repro.caches.base import CacheGeometry
-from repro.core.config import MemorySystemConfig
+from repro.experiments import table6
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
-    suite_cpi_instr,
+    fetch_cells,
+    fetch_values,
 )
 from repro.experiments.table6 import (
-    INTERFACE,
     LINE_SIZES,
     PREFETCH_DEPTHS,
     SUITE,
     _line_size_points,
 )
 from repro.experiments.table6 import PAPER as PAPER_NO_BYPASS
-from repro.plan import inputs as plan_inputs
 from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
@@ -76,67 +74,40 @@ class Table7Result:
         )
 
 
-def _sweep_line_size(
-    line_size: int, settings: ExperimentSettings
-) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
-    """One cell: both grids' column at one line size.
-
-    Evaluates prefetch before prefetch+bypass at each depth.
-    """
-    config = MemorySystemConfig(
-        name=f"l1-{line_size}B",
-        l1=CacheGeometry(8192, line_size, 1),
-        memory=INTERFACE,
-    )
-    no_bypass: dict[tuple[int, int], float] = {}
-    with_bypass: dict[tuple[int, int], float] = {}
-    for depth in PREFETCH_DEPTHS:
-        l1, _ = suite_cpi_instr(
-            SUITE, config, "prefetch", settings, n_prefetch=depth
-        )
-        no_bypass[(line_size, depth)] = l1
-        l1b, _ = suite_cpi_instr(
-            SUITE, config, "prefetch+bypass", settings, n_prefetch=depth
-        )
-        with_bypass[(line_size, depth)] = l1b
-    return no_bypass, with_bypass
-
-
 def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
 ) -> list[PlanCell]:
-    """One cell per L1 line size (covering both bypass variants).
+    """Table 6's cells, plus one bypass cell per L1 line size.
 
-    Both mechanisms consult install-aware masks (not the plain demand
-    mask), so the shared inputs are the traces and per-line-size
-    streams — the same ones Table 6's columns declare.
+    The no-bypass grid is Table 6 itself: the same cells under the same
+    keys, so a report runs them once for both tables.  Bypass columns
+    are keyed ``("bypass", line_size)``.
     """
-    traces = plan_inputs.suite_trace_keys(SUITE, settings)
-    return [
-        PlanCell(
-            key=(line_size,),
-            fn=_sweep_line_size,
-            args=(line_size, settings),
-            traces=traces,
-            streams=plan_inputs.point_streams(
-                _line_size_points(line_size, PREFETCH_DEPTHS)
-            ),
-        )
-        for line_size in LINE_SIZES
-    ]
+    return table6.plan_cells(settings) + fetch_cells(
+        {
+            ("bypass", line_size): (
+                SUITE, _line_size_points(line_size, "prefetch+bypass")
+            )
+            for line_size in LINE_SIZES
+        },
+        settings,
+    )
 
 
 def merge(
-    settings: ExperimentSettings,
-    keyed: dict[tuple[int], tuple[dict, dict]],
+    settings: ExperimentSettings, keyed: dict[tuple, dict]
 ) -> Table7Result:
-    """Combine the per-line-size columns into both grids."""
-    no_bypass: dict[tuple[int, int], float] = {}
-    with_bypass: dict[tuple[int, int], float] = {}
-    for cell_no_bypass, cell_with_bypass in keyed.values():
-        no_bypass.update(cell_no_bypass)
-        with_bypass.update(cell_with_bypass)
-    return Table7Result(no_bypass=no_bypass, with_bypass=with_bypass)
+    """Table 6's cells are the no-bypass grid; the rest add bypass."""
+    bypass = {key: swept for key, swept in keyed.items() if key[0] == "bypass"}
+    no_bypass = {
+        key: swept for key, swept in keyed.items() if key not in bypass
+    }
+    return Table7Result(
+        no_bypass=table6.merge(settings, no_bypass).cells,
+        with_bypass={
+            key: l1 for key, (l1, _l2) in fetch_values(bypass).items()
+        },
+    )
 
 
 def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table7Result:

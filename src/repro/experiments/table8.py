@@ -18,11 +18,12 @@ from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
+    FetchPoint,
+    fetch_cells,
     fetch_point,
-    suite_cpi_instr,
+    fetch_values,
 )
 from repro.fetch.timing import MemoryTiming
-from repro.plan import inputs as plan_inputs
 from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 
@@ -59,35 +60,17 @@ class Table8Result:
         )
 
 
-def _bandwidth_config(bw: int) -> MemorySystemConfig:
-    return MemorySystemConfig(
+def _bandwidth_points(bw: int) -> list[FetchPoint]:
+    """All buffer-depth points of one bandwidth column."""
+    config = MemorySystemConfig(
         name=f"pipelined-{bw}",
         l1=CacheGeometry(8192, bw, 1),
         memory=MemoryTiming(latency=6, bytes_per_cycle=bw),
     )
-
-
-def _bandwidth_points(bw: int):
-    """All buffer-depth points of one bandwidth column."""
-    config = _bandwidth_config(bw)
     return [
         fetch_point((bw, n_lines), config, "stream-buffer", n_lines=n_lines)
         for n_lines in BUFFER_SIZES
     ]
-
-
-def _sweep_bandwidth(
-    bw: int, settings: ExperimentSettings
-) -> dict[tuple[int, int], float]:
-    """One cell: every buffer size at one interface bandwidth."""
-    config = _bandwidth_config(bw)
-    column: dict[tuple[int, int], float] = {}
-    for n_lines in BUFFER_SIZES:
-        l1, _ = suite_cpi_instr(
-            SUITE, config, "stream-buffer", settings, n_lines=n_lines
-        )
-        column[(bw, n_lines)] = l1
-    return column
 
 
 def plan_cells(
@@ -98,31 +81,19 @@ def plan_cells(
     Stream buffers consult the plain demand mask, so each bandwidth's
     L1 shape joins the batched mask pass alongside its stream.
     """
-    traces = plan_inputs.suite_trace_keys(SUITE, settings)
-    return [
-        PlanCell(
-            key=(bw,),
-            fn=_sweep_bandwidth,
-            args=(bw, settings),
-            traces=traces,
-            streams=plan_inputs.point_streams(_bandwidth_points(bw)),
-            masks=plan_inputs.mask_families(
-                _bandwidth_points(bw), settings.engine
-            ),
-        )
-        for bw in BANDWIDTHS
-    ]
+    return fetch_cells(
+        {(bw,): (SUITE, _bandwidth_points(bw)) for bw in BANDWIDTHS},
+        settings,
+    )
 
 
 def merge(
-    settings: ExperimentSettings,
-    keyed: dict[tuple[int], dict[tuple[int, int], float]],
+    settings: ExperimentSettings, keyed: dict[tuple[int], dict]
 ) -> Table8Result:
     """Combine the per-bandwidth columns."""
-    merged: dict[tuple[int, int], float] = {}
-    for column in keyed.values():
-        merged.update(column)
-    return Table8Result(cells=merged)
+    return Table8Result(
+        cells={key: l1 for key, (l1, _l2) in fetch_values(keyed).items()}
+    )
 
 
 def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table8Result:

@@ -1,8 +1,7 @@
-"""Shared-input derivation and priming (lifted from ``experiments.common``).
+"""Shared-input derivation and priming.
 
-:func:`mask_shape_plan` and :func:`prime_miss_masks` started life as
-private helpers of the figure-6/7 sweep planner; they are the plan
-IR's substrate now — every compiled experiment derives its mask-family
+:func:`mask_shape_plan` and :func:`prime_miss_masks` are the plan IR's
+substrate: every compiled experiment derives its mask-family
 annotations through them, and the executor primes with them.
 
 This module deliberately avoids importing the experiments layer (which

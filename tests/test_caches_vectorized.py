@@ -11,12 +11,10 @@ from repro.caches.base import CacheGeometry
 from repro.caches.setassoc import SetAssociativeCache
 from repro.caches.vectorized import (
     compulsory_mask,
-    count_misses,
     lru_stack_distances,
     miss_mask_direct_mapped,
     miss_mask_fully_associative,
     miss_mask_set_associative,
-    rescale_lines,
 )
 
 
@@ -135,37 +133,6 @@ class TestCompulsory:
 
     def test_empty(self):
         assert compulsory_mask(np.zeros(0, np.uint64)).sum() == 0
-
-
-class TestCountMisses:
-    def test_consistent_with_mask(self):
-        lines = _random_lines(seed=4)
-        expected = miss_mask_set_associative(lines, 64, 2).sum()
-        assert count_misses(lines, 64 * 2 * 32, 32, 2) == expected
-
-    def test_fully_associative_selector(self):
-        lines = _random_lines(n=500, span=100, seed=5)
-        expected = miss_mask_fully_associative(lines, 32).sum()
-        assert count_misses(lines, 32 * 32, 32, 0) == expected
-
-    def test_rejects_overassociative(self):
-        with pytest.raises(ValueError):
-            count_misses(np.array([0], np.uint64), 64, 32, 4)
-
-
-class TestRescaleLines:
-    def test_coarsen(self):
-        lines = np.array([0, 1, 2, 3], dtype=np.uint64)
-        assert list(rescale_lines(lines, 16, 64)) == [0, 0, 0, 0]
-        assert list(rescale_lines(lines, 16, 32)) == [0, 0, 1, 1]
-
-    def test_same_size_identity(self):
-        lines = np.array([7, 9], dtype=np.uint64)
-        assert list(rescale_lines(lines, 32, 32)) == [7, 9]
-
-    def test_refine_rejected(self):
-        with pytest.raises(ValueError):
-            rescale_lines(np.array([0], np.uint64), 64, 32)
 
 
 class TestLineOrderCache:

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core.config import MemorySystemConfig
 from repro.experiments.common import (
     ExperimentSettings,
-    suite_cpi_instr,
-    suite_evaluate,
     suite_runs,
     suite_traces,
 )
@@ -39,18 +36,6 @@ class TestSuiteHelpers:
     def test_suite_runs_line_size(self):
         runs = suite_runs("specint92", 64, SETTINGS)
         assert all(r.line_size == 64 for r in runs)
-
-    def test_suite_evaluate_shape(self):
-        config = MemorySystemConfig.high_performance()
-        results = suite_evaluate("specint92", config, settings=SETTINGS)
-        assert len(results) == 6
-        assert all(r.cpi_l2 == 0.0 for r in results)
-
-    def test_suite_cpi_instr_means(self):
-        config = MemorySystemConfig.high_performance()
-        l1, l2 = suite_cpi_instr("specint92", config, settings=SETTINGS)
-        assert l1 > 0
-        assert l2 == 0.0
 
 
 class TestCanonicalKeys:

@@ -315,19 +315,36 @@ class TestSweepPlanner:
             name="planner", l1=CacheGeometry(8192, 32, 1),
             memory=L1_L2_INTERFACE,
         )
+        with_l2 = MemorySystemConfig.economy().with_l2(
+            CacheGeometry(64 * 1024, 64, 8)
+        )
         points = [
             fetch_point(("demand",), config, "demand"),
             fetch_point(("prefetch", 2), config, "prefetch", n_prefetch=2),
+            fetch_point(("l2",), with_l2, "demand"),
+            fetch_point(("l2-bypass",), with_l2, "prefetch+bypass",
+                        n_prefetch=1),
         ]
         swept = sweep_fetch_cpi("ibs-mach3", points, self.SETTINGS)
-        assert set(swept) == {("demand",), ("prefetch", 2)}
+        assert list(swept) == [point.key for point in points]
         # Bit-identical to evaluating each point one trace at a time.
-        expected = np.mean([
-            evaluate_trace(trace, config, "demand",
-                           engine=self.SETTINGS.engine).cpi_l1
-            for trace in suite_traces("ibs-mach3", self.SETTINGS)
-        ])
-        assert swept[("demand",)][0] == float(expected)
+        traces = suite_traces("ibs-mach3", self.SETTINGS)
+        for point in points:
+            results = [
+                evaluate_trace(
+                    trace, point.config, point.mechanism,
+                    warmup_fraction=self.SETTINGS.warmup_fraction,
+                    engine=self.SETTINGS.engine, **dict(point.options),
+                )
+                for trace in traces
+            ]
+            expected = (
+                float(np.mean([r.cpi_l1 for r in results])),
+                float(np.mean([r.cpi_l2 for r in results])),
+            )
+            assert swept[point.key] == expected, point.key
+        assert swept[("l2",)][1] > 0.0
+        assert swept[("demand",)][1] == 0.0
 
     def test_duplicate_keys_rejected(self):
         config = MemorySystemConfig(

@@ -399,6 +399,69 @@ class TestPhases:
         assert trace_cache_stats()["entries"] == 0
 
 
+class TestFetchCellCoverage:
+    """Fetch-sweep cells read only inputs the plan primed for them.
+
+    :func:`~repro.experiments.common.fetch_cells` derives each cell's
+    streams and mask families from its points.  If it under-declares,
+    the cell encodes a stream or builds an LRU miss mask itself: the
+    answer is the same, but the work is neither shared nor freed with
+    its phase.  Prefetch kernels also build an install-aware mask per
+    depth, which is not a plan input and is not counted here.
+    """
+
+    def test_report_fetch_cells_encode_and_mask_nothing(self, monkeypatch):
+        from repro.caches import vectorized
+        from repro.caches.vectorized import LineOrderCache
+        from repro.experiments.common import sweep_fetch_cpi
+        from repro.runner import pool
+        from repro.trace import rle
+
+        running: list = []  # the fetch cell executing, or None
+        fetch_keys: list = []
+        unprimed: list = []
+        execute = pool._execute_cell
+        encode = rle.to_line_runs
+        bounded = LineOrderCache._bounded_masks
+        direct = vectorized.miss_mask_direct_mapped
+
+        def cell(key, fn, args):
+            if fn is sweep_fetch_cpi:
+                fetch_keys.append(key)
+            running.append(key if fn is sweep_fetch_cpi else None)
+            try:
+                return execute(key, fn, args)
+            finally:
+                running.pop()
+
+        def noting(what):
+            if running and running[-1] is not None:
+                unprimed.append((running[-1], *what))
+
+        def encoding(addresses, line_size):
+            noting(("stream", line_size))
+            return encode(addresses, line_size)
+
+        def masking(cache, n_sets, bounds):
+            noting(("lru-mask", n_sets, tuple(bounds)))
+            return bounded(cache, n_sets, bounds)
+
+        def direct_masking(lines, n_sets):
+            noting(("direct-mapped-mask", n_sets))
+            return direct(lines, n_sets)
+
+        monkeypatch.setattr(pool, "_execute_cell", cell)
+        monkeypatch.setattr(rle, "to_line_runs", encoding)
+        monkeypatch.setattr(LineOrderCache, "_bounded_masks", masking)
+        monkeypatch.setattr(
+            vectorized, "miss_mask_direct_mapped", direct_masking
+        )
+        clear_trace_cache()
+        run_report(dict(ALL_EXPERIMENTS), SETTINGS, jobs=1)
+        assert fetch_keys
+        assert unprimed == []
+
+
 class TestGoldenEquivalence:
     """Plan-executed output must match the pinned golden renderings.
 
