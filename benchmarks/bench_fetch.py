@@ -41,8 +41,9 @@ from repro.obs import tracing
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.experiments.common import (
     ExperimentSettings,
+    fetch_cells,
     fetch_point,
-    sweep_fetch_cpi,
+    fetch_values,
 )
 from repro.fetch import dispatch
 from repro.fetch.timing import MemoryTiming
@@ -175,9 +176,10 @@ def bench_figure7_coverage(
     def timed(engine: str):
         dispatch.reset_totals()
         start = time.perf_counter()
-        swept = sweep_fetch_cpi(
-            suite, points, _settings(n_instructions, seed, engine)
+        cells = fetch_cells(
+            {(): (suite, points)}, _settings(n_instructions, seed, engine)
         )
+        swept = fetch_values({cell.key: cell.fn(*cell.args) for cell in cells})
         return swept, time.perf_counter() - start, dispatch.totals()
 
     reference, reference_seconds, _ = timed("reference")

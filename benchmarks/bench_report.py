@@ -11,8 +11,9 @@ fresh subprocess with cold memos and no disk cache,
   mask is shared across experiments (the record keeps this pass's
   time under ``legacy_seconds``);
 * **plan** — :func:`repro.plan.executor.run_report`, the sweep-plan
-  path: one compiled plan whose shared inputs are primed once in the
-  parent before the pool forks, so workers inherit every warm memo.
+  path: one compiled plan on one pool, whose workers each prime a
+  trace's shared inputs once, run every cell that reads it, and free
+  it.
 
 Both passes use the same ``--jobs`` fan-out; the renderings must match
 byte for byte and the plan pass must prime every declared shared input

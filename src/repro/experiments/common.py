@@ -2,8 +2,8 @@
 
 Each experiment sweeps configurations over workload suites; this module
 provides the common plumbing: settings (defined in
-:mod:`repro.experiments.settings`), cached trace access, the
-suite-mean fetch sweep and the cells that run it, and the DECstation
+:mod:`repro.experiments.settings`), the per-trace fetch sweep with the
+cells that run it and their suite means, and the DECstation
 machine-model cell that Tables 1 and 3 share.  How an experiment
 decomposes into independently schedulable units is its ``plan_cells``
 + ``merge`` pair (see :mod:`repro.plan.compile`).
@@ -33,14 +33,8 @@ from repro.monitor.hwcounters import DECSTATION_3100, HardwareMonitor
 from repro.plan import inputs as plan_inputs
 from repro.plan.ir import PlanCell
 from repro.trace.record import Component
-from repro.trace.rle import LineRuns
 from repro.trace.stats import component_mix
-from repro.trace.trace import Trace
-from repro.workloads.registry import (
-    get_line_runs,
-    get_trace,
-    suite_workloads,
-)
+from repro.workloads.registry import get_trace, suite_workloads
 
 __all__ = [
     "DEFAULT_SETTINGS",
@@ -54,40 +48,10 @@ __all__ = [
     "machine_breakdown",
     "settings_record",
     "suite_groups",
-    "suite_runs",
-    "suite_traces",
-    "sweep_fetch_cpi",
+    "trace_fetch_cpi",
     "workload_cells",
     "workloads_fingerprint",
 ]
-
-
-def suite_traces(
-    suite: str, settings: ExperimentSettings = DEFAULT_SETTINGS
-) -> list[Trace]:
-    """All traces of a suite (cached by the workload registry)."""
-    return [
-        get_trace(name, os_name, settings.n_instructions, settings.seed)
-        for name, os_name in suite_workloads(suite)
-    ]
-
-
-def suite_runs(
-    suite: str,
-    line_size: int,
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-) -> list[LineRuns]:
-    """RLE instruction streams of a whole suite at one line size.
-
-    Served through the registry's derived-artifact memoization: each
-    (workload, line size) stream is encoded at most once per process
-    and — with the on-disk cache enabled — once ever.
-    """
-    return [
-        get_line_runs(name, os_name, settings.n_instructions, settings.seed,
-                      line_size)
-        for name, os_name in suite_workloads(suite)
-    ]
 
 
 def machine_breakdown(
@@ -174,92 +138,104 @@ def fetch_point(
     )
 
 
-def sweep_fetch_cpi(
-    suite: str,
+def trace_fetch_cpi(
+    name: str,
+    os_name: str,
     points: Sequence[FetchPoint],
     settings: ExperimentSettings = DEFAULT_SETTINGS,
 ) -> dict[tuple, tuple[float, float]]:
-    """Suite-mean (L1, L2) CPIinstr for many design points, trace-major.
+    """One workload's (L1, L2) CPIinstr at many design points.
 
     The evaluator behind every fetch sweep (each :func:`fetch_cells`
-    cell runs one call): workloads iterate on the *outside* and design
-    points on the inside, so each workload's RLE streams, miss masks,
-    and mechanism state (all memoized per stream
-    through :class:`~repro.caches.vectorized.LineOrderCache`) are
-    computed once per (workload, line size) and shared across every
-    L2-latency/width/mechanism point, instead of being rebuilt per
-    point.  The geometry axis is batched too: before evaluating a
-    trace's points, every mask shape the sweep needs is computed
-    through one multi-geometry pass per (stream, set count) — one
-    trace walk per (workload, line size).  Each point's means are
-    ``np.mean`` over the suite's per-trace
-    :func:`~repro.core.study.evaluate_trace` results in workload order,
-    so results are bit-identical to running the points one at a time.
+    cell runs one call).  The trace's RLE streams, miss masks and
+    mechanism state are memoized per stream through
+    :class:`~repro.caches.vectorized.LineOrderCache`, so they are
+    computed once and shared by every L2-latency/width/mechanism
+    point.  The geometry axis is batched too: before the first point,
+    every mask shape the points need is computed through one
+    multi-geometry pass per (stream, set count).  Each value is the
+    trace's :func:`~repro.core.study.evaluate_trace` result, so a
+    sweep is bit-identical to running its points one at a time.
     """
-    per_point: dict[tuple, tuple[list, list]] = {}
+    seen: set[tuple] = set()
     for point in points:
-        if point.key in per_point:
+        if point.key in seen:
             raise ValueError(f"duplicate sweep point key {point.key!r}")
-        per_point[point.key] = ([], [])
-    plan = plan_inputs.mask_shape_plan(points, settings.engine)
-    for trace in suite_traces(suite, settings):
-        plan_inputs.prime_miss_masks(trace, plan)
-        for point in points:
-            result = evaluate_trace(
-                trace,
-                point.config,
-                point.mechanism,
-                warmup_fraction=settings.warmup_fraction,
-                engine=settings.engine,
-                **dict(point.options),
-            )
-            l1_values, l2_values = per_point[point.key]
-            l1_values.append(result.cpi_l1)
-            l2_values.append(result.cpi_l2)
-    return {
-        key: (float(np.mean(l1_values)), float(np.mean(l2_values)))
-        for key, (l1_values, l2_values) in per_point.items()
-    }
+        seen.add(point.key)
+    trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
+    plan_inputs.prime_miss_masks(
+        trace, plan_inputs.mask_shape_plan(points, settings.engine)
+    )
+    values: dict[tuple, tuple[float, float]] = {}
+    for point in points:
+        result = evaluate_trace(
+            trace,
+            point.config,
+            point.mechanism,
+            warmup_fraction=settings.warmup_fraction,
+            engine=settings.engine,
+            **dict(point.options),
+        )
+        values[point.key] = (result.cpi_l1, result.cpi_l2)
+    return values
 
 
 def fetch_cells(
     columns: Mapping[tuple, tuple[str, Sequence[FetchPoint]]],
     settings: ExperimentSettings,
 ) -> list[PlanCell]:
-    """One :func:`sweep_fetch_cpi` cell per column of a fetch sweep.
+    """One :func:`trace_fetch_cpi` cell per (column, workload).
 
-    ``columns`` maps each cell key to ``(suite, points)``.  The cell
-    runs ``sweep_fetch_cpi(suite, points, settings)``, and its traces,
-    streams and mask families are derived from those same points, so
-    an experiment declares each design point once.  Two experiments
-    that sweep the same points on the same suite emit cells with one
-    identity, which a plan runs once.
+    ``columns`` maps each column key to ``(suite, points)``.  The
+    column becomes one cell per workload of its suite, keyed
+    ``(*column key, name, os_name)`` in suite order, each running
+    ``trace_fetch_cpi(name, os_name, points, settings)``.  A cell reads
+    one trace, and its streams and mask families are derived from the
+    column's points, so an experiment declares each design point once.
+    Two experiments that sweep the same points on the same workload
+    emit cells with one identity, which a plan runs once.
     """
     cells = []
     for key, (suite, points) in columns.items():
         points = tuple(points)
-        cells.append(
-            PlanCell(
-                key=key,
-                fn=sweep_fetch_cpi,
-                args=(suite, points, settings),
-                traces=plan_inputs.suite_trace_keys(suite, settings),
-                streams=plan_inputs.point_streams(points),
-                masks=plan_inputs.mask_families(points, settings.engine),
+        streams = plan_inputs.point_streams(points)
+        masks = plan_inputs.mask_families(points, settings.engine)
+        for name, os_name in suite_workloads(suite):
+            cells.append(
+                PlanCell(
+                    key=(*key, name, os_name),
+                    fn=trace_fetch_cpi,
+                    args=(name, os_name, points, settings),
+                    traces=plan_inputs.workload_trace_keys(
+                        [(name, os_name)], settings
+                    ),
+                    streams=streams,
+                    masks=masks,
+                )
             )
-        )
     return cells
 
 
 def fetch_values(
     keyed: Mapping[tuple, dict[tuple, tuple[float, float]]],
 ) -> dict[tuple, tuple[float, float]]:
-    """Merge :func:`fetch_cells` results into ``{point key: (l1, l2)}``.
+    """Suite-mean ``{point key: (l1, l2)}`` from :func:`fetch_cells` results.
 
-    Points appear in plan order: column by column, each column's points
-    in the order it declared them.
+    Each point's L1 and L2 values are ``np.mean`` over its column's
+    workloads in suite order.  Points appear in plan order: column by
+    column, each column's points in the order it declared them.
     """
+    columns: dict[tuple, dict[tuple, tuple[list, list]]] = {}
+    for key, values in keyed.items():
+        column = columns.setdefault(key[:-2], {})
+        for point, (l1, l2) in values.items():
+            l1_values, l2_values = column.setdefault(point, ([], []))
+            l1_values.append(l1)
+            l2_values.append(l2)
     merged: dict[tuple, tuple[float, float]] = {}
-    for swept in keyed.values():
-        merged.update(swept)
+    for column in columns.values():
+        merged.update(
+            (point, (float(np.mean(l1_values)), float(np.mean(l2_values))))
+            for point, (l1_values, l2_values) in column.items()
+        )
     return merged

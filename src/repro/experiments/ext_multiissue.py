@@ -94,7 +94,7 @@ def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     suites: tuple[str, ...] = SUITES,
 ) -> list[PlanCell]:
-    """One cell per suite: the optimized system's suite-mean CPIinstr."""
+    """One cell per workload of each suite, at the optimized system."""
     return fetch_cells(
         {
             (suite,): (
@@ -108,7 +108,7 @@ def plan_cells(
 
 
 def merge(
-    settings: ExperimentSettings, keyed: dict[tuple[str], dict]
+    settings: ExperimentSettings, keyed: dict[tuple[str, str, str], dict]
 ) -> ExtMultiIssueResult:
     """Project issue widths from each suite's measured floor."""
     cpi_instr = {

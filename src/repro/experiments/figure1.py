@@ -27,11 +27,8 @@ from repro.core.metrics import measure_three_cs
 from repro.plan import inputs as plan_inputs
 from repro.plan.executor import run_experiment
 from repro.plan.ir import MaskFamily, PlanCell
-from repro.experiments.common import (
-    DEFAULT_SETTINGS,
-    ExperimentSettings,
-    suite_runs,
-)
+from repro.experiments.common import DEFAULT_SETTINGS, ExperimentSettings
+from repro.workloads.registry import get_line_runs, suite_workloads
 
 CACHE_SIZES = tuple(1024 * k for k in (8, 16, 32, 64, 128, 256))
 LINE_SIZE = 32
@@ -82,21 +79,16 @@ class Figure1Result:
 
 
 def _measure_point(
-    suite: str, size: int, settings: ExperimentSettings
+    name: str, os_name: str, size: int, settings: ExperimentSettings
 ) -> ThreeCsRates:
-    """One cell: the suite-mean three-Cs rates at one cache size."""
-    geometry = CacheGeometry(size, LINE_SIZE, 1)
-    rates = []
-    for runs in suite_runs(suite, LINE_SIZE, settings):
-        breakdown, instructions = measure_three_cs(
-            runs, geometry, settings.warmup_fraction
-        )
-        rates.append(breakdown.per_instruction(instructions))
-    return ThreeCsRates(
-        compulsory=float(np.mean([r.compulsory for r in rates])),
-        capacity=float(np.mean([r.capacity for r in rates])),
-        conflict=float(np.mean([r.conflict for r in rates])),
+    """One cell: one workload's three-Cs rates at one cache size."""
+    runs = get_line_runs(
+        name, os_name, settings.n_instructions, settings.seed, LINE_SIZE
     )
+    breakdown, instructions = measure_three_cs(
+        runs, CacheGeometry(size, LINE_SIZE, 1), settings.warmup_fraction
+    )
+    return breakdown.per_instruction(instructions)
 
 
 def _mask_family(size: int) -> MaskFamily:
@@ -119,28 +111,42 @@ def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     cache_sizes: tuple[int, ...] = CACHE_SIZES,
 ) -> list[PlanCell]:
-    """One cell per (suite, cache size) curve point, with its masks."""
+    """One cell per (suite, cache size, workload), with its masks."""
     return [
         PlanCell(
-            key=(suite, size),
+            key=(suite, size, name, os_name),
             fn=_measure_point,
-            args=(suite, size, settings),
-            traces=plan_inputs.suite_trace_keys(suite, settings),
+            args=(name, os_name, size, settings),
+            traces=plan_inputs.workload_trace_keys(
+                [(name, os_name)], settings
+            ),
             masks=(_mask_family(size),),
         )
         for suite in SUITES
         for size in cache_sizes
+        for name, os_name in suite_workloads(suite)
     ]
 
 
 def merge(
     settings: ExperimentSettings,
-    keyed: dict[tuple[str, int], ThreeCsRates],
+    keyed: dict[tuple[str, int, str, str], ThreeCsRates],
 ) -> Figure1Result:
-    """Reassemble the per-point rates into both suites' curves."""
+    """Average each point's per-workload rates into both suites' curves.
+
+    Each component is ``np.mean`` over the suite's workloads in suite
+    order.
+    """
+    points: dict[tuple[str, int], list[ThreeCsRates]] = {}
+    for (suite, size, _name, _os_name), rates in keyed.items():
+        points.setdefault((suite, size), []).append(rates)
     curves: dict[str, dict[int, ThreeCsRates]] = {}
-    for (suite, size), rates in keyed.items():
-        curves.setdefault(suite, {})[size] = rates
+    for (suite, size), rates in points.items():
+        curves.setdefault(suite, {})[size] = ThreeCsRates(
+            compulsory=float(np.mean([r.compulsory for r in rates])),
+            capacity=float(np.mean([r.capacity for r in rates])),
+            conflict=float(np.mean([r.conflict for r in rates])),
+        )
     return Figure1Result(curves=curves)
 
 

@@ -106,7 +106,8 @@ def plan_cells(
     l2_sizes: tuple[int, ...] = L2_SIZES,
     l2_line_sizes: tuple[int, ...] = L2_LINE_SIZES,
 ) -> list[PlanCell]:
-    """One cell per feasible (configuration, L2 size, L2 line) point."""
+    """One cell per feasible (configuration, L2 size, L2 line) point
+    and workload."""
     points = [
         fetch_point((name, size, line), _point_config(name, size, line))
         for name in CONFIG_NAMES
@@ -121,7 +122,7 @@ def plan_cells(
 
 def merge(
     settings: ExperimentSettings,
-    keyed: dict[tuple[str, int, int], dict],
+    keyed: dict[tuple[str, int, int, str, str], dict],
 ) -> Figure3Result:
     """Reassemble the sweep table from the per-point cells."""
     cells_out: dict[tuple[str, int, int], float] = {}

@@ -85,7 +85,7 @@ def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     associative_lookup_penalty: bool = False,
 ) -> list[PlanCell]:
-    """One cell per (configuration, associativity) curve point."""
+    """One cell per (configuration, associativity) point and workload."""
     points = [
         fetch_point(
             (name, ways),
@@ -100,7 +100,7 @@ def plan_cells(
 
 
 def merge(
-    settings: ExperimentSettings, keyed: dict[tuple[str, int], dict]
+    settings: ExperimentSettings, keyed: dict[tuple[str, int, str, str], dict]
 ) -> Figure4Result:
     """Each curve point is its suite-mean total CPIinstr."""
     return Figure4Result(

@@ -113,7 +113,7 @@ def plan_cells(
     line_sizes: tuple[int, ...] = LINE_SIZES,
     suite: str = "ibs-mach3",
 ) -> list[PlanCell]:
-    """One cell per line size, each sharing one miss mask per workload."""
+    """One cell per (line size, workload), sharing one miss mask."""
     return fetch_cells(
         {
             (line_size,): (suite, _line_size_points(line_size, bandwidths))
@@ -124,7 +124,7 @@ def plan_cells(
 
 
 def merge(
-    settings: ExperimentSettings, keyed: dict[tuple[int], dict]
+    settings: ExperimentSettings, keyed: dict[tuple[int, str, str], dict]
 ) -> Figure6Result:
     """Reassemble the sweep table from the per-line-size cells."""
     return Figure6Result(

@@ -126,7 +126,7 @@ def _step_points(config_name: str) -> list[FetchPoint]:
 def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
 ) -> list[PlanCell]:
-    """One cell per baseline configuration (six steps each)."""
+    """One cell per (baseline configuration, workload), six steps each."""
     return fetch_cells(
         {
             (config_name,): (SUITE, _step_points(config_name))
@@ -137,7 +137,7 @@ def plan_cells(
 
 
 def merge(
-    settings: ExperimentSettings, keyed: dict[tuple[str], dict]
+    settings: ExperimentSettings, keyed: dict[tuple[str, str, str], dict]
 ) -> Figure7Result:
     """Reassemble the ladder from the per-configuration cells."""
     return Figure7Result(cells=fetch_values(keyed))

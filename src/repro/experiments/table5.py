@@ -79,7 +79,7 @@ def _config(config_name: str) -> MemorySystemConfig:
 def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
 ) -> list[PlanCell]:
-    """One cell per (configuration, suite) table entry."""
+    """One cell per (configuration, suite) table entry and workload."""
     return fetch_cells(
         {
             (name, suite): (suite, [fetch_point((name, suite), _config(name))])
@@ -92,7 +92,7 @@ def plan_cells(
 
 def merge(
     settings: ExperimentSettings,
-    keyed: dict[tuple[str, str], dict],
+    keyed: dict[tuple[str, str, str, str], dict],
 ) -> Table5Result:
     """Each entry is its baseline's suite-mean total CPIinstr."""
     return Table5Result(

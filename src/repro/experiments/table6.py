@@ -94,11 +94,12 @@ def _line_size_points(
 def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
 ) -> list[PlanCell]:
-    """One cell per L1 line size.
+    """One cell per (L1 line size, workload).
 
-    Prefetch kernels consult install-aware masks (not the plain demand
-    mask), so the cells declare no mask family — the shared inputs are
-    the traces and the per-line-size RLE streams the depths all drive.
+    Prefetch kernels consult install-aware masks, which are not plan
+    inputs; only the depth-0 points read the plain demand mask, so its
+    shape is each cell's one mask family.  The other shared inputs are
+    the trace and the per-line-size RLE stream the depths all drive.
     """
     return fetch_cells(
         {
@@ -111,7 +112,7 @@ def plan_cells(
 
 def merge(
     settings: ExperimentSettings,
-    keyed: dict[tuple[int], dict],
+    keyed: dict[tuple[int, str, str], dict],
 ) -> Table6Result:
     """Reassemble the table from the per-line-size cells."""
     return Table6Result(

@@ -77,7 +77,7 @@ class Table7Result:
 def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
 ) -> list[PlanCell]:
-    """Table 6's cells, plus one bypass cell per L1 line size.
+    """Table 6's cells, plus one bypass cell per (L1 line size, workload).
 
     The no-bypass grid is Table 6 itself: the same cells under the same
     keys, so a report runs them once for both tables.  Bypass columns

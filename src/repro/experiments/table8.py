@@ -76,7 +76,7 @@ def _bandwidth_points(bw: int) -> list[FetchPoint]:
 def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
 ) -> list[PlanCell]:
-    """One cell per interface bandwidth.
+    """One cell per (interface bandwidth, workload).
 
     Stream buffers consult the plain demand mask, so each bandwidth's
     L1 shape joins the batched mask pass alongside its stream.
@@ -88,7 +88,7 @@ def plan_cells(
 
 
 def merge(
-    settings: ExperimentSettings, keyed: dict[tuple[int], dict]
+    settings: ExperimentSettings, keyed: dict[tuple[int, str, str], dict]
 ) -> Table8Result:
     """Combine the per-bandwidth columns."""
     return Table8Result(

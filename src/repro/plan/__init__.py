@@ -42,7 +42,6 @@ _EXPORTS = {
     "run_cell": ".inputs",
     "run_experiment": ".executor",
     "run_report": ".executor",
-    "suite_trace_keys": ".inputs",
     "workload_trace_keys": ".inputs",
 }
 

@@ -1,4 +1,4 @@
-"""The plan executor: prime shared inputs, fan out cells, free inputs.
+"""The plan executor: run a plan one trace group at a time.
 
 One code path executes every compiled plan — ``repro experiment``,
 ``repro report``, ``repro warm``, and the service scheduler's evaluate
@@ -6,32 +6,36 @@ batches all land here:
 
 1. **Dedup** cells whose function and arguments are identical across
    experiments; each unique cell runs once.
-2. **Split** the unique cells into *phases* that share no trace
-   (:func:`~repro.plan.ir.plan_phases`): the connected components of
-   "these cells read a common trace", with runs of single-trace
-   components packed up to the size of the largest component.  A
-   caller that keeps its inputs (the server, whose registry is its
-   cache across requests) runs the whole plan as one phase.
-3. For each phase in turn, **prime** its shared inputs (traces,
-   line-run streams, miss-mask geometry families) exactly once, in
-   the parent process, captured as one ``plan-prime`` span carrying
-   the phase index and trace count: traces through the registry
-   (memory/disk cache), streams through :func:`~repro.workloads.
-   registry.get_line_runs`, and mask families through one
-   cheetah-style :func:`~repro.plan.inputs.prime_miss_masks` call per
-   (trace, stream) covering the union of geometries the phase's cells
-   requested.  The spans' summed rollups are the plan's
-   ``prime_seconds`` and ``prime_phases``.  Then **execute** the
-   phase's cells on :func:`~repro.runner.pool.run_cells`.  Priming
-   happens before the pool forks, so workers inherit every warm memo
-   copy-on-write and one trace walk serves the whole plan (on
-   spawn-only platforms the cells recompute lazily — slower, never
-   incorrect).
-4. **Release** the phase's traces from the registry's in-memory cache
-   once its last cell has run.  No later phase reads them, so their
-   line runs, line-order memos and miss masks die with them (through
-   the memo finalizers), and the plan's resident memory is one phase
-   at a time rather than the whole plan.
+2. **Group** the unique cells by trace
+   (:func:`~repro.plan.ir.plan_phases`): each *phase* is a connected
+   component of "these cells read a common trace".  Fetch sweeps and
+   Figure 1 emit one cell per workload, so a report's phases are one
+   trace each.  A caller that keeps its inputs (the server, whose
+   registry is its cache across requests) runs the whole plan as one
+   phase.
+3. For each phase, **prime** its shared inputs (traces, line-run
+   streams, miss-mask geometry families) exactly once, captured as
+   one ``plan-prime`` span carrying the phase index and input counts:
+   traces through the registry (memory/disk cache), streams through
+   :func:`~repro.workloads.registry.get_line_runs`, and mask families
+   through one cheetah-style :func:`~repro.plan.inputs.
+   prime_miss_masks` call per (trace, stream) covering the union of
+   geometries the phase's cells requested.  The spans' summed rollups
+   are the plan's ``prime_seconds`` and ``prime_phases``.  Then
+   **execute** the phase's cells, and **release** its traces from the
+   registry's in-memory cache unless the caller keeps its inputs: no
+   other phase reads them, so their line runs, line-order memos and
+   miss masks die with them (through the memo finalizers).
+4. **Where.**  At ``--jobs 1`` the phases run in this process, one
+   after another, so it holds one phase's inputs at a time.  At
+   ``--jobs N`` one pool serves the whole plan: the phases go to it in
+   plan order, and each worker primes, runs and releases one phase at
+   a time, so this process primes nothing.  The workers' ``plan-prime``
+   and cell spans are adopted into this process's run, and their
+   dispatch counts folded into its totals.  A plan of one phase
+   (including a kept-inputs plan) primes here and fans its cells out
+   on :func:`~repro.runner.pool.run_cells`, so workers inherit every
+   warm memo copy-on-write.
 5. **Fan back** results in plan order and merge per experiment.
 
 Plan-level dedup counters (``cells_total``, ``inputs_shared``,
@@ -49,6 +53,8 @@ import time
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
 
+from repro.fetch import dispatch
+
 from repro.obs import tracing
 from repro.obs.export import span_rollup
 from repro.plan.compile import compile_module, compile_report
@@ -61,7 +67,7 @@ from repro.plan.ir import (
     dedup_cells,
     plan_phases,
 )
-from repro.runner.pool import resolve_jobs, run_cells
+from repro.runner.pool import resolve_jobs, run_cells, run_in_pool
 from repro.runner.timing import TimingReport
 from repro.workloads.registry import discard_trace, get_line_runs, get_trace
 
@@ -144,6 +150,82 @@ def _release_traces(inputs: PlanInputs) -> None:
         discard_trace(key.workload, key.os_name, key.n_instructions, key.seed)
 
 
+@dataclasses.dataclass(frozen=True)
+class _Phase:
+    """One trace group of a plan, as a pool worker receives it."""
+
+    number: int
+    label: str
+    cells: tuple[PlanCell, ...]
+
+
+def _run_phase(
+    phase: _Phase, jobs: int = 1, release: bool = True
+) -> tuple[int, dict | None, list, list]:
+    """Prime one phase's inputs, run its cells, then free its traces.
+
+    Returns the number of inputs primed, the ``plan-prime`` span's
+    rollup (``None`` when the phase declares no input), and the cells'
+    results and timings in cell order.
+    """
+    inputs = collect_inputs(phase.cells)
+    primed, prime = 0, None
+    try:
+        if inputs.total:
+            with tracing.capture(
+                "plan-prime",
+                label=phase.label,
+                phase=phase.number,
+                traces=len(inputs.traces),
+                streams=len(inputs.streams),
+                masks=len(inputs.masks),
+            ) as records:
+                primed = _prime_inputs(inputs)
+            prime = span_rollup(records, records[-1])
+        results, timings = run_cells(phase.cells, jobs)
+    finally:
+        if release:
+            _release_traces(inputs)
+    return primed, prime, results, timings
+
+
+def _run_phase_in_worker(phase: _Phase) -> tuple[tuple, list[dict]]:
+    """:func:`_run_phase` in a pool worker, with its span records."""
+    recorder = tracing.RunRecorder(phase.label)
+    with recorder.bind():
+        outcome = _run_phase(phase)
+    return outcome, recorder.spans
+
+
+def _run_phases(
+    phases: list[_Phase], jobs: int, keep_inputs: bool
+) -> list[tuple[int, dict | None, list, list]]:
+    """Each phase's :func:`_run_phase` outcome, in phase order."""
+    workers = min(resolve_jobs(jobs), len(phases))
+    if workers <= 1:
+        return [
+            _run_phase(phase, jobs, release=not keep_inputs)
+            for phase in phases
+        ]
+    recorder = tracing.active_recorder()
+    parent = tracing.current_span()
+    parent_id = parent.span_id if parent is not None else None
+    tasks = [
+        (phase.cells[0].key, _run_phase_in_worker, (phase,))
+        for phase in phases
+    ]
+    outcomes = []
+    for outcome, records in run_in_pool(tasks, workers):
+        # Fold the workers' dispatch counts into this process's totals,
+        # so those match a serial run.
+        for cell_timing in outcome[3]:
+            dispatch.notify(cell_timing.dispatch)
+        if recorder is not None:
+            recorder.adopt(records, parent_id)
+        outcomes.append(outcome)
+    return outcomes
+
+
 def execute_cells(
     cells: Sequence[PlanCell],
     jobs: int = 1,
@@ -159,15 +241,19 @@ def execute_cells(
     running every cell individually with no priming.  Each phase's
     traces leave the registry's in-memory cache after its last cell
     unless ``keep_inputs`` is set, which runs the plan as one phase
-    and leaves every trace cached.
+    primed in this process and leaves every trace cached.
     """
     start = time.perf_counter()
     inputs = collect_inputs(cells)
     unique, index_map = dedup_cells(cells)
     if keep_inputs:
-        phases = [list(range(len(unique)))]
+        members = [list(range(len(unique)))]
     else:
-        phases = plan_phases(unique)
+        members = plan_phases(unique)
+    phases = [
+        _Phase(number, label, tuple(unique[index] for index in indices))
+        for number, indices in enumerate(members)
+    ]
     stats = {
         "cells_total": len(cells),
         "cells_unique": len(unique),
@@ -180,30 +266,13 @@ def execute_cells(
     prime_phases: Counter[str] = Counter()
     results_unique: list = [None] * len(unique)
     cell_timings: list = [None] * len(unique)
-    for number, members in enumerate(phases):
-        phase_cells = [unique[index] for index in members]
-        phase_inputs = collect_inputs(phase_cells)
-        try:
-            if phase_inputs.total:
-                with tracing.capture(
-                    "plan-prime",
-                    label=label,
-                    phase=number,
-                    traces=len(phase_inputs.traces),
-                    streams=len(phase_inputs.streams),
-                    masks=len(phase_inputs.masks),
-                ) as records:
-                    stats["inputs_primed"] += _prime_inputs(phase_inputs)
-                prime = span_rollup(records, records[-1])
-                prime_seconds += prime["wall_seconds"]
-                prime_phases.update(prime["phases"])
-            phase_results, phase_timings = run_cells(phase_cells, jobs)
-        finally:
-            if not keep_inputs:
-                _release_traces(phase_inputs)
-        for index, result, cell_timing in zip(
-            members, phase_results, phase_timings
-        ):
+    outcomes = _run_phases(phases, jobs, keep_inputs)
+    for indices, (primed, prime, results, timings) in zip(members, outcomes):
+        stats["inputs_primed"] += primed
+        if prime is not None:
+            prime_seconds += prime["wall_seconds"]
+            prime_phases.update(prime["phases"])
+        for index, result, cell_timing in zip(indices, results, timings):
             results_unique[index] = result
             cell_timings[index] = cell_timing
     if inputs.total:

@@ -30,13 +30,27 @@ __all__ = [
     "point_streams",
     "prime_miss_masks",
     "run_cell",
-    "suite_trace_keys",
     "workload_trace_keys",
 ]
 
 #: Mechanisms whose vectorized kernels consult the plain demand miss
 #: mask, so their L1 shapes can join the batched multi-geometry pass.
 DEMAND_MASK_MECHANISMS = frozenset({"demand", "stream-buffer"})
+
+#: Each sequential-prefetch mechanism's default ``n_prefetch`` (as
+#: :func:`~repro.fetch.vectorized.run_vectorized` reads it).  At depth 0
+#: nothing is installed, so the kernel reads the demand mask.
+_PREFETCH_DEFAULT_DEPTH = {"prefetch": 1, "prefetch+bypass": 0}
+
+
+def _reads_demand_mask(point) -> bool:
+    if point.mechanism in DEMAND_MASK_MECHANISMS:
+        return True
+    default = _PREFETCH_DEFAULT_DEPTH.get(point.mechanism)
+    if default is None:
+        return False
+    options = dict(getattr(point, "options", ()))
+    return options.get("n_prefetch", default) == 0
 
 
 def mask_shape_plan(
@@ -47,8 +61,9 @@ def mask_shape_plan(
     Keyed by ``(encode_line_size, mask_line_size)``: the stream is the
     workload's RLE lines at the first size, coarsened to the second —
     exactly what :func:`~repro.core.study.evaluate_trace`'s L1 and L2
-    legs look up.  L1 shapes join only for mechanisms whose kernels
-    read the demand mask, and only when the vectorized engine can run
+    legs look up.  L1 shapes join only for points whose kernels read
+    the demand mask (demand, stream buffers, and sequential prefetch at
+    depth 0), and only when the vectorized engine can run
     (``engine="reference"`` never consults masks).  L2 shapes always
     join: :func:`~repro.core.metrics.measure_mpi` is mask-based under
     every engine.
@@ -56,9 +71,7 @@ def mask_shape_plan(
     plan: dict[tuple[int, int], set[tuple[int, int]]] = {}
     for point in points:
         l1 = point.config.l1
-        if engine != "reference" and (
-            point.mechanism in DEMAND_MASK_MECHANISMS
-        ):
+        if engine != "reference" and _reads_demand_mask(point):
             plan.setdefault((l1.line_size, l1.line_size), set()).add(
                 vectorized._mask_shape(l1)
             )
@@ -117,11 +130,6 @@ def point_streams(points: Sequence) -> tuple[int, ...]:
         if point.config.l2 is not None:
             sizes.add(min(point.config.l2.line_size, l1.line_size))
     return tuple(sorted(sizes))
-
-
-def suite_trace_keys(suite: str, settings) -> tuple[TraceKey, ...]:
-    """Trace annotations for every workload of a suite."""
-    return workload_trace_keys(suite_workloads(suite), settings)
 
 
 def workload_trace_keys(

@@ -237,15 +237,13 @@ def dedup_cells(
 
 
 def plan_phases(cells: Sequence[PlanCell]) -> list[list[int]]:
-    """Split cells into phases that share no trace with one another.
+    """Split cells into trace groups that share no trace with one another.
 
-    A phase starts as a connected component of the graph "these cells
-    read a common trace", in order of first appearance.  Runs of
-    consecutive components that read at most one trace each are packed
-    into one phase until it reads as many traces as the largest
-    component, so packing never raises the number of traces a phase
-    holds above what the plan needs anyway.  Returns each phase's cell
-    indices in cell order.
+    A group is a connected component of the graph "these cells read a
+    common trace", in order of first appearance; a cell that reads no
+    trace is a group of its own.  When every cell reads at most one
+    trace, each group is one trace and its cells.  Returns each group's
+    cell indices in cell order.
     """
     parent: dict[TraceKey, TraceKey] = {}
 
@@ -259,27 +257,8 @@ def plan_phases(cells: Sequence[PlanCell]) -> list[list[int]]:
         for key in cell.traces:
             parent.setdefault(key, key)
             parent[root(key)] = root(cell.traces[0])
-    components: dict[object, list[int]] = {}
+    groups: dict[object, list[int]] = {}
     for index, cell in enumerate(cells):
-        # A cell that reads no trace is a component of its own.
         anchor = root(cell.traces[0]) if cell.traces else index
-        components.setdefault(anchor, []).append(index)
-    sized = [
-        (members, len({key for i in members for key in cells[i].traces}))
-        for members in components.values()
-    ]
-    # At least one, so cells that read no trace share a phase.
-    limit = max([1, *(count for _, count in sized)])
-    phases: list[list[int]] = []
-    packed = limit  # traces in the open pack; "full" until one opens
-    for members, count in sized:
-        if count > 1:
-            phases.append(members)
-            packed = limit
-            continue
-        if packed >= limit:
-            phases.append([])
-            packed = 0
-        phases[-1].extend(members)
-        packed += count
-    return [sorted(members) for members in phases]
+        groups.setdefault(anchor, []).append(index)
+    return list(groups.values())

@@ -10,7 +10,8 @@ cell list, not by completion order.
 
 A cell is any object with ``key``, ``fn`` and ``args`` attributes; the
 sweep-plan executor (:mod:`repro.plan.executor`) hands its plan cells
-straight to :func:`run_cells`.  This module knows nothing of plans or
+straight to :func:`run_cells`, or whole trace groups of them to
+:func:`run_in_pool`.  This module knows nothing of plans or
 experiments.  Worker processes re-apply the parent's trace-cache
 configuration, so all workers share one on-disk cache and memory-map
 the same trace files instead of each synthesizing private copies.
@@ -19,7 +20,7 @@ the same trace files instead of each synthesizing private copies.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -129,6 +130,36 @@ def _pool_context():
     )
 
 
+def run_in_pool(
+    tasks: Sequence[tuple[tuple, Callable, tuple]], jobs: int
+) -> Iterator:
+    """Yield ``fn(*args)`` of each ``(key, fn, args)`` task, in task order.
+
+    The tasks run on a pool of ``jobs`` worker processes that apply this
+    process's trace-cache configuration.  A worker that dies (killed,
+    say, by the OOM killer) breaks the whole pool, so every pending
+    task fails; that surfaces as a :class:`CellExecutionError` naming
+    the ``key`` of the first task left without a result.
+    """
+    with ProcessPoolExecutor(
+        max_workers=jobs,
+        mp_context=_pool_context(),
+        initializer=_worker_init,
+        initargs=(_registry_snapshot(),),
+    ) as pool:
+        futures = [pool.submit(fn, *args) for _, fn, args in tasks]
+        for (key, _, _), future in zip(tasks, futures):
+            try:
+                result = future.result()
+            except BrokenProcessPool as exc:
+                raise CellExecutionError(
+                    key,
+                    f"{type(exc).__name__}: a worker process died "
+                    "before the cell returned",
+                ) from exc
+            yield result
+
+
 def run_cells(
     cells: Sequence, jobs: int = 1
 ) -> tuple[list, list[CellTiming]]:
@@ -137,11 +168,9 @@ def run_cells(
     Each cell computes ``cell.fn(*cell.args)``; ``cell.key`` names it in
     its timing and in any :class:`CellExecutionError`.
 
-    ``jobs <= 1`` runs in-process; anything larger fans out over a
-    process pool.  Either way the returned lists align with ``cells``,
-    which is what makes parallel merges deterministic.  A worker that
-    dies (killed, say, by the OOM killer) surfaces as a
-    :class:`CellExecutionError` naming the first unfinished cell.
+    ``jobs <= 1`` runs in-process; anything larger fans out over
+    :func:`run_in_pool`.  Either way the returned lists align with
+    ``cells``, which is what makes parallel merges deterministic.
     """
     jobs = min(resolve_jobs(jobs), max(len(cells), 1))
     if jobs <= 1 or len(cells) <= 1:
@@ -152,32 +181,13 @@ def run_cells(
     parent = tracing.current_span()
     parent_id = parent.span_id if parent is not None else None
     results, timings = [], []
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        mp_context=_pool_context(),
-        initializer=_worker_init,
-        initargs=(_registry_snapshot(),),
-    ) as pool:
-        futures = [
-            pool.submit(_execute_cell, c.key, c.fn, c.args) for c in cells
-        ]
-        for cell, future in zip(cells, futures):
-            try:
-                result, cell_timing, records = future.result()
-            except BrokenProcessPool as exc:
-                # A killed worker breaks the whole pool: every pending
-                # future fails, so name the first cell left without a
-                # result.
-                raise CellExecutionError(
-                    cell.key,
-                    f"{type(exc).__name__}: a worker process died "
-                    "before the cell returned",
-                ) from exc
-            # Workers count dispatches in their own processes; fold them
-            # into this process's totals so those match a serial run.
-            dispatch.notify(cell_timing.dispatch)
-            if recorder is not None:
-                recorder.adopt(records, parent_id)
-            results.append(result)
-            timings.append(cell_timing)
+    tasks = [(c.key, _execute_cell, (c.key, c.fn, c.args)) for c in cells]
+    for result, cell_timing, records in run_in_pool(tasks, jobs):
+        # Workers count dispatches in their own processes; fold them
+        # into this process's totals so those match a serial run.
+        dispatch.notify(cell_timing.dispatch)
+        if recorder is not None:
+            recorder.adopt(records, parent_id)
+        results.append(result)
+        timings.append(cell_timing)
     return results, timings

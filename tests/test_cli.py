@@ -335,7 +335,8 @@ class TestCacheAndJobsCli:
         record = json.loads(path.read_text())
         assert record["label"] == "table5"
         assert record["jobs"] == 1
-        assert len(record["cells"]) == 4
+        # One cell per (configuration, suite, workload): 2 x (14 + 8).
+        assert len(record["cells"]) == 44
         assert "phase_totals" in record
 
 

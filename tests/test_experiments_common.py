@@ -1,12 +1,6 @@
 """Unit tests for the shared experiment harness."""
 
-import pytest
-
-from repro.experiments.common import (
-    ExperimentSettings,
-    suite_runs,
-    suite_traces,
-)
+from repro.experiments.common import ExperimentSettings
 
 SETTINGS = ExperimentSettings(n_instructions=20_000, seed=0)
 
@@ -25,17 +19,6 @@ class TestExperimentSettings:
     def test_scaled_floor(self):
         scaled = SETTINGS.scaled(1e-9)
         assert scaled.n_instructions == 10_000
-
-
-class TestSuiteHelpers:
-    def test_suite_traces_cached(self):
-        first = suite_traces("specint92", SETTINGS)
-        second = suite_traces("specint92", SETTINGS)
-        assert all(a is b for a, b in zip(first, second))
-
-    def test_suite_runs_line_size(self):
-        runs = suite_runs("specint92", 64, SETTINGS)
-        assert all(r.line_size == 64 for r in runs)
 
 
 class TestCanonicalKeys:

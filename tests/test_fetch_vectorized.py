@@ -21,9 +21,10 @@ from repro.core.study import ENGINES, evaluate_trace, fetch_result, make_engine
 from repro.experiments import figure6, figure7, table6
 from repro.experiments.common import (
     ExperimentSettings,
+    fetch_cells,
     fetch_point,
-    suite_traces,
-    sweep_fetch_cpi,
+    fetch_values,
+    trace_fetch_cpi,
 )
 from repro.fetch import (
     ECONOMY_MEMORY,
@@ -36,6 +37,7 @@ from repro.fetch import (
     unsupported_reason,
 )
 from repro.trace.rle import LineRuns, to_line_runs
+from repro.workloads.registry import get_trace, suite_workloads
 
 TIMINGS = (
     ECONOMY_MEMORY,                        # 30 cyc, 4 B/cyc
@@ -325,10 +327,21 @@ class TestSweepPlanner:
             fetch_point(("l2-bypass",), with_l2, "prefetch+bypass",
                         n_prefetch=1),
         ]
-        swept = sweep_fetch_cpi("ibs-mach3", points, self.SETTINGS)
+        workloads = suite_workloads("ibs-mach3")
+        cells = fetch_cells({("col",): ("ibs-mach3", points)}, self.SETTINGS)
+        # One cell per workload, in suite order, each reading one trace.
+        assert [cell.key for cell in cells] == [
+            ("col", name, os_name) for name, os_name in workloads
+        ]
+        assert all(len(cell.traces) == 1 for cell in cells)
+        swept = fetch_values({cell.key: cell.fn(*cell.args) for cell in cells})
         assert list(swept) == [point.key for point in points]
         # Bit-identical to evaluating each point one trace at a time.
-        traces = suite_traces("ibs-mach3", self.SETTINGS)
+        traces = [
+            get_trace(name, os_name, self.SETTINGS.n_instructions,
+                      self.SETTINGS.seed)
+            for name, os_name in workloads
+        ]
         for point in points:
             results = [
                 evaluate_trace(
@@ -354,8 +367,9 @@ class TestSweepPlanner:
             fetch_point(("x",), config, "demand"),
             fetch_point(("x",), config, "prefetch", n_prefetch=1),
         ]
+        [(name, os_name), *_] = suite_workloads("ibs-mach3")
         with pytest.raises(ValueError, match="duplicate"):
-            sweep_fetch_cpi("ibs-mach3", points, self.SETTINGS)
+            trace_fetch_cpi(name, os_name, points, self.SETTINGS)
 
     def test_settings_engine_validated(self):
         with pytest.raises(ValueError, match="unknown engine"):

@@ -9,10 +9,12 @@ The load-bearing invariants:
 * **Full priming** — the executor primes every declared shared input
   exactly once (``inputs_primed == inputs_total``), and annotations
   only warm memos, never change arithmetic.
-* **Phase soundness** — the phases a plan runs in share no trace and
-  cover every unique cell, so freeing a phase's traces after its last
-  cell never makes a later cell recompute one.
+* **Phase soundness** — the phases (trace groups) a plan runs in share
+  no trace and cover every unique cell, so freeing a phase's traces
+  after its last cell never makes a later cell recompute one.
 """
+
+import threading
 
 import pytest
 
@@ -45,6 +47,7 @@ from repro.plan.ir import (
     plan_phases,
 )
 from repro.obs import tracing
+from repro.runner.pool import CellExecutionError
 from repro.runner.timing import TimingReport
 from repro.workloads.registry import (
     clear_trace_cache,
@@ -288,7 +291,8 @@ def _traces(cells, members) -> set:
 
 class TestPhases:
     """Phases are the unit of input lifetime: a phase's traces are
-    primed before its first cell and freed after its last."""
+    primed before its first cell and freed after its last.  A phase is
+    one trace group: the cells that read one connected set of traces."""
 
     def _report_cells(self):
         plan = compile_report(dict(ALL_EXPERIMENTS), SETTINGS)
@@ -309,19 +313,19 @@ class TestPhases:
 
     def test_report_plan_phases(self):
         unique = self._report_cells()
+        # Every report cell reads at most one trace, so every phase is
+        # one trace with all of its cells (or one trace-free cell).
+        assert all(len(cell.traces) <= 1 for cell in unique)
         phases = plan_phases(unique)
-        largest = max(len(_traces(unique, members)) for members in phases)
-        assert largest == len(suite_workloads("spec92"))
-        for members in phases:
-            multi = [unique[i] for i in members if len(unique[i].traces) > 1]
-            if multi:
-                # A multi-trace component is a phase of its own: every
-                # trace in it is read by one of its multi-trace cells.
-                assert _traces(unique, members) == {
-                    key for cell in multi for key in cell.traces
-                }
+        assert [len(_traces(unique, members)) for members in phases] == [
+            1 if unique[members[0]].traces else 0 for members in phases
+        ]
+        trace_free = [cell for cell in unique if not cell.traces]
+        assert len(phases) == (
+            len(collect_inputs(unique).traces) + len(trace_free)
+        )
 
-    def test_packing_never_joins_single_and_multi_trace_components(self):
+    def test_phases_are_trace_components(self):
         def cell(name, *workloads):
             return PlanCell(
                 key=(name,), fn=_double, args=(name,),
@@ -336,21 +340,21 @@ class TestPhases:
             cell("e"),
             cell("f", "w7"),
             cell("g", "w8"),
-            cell("h", "w9"),
+            cell("h", "w2"),
             cell("i", "w4"),
             cell("j", "w10"),
         ]
-        # Singletons pack up to the largest component (3 traces); the
-        # 3-trace component, with the later reader of w4, stands alone.
+        # No packing: each connected set of traces is a phase, in order
+        # of first appearance, and so is each trace-free cell.
         assert plan_phases(cells) == [
-            [0, 1], [2, 8], [3, 4, 5, 6], [7, 9],
+            [0], [1, 7], [2, 8], [3], [4], [5], [6], [9],
         ]
 
-    def test_trace_free_cells_share_one_phase(self):
+    def test_trace_free_cells_are_phases_of_their_own(self):
         cells = [
             PlanCell(key=("x", i), fn=_double, args=(i,)) for i in range(4)
         ]
-        assert plan_phases(cells) == [[0, 1, 2, 3]]
+        assert plan_phases(cells) == [[0], [1], [2], [3]]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_every_phase_primes_and_frees_its_inputs(self, jobs):
@@ -362,24 +366,70 @@ class TestPhases:
             (name, GOLDEN[name]) for name in modules
         ]
         stats = report.plan
-        # SPEC92, IBS-Mach3, then the IBS-Ultrix singletons packed.
-        assert stats["phases"] == 3
+        traces = [
+            workload
+            for suite in ("spec92", "ibs-mach3", "ibs-ultrix")
+            for workload in suite_workloads(suite)
+        ]
+        # One phase per trace, in plan order.
+        assert stats["phases"] == len(traces)
         assert stats["inputs_primed"] == stats["inputs_total"]
         primes = [
             span["attrs"] for span in recorder.spans
             if span["name"] == "plan-prime"
         ]
-        assert [attrs["phase"] for attrs in primes] == [0, 1, 2]
-        assert [attrs["traces"] for attrs in primes] == [
-            len(suite_workloads(suite))
-            for suite in ("spec92", "ibs-mach3", "ibs-ultrix")
+        assert [attrs["phase"] for attrs in primes] == list(
+            range(len(traces))
+        )
+        assert [attrs["traces"] for attrs in primes] == [1] * len(traces)
+        # Every cell span was adopted into this run, pool or not.
+        cell_spans = [
+            span for span in recorder.spans if span["name"] == "cell"
         ]
+        assert len(cell_spans) == stats["cells_unique"]
         assert trace_cache_stats()["entries"] == 0
         # Timings stay aligned with the unique cells, in cell order.
         unique, _ = dedup_cells(compile_report(modules, SETTINGS).cells)
         assert [cell.key for cell in report.cells] == [
             cell.key for cell in unique
         ]
+
+    def test_pooled_phases_fold_dispatch_into_the_parent(self):
+        from repro.fetch import dispatch
+
+        totals = {}
+        for jobs in (1, 2):
+            clear_trace_cache()
+            dispatch.reset_totals()
+            run_experiment(table5, SETTINGS, jobs=jobs)
+            totals[jobs] = dispatch.totals()
+        assert totals[1] and totals[2] == totals[1]
+
+    def test_dead_worker_names_a_cell(self):
+        from tests.test_runner_pool import _kill_own_worker, _nap
+
+        # Two trace-free cells: two phases, so they go to one pool.
+        cells = [
+            PlanCell(key=("killed",), fn=_kill_own_worker),
+            PlanCell(key=("napping",), fn=_nap),
+        ]
+        raised = []
+
+        def call():
+            try:
+                execute_cells(cells, jobs=2)
+            except CellExecutionError as exc:
+                raised.append(exc)
+
+        # A daemon thread, so a hung pool fails the test instead of
+        # stalling the suite.
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "execute_cells hung after a worker died"
+        [error] = raised
+        assert error.key == ("killed",)
+        assert "a worker process died" in str(error)
 
     def test_kept_inputs_stay_in_the_registry(self):
         clear_trace_cache()
@@ -407,13 +457,16 @@ class TestFetchCellCoverage:
     the cell encodes a stream or builds an LRU miss mask itself: the
     answer is the same, but the work is neither shared nor freed with
     its phase.  Prefetch kernels also build an install-aware mask per
-    depth, which is not a plan input and is not counted here.
+    depth, which is not a plan input and is not counted here.  Each
+    sweep is also checked alone, where no other experiment's
+    declarations can hide a missing one.
     """
 
-    def test_report_fetch_cells_encode_and_mask_nothing(self, monkeypatch):
+    def _unprimed(self, monkeypatch, modules):
+        """Run ``modules`` as a report; return what fetch cells built."""
         from repro.caches import vectorized
         from repro.caches.vectorized import LineOrderCache
-        from repro.experiments.common import sweep_fetch_cpi
+        from repro.experiments.common import trace_fetch_cpi
         from repro.runner import pool
         from repro.trace import rle
 
@@ -426,9 +479,9 @@ class TestFetchCellCoverage:
         direct = vectorized.miss_mask_direct_mapped
 
         def cell(key, fn, args):
-            if fn is sweep_fetch_cpi:
+            if fn is trace_fetch_cpi:
                 fetch_keys.append(key)
-            running.append(key if fn is sweep_fetch_cpi else None)
+            running.append(key if fn is trace_fetch_cpi else None)
             try:
                 return execute(key, fn, args)
             finally:
@@ -457,9 +510,20 @@ class TestFetchCellCoverage:
             vectorized, "miss_mask_direct_mapped", direct_masking
         )
         clear_trace_cache()
-        run_report(dict(ALL_EXPERIMENTS), SETTINGS, jobs=1)
+        run_report(modules, SETTINGS, jobs=1)
         assert fetch_keys
-        assert unprimed == []
+        return unprimed
+
+    def test_report_fetch_cells_encode_and_mask_nothing(self, monkeypatch):
+        assert self._unprimed(monkeypatch, dict(ALL_EXPERIMENTS)) == []
+
+    @pytest.mark.parametrize("name", ["table6", "table7"])
+    def test_prefetch_sweep_alone_encodes_and_masks_nothing(
+        self, monkeypatch, name
+    ):
+        # Depth-0 prefetch reads the plain demand mask.
+        modules = {name: dict(ALL_EXPERIMENTS)[name]}
+        assert self._unprimed(monkeypatch, modules) == []
 
 
 class TestGoldenEquivalence:

@@ -1,11 +1,13 @@
 """The memory footprint of instruction-fetch streams.
 
-A report holds one phase of traces at a time: the traces its current
-cells read, with their line runs and miss masks, are freed once the
-phase's last cell has run.  The largest phase and the width of its
-streams are therefore the report's resident memory.  These tests pin
-both.  The in-memory trace cache never holds more traces than the
-plan's largest phase, and each trace is synthesized once.  No trace
+A report runs one trace at a time: every report cell reads at most one
+trace, and each trace, with its line runs and miss masks, is primed
+before its first cell and freed after its last.  One trace and the
+width of its streams are therefore the report's resident memory.
+These tests pin both.  At ``--jobs 1`` the in-memory trace cache never
+holds more than one trace, and each trace is synthesized once; at
+``--jobs 2`` the pool workers prime every trace, so the parent reads
+none.  No trace
 keeps a copy of its fetch addresses, a line run costs 13 bytes
 (``uint64`` line, ``int32`` count, ``uint8`` first offset), and the
 narrow columns encode exactly what a plain int64 encoding does.  The
@@ -38,16 +40,19 @@ from repro.plan.executor import run_report
 from repro.plan.ir import collect_inputs, dedup_cells, plan_phases
 from repro.trace.rle import LineRuns, to_line_runs
 from repro.workloads import registry
-from repro.workloads.registry import BoundedTraceCache, suite_workloads
+from repro.workloads.registry import BoundedTraceCache
+from tests.test_golden import GOLDEN, digest
+from tests.test_golden import SETTINGS as GOLDEN_SETTINGS
 
 REPORT_SETTINGS = ExperimentSettings(n_instructions=5_000, seed=0)
 
 
 @pytest.fixture(scope="module")
 def report_run():
-    """What a 5k-instruction report held, released and synthesized.
+    """What a 5k-instruction ``--jobs 1`` report held, released and
+    synthesized.
 
-    Every phase frees its traces once its cells have run, so the cache
+    Every phase frees its trace once its cells have run, so the cache
     is empty afterwards.  The report therefore runs with
     :meth:`BoundedTraceCache.discard` wrapped to keep each released
     trace and record the line-order memo keys live at that moment, with
@@ -135,10 +140,9 @@ def test_report_builds_no_exact_stack_distances(report_run, report_traces):
 
 
 def test_report_holds_at_most_one_phase_of_traces(report_run):
-    largest = max(len(traces) for traces in _report_phases())
-    # SPEC92's 14 workloads share cells, so they are the largest phase.
-    assert largest == len(suite_workloads("spec92"))
-    assert max(report_run.held) <= largest
+    # Every phase is one trace, so the cache never holds two.
+    assert max(len(traces) for traces in _report_phases()) == 1
+    assert max(report_run.held) == 1
     # Every phase released what it primed.
     assert report_run.left_cached == 0
     assert len(report_run.traces) == len(report_run.stored)
@@ -152,6 +156,29 @@ def test_report_synthesizes_each_trace_once(report_run):
         (key.workload, key.os_name, key.n_instructions, key.seed)
         for key in distinct
     }
+
+
+def test_pooled_report_reads_no_trace_in_the_parent():
+    """At ``--jobs 2`` the workers prime every trace; the parent only
+    merges and renders, and the renderings are the golden bytes."""
+    events: list = []
+    saved = registry._disk_cache
+    registry.set_trace_cache_backend(None)
+    registry.clear_trace_cache()
+    registry.add_trace_cache_observer(events.append)
+    try:
+        planned, report = run_report(
+            dict(ALL_EXPERIMENTS), GOLDEN_SETTINGS, jobs=2
+        )
+    finally:
+        registry.remove_trace_cache_observer(events.append)
+        registry._disk_cache = saved
+    assert events == []
+    assert len(registry._trace_cache) == 0
+    assert report.plan["inputs_primed"] == report.plan["inputs_total"]
+    assert [(name, digest(text)) for name, text in planned] == [
+        (name, GOLDEN[name]) for name in ALL_EXPERIMENTS
+    ]
 
 
 def test_bounded_mask_peak_memory_is_a_small_multiple_of_its_stream():
