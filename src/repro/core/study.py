@@ -15,6 +15,7 @@ the paper's methodology exactly:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.core.config import MemorySystemConfig
@@ -29,6 +30,7 @@ from repro.fetch.streambuf import StreamBufferEngine
 from repro.fetch.victim import VictimCacheEngine
 from repro.obs import tracing
 from repro.runner import timing
+from repro.trace.rle import LineRuns
 from repro.trace.trace import Trace
 from repro.workloads.registry import DEFAULT_TRACE_INSTRUCTIONS, get_trace
 
@@ -142,6 +144,55 @@ def fetch_result(
         )
 
 
+def evaluate_streams(
+    label: str,
+    line_runs: Callable[[int], LineRuns],
+    config: MemorySystemConfig,
+    mechanism: str = "demand",
+    warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
+    engine: str = "auto",
+    **options,
+) -> StudyResult:
+    """Evaluate a configuration against one workload's line-run streams.
+
+    ``line_runs(line_size)`` is the workload's RLE instruction stream
+    at one line size; ``label`` names the workload.  The L1 leg reads
+    the stream at the L1 line size and the L2 leg at
+    ``min(l2.line_size, l1.line_size)``: nothing else of the trace is
+    read.  The one evaluator behind :func:`evaluate_trace` and the
+    server's evaluate cells, which read the registry's kept streams.
+    """
+    with tracing.span(
+        "evaluate",
+        workload=label,
+        config=config.name,
+        mechanism=mechanism,
+        engine=engine,
+    ):
+        l1_runs = line_runs(config.l1.line_size)
+        l1_result = fetch_result(
+            l1_runs, config, mechanism, warmup_fraction, engine, **options
+        )
+
+        cpi_l2 = 0.0
+        l2_mpi = 0.0
+        if config.l2 is not None:
+            l2_runs = line_runs(min(config.l2.line_size, config.l1.line_size))
+            l2_measure = measure_mpi(l2_runs, config.l2, warmup_fraction)
+            l2_mpi = l2_measure.mpi
+            cpi_l2 = l2_measure.cpi_contribution(config.l2_miss_penalty)
+
+    return StudyResult(
+        workload=label,
+        config=config,
+        mechanism=mechanism,
+        l1=l1_result,
+        cpi_l1=l1_result.cpi_instr,
+        cpi_l2=cpi_l2,
+        l2_mpi=l2_mpi,
+    )
+
+
 def evaluate_trace(
     trace: Trace,
     config: MemorySystemConfig,
@@ -151,36 +202,14 @@ def evaluate_trace(
     **options,
 ) -> StudyResult:
     """Evaluate a configuration against an already-synthesized trace."""
-    with tracing.span(
-        "evaluate",
-        workload=trace.label,
-        config=config.name,
-        mechanism=mechanism,
-        engine=engine,
-    ):
-        l1_runs = trace.ifetch_line_runs(config.l1.line_size)
-        l1_result = fetch_result(
-            l1_runs, config, mechanism, warmup_fraction, engine, **options
-        )
-
-        cpi_l2 = 0.0
-        l2_mpi = 0.0
-        if config.l2 is not None:
-            l2_runs = trace.ifetch_line_runs(
-                min(config.l2.line_size, config.l1.line_size)
-            )
-            l2_measure = measure_mpi(l2_runs, config.l2, warmup_fraction)
-            l2_mpi = l2_measure.mpi
-            cpi_l2 = l2_measure.cpi_contribution(config.l2_miss_penalty)
-
-    return StudyResult(
-        workload=trace.label,
-        config=config,
-        mechanism=mechanism,
-        l1=l1_result,
-        cpi_l1=l1_result.cpi_instr,
-        cpi_l2=cpi_l2,
-        l2_mpi=l2_mpi,
+    return evaluate_streams(
+        trace.label,
+        trace.ifetch_line_runs,
+        config,
+        mechanism,
+        warmup_fraction,
+        engine,
+        **options,
     )
 
 

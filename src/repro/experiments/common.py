@@ -164,7 +164,8 @@ def trace_fetch_cpi(
         seen.add(point.key)
     trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
     plan_inputs.prime_miss_masks(
-        trace, plan_inputs.mask_shape_plan(points, settings.engine)
+        trace.ifetch_line_runs,
+        plan_inputs.mask_shape_plan(points, settings.engine),
     )
     values: dict[tuple, tuple[float, float]] = {}
     for point in points:

@@ -10,22 +10,27 @@ batches all land here:
    (:func:`~repro.plan.ir.plan_phases`): each *phase* is a connected
    component of "these cells read a common trace".  Fetch sweeps and
    Figure 1 emit one cell per workload, so a report's phases are one
-   trace each.  A caller that keeps its inputs (the server, whose
-   registry is its cache across requests) runs the whole plan as one
-   phase.
+   trace each.  A caller that keeps its inputs (the server's evaluate
+   batches, whose registry is their cache across requests) runs the
+   whole plan as one phase.
 3. For each phase, **prime** its shared inputs (traces, line-run
    streams, miss-mask geometry families) exactly once, captured as
    one ``plan-prime`` span carrying the phase index and input counts:
-   traces through the registry (memory/disk cache), streams through
-   :func:`~repro.workloads.registry.get_line_runs`, and mask families
-   through one cheetah-style :func:`~repro.plan.inputs.
-   prime_miss_masks` call per (trace, stream) covering the union of
-   geometries the phase's cells requested.  The spans' summed rollups
-   are the plan's ``prime_seconds`` and ``prime_phases``.  Then
-   **execute** the phase's cells, and **release** its traces from the
-   registry's in-memory cache unless the caller keeps its inputs: no
-   other phase reads them, so their line runs, line-order memos and
-   miss masks die with them (through the memo finalizers).
+   streams and mask families through
+   :func:`~repro.workloads.registry.get_line_runs` (one cheetah-style
+   :func:`~repro.plan.inputs.prime_miss_masks` call per (trace,
+   stream) covering the union of geometries the phase's cells
+   requested), which loads a trace through the registry (memory/disk
+   cache) only for a stream the registry does not keep; a trace
+   without declared streams is loaded directly.  The spans' summed
+   rollups are the plan's ``prime_seconds`` and ``prime_phases``.
+   Then **execute** the phase's cells, and **release** its traces
+   from the registry's in-memory cache: no other phase reads them, so
+   their line runs, line-order memos and miss masks die with them
+   (through the memo finalizers).  A caller that keeps its inputs
+   releases only the traces' columns: their line-run streams stay in
+   the registry (:func:`~repro.workloads.registry.keep_line_runs`),
+   and with them their line-order memos and miss masks.
 4. **Where.**  At ``--jobs 1`` the phases run in this process, one
    after another, so it holds one phase's inputs at a time.  At
    ``--jobs N`` one pool serves the whole plan: the phases go to it in
@@ -48,6 +53,7 @@ Plan-level dedup counters (``cells_total``, ``inputs_shared``,
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
 from collections import Counter
@@ -63,13 +69,19 @@ from repro.plan.ir import (
     PlanCell,
     PlanInputs,
     SweepPlan,
+    TraceKey,
     collect_inputs,
     dedup_cells,
     plan_phases,
 )
 from repro.runner.pool import resolve_jobs, run_cells, run_in_pool
 from repro.runner.timing import TimingReport
-from repro.workloads.registry import discard_trace, get_line_runs, get_trace
+from repro.workloads.registry import (
+    discard_trace,
+    get_line_runs,
+    get_trace,
+    keep_line_runs,
+)
 
 __all__ = [
     "add_plan_observer",
@@ -110,44 +122,52 @@ def _notify(stats: dict) -> None:
         observer(stats)
 
 
+def _registry_key(key: TraceKey) -> tuple[str, str, int, int]:
+    """A trace key as the registry's positional arguments."""
+    return key.workload, key.os_name, key.n_instructions, key.seed
+
+
 def _prime_inputs(inputs: PlanInputs) -> int:
     """Prime every shared input once; returns the number primed.
 
     Order is deterministic (annotation insertion order) and layered:
-    traces first, then their RLE streams, then the mask families over
-    those streams — each layer's work is a memo hit for the next.
+    traces, then their RLE streams, then the mask families over those
+    streams — each layer's work is a memo hit for the next.  Streams
+    and masks are read through
+    :func:`~repro.workloads.registry.get_line_runs`, which loads a
+    trace only for a stream the registry does not keep; so a trace
+    with declared streams is loaded through them, and not at all when
+    they are all kept.
     """
+    streamed = {trace_key for trace_key, _ in inputs.streams}
     primed = 0
     for key in inputs.traces:
-        get_trace(key.workload, key.os_name, key.n_instructions, key.seed)
+        if key not in streamed:
+            get_trace(*_registry_key(key))
         primed += 1
     for trace_key, line_size in inputs.streams:
-        get_line_runs(
-            trace_key.workload,
-            trace_key.os_name,
-            trace_key.n_instructions,
-            trace_key.seed,
-            line_size,
-        )
+        get_line_runs(*_registry_key(trace_key), line_size)
         primed += 1
     for (trace_key, encode_size, mask_size), (shapes, _) in (
         inputs.masks.items()
     ):
-        trace = get_trace(
-            trace_key.workload,
-            trace_key.os_name,
-            trace_key.n_instructions,
-            trace_key.seed,
+        prime_miss_masks(
+            functools.partial(get_line_runs, *_registry_key(trace_key)),
+            {(encode_size, mask_size): shapes},
         )
-        prime_miss_masks(trace, {(encode_size, mask_size): shapes})
         primed += 1
     return primed
 
 
-def _release_traces(inputs: PlanInputs) -> None:
-    """Drop a phase's traces from the registry's in-memory cache."""
+def _release_traces(inputs: PlanInputs, keep: bool) -> None:
+    """Drop a phase's traces from the registry's in-memory cache.
+
+    With ``keep``, the line-run streams they encoded stay cached, and
+    with them their line-order memos and miss masks.
+    """
+    release = keep_line_runs if keep else discard_trace
     for key in inputs.traces:
-        discard_trace(key.workload, key.os_name, key.n_instructions, key.seed)
+        release(*_registry_key(key))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,9 +180,10 @@ class _Phase:
 
 
 def _run_phase(
-    phase: _Phase, jobs: int = 1, release: bool = True
+    phase: _Phase, jobs: int = 1, keep: bool = False
 ) -> tuple[int, dict | None, list, list]:
-    """Prime one phase's inputs, run its cells, then free its traces.
+    """Prime one phase's inputs, run its cells, then free its traces
+    (with ``keep``, all but their line-run streams).
 
     Returns the number of inputs primed, the ``plan-prime`` span's
     rollup (``None`` when the phase declares no input), and the cells'
@@ -184,8 +205,7 @@ def _run_phase(
             prime = span_rollup(records, records[-1])
         results, timings = run_cells(phase.cells, jobs)
     finally:
-        if release:
-            _release_traces(inputs)
+        _release_traces(inputs, keep)
     return primed, prime, results, timings
 
 
@@ -204,7 +224,7 @@ def _run_phases(
     workers = min(resolve_jobs(jobs), len(phases))
     if workers <= 1:
         return [
-            _run_phase(phase, jobs, release=not keep_inputs)
+            _run_phase(phase, jobs, keep=keep_inputs)
             for phase in phases
         ]
     recorder = tracing.active_recorder()
@@ -239,9 +259,10 @@ def execute_cells(
     The returned :class:`TimingReport` carries the per-(unique-)cell
     timings plus the plan stats block; results are bit-identical to
     running every cell individually with no priming.  Each phase's
-    traces leave the registry's in-memory cache after its last cell
-    unless ``keep_inputs`` is set, which runs the plan as one phase
-    primed in this process and leaves every trace cached.
+    traces leave the registry's in-memory cache after its last cell.
+    ``keep_inputs`` runs the plan as one phase primed in this process
+    and then keeps the line-run streams its traces encoded (with their
+    miss masks) in the registry, dropping only the traces' columns.
     """
     start = time.perf_counter()
     inputs = collect_inputs(cells)
@@ -295,16 +316,10 @@ def execute_cells(
 
 
 def execute_plan(
-    plan: SweepPlan,
-    jobs: int = 1,
-    label: str = "plan",
-    *,
-    keep_inputs: bool = False,
+    plan: SweepPlan, jobs: int = 1, label: str = "plan"
 ) -> tuple[list, TimingReport]:
     """Execute a whole plan; returns one merged result per experiment."""
-    results, report = execute_cells(
-        plan.cells, jobs, label=label, keep_inputs=keep_inputs
-    )
+    results, report = execute_cells(plan.cells, jobs, label=label)
     merged = []
     cursor = 0
     for experiment in plan.experiments:
@@ -319,16 +334,13 @@ def run_experiment(
     settings,
     jobs: int = 1,
     label: str | None = None,
-    *,
-    keep_inputs: bool = False,
     **axes,
 ):
     """Run one experiment module through its compiled plan.
 
     ``axes`` narrow the module's sweep (they are passed through to its
-    ``plan_cells``); ``keep_inputs`` is :func:`execute_cells`'s.
-    Returns ``(result, TimingReport)``; each experiment module's
-    ``run`` returns the result of this call.
+    ``plan_cells``).  Returns ``(result, TimingReport)``; each
+    experiment module's ``run`` returns the result of this call.
     """
     if label is None:
         label = module.__name__.rsplit(".", 1)[-1]
@@ -336,9 +348,7 @@ def run_experiment(
     with tracing.span("experiment", label=label, jobs=resolve_jobs(jobs)):
         compiled = compile_module(module, settings, name=label, **axes)
         plan = SweepPlan(experiments=(compiled,))
-        [result], report = execute_plan(
-            plan, jobs, label=label, keep_inputs=keep_inputs
-        )
+        [result], report = execute_plan(plan, jobs, label=label)
     return result, dataclasses.replace(
         report, wall_seconds=time.perf_counter() - start
     )

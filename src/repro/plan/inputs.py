@@ -14,13 +14,14 @@ scheduler's ``(config, mechanism)`` pairs satisfy.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from repro._util.bitops import ilog2
 from repro.caches.vectorized import line_order_cache
 from repro.fetch import vectorized
 from repro.plan.ir import MaskFamily, PlanCell, TraceKey
 from repro.runner import timing
+from repro.trace.rle import LineRuns
 from repro.workloads.registry import suite_workloads
 
 __all__ = [
@@ -85,11 +86,16 @@ def mask_shape_plan(
 
 
 def prime_miss_masks(
-    trace, plan: dict[tuple[int, int], set[tuple[int, int]]]
+    line_runs: Callable[[int], LineRuns],
+    plan: dict[tuple[int, int], set[tuple[int, int]]],
 ) -> None:
-    """Batch-compute one trace's miss masks ahead of point evaluation.
+    """Batch-compute one workload's miss masks ahead of point evaluation.
 
-    Feeds every geometry of the sweep into
+    ``line_runs(line_size)`` is the workload's RLE instruction stream
+    at one line size (a trace's :meth:`~repro.trace.trace.Trace.
+    ifetch_line_runs`, or the registry's
+    :func:`~repro.workloads.registry.get_line_runs` for it).  Feeds
+    every geometry of the sweep into
     :meth:`~repro.caches.vectorized.LineOrderCache.miss_masks` so
     shapes sharing a set count are priced from one shared
     occurrence pass; the per-point evaluations then hit the memo.
@@ -97,7 +103,7 @@ def prime_miss_masks(
     results stay bit-identical with or without it.
     """
     for (encode_size, mask_size), shapes in plan.items():
-        runs = trace.ifetch_line_runs(encode_size)
+        runs = line_runs(encode_size)
         cache = line_order_cache(runs.lines)
         lines = cache.coarsened(ilog2(mask_size) - ilog2(encode_size))
         with timing.phase(timing.PHASE_SIMULATE):

@@ -312,6 +312,14 @@ class ServiceApp:
         self.metrics.set_gauge(
             "trace_cache_resident_bytes", traces["resident_bytes"]
         )
+        # The line-run streams kept across evaluate batches; a registry
+        # not loaded yet reports only the trace figures (all zero).
+        self.metrics.set_gauge(
+            "trace_cache_stream_entries", traces.get("stream_entries", 0)
+        )
+        self.metrics.set_gauge(
+            "trace_cache_stream_bytes", traces.get("stream_bytes", 0)
+        )
         # The process-global line-order memo (caches/vectorized):
         # bounded, but worth watching on a long-lived server.
         self.metrics.set_gauge("line_order_cache_entries", order["entries"])

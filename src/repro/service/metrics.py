@@ -65,9 +65,19 @@ METRIC_HELP = {
     "engine_dispatch_total": (
         "Fetch-timing dispatch decisions, by mechanism and engine."
     ),
-    "trace_cache_lookups_total": "Trace cache lookups, by result.",
+    "trace_cache_lookups_total": (
+        "Trace and kept-stream cache lookups, by result."
+    ),
     "trace_cache_entries": "Traces resident in the in-memory cache.",
-    "trace_cache_resident_bytes": "Bytes resident in the trace cache.",
+    "trace_cache_resident_bytes": (
+        "Bytes of trace columns resident in the trace cache."
+    ),
+    "trace_cache_stream_entries": (
+        "Traces whose line-run streams the trace cache keeps."
+    ),
+    "trace_cache_stream_bytes": (
+        "Bytes of kept line-run streams in the trace cache."
+    ),
     "line_order_cache_entries": "Entries in the line-order memo.",
     "line_order_cache_bytes": "Bytes in the line-order memo.",
     "line_order_cache_evictions": "Evictions from the line-order memo.",

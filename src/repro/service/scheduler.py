@@ -26,6 +26,7 @@ already stored completes immediately as a recorded hit.
 from __future__ import annotations
 
 import asyncio
+import functools
 import importlib
 import itertools
 import json
@@ -236,18 +237,23 @@ def _evaluate_group_cell(
     """Module-level (picklable) compute function for one evaluate group.
 
     Evaluates every requested ``(config, mechanism)`` point of one
-    workload against a single loaded trace, so a burst of point queries
-    shares trace synthesis *and* the per-stream miss-mask memoization.
-    Returns one payload per point, aligned with ``points``.
+    workload against its line-run streams, read through the registry,
+    so a burst of point queries shares trace synthesis *and* the
+    per-stream miss-mask memoization, and a later batch reads the
+    streams the registry kept without reloading the trace.  Returns
+    one payload per point, aligned with ``points``.
     """
-    from repro.core.study import evaluate_trace
-    from repro.workloads.registry import get_trace
+    from repro.core.study import evaluate_streams
+    from repro.workloads.registry import get_line_runs
 
-    trace = get_trace(workload, os_name, n_instructions, seed)
+    line_runs = functools.partial(
+        get_line_runs, workload, os_name, n_instructions, seed
+    )
     payloads = []
     for config_name, mechanism in points:
-        result = evaluate_trace(
-            trace,
+        result = evaluate_streams(
+            f"{workload}@{os_name}",  # the trace's label
+            line_runs,
             _named_config(config_name),
             mechanism=mechanism,
             warmup_fraction=warmup_fraction,
@@ -284,7 +290,7 @@ def evaluate_group_cells(
     """Compile point requests into annotated plan cells.
 
     One cell per ``(workload, OS, engine)`` group: all of a workload's
-    requested points evaluate against a single loaded trace.  Each cell
+    requested points evaluate against one trace's streams.  Each cell
     declares its shared inputs — the trace, the L1/L2 line-run streams,
     and the demand-mask families its points consult — so the plan
     executor primes them once before the pool forks.  Returns the
@@ -660,10 +666,10 @@ class JobScheduler:
                 job=job.id,
                 kind="experiment",
             ) as recorder:
-                # The registry is the server's cache across requests:
-                # its traces outlive the plan.
+                # Phase by phase, as ``repro experiment`` runs it: the
+                # result is a store entry, so a repeat is a store hit.
                 result, report = run_experiment(
-                    module, settings, self.jobs, name, keep_inputs=True
+                    module, settings, self.jobs, name
                 )
             self._record_plan_stats(report.plan)
         finally:
@@ -881,8 +887,9 @@ class JobScheduler:
                 batch_size=len(requests_meta),
             ) as recorder:
                 # One cell per (workload, OS, engine): all of a workload's
-                # requested points share one trace and its memoized masks,
-                # which stay cached for the next batch.
+                # requested points share one trace's streams and their
+                # memoized masks, which stay cached for the next batch
+                # (the trace's columns do not).
                 groups, cells = evaluate_group_cells(requests)
                 results, plan_report = execute_cells(
                     cells, self.jobs, label="evaluate-batch",

@@ -432,21 +432,38 @@ class TestPhases:
         assert "a worker process died" in str(error)
 
     def test_kept_inputs_stay_in_the_registry(self):
+        from repro.workloads import registry
+
         clear_trace_cache()
         cells = [
             PlanCell(
                 key=("k", workload), fn=_double, args=(workload,),
-                traces=(_key(workload),),
+                traces=(_key(workload),), streams=(32,),
             )
             for workload in ("groff", "sdet")
         ]
         _, report = execute_cells(cells, jobs=1, keep_inputs=True)
         assert report.plan["phases"] == 1
-        assert trace_cache_stats()["entries"] == 2
-        _, report = execute_cells(cells, jobs=1)
+        # Both traces' streams are kept; their columns are not.
+        stats = trace_cache_stats()
+        assert (stats["entries"], stats["resident_bytes"]) == (0, 0)
+        assert stats["stream_entries"] == 2
+        assert stats["stream_bytes"] > 0
+        events: list = []
+        registry.add_trace_cache_observer(events.append)
+        try:
+            _, report = execute_cells(cells, jobs=1)
+        finally:
+            registry.remove_trace_cache_observer(events.append)
         # No component reads more than one trace: a phase per trace.
         assert report.plan["phases"] == 2
+        # The kept streams answered the priming: no trace was loaded,
+        # and a releasing plan leaves kept streams alone.
+        assert events == [registry.TRACE_CACHE_MEMORY_HIT] * 2
+        assert report.plan["inputs_primed"] == report.plan["inputs_total"]
         assert trace_cache_stats()["entries"] == 0
+        assert trace_cache_stats()["stream_entries"] == 2
+        clear_trace_cache()
 
 
 class TestFetchCellCoverage:

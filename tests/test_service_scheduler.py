@@ -400,3 +400,177 @@ class TestPublishFailure:
         assert scheduler.metrics.counter_value(
             "result_store_publish_failures_total"
         ) == 2
+
+
+def _batch(scheduler, requests):
+    """Submit ``requests`` as one evaluate batch; the finished jobs."""
+
+    async def body():
+        jobs = await asyncio.gather(
+            *(scheduler.submit_evaluate(request) for request in requests)
+        )
+        await asyncio.gather(
+            *(asyncio.wait_for(job.wait(), 120) for job in jobs)
+        )
+        return jobs
+
+    jobs = _run(body())
+    assert [job.status for job in jobs] == ["done"] * len(jobs)
+    assert {job.source for job in jobs} == {"executed"}
+    return jobs
+
+
+#: Points of a later batch, none of them in the first one.
+_LATER_POINTS = (
+    ("economy", "prefetch"),
+    ("high-performance", "stream-buffer"),
+    ("high-performance", "victim"),
+    ("economy", "markov"),
+)
+
+#: Prints ``_evaluate_group_cell``'s payloads for gcc at every
+#: :data:`_LATER_POINTS` point, per engine, from a fresh interpreter.
+_COLD_PAYLOADS = """
+import json, sys
+from repro.service.scheduler import _evaluate_group_cell
+points = tuple(tuple(point) for point in json.loads(sys.argv[1]))
+print(json.dumps({
+    engine: _evaluate_group_cell(
+        "gcc", "mach3", engine, points, 20_000, 0, float(sys.argv[2])
+    )
+    for engine in ("auto", "reference")
+}))
+"""
+
+
+class TestKeptStreams:
+    """The server keeps each workload's line-run streams (and their
+    miss masks) across evaluate batches, not its trace's columns."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_registry(self, tmp_path):
+        from repro.caches.vectorized import clear_order_caches
+        from repro.runner.cache import TraceDiskCache
+        from repro.workloads import registry
+
+        saved = registry._disk_cache
+        stats = registry.trace_cache_stats()
+        registry.set_trace_cache_backend(TraceDiskCache(tmp_path / "cache"))
+        registry.clear_trace_cache()
+        clear_order_caches()
+        yield
+        registry.configure_trace_cache(
+            stats["max_entries"], stats["max_bytes"]
+        )
+        registry.clear_trace_cache()
+        registry.set_trace_cache_backend(saved)
+
+    def test_later_batch_loads_and_encodes_nothing(
+        self, make_scheduler, monkeypatch
+    ):
+        from repro.runner.cache import TraceDiskCache
+        from repro.trace import rle
+        from repro.workloads import registry
+
+        scheduler = make_scheduler()
+        _batch(scheduler, [_evaluate_request("gcc")])
+        stats = registry.trace_cache_stats()
+        assert (stats["entries"], stats["resident_bytes"]) == (0, 0)
+        assert stats["stream_entries"] == 1
+        assert stats["stream_bytes"] > 0
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            registry, "synthesize_trace",
+            counted("synthesize_trace", registry.synthesize_trace),
+        )
+        monkeypatch.setattr(
+            TraceDiskCache, "load", counted("load", TraceDiskCache.load)
+        )
+        monkeypatch.setattr(
+            rle, "to_line_runs", counted("to_line_runs", rle.to_line_runs)
+        )
+        _batch(scheduler, [
+            _evaluate_request("gcc", config, mechanism)
+            for config, mechanism in _LATER_POINTS
+        ])
+        assert calls == []
+        assert registry.trace_cache_stats()["entries"] == 0
+        # The kept streams answered, and count as memory hits.
+        series = _counter_series(scheduler.metrics, "trace_cache_lookups_total")
+        assert series[(("result", "memory-hit"),)] > 0
+        assert series[(("result", "synthesized"),)] == 1
+
+    def test_entry_bound_evicts_kept_streams_and_their_masks(
+        self, make_scheduler
+    ):
+        import weakref
+
+        from repro.caches.vectorized import order_cache_stats
+        from repro.workloads import registry
+
+        registry.configure_trace_cache(max_entries=2)
+        scheduler = make_scheduler()
+        memo_entries = []
+        for workload in ("gcc", "sdet", "nroff"):
+            _batch(scheduler, [_evaluate_request(workload)])
+            memo_entries.append(order_cache_stats()["entries"])
+            if workload == "gcc":
+                first = weakref.ref(registry.get_line_runs(
+                    "gcc", "mach3", SETTINGS.n_instructions, SETTINGS.seed
+                ))
+        stats = registry.trace_cache_stats()
+        assert (stats["entries"], stats["stream_entries"]) == (0, 2)
+        # gcc's streams were evicted, and their memos and masks with them.
+        assert first() is None
+        one = memo_entries[0]
+        assert one > 0
+        assert memo_entries == [one, 2 * one, 2 * one]
+
+    def test_kept_stream_payloads_match_a_cold_process(self, tmp_path):
+        import json
+        import subprocess
+        import sys
+
+        from repro.workloads import registry
+
+        served = {}
+        for engine in ("auto", "reference"):
+            settings = ExperimentSettings(
+                n_instructions=20_000, seed=0, engine=engine
+            )
+            scheduler = JobScheduler(
+                ResultStore(tmp_path / f"results-{engine}"), ServiceMetrics()
+            )
+            try:
+                registry.clear_trace_cache()
+                _batch(scheduler, [EvaluateRequest(
+                    "gcc", "mach3", "economy", "demand", settings
+                )])
+                assert registry.trace_cache_stats()["entries"] == 0
+                jobs = _batch(scheduler, [
+                    EvaluateRequest("gcc", "mach3", config, mechanism, settings)
+                    for config, mechanism in _LATER_POINTS
+                ])
+            finally:
+                scheduler.close()
+            served[engine] = [job.result for job in jobs]
+        env = dict(os.environ, PYTHONPATH="src")
+        env.pop("REPRO_CACHE_DIR", None)
+        cold = subprocess.run(
+            [
+                sys.executable, "-c", _COLD_PAYLOADS,
+                json.dumps(_LATER_POINTS), repr(SETTINGS.warmup_fraction),
+            ],
+            capture_output=True, text=True, check=True, env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert json.loads(cold.stdout) == served

@@ -196,3 +196,122 @@ class TestBoundedCache:
             configure_trace_cache(max_entries=0)
         with _pytest.raises(ValueError):
             configure_trace_cache(max_bytes=-1)
+
+
+class TestKeptStreams:
+    """A trace's kept line-run streams outlive its columns."""
+
+    def test_kept_streams_rejoin_a_reloaded_trace(self):
+        from repro.workloads.registry import (
+            discard_trace,
+            get_line_runs,
+            keep_line_runs,
+            trace_cache_stats,
+        )
+
+        key = ("gcc", "mach3", 10_000, 53)
+        try:
+            clear_trace_cache()
+            runs = get_line_runs(*key, 32)
+            keep_line_runs(*key)
+            stats = trace_cache_stats()
+            assert (stats["entries"], stats["resident_bytes"]) == (0, 0)
+            assert stats["stream_entries"] == 1
+            assert stats["stream_bytes"] == (
+                runs.lines.nbytes + runs.counts.nbytes
+                + runs.first_offsets.nbytes
+            )
+            assert get_line_runs(*key, 32) is runs
+            # A reloaded trace takes the kept stream into its memo, so
+            # the stream is never encoded twice.
+            trace = get_trace(*key[:3], seed=key[3])
+            assert trace.ifetch_line_runs(32) is runs
+            assert trace_cache_stats()["entries"] == 1
+            # Releasing the trace leaves the kept stream.
+            discard_trace(*key)
+            stats = trace_cache_stats()
+            assert (stats["entries"], stats["stream_entries"]) == (0, 1)
+            assert get_line_runs(*key, 32) is runs
+        finally:
+            clear_trace_cache()
+
+    def test_keeping_an_unencoded_trace_keeps_nothing(self):
+        from repro.workloads.registry import keep_line_runs, trace_cache_stats
+
+        try:
+            clear_trace_cache()
+            get_trace("gcc", "mach3", 10_000, seed=54)
+            keep_line_runs("gcc", "mach3", 10_000, 54)
+            keep_line_runs("groff", "mach3", 10_000, 54)  # absent: no-op
+            stats = trace_cache_stats()
+            assert (stats["entries"], stats["stream_entries"]) == (0, 0)
+            assert stats["resident_bytes"] == stats["stream_bytes"] == 0
+        finally:
+            clear_trace_cache()
+
+    def test_threads_keep_the_cache_accounts(self):
+        """The server's executor threads share the cache: concurrent
+        puts, keeps, discards and lookups lose no byte or entry."""
+        import random
+        import sys
+        import threading
+
+        import numpy as np
+
+        from repro.trace.trace import Trace
+        from repro.workloads.registry import BoundedTraceCache
+
+        cache = BoundedTraceCache(max_entries=3, max_bytes=1 << 30)
+        traces = []
+        for index in range(5):
+            addresses = np.arange(256, dtype=np.uint64) * 4 + index * 8192
+            zeros = np.zeros(256, dtype=np.uint8)  # instruction fetches
+            trace = Trace(addresses, zeros, zeros)
+            trace.ifetch_line_runs(32)
+            traces.append(trace)
+
+        def work(seed):
+            rng = random.Random(seed)
+            for _ in range(3000):
+                index = rng.randrange(len(traces))
+                key = ("w", index)
+                op = rng.randrange(5)
+                if op == 0:
+                    cache.put(key, traces[index])
+                elif op == 1:
+                    cache.keep_streams(key)
+                elif op == 2:
+                    cache.discard(key)
+                elif op == 3:
+                    cache.get(key)
+                else:
+                    cache.line_runs(key, 32)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=work, args=(seed,), daemon=True)
+                for seed in range(8)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        entries = list(cache._entries.values())
+        assert len(entries) <= 3
+        trace_bytes = sum(
+            entry.trace.addresses.nbytes + 2 * entry.trace.kinds.nbytes
+            for entry in entries if entry.trace is not None
+        )
+        stream_bytes = sum(
+            runs.lines.nbytes + runs.counts.nbytes + runs.first_offsets.nbytes
+            for entry in entries
+            for runs in entry.streams.values()
+        )
+        assert (cache.trace_bytes, cache.stream_bytes) == (
+            trace_bytes, stream_bytes
+        )
