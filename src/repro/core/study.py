@@ -15,6 +15,7 @@ the paper's methodology exactly:
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from repro.obs import tracing
 from repro.runner import timing
 from repro.trace.rle import LineRuns
 from repro.trace.trace import Trace
-from repro.workloads.registry import DEFAULT_TRACE_INSTRUCTIONS, get_trace
+from repro.workloads.registry import DEFAULT_TRACE_INSTRUCTIONS, get_line_runs
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,9 @@ def evaluate_streams(
     at one line size; ``label`` names the workload.  The L1 leg reads
     the stream at the L1 line size and the L2 leg at
     ``min(l2.line_size, l1.line_size)``: nothing else of the trace is
-    read.  The one evaluator behind :func:`evaluate_trace` and the
-    server's evaluate cells, which read the registry's kept streams.
+    read.  The one evaluator behind :func:`evaluate_trace`,
+    :func:`evaluate` and the fetch cells of
+    :func:`~repro.experiments.common.trace_fetch_cpi`.
     """
     with tracing.span(
         "evaluate",
@@ -223,6 +225,16 @@ def evaluate(
     engine: str = "auto",
     **options,
 ) -> StudyResult:
-    """Synthesize (or reuse) the workload's trace and evaluate it."""
-    trace = get_trace(workload, os_name, n_instructions, seed)
-    return evaluate_trace(trace, config, mechanism, engine=engine, **options)
+    """Evaluate the workload's line-run streams, read through the
+    registry (which synthesizes the trace only when no stream is
+    cached or persisted)."""
+    return evaluate_streams(
+        f"{workload}@{os_name}",  # the trace's label
+        functools.partial(
+            get_line_runs, workload, os_name, n_instructions, seed
+        ),
+        config,
+        mechanism,
+        engine=engine,
+        **options,
+    )

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.config import MemorySystemConfig
 from repro.core.cpi import CpiBreakdown
-from repro.core.study import evaluate_trace
+from repro.core.study import evaluate_streams
 # Settings and job keys live in the numpy-free settings module (the
 # server's store-hit path uses them); re-exported here.
 from repro.experiments.settings import (
@@ -34,14 +35,20 @@ from repro.plan import inputs as plan_inputs
 from repro.plan.ir import PlanCell
 from repro.trace.record import Component
 from repro.trace.stats import component_mix
-from repro.workloads.registry import get_trace, suite_workloads
+from repro.workloads.registry import (
+    get_line_runs,
+    get_trace,
+    suite_workloads,
+)
 
 __all__ = [
     "DEFAULT_SETTINGS",
     "MODEL_VERSION",
     "ExperimentSettings",
+    "FetchMetrics",
     "FetchPoint",
     "canonical_job_key",
+    "fetch_cell",
     "fetch_cells",
     "fetch_point",
     "fetch_values",
@@ -138,23 +145,36 @@ def fetch_point(
     )
 
 
+class FetchMetrics(NamedTuple):
+    """One design point's fetch metrics, as ``/v1/evaluate`` reports
+    them (see :class:`~repro.core.study.StudyResult`)."""
+
+    mpi: float
+    l2_mpi: float
+    cpi_l1: float
+    cpi_l2: float
+    cpi_instr: float
+
+
 def trace_fetch_cpi(
     name: str,
     os_name: str,
     points: Sequence[FetchPoint],
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-) -> dict[tuple, tuple[float, float]]:
-    """One workload's (L1, L2) CPIinstr at many design points.
+) -> dict[tuple, FetchMetrics]:
+    """One workload's fetch metrics at many design points.
 
-    The evaluator behind every fetch sweep (each :func:`fetch_cells`
-    cell runs one call).  The trace's RLE streams, miss masks and
-    mechanism state are memoized per stream through
-    :class:`~repro.caches.vectorized.LineOrderCache`, so they are
-    computed once and shared by every L2-latency/width/mechanism
+    The evaluator behind every fetch point: the report's sweeps, ``repro
+    warm`` and ``/v1/evaluate`` all run it in cells built by
+    :func:`fetch_cell`.  It reads each line-run stream its points need
+    once, through :func:`~repro.workloads.registry.get_line_runs`, and
+    never the trace.  Miss masks and mechanism state are memoized per stream
+    through :class:`~repro.caches.vectorized.LineOrderCache`, so they
+    are computed once and shared by every L2-latency/width/mechanism
     point.  The geometry axis is batched too: before the first point,
     every mask shape the points need is computed through one
-    multi-geometry pass per (stream, set count).  Each value is the
-    trace's :func:`~repro.core.study.evaluate_trace` result, so a
+    multi-geometry pass per (stream, set count).  Each value holds the
+    point's :func:`~repro.core.study.evaluate_streams` result, so a
     sweep is bit-identical to running its points one at a time.
     """
     seen: set[tuple] = set()
@@ -162,77 +182,97 @@ def trace_fetch_cpi(
         if point.key in seen:
             raise ValueError(f"duplicate sweep point key {point.key!r}")
         seen.add(point.key)
-    trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
+    # One registry read per stream, not one per point and leg: each
+    # read is a counted lookup and an event on the active span.
+    line_runs = {
+        line_size: get_line_runs(
+            name, os_name, settings.n_instructions, settings.seed, line_size
+        )
+        for line_size in plan_inputs.point_streams(points)
+    }.__getitem__
     plan_inputs.prime_miss_masks(
-        trace.ifetch_line_runs,
-        plan_inputs.mask_shape_plan(points, settings.engine),
+        line_runs, plan_inputs.mask_shape_plan(points, settings.engine)
     )
-    values: dict[tuple, tuple[float, float]] = {}
+    values: dict[tuple, FetchMetrics] = {}
     for point in points:
-        result = evaluate_trace(
-            trace,
+        result = evaluate_streams(
+            f"{name}@{os_name}",  # the trace's label
+            line_runs,
             point.config,
             point.mechanism,
             warmup_fraction=settings.warmup_fraction,
             engine=settings.engine,
             **dict(point.options),
         )
-        values[point.key] = (result.cpi_l1, result.cpi_l2)
+        values[point.key] = FetchMetrics(
+            mpi=result.l1.mpi,
+            l2_mpi=result.l2_mpi,
+            cpi_l1=result.cpi_l1,
+            cpi_l2=result.cpi_l2,
+            cpi_instr=result.cpi_instr,
+        )
     return values
+
+
+def fetch_cell(
+    key: tuple,
+    name: str,
+    os_name: str,
+    points: Sequence[FetchPoint],
+    settings: ExperimentSettings,
+) -> PlanCell:
+    """One :func:`trace_fetch_cpi` cell: ``points`` on one workload.
+
+    The cell reads one trace's streams, and its streams and mask
+    families are derived from its points, so a caller declares each
+    design point once.  Two cells that sweep the same points on the
+    same workload have one identity, which a plan runs once.
+    """
+    points = tuple(points)
+    return PlanCell(
+        key=key,
+        fn=trace_fetch_cpi,
+        args=(name, os_name, points, settings),
+        traces=plan_inputs.workload_trace_keys([(name, os_name)], settings),
+        streams=plan_inputs.point_streams(points),
+        masks=plan_inputs.mask_families(points, settings.engine),
+    )
 
 
 def fetch_cells(
     columns: Mapping[tuple, tuple[str, Sequence[FetchPoint]]],
     settings: ExperimentSettings,
 ) -> list[PlanCell]:
-    """One :func:`trace_fetch_cpi` cell per (column, workload).
+    """One :func:`fetch_cell` per (column, workload).
 
     ``columns`` maps each column key to ``(suite, points)``.  The
     column becomes one cell per workload of its suite, keyed
-    ``(*column key, name, os_name)`` in suite order, each running
-    ``trace_fetch_cpi(name, os_name, points, settings)``.  A cell reads
-    one trace, and its streams and mask families are derived from the
-    column's points, so an experiment declares each design point once.
-    Two experiments that sweep the same points on the same workload
-    emit cells with one identity, which a plan runs once.
+    ``(*column key, name, os_name)`` in suite order.
     """
-    cells = []
-    for key, (suite, points) in columns.items():
-        points = tuple(points)
-        streams = plan_inputs.point_streams(points)
-        masks = plan_inputs.mask_families(points, settings.engine)
-        for name, os_name in suite_workloads(suite):
-            cells.append(
-                PlanCell(
-                    key=(*key, name, os_name),
-                    fn=trace_fetch_cpi,
-                    args=(name, os_name, points, settings),
-                    traces=plan_inputs.workload_trace_keys(
-                        [(name, os_name)], settings
-                    ),
-                    streams=streams,
-                    masks=masks,
-                )
-            )
-    return cells
+    return [
+        fetch_cell((*key, name, os_name), name, os_name, points, settings)
+        for key, (suite, points) in columns.items()
+        for name, os_name in suite_workloads(suite)
+    ]
 
 
 def fetch_values(
-    keyed: Mapping[tuple, dict[tuple, tuple[float, float]]],
+    keyed: Mapping[tuple, dict[tuple, FetchMetrics]],
 ) -> dict[tuple, tuple[float, float]]:
     """Suite-mean ``{point key: (l1, l2)}`` from :func:`fetch_cells` results.
 
-    Each point's L1 and L2 values are ``np.mean`` over its column's
-    workloads in suite order.  Points appear in plan order: column by
-    column, each column's points in the order it declared them.
+    Each point's L1 and L2 values are ``np.mean`` of its ``cpi_l1`` and
+    ``cpi_l2`` over its column's workloads in suite order.  Points
+    appear in plan order: column by column, each column's points in
+    the order it declared them.
     """
     columns: dict[tuple, dict[tuple, tuple[list, list]]] = {}
     for key, values in keyed.items():
         column = columns.setdefault(key[:-2], {})
-        for point, (l1, l2) in values.items():
+        for point, metrics in values.items():
             l1_values, l2_values = column.setdefault(point, ([], []))
-            l1_values.append(l1)
-            l2_values.append(l2)
+            l1_values.append(metrics.cpi_l1)
+            l2_values.append(metrics.cpi_l2)
     merged: dict[tuple, tuple[float, float]] = {}
     for column in columns.values():
         merged.update(

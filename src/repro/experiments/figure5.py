@@ -27,8 +27,7 @@ from repro.plan import inputs as plan_inputs
 from repro.plan.executor import run_experiment
 from repro.plan.ir import PlanCell
 from repro.tapeworm.trapdriven import TapewormSimulator, VariabilityResult
-from repro.trace.rle import to_line_runs
-from repro.workloads.registry import get_trace
+from repro.workloads.registry import get_line_runs
 
 #: The paper plots these four workloads (two IBS, two SPEC).
 WORKLOADS = (
@@ -95,8 +94,9 @@ def _sweep_workload(
     streams' miss masks are shared across every (size, ways) point.
     """
     simulator = TapewormSimulator(warmup_fraction=settings.warmup_fraction)
-    trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
-    runs = to_line_runs(trace.ifetch_addresses(), LINE_SIZE)
+    runs = get_line_runs(
+        name, os_name, settings.n_instructions, settings.seed, LINE_SIZE
+    )
     grid = [
         (size, ways)
         for size in cache_sizes
@@ -124,7 +124,8 @@ def plan_cells(
 
     Tapeworm trials apply a fresh random page mapping per trial, so the
     translated streams (and their masks) are private to each cell; the
-    only shareable input is the synthesized trace itself.
+    only shareable input is the workload's stream at the line size,
+    which the fetch sweeps read too.
     """
     return [
         PlanCell(
@@ -135,6 +136,7 @@ def plan_cells(
             traces=plan_inputs.workload_trace_keys(
                 [(name, os_name)], settings
             ),
+            streams=(LINE_SIZE,),
         )
         for name, os_name in WORKLOADS
     ]

@@ -7,10 +7,11 @@ computed), an experiment *compiles* into the sweep-plan IR: a list of
 :class:`~repro.plan.ir.PlanCell` — one ``(workload, os, config,
 engine)`` unit each — annotated with the shared inputs it consumes
 (trace, line-run stream, miss-mask geometry family).  A single
-executor (:mod:`repro.plan.executor`) primes each shared input exactly
-once per plan — cheetah-style ``miss_masks()`` across the union of
-geometries requested by *all* experiments in the plan — then fans the
-deduplicated cells onto the existing :mod:`repro.runner.pool`.
+executor (:mod:`repro.plan.executor`) runs the deduplicated cells one
+trace group at a time, priming each shared input once per group —
+cheetah-style ``miss_masks()`` across the union of geometries
+requested by *all* experiments in the plan — and freeing it after the
+group's last cell.
 
 ``repro report``, ``repro experiment``, ``repro warm``, the service
 scheduler's evaluate batches and every experiment module's ``run``

@@ -21,16 +21,17 @@ batches all land here:
    :func:`~repro.plan.inputs.prime_miss_masks` call per (trace,
    stream) covering the union of geometries the phase's cells
    requested), which loads a trace through the registry (memory/disk
-   cache) only for a stream the registry does not keep; a trace
-   without declared streams is loaded directly.  The spans' summed
+   cache) only for a stream it neither holds nor finds persisted; a
+   trace without declared streams is loaded directly.  The spans' summed
    rollups are the plan's ``prime_seconds`` and ``prime_phases``.
    Then **execute** the phase's cells, and **release** its traces
    from the registry's in-memory cache: no other phase reads them, so
    their line runs, line-order memos and miss masks die with them
    (through the memo finalizers).  A caller that keeps its inputs
    releases only the traces' columns: their line-run streams stay in
-   the registry (:func:`~repro.workloads.registry.keep_line_runs`),
-   and with them their line-order memos and miss masks.
+   the registry (:func:`~repro.workloads.registry.discard_trace` with
+   ``keep_streams``), and with them their line-order memos and miss
+   masks.
 4. **Where.**  At ``--jobs 1`` the phases run in this process, one
    after another, so it holds one phase's inputs at a time.  At
    ``--jobs N`` one pool serves the whole plan: the phases go to it in
@@ -76,12 +77,7 @@ from repro.plan.ir import (
 )
 from repro.runner.pool import resolve_jobs, run_cells, run_in_pool
 from repro.runner.timing import TimingReport
-from repro.workloads.registry import (
-    discard_trace,
-    get_line_runs,
-    get_trace,
-    keep_line_runs,
-)
+from repro.workloads.registry import discard_trace, get_line_runs, get_trace
 
 __all__ = [
     "add_plan_observer",
@@ -135,9 +131,9 @@ def _prime_inputs(inputs: PlanInputs) -> int:
     streams — each layer's work is a memo hit for the next.  Streams
     and masks are read through
     :func:`~repro.workloads.registry.get_line_runs`, which loads a
-    trace only for a stream the registry does not keep; so a trace
-    with declared streams is loaded through them, and not at all when
-    they are all kept.
+    trace only for a stream the registry neither holds nor finds
+    persisted; so a trace with declared streams is loaded through
+    them, and not at all when they are all held or persisted.
     """
     streamed = {trace_key for trace_key, _ in inputs.streams}
     primed = 0
@@ -160,14 +156,14 @@ def _prime_inputs(inputs: PlanInputs) -> int:
 
 
 def _release_traces(inputs: PlanInputs, keep: bool) -> None:
-    """Drop a phase's traces from the registry's in-memory cache.
+    """Drop a phase's traces and streams from the registry's in-memory
+    cache.
 
-    With ``keep``, the line-run streams they encoded stay cached, and
-    with them their line-order memos and miss masks.
+    With ``keep``, the streams stay cached, and with them their
+    line-order memos and miss masks.
     """
-    release = keep_line_runs if keep else discard_trace
     for key in inputs.traces:
-        release(*_registry_key(key))
+        discard_trace(*_registry_key(key), keep_streams=keep)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -61,7 +61,7 @@ def mask_shape_plan(
 
     Keyed by ``(encode_line_size, mask_line_size)``: the stream is the
     workload's RLE lines at the first size, coarsened to the second —
-    exactly what :func:`~repro.core.study.evaluate_trace`'s L1 and L2
+    exactly what :func:`~repro.core.study.evaluate_streams`'s L1 and L2
     legs look up.  L1 shapes join only for points whose kernels read
     the demand mask (demand, stream buffers, and sequential prefetch at
     depth 0), and only when the vectorized engine can run
@@ -92,8 +92,7 @@ def prime_miss_masks(
     """Batch-compute one workload's miss masks ahead of point evaluation.
 
     ``line_runs(line_size)`` is the workload's RLE instruction stream
-    at one line size (a trace's :meth:`~repro.trace.trace.Trace.
-    ifetch_line_runs`, or the registry's
+    at one line size (the registry's
     :func:`~repro.workloads.registry.get_line_runs` for it).  Feeds
     every geometry of the sweep into
     :meth:`~repro.caches.vectorized.LineOrderCache.miss_masks` so

@@ -11,8 +11,9 @@ shared inputs it will consume:
   encode/mask line-size pair) its simulations look up.
 
 Annotations are a promise about *reads*, not a change to semantics:
-the executor uses them to prime each shared input once per plan before
-any cell runs, so the cells' own lazy computations hit warm memos.  An
+the executor groups cells by trace into phases, primes each phase's
+shared inputs once before its first cell runs, and frees them after
+its last, so the cells' own lazy computations hit warm memos.  An
 over-approximate annotation wastes a little priming work; an absent
 one only forfeits dedup.  Results are bit-identical either way.
 """

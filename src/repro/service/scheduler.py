@@ -26,7 +26,6 @@ already stored completes immediately as a recorded hit.
 from __future__ import annotations
 
 import asyncio
-import functools
 import importlib
 import itertools
 import json
@@ -34,6 +33,7 @@ import os
 import threading
 import time
 import uuid
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -225,121 +225,78 @@ class Job:
         }
 
 
-def _evaluate_group_cell(
-    workload: str,
-    os_name: str,
-    engine: str,
-    points: tuple[tuple[str, str], ...],
-    n_instructions: int,
-    seed: int,
-    warmup_fraction: float,
-) -> list[dict]:
-    """Module-level (picklable) compute function for one evaluate group.
-
-    Evaluates every requested ``(config, mechanism)`` point of one
-    workload against its line-run streams, read through the registry,
-    so a burst of point queries shares trace synthesis *and* the
-    per-stream miss-mask memoization, and a later batch reads the
-    streams the registry kept without reloading the trace.  Returns
-    one payload per point, aligned with ``points``.
-    """
-    from repro.core.study import evaluate_streams
-    from repro.workloads.registry import get_line_runs
-
-    line_runs = functools.partial(
-        get_line_runs, workload, os_name, n_instructions, seed
-    )
-    payloads = []
-    for config_name, mechanism in points:
-        result = evaluate_streams(
-            f"{workload}@{os_name}",  # the trace's label
-            line_runs,
-            _named_config(config_name),
-            mechanism=mechanism,
-            warmup_fraction=warmup_fraction,
-            engine=engine,
-        )
-        # The payload format is engine-independent on purpose: results
-        # are bit-identical across engines and may be served from the
-        # store to a request that asked for the other engine.
-        payloads.append({
-            "kind": "evaluate",
-            "name": workload,
-            "os": os_name,
-            "config": config_name,
-            "mechanism": mechanism,
-            "settings": {
-                "n_instructions": n_instructions,
-                "seed": seed,
-                "warmup_fraction": warmup_fraction,
-            },
-            "metrics": {
-                "mpi": result.l1.mpi,
-                "l2_mpi": result.l2_mpi,
-                "cpi_l1": result.cpi_l1,
-                "cpi_l2": result.cpi_l2,
-                "cpi_instr": result.cpi_instr,
-            },
-        })
-    return payloads
-
-
 def evaluate_group_cells(
     requests: list[EvaluateRequest],
 ) -> tuple[dict[tuple, list[int]], list[PlanCell]]:
     """Compile point requests into annotated plan cells.
 
-    One cell per ``(workload, OS, engine)`` group: all of a workload's
-    requested points evaluate against one trace's streams.  Each cell
-    declares its shared inputs — the trace, the L1/L2 line-run streams,
-    and the demand-mask families its points consult — so the plan
-    executor primes them once before the pool forks.  Returns the
-    group-to-request-indices mapping (in first-seen order, matching the
-    cell list) alongside the cells; both the scheduler's evaluate
-    flush and ``repro warm`` build their batches here.
+    One :func:`~repro.experiments.common.fetch_cell` per ``(workload,
+    OS, engine)`` group, keyed by the group: all of a workload's
+    requested points evaluate against one trace's streams, and the
+    cell declares the streams and demand-mask families its points
+    consult, so the plan executor primes them before the cell runs.
+    Returns the group-to-request-indices mapping (in first-seen order,
+    matching the cell list) alongside the cells; both the scheduler's
+    evaluate flush and ``repro warm`` build their batches here and
+    format the cells' values with :func:`evaluate_payloads`.
     """
-    from repro.experiments.common import fetch_point
-    from repro.plan import inputs as plan_inputs
+    from repro.experiments.common import fetch_cell, fetch_point
 
     groups: dict[tuple, list[int]] = {}
     for index, request in enumerate(requests):
         groups.setdefault(request.group_key, []).append(index)
     cells = []
     for group_key, indices in groups.items():
-        workload, os_name, engine = group_key
-        settings = requests[indices[0]].settings
-        points = [
-            fetch_point(
-                (requests[i].config_name, requests[i].mechanism),
-                _named_config(requests[i].config_name),
-                requests[i].mechanism,
-            )
-            for i in indices
-        ]
-        cells.append(
-            PlanCell(
-                key=group_key,
-                fn=_evaluate_group_cell,
-                args=(
-                    workload,
-                    os_name,
-                    engine,
-                    tuple(
-                        (requests[i].config_name, requests[i].mechanism)
-                        for i in indices
-                    ),
-                    settings.n_instructions,
-                    settings.seed,
-                    settings.warmup_fraction,
-                ),
-                traces=plan_inputs.workload_trace_keys(
-                    [(workload, os_name)], settings
-                ),
-                streams=plan_inputs.point_streams(points),
-                masks=plan_inputs.mask_families(points, engine),
-            )
-        )
+        workload, os_name, _engine = group_key
+        points = {}
+        for index in indices:
+            request = requests[index]
+            key = (request.config_name, request.mechanism)
+            if key not in points:
+                points[key] = fetch_point(
+                    key, _named_config(request.config_name), request.mechanism
+                )
+        cells.append(fetch_cell(
+            group_key, workload, os_name, tuple(points.values()),
+            requests[indices[0]].settings,
+        ))
     return groups, cells
+
+
+def evaluate_payloads(
+    requests: list[EvaluateRequest],
+    groups: dict[tuple, list[int]],
+    results: list,
+) -> Iterator[tuple[int, dict]]:
+    """Yield ``(request index, payload)`` in group order.
+
+    ``groups`` and ``results`` are :func:`evaluate_group_cells`'s
+    groups and its cells' values (``{point key: FetchMetrics}``),
+    aligned.
+    """
+    for indices, values in zip(groups.values(), results):
+        for index in indices:
+            request = requests[index]
+            settings = request.settings
+            # The payload format is engine-independent on purpose:
+            # results are bit-identical across engines and may be
+            # served from the store to a request that asked for the
+            # other engine.
+            yield index, {
+                "kind": "evaluate",
+                "name": request.workload,
+                "os": request.os_name,
+                "config": request.config_name,
+                "mechanism": request.mechanism,
+                "settings": {
+                    "n_instructions": settings.n_instructions,
+                    "seed": settings.seed,
+                    "warmup_fraction": settings.warmup_fraction,
+                },
+                "metrics": values[
+                    (request.config_name, request.mechanism)
+                ]._asdict(),
+            }
 
 
 class JobScheduler:
@@ -815,10 +772,11 @@ class JobScheduler:
             {"job": job.id, "trace_id": job.trace_id, "key": job.key}
             for _, job in batch
         ]
+        requests = [request for request, _job in batch]
         try:
             groups, results, manifest_path = await loop.run_in_executor(
                 self._executor, self._execute_eval_batch,
-                [request for request, _job in batch],
+                requests,
                 batch[0][1].trace_id, requests_meta,
                 [job.created_at for _, job in batch],
             )
@@ -843,24 +801,23 @@ class JobScheduler:
                 )
             return
         elapsed = time.perf_counter() - start
-        for indices, payloads in zip(groups.values(), results):
-            for index, payload in zip(indices, payloads):
-                _, job = batch[index]
-                job.manifest = manifest_path
-                payload_json = self._publish(job, payload)
-                self.metrics.inc("jobs_executed_total", {"kind": "evaluate"})
-                job._complete(payload_json, None, "executed")
-                self._inflight.pop(job.key, None)
-                log_event(
-                    "job_finished",
-                    trace_id=job.trace_id,
-                    job=job.id,
-                    kind="evaluate",
-                    name=job.name,
-                    status=job.status,
-                    seconds=round(elapsed, 6),
-                    manifest=job.manifest,
-                )
+        for index, payload in evaluate_payloads(requests, groups, results):
+            _, job = batch[index]
+            job.manifest = manifest_path
+            payload_json = self._publish(job, payload)
+            self.metrics.inc("jobs_executed_total", {"kind": "evaluate"})
+            job._complete(payload_json, None, "executed")
+            self._inflight.pop(job.key, None)
+            log_event(
+                "job_finished",
+                trace_id=job.trace_id,
+                job=job.id,
+                kind="evaluate",
+                name=job.name,
+                status=job.status,
+                seconds=round(elapsed, 6),
+                manifest=job.manifest,
+            )
         self.metrics.observe("job_seconds", elapsed, {"kind": "evaluate"})
 
     def _execute_eval_batch(
@@ -872,8 +829,8 @@ class JobScheduler:
     ):
         """Executor-thread body of one evaluate flush, traced end to end.
 
-        Returns the request groups, one payload list per group, and the
-        manifest path.
+        Returns the request groups, one group cell's values per group,
+        and the manifest path.
         """
         from repro.plan.executor import execute_cells
 

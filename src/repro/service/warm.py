@@ -2,7 +2,7 @@
 
 Warming computes the evaluate grid — every ``(workload, os) x
 configuration x mechanism`` cell of the plan — through the same
-group-cell compute path the server's scheduler dispatches, and writes
+group cells and payload format the server's scheduler uses, and writes
 each payload under the same canonical content key the server looks up.
 A warmed store therefore answers the load generator's steady-state
 traffic (and real clients replaying the grid) entirely from disk:
@@ -23,6 +23,7 @@ from repro.service.scheduler import (
     CONFIGS,
     EvaluateRequest,
     evaluate_group_cells,
+    evaluate_payloads,
 )
 from repro.service.store import ResultStore
 from repro.workloads.registry import list_workloads, suite_workloads
@@ -66,9 +67,9 @@ def warm_store(
     plan's dedup counters.  The batch compiles through the scheduler's
     :func:`~repro.service.scheduler.evaluate_group_cells` — one compute
     cell per ``(workload, os, engine)`` evaluating all of that
-    workload's requested points against a single loaded trace — and
-    executes on the plan executor, which primes each shared trace,
-    stream, and mask family once before the pool forks.
+    workload's requested points against its line-run streams — and
+    executes on the plan executor, which runs it one trace at a time,
+    priming each trace's streams and mask families before its cell.
     """
     started = time.perf_counter()
     missing = [
@@ -77,10 +78,9 @@ def warm_store(
     groups, cells = evaluate_group_cells(missing)
     results, report = execute_cells(cells, jobs, label="warm")
     stored = 0
-    for indices, payloads in zip(groups.values(), results):
-        for index, payload in zip(indices, payloads):
-            store.put(missing[index].key(), payload)
-            stored += 1
+    for index, payload in evaluate_payloads(missing, groups, results):
+        store.put(missing[index].key(), payload)
+        stored += 1
     return {
         "cells": len(plan),
         "stored": stored,

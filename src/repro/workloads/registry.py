@@ -7,15 +7,19 @@ trace cache:
 * a **bounded in-memory LRU** so experiments that sweep hundreds of
   cache configurations over the same workloads synthesize each trace
   once, without letting a full ``repro report`` over every suite grow
-  memory without limit.  An entry holds a trace key's trace, the
-  instruction line-run streams kept for it (:func:`keep_line_runs`:
-  a long-lived caller such as ``repro serve`` keeps only the streams
-  its evaluations read and drops the trace's columns), or both; the
-  entry and byte bounds cover both; and
+  memory without limit.  An entry is one trace key: its trace, its
+  instruction line-run streams, or both.  The entry's streams are the
+  only memo of them in the process (:func:`get_line_runs` fills it;
+  the trace object memoizes none), so each (trace key, line size) has
+  one :class:`~repro.trace.rle.LineRuns` while the entry is cached.
+  :func:`discard_trace` drops an entry whole, or with
+  ``keep_streams`` only its trace: a long-lived caller such as
+  ``repro serve`` keeps the streams its evaluations read and drops the
+  trace's columns.  The entry and byte bounds cover both; and
 * an optional **persistent on-disk layer**
   (:class:`repro.runner.cache.TraceDiskCache`) so fresh processes —
   including the parallel sweep runner's workers — memory-map previously
-  synthesized traces instead of regenerating them.
+  synthesized traces and encoded streams instead of regenerating them.
 
 The disk layer is configured by the ``REPRO_CACHE_DIR`` environment
 variable, the CLI's ``--cache-dir`` flag (both resolved through
@@ -34,6 +38,7 @@ import numpy as np
 from repro.obs import tracing
 from repro.obs.logs import log_event
 from repro.runner import timing
+from repro.trace import rle
 from repro.trace.rle import LineRuns
 from repro.trace.trace import Trace
 from repro.workloads.generator import synthesize_trace
@@ -55,19 +60,19 @@ TRACE_CACHE_BYTES_ENV = "REPRO_TRACE_CACHE_BYTES"
 _DEFAULT_MAX_ENTRIES = 64
 _DEFAULT_MAX_BYTES = 2 * 1024**3
 
-#: :class:`Trace` memo key prefix of its line-run streams (see
-#: :meth:`Trace.ifetch_line_runs`).
-_RUNS_MEMO = "ifetch_line_runs"
 
-
-def _env_int(name: str, default: int) -> int:
+def _env_bound(name: str, default: int) -> int:
+    """A positive integer from environment variable ``name``, if set."""
     raw = os.environ.get(name, "").strip()
     if not raw:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        return default
+        value = 0
+    if value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return value
 
 
 def _file_backed(column: np.ndarray) -> bool:
@@ -90,6 +95,8 @@ class _Entry:
 
     trace: Trace | None = None
     streams: dict[int, LineRuns] = field(default_factory=dict)
+    #: Whether the streams outlive the trace (see :meth:`discard`).
+    kept: bool = False
     trace_bytes: int = 0
     stream_bytes: int = 0
 
@@ -97,10 +104,10 @@ class _Entry:
 class BoundedTraceCache:
     """An LRU cache of trace inputs, bounded by entry count and bytes.
 
-    Each entry is one trace key, holding its :class:`Trace`, the
-    line-run streams kept for it (:meth:`keep_streams`), or both; it
-    counts once against ``max_entries`` and is evicted whole.  Resident
-    bytes are the trace's columns plus the kept streams' columns;
+    Each entry is one trace key, holding its :class:`Trace`, its
+    line-run streams (:meth:`put_line_runs`), or both; it counts once
+    against ``max_entries`` and is evicted whole.  Resident bytes are
+    the trace's columns plus the streams' columns;
     memory-mapped ones (loaded from the disk layer) are charged zero —
     their pages are file-backed, reclaimable, and shared between
     processes.  Every method holds one lock, so the server's executor
@@ -131,7 +138,7 @@ class BoundedTraceCache:
         return self.trace_bytes + self.stream_bytes
 
     def stats(self) -> dict[str, int]:
-        """Traces and kept streams held, and the bytes of each."""
+        """Traces and streams held, and the bytes of each."""
         with self._lock:
             return {
                 "entries": sum(
@@ -177,22 +184,25 @@ class BoundedTraceCache:
             self._touch(key, entry)
             return entry.trace
 
+    def _entry(self, key: tuple) -> _Entry:
+        """``key``'s entry, most recently used; created if absent."""
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = _Entry()
+        else:
+            self._touch(key, entry)
+        return entry
+
     def put(self, key: tuple, trace: Trace) -> None:
-        """Cache ``trace``; the key's kept streams join its memo."""
+        """Cache ``trace`` in ``key``'s entry."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = self._entries[key] = _Entry()
-            else:
-                self._touch(key, entry)
-            for line_size, runs in entry.streams.items():
-                trace._cache[(_RUNS_MEMO, line_size)] = runs
+            entry = self._entry(key)
             entry.trace = trace
             self._charge(entry)
             self._evict()
 
     def line_runs(self, key: tuple, line_size: int) -> LineRuns | None:
-        """The stream kept for ``key`` at ``line_size``, if any."""
+        """The stream cached for ``key`` at ``line_size``, if any."""
         with self._lock:
             entry = self._entries.get(key)
             runs = None if entry is None else entry.streams.get(line_size)
@@ -200,27 +210,20 @@ class BoundedTraceCache:
                 self._touch(key, entry)
             return runs
 
-    def keep_streams(self, key: tuple) -> None:
-        """Keep the streams ``key``'s trace has encoded; drop the trace.
+    def put_line_runs(
+        self, key: tuple, line_size: int, runs: LineRuns
+    ) -> LineRuns:
+        """Cache ``runs`` as ``key``'s stream at ``line_size``.
 
-        The trace's columns are uncharged and no longer referenced by
-        the cache; its memoized line runs move to the entry, and with
-        them stay their line-order memos and miss masks.  An entry left
-        holding nothing is removed.
+        Returns the cached stream: ``runs``, or the one another thread
+        cached first, so a stream has one object while it is cached.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.trace is None:
-                return
-            for memo_key, value in list(entry.trace._cache.items()):
-                if isinstance(memo_key, tuple) and memo_key[0] == _RUNS_MEMO:
-                    entry.streams.setdefault(memo_key[1], value)
-            entry.trace = None
-            if entry.streams:
-                self._charge(entry)
-                self._evict()
-            else:
-                self._drop(key)
+            entry = self._entry(key)
+            runs = entry.streams.setdefault(line_size, runs)
+            self._charge(entry)
+            self._evict()
+            return runs
 
     def _evict(self) -> None:
         while len(self._entries) > self.max_entries or (
@@ -228,16 +231,21 @@ class BoundedTraceCache:
         ):
             self._drop(next(iter(self._entries)))
 
-    def discard(self, key: tuple) -> Trace | None:
-        """Drop one key's trace (if cached) and return it, uncharging its
-        bytes.  Streams kept for the key stay."""
+    def discard(self, key: tuple, keep_streams: bool = False) -> Trace | None:
+        """Drop one key's trace and return it (``None`` if not cached).
+
+        The key's streams go too, unless ``keep_streams`` is set now or
+        was set by an earlier discard: kept streams stay, charged to
+        the bounds, until eviction or :meth:`clear`.  An entry left
+        holding nothing is removed.
+        """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None or entry.trace is None:
+            if entry is None:
                 return None
-            trace = entry.trace
-            if entry.streams:
-                entry.trace = None
+            trace, entry.trace = entry.trace, None
+            entry.kept = entry.kept or keep_streams
+            if entry.kept and entry.streams:
                 self._charge(entry)
             else:
                 self._drop(key)
@@ -262,8 +270,8 @@ class BoundedTraceCache:
 
 
 _trace_cache = BoundedTraceCache(
-    max_entries=_env_int(TRACE_CACHE_ENTRIES_ENV, _DEFAULT_MAX_ENTRIES),
-    max_bytes=_env_int(TRACE_CACHE_BYTES_ENV, _DEFAULT_MAX_BYTES),
+    max_entries=_env_bound(TRACE_CACHE_ENTRIES_ENV, _DEFAULT_MAX_ENTRIES),
+    max_bytes=_env_bound(TRACE_CACHE_BYTES_ENV, _DEFAULT_MAX_BYTES),
 )
 
 
@@ -280,7 +288,8 @@ if hasattr(os, "register_at_fork"):
 _UNSET = object()
 _disk_cache = _UNSET
 
-#: Trace-cache outcome events, fired once per :func:`get_trace` call.
+#: Trace-cache outcome events, fired once per :func:`get_trace` or
+#: :func:`get_line_runs` call.
 TRACE_CACHE_MEMORY_HIT = "memory-hit"
 TRACE_CACHE_DISK_HIT = "disk-hit"
 TRACE_CACHE_SYNTHESIZED = "synthesized"
@@ -402,57 +411,32 @@ def get_line_runs(
 ) -> LineRuns:
     """The RLE instruction-fetch stream of one workload at one line size.
 
-    Memoized at three levels: the streams kept for the trace key (see
-    :func:`keep_line_runs`) answer first, without the trace, as a
-    memory hit; then the trace's own memo (in memory, shared by every
-    sweep over the same trace object); and — when the disk layer is
-    active — a persistent artifact next to the owning trace, so a warm
-    rerun skips both synthesis and re-encoding.  Kept streams rejoin
-    the memo of a reloaded trace, so each (trace key, line size) has
-    one :class:`LineRuns` object per process while it stays cached.
+    Answered, in order, from the trace key's cached stream (a memory
+    hit); the disk layer's persisted stream (a disk hit, without
+    loading the trace); or the trace (:func:`get_trace`), encoded here
+    and persisted.  The stream is then cached in the key's entry, the
+    one memo of it in the process.
     """
     key = (name, os_name, n_instructions, seed)
     runs = _trace_cache.line_runs(key, line_size)
     if runs is not None:
         _notify_cache(TRACE_CACHE_MEMORY_HIT)
         return runs
-    trace = get_trace(name, os_name, n_instructions, seed)
-    memo_key = (_RUNS_MEMO, line_size)
-    runs = trace._cache.get(memo_key)
-    if runs is not None:
-        return runs
-    backend = trace_cache_backend()
     params = get_workload(name, os_name)
-    runs = None
+    backend = trace_cache_backend()
     if backend is not None:
         with timing.phase(timing.PHASE_TRACE_LOAD):
             runs = backend.load_line_runs(params, n_instructions, seed, line_size)
-    if runs is None:
-        runs = trace.ifetch_line_runs(line_size)
+    if runs is not None:
+        _notify_cache(TRACE_CACHE_DISK_HIT)
+    else:
+        trace = get_trace(name, os_name, n_instructions, seed)
+        runs = rle.to_line_runs(trace.ifetch_addresses(), line_size)
         if backend is not None:
             _persist(
                 backend.store_line_runs, runs, params, n_instructions, seed
             )
-    else:
-        trace._cache[memo_key] = runs
-    return runs
-
-
-def keep_line_runs(
-    name: str, os_name: str, n_instructions: int, seed: int
-) -> None:
-    """Keep one trace's encoded line-run streams; drop its columns.
-
-    The streams the cached trace has encoded stay in the in-memory
-    cache, charged to its bounds, and :func:`get_line_runs` answers
-    them without the trace; their line-order memos and miss masks stay
-    with them.  The trace leaves the cache (it is freed once no caller
-    holds it).  Evicting the entry later drops the streams, and their
-    memos and masks follow through the finalizers of
-    :func:`repro.caches.vectorized.line_order_cache`.  A trace that is
-    not cached, or has encoded no stream, keeps nothing.
-    """
-    _trace_cache.keep_streams((name, os_name, n_instructions, seed))
+    return _trace_cache.put_line_runs(key, line_size, runs)
 
 
 def configure_trace_cache(
@@ -470,7 +454,7 @@ def trace_cache_stats() -> dict[str, int]:
 
     ``entries``/``resident_bytes`` count the traces held and their
     columns; ``stream_entries``/``stream_bytes`` the trace keys with
-    kept line-run streams and those streams' columns.  ``max_entries``
+    line-run streams and those streams' columns.  ``max_entries``
     bounds the trace keys held (each once, whatever it holds) and
     ``max_bytes`` the sum of both byte counts.
     """
@@ -482,20 +466,28 @@ def trace_cache_stats() -> dict[str, int]:
 
 
 def discard_trace(
-    name: str, os_name: str, n_instructions: int, seed: int
+    name: str,
+    os_name: str,
+    n_instructions: int,
+    seed: int,
+    keep_streams: bool = False,
 ) -> None:
-    """Drop one trace from the in-memory cache.
+    """Drop one trace from the in-memory cache, with its streams.
 
-    Once no caller holds the trace, its memoized line runs go with it,
-    and their line-order memos and miss masks follow through the
-    finalizers of :func:`repro.caches.vectorized.line_order_cache`.
-    Streams kept for the trace (:func:`keep_line_runs`) stay, and the
-    disk layer is untouched.
+    Once no caller holds them, the streams' line-order memos and miss
+    masks follow through the finalizers of
+    :func:`repro.caches.vectorized.line_order_cache`.  With
+    ``keep_streams`` (or after an earlier call with it) the streams
+    stay, charged to the bounds, and :func:`get_line_runs` answers them
+    without the trace; evicting the entry later drops them.  The disk
+    layer is untouched.
     """
-    _trace_cache.discard((name, os_name, n_instructions, seed))
+    _trace_cache.discard(
+        (name, os_name, n_instructions, seed), keep_streams
+    )
 
 
 def clear_trace_cache() -> None:
-    """Drop all cached traces and kept streams (tests use this to bound
+    """Drop all cached traces and streams (tests use this to bound
     memory)."""
     _trace_cache.clear()

@@ -24,7 +24,11 @@ from repro.service.store import ResultStore
 from repro.workloads import registry
 
 N = 20_000
+#: A fetch sweep: it reads only line-run streams, so over a warm cache
+#: it loads no trace.
 EXPERIMENT = "table5"
+#: A machine-model table: it reads every trace's columns.
+TRACE_EXPERIMENT = "table3"
 
 
 @pytest.fixture(autouse=True)
@@ -39,11 +43,11 @@ def _isolated_backend(monkeypatch):
     registry.clear_trace_cache()
 
 
-def _render(cache_dir, capsys) -> str:
-    """One cold-process run of the experiment over ``cache_dir``."""
+def _render(cache_dir, capsys, experiment=EXPERIMENT) -> str:
+    """One cold-process run of ``experiment`` over ``cache_dir``."""
     registry.clear_trace_cache()
     argv = ["--instructions", str(N), "--cache-dir", str(cache_dir)]
-    assert main(argv + ["experiment", EXPERIMENT]) == 0
+    assert main(argv + ["experiment", experiment]) == 0
     return capsys.readouterr().out
 
 
@@ -76,28 +80,37 @@ def _flip_line_runs_byte(entry):
     _flip_byte(path, os.path.getsize(path) // 2)
 
 
+#: Each fault, with the namespace it hits and an experiment that reads
+#: that namespace's entries.
 TRACE_FAULTS = [
-    pytest.param("traces", _flip_column_byte, id="flipped-column-byte"),
-    pytest.param("traces", _truncate_column, id="truncated-column"),
-    pytest.param("traces", _remove_digest, id="no-digest"),
-    pytest.param("lineruns", _flip_line_runs_byte, id="flipped-runs-byte"),
+    pytest.param(
+        "traces", _flip_column_byte, TRACE_EXPERIMENT,
+        id="flipped-column-byte",
+    ),
+    pytest.param(
+        "traces", _truncate_column, TRACE_EXPERIMENT, id="truncated-column"
+    ),
+    pytest.param("traces", _remove_digest, TRACE_EXPERIMENT, id="no-digest"),
+    pytest.param(
+        "lineruns", _flip_line_runs_byte, EXPERIMENT, id="flipped-runs-byte"
+    ),
 ]
 
 
 class TestTraceCacheFaults:
-    @pytest.mark.parametrize("namespace, fault", TRACE_FAULTS)
+    @pytest.mark.parametrize("namespace, fault, experiment", TRACE_FAULTS)
     def test_fault_is_a_counted_miss_and_recomputed(
-        self, tmp_path, capsys, namespace, fault
+        self, tmp_path, capsys, namespace, fault, experiment
     ):
         cache_dir = tmp_path / "cache"
-        unfaulted = _render(cache_dir, capsys)
+        unfaulted = _render(cache_dir, capsys, experiment)
         store = EntryStore(cache_dir / namespace)
         victim = store.names()[0]
         fault(store.path(victim))
         events = []
         registry.add_trace_cache_observer(events.append)
         try:
-            assert _render(cache_dir, capsys) == unfaulted
+            assert _render(cache_dir, capsys, experiment) == unfaulted
         finally:
             registry.remove_trace_cache_observer(events.append)
         backend = registry.trace_cache_backend()

@@ -467,38 +467,50 @@ class TestPhases:
 
 
 class TestFetchCellCoverage:
-    """Fetch-sweep cells read only inputs the plan primed for them.
+    """Sweep cells read only inputs the plan primed for them.
 
     :func:`~repro.experiments.common.fetch_cells` derives each cell's
     streams and mask families from its points.  If it under-declares,
-    the cell encodes a stream or builds an LRU miss mask itself: the
-    answer is the same, but the work is neither shared nor freed with
-    its phase.  Prefetch kernels also build an install-aware mask per
-    depth, which is not a plan input and is not counted here.  Each
-    sweep is also checked alone, where no other experiment's
-    declarations can hide a missing one.
+    the cell encodes a stream, builds an LRU miss mask, or loads a
+    trace itself: the answer is the same, but the work is neither
+    shared nor freed with its phase.  A fetch cell reads streams only,
+    so it loads no trace at all.  Prefetch kernels also build an
+    install-aware mask per depth, which is not a plan input and is not
+    counted here.  Each sweep is also checked alone, where no other
+    experiment's declarations can hide a missing one.
     """
 
-    def _unprimed(self, monkeypatch, modules):
-        """Run ``modules`` as a report; return what fetch cells built."""
+    def _unprimed(self, monkeypatch, modules, watched=None):
+        """Run ``modules`` as a report; return what watched cells built.
+
+        ``watched`` is the cell function to watch (default: the fetch
+        evaluator).  Every ``repro`` module's binding of the encoder
+        and of ``get_trace`` is wrapped, so a name imported with
+        ``from`` is counted too.
+        """
+        import sys
+
         from repro.caches import vectorized
         from repro.caches.vectorized import LineOrderCache
         from repro.experiments.common import trace_fetch_cpi
         from repro.runner import pool
         from repro.trace import rle
+        from repro.workloads import registry
 
-        running: list = []  # the fetch cell executing, or None
-        fetch_keys: list = []
+        watched = watched or trace_fetch_cpi
+        running: list = []  # the watched cell executing, or None
+        watched_keys: list = []
         unprimed: list = []
         execute = pool._execute_cell
         encode = rle.to_line_runs
+        load = registry.get_trace
         bounded = LineOrderCache._bounded_masks
         direct = vectorized.miss_mask_direct_mapped
 
         def cell(key, fn, args):
-            if fn is trace_fetch_cpi:
-                fetch_keys.append(key)
-            running.append(key if fn is trace_fetch_cpi else None)
+            if fn is watched:
+                watched_keys.append(key)
+            running.append(key if fn is watched else None)
             try:
                 return execute(key, fn, args)
             finally:
@@ -512,6 +524,10 @@ class TestFetchCellCoverage:
             noting(("stream", line_size))
             return encode(addresses, line_size)
 
+        def loading(name, *args):
+            noting(("trace", name))
+            return load(name, *args)
+
         def masking(cache, n_sets, bounds):
             noting(("lru-mask", n_sets, tuple(bounds)))
             return bounded(cache, n_sets, bounds)
@@ -520,18 +536,25 @@ class TestFetchCellCoverage:
             noting(("direct-mapped-mask", n_sets))
             return direct(lines, n_sets)
 
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "repro":
+                continue
+            for original, wrapper in ((encode, encoding), (load, loading)):
+                for attr in ("to_line_runs", "get_trace"):
+                    if vars(module).get(attr) is original:
+                        monkeypatch.setattr(module, attr, wrapper)
         monkeypatch.setattr(pool, "_execute_cell", cell)
-        monkeypatch.setattr(rle, "to_line_runs", encoding)
         monkeypatch.setattr(LineOrderCache, "_bounded_masks", masking)
         monkeypatch.setattr(
             vectorized, "miss_mask_direct_mapped", direct_masking
         )
         clear_trace_cache()
         run_report(modules, SETTINGS, jobs=1)
-        assert fetch_keys
+        assert watched_keys
         return unprimed
 
     def test_report_fetch_cells_encode_and_mask_nothing(self, monkeypatch):
+        # Nor do they load a trace.
         assert self._unprimed(monkeypatch, dict(ALL_EXPERIMENTS)) == []
 
     @pytest.mark.parametrize("name", ["table6", "table7"])
@@ -542,6 +565,18 @@ class TestFetchCellCoverage:
         modules = {name: dict(ALL_EXPERIMENTS)[name]}
         assert self._unprimed(monkeypatch, modules) == []
 
+    def test_figure5_alone_encodes_nothing(self, monkeypatch):
+        # Its cells read the 32-byte stream the fetch sweeps share.  The
+        # masks of its trials' page-mapped streams are private to the
+        # cell, so only encodings and trace loads count here.
+        from repro.experiments import figure5
+
+        unprimed = self._unprimed(
+            monkeypatch, {"figure5": figure5}, figure5._sweep_workload
+        )
+        assert [
+            what for what in unprimed if what[1] in ("stream", "trace")
+        ] == []
 
 class TestGoldenEquivalence:
     """Plan-executed output must match the pinned golden renderings.
@@ -630,6 +665,32 @@ class TestSchedulerGroupCells:
         # geometries to the one cell.
         assert first.streams
         assert first.masks
+
+    def test_repeated_point_evaluates_once(self):
+        # `repro warm --config economy --config economy` repeats every
+        # point; the group cell sweeps it once and both requests get
+        # its payload.
+        from repro.service.scheduler import (
+            EvaluateRequest,
+            evaluate_group_cells,
+            evaluate_payloads,
+        )
+
+        request = EvaluateRequest(
+            workload="groff", os_name="mach3",
+            config_name="economy", mechanism="demand",
+            settings=SETTINGS,
+        )
+        groups, [cell] = evaluate_group_cells([request, request])
+        assert [point.key for point in cell.args[2]] == [
+            ("economy", "demand")
+        ]
+        payloads = dict(evaluate_payloads(
+            [request, request], groups, [cell.fn(*cell.args)]
+        ))
+        assert list(payloads) == [0, 1]
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["metrics"]["cpi_instr"] > 0
 
     def test_group_cell_masks_match_point_derivation(self):
         from repro.service.scheduler import (

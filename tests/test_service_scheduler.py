@@ -428,18 +428,34 @@ _LATER_POINTS = (
     ("economy", "markov"),
 )
 
-#: Prints ``_evaluate_group_cell``'s payloads for gcc at every
-#: :data:`_LATER_POINTS` point, per engine, from a fresh interpreter.
+#: Prints the evaluate payloads for gcc at every :data:`_LATER_POINTS`
+#: point, per engine, from a fresh interpreter: the group cells of
+#: ``evaluate_group_cells`` called directly (no plan, no priming, no
+#: kept streams), formatted by ``evaluate_payloads``.
 _COLD_PAYLOADS = """
 import json, sys
-from repro.service.scheduler import _evaluate_group_cell
+from repro.experiments.settings import ExperimentSettings
+from repro.service.scheduler import (
+    EvaluateRequest, evaluate_group_cells, evaluate_payloads,
+)
 points = tuple(tuple(point) for point in json.loads(sys.argv[1]))
-print(json.dumps({
-    engine: _evaluate_group_cell(
-        "gcc", "mach3", engine, points, 20_000, 0, float(sys.argv[2])
+payloads = {}
+for engine in ("auto", "reference"):
+    settings = ExperimentSettings(
+        n_instructions=20_000, seed=0,
+        warmup_fraction=float(sys.argv[2]), engine=engine,
     )
-    for engine in ("auto", "reference")
-}))
+    requests = [
+        EvaluateRequest("gcc", "mach3", config, mechanism, settings)
+        for config, mechanism in points
+    ]
+    groups, cells = evaluate_group_cells(requests)
+    results = [cell.fn(*cell.args) for cell in cells]
+    payloads[engine] = [
+        payload
+        for _, payload in evaluate_payloads(requests, groups, results)
+    ]
+print(json.dumps(payloads))
 """
 
 

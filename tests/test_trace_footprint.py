@@ -55,7 +55,8 @@ def report_run():
     Every phase frees its trace once its cells have run, so the cache
     is empty afterwards.  The report therefore runs with
     :meth:`BoundedTraceCache.discard` wrapped to keep each released
-    trace and record the line-order memo keys live at that moment, with
+    trace and its streams and record the line-order memo keys live at
+    that moment, with
     :meth:`BoundedTraceCache.put` wrapped to record how many traces
     the cache held at once, and with
     :meth:`LineOrderCache.stack_distances` wrapped to record its calls
@@ -63,7 +64,7 @@ def report_run():
     Tapeworm trials, whose memos die before any test looks).
     """
     record = SimpleNamespace(
-        traces=[], memo_keys=set(), distance_calls=[], held=[],
+        traces=[], streams=[], memo_keys=set(), distance_calls=[], held=[],
         stored=[], synthesized=0,
     )
     saved = registry._disk_cache
@@ -78,13 +79,15 @@ def report_run():
         record.distance_calls.append(n_sets)
         return exact(self, n_sets)
 
-    def releasing(self, key):
+    def releasing(self, key, keep_streams=False):
         record.memo_keys.update(
             memo_key
             for cache in list(vectorized._order_caches.values())
             for memo_key in cache._memo
         )
-        trace = discard(self, key)
+        if key in self._entries:
+            record.streams.extend(self._entries[key].streams.values())
+        trace = discard(self, key, keep_streams)
         if trace is not None:
             record.traces.append(trace)
         return trace
@@ -209,14 +212,10 @@ def test_no_trace_memoizes_its_fetch_addresses(report_traces):
         )
 
 
-def test_memoized_line_runs_hold_13_bytes_per_run(report_traces):
-    memoized = [
-        value
-        for trace in report_traces
-        for value in trace._cache.values()
-        if isinstance(value, LineRuns)
-    ]
+def test_memoized_line_runs_hold_13_bytes_per_run(report_run):
+    memoized = report_run.streams
     assert memoized
+    assert all(isinstance(runs, LineRuns) for runs in memoized)
     for runs in memoized:
         held = runs.lines.nbytes + runs.counts.nbytes + runs.first_offsets.nbytes
         assert held == 13 * len(runs), runs.line_size

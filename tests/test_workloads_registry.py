@@ -201,11 +201,11 @@ class TestBoundedCache:
 class TestKeptStreams:
     """A trace's kept line-run streams outlive its columns."""
 
-    def test_kept_streams_rejoin_a_reloaded_trace(self):
+    def test_kept_streams_rejoin_a_reloaded_trace(self, monkeypatch):
+        from repro.trace import rle
         from repro.workloads.registry import (
             discard_trace,
             get_line_runs,
-            keep_line_runs,
             trace_cache_stats,
         )
 
@@ -213,7 +213,7 @@ class TestKeptStreams:
         try:
             clear_trace_cache()
             runs = get_line_runs(*key, 32)
-            keep_line_runs(*key)
+            discard_trace(*key, keep_streams=True)
             stats = trace_cache_stats()
             assert (stats["entries"], stats["resident_bytes"]) == (0, 0)
             assert stats["stream_entries"] == 1
@@ -222,10 +222,16 @@ class TestKeptStreams:
                 + runs.first_offsets.nbytes
             )
             assert get_line_runs(*key, 32) is runs
-            # A reloaded trace takes the kept stream into its memo, so
-            # the stream is never encoded twice.
-            trace = get_trace(*key[:3], seed=key[3])
-            assert trace.ifetch_line_runs(32) is runs
+            # A reloaded trace shares the kept stream, so the stream is
+            # never encoded twice.
+            encoded = []
+            monkeypatch.setattr(
+                rle, "to_line_runs",
+                lambda *args: encoded.append(args) or None,
+            )
+            get_trace(*key[:3], seed=key[3])
+            assert get_line_runs(*key, 32) is runs
+            assert encoded == []
             assert trace_cache_stats()["entries"] == 1
             # Releasing the trace leaves the kept stream.
             discard_trace(*key)
@@ -236,13 +242,14 @@ class TestKeptStreams:
             clear_trace_cache()
 
     def test_keeping_an_unencoded_trace_keeps_nothing(self):
-        from repro.workloads.registry import keep_line_runs, trace_cache_stats
+        from repro.workloads.registry import discard_trace, trace_cache_stats
 
         try:
             clear_trace_cache()
             get_trace("gcc", "mach3", 10_000, seed=54)
-            keep_line_runs("gcc", "mach3", 10_000, 54)
-            keep_line_runs("groff", "mach3", 10_000, 54)  # absent: no-op
+            discard_trace("gcc", "mach3", 10_000, 54, keep_streams=True)
+            # absent: no-op
+            discard_trace("groff", "mach3", 10_000, 54, keep_streams=True)
             stats = trace_cache_stats()
             assert (stats["entries"], stats["stream_entries"]) == (0, 0)
             assert stats["resident_bytes"] == stats["stream_bytes"] == 0
@@ -258,31 +265,33 @@ class TestKeptStreams:
 
         import numpy as np
 
+        from repro.trace.rle import to_line_runs
         from repro.trace.trace import Trace
         from repro.workloads.registry import BoundedTraceCache
 
         cache = BoundedTraceCache(max_entries=3, max_bytes=1 << 30)
-        traces = []
+        traces, streams = [], []
         for index in range(5):
             addresses = np.arange(256, dtype=np.uint64) * 4 + index * 8192
             zeros = np.zeros(256, dtype=np.uint8)  # instruction fetches
-            trace = Trace(addresses, zeros, zeros)
-            trace.ifetch_line_runs(32)
-            traces.append(trace)
+            traces.append(Trace(addresses, zeros, zeros))
+            streams.append(to_line_runs(addresses, 32))
 
         def work(seed):
             rng = random.Random(seed)
             for _ in range(3000):
                 index = rng.randrange(len(traces))
                 key = ("w", index)
-                op = rng.randrange(5)
+                op = rng.randrange(6)
                 if op == 0:
                     cache.put(key, traces[index])
                 elif op == 1:
-                    cache.keep_streams(key)
+                    cache.put_line_runs(key, 32, streams[index])
                 elif op == 2:
-                    cache.discard(key)
+                    cache.discard(key, keep_streams=True)
                 elif op == 3:
+                    cache.discard(key)
+                elif op == 4:
                     cache.get(key)
                 else:
                     cache.line_runs(key, 32)
@@ -315,3 +324,109 @@ class TestKeptStreams:
         assert (cache.trace_bytes, cache.stream_bytes) == (
             trace_bytes, stream_bytes
         )
+
+
+class TestStreamBeforeTrace:
+    """A persisted stream answers without its trace."""
+
+    #: Counts the disk layer's loads for one ``get_line_runs`` call.
+    _FRESH_READ = """
+import json, sys
+from repro.runner.cache import TraceDiskCache
+from repro.workloads import registry
+
+calls = []
+load, load_line_runs = TraceDiskCache.load, TraceDiskCache.load_line_runs
+
+def counted_load(self, *args):
+    calls.append("trace load")
+    return load(self, *args)
+
+def counted_load_line_runs(self, *args):
+    calls.append("line-runs load")
+    return load_line_runs(self, *args)
+
+TraceDiskCache.load = counted_load
+TraceDiskCache.load_line_runs = counted_load_line_runs
+registry.set_trace_cache_backend(TraceDiskCache(sys.argv[1]))
+runs = registry.get_line_runs("gcc", "mach3", 20_000, 0, 32)
+print(json.dumps({"calls": calls, "runs": len(runs)}))
+"""
+
+    def test_fresh_process_reads_the_stream_not_the_trace(self, tmp_path):
+        import json
+        import os
+        import subprocess
+        import sys
+
+        from repro.runner.cache import TraceDiskCache
+        from repro.workloads import registry
+
+        saved = registry._disk_cache
+        registry.set_trace_cache_backend(TraceDiskCache(tmp_path))
+        try:
+            clear_trace_cache()
+            runs = registry.get_line_runs("gcc", "mach3", 20_000, 0, 32)
+        finally:
+            registry.set_trace_cache_backend(saved)
+            clear_trace_cache()
+        env = dict(os.environ, PYTHONPATH="src")
+        env.pop("REPRO_CACHE_DIR", None)
+        fresh = subprocess.run(
+            [sys.executable, "-c", self._FRESH_READ, str(tmp_path)],
+            capture_output=True, text=True, check=True, env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert json.loads(fresh.stdout) == {
+            "calls": ["line-runs load"], "runs": len(runs),
+        }
+
+
+class TestCacheBoundSettings:
+    """The environment's cache bounds are positive integers or errors."""
+
+    @pytest.mark.parametrize(
+        "name,raw",
+        [
+            ("REPRO_TRACE_CACHE_ENTRIES", "0"),
+            ("REPRO_TRACE_CACHE_ENTRIES", "many"),
+            ("REPRO_TRACE_CACHE_BYTES", "-1"),
+            ("REPRO_TRACE_CACHE_BYTES", "2GB"),
+        ],
+    )
+    def test_bad_bound_names_the_variable(self, monkeypatch, name, raw):
+        from repro.workloads.registry import _env_bound
+
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError) as caught:
+            _env_bound(name, 64)
+        assert name in str(caught.value)
+        assert repr(raw) in str(caught.value)
+
+    def test_good_and_unset_bounds(self, monkeypatch):
+        from repro.workloads.registry import _env_bound
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE_ENTRIES", " 8 ")
+        assert _env_bound("REPRO_TRACE_CACHE_ENTRIES", 64) == 8
+        monkeypatch.delenv("REPRO_TRACE_CACHE_ENTRIES")
+        assert _env_bound("REPRO_TRACE_CACHE_ENTRIES", 64) == 64
+
+    def test_cli_rejects_a_zero_entry_bound(self):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(
+            os.environ, PYTHONPATH="src", REPRO_TRACE_CACHE_ENTRIES="0"
+        )
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "--instructions", "10000",
+                "--no-disk-cache", "experiment", "table5",
+            ],
+            capture_output=True, text=True, env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert run.returncode != 0
+        assert "REPRO_TRACE_CACHE_ENTRIES must be a positive integer, " \
+            "got '0'" in run.stderr
