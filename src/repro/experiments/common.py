@@ -11,6 +11,7 @@ decomposes into independently schedulable units is its ``plan_cells``
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,7 +33,7 @@ from repro.experiments.settings import (
 )
 from repro.monitor.hwcounters import DECSTATION_3100, HardwareMonitor
 from repro.plan import inputs as plan_inputs
-from repro.plan.ir import PlanCell
+from repro.plan.ir import MaskFamily, PlanCell
 from repro.trace.record import Component
 from repro.trace.stats import component_mix
 from repro.workloads.registry import (
@@ -85,7 +86,7 @@ def workload_cells(
     """One ``fn(name, os_name, settings)`` cell per (suite, workload).
 
     Keys are ``(suite, name, os_name)``; the only shared input is each
-    workload's trace (``fn`` walks the raw records itself).
+    workload's trace, whose columns ``fn`` reads itself.
     """
     return [
         PlanCell(
@@ -95,6 +96,7 @@ def workload_cells(
             traces=plan_inputs.workload_trace_keys(
                 [(name, os_name)], settings
             ),
+            columns=True,
         )
         for suite in suites
         for name, os_name in suite_workloads(suite)
@@ -214,6 +216,21 @@ def trace_fetch_cpi(
     return values
 
 
+@functools.lru_cache(maxsize=256)
+def _point_inputs(
+    points: tuple[FetchPoint, ...], engine: str
+) -> tuple[tuple[int, ...], tuple[MaskFamily, ...]]:
+    """The streams and mask families a sweep's points read.
+
+    Memoized, so every workload's cell of one column (and every cell
+    sweeping equal points) holds the same two tuples.
+    """
+    return (
+        plan_inputs.point_streams(points),
+        plan_inputs.mask_families(points, engine),
+    )
+
+
 def fetch_cell(
     key: tuple,
     name: str,
@@ -223,19 +240,21 @@ def fetch_cell(
 ) -> PlanCell:
     """One :func:`trace_fetch_cpi` cell: ``points`` on one workload.
 
-    The cell reads one trace's streams, and its streams and mask
-    families are derived from its points, so a caller declares each
-    design point once.  Two cells that sweep the same points on the
-    same workload have one identity, which a plan runs once.
+    The cell reads one trace's streams, not its columns, and its
+    streams and mask families are derived from its points (once per
+    distinct point tuple), so a caller declares each design point
+    once.  Two cells that sweep the same points on the same workload
+    have one identity, which a plan runs once.
     """
     points = tuple(points)
+    streams, masks = _point_inputs(points, settings.engine)
     return PlanCell(
         key=key,
         fn=trace_fetch_cpi,
         args=(name, os_name, points, settings),
         traces=plan_inputs.workload_trace_keys([(name, os_name)], settings),
-        streams=plan_inputs.point_streams(points),
-        masks=plan_inputs.mask_families(points, settings.engine),
+        streams=streams,
+        masks=masks,
     )
 
 

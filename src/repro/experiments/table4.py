@@ -152,7 +152,8 @@ def plan_cells(
 
     :func:`~repro.core.metrics.measure_mpi` is mask-based under every
     engine, so each cell shares its workload's trace, the 32-byte line
-    stream, and the reference cache's mask.
+    stream, and the reference cache's mask.  Only the Mach rows read
+    the trace's columns (for the component mix).
     """
     masks = (_reference_mask_family(),)
     cell_list = [
@@ -165,6 +166,7 @@ def plan_cells(
             ),
             streams=(REFERENCE_CACHE.line_size,),
             masks=masks,
+            columns=True,
         )
         for name in IBS_WORKLOADS
     ]

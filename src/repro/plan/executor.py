@@ -1,4 +1,4 @@
-"""The plan executor: run a plan one trace group at a time.
+"""The plan executor: run a plan one trace group at a time, in stages.
 
 One code path executes every compiled plan — ``repro experiment``,
 ``repro report``, ``repro warm``, and the service scheduler's evaluate
@@ -13,36 +13,42 @@ batches all land here:
    trace each.  A caller that keeps its inputs (the server's evaluate
    batches, whose registry is their cache across requests) runs the
    whole plan as one phase.
-3. For each phase, **prime** its shared inputs (traces, line-run
-   streams, miss-mask geometry families) exactly once, captured as
-   one ``plan-prime`` span carrying the phase index and input counts:
-   streams and mask families through
-   :func:`~repro.workloads.registry.get_line_runs` (one cheetah-style
-   :func:`~repro.plan.inputs.prime_miss_masks` call per (trace,
-   stream) covering the union of geometries the phase's cells
-   requested), which loads a trace through the registry (memory/disk
-   cache) only for a stream it neither holds nor finds persisted; a
-   trace without declared streams is loaded directly.  The spans' summed
-   rollups are the plan's ``prime_seconds`` and ``prime_phases``.
-   Then **execute** the phase's cells, and **release** its traces
-   from the registry's in-memory cache: no other phase reads them, so
-   their line runs, line-order memos and miss masks die with them
-   (through the memo finalizers).  A caller that keeps its inputs
-   releases only the traces' columns: their line-run streams stay in
-   the registry (:func:`~repro.workloads.registry.discard_trace` with
+3. **Walk** each phase in stages, so every input lives only from its
+   first reader to its last (:func:`_schedule`).  Cells that read
+   trace columns run first.  Then the phase's streams are encoded,
+   finest line size first, and the columns are dropped.  Then the
+   stream-only cells run, ordered by the finest line size each reads.
+   A trace is loaded, and a stream or miss-mask family primed, just
+   before the stage of its first reader — each exactly once, a mask
+   family with the union of the geometries its readers request (one
+   cheetah-style :func:`~repro.plan.inputs.prime_miss_masks` call).
+   Streams and masks are read through
+   :func:`~repro.workloads.registry.get_line_runs`, which loads a
+   trace through the registry (memory/disk cache) only for a stream
+   it neither holds nor finds persisted.  A stream is **released**
+   (:func:`~repro.workloads.registry.release_inputs`) right after its
+   last reader, and its line-order memo and miss masks die with it
+   (through the memo finalizers).  Each stage's primes and releases
+   are one ``plan-prime`` span carrying the phase, the stage and the
+   counts primed and released; the spans' summed rollups are the
+   plan's ``prime_seconds`` and ``prime_phases``.  A caller that
+   keeps its inputs releases only the traces' columns: their
+   line-run streams stay in the registry
+   (:func:`~repro.workloads.registry.discard_trace` with
    ``keep_streams``), and with them their line-order memos and miss
    masks.
 4. **Where.**  At ``--jobs 1`` the phases run in this process, one
-   after another, so it holds one phase's inputs at a time.  At
+   after another, so it holds at most one phase's inputs at a time.  At
    ``--jobs N`` one pool serves the whole plan: the phases go to it in
    plan order, and each worker primes, runs and releases one phase at
    a time, so this process primes nothing.  The workers' ``plan-prime``
    and cell spans are adopted into this process's run, and their
    dispatch counts folded into its totals.  A plan of one phase
-   (including a kept-inputs plan) primes here and fans its cells out
-   on :func:`~repro.runner.pool.run_cells`, so workers inherit every
-   warm memo copy-on-write.
-5. **Fan back** results in plan order and merge per experiment.
+   (including a kept-inputs plan) primes here and fans each stage's
+   cells out on :func:`~repro.runner.pool.run_cells`, so workers
+   inherit every warm memo copy-on-write.
+5. **Fan back** results and timings in plan order and merge per
+   experiment.
 
 Plan-level dedup counters (``cells_total``, ``inputs_shared``,
 ``inputs_primed``, ``phases``, ...) ride on the returned
@@ -53,6 +59,7 @@ Plan-level dedup counters (``cells_total``, ``inputs_shared``,
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import threading
@@ -77,7 +84,12 @@ from repro.plan.ir import (
 )
 from repro.runner.pool import resolve_jobs, run_cells, run_in_pool
 from repro.runner.timing import TimingReport
-from repro.workloads.registry import discard_trace, get_line_runs, get_trace
+from repro.workloads.registry import (
+    discard_trace,
+    get_line_runs,
+    get_trace,
+    release_inputs,
+)
 
 __all__ = [
     "add_plan_observer",
@@ -123,47 +135,160 @@ def _registry_key(key: TraceKey) -> tuple[str, str, int, int]:
     return key.workload, key.os_name, key.n_instructions, key.seed
 
 
-def _prime_inputs(inputs: PlanInputs) -> int:
-    """Prime every shared input once; returns the number primed.
+def _rank(cell: PlanCell) -> tuple[bool, int]:
+    """Where a cell runs in its phase: column readers first, then by
+    the finest line size it reads (none first)."""
+    return (
+        not (cell.traces and cell.columns),
+        min(cell.stream_sizes, default=0),
+    )
 
-    Order is deterministic (annotation insertion order) and layered:
-    traces, then their RLE streams, then the mask families over those
-    streams — each layer's work is a memo hit for the next.  Streams
-    and masks are read through
+
+@dataclasses.dataclass
+class _Step:
+    """One stage of a phase's walk: what is primed and released just
+    before its cells run, then the cells (indices into the phase's
+    cells, in run order).
+
+    In order: streams whose last reader ran in the previous stage are
+    released; traces are loaded for their first column reader; streams
+    are encoded, finest first; traces whose last column reader has run
+    lose their columns; mask families are primed for their first
+    reader.  ``primed`` and ``released`` count the inputs (a trace, a
+    stream, a mask family) primed and released here; a released
+    stream's mask families go with it.
+    """
+
+    cells: list[int] = dataclasses.field(default_factory=list)
+    release: list[tuple[TraceKey, int]] = dataclasses.field(
+        default_factory=list
+    )
+    loads: list[TraceKey] = dataclasses.field(default_factory=list)
+    streams: list[tuple[TraceKey, int]] = dataclasses.field(
+        default_factory=list
+    )
+    drop: list[TraceKey] = dataclasses.field(default_factory=list)
+    masks: list[tuple[TraceKey, int, int]] = dataclasses.field(
+        default_factory=list
+    )
+    primed: int = 0
+    released: int = 0
+
+
+def _schedule(cells: Sequence[PlanCell], keep: bool) -> list[_Step]:
+    """Order one phase's cells into stages and place every input's
+    prime and release.
+
+    Cells that read trace columns run first; the others follow.  Each
+    group is ordered by the finest line size its cells read (cells
+    that read no stream first; plan order breaks ties), and a stage
+    ends wherever that size changes.  So a column reader such as the
+    machine model runs before any stream is primed for the column
+    readers that need one.  A trace is loaded before its first column
+    reader and its columns are dropped after its last one.  A stream
+    is encoded before its first reader, or, when that reader comes
+    after the columns are dropped, just before the drop: it is the
+    last moment the stream can be encoded without loading the trace
+    again.  Each mask family is primed once, with the union of its
+    readers' shapes, before the stage of its first reader.  Unless
+    ``keep``, a stream is released right after its last reader, so a
+    stage ends there.  Returns one step per stage plus a last,
+    cell-less step that releases what the last stage read.
+    """
+    ranks = [_rank(cell) for cell in cells]
+    order = sorted(range(len(cells)), key=ranks.__getitem__)
+    trace_first: dict[TraceKey, int] = {}
+    column_first: dict[TraceKey, int] = {}
+    column_last: dict[TraceKey, int] = {}
+    stream_first: dict[tuple[TraceKey, int], int] = {}
+    stream_last: dict[tuple[TraceKey, int], int] = {}
+    mask_first: dict[tuple[TraceKey, int, int], int] = {}
+    for position, index in enumerate(order):
+        cell = cells[index]
+        for trace in cell.traces:
+            trace_first.setdefault(trace, position)
+            if cell.columns:
+                column_first.setdefault(trace, position)
+                column_last[trace] = position
+            for size in cell.stream_sizes:
+                stream_first.setdefault((trace, size), position)
+                stream_last[(trace, size)] = position
+            for family in cell.masks:
+                mask_first.setdefault(
+                    (trace, family.encode_line_size, family.mask_line_size),
+                    position,
+                )
+    cuts = {
+        position for position in range(1, len(order))
+        if ranks[order[position]] != ranks[order[position - 1]]
+    }
+    cuts.update(position + 1 for position in column_last.values())
+    if not keep:
+        cuts.update(position + 1 for position in stream_last.values())
+    bounds = [0, *sorted(c for c in cuts if 0 < c < len(order)), len(order)]
+    steps = [_Step(cells=order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    steps.append(_Step())
+
+    def stage(position: int) -> int:
+        return bisect.bisect_right(bounds, position) - 1
+
+    # A trace no cell reads columns of is "dropped" (it may have been
+    # loaded to encode a stream) before its first reader.
+    drop_at = {
+        trace: stage(column_last[trace]) + 1
+        if trace in column_last else stage(position)
+        for trace, position in trace_first.items()
+    }
+    for trace in trace_first:
+        if trace in column_first:
+            step = steps[stage(column_first[trace])]
+            step.loads.append(trace)
+        else:
+            step = steps[drop_at[trace]]
+        step.primed += 1
+        steps[drop_at[trace]].drop.append(trace)
+        steps[drop_at[trace]].released += 1
+    families = Counter((trace, encode) for trace, encode, _ in mask_first)
+    for stream in sorted(stream_first, key=lambda stream: stream[1]):
+        trace, _ = stream
+        step = steps[min(stage(stream_first[stream]), drop_at[trace])]
+        step.streams.append(stream)
+        step.primed += 1
+        if not keep:
+            step = steps[stage(stream_last[stream]) + 1]
+            step.release.append(stream)
+            step.released += 1 + families[stream]
+    for family, position in mask_first.items():
+        step = steps[stage(position)]
+        step.masks.append(family)
+        step.primed += 1
+    return steps
+
+
+def _prime_and_release(step: _Step, inputs: PlanInputs) -> None:
+    """Carry out one step's releases and primes, in :class:`_Step`
+    order.
+
+    Streams and masks are read through
     :func:`~repro.workloads.registry.get_line_runs`, which loads a
     trace only for a stream the registry neither holds nor finds
-    persisted; so a trace with declared streams is loaded through
-    them, and not at all when they are all held or persisted.
+    persisted.
     """
-    streamed = {trace_key for trace_key, _ in inputs.streams}
-    primed = 0
-    for key in inputs.traces:
-        if key not in streamed:
-            get_trace(*_registry_key(key))
-        primed += 1
-    for trace_key, line_size in inputs.streams:
-        get_line_runs(*_registry_key(trace_key), line_size)
-        primed += 1
-    for (trace_key, encode_size, mask_size), (shapes, _) in (
-        inputs.masks.items()
-    ):
+    for trace, size in step.release:
+        release_inputs(*_registry_key(trace), line_sizes=(size,))
+    for trace in step.loads:
+        get_trace(*_registry_key(trace))
+    for trace, size in step.streams:
+        get_line_runs(*_registry_key(trace), size)
+    for trace in step.drop:
+        release_inputs(*_registry_key(trace), columns=True)
+    for family in step.masks:
+        trace, encode_size, mask_size = family
+        shapes, _ = inputs.masks[family]
         prime_miss_masks(
-            functools.partial(get_line_runs, *_registry_key(trace_key)),
+            functools.partial(get_line_runs, *_registry_key(trace)),
             {(encode_size, mask_size): shapes},
         )
-        primed += 1
-    return primed
-
-
-def _release_traces(inputs: PlanInputs, keep: bool) -> None:
-    """Drop a phase's traces and streams from the registry's in-memory
-    cache.
-
-    With ``keep``, the streams stay cached, and with them their
-    line-order memos and miss masks.
-    """
-    for key in inputs.traces:
-        discard_trace(*_registry_key(key), keep_streams=keep)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,32 +302,48 @@ class _Phase:
 
 def _run_phase(
     phase: _Phase, jobs: int = 1, keep: bool = False
-) -> tuple[int, dict | None, list, list]:
-    """Prime one phase's inputs, run its cells, then free its traces
-    (with ``keep``, all but their line-run streams).
+) -> tuple[int, list[dict], list, list]:
+    """Walk one phase stage by stage (see :func:`_schedule`).
 
-    Returns the number of inputs primed, the ``plan-prime`` span's
-    rollup (``None`` when the phase declares no input), and the cells'
-    results and timings in cell order.
+    Each stage's primes and releases are one ``plan-prime`` span, and
+    its cells go to :func:`~repro.runner.pool.run_cells` together.
+    Whatever the phase still holds at the end (after a failed cell,
+    say) is dropped; with ``keep``, its traces' line-run streams stay.
+
+    Returns the number of inputs primed, the ``plan-prime`` spans'
+    rollups, and the cells' results and timings in cell order.
     """
     inputs = collect_inputs(phase.cells)
-    primed, prime = 0, None
+    primed, primes = 0, []
+    results: list = [None] * len(phase.cells)
+    timings: list = [None] * len(phase.cells)
     try:
-        if inputs.total:
-            with tracing.capture(
-                "plan-prime",
-                label=phase.label,
-                phase=phase.number,
-                traces=len(inputs.traces),
-                streams=len(inputs.streams),
-                masks=len(inputs.masks),
-            ) as records:
-                primed = _prime_inputs(inputs)
-            prime = span_rollup(records, records[-1])
-        results, timings = run_cells(phase.cells, jobs)
+        for number, step in enumerate(_schedule(phase.cells, keep)):
+            if step.primed or step.released:
+                with tracing.capture(
+                    "plan-prime",
+                    label=phase.label,
+                    phase=phase.number,
+                    stage=number,
+                    primed=step.primed,
+                    released=step.released,
+                ) as records:
+                    _prime_and_release(step, inputs)
+                primes.append(span_rollup(records, records[-1]))
+                primed += step.primed
+            if step.cells:
+                stage_results, stage_timings = run_cells(
+                    [phase.cells[index] for index in step.cells], jobs
+                )
+                for index, result, cell_timing in zip(
+                    step.cells, stage_results, stage_timings
+                ):
+                    results[index] = result
+                    timings[index] = cell_timing
     finally:
-        _release_traces(inputs, keep)
-    return primed, prime, results, timings
+        for trace in inputs.traces:
+            discard_trace(*_registry_key(trace), keep_streams=keep)
+    return primed, primes, results, timings
 
 
 def _run_phase_in_worker(phase: _Phase) -> tuple[tuple, list[dict]]:
@@ -215,7 +356,7 @@ def _run_phase_in_worker(phase: _Phase) -> tuple[tuple, list[dict]]:
 
 def _run_phases(
     phases: list[_Phase], jobs: int, keep_inputs: bool
-) -> list[tuple[int, dict | None, list, list]]:
+) -> list[tuple[int, list[dict], list, list]]:
     """Each phase's :func:`_run_phase` outcome, in phase order."""
     workers = min(resolve_jobs(jobs), len(phases))
     if workers <= 1:
@@ -254,10 +395,10 @@ def execute_cells(
 
     The returned :class:`TimingReport` carries the per-(unique-)cell
     timings plus the plan stats block; results are bit-identical to
-    running every cell individually with no priming.  Each phase's
-    traces leave the registry's in-memory cache after its last cell.
+    running every cell individually with no priming.  Each input
+    leaves the registry's in-memory cache after its last reader.
     ``keep_inputs`` runs the plan as one phase primed in this process
-    and then keeps the line-run streams its traces encoded (with their
+    and keeps the line-run streams its traces encoded (with their
     miss masks) in the registry, dropping only the traces' columns.
     """
     start = time.perf_counter()
@@ -284,9 +425,9 @@ def execute_cells(
     results_unique: list = [None] * len(unique)
     cell_timings: list = [None] * len(unique)
     outcomes = _run_phases(phases, jobs, keep_inputs)
-    for indices, (primed, prime, results, timings) in zip(members, outcomes):
+    for indices, (primed, primes, results, timings) in zip(members, outcomes):
         stats["inputs_primed"] += primed
-        if prime is not None:
+        for prime in primes:
             prime_seconds += prime["wall_seconds"]
             prime_phases.update(prime["phases"])
         for index, result, cell_timing in zip(indices, results, timings):
@@ -358,8 +499,8 @@ def run_report(
     Every module compiles into a single :class:`SweepPlan`, so shared
     inputs are primed once *across experiments* — one trace walk per
     (workload, stream) for the whole report — and identical cells
-    appearing in several experiments run once.  Each trace is freed
-    once the one phase that reads it has run.  Rendering happens in
+    appearing in several experiments run once.  Each input is freed
+    after its last reader.  Rendering happens in
     the parent, from each experiment's merged result.  Returns
     ``[(name, rendering), ...]`` in module order plus the timing
     report with the plan stats block.

@@ -14,6 +14,7 @@ scheduler's ``(config, mechanism)`` pairs satisfy.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable, Sequence
 
 from repro._util.bitops import ilog2
@@ -140,13 +141,26 @@ def point_streams(points: Sequence) -> tuple[int, ...]:
 def workload_trace_keys(
     pairs: Iterable[tuple[str, str]], settings
 ) -> tuple[TraceKey, ...]:
-    """Trace annotations for explicit ``(name, os)`` pairs."""
+    """Trace annotations for explicit ``(name, os)`` pairs.
+
+    Memoized, so every cell that reads the same traces holds the same
+    tuple of keys.
+    """
+    return _trace_keys(
+        tuple(pairs), settings.n_instructions, settings.seed
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _trace_keys(
+    pairs: tuple[tuple[str, str], ...], n_instructions: int, seed: int
+) -> tuple[TraceKey, ...]:
     return tuple(
         TraceKey(
             workload=name,
             os_name=os_name,
-            n_instructions=settings.n_instructions,
-            seed=settings.seed,
+            n_instructions=n_instructions,
+            seed=seed,
         )
         for name, os_name in pairs
     )
@@ -167,7 +181,8 @@ def run_cell(
     For experiments computed as one unit: ``fn(settings)`` runs inside
     one cell (keyed by the experiment name alone once compiled), and
     its shared inputs are declared — ``suites``/``workloads`` name the
-    traces, ``points`` derive mask families and stream sizes, and
+    traces (whose columns the cell may read), ``points`` derive mask
+    families and stream sizes, and
     explicit ``streams``/``masks`` cover reads no point describes.
     """
     pairs = [
@@ -186,5 +201,6 @@ def run_cell(
             traces=workload_trace_keys(pairs, settings),
             streams=tuple(sorted(set(stream_sizes))),
             masks=families,
+            columns=True,
         )
     ]

@@ -5,17 +5,24 @@ picklable function plus arguments (what
 :func:`~repro.runner.pool.run_cells` executes) and *declares* the
 shared inputs it will consume:
 
-* ``traces`` — the synthesized workload traces it reads;
+* ``traces`` — the synthesized workload traces it reads from (which
+  also groups cells into phases);
+* ``columns`` — whether it reads those traces' columns (the raw
+  records), or only streams and masks derived from them;
 * ``streams`` — the RLE line-run encodings (per trace, per line size);
 * ``masks`` — the miss-mask geometry families (per trace, per
   encode/mask line-size pair) its simulations look up.
 
 Annotations are a promise about *reads*, not a change to semantics:
-the executor groups cells by trace into phases, primes each phase's
-shared inputs once before its first cell runs, and frees them after
-its last, so the cells' own lazy computations hit warm memos.  An
-over-approximate annotation wastes a little priming work; an absent
-one only forfeits dedup.  Results are bit-identical either way.
+the executor groups cells by trace into phases and, within a phase,
+gives every input its own lifetime.  Each input is primed once, before
+its first reader runs, and released after its last reader: a trace's
+columns after its last column reader, a stream (with its line-order
+memo and masks) after its last stream reader.  The cells' own lazy
+computations therefore hit warm memos.  An over-approximate annotation
+wastes a little priming work or memory; an absent one only forfeits
+dedup (a cell that reads columns it does not declare finds them gone
+and loads the trace itself).  Results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -82,6 +89,7 @@ class PlanCell:
     traces: tuple[TraceKey, ...] = ()
     streams: tuple[int, ...] = ()
     masks: tuple[MaskFamily, ...] = ()
+    columns: bool = False
 
     def identity(self) -> tuple | None:
         """The dedup key: cells computing the same value share it.

@@ -29,8 +29,8 @@ warm tier and a live server, or several servers):
   ``<root>/.lock``, so two processes never tear the same victim, and
   an entry cannot be evicted mid-publish.
 
-Capacity is a byte budget (``REPRO_RESULT_STORE_BYTES``, default
-256 MB) enforced LRU: recency order rides on a
+Capacity is a byte budget (``REPRO_RESULT_STORE_BYTES``, a positive
+integer; default 256 MB) enforced LRU: recency order rides on a
 :class:`repro._util.lru.LruSet` in memory and is persisted via entry
 mtimes, so a restart resumes with the same eviction order.
 
@@ -54,6 +54,7 @@ except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None
 
 from repro._util.lru import LruSet
+from repro._util.validate import env_positive_int
 from repro.runner.entrystore import RESULTS, EntryStore
 
 #: Environment variable bounding the store's on-disk footprint.
@@ -107,11 +108,9 @@ class ResultStore:
         self._entries = EntryStore(root) if root else None
         self.root = self._entries.root if self._entries else None
         if max_bytes is None:
-            raw = os.environ.get(RESULT_STORE_BYTES_ENV, "").strip()
-            try:
-                max_bytes = int(raw) if raw else _DEFAULT_MAX_BYTES
-            except ValueError:
-                max_bytes = _DEFAULT_MAX_BYTES
+            max_bytes = env_positive_int(
+                RESULT_STORE_BYTES_ENV, _DEFAULT_MAX_BYTES
+            )
         if max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = max_bytes

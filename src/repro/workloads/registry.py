@@ -15,7 +15,9 @@ trace cache:
   :func:`discard_trace` drops an entry whole, or with
   ``keep_streams`` only its trace: a long-lived caller such as
   ``repro serve`` keeps the streams its evaluations read and drops the
-  trace's columns.  The entry and byte bounds cover both; and
+  trace's columns.  :func:`release_inputs` drops a trace's columns or
+  named streams one at a time, as the plan executor's readers of each
+  finish.  The entry and byte bounds cover both; and
 * an optional **persistent on-disk layer**
   (:class:`repro.runner.cache.TraceDiskCache`) so fresh processes —
   including the parallel sweep runner's workers — memory-map previously
@@ -31,10 +33,12 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro._util.validate import env_positive_int
 from repro.obs import tracing
 from repro.obs.logs import log_event
 from repro.runner import timing
@@ -59,20 +63,6 @@ TRACE_CACHE_BYTES_ENV = "REPRO_TRACE_CACHE_BYTES"
 
 _DEFAULT_MAX_ENTRIES = 64
 _DEFAULT_MAX_BYTES = 2 * 1024**3
-
-
-def _env_bound(name: str, default: int) -> int:
-    """A positive integer from environment variable ``name``, if set."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
-    return value
 
 
 def _file_backed(column: np.ndarray) -> bool:
@@ -231,6 +221,38 @@ class BoundedTraceCache:
         ):
             self._drop(next(iter(self._entries)))
 
+    def release(
+        self,
+        key: tuple,
+        *,
+        columns: bool = False,
+        line_sizes: Iterable[int] = (),
+    ) -> tuple[Trace | None, list[LineRuns]]:
+        """Drop one key's trace (``columns``) and/or named streams.
+
+        Returns what was dropped: the trace (``None`` if not asked for
+        or not cached) and the streams.  Streams of an entry whose
+        streams are kept (see :meth:`discard`) stay; this call never
+        sets that flag.  An entry left holding nothing is removed.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None, []
+            trace = None
+            if columns:
+                trace, entry.trace = entry.trace, None
+            dropped = [] if entry.kept else [
+                entry.streams.pop(size)
+                for size in line_sizes
+                if size in entry.streams
+            ]
+            if entry.trace is None and not entry.streams:
+                self._drop(key)
+            else:
+                self._charge(entry)
+            return trace, dropped
+
     def discard(self, key: tuple, keep_streams: bool = False) -> Trace | None:
         """Drop one key's trace and return it (``None`` if not cached).
 
@@ -243,12 +265,10 @@ class BoundedTraceCache:
             entry = self._entries.get(key)
             if entry is None:
                 return None
-            trace, entry.trace = entry.trace, None
             entry.kept = entry.kept or keep_streams
-            if entry.kept and entry.streams:
-                self._charge(entry)
-            else:
-                self._drop(key)
+            trace, _ = self.release(
+                key, columns=True, line_sizes=tuple(entry.streams)
+            )
             return trace
 
     def rebound(self, max_entries: int, max_bytes: int) -> None:
@@ -270,8 +290,10 @@ class BoundedTraceCache:
 
 
 _trace_cache = BoundedTraceCache(
-    max_entries=_env_bound(TRACE_CACHE_ENTRIES_ENV, _DEFAULT_MAX_ENTRIES),
-    max_bytes=_env_bound(TRACE_CACHE_BYTES_ENV, _DEFAULT_MAX_BYTES),
+    max_entries=env_positive_int(
+        TRACE_CACHE_ENTRIES_ENV, _DEFAULT_MAX_ENTRIES
+    ),
+    max_bytes=env_positive_int(TRACE_CACHE_BYTES_ENV, _DEFAULT_MAX_BYTES),
 )
 
 
@@ -484,6 +506,33 @@ def discard_trace(
     """
     _trace_cache.discard(
         (name, os_name, n_instructions, seed), keep_streams
+    )
+
+
+def release_inputs(
+    name: str,
+    os_name: str,
+    n_instructions: int,
+    seed: int,
+    *,
+    columns: bool = False,
+    line_sizes: Iterable[int] = (),
+) -> None:
+    """Drop one trace's columns and/or named streams from the in-memory
+    cache.
+
+    The plan executor calls this as each input's last reader finishes.
+    Unlike :func:`discard_trace` with ``keep_streams``, it never marks
+    the trace's streams as kept, and it leaves streams already kept
+    alone.  A released stream's line-order memo and miss masks follow
+    through the finalizers of
+    :func:`repro.caches.vectorized.line_order_cache`.  The disk layer
+    is untouched.
+    """
+    _trace_cache.release(
+        (name, os_name, n_instructions, seed),
+        columns=columns,
+        line_sizes=line_sizes,
     )
 
 

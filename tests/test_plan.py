@@ -15,6 +15,8 @@ The load-bearing invariants:
 """
 
 import threading
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -117,6 +119,28 @@ class TestCompile:
         )
         names = [experiment.name for experiment in plan.experiments]
         assert names == ["table5", "table4"]
+
+    def test_equal_points_share_one_set_of_annotations(self):
+        from repro.experiments.common import trace_fetch_cpi
+
+        cells = [
+            cell
+            for cell in compile_report(dict(ALL_EXPERIMENTS), SETTINGS).cells
+            if cell.fn is trace_fetch_cpi
+        ]
+        groups: dict = {}
+        for cell in cells:
+            groups.setdefault(cell.args[2], []).append(cell)
+        # Each column's workloads sweep one point tuple, so the
+        # annotations are derived once per column, not once per cell.
+        assert len(groups) < len(cells) / 5
+        for points, members in groups.items():
+            streams = plan_inputs.point_streams(points)
+            masks = plan_inputs.mask_families(points, SETTINGS.engine)
+            assert members[0].streams == streams
+            assert members[0].masks == masks
+            assert all(cell.streams is members[0].streams for cell in members)
+            assert all(cell.masks is members[0].masks for cell in members)
 
 
 class TestDedup:
@@ -378,10 +402,20 @@ class TestPhases:
             span["attrs"] for span in recorder.spans
             if span["name"] == "plan-prime"
         ]
-        assert [attrs["phase"] for attrs in primes] == list(
-            range(len(traces))
-        )
-        assert [attrs["traces"] for attrs in primes] == [1] * len(traces)
+        # One span per stage that primes or releases, phase by phase
+        # and stage by stage; each phase releases all it primed.
+        unique, _ = dedup_cells(compile_report(modules, SETTINGS).cells)
+        by_phase: dict = {}
+        for attrs in primes:
+            by_phase.setdefault(attrs["phase"], []).append(attrs)
+        assert sorted(by_phase) == list(range(len(traces)))
+        for number, members in enumerate(plan_phases(unique)):
+            spans = by_phase[number]
+            stages = [attrs["stage"] for attrs in spans]
+            assert stages == sorted(set(stages))
+            total = collect_inputs([unique[i] for i in members]).total
+            assert sum(attrs["primed"] for attrs in spans) == total
+            assert sum(attrs["released"] for attrs in spans) == total
         # Every cell span was adopted into this run, pool or not.
         cell_spans = [
             span for span in recorder.spans if span["name"] == "cell"
@@ -389,7 +423,6 @@ class TestPhases:
         assert len(cell_spans) == stats["cells_unique"]
         assert trace_cache_stats()["entries"] == 0
         # Timings stay aligned with the unique cells, in cell order.
-        unique, _ = dedup_cells(compile_report(modules, SETTINGS).cells)
         assert [cell.key for cell in report.cells] == [
             cell.key for cell in unique
         ]
@@ -577,6 +610,227 @@ class TestFetchCellCoverage:
         assert [
             what for what in unprimed if what[1] in ("stream", "trace")
         ] == []
+
+
+def _registry_key(trace: TraceKey) -> tuple:
+    return trace.workload, trace.os_name, trace.n_instructions, trace.seed
+
+
+@pytest.fixture(scope="class")
+def staged_report():
+    """A small-scale ``--jobs 1`` report, watched cell by cell.
+
+    Records, at every cell start, which traces' columns and which
+    streams the registry holds; every ``get_trace`` a cell makes for a
+    trace whose columns the registry does not hold; and every
+    synthesis and encoding.  Every ``repro`` module's binding of the
+    watched functions is wrapped, so a name imported with ``from`` is
+    counted too.
+    """
+    import sys
+
+    from repro.runner import pool
+    from repro.trace import rle
+    from repro.workloads import registry
+
+    record = SimpleNamespace(
+        started=[], held=[], late_loads=[], synthesized=Counter(),
+        encoded=0,
+    )
+    running: list = []
+    execute = pool._execute_cell
+
+    def cell(key, fn, args):
+        record.started.append(key)
+        record.held.append({
+            trace: (entry.trace is not None, frozenset(entry.streams))
+            for trace, entry in registry._trace_cache._entries.items()
+        })
+        running.append(key)
+        try:
+            return execute(key, fn, args)
+        finally:
+            running.pop()
+
+    def loading(name, os_name, n_instructions, seed):
+        entry = registry._trace_cache._entries.get(
+            (name, os_name, n_instructions, seed)
+        )
+        if running and (entry is None or entry.trace is None):
+            record.late_loads.append((running[-1], name, os_name))
+        return load(name, os_name, n_instructions, seed)
+
+    def encoding(addresses, line_size):
+        record.encoded += 1
+        return encode(addresses, line_size)
+
+    def synthesizing(params, n_instructions, seed=0):
+        record.synthesized[(params.name, params.os_name)] += 1
+        return synthesize(params, n_instructions, seed=seed)
+
+    load, encode = registry.get_trace, rle.to_line_runs
+    synthesize = registry.synthesize_trace
+    wrappers = {
+        "get_trace": (load, loading),
+        "to_line_runs": (encode, encoding),
+        "synthesize_trace": (synthesize, synthesizing),
+    }
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "repro":
+            continue
+        for attr, (original, wrapper) in wrappers.items():
+            if vars(module).get(attr) is original:
+                setattr(module, attr, wrapper)
+                patched.append((module, attr, original))
+    saved = registry._disk_cache
+    registry.set_trace_cache_backend(None)
+    pool._execute_cell = cell
+    clear_trace_cache()
+    try:
+        run_report(dict(ALL_EXPERIMENTS), SETTINGS, jobs=1)
+    finally:
+        pool._execute_cell = execute
+        for module, attr, original in patched:
+            setattr(module, attr, original)
+        registry._disk_cache = saved
+    record.unique, _ = dedup_cells(
+        compile_report(dict(ALL_EXPERIMENTS), SETTINGS).cells
+    )
+    yield record
+    clear_trace_cache()
+
+
+class TestStages:
+    """Within a phase, every input lives from its first reader to its
+    last.
+
+    The executor runs a phase's column readers first, then encodes its
+    streams and drops the trace's columns, then runs the stream-only
+    cells by their finest line size.  A stream a stream-only cell reads
+    first is encoded just before the columns go (the last moment it can
+    be encoded without loading the trace again); every other input is
+    primed for its first reader, and each is released after its last.
+    A cell that reads columns without declaring them finds them gone,
+    and is named here.
+    """
+
+    def test_inputs_live_from_first_reader_to_last(self, staged_report):
+        unique = staged_report.unique
+        by_key = {cell.key: cell for cell in unique}
+        phase_of = {}
+        for number, members in enumerate(plan_phases(unique)):
+            for index in members:
+                phase_of[unique[index].key] = number
+        position: dict = {}
+        first: dict = {}
+        last: dict = {}
+        column_last: dict = {}
+        started = Counter()
+        for key in staged_report.started:
+            at = position[key] = started[phase_of[key]]
+            started[phase_of[key]] += 1
+            cell = by_key[key]
+            for trace in cell.traces:
+                if cell.columns:
+                    column_last[trace] = at
+                for size in cell.stream_sizes:
+                    first.setdefault((trace, size), at)
+                    last[(trace, size)] = at
+        assert len(staged_report.started) == len(by_key)
+        assert set(position) == set(by_key)
+        wrong = []
+        for key, held in zip(staged_report.started, staged_report.held):
+            cell, at = by_key[key], position[key]
+            mine = {_registry_key(trace): trace for trace in cell.traces}
+            for registry_key, (columns, sizes) in held.items():
+                trace = mine.get(registry_key)
+                if trace is None:
+                    wrong.append((key, "holds another phase's", registry_key))
+                    continue
+                if columns and at > column_last.get(trace, -1):
+                    wrong.append((key, "columns after their last reader"))
+                for size in sizes:
+                    stream = (trace, size)
+                    if stream not in last or at > last[stream]:
+                        wrong.append((key, "stream after last reader", size))
+                    elif at < first[stream] and at <= column_last.get(
+                        trace, -1
+                    ):
+                        wrong.append((key, "stream before first reader", size))
+            for trace in cell.traces:
+                columns, sizes = held.get(_registry_key(trace), (False, ()))
+                if cell.columns and not columns:
+                    wrong.append((key, "columns not primed"))
+                missing = set(cell.stream_sizes) - set(sizes)
+                if missing:
+                    wrong.append((key, "streams not primed", sorted(missing)))
+        assert wrong == []
+
+    def test_each_trace_is_synthesized_and_each_stream_encoded_once(
+        self, staged_report
+    ):
+        from repro.experiments.common import machine_breakdown
+
+        inputs = collect_inputs(staged_report.unique)
+        assert staged_report.synthesized == Counter(
+            (trace.workload, trace.os_name) for trace in inputs.traces
+        )
+        # The machine model encodes its own fetch and load streams.
+        models = sum(
+            cell.fn is machine_breakdown for cell in staged_report.unique
+        )
+        assert models > 0
+        assert staged_report.encoded == len(inputs.streams) + 2 * models
+
+    def test_no_cell_reads_columns_after_they_are_dropped(
+        self, staged_report
+    ):
+        assert staged_report.started
+        assert staged_report.late_loads == []
+
+    def test_largest_phase_peak_is_a_small_multiple_of_its_inputs(self):
+        # Measured: 3.8x the bytes of the phase's trace columns and
+        # streams (gs's 87 cells at 20k instructions).  The walk this
+        # replaced held every input of the phase at once and peaked at
+        # 4.8x; the bound leaves 12% headroom.
+        import tracemalloc
+
+        from repro.workloads.registry import BoundedTraceCache
+
+        unique, _ = dedup_cells(
+            compile_report(dict(ALL_EXPERIMENTS), SETTINGS).cells
+        )
+        members = max(plan_phases(unique), key=len)
+        released = [0]
+        release = BoundedTraceCache.release
+
+        def releasing(self, key, **what):
+            trace, streams = release(self, key, **what)
+            if trace is not None:
+                released[0] += (
+                    trace.addresses.nbytes + trace.kinds.nbytes
+                    + trace.components.nbytes
+                )
+            released[0] += sum(
+                column.nbytes
+                for runs in streams
+                for column in (runs.lines, runs.counts, runs.first_offsets)
+            )
+            return trace, streams
+
+        clear_trace_cache()
+        BoundedTraceCache.release = releasing
+        tracemalloc.start()
+        try:
+            execute_cells([unique[index] for index in members], jobs=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            BoundedTraceCache.release = release
+        assert released[0] > 0
+        assert peak <= 4.25 * released[0], peak / released[0]
+
 
 class TestGoldenEquivalence:
     """Plan-executed output must match the pinned golden renderings.

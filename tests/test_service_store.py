@@ -136,7 +136,31 @@ class TestInventory:
         monkeypatch.setenv("REPRO_RESULT_STORE_BYTES", "12345")
         assert ResultStore(tmp_path / "r").max_bytes == 12345
         monkeypatch.setenv("REPRO_RESULT_STORE_BYTES", "junk")
-        assert ResultStore(tmp_path / "r").max_bytes > 12345
+        with pytest.raises(ValueError, match="REPRO_RESULT_STORE_BYTES"):
+            ResultStore(tmp_path / "r")
+
+
+class TestStoreBoundSetting:
+    """``REPRO_RESULT_STORE_BYTES`` is a positive integer or an error,
+    by the rule the trace-cache bounds follow."""
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "lots", "256MB"])
+    def test_bad_bound_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_RESULT_STORE_BYTES", raw)
+        with pytest.raises(ValueError) as caught:
+            ResultStore(None)
+        assert "REPRO_RESULT_STORE_BYTES" in str(caught.value)
+        assert repr(raw) in str(caught.value)
+
+    def test_good_and_unset_bounds(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_STORE_BYTES", " 4096 ")
+        assert ResultStore(None).max_bytes == 4096
+        monkeypatch.delenv("REPRO_RESULT_STORE_BYTES")
+        assert ResultStore(None).max_bytes == 256 * 1024**2
+
+    def test_explicit_budget_ignores_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_STORE_BYTES", "lots")
+        assert ResultStore(None, max_bytes=100).max_bytes == 100
 
 
 class TestCacheColocation:

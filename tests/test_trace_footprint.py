@@ -1,9 +1,10 @@
 """The memory footprint of instruction-fetch streams.
 
 A report runs one trace at a time: every report cell reads at most one
-trace, and each trace, with its line runs and miss masks, is primed
-before its first cell and freed after its last.  One trace and the
-width of its streams are therefore the report's resident memory.
+trace, and each of its inputs (the trace's columns, each line-run
+stream with its miss masks) is primed before its first reader and
+freed after its last.  One trace and the width of its streams are
+therefore the report's resident memory.
 These tests pin both.  At ``--jobs 1`` the in-memory trace cache never
 holds more than one trace, and each trace is synthesized once; at
 ``--jobs 2`` the pool workers prime every trace, so the parent reads
@@ -52,11 +53,11 @@ def report_run():
     """What a 5k-instruction ``--jobs 1`` report held, released and
     synthesized.
 
-    Every phase frees its trace once its cells have run, so the cache
-    is empty afterwards.  The report therefore runs with
-    :meth:`BoundedTraceCache.discard` wrapped to keep each released
-    trace and its streams and record the line-order memo keys live at
-    that moment, with
+    Every input is freed after its last reader, so the cache is empty
+    afterwards.  The report therefore runs with
+    :meth:`BoundedTraceCache.release` (which ``discard`` also goes
+    through) wrapped to keep each released trace and stream and record
+    the line-order memo keys live at that moment, with
     :meth:`BoundedTraceCache.put` wrapped to record how many traces
     the cache held at once, and with
     :meth:`LineOrderCache.stack_distances` wrapped to record its calls
@@ -72,25 +73,24 @@ def report_run():
     registry.clear_trace_cache()
     clear_order_caches()
     exact = LineOrderCache.stack_distances
-    discard = BoundedTraceCache.discard
+    release = BoundedTraceCache.release
     put = BoundedTraceCache.put
 
     def recorded(self, n_sets=1):
         record.distance_calls.append(n_sets)
         return exact(self, n_sets)
 
-    def releasing(self, key, keep_streams=False):
+    def releasing(self, key, **what):
         record.memo_keys.update(
             memo_key
             for cache in list(vectorized._order_caches.values())
             for memo_key in cache._memo
         )
-        if key in self._entries:
-            record.streams.extend(self._entries[key].streams.values())
-        trace = discard(self, key, keep_streams)
+        trace, streams = release(self, key, **what)
+        record.streams.extend(streams)
         if trace is not None:
             record.traces.append(trace)
-        return trace
+        return trace, streams
 
     def storing(self, key, trace):
         put(self, key, trace)
@@ -102,7 +102,7 @@ def report_run():
             record.synthesized += 1
 
     LineOrderCache.stack_distances = recorded
-    BoundedTraceCache.discard = releasing
+    BoundedTraceCache.release = releasing
     BoundedTraceCache.put = storing
     registry.add_trace_cache_observer(counted)
     try:
@@ -110,7 +110,7 @@ def report_run():
         record.left_cached = len(registry._trace_cache)
     finally:
         LineOrderCache.stack_distances = exact
-        BoundedTraceCache.discard = discard
+        BoundedTraceCache.release = release
         BoundedTraceCache.put = put
         registry.remove_trace_cache_observer(counted)
     yield record

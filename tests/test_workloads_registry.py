@@ -187,6 +187,46 @@ class TestBoundedCache:
         finally:
             clear_trace_cache()
 
+    def test_release_drops_columns_and_named_streams_apart(self):
+        from repro.workloads.registry import (
+            discard_trace,
+            get_line_runs,
+            release_inputs,
+            trace_cache_stats,
+        )
+
+        key = ("gcc", "mach3", 10_000, 55)
+        try:
+            clear_trace_cache()
+            runs = {size: get_line_runs(*key, size) for size in (16, 32)}
+            release_inputs(*key, columns=True)
+            stats = trace_cache_stats()
+            assert (stats["entries"], stats["resident_bytes"]) == (0, 0)
+            assert stats["stream_entries"] == 1
+            release_inputs(*key, line_sizes=(16,))
+            assert trace_cache_stats()["stream_bytes"] == sum(
+                column.nbytes
+                for column in (
+                    runs[32].lines, runs[32].counts, runs[32].first_offsets
+                )
+            )
+            assert get_line_runs(*key, 32) is runs[32]
+            # The last stream gone, the entry goes too.
+            release_inputs(*key, line_sizes=(32, 64))
+            assert trace_cache_stats()["stream_entries"] == 0
+            # Kept streams stay; releasing them never sets the flag.
+            kept = get_line_runs(*key, 32)
+            discard_trace(*key, keep_streams=True)
+            release_inputs(*key, line_sizes=(32,))
+            assert get_line_runs(*key, 32) is kept
+            other = ("groff", "mach3", 10_000, 55)
+            get_line_runs(*other, 32)
+            release_inputs(*other, columns=True)
+            release_inputs(*other, line_sizes=(32,))
+            assert trace_cache_stats()["stream_entries"] == 1
+        finally:
+            clear_trace_cache()
+
     def test_rejects_nonpositive_bounds(self):
         import pytest as _pytest
 
@@ -395,21 +435,21 @@ class TestCacheBoundSettings:
         ],
     )
     def test_bad_bound_names_the_variable(self, monkeypatch, name, raw):
-        from repro.workloads.registry import _env_bound
+        from repro._util.validate import env_positive_int
 
         monkeypatch.setenv(name, raw)
         with pytest.raises(ValueError) as caught:
-            _env_bound(name, 64)
+            env_positive_int(name, 64)
         assert name in str(caught.value)
         assert repr(raw) in str(caught.value)
 
     def test_good_and_unset_bounds(self, monkeypatch):
-        from repro.workloads.registry import _env_bound
+        from repro._util.validate import env_positive_int
 
         monkeypatch.setenv("REPRO_TRACE_CACHE_ENTRIES", " 8 ")
-        assert _env_bound("REPRO_TRACE_CACHE_ENTRIES", 64) == 8
+        assert env_positive_int("REPRO_TRACE_CACHE_ENTRIES", 64) == 8
         monkeypatch.delenv("REPRO_TRACE_CACHE_ENTRIES")
-        assert _env_bound("REPRO_TRACE_CACHE_ENTRIES", 64) == 64
+        assert env_positive_int("REPRO_TRACE_CACHE_ENTRIES", 64) == 64
 
     def test_cli_rejects_a_zero_entry_bound(self):
         import os
