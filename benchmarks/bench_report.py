@@ -118,8 +118,8 @@ def _pass_body(mode: str, n_instructions: int, seed: int, jobs: int) -> int:
     else:
         from repro.plan.executor import run_report
 
-        renderings, report = run_report(modules, settings, jobs=jobs)
-        plan_stats = report.plan
+        renderings, timing = run_report(modules, settings, jobs=jobs)
+        plan_stats = timing["plan"]
     seconds = time.perf_counter() - start
     digest = hashlib.sha256(
         "\n".join(rendering for _, rendering in renderings).encode()

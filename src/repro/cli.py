@@ -60,9 +60,14 @@ def _settings(args):
     )
 
 
-def _write_timing(args, report) -> None:
+def _write_timing(args, timing: dict) -> None:
+    """Write a plan run's timing, with its totals, to ``--timing-out``."""
     if getattr(args, "timing_out", None):
-        report.write(args.timing_out)
+        from repro.obs.export import timing_record
+
+        with open(args.timing_out, "w") as handle:
+            json.dump(timing_record(timing), handle, indent=2, sort_keys=True)
+            handle.write("\n")
         print(f"timing report written to {args.timing_out}", file=sys.stderr)
 
 
@@ -136,11 +141,11 @@ def _cmd_experiment(args) -> int:
     module = importlib.import_module(f"repro.experiments.{args.name}")
 
     def body() -> int:
-        result, report = run_experiment(
+        result, timing = run_experiment(
             module, _settings(args), jobs=args.jobs, label=args.name
         )
         print(result.render())
-        _write_timing(args, report)
+        _write_timing(args, timing)
         return 0
 
     return _run_traced(args, "experiment", args.name, body)
@@ -155,11 +160,11 @@ def _cmd_report(args) -> int:
     if args.extensions:
         registry.update(EXTENSION_EXPERIMENTS)
     def body() -> int:
-        renderings, report = run_report(registry, settings, jobs=args.jobs)
+        renderings, timing = run_report(registry, settings, jobs=args.jobs)
         for _, rendering in renderings:
             print(rendering)
             print()
-        _write_timing(args, report)
+        _write_timing(args, timing)
         return 0
 
     return _run_traced(args, "report", "report", body)
@@ -333,7 +338,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         store=store,
         jobs=args.jobs,
-        batch_window=args.batch_window,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue if args.max_queue >= 0 else None,
         drain_timeout=args.drain_timeout,
@@ -536,10 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8765)
-    p_serve.add_argument(
-        "--batch-window", type=float, default=0.0, metavar="SECONDS",
-        help="how long to hold compatible evaluate requests for batching",
-    )
     p_serve.add_argument(
         "--max-inflight", type=int, default=4, metavar="N",
         help="worker threads executing jobs concurrently",

@@ -6,10 +6,10 @@ is exactly how coverage regressions hide: a kernel that stops matching a
 sweep's shape quietly turns a numpy pass into a per-run Python loop and
 the only symptom is wall-clock.  This module counts every dispatch
 decision on the active span through
-:func:`repro.obs.tracing.on_dispatch`.  The ``--timing-out`` report's
-per-cell engine counts are rollups of those spans, and the serving tier
-derives its ``repro_engine_dispatch_total{mechanism,engine}`` counters
-from them.
+:func:`repro.obs.tracing.on_dispatch`.  Each cell's engine counts are
+the rollup of its span (:func:`repro.obs.export.span_rollup`), and the
+serving tier derives its ``repro_engine_dispatch_total{mechanism,engine}``
+counters from the same spans.
 
 Besides the spans, the module keeps process-lifetime :func:`totals`;
 worker-process counts are folded into the parent's totals through
@@ -78,14 +78,16 @@ def reset_totals() -> None:
         _totals.clear()
 
 
-def notify(counts: Mapping[tuple[str, str], int]) -> None:
+def notify(counts: Mapping[str, Mapping[str, int]]) -> None:
     """Fold counts recorded in a worker process into this process's totals.
 
-    The pool runner calls this with each cell's dispatch record, so
-    :func:`totals` covers every dispatch regardless of ``--jobs``.  The
-    spans those workers ship back already carry the same counts.
+    ``counts`` is a span rollup's ``{engine: {mechanism: n}}``.  The
+    pool runner calls this with each cell's, so :func:`totals` covers
+    every dispatch regardless of ``--jobs``.
     """
     with _lock:
-        for key, count in counts.items():
-            if count:
-                _totals[key] = _totals.get(key, 0) + count
+        for engine, mechanisms in counts.items():
+            for mechanism, count in mechanisms.items():
+                if count:
+                    key = (mechanism, engine)
+                    _totals[key] = _totals.get(key, 0) + count

@@ -7,15 +7,18 @@ methodology:
 * :mod:`repro.obs.tracing` — ``span()`` timeline with a per-run trace
   id; the phase, engine-dispatch and trace-cache sites annotate the
   active span directly.  ``capture()`` records every cell and priming
-  pass, traced or not; pool-worker captures ship back and re-parent
-  under the coordinating run.  Manifests, the ``--timing-out`` report
+  pass, traced or not, so each is rolled up when it ends; pool workers
+  ship their captures back, to re-parent under the coordinating run,
+  only when that run is traced.  Manifests, the ``--timing-out`` file
   and the serving tier's ``/metrics`` series are derived from these
   spans.
 * :mod:`repro.obs.manifest` — run manifests (provenance + per-cell
   rollups + full span timeline) written next to run outputs.
 * :mod:`repro.obs.export` — the one per-span subtree rollup
-  (``span_rollup``), Perfetto-loadable chrome-trace export, summaries,
-  and run-to-run diffs (the ``repro obs`` CLI surface).
+  (``span_rollup``) and sum over rollups (``rollup_totals``), the
+  ``--timing-out`` record (``timing_record``), Perfetto-loadable
+  chrome-trace export, summaries, and run-to-run diffs (the ``repro
+  obs`` CLI surface).
 * :mod:`repro.obs.logs` — JSON-line structured logging keyed by trace
   id (the serving tier's request/job log).
 """

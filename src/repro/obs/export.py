@@ -5,6 +5,10 @@ Consumers of the span timeline collected by :mod:`repro.obs.tracing`:
 * :func:`span_rollup` — one span aggregated over its subtree: the only
   per-cell aggregation, behind manifest cell rollups, the pool runner's
   per-cell timings and the plan's priming timings;
+* :func:`rollup_totals` — phases, dispatch counts and cache outcomes
+  summed over span records or their rollups, behind
+  :func:`span_rollup`, :func:`summarize` and :func:`timing_record` (the
+  ``--timing-out`` file);
 * :func:`to_chrome_trace` — the Trace Event Format JSON that Perfetto
   and ``chrome://tracing`` load directly (complete events per span,
   instant events per span annotation, thread/process metadata);
@@ -45,6 +49,23 @@ def _subtree_ids(spans: list[dict], root_id: str) -> set[str]:
     return ids
 
 
+def rollup_totals(rollups) -> dict:
+    """``phases``, ``engine_dispatch`` and ``trace_cache`` summed over
+    span records or their rollups (both carry those three keys)."""
+    phases: dict[str, float] = {}
+    dispatch: dict[str, dict[str, int]] = {}
+    cache: dict[str, int] = {}
+    for rollup in rollups:
+        _merge_counts(phases, rollup.get("phases", {}))
+        _merge_nested(dispatch, rollup.get("engine_dispatch", {}))
+        _merge_counts(cache, rollup.get("trace_cache", {}))
+    return {
+        "phases": phases,
+        "engine_dispatch": dispatch,
+        "trace_cache": cache,
+    }
+
+
 def span_rollup(spans: list[dict], root: dict) -> dict:
     """One span aggregated over its subtree.
 
@@ -55,16 +76,11 @@ def span_rollup(spans: list[dict], root: dict) -> dict:
     already include them.
     """
     by_id = {span["span_id"]: span for span in spans}
-    phases: dict[str, float] = {}
-    dispatch: dict[str, dict[str, int]] = {}
-    cache: dict[str, int] = {}
-    for span_id in _subtree_ids(spans, root["span_id"]):
-        member = by_id.get(span_id)
-        if member is None:
-            continue
-        _merge_counts(phases, member.get("phases", {}))
-        _merge_nested(dispatch, member.get("engine_dispatch", {}))
-        _merge_counts(cache, member.get("trace_cache", {}))
+    members = (
+        by_id[span_id]
+        for span_id in _subtree_ids(spans, root["span_id"])
+        if span_id in by_id
+    )
     return {
         "key": root["attrs"].get("key"),
         "span_id": root["span_id"],
@@ -72,10 +88,27 @@ def span_rollup(spans: list[dict], root: dict) -> dict:
         "attrs": dict(root["attrs"]),
         "wall_seconds": root["wall_seconds"],
         "cpu_seconds": root["cpu_seconds"],
-        "phases": phases,
-        "engine_dispatch": dispatch,
-        "trace_cache": cache,
+        **rollup_totals(members),
     }
+
+
+def timing_record(timing: dict) -> dict:
+    """A plan run's timing with its phase and dispatch totals added:
+    the ``--timing-out`` file.
+
+    ``timing`` is what the plan executor returns (``label``, ``jobs``,
+    ``wall_seconds``, ``cells`` and the ``plan`` block).  The totals sum
+    the cells' phases and dispatch plus the plan's priming phases
+    (``plan.prime_phases``), so they account for all work performed,
+    as :func:`summarize` does over the whole span timeline.
+    """
+    priming = {"phases": timing["plan"].get("prime_phases", {})}
+    totals = rollup_totals([*timing["cells"], priming])
+    return dict(
+        timing,
+        phase_totals=totals["phases"],
+        engine_dispatch=totals["engine_dispatch"],
+    )
 
 
 def cell_rollups(spans: list[dict]) -> list[dict]:
@@ -177,21 +210,15 @@ def to_chrome_trace(manifest: dict) -> dict:
 def summarize(manifest: dict) -> dict:
     """Per-phase / per-cell / per-engine rollups of one manifest."""
     spans = manifest.get("spans", [])
-    phase_totals: dict[str, float] = {}
-    engine_dispatch: dict[str, dict[str, int]] = {}
-    trace_cache: dict[str, int] = {}
-    for span in spans:
-        _merge_counts(phase_totals, span.get("phases", {}))
-        _merge_nested(engine_dispatch, span.get("engine_dispatch", {}))
-        _merge_counts(trace_cache, span.get("trace_cache", {}))
+    totals = rollup_totals(spans)
     return {
         "label": manifest.get("label"),
         "trace_id": manifest.get("trace_id"),
         "wall_seconds": manifest.get("wall_seconds", 0.0),
         "span_count": len(spans),
-        "phase_totals": phase_totals,
-        "engine_dispatch": engine_dispatch,
-        "trace_cache": trace_cache,
+        "phase_totals": totals["phases"],
+        "engine_dispatch": totals["engine_dispatch"],
+        "trace_cache": totals["trace_cache"],
         "cells": manifest.get("cells") or cell_rollups(spans),
         "provenance": manifest.get("provenance", {}),
     }

@@ -20,9 +20,10 @@ thread-local read.  Every experiment cell and every plan-priming pass
 is recorded regardless, by :func:`capture`: the block's span tree goes
 into a local recorder, the per-cell and priming timings are rolled up
 from those records, and a bound run adopts them under its current span.
-Pool workers ship their captured records back with the cell results;
-the coordinating run re-parents them under its own trace id with
-:meth:`RunRecorder.adopt` when it is traced.
+When the coordinating run is traced, pool workers ship their captured
+records back with the cell results, and it re-parents them under its
+own trace id with :meth:`RunRecorder.adopt`; otherwise the workers
+return only the rollups.
 
 This module imports nothing from the rest of the library, so every
 layer can call into it without import cycles.

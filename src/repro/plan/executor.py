@@ -41,20 +41,24 @@ batches all land here:
    after another, so it holds at most one phase's inputs at a time.  At
    ``--jobs N`` one pool serves the whole plan: the phases go to it in
    plan order, and each worker primes, runs and releases one phase at
-   a time, so this process primes nothing.  The workers' ``plan-prime``
-   and cell spans are adopted into this process's run, and their
-   dispatch counts folded into its totals.  A plan of one phase
-   (including a kept-inputs plan) primes here and fans each stage's
-   cells out on :func:`~repro.runner.pool.run_cells`, so workers
-   inherit every warm memo copy-on-write.
+   a time, so this process primes nothing.  Each worker returns its
+   phase's rollups, whose dispatch counts are folded into this
+   process's totals; it ships its ``plan-prime`` and cell spans only
+   when this process is traced, to be adopted into its run.  A plan
+   of one phase (including a kept-inputs plan) primes here and fans
+   each stage's cells out on :func:`~repro.runner.pool.run_cells`, so
+   workers inherit every warm memo copy-on-write.
 5. **Fan back** results and timings in plan order and merge per
    experiment.
 
-Plan-level dedup counters (``cells_total``, ``inputs_shared``,
-``inputs_primed``, ``phases``, ...) ride on the returned
-:class:`~repro.runner.timing.TimingReport` (the ``plan`` block of
-``--timing-out``), on the service's ``/metrics``, and — through
-:func:`add_plan_observer` — on any process-wide observer.
+The run's timing is one plain dict: ``label``, ``jobs``,
+``wall_seconds``, ``cells`` (each unique cell's span rollup: ``key``,
+``wall_seconds``, ``phases``, ``engine_dispatch``) and the ``plan``
+block of dedup counters (``cells_total``, ``inputs_shared``,
+``inputs_primed``, ``phases``, ...).  ``--timing-out`` writes it with
+its totals (:func:`~repro.obs.export.timing_record`); the plan block
+also feeds the service's ``/metrics`` and, through
+:func:`add_plan_observer`, any process-wide observer.
 """
 
 from __future__ import annotations
@@ -83,7 +87,6 @@ from repro.plan.ir import (
     plan_phases,
 )
 from repro.runner.pool import resolve_jobs, run_cells, run_in_pool
-from repro.runner.timing import TimingReport
 from repro.workloads.registry import (
     discard_trace,
     get_line_runs,
@@ -346,8 +349,13 @@ def _run_phase(
     return primed, primes, results, timings
 
 
-def _run_phase_in_worker(phase: _Phase) -> tuple[tuple, list[dict]]:
-    """:func:`_run_phase` in a pool worker, with its span records."""
+def _run_phase_in_worker(
+    phase: _Phase, ship: bool
+) -> tuple[tuple, list[dict] | None]:
+    """:func:`_run_phase` in a pool worker; with ``ship``, also its span
+    records for a traced parent to adopt (``None`` without)."""
+    if not ship:
+        return _run_phase(phase), None
     recorder = tracing.RunRecorder(phase.label)
     with recorder.bind():
         outcome = _run_phase(phase)
@@ -368,16 +376,20 @@ def _run_phases(
     parent = tracing.current_span()
     parent_id = parent.span_id if parent is not None else None
     tasks = [
-        (phase.cells[0].key, _run_phase_in_worker, (phase,))
+        (
+            phase.cells[0].key,
+            _run_phase_in_worker,
+            (phase, recorder is not None),
+        )
         for phase in phases
     ]
     outcomes = []
     for outcome, records in run_in_pool(tasks, workers):
         # Fold the workers' dispatch counts into this process's totals,
         # so those match a serial run.
-        for cell_timing in outcome[3]:
-            dispatch.notify(cell_timing.dispatch)
-        if recorder is not None:
+        for timing in outcome[3]:
+            dispatch.notify(timing["engine_dispatch"])
+        if records is not None:
             recorder.adopt(records, parent_id)
         outcomes.append(outcome)
     return outcomes
@@ -389,12 +401,12 @@ def execute_cells(
     label: str = "plan",
     *,
     keep_inputs: bool = False,
-) -> tuple[list, TimingReport]:
+) -> tuple[list, dict]:
     """Execute plan cells with priming and dedup; results align with
     ``cells``.
 
-    The returned :class:`TimingReport` carries the per-(unique-)cell
-    timings plus the plan stats block; results are bit-identical to
+    The returned timing dict carries the per-(unique-)cell timings
+    plus the plan stats block; results are bit-identical to
     running every cell individually with no priming.  Each input
     leaves the registry's in-memory cache after its last reader.
     ``keep_inputs`` runs the plan as one phase primed in this process
@@ -442,28 +454,28 @@ def execute_cells(
         }
     results = [results_unique[index] for index in index_map]
     _notify(dict(stats, label=label))
-    report = TimingReport(
-        label=label,
-        jobs=resolve_jobs(jobs),
-        wall_seconds=time.perf_counter() - start,
-        cells=tuple(cell_timings),
-        plan=stats,
-    )
-    return results, report
+    timing = {
+        "label": label,
+        "jobs": resolve_jobs(jobs),
+        "wall_seconds": time.perf_counter() - start,
+        "cells": cell_timings,
+        "plan": stats,
+    }
+    return results, timing
 
 
 def execute_plan(
     plan: SweepPlan, jobs: int = 1, label: str = "plan"
-) -> tuple[list, TimingReport]:
+) -> tuple[list, dict]:
     """Execute a whole plan; returns one merged result per experiment."""
-    results, report = execute_cells(plan.cells, jobs, label=label)
+    results, timing = execute_cells(plan.cells, jobs, label=label)
     merged = []
     cursor = 0
     for experiment in plan.experiments:
         count = len(experiment.cells)
         merged.append(experiment.assemble(results[cursor : cursor + count]))
         cursor += count
-    return merged, report
+    return merged, timing
 
 
 def run_experiment(
@@ -476,7 +488,7 @@ def run_experiment(
     """Run one experiment module through its compiled plan.
 
     ``axes`` narrow the module's sweep (they are passed through to its
-    ``plan_cells``).  Returns ``(result, TimingReport)``; each
+    ``plan_cells``).  Returns ``(result, timing)``; each
     experiment module's ``run`` returns the result of this call.
     """
     if label is None:
@@ -485,15 +497,13 @@ def run_experiment(
     with tracing.span("experiment", label=label, jobs=resolve_jobs(jobs)):
         compiled = compile_module(module, settings, name=label, **axes)
         plan = SweepPlan(experiments=(compiled,))
-        [result], report = execute_plan(plan, jobs, label=label)
-    return result, dataclasses.replace(
-        report, wall_seconds=time.perf_counter() - start
-    )
+        [result], timing = execute_plan(plan, jobs, label=label)
+    return result, dict(timing, wall_seconds=time.perf_counter() - start)
 
 
 def run_report(
     modules: Mapping[str, object], settings, jobs: int = 1
-) -> tuple[list[tuple[str, str]], TimingReport]:
+) -> tuple[list[tuple[str, str]], dict]:
     """Run many experiments as one grid-wide plan (``repro report``).
 
     Every module compiles into a single :class:`SweepPlan`, so shared
@@ -502,16 +512,14 @@ def run_report(
     appearing in several experiments run once.  Each input is freed
     after its last reader.  Rendering happens in
     the parent, from each experiment's merged result.  Returns
-    ``[(name, rendering), ...]`` in module order plus the timing
-    report with the plan stats block.
+    ``[(name, rendering), ...]`` in module order plus the timing dict
+    with the plan stats block.
     """
     start = time.perf_counter()
     plan = compile_report(modules, settings)
-    results, report = execute_plan(plan, jobs, label="report")
+    results, timing = execute_plan(plan, jobs, label="report")
     renderings = [
         (experiment.name, result.render())
         for experiment, result in zip(plan.experiments, results)
     ]
-    return renderings, dataclasses.replace(
-        report, wall_seconds=time.perf_counter() - start
-    )
+    return renderings, dict(timing, wall_seconds=time.perf_counter() - start)

@@ -5,7 +5,7 @@ The runner package is the layer below the sweep plan
 nothing from it:
 
 * :mod:`repro.runner.timing` — per-phase wall-time accounting
-  (synthesize / line-runs / simulate) and JSON timing reports.
+  (synthesize / trace-load / line-runs / simulate) on the active span.
 * :mod:`repro.runner.entrystore` — verified on-disk entries: the one
   publish and read path under a cache directory, numpy-free.
 * :mod:`repro.runner.cache` — the persistent on-disk trace and
@@ -30,8 +30,6 @@ from repro._util.lazy import lazy_exports
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 _EXPORTS = {
-    "CellTiming": ".timing",
-    "TimingReport": ".timing",
     "TraceDiskCache": ".cache",
     "phase": ".timing",
     "run_cells": ".pool",

@@ -20,6 +20,7 @@ the same trace files instead of each synthesizing private copies.
 from __future__ import annotations
 
 import os
+from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -29,7 +30,6 @@ import multiprocessing
 from repro.fetch import dispatch
 from repro.obs import tracing
 from repro.obs.export import span_rollup
-from repro.runner.timing import CellTiming
 
 
 class CellExecutionError(RuntimeError):
@@ -80,8 +80,14 @@ def _cell_attrs(args: tuple) -> dict:
     return {}
 
 
-def _execute_cell(key: tuple, fn: Callable, args: tuple):
-    """Run one cell under a span capture; its timing is the rollup."""
+def _execute_cell(key: tuple, fn: Callable, args: tuple, ship: bool = False):
+    """Run one cell under a span capture; its timing is the rollup.
+
+    Returns the result, the timing (``key``, ``wall_seconds``,
+    ``phases`` and ``engine_dispatch`` of the cell span's rollup) and,
+    with ``ship``, the span records for a traced parent to adopt
+    (``None`` without).
+    """
     with tracing.capture("cell", key=key, **_cell_attrs(args)) as records:
         try:
             result = fn(*args)
@@ -92,7 +98,13 @@ def _execute_cell(key: tuple, fn: Callable, args: tuple):
                 key, f"{type(exc).__name__}: {exc}"
             ) from exc
     rollup = span_rollup(records, records[-1])
-    return result, CellTiming.from_dict(dict(rollup, key=key)), records
+    timing = {
+        "key": key,
+        "wall_seconds": rollup["wall_seconds"],
+        "phases": rollup["phases"],
+        "engine_dispatch": rollup["engine_dispatch"],
+    }
+    return result, timing, records if ship else None
 
 
 def _registry_snapshot() -> dict:
@@ -147,8 +159,10 @@ def run_in_pool(
         initializer=_worker_init,
         initargs=(_registry_snapshot(),),
     ) as pool:
-        futures = [pool.submit(fn, *args) for _, fn, args in tasks]
-        for (key, _, _), future in zip(tasks, futures):
+        # Popped as read, so each result is freed once yielded.
+        futures = deque(pool.submit(fn, *args) for _, fn, args in tasks)
+        for key, _, _ in tasks:
+            future = futures.popleft()
             try:
                 result = future.result()
             except BrokenProcessPool as exc:
@@ -160,17 +174,19 @@ def run_in_pool(
             yield result
 
 
-def run_cells(
-    cells: Sequence, jobs: int = 1
-) -> tuple[list, list[CellTiming]]:
+def run_cells(cells: Sequence, jobs: int = 1) -> tuple[list, list[dict]]:
     """Execute ``cells`` and return (results, timings) in cell order.
 
     Each cell computes ``cell.fn(*cell.args)``; ``cell.key`` names it in
-    its timing and in any :class:`CellExecutionError`.
+    its timing and in any :class:`CellExecutionError`.  A timing is the
+    cell span's rollup: ``key``, ``wall_seconds``, ``phases`` and
+    ``engine_dispatch``.
 
     ``jobs <= 1`` runs in-process; anything larger fans out over
     :func:`run_in_pool`.  Either way the returned lists align with
     ``cells``, which is what makes parallel merges deterministic.
+    Pool workers ship their span records back only when this process
+    is traced.
     """
     jobs = min(resolve_jobs(jobs), max(len(cells), 1))
     if jobs <= 1 or len(cells) <= 1:
@@ -181,13 +197,16 @@ def run_cells(
     parent = tracing.current_span()
     parent_id = parent.span_id if parent is not None else None
     results, timings = [], []
-    tasks = [(c.key, _execute_cell, (c.key, c.fn, c.args)) for c in cells]
-    for result, cell_timing, records in run_in_pool(tasks, jobs):
+    tasks = [
+        (c.key, _execute_cell, (c.key, c.fn, c.args, recorder is not None))
+        for c in cells
+    ]
+    for result, timing, records in run_in_pool(tasks, jobs):
         # Workers count dispatches in their own processes; fold them
         # into this process's totals so those match a serial run.
-        dispatch.notify(cell_timing.dispatch)
-        if recorder is not None:
+        dispatch.notify(timing["engine_dispatch"])
+        if records is not None:
             recorder.adopt(records, parent_id)
         results.append(result)
-        timings.append(cell_timing)
+        timings.append(timing)
     return results, timings

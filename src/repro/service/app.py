@@ -110,7 +110,6 @@ class ServiceApp:
         metrics: ServiceMetrics | None = None,
         scheduler: JobScheduler | None = None,
         jobs: int = 1,
-        batch_window: float = 0.0,
         max_inflight: int = 4,
         max_queue: int | None = None,
         obs_dir: str | None = None,
@@ -118,7 +117,7 @@ class ServiceApp:
         self.metrics = metrics or ServiceMetrics()
         self.store = store if store is not None else ResultStore(None)
         self.scheduler = scheduler or JobScheduler(
-            self.store, self.metrics, jobs=jobs, batch_window=batch_window,
+            self.store, self.metrics, jobs=jobs,
             max_inflight=max_inflight, max_queue=max_queue, obs_dir=obs_dir,
         )
         self.started_at = time.time()
@@ -535,7 +534,6 @@ def run_service(
     port: int = DEFAULT_PORT,
     store: ResultStore | None = None,
     jobs: int = 1,
-    batch_window: float = 0.0,
     max_inflight: int = 4,
     max_queue: int | None = None,
     drain_timeout: float = 30.0,
@@ -543,7 +541,7 @@ def run_service(
 ) -> int:
     """Blocking entry point behind ``repro serve``."""
     app = ServiceApp(
-        store=store, jobs=jobs, batch_window=batch_window,
+        store=store, jobs=jobs,
         max_inflight=max_inflight, max_queue=max_queue, obs_dir=obs_dir,
     )
     try:

@@ -8,8 +8,8 @@ Three responsibilities sit between the HTTP layer and the compute layer
   job instead of re-running it; both callers get the same result and
   the experiment executes exactly once.
 * **Batching** — compatible ``evaluate`` requests (same OS/trace-length/
-  seed signature, i.e. same synthesized traces) arriving within one
-  batch window compile into one sweep plan (see
+  seed signature, i.e. same synthesized traces) submitted before the
+  event loop's next turn compile into one sweep plan (see
   :func:`evaluate_group_cells`) executed by
   :func:`repro.plan.executor.execute_cells`, so a burst of point
   queries shares trace synthesis, primed miss masks, and the process
@@ -48,6 +48,7 @@ from repro.experiments.settings import (
     settings_record,
 )
 from repro.obs import tracing
+from repro.obs.export import timing_record
 from repro.obs.logs import log_event
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.plan.ir import PlanCell
@@ -308,7 +309,6 @@ class JobScheduler:
         metrics,
         *,
         jobs: int = 1,
-        batch_window: float = 0.0,
         max_inflight: int = 4,
         max_queue: int | None = None,
         max_finished_jobs: int = 1024,
@@ -317,7 +317,6 @@ class JobScheduler:
         self.store = store
         self.metrics = metrics
         self.jobs = jobs
-        self.batch_window = batch_window
         self.obs_dir = obs_dir
         if max_inflight <= 0:
             raise ValueError(
@@ -358,12 +357,12 @@ class JobScheduler:
         """Stop admitting, flush batches, and settle every in-flight job.
 
         New submissions shed with 503-style :class:`AdmissionError`
-        immediately.  Pending evaluate batch windows flush now rather
-        than at their timers.  Jobs still unfinished after ``timeout``
-        seconds are marked ``cancelled`` (their executor futures are
-        cancelled where still queued; a body already on a thread runs to
-        completion but its result is discarded by the terminal-state
-        guard).  Returns ``{"finished": n, "cancelled": n}``.
+        immediately.  Pending evaluate batches flush now rather than
+        on the event loop's next turn.  Jobs still unfinished after
+        ``timeout`` seconds are marked ``cancelled`` (their executor
+        futures are cancelled where still queued; a body already on a
+        thread runs to completion but its result is discarded by the
+        terminal-state guard).  Returns ``{"finished": n, "cancelled": n}``.
         """
         self._draining = True
         for signature in list(self._pending_eval):
@@ -625,10 +624,10 @@ class JobScheduler:
             ) as recorder:
                 # Phase by phase, as ``repro experiment`` runs it: the
                 # result is a store entry, so a repeat is a store hit.
-                result, report = run_experiment(
+                result, timing = run_experiment(
                     module, settings, self.jobs, name
                 )
-            self._record_plan_stats(report.plan)
+            self._record_plan_stats(timing["plan"])
         finally:
             self._jobs_settled(1, time.perf_counter() - started)
         manifest_path = self._finish_manifest(
@@ -642,7 +641,7 @@ class JobScheduler:
                 "jobs": self.jobs,
             },
         )
-        return result, report, manifest_path
+        return result, timing, manifest_path
 
     def _publish(
         self, job: Job, payload: dict, rendering: str | None = None
@@ -671,7 +670,7 @@ class JobScheduler:
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
         try:
-            result, report, manifest_path = await loop.run_in_executor(
+            result, timing, manifest_path = await loop.run_in_executor(
                 self._executor, self._execute_experiment,
                 job, name, settings,
             )
@@ -680,8 +679,8 @@ class JobScheduler:
                 "name": name,
                 "trace_id": job.trace_id,
                 "settings": settings_record(settings),
-                "wall_seconds": report.wall_seconds,
-                "phase_totals": report.phase_totals,
+                "wall_seconds": timing["wall_seconds"],
+                "phase_totals": timing_record(timing)["phase_totals"],
             }
             rendering = result.render()
         except asyncio.CancelledError:
@@ -739,16 +738,12 @@ class JobScheduler:
         signature = request.batch_signature
         pending = self._pending_eval.get(signature)
         if pending is None:
-            # First request of this signature opens a batch window; every
-            # compatible request landing before the flush joins the batch.
+            # First request of this signature opens a batch; every
+            # compatible request landing before the flush joins it.
             self._pending_eval[signature] = [(request, job)]
-            loop = asyncio.get_running_loop()
-            if self.batch_window > 0:
-                loop.call_later(
-                    self.batch_window, self._schedule_flush, signature
-                )
-            else:
-                loop.call_soon(self._schedule_flush, signature)
+            asyncio.get_running_loop().call_soon(
+                self._schedule_flush, signature
+            )
         else:
             pending.append((request, job))
         return job
@@ -848,11 +843,11 @@ class JobScheduler:
                 # memoized masks, which stay cached for the next batch
                 # (the trace's columns do not).
                 groups, cells = evaluate_group_cells(requests)
-                results, plan_report = execute_cells(
+                results, timing = execute_cells(
                     cells, self.jobs, label="evaluate-batch",
                     keep_inputs=True,
                 )
-            self._record_plan_stats(plan_report.plan)
+            self._record_plan_stats(timing["plan"])
         finally:
             self._jobs_settled(
                 len(created_ats), time.perf_counter() - started

@@ -76,7 +76,7 @@ def warm_store(
         request for request in plan if request.key() not in store
     ]
     groups, cells = evaluate_group_cells(missing)
-    results, report = execute_cells(cells, jobs, label="warm")
+    results, timing = execute_cells(cells, jobs, label="warm")
     stored = 0
     for index, payload in evaluate_payloads(missing, groups, results):
         store.put(missing[index].key(), payload)
@@ -89,5 +89,5 @@ def warm_store(
         "seconds": round(time.perf_counter() - started, 3),
         "store_entries": len(store),
         "store_bytes": store.current_bytes,
-        "plan": report.plan,
+        "plan": timing["plan"],
     }

@@ -78,13 +78,11 @@ class TestServeParser:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["serve", "--port", "9000", "--host", "0.0.0.0",
-             "--batch-window", "0.05"]
+            ["serve", "--port", "9000", "--host", "0.0.0.0"]
         )
         assert args.command == "serve"
         assert args.port == 9000
         assert args.host == "0.0.0.0"
-        assert args.batch_window == 0.05
 
     def test_serve_defaults(self):
         from repro.cli import build_parser
@@ -337,7 +335,19 @@ class TestCacheAndJobsCli:
         assert record["jobs"] == 1
         # One cell per (configuration, suite, workload): 2 x (14 + 8).
         assert len(record["cells"]) == 44
-        assert "phase_totals" in record
+        # The keys the end-to-end benchmark reads: ``cells[].key[0]``
+        # names the experiment, ``cells[].wall_seconds`` is its time.
+        assert set(record) == {
+            "label", "jobs", "wall_seconds", "phase_totals",
+            "engine_dispatch", "cells", "plan",
+        }
+        for cell in record["cells"]:
+            assert set(cell) == {
+                "key", "wall_seconds", "phases", "engine_dispatch",
+            }
+            assert cell["key"][0] == "table5"
+            assert cell["wall_seconds"] > 0.0
+        assert record["phase_totals"]["simulate"] > 0.0
 
 
 #: ``(flags, whether $REPRO_CACHE_DIR is set, which directory wins)``:

@@ -17,9 +17,9 @@ from repro.core.config import MemorySystemConfig
 from repro.core.study import fetch_result
 from repro.fetch import ECONOMY_MEMORY, dispatch
 from repro.obs import tracing
+from repro.obs.export import timing_record
 from repro.plan.ir import PlanCell
 from repro.runner.pool import run_cells
-from repro.runner.timing import CellTiming, TimingReport
 
 
 @pytest.fixture(autouse=True)
@@ -43,7 +43,7 @@ class TestAccumulators:
 
     def test_notify_merges_worker_counts(self):
         with tracing.capture("probe") as records:
-            dispatch.notify({("demand", dispatch.ENGINE_REFERENCE): 5})
+            dispatch.notify({dispatch.ENGINE_REFERENCE: {"demand": 5}})
         assert dispatch.totals()[("demand", dispatch.ENGINE_REFERENCE)] == 5
         # Worker counts go to the process totals only; the worker's own
         # spans already carry them, so no span here counts them again.
@@ -87,11 +87,11 @@ class TestReportPlumbing:
             ),
         ]
         _results, timings = run_cells(cells, jobs=1)
-        assert timings[0].dispatch == {
-            ("demand", dispatch.ENGINE_VECTORIZED): 1
+        assert timings[0]["engine_dispatch"] == {
+            dispatch.ENGINE_VECTORIZED: {"demand": 1}
         }
-        assert timings[1].dispatch == {
-            ("victim", dispatch.ENGINE_REFERENCE): 1
+        assert timings[1]["engine_dispatch"] == {
+            dispatch.ENGINE_REFERENCE: {"victim": 1}
         }
 
     def test_pool_worker_counts_reach_totals(self):
@@ -111,27 +111,18 @@ class TestReportPlumbing:
         }
 
     def test_timing_report_aggregates_and_serializes(self):
-        cells = (
-            CellTiming(
-                key=("a",), wall_seconds=0.5,
-                dispatch={("demand", "vectorized"): 2},
-            ),
-            CellTiming(
-                key=("b",), wall_seconds=0.5,
-                dispatch={
-                    ("demand", "vectorized"): 1,
-                    ("victim", "reference"): 4,
-                },
-            ),
-        )
-        report = TimingReport(
-            label="x", jobs=1, wall_seconds=1.0, cells=cells
-        )
-        assert report.dispatch_totals == {
-            ("demand", "vectorized"): 3,
-            ("victim", "reference"): 4,
+        timing = {
+            "label": "x", "jobs": 1, "wall_seconds": 1.0,
+            "cells": [
+                {"key": ("a",), "wall_seconds": 0.5, "phases": {},
+                 "engine_dispatch": {"vectorized": {"demand": 2}}},
+                {"key": ("b",), "wall_seconds": 0.5, "phases": {},
+                 "engine_dispatch": {"vectorized": {"demand": 1},
+                                     "reference": {"victim": 4}}},
+            ],
+            "plan": {},
         }
-        record = report.to_dict()
+        record = timing_record(timing)
         assert record["engine_dispatch"] == {
             "vectorized": {"demand": 3},
             "reference": {"victim": 4},

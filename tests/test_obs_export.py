@@ -17,6 +17,7 @@ from repro.obs.export import (
     render_diff,
     render_summary,
     summarize,
+    timing_record,
     to_chrome_trace,
 )
 
@@ -158,6 +159,24 @@ class TestSummarize:
         assert "trace " + "t" * 32 in text
         assert "simulate" in text
         assert "groff/1" in text and "sdet/2" in text
+
+
+class TestTimingRecord:
+    """The ``--timing-out`` record: the plan run's timing plus totals."""
+
+    def test_prime_phases_fold_into_totals(self):
+        plan = {
+            "cells_total": 3,
+            "inputs_primed": 2,
+            "prime_phases": {"synthesize": 0.5},
+        }
+        record = timing_record(
+            {"label": "x", "jobs": 1, "wall_seconds": 1.0, "cells": [],
+             "plan": plan}
+        )
+        assert record["plan"] == plan
+        assert record["phase_totals"] == {"synthesize": 0.5}
+        assert record["engine_dispatch"] == {}
 
 
 class TestDiff:

@@ -49,8 +49,8 @@ from repro.plan.ir import (
     plan_phases,
 )
 from repro.obs import tracing
+from repro.obs.export import timing_record
 from repro.runner.pool import CellExecutionError
-from repro.runner.timing import TimingReport
 from repro.workloads.registry import (
     clear_trace_cache,
     set_trace_cache_backend,
@@ -262,11 +262,11 @@ class TestExecuteCells:
             PlanCell(key=("x", i), fn=_double, args=(i % 2,))
             for i in range(4)
         ]
-        results, report = execute_cells(cells, jobs=1, label="unit")
+        results, timing = execute_cells(cells, jobs=1, label="unit")
         assert results == [0, 2, 0, 2]
-        assert report.plan["cells_total"] == 4
-        assert report.plan["cells_unique"] == 2
-        assert len(report.cells) == 2  # timing is per unique cell
+        assert timing["plan"]["cells_total"] == 4
+        assert timing["plan"]["cells_unique"] == 2
+        assert len(timing["cells"]) == 2  # timing is per unique cell
 
     def test_primes_every_declared_input(self):
         clear_trace_cache()  # the priming below must synthesize
@@ -278,9 +278,9 @@ class TestExecuteCells:
             )
             for i in range(2)
         ]
-        results, report = execute_cells(cells, jobs=1, label="unit")
+        results, timing = execute_cells(cells, jobs=1, label="unit")
         assert results == [0, 2]
-        stats = report.plan
+        stats = timing["plan"]
         assert stats["inputs_total"] == 3  # trace + stream + mask family
         assert stats["inputs_shared"] == 3  # all demanded by both cells
         assert stats["inputs_primed"] == stats["inputs_total"]
@@ -288,7 +288,8 @@ class TestExecuteCells:
         # Priming synthesized the trace in the parent; the work shows
         # up in the plan's phase block and in phase_totals.
         assert stats["prime_phases"].get("synthesize", 0.0) > 0.0
-        assert report.phase_totals.get("synthesize", 0.0) > 0.0
+        totals = timing_record(timing)["phase_totals"]
+        assert totals.get("synthesize", 0.0) > 0.0
 
     def test_observer_add_remove(self):
         seen = []
@@ -385,11 +386,11 @@ class TestPhases:
         clear_trace_cache()
         modules = {"table5": table5, "figure2": figure2}
         with tracing.run("phased") as recorder:
-            planned, report = run_report(modules, SETTINGS, jobs=jobs)
+            planned, timing = run_report(modules, SETTINGS, jobs=jobs)
         assert [(name, digest(text)) for name, text in planned] == [
             (name, GOLDEN[name]) for name in modules
         ]
-        stats = report.plan
+        stats = timing["plan"]
         traces = [
             workload
             for suite in ("spec92", "ibs-mach3", "ibs-ultrix")
@@ -423,7 +424,7 @@ class TestPhases:
         assert len(cell_spans) == stats["cells_unique"]
         assert trace_cache_stats()["entries"] == 0
         # Timings stay aligned with the unique cells, in cell order.
-        assert [cell.key for cell in report.cells] == [
+        assert [cell["key"] for cell in timing["cells"]] == [
             cell.key for cell in unique
         ]
 
@@ -437,6 +438,57 @@ class TestPhases:
             run_experiment(table5, SETTINGS, jobs=jobs)
             totals[jobs] = dispatch.totals()
         assert totals[1] and totals[2] == totals[1]
+
+    @pytest.mark.parametrize("keep_inputs", [False, True])
+    def test_workers_ship_spans_only_to_a_traced_run(
+        self, keep_inputs, monkeypatch
+    ):
+        """Pool workers return rollups always and span records only when
+        this process is traced; a traced run adopts every record.
+
+        Without ``keep_inputs`` the cells are phases of their own, which
+        go to the pool whole; with it they are one phase whose cells go
+        to the pool one by one (:func:`~repro.runner.pool.run_cells`).
+        """
+        from repro.plan import executor
+        from repro.runner import pool
+
+        shipped: list = []
+
+        def spy(run_in_pool):
+            def spying(tasks, jobs):
+                for item in run_in_pool(tasks, jobs):
+                    shipped.append(item[-1])
+                    yield item
+            return spying
+
+        monkeypatch.setattr(executor, "run_in_pool", spy(pool.run_in_pool))
+        monkeypatch.setattr(pool, "run_in_pool", spy(pool.run_in_pool))
+        cells = [
+            PlanCell(key=("w", i), fn=_double, args=(i,)) for i in range(4)
+        ]
+        results, timing = execute_cells(
+            cells, jobs=2, keep_inputs=keep_inputs
+        )
+        assert results == [0, 2, 4, 6]
+        assert [cell["key"] for cell in timing["cells"]] == [
+            cell.key for cell in cells
+        ]
+        assert len(shipped) == 4
+        assert shipped == [None] * 4
+        shipped.clear()
+        with tracing.run("traced") as recorder:
+            execute_cells(cells, jobs=2, keep_inputs=keep_inputs)
+        assert len(shipped) == 4
+        assert all(shipped)
+        adopted = {span["span_id"] for span in recorder.spans}
+        assert {
+            record["span_id"] for records in shipped for record in records
+        } <= adopted
+        assert sorted(
+            tuple(span["attrs"]["key"]) for span in recorder.spans
+            if span["name"] == "cell"
+        ) == [cell.key for cell in cells]
 
     def test_dead_worker_names_a_cell(self):
         from tests.test_runner_pool import _kill_own_worker, _nap
@@ -475,8 +527,8 @@ class TestPhases:
             )
             for workload in ("groff", "sdet")
         ]
-        _, report = execute_cells(cells, jobs=1, keep_inputs=True)
-        assert report.plan["phases"] == 1
+        _, timing = execute_cells(cells, jobs=1, keep_inputs=True)
+        assert timing["plan"]["phases"] == 1
         # Both traces' streams are kept; their columns are not.
         stats = trace_cache_stats()
         assert (stats["entries"], stats["resident_bytes"]) == (0, 0)
@@ -485,15 +537,16 @@ class TestPhases:
         events: list = []
         registry.add_trace_cache_observer(events.append)
         try:
-            _, report = execute_cells(cells, jobs=1)
+            _, timing = execute_cells(cells, jobs=1)
         finally:
             registry.remove_trace_cache_observer(events.append)
         # No component reads more than one trace: a phase per trace.
-        assert report.plan["phases"] == 2
+        assert timing["plan"]["phases"] == 2
         # The kept streams answered the priming: no trace was loaded,
         # and a releasing plan leaves kept streams alone.
         assert events == [registry.TRACE_CACHE_MEMORY_HIT] * 2
-        assert report.plan["inputs_primed"] == report.plan["inputs_total"]
+        stats = timing["plan"]
+        assert stats["inputs_primed"] == stats["inputs_total"]
         assert trace_cache_stats()["entries"] == 0
         assert trace_cache_stats()["stream_entries"] == 2
         clear_trace_cache()
@@ -845,42 +898,21 @@ class TestGoldenEquivalence:
         "module", [table5, table4, figure3, table3, figure2, table2]
     )
     def test_experiment_byte_identical(self, module):
-        result, report = run_experiment(module, SETTINGS, jobs=1)
+        result, timing = run_experiment(module, SETTINGS, jobs=1)
         name = module.__name__.rsplit(".", 1)[-1]
         assert digest(result.render()) == GOLDEN[name]
-        assert report.plan["inputs_primed"] == report.plan["inputs_total"]
+        stats = timing["plan"]
+        assert stats["inputs_primed"] == stats["inputs_total"]
 
     def test_report_byte_identical(self):
         modules = {"table5": table5, "table4": table4}
-        planned, report = run_report(modules, SETTINGS, jobs=1)
+        planned, timing = run_report(modules, SETTINGS, jobs=1)
         assert [(name, digest(text)) for name, text in planned] == [
             (name, GOLDEN[name]) for name in modules
         ]
         # The report plan shares trace/stream/mask inputs across the
         # two experiments.
-        assert report.plan["inputs_shared"] > 0
-
-
-class TestTimingReportPlan:
-    def test_plan_block_round_trips(self):
-        report = TimingReport(
-            label="x", jobs=1, wall_seconds=1.0, cells=(),
-            plan={
-                "cells_total": 3,
-                "inputs_primed": 2,
-                "prime_phases": {"synthesize": 0.5},
-            },
-        )
-        clone = TimingReport.from_dict(report.to_dict())
-        assert clone.plan == report.plan
-        assert clone.phase_totals == {"synthesize": 0.5}
-
-    def test_no_plan_block_for_raw_pool_runs(self):
-        report = TimingReport(
-            label="x", jobs=1, wall_seconds=1.0, cells=()
-        )
-        assert "plan" not in report.to_dict()
-        assert TimingReport.from_dict(report.to_dict()).plan is None
+        assert timing["plan"]["inputs_shared"] > 0
 
 
 class TestSchedulerGroupCells:

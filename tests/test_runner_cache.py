@@ -343,6 +343,29 @@ class TestRegistryIntegration:
         assert np.array_equal(reloaded.lines, runs.lines)
         assert np.array_equal(reloaded.counts, runs.counts)
 
+    def test_warm_rerun_loads_instead_of_synthesizing(self, tmp_path):
+        """A rerun over a filled disk cache, in a fresh process (a
+        cleared in-memory cache), spends no time synthesizing: it loads,
+        and renders the same bytes."""
+        from repro.experiments import table5
+        from repro.experiments.common import ExperimentSettings
+        from repro.obs.export import timing_record
+        from repro.plan.executor import run_experiment
+
+        set_trace_cache_backend(TraceDiskCache(tmp_path))
+        settings = ExperimentSettings(n_instructions=N, seed=SEED)
+        totals = {}
+        renders = {}
+        for run in ("cold", "warm"):
+            clear_trace_cache()
+            result, timing = run_experiment(table5, settings)
+            totals[run] = timing_record(timing)["phase_totals"]
+            renders[run] = result.render()
+        assert totals["cold"].get("synthesize", 0.0) > 0.0
+        assert totals["warm"].get("synthesize", 0.0) == 0.0
+        assert totals["warm"].get("trace-load", 0.0) > 0.0
+        assert renders["warm"] == renders["cold"]
+
     def test_failed_disk_writes_still_return_the_value(self, tmp_path):
         class FullDisk(TraceDiskCache):
             def store(self, *args):

@@ -15,7 +15,7 @@ import pytest
 from repro.experiments import figure1, table1, table4, table5
 from repro.experiments.common import ExperimentSettings
 from repro.obs import tracing
-from repro.obs.export import cell_rollups
+from repro.obs.export import cell_rollups, timing_record
 from repro.plan.executor import run_experiment, run_report
 from repro.plan.ir import PlanCell
 from repro.runner.pool import CellExecutionError, resolve_jobs, run_cells
@@ -61,13 +61,13 @@ class TestRunCells:
     def test_serial_order(self):
         results, timings = run_cells(self._cells(), jobs=1)
         assert results == [0, 2, 4, 6, 8]
-        assert [t.key for t in timings] == [("cell", i) for i in range(5)]
+        assert [t["key"] for t in timings] == [("cell", i) for i in range(5)]
 
     def test_parallel_matches_serial(self):
         serial, _ = run_cells(self._cells(), jobs=1)
         parallel, timings = run_cells(self._cells(), jobs=4)
         assert parallel == serial
-        assert [t.key for t in timings] == [("cell", i) for i in range(5)]
+        assert [t["key"] for t in timings] == [("cell", i) for i in range(5)]
 
     def test_empty(self):
         results, timings = run_cells([], jobs=4)
@@ -173,36 +173,35 @@ class TestParallelEqualsSerial:
     def test_experiment_bit_identical(self, module):
         serial = module.run(SETTINGS)
         clear_trace_cache()  # force the parallel run to start cold
-        result, report = run_experiment(module, SETTINGS, jobs=4)
+        result, timing = run_experiment(module, SETTINGS, jobs=4)
         assert result.render() == serial.render()
-        assert report.jobs >= 1
-        assert len(report.cells) == len(module.plan_cells(SETTINGS))
+        assert timing["jobs"] >= 1
+        assert len(timing["cells"]) == len(module.plan_cells(SETTINGS))
 
 
 class TestRunReport:
     def test_report_matches_individual_runs(self):
         modules = {"table5": table5, "table4": table4}
-        renderings, report = run_report(modules, SETTINGS, jobs=2)
+        renderings, timing = run_report(modules, SETTINGS, jobs=2)
         assert [name for name, _ in renderings] == ["table5", "table4"]
         assert renderings[0][1] == table5.run(SETTINGS).render()
         assert renderings[1][1] == table4.run(SETTINGS).render()
-        assert report.label == "report"
+        assert timing["label"] == "report"
         # Timing granularity is the plan cell, namespaced by experiment.
         expected = len(table5.plan_cells(SETTINGS)) + len(
             table4.plan_cells(SETTINGS)
         )
-        assert len(report.cells) == expected
-        assert report.plan is not None
-        assert report.plan["cells_total"] == expected
+        assert len(timing["cells"]) == expected
+        assert timing["plan"]["cells_total"] == expected
 
     def test_timing_report_has_phases(self):
         clear_trace_cache()
-        _, report = run_experiment(table5, SETTINGS, jobs=1)
-        totals = report.phase_totals
+        _, timing = run_experiment(table5, SETTINGS, jobs=1)
+        totals = timing_record(timing)["phase_totals"]
         # A cold serial run synthesizes and simulates in-process.
         assert totals.get("synthesize", 0.0) > 0.0
         assert totals.get("simulate", 0.0) > 0.0
-        assert report.wall_seconds > 0.0
+        assert timing["wall_seconds"] > 0.0
 
 
 def _nested_table5():
@@ -221,12 +220,13 @@ class TestNestedCells:
 
     def test_outer_cell_counts_inner_work(self):
         inner, outer = self._run()
-        assert sum(inner.dispatch_totals.values()) > 0
-        assert outer.dispatch == inner.dispatch_totals
+        inner = timing_record(inner)
+        assert inner["engine_dispatch"]
+        assert outer["engine_dispatch"] == inner["engine_dispatch"]
         # Inner totals add the rounded priming phases to the cells'.
-        assert set(outer.phases) == set(inner.phase_totals)
-        for name, seconds in inner.phase_totals.items():
-            assert outer.phases[name] == pytest.approx(seconds, abs=1e-5)
+        assert set(outer["phases"]) == set(inner["phase_totals"])
+        for name, seconds in inner["phase_totals"].items():
+            assert outer["phases"][name] == pytest.approx(seconds, abs=1e-5)
 
     def test_outer_cell_equals_span_rollup(self):
         with tracing.run("nested") as recorder:
@@ -235,8 +235,7 @@ class TestNestedCells:
             cell for cell in cell_rollups(recorder.spans)
             if cell["key"] == ["outer"]
         ]
-        assert outer.dispatch
-        assert tracing.nest_dispatch(outer.dispatch) == \
-            rollup["engine_dispatch"]
-        assert outer.phases == rollup["phases"]
-        assert outer.wall_seconds == rollup["wall_seconds"]
+        assert outer["engine_dispatch"]
+        assert outer["engine_dispatch"] == rollup["engine_dispatch"]
+        assert outer["phases"] == rollup["phases"]
+        assert outer["wall_seconds"] == rollup["wall_seconds"]

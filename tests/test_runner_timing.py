@@ -6,8 +6,8 @@ import time
 import pytest
 
 from repro.obs import tracing
+from repro.obs.export import timing_record
 from repro.runner import timing
-from repro.runner.timing import CellTiming, TimingReport
 
 
 class TestPhase:
@@ -47,78 +47,92 @@ class TestPhase:
 
 
 class TestReport:
-    def _report(self):
-        cells = (
-            CellTiming(key=("a", 1), wall_seconds=0.5,
-                       phases={"simulate": 0.3, "synthesize": 0.1}),
-            CellTiming(key=("b", 2), wall_seconds=0.25,
-                       phases={"simulate": 0.2}),
-        )
-        return TimingReport(
-            label="test", jobs=2, wall_seconds=0.8, cells=cells
-        )
+    """The ``--timing-out`` record: a plan run's timing plus totals."""
+
+    def _timing(self):
+        return {
+            "label": "test",
+            "jobs": 2,
+            "wall_seconds": 0.8,
+            "cells": [
+                {"key": ("a", 1), "wall_seconds": 0.5,
+                 "phases": {"simulate": 0.3, "synthesize": 0.1},
+                 "engine_dispatch": {}},
+                {"key": ("b", 2), "wall_seconds": 0.25,
+                 "phases": {"simulate": 0.2}, "engine_dispatch": {}},
+            ],
+            "plan": {"cells_total": 2},
+        }
 
     def test_phase_totals(self):
-        totals = self._report().phase_totals
+        totals = timing_record(self._timing())["phase_totals"]
         assert totals["simulate"] == pytest.approx(0.5)
         assert totals["synthesize"] == pytest.approx(0.1)
 
     def test_to_dict(self):
-        record = self._report().to_dict()
+        record = timing_record(self._timing())
         assert record["label"] == "test"
         assert record["jobs"] == 2
         assert len(record["cells"]) == 2
-        assert record["cells"][0]["key"] == ["a", 1]
+        assert record["plan"] == {"cells_total": 2}
 
     def test_write_json(self, tmp_path):
         path = tmp_path / "timing.json"
-        self._report().write(path)
+        path.write_text(json.dumps(timing_record(self._timing())))
         record = json.loads(path.read_text())
         assert record["phase_totals"]["simulate"] == pytest.approx(0.5)
+        assert record["cells"][0]["key"] == ["a", 1]
 
 
 class TestReportRoundTrip:
-    def _report(self):
-        cells = (
-            CellTiming(
-                key=("groff", "mach3", 1), wall_seconds=0.5,
-                phases={"simulate": 0.3, "synthesize": 0.1},
-                dispatch={("demand", "vectorized"): 2,
-                          ("victim", "reference"): 1},
-            ),
-            CellTiming(key=("sdet", "mach3", 2), wall_seconds=0.25,
-                       phases={"simulate": 0.2}),
+    """A written ``--timing-out`` file reloads with the same cells, and
+    its totals are the sums of what it holds."""
+
+    def _timing(self):
+        return {
+            "label": "round-trip",
+            "jobs": 2,
+            "wall_seconds": 0.8,
+            "cells": [
+                {"key": ("groff", "mach3", 1), "wall_seconds": 0.5,
+                 "phases": {"simulate": 0.3, "synthesize": 0.1},
+                 "engine_dispatch": {"vectorized": {"demand": 2},
+                                     "reference": {"victim": 1}}},
+                {"key": ("sdet", "mach3", 2), "wall_seconds": 0.25,
+                 "phases": {"simulate": 0.2}, "engine_dispatch": {}},
+            ],
+            "plan": {"cells_total": 2, "prime_phases": {"line-runs": 0.05}},
+        }
+
+    def _write_read(self, tmp_path) -> dict:
+        path = tmp_path / "timing.json"
+        path.write_text(
+            json.dumps(timing_record(self._timing()), sort_keys=True)
         )
-        return TimingReport(
-            label="round-trip", jobs=2, wall_seconds=0.8, cells=cells
-        )
+        return json.loads(path.read_text())
 
     def test_write_read_preserves_totals(self, tmp_path):
-        # The --timing-out acceptance bar: a written report reloads with
-        # identical phase and dispatch totals.
-        report = self._report()
-        path = tmp_path / "timing.json"
-        report.write(path)
-        loaded = TimingReport.read(path)
-        assert loaded.phase_totals == pytest.approx(report.phase_totals)
-        assert loaded.dispatch_totals == report.dispatch_totals
+        loaded = self._write_read(tmp_path)
+        written = timing_record(self._timing())
+        assert loaded["phase_totals"] == pytest.approx(written["phase_totals"])
+        assert loaded["phase_totals"]["line-runs"] == pytest.approx(0.05)
+        assert loaded["engine_dispatch"] == written["engine_dispatch"]
 
     def test_round_trip_preserves_cells(self, tmp_path):
-        report = self._report()
-        path = tmp_path / "timing.json"
-        report.write(path)
-        loaded = TimingReport.read(path)
-        assert loaded.label == "round-trip"
-        assert loaded.jobs == 2
-        assert loaded.wall_seconds == pytest.approx(0.8)
-        assert [cell.key for cell in loaded.cells] == \
-            [cell.key for cell in report.cells]
-        for original, reloaded in zip(report.cells, loaded.cells):
-            assert reloaded.phases == pytest.approx(original.phases)
-            # Per-cell dispatch survives the nest/flatten round trip.
-            assert reloaded.dispatch == original.dispatch
+        loaded = self._write_read(tmp_path)
+        assert loaded["label"] == "round-trip"
+        assert loaded["jobs"] == 2
+        assert loaded["wall_seconds"] == pytest.approx(0.8)
+        timing = self._timing()
+        assert [cell["key"] for cell in loaded["cells"]] == [
+            list(cell["key"]) for cell in timing["cells"]
+        ]
+        for original, reloaded in zip(timing["cells"], loaded["cells"]):
+            assert reloaded["phases"] == pytest.approx(original["phases"])
+            assert reloaded["engine_dispatch"] == original["engine_dispatch"]
 
-    def test_from_dict_matches_to_dict(self):
-        report = self._report()
-        rebuilt = TimingReport.from_dict(report.to_dict())
-        assert rebuilt.to_dict() == report.to_dict()
+    def test_from_dict_matches_to_dict(self, tmp_path):
+        # Summing a reloaded file's cells again gives the totals it
+        # carries: the file is self-consistent.
+        loaded = self._write_read(tmp_path)
+        assert timing_record(loaded) == loaded

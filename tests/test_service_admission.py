@@ -32,9 +32,10 @@ class _FakeResult:
         return "fake rendering"
 
 
-class _FakeReport:
-    wall_seconds = 0.0
-    phase_totals = {}
+#: The timing of a plan run that ran no cells.
+_FAKE_TIMING = {
+    "label": "fake", "jobs": 1, "wall_seconds": 0.0, "cells": [], "plan": {},
+}
 
 
 def _block_executor(scheduler, release: threading.Event):
@@ -50,7 +51,7 @@ def _block_executor(scheduler, release: threading.Event):
             release.wait(30)
         finally:
             scheduler._jobs_settled(1, 0.05)
-        return _FakeResult(), _FakeReport(), None
+        return _FakeResult(), dict(_FAKE_TIMING), None
 
     scheduler._execute_experiment = stalled
 

@@ -170,7 +170,7 @@ def test_pooled_report_reads_no_trace_in_the_parent():
     registry.clear_trace_cache()
     registry.add_trace_cache_observer(events.append)
     try:
-        planned, report = run_report(
+        planned, timing = run_report(
             dict(ALL_EXPERIMENTS), GOLDEN_SETTINGS, jobs=2
         )
     finally:
@@ -178,7 +178,7 @@ def test_pooled_report_reads_no_trace_in_the_parent():
         registry._disk_cache = saved
     assert events == []
     assert len(registry._trace_cache) == 0
-    assert report.plan["inputs_primed"] == report.plan["inputs_total"]
+    assert timing["plan"]["inputs_primed"] == timing["plan"]["inputs_total"]
     assert [(name, digest(text)) for name, text in planned] == [
         (name, GOLDEN[name]) for name in ALL_EXPERIMENTS
     ]
