@@ -48,6 +48,7 @@ __all__ = [
     "ExperimentSettings",
     "FetchMetrics",
     "FetchPoint",
+    "MACHINE_STREAMS",
     "canonical_job_key",
     "fetch_cell",
     "fetch_cells",
@@ -74,19 +75,37 @@ def machine_breakdown(
     plan.
     """
     trace = get_trace(name, os_name, settings.n_instructions, settings.seed)
+    ifetch_runs = get_line_runs(
+        name,
+        os_name,
+        settings.n_instructions,
+        settings.seed,
+        DECSTATION_3100.icache.line_size,
+    )
     breakdown = HardwareMonitor(DECSTATION_3100).measure(
-        trace, settings.warmup_fraction
+        trace, ifetch_runs, settings.warmup_fraction
     )
     return breakdown, component_mix(trace).get(Component.USER, 0.0)
 
 
+#: The line-run streams :func:`machine_breakdown` reads: the I-cache's
+#: fetch stream (the cells that run it declare it through
+#: :func:`workload_cells`).
+MACHINE_STREAMS = (DECSTATION_3100.icache.line_size,)
+
+
 def workload_cells(
-    fn, suites: Iterable[str], settings: ExperimentSettings
+    fn,
+    suites: Iterable[str],
+    settings: ExperimentSettings,
+    streams: tuple[int, ...] = (),
 ) -> list[PlanCell]:
     """One ``fn(name, os_name, settings)`` cell per (suite, workload).
 
-    Keys are ``(suite, name, os_name)``; the only shared input is each
-    workload's trace, whose columns ``fn`` reads itself.
+    Keys are ``(suite, name, os_name)``.  Each cell reads its
+    workload's trace columns, and ``streams`` names the line sizes of
+    the fetch streams ``fn`` reads too (:data:`MACHINE_STREAMS` for
+    :func:`machine_breakdown`), so a plan primes and shares them.
     """
     return [
         PlanCell(
@@ -96,6 +115,7 @@ def workload_cells(
             traces=plan_inputs.workload_trace_keys(
                 [(name, os_name)], settings
             ),
+            streams=streams,
             columns=True,
         )
         for suite in suites

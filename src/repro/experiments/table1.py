@@ -18,6 +18,7 @@ from repro._util.fmt import format_table
 from repro.core.cpi import CpiBreakdown
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
+    MACHINE_STREAMS,
     ExperimentSettings,
     machine_breakdown,
     suite_groups,
@@ -84,7 +85,9 @@ def plan_cells(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
 ) -> list[PlanCell]:
     """One machine-model cell per (suite, workload), shared with Table 3."""
-    return workload_cells(machine_breakdown, PAPER, settings)
+    return workload_cells(
+        machine_breakdown, PAPER, settings, streams=MACHINE_STREAMS
+    )
 
 
 def merge(

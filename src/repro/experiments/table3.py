@@ -18,6 +18,7 @@ from repro._util.fmt import format_table
 from repro.core.cpi import CpiBreakdown
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
+    MACHINE_STREAMS,
     ExperimentSettings,
     machine_breakdown,
     suite_groups,
@@ -96,7 +97,9 @@ def plan_cells(
     common.machine_breakdown`), so in a report plan the SPEC92
     workloads both tables measure run once.
     """
-    return workload_cells(machine_breakdown, PAPER, settings)
+    return workload_cells(
+        machine_breakdown, PAPER, settings, streams=MACHINE_STREAMS
+    )
 
 
 def merge(

@@ -31,7 +31,7 @@ from repro.tlb.tlb import (
     simulate_tlb,
 )
 from repro.trace.record import RefKind
-from repro.trace.rle import to_line_runs
+from repro.trace.rle import LineRuns, to_line_runs
 from repro.trace.trace import Trace
 
 
@@ -77,33 +77,33 @@ class HardwareMonitor:
     def measure(
         self,
         trace: Trace,
+        ifetch_runs: LineRuns,
         warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
     ) -> CpiBreakdown:
-        """Measure all memory-CPI components of one trace."""
+        """Measure all memory-CPI components of one trace.
+
+        ``ifetch_runs`` is the trace's instruction-fetch stream at the
+        I-cache's line size, as the registry's
+        :func:`~repro.workloads.registry.get_line_runs` serves it: a
+        plan primes, shares and persists it like any fetch stream, so
+        the monitor encodes only the trace's load stream.  The trace's
+        columns drive the D-cache, write-buffer and TLB components.
+        """
         machine = self.machine
         instructions = trace.instruction_count
         if instructions == 0:
             return CpiBreakdown()
 
         # I-cache component.
-        ifetch_runs = to_line_runs(
-            trace.ifetch_addresses(), machine.icache.line_size
-        )
         icache = measure_mpi(ifetch_runs, machine.icache, warmup_fraction)
         cpi_icache = icache.cpi_contribution(machine.miss_penalty)
 
-        # D-cache component: loads allocate and can miss; stores are
-        # write-through (write component below) and do not allocate.
-        load_addrs = trace.addresses[trace.kinds == RefKind.LOAD]
+        # D-cache component, renormalized from loads to instructions.
         measured_instr = int(round(instructions * (1.0 - warmup_fraction)))
-        if len(load_addrs):
-            load_runs = to_line_runs(load_addrs, machine.dcache.line_size)
-            dcache = measure_mpi(load_runs, machine.dcache, warmup_fraction)
-            # Renormalize from loads to instructions.
-            load_mpi = dcache.misses / max(measured_instr, 1)
-            cpi_dcache = load_mpi * machine.miss_penalty
-        else:
-            cpi_dcache = 0.0
+        load_mpi = self._load_misses(trace, warmup_fraction) / max(
+            measured_instr, 1
+        )
+        cpi_dcache = load_mpi * machine.miss_penalty
 
         # Write-buffer component.
         cpi_write = self._write_buffer_stalls(trace, warmup_fraction)
@@ -124,6 +124,21 @@ class HardwareMonitor:
             write=cpi_write,
             tlb=cpi_tlb,
         )
+
+    def _load_misses(self, trace: Trace, warmup_fraction: float) -> int:
+        """Post-warm-up D-cache misses of the trace's loads.
+
+        Loads allocate and can miss; stores are write-through (the
+        write component) and do not allocate.  The load stream and its
+        encoding are dead once this returns.
+        """
+        load_addrs = trace.addresses[trace.kinds == RefKind.LOAD]
+        if not len(load_addrs):
+            return 0
+        load_runs = to_line_runs(load_addrs, self.machine.dcache.line_size)
+        del load_addrs
+        dcache = measure_mpi(load_runs, self.machine.dcache, warmup_fraction)
+        return dcache.misses
 
     def _write_buffer_stalls(
         self, trace: Trace, warmup_fraction: float

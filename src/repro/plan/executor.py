@@ -185,18 +185,19 @@ def _schedule(cells: Sequence[PlanCell], keep: bool) -> list[_Step]:
     Cells that read trace columns run first; the others follow.  Each
     group is ordered by the finest line size its cells read (cells
     that read no stream first; plan order breaks ties), and a stage
-    ends wherever that size changes.  So a column reader such as the
-    machine model runs before any stream is primed for the column
-    readers that need one.  A trace is loaded before its first column
-    reader and its columns are dropped after its last one.  A stream
-    is encoded before its first reader, or, when that reader comes
-    after the columns are dropped, just before the drop: it is the
-    last moment the stream can be encoded without loading the trace
-    again.  Each mask family is primed once, with the union of its
-    readers' shapes, before the stage of its first reader.  Unless
-    ``keep``, a stream is released right after its last reader, so a
-    stage ends there.  Returns one step per stage plus a last,
-    cell-less step that releases what the last stage read.
+    ends wherever that size changes.  So a column reader that reads no
+    stream (Figure 2) runs before any stream is primed for the column
+    readers that need one (the machine model's 4-byte fetch stream).
+    A trace is loaded before its first column reader and its columns
+    are dropped after its last one.  A stream is encoded before its
+    first reader, or, when that reader comes after the columns are
+    dropped, just before the drop: it is the last moment the stream
+    can be encoded without loading the trace again.  Each mask family
+    is primed once, with the union of its readers' shapes, before the
+    stage of its first reader.  Unless ``keep``, a stream is released
+    right after its last reader, so a stage ends there.  Returns one
+    step per stage plus a last, cell-less step that releases what the
+    last stage read.
     """
     ranks = [_rank(cell) for cell in cells]
     order = sorted(range(len(cells)), key=ranks.__getitem__)

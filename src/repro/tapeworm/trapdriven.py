@@ -183,26 +183,20 @@ class TapewormSimulator:
         """Trial grid over many geometries, translating once per seed.
 
         Bit-identical to calling :meth:`run_trials` per geometry, but
-        each trial's page-mapped stream is built once and shared: the
-        translated line arrays stay identity-stable across geometries,
-        so the per-array sort/miss-mask memoization in
-        :mod:`repro.caches.vectorized` carries the whole grid, and each
-        trial's masks are batched so geometries sharing a set count
-        share one pass.
+        the trials run one at a time.  Each trial's page-mapped stream
+        is built once, its masks are batched so geometries sharing a
+        set count share one pass (``prime_mpi_masks``), every geometry
+        is measured on it, and then it is dropped with its line-order
+        memos and masks, so one trial's stream is live at a time.
         """
-        translated = [
-            (seed, self.translated_runs(runs, seed))
-            for seed in self._trial_seeds(n_trials, base_seed)
-        ]
-        for _, stream in translated:
+        trials: list[list[TrialResult]] = [[] for _ in geometries]
+        for seed in self._trial_seeds(n_trials, base_seed):
+            stream = self.translated_runs(runs, seed)
             prime_mpi_masks(stream, geometries)
+            for column, geometry in zip(trials, geometries):
+                column.append(self._measure(stream, geometry, seed))
+            del stream
         return [
-            VariabilityResult(
-                geometry=geometry,
-                trials=tuple(
-                    self._measure(stream, geometry, seed)
-                    for seed, stream in translated
-                ),
-            )
-            for geometry in geometries
+            VariabilityResult(geometry=geometry, trials=tuple(column))
+            for geometry, column in zip(geometries, trials)
         ]

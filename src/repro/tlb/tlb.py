@@ -138,24 +138,29 @@ def simulate_tlb(
     """
     check_power_of_two("page_size", page_size)
     addresses = np.asarray(addresses, dtype=np.uint64)
-    pages = addresses >> np.uint64(ilog2(page_size))
+    n_references = len(addresses)
+    cut_position = int(warmup_fraction * n_references)
     # Collapse consecutive same-page references first: they are
-    # guaranteed hits and dominate the stream.
-    if len(pages):
-        boundary = np.empty(len(pages), dtype=bool)
+    # guaranteed hits and dominate the stream.  A run is counted when
+    # it starts at or after the cut, so the counted misses are the
+    # suffix of the run mask after the runs that start before it.
+    if n_references:
+        pages = addresses >> np.uint64(ilog2(page_size))
+        boundary = np.empty(n_references, dtype=bool)
         boundary[0] = True
         np.not_equal(pages[1:], pages[:-1], out=boundary[1:])
         unique_stream = pages[boundary]
-        positions = np.flatnonzero(boundary)
+        first_counted = int(np.count_nonzero(boundary[:cut_position]))
+        # The full-width page and boundary columns are dead before the
+        # mask kernel allocates its own.
+        del pages, boundary
     else:
-        unique_stream = pages
-        positions = np.zeros(0, dtype=np.int64)
+        unique_stream = np.zeros(0, dtype=np.uint64)
+        first_counted = 0
     mask = miss_mask_fully_associative(unique_stream, n_entries)
-    cut_position = int(warmup_fraction * len(pages))
-    counted = mask[positions >= cut_position]
     scale = 1.0 - warmup_fraction
     return TlbResult(
-        references=int(round(len(pages) * scale)),
-        misses=int(counted.sum()),
+        references=int(round(n_references * scale)),
+        misses=int(np.count_nonzero(mask[first_counted:])),
         instructions=int(round(n_instructions * scale)),
     )

@@ -98,10 +98,16 @@ def to_line_runs(addresses: np.ndarray, line_size: int) -> LineRuns:
         boundaries[0] = True
         np.not_equal(lines[1:], lines[:-1], out=boundaries[1:])
         starts = np.flatnonzero(boundaries)
+        # Free each full-width transient as soon as it is read: at 4 B
+        # lines a stream has about one run per reference, so every
+        # column here is as wide as the input.
+        del boundaries
+        run_lines = lines[starts]
+        del lines
         # Wide here; LineRuns narrows both columns and refuses a run
         # of 2**31 references or more.
-        counts = np.empty(len(starts), dtype=np.int64)
-        counts[:-1] = np.diff(starts)
-        counts[-1] = len(lines) - starts[-1]
-        offsets = addresses[starts] & np.uint64(line_size - 1)
-        return LineRuns(lines[starts], counts, offsets, line_size)
+        counts = np.diff(starts, append=len(addresses))
+        offsets = addresses[starts]
+        del starts
+        offsets &= np.uint64(line_size - 1)
+        return LineRuns(run_lines, counts, offsets, line_size)

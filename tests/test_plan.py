@@ -176,9 +176,49 @@ class TestDedup:
         assert index_map[half:] == index_map[:half]
 
 
+def _watch_fetch_encodes(monkeypatch) -> Counter:
+    """Count encodings of trace fetch streams by (trace label, line size).
+
+    A fetch stream is an array ``Trace.ifetch_addresses`` returned, so
+    an encoding of another column (the machine model's loads) is not
+    counted.  Every ``repro`` module's binding of ``to_line_runs`` is
+    wrapped.
+    """
+    import sys
+
+    from repro.trace import rle
+    from repro.trace.trace import Trace
+
+    encoded: Counter = Counter()
+    selected: dict[int, tuple] = {}  # id -> (label, array held alive)
+    select, encode = Trace.ifetch_addresses, rle.to_line_runs
+
+    def selecting(trace):
+        addresses = select(trace)
+        selected[id(addresses)] = (trace.label, addresses)
+        return addresses
+
+    def encoding(addresses, line_size):
+        label, fetched = selected.get(id(addresses), (None, None))
+        if fetched is addresses:
+            encoded[(label, line_size)] += 1
+        return encode(addresses, line_size)
+
+    monkeypatch.setattr(Trace, "ifetch_addresses", selecting)
+    for name, module in list(sys.modules.items()):
+        if (
+            name.split(".")[0] == "repro"
+            and vars(module).get("to_line_runs") is encode
+        ):
+            monkeypatch.setattr(module, "to_line_runs", encoding)
+    return encoded
+
+
 class TestMachineModelSharing:
     """Tables 1 and 3 build their cells from one machine-model function,
-    so a report measures each workload on the DECstation model once."""
+    so a report measures each workload on the DECstation model once.
+    The cells declare the model's 4 B fetch stream, so a plan primes,
+    shares and persists it like any other stream."""
 
     MODULES = {"table1": table1, "table3": table3}
 
@@ -215,6 +255,63 @@ class TestMachineModelSharing:
         assert len(measured) == len(set(measured))
         assert len(measured) == len(self._workloads())
         # Sharing the cells leaves both renderings byte-identical.
+        assert [(name, digest(text)) for name, text in planned] == [
+            (name, GOLDEN[name]) for name in self.MODULES
+        ]
+
+    def test_ibs_mach3_fetch_stream_is_encoded_once(self, monkeypatch):
+        # Table 3's machine model and Figure 6's 4 B column read one
+        # stream per IBS-Mach3 trace, encoded once for both.
+        from repro.experiments import figure6
+
+        encoded = _watch_fetch_encodes(monkeypatch)
+        clear_trace_cache()
+        run_report({"table3": table3, "figure6": figure6}, SETTINGS, jobs=1)
+        clear_trace_cache()
+        for name, os_name in suite_workloads("ibs-mach3"):
+            assert encoded[(f"{name}@{os_name}", 4)] == 1, name
+        assert {key: n for key, n in encoded.items() if n != 1} == {}
+
+    def test_warm_report_reads_machine_streams_from_disk(
+        self, monkeypatch, tmp_path
+    ):
+        # A cache filled from the plan's inputs holds every
+        # machine-model fetch stream, so a report over it encodes none.
+        from repro.experiments.common import machine_breakdown
+        from repro.runner.cache import TraceDiskCache
+        from repro.workloads import registry
+
+        backend = TraceDiskCache(str(tmp_path))
+        set_trace_cache_backend(backend)
+        plan = compile_report(self.MODULES, SETTINGS)
+        inputs = collect_inputs(plan.cells)
+        clear_trace_cache()
+        for trace in inputs.traces:
+            registry.get_trace(*_registry_key(trace))
+        for trace, line_size in inputs.streams:
+            registry.get_line_runs(*_registry_key(trace), line_size)
+        clear_trace_cache()
+
+        hits: set = set()
+        load = backend.load_line_runs
+
+        def loading(params, n_instructions, seed, line_size):
+            runs = load(params, n_instructions, seed, line_size)
+            if runs is not None and line_size == 4:
+                hits.add((params.name, params.os_name))
+            return runs
+
+        monkeypatch.setattr(backend, "load_line_runs", loading)
+        encoded = _watch_fetch_encodes(monkeypatch)
+        try:
+            planned, _ = run_report(self.MODULES, SETTINGS, jobs=1)
+        finally:
+            clear_trace_cache()
+        unique, _ = dedup_cells(plan.cells)
+        assert hits == {
+            cell.args[:2] for cell in unique if cell.fn is machine_breakdown
+        }
+        assert [key for key in encoded if key[1] == 4] == []
         assert [(name, digest(text)) for name, text in planned] == [
             (name, GOLDEN[name]) for name in self.MODULES
         ]
@@ -829,12 +926,13 @@ class TestStages:
         assert staged_report.synthesized == Counter(
             (trace.workload, trace.os_name) for trace in inputs.traces
         )
-        # The machine model encodes its own fetch and load streams.
+        # The machine model reads its fetch stream as a plan input and
+        # encodes only its load stream.
         models = sum(
             cell.fn is machine_breakdown for cell in staged_report.unique
         )
         assert models > 0
-        assert staged_report.encoded == len(inputs.streams) + 2 * models
+        assert staged_report.encoded == len(inputs.streams) + models
 
     def test_no_cell_reads_columns_after_they_are_dropped(
         self, staged_report

@@ -11,7 +11,7 @@ import pytest
 from repro.runner import cachedir
 from repro.runner.cache import TraceDiskCache, params_fingerprint
 from repro.runner.cachedir import select_cache_dir, selected_cache_dir
-from repro.trace.rle import to_line_runs
+from repro.trace.rle import LineRuns, to_line_runs
 from repro.workloads import params as params_module
 from repro.workloads import registry
 from repro.workloads.generator import GENERATOR_VERSION, synthesize_trace
@@ -160,6 +160,41 @@ class TestRoundTrip:
         assert np.array_equal(loaded.lines, runs.lines)
         assert np.array_equal(loaded.counts, runs.counts)
         assert np.array_equal(loaded.first_offsets, runs.first_offsets)
+
+    @pytest.mark.parametrize("line_size", [4, 32])
+    def test_line_runs_stored_at_narrowest_width(
+        self, tmp_path, params, trace, line_size
+    ):
+        # On disk each column takes the fewest bytes that hold it; a
+        # load widens it back to the LineRuns dtypes, value for value.
+        cache = TraceDiskCache(tmp_path)
+        cache.store(trace, params, N, SEED)
+        runs = to_line_runs(trace.ifetch_addresses(), line_size)
+        entry = cache.store_line_runs(runs, params, N, SEED)
+        with np.load(os.path.join(entry, "runs.npz")) as archive:
+            stored = {name: archive[name].dtype for name in archive.files}
+        assert stored["lines"] == np.uint32
+        assert stored["counts"].itemsize < runs.counts.itemsize
+        loaded = cache.load_line_runs(params, N, SEED, line_size)
+        for column in ("lines", "counts", "first_offsets"):
+            expected = getattr(runs, column)
+            assert getattr(loaded, column).dtype == expected.dtype
+            assert np.array_equal(getattr(loaded, column), expected)
+
+    def test_wide_line_numbers_stay_wide_on_disk(
+        self, tmp_path, params, trace
+    ):
+        cache = TraceDiskCache(tmp_path)
+        cache.store(trace, params, N, SEED)
+        lines = np.array([0, 2**40, 3], dtype=np.uint64)
+        runs = LineRuns(lines, [1, 70_000, 2], [0, 3, 1], 32)
+        entry = cache.store_line_runs(runs, params, N, SEED)
+        with np.load(os.path.join(entry, "runs.npz")) as archive:
+            assert archive["lines"].dtype == np.uint64
+            assert archive["counts"].dtype == np.uint32
+        loaded = cache.load_line_runs(params, N, SEED, 32)
+        assert np.array_equal(loaded.lines, lines)
+        assert loaded.counts.tolist() == [1, 70_000, 2]
 
     def test_int64_line_runs_load_narrow_and_identical(
         self, tmp_path, params, trace

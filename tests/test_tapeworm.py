@@ -99,3 +99,49 @@ class TestTapewormSimulator:
                 CacheGeometry(16 * 1024, 32, 1),
                 n_trials=0,
             )
+
+
+class TestRunGrid:
+    """``run_grid`` runs its trials one at a time, and each trial is
+    exactly ``run_trials``'s."""
+
+    GEOMETRIES = [
+        CacheGeometry(size, 32, ways)
+        for size in (8 * 1024, 32 * 1024)
+        for ways in (1, 2)
+    ]
+
+    def test_matches_run_trials_per_geometry(self, small_trace):
+        simulator = TapewormSimulator()
+        runs = to_line_runs(small_trace.ifetch_addresses(), 32)
+        grid = simulator.run_grid(
+            runs, self.GEOMETRIES, n_trials=3, base_seed=4
+        )
+        assert grid == [
+            simulator.run_trials(runs, geometry, n_trials=3, base_seed=4)
+            for geometry in self.GEOMETRIES
+        ]
+
+    def test_one_trial_is_live_at_a_time(self, small_trace, monkeypatch):
+        # Each trial's page-mapped stream (with its line-order memo and
+        # masks) is dropped before the next trial is primed.
+        import gc
+
+        from repro.caches.vectorized import order_cache_stats
+        from repro.tapeworm import trapdriven
+
+        runs = to_line_runs(small_trace.ifetch_addresses(), 32)
+        gc.collect()
+        before = order_cache_stats()["entries"]
+        entries = []
+        prime = trapdriven.prime_mpi_masks
+
+        def priming(stream, geometries):
+            prime(stream, geometries)
+            entries.append(order_cache_stats()["entries"] - before)
+
+        monkeypatch.setattr(trapdriven, "prime_mpi_masks", priming)
+        TapewormSimulator().run_grid(runs, self.GEOMETRIES, n_trials=3)
+        assert len(entries) == 3
+        assert entries[0] > 0
+        assert max(entries) == entries[0]

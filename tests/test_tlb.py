@@ -62,11 +62,50 @@ class TestSimulateTlb:
             0, 4096, 5000
         )).astype(np.uint64)
         vec = simulate_tlb(addresses, n_instructions=5000, n_entries=64)
-        tlb = Tlb(n_entries=64, policy=ReplacementPolicy.LRU)
-        seq_misses = sum(
-            0 if tlb.access(int(a)) else 1 for a in addresses
+        assert vec.misses == self._sequential_misses(addresses, 64, 0.0)
+
+    @staticmethod
+    def _sequential_misses(addresses, n_entries, warmup_fraction):
+        """Misses of the per-reference LRU walk at or after the cut."""
+        tlb = Tlb(n_entries=n_entries, policy=ReplacementPolicy.LRU)
+        cut = int(warmup_fraction * len(addresses))
+        misses = 0
+        for index, address in enumerate(addresses.tolist()):
+            hit = tlb.access(address)
+            if index >= cut and not hit:
+                misses += 1
+        return misses
+
+    @pytest.mark.parametrize("warmup_fraction", [0.1, 0.5])
+    def test_matches_sequential_lru_after_warmup(self, warmup_fraction):
+        rng = np.random.default_rng(2)
+        pages = np.repeat(rng.integers(0, 200, 1500), rng.integers(1, 6, 1500))
+        addresses = (
+            pages * 4096 + rng.integers(0, 4096, len(pages))
+        ).astype(np.uint64)
+        vec = simulate_tlb(
+            addresses, n_instructions=len(addresses), n_entries=64,
+            warmup_fraction=warmup_fraction,
         )
-        assert vec.misses == seq_misses
+        assert vec.misses == self._sequential_misses(
+            addresses, 64, warmup_fraction
+        )
+
+    def test_page_run_straddling_the_cut(self):
+        # Runs of 7 references; the cut (reference 157) falls inside
+        # the run at 154..160, a first touch, so its miss is before
+        # the cut and not counted.
+        rng = np.random.default_rng(3)
+        pages = rng.integers(0, 80, 90)
+        pages[22] = 10_000
+        addresses = (np.repeat(pages, 7) * 4096).astype(np.uint64)
+        cut = int(0.25 * len(addresses))
+        assert cut % 7 and cut // 7 == 22
+        vec = simulate_tlb(
+            addresses, n_instructions=len(addresses), n_entries=16,
+            warmup_fraction=0.25,
+        )
+        assert vec.misses == self._sequential_misses(addresses, 16, 0.25)
 
     def test_small_working_set_no_misses_after_fill(self):
         addresses = np.tile(
