@@ -88,7 +88,7 @@ def check_inclusion(
     l2_sim = SetAssociativeCache(l2)
     violations = 0
     max_orphans = 0
-    stream = np.asarray(lines, dtype=np.uint64).tolist()
+    stream = np.asarray(lines).tolist()
     for i, line in enumerate(stream):
         l1_sim.access_line(line)
         l2_sim.access_line(line)

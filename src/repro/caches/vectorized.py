@@ -72,7 +72,7 @@ class LineOrderCache:
         if weak:
             self._lines = weakref.ref(lines)
         else:
-            strong = np.asarray(lines, dtype=np.uint64)
+            strong = _line_array(lines)
             self._lines = lambda: strong
         self._memo: dict = {}
         #: Approximate bytes held by memoized artifacts.  The line array
@@ -119,13 +119,18 @@ class LineOrderCache:
 
         Returning one stable array object per shift lets downstream
         per-array caches (this registry included) recognize repeated
-        sweeps over the same coarsened stream.
+        sweeps over the same coarsened stream.  The view keeps the
+        stream's dtype (a shift by a ``uint64`` scalar would widen a
+        ``uint32`` stream).
         """
         if shift == 0:
             return self.lines
-        return self.memo(
-            ("coarsen", shift), lambda: self.lines >> np.uint64(shift)
-        )
+
+        def compute() -> np.ndarray:
+            lines = self.lines
+            return lines >> lines.dtype.type(shift)
+
+        return self.memo(("coarsen", shift), compute)
 
     def miss_mask(self, n_sets: int, associativity: int) -> np.ndarray:
         """Memoized per-reference LRU miss mask of one cache shape."""
@@ -272,15 +277,35 @@ def _set_order(lines: np.ndarray, n_sets: int) -> np.ndarray:
 
     The index is sorted at the narrowest unsigned width that holds it,
     which puts numpy on its radix path; a stable sort by identical keys
-    is unique, so the permutation does not depend on the width.
+    is unique, so the permutation does not depend on the width.  The
+    index is cut from the lines at that width (a power-of-two set count
+    keeps only low bits, which the cast keeps), so no full-width copy
+    of the stream is made.
     """
     key_dtype = (
         np.uint16 if n_sets <= 1 << 16
         else np.uint32 if n_sets <= 1 << 32
         else np.uint64
     )
-    sets = (lines & np.uint64(n_sets - 1)).astype(key_dtype)
+    sets = lines.astype(key_dtype)
+    sets &= key_dtype(n_sets - 1)
     return np.argsort(sets, kind="stable")
+
+
+#: The widths a line stream is held at (see ``LineRuns``).
+_LINE_DTYPES = (np.dtype(np.uint32), np.dtype(np.uint64))
+
+
+def _held_width(lines) -> bool:
+    """Whether ``lines`` is an array at a width a stream is held at."""
+    return isinstance(lines, np.ndarray) and lines.dtype in _LINE_DTYPES
+
+
+def _line_array(lines) -> np.ndarray:
+    """``lines`` as it is when it is held at a stream's width (a
+    :class:`~repro.trace.rle.LineRuns` column or a coarsened view of
+    one), else as a ``uint64`` array."""
+    return lines if _held_width(lines) else np.asarray(lines, np.uint64)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -532,10 +557,11 @@ def line_order_cache(lines: np.ndarray) -> LineOrderCache:
     creates a fresh cache entry, so callers that want reuse must pass
     the *same* array object — which the registry's trace cache and
     :class:`~repro.trace.trace.Trace` memoization already arrange.
-    Only ``uint64`` arrays are registered; anything else gets a private
-    cache over its converted copy.
+    ``uint32`` and ``uint64`` arrays, the widths a line stream is held
+    at, are registered as they are; anything else gets a private cache
+    over its ``uint64`` copy, which no later caller can share.
     """
-    if not (isinstance(lines, np.ndarray) and lines.dtype == np.uint64):
+    if not _held_width(lines):
         return LineOrderCache(lines)
     key = id(lines)
     with _order_cache_lock:
@@ -602,7 +628,7 @@ def miss_mask_direct_mapped(
     precomputed grouping explicitly.
     """
     check_power_of_two("n_sets", n_sets)
-    lines = np.asarray(lines, dtype=np.uint64)
+    lines = _line_array(lines)
     n = len(lines)
     if n == 0:
         return np.zeros(0, dtype=bool)
@@ -634,7 +660,7 @@ def miss_mask_set_associative(
     if associativity == 1:
         return miss_mask_direct_mapped(lines, n_sets)
     check_power_of_two("n_sets", n_sets)
-    lines = np.asarray(lines, dtype=np.uint64)
+    lines = _line_array(lines)
     return line_order_cache(lines).miss_mask(n_sets, associativity)
 
 
@@ -648,7 +674,7 @@ def miss_mask_fully_associative(
     touches).  The bounded kernel counts those lines only as far as
     the capacity, and the mask is memoized per stream and capacity.
     """
-    lines = np.asarray(lines, dtype=np.uint64)
+    lines = _line_array(lines)
     return line_order_cache(lines).miss_mask(capacity_lines, 0)
 
 
@@ -662,7 +688,7 @@ def lru_stack_distances(lines: np.ndarray) -> np.ndarray:
     occurrence-gap intervals nested strictly inside ``(p, i)`` — a 2D
     dominance count handled by :func:`_count_smaller_to_right`.
     """
-    lines = np.asarray(lines, dtype=np.uint64)
+    lines = _line_array(lines)
     by_line = np.argsort(lines, kind="stable").astype(
         _index_dtype(len(lines)), copy=False
     )
@@ -767,5 +793,5 @@ def compulsory_mask(lines: np.ndarray) -> np.ndarray:
     underlying ``np.unique`` is a full sort, and three-Cs sweeps ask
     for the same stream's mask at every cache size.
     """
-    lines = np.asarray(lines, dtype=np.uint64)
+    lines = _line_array(lines)
     return line_order_cache(lines).compulsory()

@@ -24,8 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.caches.base import CacheGeometry
+from repro.caches.vectorized import _index_dtype
 from repro.fetch.engine import FetchEngine
 from repro.fetch.timing import MemoryTiming
+from repro.trace.rle import narrowest_unsigned
 
 
 class MarkovPrefetchEngine(FetchEngine):
@@ -188,11 +190,8 @@ def markov_trace_events(
             while len(buffer) >= n_buffers:  # _insert
                 del buffer[next(iter(buffer))]
             buffer[target] = (event, offset)
-    return (
-        np.asarray(event_run, dtype=np.int64),
-        np.asarray(event_is_miss, dtype=bool),
-        np.asarray(event_source, dtype=np.int64),
-        np.asarray(event_offset, dtype=np.int64),
+    return _event_columns(
+        len(lines), event_run, event_is_miss, event_source, event_offset
     )
 
 
@@ -257,9 +256,25 @@ def markov_trace_events_direct(
             while len(buffer) >= n_buffers:  # _insert
                 del buffer[next(iter(buffer))]
             buffer[target] = (event, offset)
-    return (
+    return _event_columns(
+        len(lines),
         np.asarray(positions).reshape(n_events),
-        np.asarray(event_is_miss, dtype=bool),
-        np.asarray(event_source, dtype=np.int64),
-        np.asarray(event_offset, dtype=np.int64),
+        event_is_miss,
+        event_source,
+        event_offset,
+    )
+
+
+def _event_columns(
+    n_runs: int, event_run, is_miss, source, offset
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A replay's event columns as the kernel memoizes them: run and
+    source indices at the stream's index width, issue slots at the
+    narrowest unsigned width (the kernel reads them via ``tolist()``)."""
+    index = _index_dtype(n_runs)
+    return (
+        np.asarray(event_run, dtype=index),
+        np.asarray(is_miss, dtype=bool),
+        np.asarray(source, dtype=index),
+        narrowest_unsigned(offset),
     )

@@ -380,10 +380,11 @@ def _tagged_state_compute(lines: np.ndarray, n_sets: int, ways: int):
         event_is_miss.append(True)
         event_source.append(-1)
         event_issued.append(issue(line + 1, event))
+    index = _index_dtype(len(lines))
     return (
-        np.asarray(event_run, dtype=np.int64),
+        np.asarray(event_run, dtype=index),
         np.asarray(event_is_miss, dtype=bool),
-        np.asarray(event_source, dtype=np.int32),
+        np.asarray(event_source, dtype=index),
         np.asarray(event_issued, dtype=bool),
     )
 
@@ -623,13 +624,16 @@ def _bypass_result(
     live = np.arange(len(positions))
     j = positions.astype(np.int64) + 1
     rel = stall + counts[positions]
-    base = lines[positions]
+    # Line distances are signed and taken in int64, whatever the
+    # stream's width (a uint32 difference would wrap below zero).
+    base = lines[positions].astype(np.int64)
     while len(live):
         inside = (j < n_runs) & (rel <= burst)
         # A window ends at its first run past the busy horizon.
         resume[live[~inside]] = j[~inside]
         live, j, rel, base = live[inside], j[inside], rel[inside], base[inside]
-        d = (lines[j] - base).view(np.int64)
+        d = lines[j].astype(np.int64)
+        d -= base
         buffered = (d >= 0) & (d <= n_prefetch)
         # A buffered line waits for its beat of the burst; anything else
         # waits out the whole refill.

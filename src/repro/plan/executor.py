@@ -90,6 +90,7 @@ from repro.runner.pool import resolve_jobs, run_cells, run_in_pool
 from repro.workloads.registry import (
     discard_trace,
     get_line_runs,
+    get_line_runs_at,
     get_trace,
     release_inputs,
 )
@@ -155,9 +156,10 @@ class _Step:
 
     In order: streams whose last reader ran in the previous stage are
     released; traces are loaded for their first column reader; streams
-    are encoded, finest first; traces whose last column reader has run
-    lose their columns; mask families are primed for their first
-    reader.  ``primed`` and ``released`` count the inputs (a trace, a
+    are encoded one trace at a time, finest first, and traces whose
+    last column reader has run lose their columns, each right after
+    its own streams are encoded; mask families are primed for their
+    first reader.  ``primed`` and ``released`` count the inputs (a trace, a
     stream, a mask family) primed and released here; a released
     stream's mask families go with it.
     """
@@ -273,19 +275,26 @@ def _prime_and_release(step: _Step, inputs: PlanInputs) -> None:
     """Carry out one step's releases and primes, in :class:`_Step`
     order.
 
-    Streams and masks are read through
-    :func:`~repro.workloads.registry.get_line_runs`, which loads a
-    trace only for a stream the registry neither holds nor finds
-    persisted.
+    A trace's streams go to
+    :func:`~repro.workloads.registry.get_line_runs_at` together, which
+    loads the trace only for streams the registry neither holds nor
+    finds persisted and selects its fetch addresses once for them all;
+    a trace to be dropped here loses its columns right after its
+    streams, before the next trace's are encoded.  Masks read their
+    streams through :func:`~repro.workloads.registry.get_line_runs`.
     """
     for trace, size in step.release:
         release_inputs(*_registry_key(trace), line_sizes=(size,))
     for trace in step.loads:
         get_trace(*_registry_key(trace))
+    sizes: dict[TraceKey, list[int]] = {trace: [] for trace in step.drop}
     for trace, size in step.streams:
-        get_line_runs(*_registry_key(trace), size)
-    for trace in step.drop:
-        release_inputs(*_registry_key(trace), columns=True)
+        sizes.setdefault(trace, []).append(size)
+    for trace, trace_sizes in sizes.items():
+        if trace_sizes:
+            get_line_runs_at(*_registry_key(trace), trace_sizes)
+        if trace in step.drop:
+            release_inputs(*_registry_key(trace), columns=True)
     for family in step.masks:
         trace, encode_size, mask_size = family
         shapes, _ = inputs.masks[family]

@@ -17,10 +17,14 @@ reclaims the space).
 
 The per-line-size run-length-encoded instruction streams
 (:func:`repro.trace.rle.to_line_runs`) that every sweep needs are
-entries of their own, named after their trace and line size.  Both
-namespaces publish and verify through :mod:`repro.runner.entrystore`,
-so a corrupt or torn entry is a miss that is recomputed, never a wrong
-trace.
+entries of their own, named after their trace and line size.  A stream
+is stored as it is held, each column at the narrowest width
+:class:`~repro.trace.rle.LineRuns` gave it (a 4-byte fetch stream's
+lines as ``uint32`` and counts as ``uint8``: 6 bytes a run), and it
+loads at that width; an entry written at other widths loads at these,
+value for value.  Both namespaces publish and verify through
+:mod:`repro.runner.entrystore`, so a corrupt or torn entry is a miss
+that is recomputed, never a wrong trace.
 
 The cache directory comes from the ``REPRO_CACHE_DIR`` environment
 variable or the CLI's ``--cache-dir`` flag (see
@@ -49,20 +53,6 @@ _FP_PREFIX = 12
 
 #: The one file of a line-run entry.
 _RUNS = "runs.npz"
-
-
-def _narrowest(column: np.ndarray) -> np.ndarray:
-    """A non-negative ``column`` at the narrowest unsigned width that
-    holds its largest value.
-
-    A 4-byte fetch stream's line numbers fit 32 bits and its counts
-    8, so its entry takes 6 bytes a run on disk instead of 13;
-    :class:`~repro.trace.rle.LineRuns` widens the columns back, value
-    for value, when the entry is loaded.
-    """
-    if not len(column):
-        return column
-    return column.astype(np.min_scalar_type(int(column.max())), copy=False)
 
 
 class TraceDiskCache:
@@ -172,8 +162,8 @@ class TraceDiskCache:
             name,
             lambda staging: np.savez(
                 os.path.join(staging, _RUNS),
-                lines=_narrowest(runs.lines),
-                counts=_narrowest(runs.counts),
+                lines=runs.lines,
+                counts=runs.counts,
                 first_offsets=runs.first_offsets,
             ),
             meta={"trace": trace, "line_size": runs.line_size},

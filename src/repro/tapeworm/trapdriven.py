@@ -36,22 +36,34 @@ def translate_lines(
     """Translate virtual line numbers through a page mapping.
 
     Lines never span pages (line size divides page size), so a line
-    maps to ``frame(page) * lines_per_page + line-within-page``.
+    maps to ``frame(page) * lines_per_page + line-within-page``.  The
+    stream is read at its own width, and the physical lines come back
+    as ``uint32`` when every one fits 32 bits (``uint64`` otherwise), so
+    no full-width copy of the stream is made.
     """
     if mapper.page_size % line_size:
         raise ValueError(
             f"line size {line_size} does not divide page size "
             f"{mapper.page_size}"
         )
-    lines = np.asarray(lines, dtype=np.uint64)
-    lines_per_page_bits = ilog2(mapper.page_size // line_size)
-    virtual_pages = lines >> np.uint64(lines_per_page_bits)
-    within = lines & np.uint64((1 << lines_per_page_bits) - 1)
-    unique_pages, inverse = np.unique(virtual_pages, return_inverse=True)
-    frames = np.array(
-        [mapper.frame_of(int(page)) for page in unique_pages], dtype=np.uint64
+    lines = np.asarray(lines)
+    if lines.dtype.kind != "u":
+        lines = lines.astype(np.uint64)
+    bits = ilog2(mapper.page_size // line_size)
+    word = lines.dtype.type
+    unique_pages, inverse = np.unique(
+        lines >> word(bits), return_inverse=True
     )
-    return (frames[inverse] << np.uint64(lines_per_page_bits)) | within
+    frames = [mapper.frame_of(int(page)) for page in unique_pages]
+    highest = (max(frames, default=0) << bits) | ((1 << bits) - 1)
+    physical_dtype = np.uint32 if highest < 2**32 else np.uint64
+    physical = np.array(frames, dtype=physical_dtype)[inverse]
+    del inverse
+    physical <<= physical_dtype(bits)
+    physical |= (lines & word((1 << bits) - 1)).astype(
+        physical_dtype, copy=False
+    )
+    return physical
 
 
 @dataclass(frozen=True)

@@ -439,26 +439,65 @@ def get_line_runs(
     and persisted.  The stream is then cached in the key's entry, the
     one memo of it in the process.
     """
+    (runs,) = get_line_runs_at(
+        name, os_name, n_instructions, seed, (line_size,)
+    )
+    return runs
+
+
+def get_line_runs_at(
+    name: str,
+    os_name: str,
+    n_instructions: int,
+    seed: int,
+    line_sizes: Iterable[int],
+) -> list[LineRuns]:
+    """One workload's RLE instruction-fetch streams at several line
+    sizes, in the order asked.
+
+    Each is answered as :func:`get_line_runs` answers one.  The streams
+    that must be encoded share one selection of the trace's fetch
+    addresses, freed after the last of them is encoded.
+    """
     key = (name, os_name, n_instructions, seed)
-    runs = _trace_cache.line_runs(key, line_size)
-    if runs is not None:
-        _notify_cache(TRACE_CACHE_MEMORY_HIT)
-        return runs
-    params = get_workload(name, os_name)
-    backend = trace_cache_backend()
-    if backend is not None:
-        with timing.phase(timing.PHASE_TRACE_LOAD):
-            runs = backend.load_line_runs(params, n_instructions, seed, line_size)
-    if runs is not None:
-        _notify_cache(TRACE_CACHE_DISK_HIT)
-    else:
-        trace = get_trace(name, os_name, n_instructions, seed)
-        runs = rle.to_line_runs(trace.ifetch_addresses(), line_size)
+    line_sizes = list(line_sizes)
+    found: dict[int, LineRuns] = {}
+    missing: list[int] = []
+    params = backend = None
+    for line_size in dict.fromkeys(line_sizes):
+        runs = _trace_cache.line_runs(key, line_size)
+        if runs is not None:
+            _notify_cache(TRACE_CACHE_MEMORY_HIT)
+            found[line_size] = runs
+            continue
+        if params is None:
+            params = get_workload(name, os_name)
+            backend = trace_cache_backend()
         if backend is not None:
-            _persist(
-                backend.store_line_runs, runs, params, n_instructions, seed
+            with timing.phase(timing.PHASE_TRACE_LOAD):
+                runs = backend.load_line_runs(
+                    params, n_instructions, seed, line_size
+                )
+        if runs is None:
+            missing.append(line_size)
+            continue
+        _notify_cache(TRACE_CACHE_DISK_HIT)
+        found[line_size] = _trace_cache.put_line_runs(key, line_size, runs)
+    if missing:
+        trace = get_trace(name, os_name, n_instructions, seed)
+        addresses = trace.ifetch_addresses()
+        for line_size in missing:
+            runs = rle.to_line_runs(addresses, line_size)
+            if backend is not None:
+                _persist(
+                    backend.store_line_runs, runs, params, n_instructions,
+                    seed,
+                )
+            found[line_size] = _trace_cache.put_line_runs(
+                key, line_size, runs
             )
-    return _trace_cache.put_line_runs(key, line_size, runs)
+        del addresses
+    return [found[line_size] for line_size in line_sizes]
 
 
 def configure_trace_cache(

@@ -162,7 +162,7 @@ class TestWarmupCutMemo:
             first_offsets=np.zeros(3, np.int64),
             line_size=32,
         )
-        assert runs.counts.dtype == np.int32
+        assert runs.counts.dtype == np.uint32
         assert warmup_cut(runs, 0.0) == (0, 2 * big + 5)
         assert warmup_cut(runs, 0.5) == (2, 5)
         assert warmup_cut(runs, 0.25) == (1, big + 5)

@@ -71,3 +71,31 @@ class TestMarkovPrefetchEngine:
             MarkovPrefetchEngine(GEOMETRY, TIMING, table_size=0)
         with pytest.raises(ValueError):
             MarkovPrefetchEngine(GEOMETRY, TIMING, n_buffers=0)
+
+
+class TestMarkovStateMemo:
+    @pytest.mark.parametrize("ways", [1, 2])
+    def test_memo_holds_narrow_event_columns(self, medium_trace, ways):
+        """The memoized replay (direct-mapped and associative) keeps run
+        and source indices at the stream's index width and issue slots
+        at their narrowest unsigned width; the kernel reads them only
+        through ``tolist()``, so the reference engine still agrees."""
+        from repro.caches.vectorized import line_order_cache
+        from repro.fetch.vectorized import run_vectorized
+
+        runs = to_line_runs(medium_trace.ifetch_addresses()[:60_000], 32)
+        geometry = CacheGeometry(8192, 32, ways)
+        cache = line_order_cache(runs.lines)
+        vectorized = run_vectorized(
+            runs, geometry, TIMING, "markov", hybrid=True
+        )
+        (key,) = [k for k in cache._memo if k[0] == "markov-state"]
+        event_run, is_miss, source, offset = cache._memo[key]
+        assert (event_run.dtype, is_miss.dtype, source.dtype) == (
+            np.int32, np.bool_, np.int32,
+        )
+        assert offset.dtype == np.min_scalar_type(int(offset.max()))
+        assert offset.itemsize == 1
+        assert len({len(event_run), len(is_miss), len(source), len(offset)}) == 1
+        reference = MarkovPrefetchEngine(geometry, TIMING, hybrid=True).run(runs)
+        assert vectorized == reference

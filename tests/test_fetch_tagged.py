@@ -71,8 +71,9 @@ class TestTaggedStateMemo:
         assert cache.memo_bytes == 0
         vectorized = run_vectorized(runs, geometry, TIMING, "tagged")
         columns = cache._memo[("tagged-state", geometry.n_sets, 1)]
+        # Run indices at the stream's index width (int32 below 2**31).
         assert [c.dtype for c in columns] == [
-            np.int64, np.bool_, np.int32, np.bool_,
+            np.int32, np.bool_, np.int32, np.bool_,
         ]
         assert len({len(c) for c in columns}) == 1
         assert cache.memo_bytes == sum(c.nbytes for c in columns)

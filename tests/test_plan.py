@@ -772,20 +772,25 @@ def staged_report():
 
     Records, at every cell start, which traces' columns and which
     streams the registry holds; every ``get_trace`` a cell makes for a
-    trace whose columns the registry does not hold; and every
-    synthesis and encoding.  Every ``repro`` module's binding of the
-    watched functions is wrapped, so a name imported with ``from`` is
-    counted too.
+    trace whose columns the registry does not hold; every synthesis
+    and encoding; every selection of a trace's fetch addresses the
+    registry makes, with the encodings made from each; and, for each
+    stage, the traces it encodes streams of.  Every
+    ``repro`` module's binding of the watched functions is wrapped, so
+    a name imported with ``from`` is counted too.
     """
     import sys
+    import weakref
 
+    from repro.plan import executor
     from repro.runner import pool
     from repro.trace import rle
+    from repro.trace.trace import Trace
     from repro.workloads import registry
 
     record = SimpleNamespace(
         started=[], held=[], late_loads=[], synthesized=Counter(),
-        encoded=0,
+        encoded=0, selections=[], encoded_from=Counter(), stage_streams=[],
     )
     running: list = []
     execute = pool._execute_cell
@@ -812,7 +817,22 @@ def staged_report():
 
     def encoding(addresses, line_size):
         record.encoded += 1
+        for index, (_, selected) in enumerate(record.selections):
+            if selected() is addresses:
+                record.encoded_from[index] += 1
         return encode(addresses, line_size)
+
+    def priming(step, inputs):
+        record.stage_streams.append(
+            {f"{trace.workload}@{trace.os_name}" for trace, _ in step.streams}
+        )
+        return prime(step, inputs)
+
+    def selecting(trace):
+        addresses = select(trace)
+        if sys._getframe(1).f_globals.get("__name__") == registry.__name__:
+            record.selections.append((trace.label, weakref.ref(addresses)))
+        return addresses
 
     def synthesizing(params, n_instructions, seed=0):
         record.synthesized[(params.name, params.os_name)] += 1
@@ -820,6 +840,8 @@ def staged_report():
 
     load, encode = registry.get_trace, rle.to_line_runs
     synthesize = registry.synthesize_trace
+    select = Trace.ifetch_addresses
+    prime = executor._prime_and_release
     wrappers = {
         "get_trace": (load, loading),
         "to_line_runs": (encode, encoding),
@@ -836,10 +858,14 @@ def staged_report():
     saved = registry._disk_cache
     registry.set_trace_cache_backend(None)
     pool._execute_cell = cell
+    Trace.ifetch_addresses = selecting
+    executor._prime_and_release = priming
     clear_trace_cache()
     try:
         run_report(dict(ALL_EXPERIMENTS), SETTINGS, jobs=1)
     finally:
+        executor._prime_and_release = prime
+        Trace.ifetch_addresses = select
         pool._execute_cell = execute
         for module, attr, original in patched:
             setattr(module, attr, original)
@@ -934,6 +960,26 @@ class TestStages:
         assert models > 0
         assert staged_report.encoded == len(inputs.streams) + models
 
+    def test_each_trace_is_selected_once_per_stage(self, staged_report):
+        # A stage hands all of its streams of one trace to the registry
+        # together, and the registry selects the trace's fetch
+        # addresses once for them all (at 20k instructions: 77
+        # selections for 109 streams of 39 traces, which encoding each
+        # stream from a selection of its own made 109).
+        inputs = collect_inputs(staged_report.unique)
+        staged = Counter(
+            label for labels in staged_report.stage_streams for label in labels
+        )
+        selected = Counter(label for label, _ in staged_report.selections)
+        assert selected == staged
+        assert len(staged_report.selections) < len(inputs.streams)
+        assert sorted(staged_report.encoded_from) == list(
+            range(len(staged_report.selections))
+        )
+        assert sum(staged_report.encoded_from.values()) == len(
+            inputs.streams
+        )
+
     def test_no_cell_reads_columns_after_they_are_dropped(
         self, staged_report
     ):
@@ -942,9 +988,12 @@ class TestStages:
 
     def test_largest_phase_peak_is_a_small_multiple_of_its_inputs(self):
         # Measured: 3.8x the bytes of the phase's trace columns and
-        # streams (gs's 87 cells at 20k instructions).  The walk this
-        # replaced held every input of the phase at once and peaked at
-        # 4.8x; the bound leaves 12% headroom.
+        # streams (gs's 87 cells at 20k instructions), with streams
+        # counted at 13 bytes a run, the width they were held at when
+        # the bound was set; streams held narrower must not raise the
+        # absolute peak.  The walk this replaced held every input of
+        # the phase at once and peaked at 4.8x; the bound leaves 12%
+        # headroom.
         import tracemalloc
 
         from repro.workloads.registry import BoundedTraceCache
@@ -963,11 +1012,7 @@ class TestStages:
                     trace.addresses.nbytes + trace.kinds.nbytes
                     + trace.components.nbytes
                 )
-            released[0] += sum(
-                column.nbytes
-                for runs in streams
-                for column in (runs.lines, runs.counts, runs.first_offsets)
-            )
+            released[0] += sum(13 * len(runs) for runs in streams)
             return trace, streams
 
         clear_trace_cache()

@@ -165,16 +165,22 @@ class TestRoundTrip:
     def test_line_runs_stored_at_narrowest_width(
         self, tmp_path, params, trace, line_size
     ):
-        # On disk each column takes the fewest bytes that hold it; a
-        # load widens it back to the LineRuns dtypes, value for value.
+        # A stream is held at its narrowest widths, stored at them, and
+        # loaded at them, value for value.
         cache = TraceDiskCache(tmp_path)
         cache.store(trace, params, N, SEED)
         runs = to_line_runs(trace.ifetch_addresses(), line_size)
+        assert runs.lines.dtype == np.uint32
+        longest = int(runs.counts.max())
+        assert runs.counts.dtype == np.min_scalar_type(longest)
+        assert runs.counts.itemsize < 4
         entry = cache.store_line_runs(runs, params, N, SEED)
         with np.load(os.path.join(entry, "runs.npz")) as archive:
             stored = {name: archive[name].dtype for name in archive.files}
-        assert stored["lines"] == np.uint32
-        assert stored["counts"].itemsize < runs.counts.itemsize
+        assert stored == {
+            column: getattr(runs, column).dtype
+            for column in ("lines", "counts", "first_offsets")
+        }
         loaded = cache.load_line_runs(params, N, SEED, line_size)
         for column in ("lines", "counts", "first_offsets"):
             expected = getattr(runs, column)
@@ -199,8 +205,9 @@ class TestRoundTrip:
     def test_int64_line_runs_load_narrow_and_identical(
         self, tmp_path, params, trace
     ):
-        # Older caches wrote int64 counts and first offsets; they load
-        # into the narrow columns and drive every kernel identically.
+        # Older caches wrote uint64 lines and int64 counts and first
+        # offsets; they load into the narrow columns and drive every
+        # kernel identically.
         from repro.caches.base import CacheGeometry
         from repro.fetch.timing import MemoryTiming
         from repro.fetch.vectorized import (
@@ -217,13 +224,14 @@ class TestRoundTrip:
             name,
             lambda staging: np.savez(
                 os.path.join(staging, "runs.npz"),
-                lines=runs.lines,
+                lines=runs.lines.astype(np.uint64),
                 counts=runs.counts.astype(np.int64),
                 first_offsets=runs.first_offsets.astype(np.int64),
             ),
         )
         loaded = cache.load_line_runs(params, N, SEED, 32)
-        assert loaded.counts.dtype == np.int32
+        assert loaded.lines.dtype == np.uint32
+        assert loaded.counts.dtype == runs.counts.dtype
         assert loaded.first_offsets.dtype == np.uint8
         timing = MemoryTiming(latency=6, bytes_per_cycle=8)
         for geometry in (CacheGeometry(4096, 32, 1), CacheGeometry(4096, 32, 2)):

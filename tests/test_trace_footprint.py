@@ -9,8 +9,9 @@ These tests pin both.  At ``--jobs 1`` the in-memory trace cache never
 holds more than one trace, and each trace is synthesized once; at
 ``--jobs 2`` the pool workers prime every trace, so the parent reads
 none.  No trace
-keeps a copy of its fetch addresses, a line run costs 13 bytes
-(``uint64`` line, ``int32`` count, ``uint8`` first offset), and the
+keeps a copy of its fetch addresses, a line run holds each column at
+its narrowest width (``uint32`` line, a count as wide as the longest
+run needs, ``uint8`` first offset: 6 bytes at 4 B lines), and the
 narrow columns encode exactly what a plain int64 encoding does.  The
 LRU miss masks a report computes come from bounded queries, so no
 report builds an exact stack-distance array, and one bounded mask
@@ -212,13 +213,23 @@ def test_no_trace_memoizes_its_fetch_addresses(report_traces):
         )
 
 
-def test_memoized_line_runs_hold_13_bytes_per_run(report_run):
+def test_memoized_line_runs_hold_their_narrowest_widths(report_run):
+    # Every report stream is a 32-bit address space's, at 4-256 B lines:
+    # uint32 lines, counts at the width of the longest run, uint8 first
+    # offsets.  A 4 B stream's runs are single references: 6 bytes each.
     memoized = report_run.streams
     assert memoized
     assert all(isinstance(runs, LineRuns) for runs in memoized)
+    assert {runs.line_size for runs in memoized} >= {4, 32}
     for runs in memoized:
+        assert runs.lines.dtype == np.uint32, runs.line_size
+        longest = int(runs.counts.max())
+        assert runs.counts.dtype == np.min_scalar_type(longest)
+        assert runs.first_offsets.dtype == np.uint8
         held = runs.lines.nbytes + runs.counts.nbytes + runs.first_offsets.nbytes
-        assert held == 13 * len(runs), runs.line_size
+        assert held == (5 + runs.counts.itemsize) * len(runs), runs.line_size
+        if runs.line_size == 4:
+            assert held == 6 * len(runs)
 
 
 def _plain_encoding(addresses: list[int], line_size: int):

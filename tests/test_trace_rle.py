@@ -78,11 +78,33 @@ class TestLineRunsValidation:
 
 class TestNarrowColumns:
     def test_columns_are_stored_narrow(self):
+        # A 32-bit address space's lines fit uint32; runs of 8 fit uint8.
         addresses = np.arange(0, 4096, 4, dtype=np.uint64)
         runs = to_line_runs(addresses, 32)
-        assert runs.lines.dtype == np.uint64
-        assert runs.counts.dtype == np.int32
+        assert runs.lines.dtype == np.uint32
+        assert runs.counts.dtype == np.uint8
         assert runs.first_offsets.dtype == np.uint8
+
+    def test_lines_past_32_bits_stay_wide(self):
+        addresses = np.array([0, 2**40, 2**40 + 4, 2**63], np.uint64)
+        runs = to_line_runs(addresses, 4)
+        assert runs.lines.dtype == np.uint64
+        assert runs.lines.tolist() == [0, 2**38, 2**38 + 1, 2**61]
+
+    @pytest.mark.parametrize(
+        "longest, dtype",
+        [(1, np.uint8), (255, np.uint8), (256, np.uint16),
+         (65535, np.uint16), (65536, np.uint32), (2**31 - 1, np.uint32)],
+    )
+    def test_count_width_follows_the_longest_run(self, longest, dtype):
+        runs = LineRuns(
+            lines=np.arange(2, dtype=np.uint64),
+            counts=np.array([1, longest], np.int64),
+            first_offsets=np.zeros(2, np.int64),
+            line_size=32,
+        )
+        assert runs.counts.dtype == dtype
+        assert runs.counts.tolist() == [1, longest]
 
     @pytest.mark.parametrize(
         "line_size, dtype",
@@ -99,24 +121,32 @@ class TestNarrowColumns:
         assert int(runs.first_offsets[0]) == line_size - 1
 
     def test_every_constructor_narrows(self):
-        # Wide columns from any caller (the parent's npz files, hand-made
-        # synthetic streams) arrive narrow; uint64 lines keep identity.
-        lines = np.array([3, 4], np.uint64)
-        runs = LineRuns(
-            lines=lines,
+        # Wide columns from any caller (older npz files, hand-made
+        # synthetic streams) arrive narrow; columns already at their
+        # narrowest width keep identity.
+        wide = LineRuns(
+            lines=np.array([3, 4], np.uint64),
             counts=np.array([5, 7], np.int64),
             first_offsets=np.array([4, 8], np.int64),
             line_size=32,
         )
-        assert runs.lines is lines
-        assert runs.counts.dtype == np.int32
-        assert runs.first_offsets.dtype == np.uint8
-        assert runs.counts.tolist() == [5, 7]
-        assert runs.first_offsets.tolist() == [4, 8]
+        assert wide.lines.dtype == np.uint32
+        assert wide.counts.dtype == np.uint8
+        assert wide.first_offsets.dtype == np.uint8
+        assert wide.lines.tolist() == [3, 4]
+        assert wide.counts.tolist() == [5, 7]
+        assert wide.first_offsets.tolist() == [4, 8]
+        narrow = LineRuns(
+            wide.lines, wide.counts, wide.first_offsets, wide.line_size
+        )
+        assert narrow.lines is wide.lines
+        assert narrow.counts is wide.counts
+        assert narrow.first_offsets is wide.first_offsets
 
     def test_empty_stream_is_narrow(self):
         runs = to_line_runs(np.zeros(0, dtype=np.uint64), 32)
-        assert runs.counts.dtype == np.int32
+        assert runs.lines.dtype == np.uint32
+        assert runs.counts.dtype == np.uint8
         assert runs.first_offsets.dtype == np.uint8
 
     @pytest.mark.parametrize(
@@ -136,6 +166,10 @@ class TestNarrowColumns:
                 first_offsets=np.array(offsets, np.int64),
                 line_size=32,
             )
+
+    def test_negative_line_numbers_are_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            LineRuns(np.array([3, -1]), [1, 1], [0, 0], 32)
 
     def test_total_past_int32_is_exact(self):
         big = 2**31 - 1
