@@ -8,8 +8,8 @@ trajectory at the repository root:
   rendered tables checked byte-identical.
 * ``figure7-coverage`` — both Figure 7 optimization ladders plus the
   mechanism corners that used to fall back to the reference engines
-  (victim cache, markov prefetch, associative and wrap-around
-  ``prefetch+bypass``, mismatched-width stream buffers), under
+  (associative and wrap-around ``prefetch+bypass``, mismatched-width
+  stream buffers), under
   ``engine="reference"`` versus ``engine="auto"``.  The auto run must
   dispatch *zero* points to the reference fallback — full vectorized
   coverage is part of what this benchmark certifies — and its results
@@ -110,10 +110,9 @@ def _coverage_points():
 
     The extra points are exactly the combinations that previously had no
     closed-form kernel, so ``engine="auto"`` fell back to stepping the
-    reference engines on them: victim caches, markov prefetching,
-    ``prefetch+bypass`` on an associative L1 and on a wrap-around
-    geometry (``n_sets <= n_prefetch``), and a stream buffer whose line
-    size is wider than the transfer width.
+    reference engines on them: ``prefetch+bypass`` on an associative L1
+    and on a wrap-around geometry (``n_sets <= n_prefetch``), and a
+    stream buffer whose line size is wider than the transfer width.
     """
     points = [
         point
@@ -121,11 +120,6 @@ def _coverage_points():
         for point in figure7._step_points(config_name)
     ]
     interface = MemoryTiming(latency=6, bytes_per_cycle=16)
-    l1_8k_dm = MemorySystemConfig(
-        name="cover-dm",
-        l1=CacheGeometry(8192, 32, 1),
-        memory=interface,
-    )
     l1_2way = MemorySystemConfig(
         name="cover-2way",
         l1=CacheGeometry(8192, 32, 2),
@@ -142,11 +136,6 @@ def _coverage_points():
         memory=interface,
     )
     points += [
-        fetch_point(("cover", "victim"), l1_8k_dm, "victim", n_victims=4),
-        fetch_point(("cover", "markov"), l1_8k_dm, "markov",
-                    table_size=512, n_buffers=4),
-        fetch_point(("cover", "markov-hybrid"), l1_2way, "markov",
-                    hybrid=True),
         fetch_point(("cover", "bypass-2way"), l1_2way, "prefetch+bypass",
                     n_prefetch=2),
         fetch_point(("cover", "bypass-wrap"), l1_tiny, "prefetch+bypass",

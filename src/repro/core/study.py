@@ -25,10 +25,8 @@ from repro.fetch import dispatch, vectorized
 from repro.fetch.bypass import PrefetchBypassEngine
 from repro.fetch.dispatch import ENGINES, MECHANISMS
 from repro.fetch.engine import DemandFetchEngine, FetchEngine, FetchResult
-from repro.fetch.markov import MarkovPrefetchEngine
-from repro.fetch.prefetch import PrefetchOnMissEngine, TaggedPrefetchEngine
+from repro.fetch.prefetch import PrefetchOnMissEngine
 from repro.fetch.streambuf import StreamBufferEngine
-from repro.fetch.victim import VictimCacheEngine
 from repro.obs import tracing
 from repro.runner import timing
 from repro.trace.rle import LineRuns
@@ -80,16 +78,10 @@ def make_engine(
         return DemandFetchEngine(config.l1, timing, **options)
     if mechanism == "prefetch":
         return PrefetchOnMissEngine(config.l1, timing, **options)
-    if mechanism == "tagged":
-        return TaggedPrefetchEngine(config.l1, timing, **options)
     if mechanism == "prefetch+bypass":
         return PrefetchBypassEngine(config.l1, timing, **options)
     if mechanism == "stream-buffer":
         return StreamBufferEngine(config.l1, timing, **options)
-    if mechanism == "victim":
-        return VictimCacheEngine(config.l1, timing, **options)
-    if mechanism == "markov":
-        return MarkovPrefetchEngine(config.l1, timing, **options)
     raise ValueError(
         f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}"
     )
@@ -139,10 +131,9 @@ def fetch_result(
                 warmup_fraction,
                 **options,
             )
+        fetch_engine = make_engine(config, mechanism, **options)
         dispatch.record(mechanism, dispatch.ENGINE_REFERENCE)
-        return make_engine(config, mechanism, **options).run(
-            runs, warmup_fraction
-        )
+        return fetch_engine.run(runs, warmup_fraction)
 
 
 def evaluate_streams(

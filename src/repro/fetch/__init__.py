@@ -1,13 +1,12 @@
 """Instruction-fetch timing models and mechanisms.
 
 This subpackage turns miss behaviour into cycles: the latency/bandwidth
-interface model of the paper's Table 5, and the L1-L2 interface
-mechanisms of Section 5.2 — demand fetch, sequential and tagged
-prefetch-on-miss, prefetch with bypass buffers, a pipelined memory
-system with stream buffers, victim caches, and markov prefetching.
-All mechanisms are driven by run-length-encoded instruction streams and
-account stall cycles to produce CPIinstr; every one has both a
-reference per-run engine and a vectorized closed-form kernel
+interface model of the paper's Table 5, and the four L1-L2 interface
+mechanisms of Section 5.2 — demand fetch, sequential prefetch-on-miss,
+prefetch with bypass buffers, and a pipelined memory system with stream
+buffers.  All mechanisms are driven by run-length-encoded instruction
+streams and account stall cycles to produce CPIinstr; every one has
+both a reference per-run engine and a vectorized closed-form kernel
 (:mod:`repro.fetch.vectorized`) pinned bit-identical by the
 differential tests.
 """
@@ -22,14 +21,10 @@ _EXPORTS = {
     "FetchResult": ".engine",
     "DemandFetchEngine": ".engine",
     "PrefetchOnMissEngine": ".prefetch",
-    "TaggedPrefetchEngine": ".prefetch",
     "PrefetchBypassEngine": ".bypass",
     "StreamBufferEngine": ".streambuf",
-    "VictimCacheEngine": ".victim",
-    "MarkovPrefetchEngine": ".markov",
     "TwoLevelDemandEngine": ".twolevel",
     "TwoLevelResult": ".twolevel",
-    "VECTORIZED_MECHANISMS": ".vectorized",
     "run_vectorized": ".vectorized",
     "supports": ".vectorized",
     "unsupported_reason": ".vectorized",

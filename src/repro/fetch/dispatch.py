@@ -29,15 +29,7 @@ ENGINE_VECTORIZED = "vectorized"
 ENGINE_REFERENCE = "reference"
 
 #: Mechanism names accepted by :func:`repro.core.study.evaluate`.
-MECHANISMS = (
-    "demand",
-    "prefetch",
-    "tagged",
-    "prefetch+bypass",
-    "stream-buffer",
-    "victim",
-    "markov",
-)
+MECHANISMS = ("demand", "prefetch", "prefetch+bypass", "stream-buffer")
 
 #: Fetch-timing implementations accepted by
 #: :func:`repro.core.study.evaluate`.  ``"reference"`` steps the per-run

@@ -44,51 +44,3 @@ class PrefetchOnMissEngine(FetchEngine):
             self.cache.install_line(line + distance)
         return self._penalty, True
 
-
-class TaggedPrefetchEngine(FetchEngine):
-    """Smith's *tagged* sequential prefetch [Smith78, cited in Section 2].
-
-    Prefetch-on-miss only looks ahead when it already lost time; tagged
-    prefetch also triggers on the **first demand reference to a
-    prefetched line** (each line carries a tag bit cleared by prefetch
-    and set by use), so a sequential walk keeps exactly one line of
-    lookahead in flight continuously.
-
-    Timing: a demand miss stalls for the full line (as in the base
-    model); a prefetch triggered by a tagged first-use proceeds in the
-    background — if the next line is referenced before its prefetch
-    completes, the processor waits out the remaining flight time.
-    """
-
-    def __init__(self, geometry: CacheGeometry, timing: MemoryTiming):
-        super().__init__(geometry, timing)
-        self._penalty = timing.fill_penalty(geometry.line_size)
-        # Lines fetched by prefetch whose tag bit is still clear,
-        # mapped to the cycle their fill completes.
-        self._untagged: dict[int, int] = {}
-        self.prefetches_issued = 0
-
-    def _access(self, line: int, first_offset: int, now: int) -> tuple[int, bool]:
-        cache = self.cache
-        arrival = self._untagged.pop(line, None)
-        if arrival is not None:
-            # First use of a prefetched line: wait out any remaining
-            # flight time, and chain the next prefetch.
-            self._issue(line + 1, max(now, arrival))
-            return max(0, arrival - now), False
-        if cache.contains_line(line):
-            return 0, False
-        cache.access_line(line)
-        self._issue(line + 1, now + self._penalty)
-        return self._penalty, True
-
-    def _issue(self, line: int, start: int) -> None:
-        if self.cache.contains_line(line) or line in self._untagged:
-            return
-        self.prefetches_issued += 1
-        self.cache.install_line(line)
-        self._untagged[line] = start + self._penalty
-        # Bound the bookkeeping: forget stale in-flight records.
-        if len(self._untagged) > 64:
-            oldest = next(iter(self._untagged))
-            del self._untagged[oldest]

@@ -14,13 +14,6 @@ arithmetic, without stepping a Python object per line run:
 
 * **demand** / **prefetch** — the stall per counted miss is a constant
   (``fill_penalty``), so the result is closed-form in the miss mask.
-* **victim** — the swap/miss classification never reads the clock, so
-  one memoized replay yields two masks and every timing point is
-  closed-form in the two counts.
-* **tagged** / **markov** — the cache/table/buffer state machines are
-  timing-independent, so one replay captures the sparse event structure
-  (misses and first-uses of prefetched lines) and each timing point
-  replays only the events.
 * **prefetch+bypass** / **stream-buffer** — stalls depend on inter-miss
   gaps, so the kernels walk *miss events* (plus the few runs inside a
   refill burst window) instead of every run; the bypass kernel walks
@@ -50,44 +43,25 @@ from repro.caches.vectorized import (
     line_order_cache,
 )
 from repro.core.metrics import DEFAULT_WARMUP_FRACTION, warmup_cut
+from repro.fetch.dispatch import MECHANISMS
 from repro.fetch.engine import FetchResult
-from repro.fetch.markov import markov_trace_events, markov_trace_events_direct
 from repro.fetch.timing import MemoryTiming
-from repro.fetch.victim import victim_classify
 from repro.trace.rle import LineRuns
 
 __all__ = [
-    "VECTORIZED_MECHANISMS",
     "supports",
     "unsupported_reason",
     "run_vectorized",
 ]
-
-#: Mechanisms the kernels reproduce bit-identically (geometry permitting).
-VECTORIZED_MECHANISMS = (
-    "demand",
-    "prefetch",
-    "tagged",
-    "prefetch+bypass",
-    "stream-buffer",
-    "victim",
-    "markov",
-)
 
 #: Options each mechanism's kernel understands; anything else means the
 #: caller wants a knob only the reference engine implements.
 _MECHANISM_OPTIONS = {
     "demand": frozenset(),
     "prefetch": frozenset({"n_prefetch"}),
-    "tagged": frozenset(),
     "prefetch+bypass": frozenset({"n_prefetch"}),
     "stream-buffer": frozenset({"n_lines", "refill_on_use", "move_penalty"}),
-    "victim": frozenset({"n_victims", "swap_penalty"}),
-    "markov": frozenset({"table_size", "n_buffers", "hybrid"}),
 }
-
-#: Mirror of :class:`TaggedPrefetchEngine`'s in-flight bookkeeping bound.
-_TAGGED_BOOKKEEPING = 64
 
 
 def unsupported_reason(
@@ -107,7 +81,7 @@ def unsupported_reason(
     if allowed is None:
         return (
             f"mechanism {mechanism!r} has no vectorized kernel "
-            f"(covered: {', '.join(VECTORIZED_MECHANISMS)})"
+            f"(covered: {', '.join(MECHANISMS)})"
         )
     options = options or {}
     unknown = sorted(set(options) - allowed)
@@ -172,33 +146,10 @@ def run_vectorized(
         mask = _prefetch_mask(runs, geometry, n_prefetch)
         penalty = timing.fill_penalty(geometry.line_size * (n_prefetch + 1))
         return _counting_result(mask, penalty, cut, instructions)
-    if mechanism == "tagged":
-        return _tagged_result(runs, geometry, timing, cut, instructions)
     if mechanism == "prefetch+bypass":
         n_prefetch = _check_depth(options.get("n_prefetch", 0))
         return _bypass_result(
             runs, geometry, timing, n_prefetch, cut, instructions
-        )
-    if mechanism == "victim":
-        return _victim_result(
-            runs,
-            geometry,
-            timing,
-            options.get("n_victims", 4),
-            options.get("swap_penalty", 1),
-            cut,
-            instructions,
-        )
-    if mechanism == "markov":
-        return _markov_result(
-            runs,
-            geometry,
-            timing,
-            options.get("table_size", 1024),
-            options.get("n_buffers", 4),
-            bool(options.get("hybrid", False)),
-            cut,
-            instructions,
         )
     # supports() admitted it, so this is the stream buffer.
     n_lines = options.get("n_lines", 6)
@@ -313,250 +264,6 @@ def _run_starts(runs: LineRuns) -> np.ndarray:
     starts = np.cumsum(runs.counts, dtype=np.int64)
     starts -= runs.counts
     return starts
-
-
-# -- tagged prefetch ---------------------------------------------------
-
-
-def _tagged_state(runs: LineRuns, geometry: CacheGeometry):
-    cache = line_order_cache(runs.lines)
-    n_sets, ways = geometry.n_sets, geometry.ways
-    return cache.memo(
-        ("tagged-state", n_sets, ways),
-        lambda: _tagged_state_compute(cache.lines, n_sets, ways),
-    )
-
-
-def _tagged_state_compute(lines: np.ndarray, n_sets: int, ways: int):
-    """Timing-independent replay of the tagged-prefetch state machine.
-
-    Nothing in :class:`TaggedPrefetchEngine`'s cache or tag-bit updates
-    reads the clock — arrival times only ever become stall cycles — so
-    one replay yields the sparse event list (demand misses and
-    first-uses of prefetched lines) that every timing point shares.
-    For each event: its run index, whether it was a demand miss, which
-    earlier event issued the prefetch it consumed (first-use only), and
-    whether it chained a new prefetch.
-    """
-    set_mask = n_sets - 1
-    sets_state: list[dict[int, None]] = [dict() for _ in range(n_sets)]
-    untagged: dict[int, int] = {}  # prefetched line -> issuing event
-
-    event_run: list[int] = []
-    event_is_miss: list[bool] = []
-    event_source: list[int] = []
-    event_issued: list[bool] = []
-
-    def issue(line: int, event: int) -> bool:
-        cache_set = sets_state[line & set_mask]
-        if line in cache_set or line in untagged:
-            return False
-        if len(cache_set) >= ways:  # install_line: no LRU touch
-            del cache_set[next(iter(cache_set))]
-        cache_set[line] = None
-        untagged[line] = event
-        if len(untagged) > _TAGGED_BOOKKEEPING:
-            del untagged[next(iter(untagged))]
-        return True
-
-    for i, line in enumerate(lines.tolist()):
-        source = untagged.pop(line, None)
-        if source is not None:
-            event = len(event_run)
-            event_run.append(i)
-            event_is_miss.append(False)
-            event_source.append(source)
-            event_issued.append(issue(line + 1, event))
-            continue
-        cache_set = sets_state[line & set_mask]
-        if line in cache_set:
-            # contains_line: a pure hit never touches LRU state.
-            continue
-        if len(cache_set) >= ways:
-            del cache_set[next(iter(cache_set))]
-        cache_set[line] = None
-        event = len(event_run)
-        event_run.append(i)
-        event_is_miss.append(True)
-        event_source.append(-1)
-        event_issued.append(issue(line + 1, event))
-    index = _index_dtype(len(lines))
-    return (
-        np.asarray(event_run, dtype=index),
-        np.asarray(event_is_miss, dtype=bool),
-        np.asarray(event_source, dtype=index),
-        np.asarray(event_issued, dtype=bool),
-    )
-
-
-def _tagged_result(
-    runs: LineRuns,
-    geometry: CacheGeometry,
-    timing: MemoryTiming,
-    cut: int,
-    instructions: int,
-) -> FetchResult:
-    event_run, is_miss, source, issued = _tagged_state(runs, geometry)
-    penalty = timing.fill_penalty(geometry.line_size)
-    base = (_run_starts(runs)[event_run]).tolist()
-    run_index = event_run.tolist()
-    is_miss, issued = is_miss.tolist(), issued.tolist()
-    source = source.tolist()
-    arrivals = [0] * len(run_index)
-    extra = 0
-    stalls = 0
-    misses = 0
-    for event, now0 in enumerate(base):
-        now = now0 + extra
-        if is_miss[event]:
-            stall = penalty
-            if issued[event]:
-                arrivals[event] = now + 2 * penalty
-        else:
-            arrival = arrivals[source[event]]
-            stall = arrival - now if arrival > now else 0
-            if issued[event]:
-                start = now if now > arrival else arrival
-                arrivals[event] = start + penalty
-        if run_index[event] >= cut:
-            stalls += stall
-            if is_miss[event]:
-                misses += 1
-        extra += stall
-    return FetchResult(
-        instructions=instructions, stall_cycles=stalls, misses=misses
-    )
-
-
-# -- victim caching ----------------------------------------------------
-
-
-def _victim_result(
-    runs: LineRuns,
-    geometry: CacheGeometry,
-    timing: MemoryTiming,
-    n_victims: int,
-    swap_penalty: int,
-    cut: int,
-    instructions: int,
-) -> FetchResult:
-    """Closed-form victim-cache result from memoized swap/miss masks.
-
-    :func:`~repro.fetch.victim.victim_classify` replays the
-    timing-independent state machine once per (stream, shape, depth);
-    every timing point is then two mask sums.
-    """
-    if geometry.associativity != 1:
-        # Mirror VictimCacheEngine's constructor contract exactly.
-        raise ValueError(
-            "a victim cache assists a direct-mapped primary; got "
-            f"{geometry.associativity}-way"
-        )
-    if n_victims < 1:
-        raise ValueError(f"n_victims must be >= 1, got {n_victims}")
-    if swap_penalty < 0:
-        raise ValueError(f"swap_penalty must be >= 0, got {swap_penalty}")
-    cache = line_order_cache(runs.lines)
-    victim_hits, miss_mask = cache.memo(
-        ("victim-state", geometry.n_sets, n_victims),
-        lambda: victim_classify(cache.lines, geometry.n_sets, n_victims),
-    )
-    swaps = int(victim_hits[cut:].sum())
-    misses = int(miss_mask[cut:].sum())
-    penalty = timing.fill_penalty(geometry.line_size)
-    return FetchResult(
-        instructions=instructions,
-        stall_cycles=swaps * swap_penalty + misses * penalty,
-        misses=misses,
-    )
-
-
-# -- markov (miss-correlation) prefetching -----------------------------
-
-
-def _markov_result(
-    runs: LineRuns,
-    geometry: CacheGeometry,
-    timing: MemoryTiming,
-    table_size: int,
-    n_buffers: int,
-    hybrid: bool,
-    cut: int,
-    instructions: int,
-) -> FetchResult:
-    """Sparse event replay of the Markov-prefetch engine.
-
-    :func:`~repro.fetch.markov.markov_trace_events` captures the
-    timing-independent event structure once per (stream, shape, table,
-    buffers); each timing point walks only the cache-miss events,
-    resolving every buffer hit's arrival from the cycle its issuing
-    event ran at.
-    """
-    if table_size < 1:
-        raise ValueError(f"table_size must be >= 1, got {table_size}")
-    if n_buffers < 1:
-        raise ValueError(f"n_buffers must be >= 1, got {n_buffers}")
-    cache = line_order_cache(runs.lines)
-
-    def compute() -> tuple[np.ndarray, ...]:
-        if geometry.ways == 1:
-            # Direct-mapped: the cache-miss events are the (memoized,
-            # sweep-shared) demand miss mask, so the state machine only
-            # walks the misses.
-            mask = _demand_mask(runs, geometry)
-            positions = _miss_positions(cache, _mask_shape(geometry), mask)
-            return markov_trace_events_direct(
-                cache.lines, positions, geometry.n_sets,
-                table_size, n_buffers, hybrid,
-            )
-        return markov_trace_events(
-            cache.lines,
-            geometry.n_sets,
-            geometry.ways,
-            table_size,
-            n_buffers,
-            hybrid,
-        )
-
-    event_run, is_miss, source, offset = cache.memo(
-        (
-            "markov-state",
-            geometry.n_sets,
-            geometry.ways,
-            table_size,
-            n_buffers,
-            hybrid,
-        ),
-        compute,
-    )
-    penalty = timing.fill_penalty(geometry.line_size)
-    base = (_run_starts(runs)[event_run]).tolist()
-    run_index = event_run.tolist()
-    is_miss = is_miss.tolist()
-    source = source.tolist()
-    offset = offset.tolist()
-    nows = [0] * len(run_index)
-    extra = 0
-    stalls = 0
-    misses = 0
-    for event, now0 in enumerate(base):
-        now = now0 + extra
-        nows[event] = now
-        if is_miss[event]:
-            stall = penalty
-        else:
-            # The prefetch issued when its source event ran, queued at
-            # back-to-back slot `offset` behind the source's own refill.
-            arrival = nows[source[event]] + penalty + offset[event] + 1
-            stall = arrival - now if arrival > now else 0
-        if run_index[event] >= cut:
-            stalls += stall
-            if is_miss[event]:
-                misses += 1
-        extra += stall
-    return FetchResult(
-        instructions=instructions, stall_cycles=stalls, misses=misses
-    )
 
 
 # -- prefetch with bypass buffers --------------------------------------

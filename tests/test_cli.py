@@ -23,6 +23,18 @@ class TestCli:
             assert main(["experiment", name]) == 2
             assert "unknown experiment" in capsys.readouterr().err
 
+    def test_mechanism_unknown(self, capsys):
+        for name in ("telepathy", "tagged", "victim", "markov"):
+            for argv in (
+                ["evaluate", "gcc", "--mechanism", name],
+                ["warm", "--suite", "ibs-mach3", "--mechanism", name],
+            ):
+                with pytest.raises(SystemExit) as excinfo:
+                    main(argv)
+                assert excinfo.value.code == 2
+                err = capsys.readouterr().err
+                assert f"invalid choice: '{name}'" in err
+
     def test_evaluate(self, capsys):
         code = main(
             [

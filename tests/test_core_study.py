@@ -4,7 +4,14 @@ import pytest
 
 from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
-from repro.core.study import evaluate, evaluate_trace, make_engine
+from repro.core.study import (
+    ENGINES,
+    evaluate,
+    evaluate_trace,
+    fetch_result,
+    make_engine,
+)
+from repro.fetch import dispatch
 from repro.fetch.bypass import PrefetchBypassEngine
 from repro.fetch.engine import DemandFetchEngine
 from repro.fetch.prefetch import PrefetchOnMissEngine
@@ -36,6 +43,28 @@ class TestMakeEngine:
     def test_unknown_mechanism(self):
         with pytest.raises(ValueError, match="unknown mechanism"):
             make_engine(MemorySystemConfig.economy(), "telepathy")
+
+
+#: Mechanism names that never existed, then retired ones.
+UNKNOWN_MECHANISMS = ("telepathy", "tagged", "victim", "markov")
+
+
+class TestUnknownMechanism:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_refused_on_every_engine(self, engine, small_trace):
+        config = MemorySystemConfig.economy()
+        runs = small_trace.ifetch_line_runs(config.l1.line_size)
+        dispatch.reset_totals()
+        for name in UNKNOWN_MECHANISMS:
+            with pytest.raises(ValueError, match="unknown mechanism"):
+                fetch_result(runs, config, name, engine=engine)
+            with pytest.raises(ValueError, match="unknown mechanism"):
+                evaluate(
+                    "gcc", "mach3", config, name,
+                    n_instructions=20_000, engine=engine,
+                )
+        # A refused mechanism is never counted as dispatched.
+        assert dispatch.totals() == {}
 
 
 class TestEvaluateTrace:

@@ -34,10 +34,10 @@ class TestAccumulators:
         with tracing.capture("probe") as records:
             dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
             dispatch.record("demand", dispatch.ENGINE_VECTORIZED)
-            dispatch.record("victim", dispatch.ENGINE_REFERENCE)
+            dispatch.record("stream-buffer", dispatch.ENGINE_REFERENCE)
         assert records[-1]["engine_dispatch"] == {
             dispatch.ENGINE_VECTORIZED: {"demand": 2},
-            dispatch.ENGINE_REFERENCE: {"victim": 1},
+            dispatch.ENGINE_REFERENCE: {"stream-buffer": 1},
         }
         assert dispatch.totals()[("demand", dispatch.ENGINE_VECTORIZED)] == 2
 
@@ -60,13 +60,14 @@ class TestRecordingSite:
         with tracing.capture("probe") as records:
             fetch_result(runs, self.CONFIG, "demand", engine="vectorized")
             fetch_result(runs, self.CONFIG, "demand", engine="reference")
-            fetch_result(runs, self.CONFIG, "victim", engine="auto")
+            fetch_result(runs, self.CONFIG, "stream-buffer", engine="auto")
         counts = records[-1]["engine_dispatch"]
         assert counts[dispatch.ENGINE_VECTORIZED]["demand"] == 1
         assert counts[dispatch.ENGINE_REFERENCE]["demand"] == 1
-        # Full kernel coverage: auto routes victim to the kernels now.
-        assert counts[dispatch.ENGINE_VECTORIZED]["victim"] == 1
-        assert "victim" not in counts[dispatch.ENGINE_REFERENCE]
+        # Full kernel coverage: auto routes the stream buffer to the
+        # kernels.
+        assert counts[dispatch.ENGINE_VECTORIZED]["stream-buffer"] == 1
+        assert "stream-buffer" not in counts[dispatch.ENGINE_REFERENCE]
 
 
 def _dispatching_cell(mechanism: str, engine: str) -> int:
@@ -83,7 +84,7 @@ class TestReportPlumbing:
             ),
             PlanCell(
                 key=("b",), fn=_dispatching_cell,
-                args=("victim", dispatch.ENGINE_REFERENCE),
+                args=("stream-buffer", dispatch.ENGINE_REFERENCE),
             ),
         ]
         _results, timings = run_cells(cells, jobs=1)
@@ -91,7 +92,7 @@ class TestReportPlumbing:
             dispatch.ENGINE_VECTORIZED: {"demand": 1}
         }
         assert timings[1]["engine_dispatch"] == {
-            dispatch.ENGINE_REFERENCE: {"victim": 1}
+            dispatch.ENGINE_REFERENCE: {"stream-buffer": 1}
         }
 
     def test_pool_worker_counts_reach_totals(self):
@@ -102,12 +103,12 @@ class TestReportPlumbing:
                 key=(mechanism,), fn=_dispatching_cell,
                 args=(mechanism, dispatch.ENGINE_VECTORIZED),
             )
-            for mechanism in ("demand", "victim")
+            for mechanism in ("demand", "stream-buffer")
         ]
         run_cells(cells, jobs=2)
         assert dispatch.totals() == {
             ("demand", dispatch.ENGINE_VECTORIZED): 1,
-            ("victim", dispatch.ENGINE_VECTORIZED): 1,
+            ("stream-buffer", dispatch.ENGINE_VECTORIZED): 1,
         }
 
     def test_timing_report_aggregates_and_serializes(self):
@@ -118,14 +119,14 @@ class TestReportPlumbing:
                  "engine_dispatch": {"vectorized": {"demand": 2}}},
                 {"key": ("b",), "wall_seconds": 0.5, "phases": {},
                  "engine_dispatch": {"vectorized": {"demand": 1},
-                                     "reference": {"victim": 4}}},
+                                     "reference": {"stream-buffer": 4}}},
             ],
             "plan": {},
         }
         record = timing_record(timing)
         assert record["engine_dispatch"] == {
             "vectorized": {"demand": 3},
-            "reference": {"victim": 4},
+            "reference": {"stream-buffer": 4},
         }
         assert record["cells"][0]["engine_dispatch"] == {
             "vectorized": {"demand": 2}

@@ -10,14 +10,18 @@ kernels without changing a single rendered digit.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pytest
 
 from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
-from repro.core.study import ENGINES, evaluate_trace, fetch_result, make_engine
+from repro.core.study import (
+    ENGINES,
+    MECHANISMS,
+    evaluate_trace,
+    fetch_result,
+    make_engine,
+)
 from repro.experiments import figure6, figure7, table6
 from repro.experiments.common import (
     ExperimentSettings,
@@ -31,11 +35,11 @@ from repro.fetch import (
     HIGH_PERF_MEMORY,
     L1_L2_INTERFACE,
     MemoryTiming,
-    VECTORIZED_MECHANISMS,
     run_vectorized,
     supports,
     unsupported_reason,
 )
+from repro.fetch.vectorized import _MECHANISM_OPTIONS
 from repro.trace.rle import LineRuns, to_line_runs
 from repro.workloads.registry import get_trace, suite_workloads
 
@@ -58,7 +62,6 @@ GEOMETRIES = (
 OPTION_GRID = {
     "demand": ({},),
     "prefetch": ({}, {"n_prefetch": 0}, {"n_prefetch": 3}),
-    "tagged": ({},),
     "prefetch+bypass": ({}, {"n_prefetch": 1}, {"n_prefetch": 3}),
     "stream-buffer": (
         {},
@@ -66,12 +69,6 @@ OPTION_GRID = {
         {"n_lines": 0},
         {"n_lines": 4, "refill_on_use": True},
         {"n_lines": 6, "move_penalty": 1},
-    ),
-    "victim": ({}, {"n_victims": 2}, {"n_victims": 8, "swap_penalty": 0}),
-    "markov": (
-        {},
-        {"table_size": 64},
-        {"n_buffers": 2, "hybrid": True},
     ),
 }
 
@@ -82,18 +79,7 @@ def reference_result(runs, geometry, timing, mechanism, warmup=0.3, **options):
 
 
 def assert_identical(runs, geometry, timing, mechanism, warmup=0.3, **options):
-    try:
-        ref = reference_result(
-            runs, geometry, timing, mechanism, warmup, **options
-        )
-    except ValueError as exc:
-        # The reference engine rejects the combination outright (e.g. a
-        # victim cache behind an associative primary); the kernel must
-        # reject it with the same message.
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            run_vectorized(runs, geometry, timing, mechanism, warmup,
-                           **options)
-        return
+    ref = reference_result(runs, geometry, timing, mechanism, warmup, **options)
     vec = run_vectorized(
         runs, geometry, timing, mechanism, warmup, **options
     )
@@ -115,7 +101,7 @@ def runs_by_line_size(small_trace):
 class TestDifferentialGrid:
     """Exact equality over the full supported grid, per mechanism."""
 
-    @pytest.mark.parametrize("mechanism", VECTORIZED_MECHANISMS)
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_matches_reference(self, mechanism, runs_by_line_size):
         covered = 0
         for geometry in GEOMETRIES:
@@ -130,7 +116,7 @@ class TestDifferentialGrid:
                     covered += 1
         assert covered > 0, f"grid never exercised {mechanism}"
 
-    @pytest.mark.parametrize("mechanism", VECTORIZED_MECHANISMS)
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_no_warmup(self, mechanism, runs_by_line_size):
         geometry = GEOMETRIES[0]
         runs = runs_by_line_size[geometry.line_size]
@@ -149,7 +135,7 @@ class TestWarmupEdgeCases:
             line_size=line_size,
         )
 
-    @pytest.mark.parametrize("mechanism", VECTORIZED_MECHANISMS)
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_empty_window(self, mechanism):
         geometry = CacheGeometry(1024, 32, 1)
         timing = MemoryTiming(latency=6, bytes_per_cycle=32)
@@ -158,7 +144,7 @@ class TestWarmupEdgeCases:
         assert (vec.instructions, vec.stall_cycles, vec.misses) == (0, 0, 0)
         assert_identical(runs, geometry, timing, mechanism)
 
-    @pytest.mark.parametrize("mechanism", VECTORIZED_MECHANISMS)
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_miss_on_warmup_boundary(self, mechanism):
         # One cache line: every run misses, including the run exactly at
         # the warmup cut.
@@ -175,7 +161,7 @@ class TestWarmupEdgeCases:
         geometry = CacheGeometry(1024, 32, 1)
         timing = ECONOMY_MEMORY
         runs = to_line_runs(np.full(8, 0x1000, dtype=np.uint64), 32)
-        for mechanism in ("demand", "prefetch", "tagged"):
+        for mechanism in ("demand", "prefetch"):
             assert_identical(runs, geometry, timing, mechanism)
 
 
@@ -184,7 +170,8 @@ class TestSupports:
 
     def test_whole_grid_covered(self):
         """Every (mechanism, geometry, timing) of the paper grids."""
-        for mechanism in VECTORIZED_MECHANISMS:
+        assert set(_MECHANISM_OPTIONS) == set(MECHANISMS)
+        for mechanism in MECHANISMS:
             for geometry in GEOMETRIES:
                 for timing in TIMINGS:
                     assert supports(geometry, timing, mechanism), (
@@ -193,8 +180,6 @@ class TestSupports:
 
     def test_formerly_uncovered_corners_now_supported(self):
         # Each of these used to route to the reference engines.
-        assert supports(self.GEOMETRY, ECONOMY_MEMORY, "victim")
-        assert supports(self.GEOMETRY, ECONOMY_MEMORY, "markov")
         # Associative prefetch+bypass.
         assert supports(
             CacheGeometry(8192, 32, 2), ECONOMY_MEMORY, "prefetch+bypass"
@@ -264,7 +249,7 @@ class TestEngineKnob:
 
     def test_explicit_engines_agree(self, runs_by_line_size):
         runs = runs_by_line_size[32]
-        for mechanism in VECTORIZED_MECHANISMS:
+        for mechanism in MECHANISMS:
             results = [
                 fetch_result(runs, self.CONFIG, mechanism, engine=engine)
                 for engine in ENGINES
@@ -272,12 +257,8 @@ class TestEngineKnob:
             assert results[0] == results[1] == results[2], mechanism
 
     def test_vectorized_runs_formerly_reference_only(self, runs_by_line_size):
-        """victim / associative bypass now run under engine="vectorized"."""
+        """Associative bypass now runs under engine="vectorized"."""
         runs = runs_by_line_size[32]
-        forced = fetch_result(runs, self.CONFIG, "victim", engine="vectorized")
-        assert forced == fetch_result(
-            runs, self.CONFIG, "victim", engine="reference"
-        )
         assoc = MemorySystemConfig(
             name="assoc", l1=CacheGeometry(8192, 32, 2), memory=ECONOMY_MEMORY
         )

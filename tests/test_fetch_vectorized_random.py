@@ -6,8 +6,8 @@ and randomly drawn (geometry, mechanism, options, timing, warmup)
 points, plus targeted parametrized sweeps over the corners that only
 gained kernels late: associative ``prefetch+bypass``, wrap-around
 bursts (``n_sets <= n_prefetch``), stream buffers whose line size is
-not the transfer width, victim caches, and markov prefetching.  Every
-point must match the reference engine bit for bit.
+not the transfer width.  Every point must match the reference engine
+bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.caches.base import CacheGeometry
 from repro.core.config import MemorySystemConfig
-from repro.core.study import make_engine
+from repro.core.study import MECHANISMS, make_engine
 from repro.fetch import MemoryTiming, run_vectorized
 from repro.fetch.vectorized import (
     _demand_mask,
@@ -78,14 +78,8 @@ def assert_point_identical(runs, geometry, timing, mechanism,
 
 def draw_point(rng):
     """One random (geometry, timing, mechanism, options, warmup) point."""
-    mechanism = rng.choice(
-        ["demand", "prefetch", "tagged", "prefetch+bypass",
-         "stream-buffer", "victim", "markov"]
-    )
+    mechanism = rng.choice(MECHANISMS)
     geometry = GEOMETRIES[rng.integers(len(GEOMETRIES))]
-    if mechanism == "victim":
-        # The engine only accepts a direct-mapped primary.
-        geometry = GEOMETRIES[0] if rng.random() < 0.5 else GEOMETRIES[-1]
     timing = TIMINGS[rng.integers(len(TIMINGS))]
     warmup = float(rng.choice([0.0, 0.25, 0.3, 0.6]))
     options = {}
@@ -97,13 +91,6 @@ def draw_point(rng):
             options["refill_on_use"] = True
         if rng.random() < 0.4:
             options["move_penalty"] = int(rng.integers(0, 3))
-    elif mechanism == "victim":
-        options["n_victims"] = int(rng.integers(1, 9))
-        options["swap_penalty"] = int(rng.integers(0, 3))
-    elif mechanism == "markov":
-        options["table_size"] = int(rng.choice([16, 64, 1024]))
-        options["n_buffers"] = int(rng.integers(1, 5))
-        options["hybrid"] = bool(rng.random() < 0.5)
     return geometry, timing, mechanism, options, warmup
 
 
@@ -155,25 +142,6 @@ class TestFormerlyUncoveredCorners:
                                n_lines=4)
         assert_point_identical(runs, geometry, timing, "stream-buffer",
                                n_lines=3, refill_on_use=True)
-
-    @pytest.mark.parametrize("n_victims", (1, 4, 8))
-    @pytest.mark.parametrize("swap_penalty", (0, 2))
-    def test_victim_cache(self, runs, n_victims, swap_penalty):
-        geometry = CacheGeometry(1024, LINE_SIZE, 1)
-        assert_point_identical(
-            runs, geometry, TIMINGS[1], "victim",
-            n_victims=n_victims, swap_penalty=swap_penalty,
-        )
-
-    @pytest.mark.parametrize("hybrid", (False, True))
-    @pytest.mark.parametrize("table_size", (16, 256))
-    def test_markov_prefetch(self, runs, hybrid, table_size):
-        # The tiny table forces correlation-table evictions.
-        for geometry in (GEOMETRIES[0], GEOMETRIES[1]):
-            assert_point_identical(
-                runs, geometry, TIMINGS[0], "markov",
-                table_size=table_size, n_buffers=2, hybrid=hybrid,
-            )
 
 
 class TestDepthZeroPrefetchMask:

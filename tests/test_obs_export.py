@@ -82,7 +82,7 @@ def _two_cell_spans():
         _span("cell", "c2", parent_id="root", wall=2.0, pid=11,
               thread="worker", attrs={"key": ["sdet", 2]},
               phases={"simulate": 1.8},
-              engine_dispatch={"reference": {"victim": 1}}),
+              engine_dispatch={"reference": {"stream-buffer": 1}}),
     ]
 
 
@@ -148,7 +148,7 @@ class TestSummarize:
             "synthesize": 0.5, "simulate": 0.9 + 1.8
         }
         assert summary["engine_dispatch"] == {
-            "vectorized": {"demand": 2}, "reference": {"victim": 1}
+            "vectorized": {"demand": 2}, "reference": {"stream-buffer": 1}
         }
         assert summary["trace_cache"] == {"memory-hit": 1}
         assert summary["span_count"] == 4

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from repro.caches.base import CacheGeometry
 from repro.fetch.bypass import PrefetchBypassEngine
 from repro.fetch.engine import DemandFetchEngine
-from repro.fetch.markov import MarkovPrefetchEngine
 from repro.fetch.prefetch import PrefetchOnMissEngine
 from repro.fetch.streambuf import StreamBufferEngine
 from repro.fetch.timing import MemoryTiming
-from repro.fetch.victim import VictimCacheEngine
 from repro.trace.rle import to_line_runs
 from repro.vm.pagemap import BinHoppingMapper, PageColoringMapper, RandomPageMapper
 
@@ -26,8 +24,7 @@ def _engines(timing):
     yield DemandFetchEngine(GEOMETRY, timing)
     yield PrefetchOnMissEngine(GEOMETRY, timing, n_prefetch=2)
     yield PrefetchBypassEngine(GEOMETRY, timing, n_prefetch=1)
-    yield VictimCacheEngine(GEOMETRY, timing, n_victims=2)
-    yield MarkovPrefetchEngine(GEOMETRY, timing, n_buffers=2, hybrid=True)
+    yield StreamBufferEngine(GEOMETRY, timing, n_lines=2)
 
 
 class TestEngineInvariants:
@@ -54,15 +51,6 @@ class TestEngineInvariants:
         )
         assert slow.stall_cycles >= fast.stall_cycles
         assert slow.misses == fast.misses  # timing never changes misses
-
-    @given(addresses_strategy)
-    @settings(max_examples=20, deadline=None)
-    def test_victim_never_misses_more_than_demand(self, addresses):
-        timing = MemoryTiming(6, 16)
-        runs = to_line_runs(addresses, 32)
-        demand = DemandFetchEngine(GEOMETRY, timing).run(runs, 0.0)
-        victim = VictimCacheEngine(GEOMETRY, timing, n_victims=4).run(runs, 0.0)
-        assert victim.misses <= demand.misses
 
     @given(addresses_strategy, st.sampled_from([0, 1, 4]))
     @settings(max_examples=20, deadline=None)

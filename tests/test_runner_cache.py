@@ -209,12 +209,9 @@ class TestRoundTrip:
         # offsets; they load into the narrow columns and drive every
         # kernel identically.
         from repro.caches.base import CacheGeometry
+        from repro.fetch.dispatch import MECHANISMS
         from repro.fetch.timing import MemoryTiming
-        from repro.fetch.vectorized import (
-            VECTORIZED_MECHANISMS,
-            run_vectorized,
-            supports,
-        )
+        from repro.fetch.vectorized import run_vectorized
 
         cache = TraceDiskCache(tmp_path)
         entry = cache.store(trace, params, N, SEED)
@@ -235,11 +232,7 @@ class TestRoundTrip:
         assert loaded.first_offsets.dtype == np.uint8
         timing = MemoryTiming(latency=6, bytes_per_cycle=8)
         for geometry in (CacheGeometry(4096, 32, 1), CacheGeometry(4096, 32, 2)):
-            for mechanism in VECTORIZED_MECHANISMS:
-                if not supports(geometry, timing, mechanism) or (
-                    mechanism == "victim" and geometry.associativity != 1
-                ):
-                    continue
+            for mechanism in MECHANISMS:
                 assert run_vectorized(
                     loaded, geometry, timing, mechanism
                 ) == run_vectorized(runs, geometry, timing, mechanism)

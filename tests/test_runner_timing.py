@@ -97,7 +97,7 @@ class TestReportRoundTrip:
                 {"key": ("groff", "mach3", 1), "wall_seconds": 0.5,
                  "phases": {"simulate": 0.3, "synthesize": 0.1},
                  "engine_dispatch": {"vectorized": {"demand": 2},
-                                     "reference": {"victim": 1}}},
+                                     "reference": {"stream-buffer": 1}}},
                 {"key": ("sdet", "mach3", 2), "wall_seconds": 0.25,
                  "phases": {"simulate": 0.2}, "engine_dispatch": {}},
             ],

@@ -454,6 +454,14 @@ class TestErrorPaths:
                 assert status == 400
                 assert "unknown config" in record["error"]
 
+                for name in ("telepathy", "tagged", "victim", "markov"):
+                    status, record = await _json_request(
+                        port, "POST", "/v1/evaluate",
+                        {"workload": "gcc", "mechanism": name},
+                    )
+                    assert status == 400
+                    assert f"unknown mechanism '{name}'" in record["error"]
+
                 status, record = await _json_request(
                     port, "POST", "/v1/experiments",
                     {"experiment": "table2", "instructions": -5},

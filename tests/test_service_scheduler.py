@@ -270,7 +270,7 @@ class TestDispatchMetrics:
 
         async def body():
             job = await scheduler.submit_evaluate(
-                _evaluate_request(mechanism="victim")
+                _evaluate_request(mechanism="stream-buffer")
             )
             await job.wait()
             return job
@@ -279,11 +279,11 @@ class TestDispatchMetrics:
         assert job.status == "done"
         assert scheduler.metrics.counter_value(
             "engine_dispatch_total",
-            {"mechanism": "victim", "engine": "vectorized"},
+            {"mechanism": "stream-buffer", "engine": "vectorized"},
         ) >= 1
         assert scheduler.metrics.counter_value(
             "engine_dispatch_total",
-            {"mechanism": "victim", "engine": "reference"},
+            {"mechanism": "stream-buffer", "engine": "reference"},
         ) == 0
 
 
@@ -322,7 +322,7 @@ class TestSpanDerivedMetrics:
         requests = [
             _evaluate_request(workload, mechanism=mechanism)
             for workload in ("gcc", "sdet", "nroff")
-            for mechanism in ("demand", "victim")
+            for mechanism in ("demand", "stream-buffer")
         ]
 
         async def body():
@@ -424,8 +424,8 @@ def _batch(scheduler, requests):
 _LATER_POINTS = (
     ("economy", "prefetch"),
     ("high-performance", "stream-buffer"),
-    ("high-performance", "victim"),
-    ("economy", "markov"),
+    ("high-performance", "prefetch+bypass"),
+    ("economy", "stream-buffer"),
 )
 
 #: Prints the evaluate payloads for gcc at every :data:`_LATER_POINTS`

@@ -17,7 +17,7 @@ class TestWarmPlan:
         plan = warm_plan(
             suite="ibs-mach3",
             configs=("economy",),
-            mechanisms=("demand", "victim"),
+            mechanisms=("demand", "stream-buffer"),
             settings=SETTINGS,
         )
         expected = len(suite_workloads("ibs-mach3")) * 1 * 2
